@@ -21,19 +21,20 @@ so a whole grid of lam values reuses a single factorization. When lam = 0,
 eigenvalues clamped to zero are dropped (w_j = 0), which yields the
 minimum-norm solution on singular designs.
 
-CostCache stores one factorization per grid interval plus the cost vector
-over a fixed lam grid; the optional bulk precompute factorizes every
-interval at once from prefix sums over grid cells.
+CostCache stores costs only, over a fixed lam grid, in one table filled a
+column at a time: the costs of every requested interval ending at one grid
+point come from one batched eigendecomposition of prefix-sum moments, and
+the eigenvectors are not kept. Coefficients are refactorized per interval
+on demand, which the fits need only for the final partition.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Interval, grid_cell, make_xbar
+from .core import Dataset, Interval, check_grid, grid_cell, make_xbar
 
 __all__ = [
     "GramFactor",
@@ -64,21 +65,10 @@ class GramFactor:
     count: int
 
 
-def _validate_lambdas(lambdas) -> np.ndarray:
-    arr = np.asarray(lambdas, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("lambda grid must be non-empty")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("lambda values must be finite and non-negative")
-    if np.any(np.diff(arr) < 0):
-        raise ValueError("lambda grid must be sorted ascending")
-    return arr
-
-
 def _factorize(Gs: np.ndarray, bs: np.ndarray):
     """Eigendecompose a stack of Gram matrices; returns (U, tau, phi) stacks.
 
-    One code path serves both the scalar (K=1) and bulk cases so their
+    One code path serves both the scalar (K=1) and column cases so their
     results are bit-identical.
     """
     tau, U = np.linalg.eigh(Gs)
@@ -141,7 +131,7 @@ def ridge_fit(d: Dataset, I: Interval, lam: float) -> np.ndarray:
 
 def multi_lambda_costs(d: Dataset, I: Interval, lambdas) -> np.ndarray:
     """Interval costs over a sorted non-negative lambda grid, one factorization."""
-    lams = _validate_lambdas(lambdas)
+    lams = check_grid("lambda", lambdas, allow_zero=True)
     f = gram_factor(d, I)
     ilen = np.array([I.length])
     return _spectral_costs(
@@ -154,19 +144,19 @@ def cost(d: Dataset, I: Interval, lam: float) -> float:
     return float(multi_lambda_costs(d, I, np.array([float(lam)]))[0])
 
 
-def _pair_index(lo: int, hi: int, m: int) -> int:
-    """Position of (lo, hi) in the row-major upper-triangle pair listing."""
-    return lo * m - (lo * (lo - 1)) // 2 + (hi - lo - 1)
-
-
 class CostCache:
-    """Memoized interval costs for one dataset on one grid.
+    """Interval costs for one dataset on one grid, over a fixed lambda grid.
 
-    Gram moments come from prefix sums over grid cells, so each interval is a
-    single subtraction; a symmetric eigendecomposition per interval is cached
-    together with its cost vector over the configured lambda grid. Lookups of
-    a cached entry return bit-identical values. Concurrent readers are safe;
-    insertions take a lock.
+    Gram moments come from prefix sums over grid cells, so each interval's
+    moments are a single subtraction. The cache holds costs only: one float64
+    table of shape (H, m+1, m+1) indexed [h, hi, lo], NaN where a cost has not
+    been computed yet. Column hi is filled for a whole set of lo at once, by
+    one batched eigendecomposition that serves every lambda of the grid; the
+    eigenvectors are dropped once the costs are stored. precompute=True fills
+    every column up front, one column at a time, so temporaries stay
+    O(m d^2). factor and theta refactorize their one interval on each call.
+    There is no lock: a cache belongs to one thread (replication runs in
+    processes).
     """
 
     def __init__(self, dataset: Dataset, m: int, lambdas=(0.0,), precompute: bool = False):
@@ -174,15 +164,13 @@ class CostCache:
             raise ValueError(f"grid resolution must be >= 1, got {m}")
         self.dataset = dataset
         self.m = int(m)
-        self.lambdas = _validate_lambdas(lambdas)
+        self.lambdas = check_grid("lambda", lambdas, allow_zero=True)
         self._lam_index = {float(l): h for h, l in enumerate(self.lambdas)}
-        self._lock = threading.Lock()
-        self._factors: dict = {}
-        self._costs: dict = {}
         self._build_prefix()
-        self._bulk = None
+        self._table = np.full((self.lambdas.size, self.m + 1, self.m + 1), np.nan)
         if precompute:
-            self._precompute_all()
+            for r in range(1, self.m + 1):
+                self._fill(np.arange(r), r)
 
     # ---------------------------------------------------------- internals
 
@@ -204,87 +192,45 @@ class CostCache:
         self._Cxy = csum_xy[bnd]
         self._Cyy = csum_yy[bnd]
         self._Ccnt = bnd
-        self._dim = dim
 
-    def _moments(self, lo: int, hi: int):
-        G = self._Cxx[hi] - self._Cxx[lo]
-        b = self._Cxy[hi] - self._Cxy[lo]
-        syy = float(self._Cyy[hi] - self._Cyy[lo])
-        count = int(self._Ccnt[hi] - self._Ccnt[lo])
-        return G, b, syy, count
+    def _costs(self, los: np.ndarray, hi: int, lambdas: np.ndarray) -> np.ndarray:
+        """Costs (K, H) of the intervals [lo, hi), lo in los, from one batched
+        factorization."""
+        G = self._Cxx[hi] - self._Cxx[los]
+        b = self._Cxy[hi] - self._Cxy[los]
+        syy = self._Cyy[hi] - self._Cyy[los]
+        _, tau, phi = _factorize(G, b)
+        return _spectral_costs(tau, phi, syy, (hi - los) / self.m, self.dataset.n, lambdas)
 
-    def _precompute_all(self):
-        m = self.m
-        los, his = np.triu_indices(m + 1, k=1)
-        Gs = self._Cxx[his] - self._Cxx[los]
-        bs = self._Cxy[his] - self._Cxy[los]
-        syy = self._Cyy[his] - self._Cyy[los]
-        cnt = self._Ccnt[his] - self._Ccnt[los]
-        ilen = (his - los) / m
-        U, tau, phi = _factorize(Gs, bs)
-        costs = _spectral_costs(tau, phi, syy, ilen, self.dataset.n, self.lambdas)
-        self._bulk = {"U": U, "tau": tau, "phi": phi, "syy": syy, "cnt": cnt, "costs": costs}
+    def _fill(self, los: np.ndarray, hi: int):
+        """Compute and store the costs of column hi still missing for lo in los."""
+        col = self._table[:, hi]
+        miss = los[np.isnan(col[0, los])]
+        if miss.size:
+            col[:, miss] = self._costs(miss, hi, self.lambdas).T
 
-    def _check_pair(self, lo: int, hi: int):
+    def _check_pair(self, lo, hi):
         if not (0 <= lo < hi <= self.m):
             raise ValueError(f"invalid interval indices ({lo}, {hi}) on grid {self.m}")
 
     # ------------------------------------------------------------- access
 
     def factor(self, lo: int, hi: int) -> GramFactor:
-        """Cached eigendecomposition for the interval [lo/m, hi/m)."""
+        """Eigendecomposition for the interval [lo/m, hi/m), computed per call."""
         self._check_pair(lo, hi)
-        if self._bulk is not None:
-            k = _pair_index(lo, hi, self.m)
-            b = self._bulk
-            return GramFactor(
-                U=b["U"][k], tau=b["tau"][k], phi=b["phi"][k],
-                syy=float(b["syy"][k]), count=int(b["cnt"][k]),
-            )
-        key = (lo, hi)
-        f = self._factors.get(key)
-        if f is None:
-            G, bvec, syy, count = self._moments(lo, hi)
-            U, tau, phi = _factorize(G[None], bvec[None])
-            f = GramFactor(U=U[0], tau=tau[0], phi=phi[0], syy=syy, count=count)
-            with self._lock:
-                f = self._factors.setdefault(key, f)
-        return f
-
-    def cost_vector(self, lo: int, hi: int) -> np.ndarray:
-        """Costs over the configured lambda grid for one interval."""
-        self._check_pair(lo, hi)
-        if self._bulk is not None:
-            return self._bulk["costs"][_pair_index(lo, hi, self.m)]
-        key = (lo, hi)
-        vec = self._costs.get(key)
-        if vec is None:
-            f = self.factor(lo, hi)
-            ilen = np.array([(hi - lo) / self.m])
-            vec = _spectral_costs(
-                f.tau[None], f.phi[None], np.array([f.syy]), ilen,
-                self.dataset.n, self.lambdas,
-            )[0]
-            with self._lock:
-                vec = self._costs.setdefault(key, vec)
-        return vec
+        G = self._Cxx[hi] - self._Cxx[lo]
+        b = self._Cxy[hi] - self._Cxy[lo]
+        U, tau, phi = _factorize(G[None], b[None])
+        syy = float(self._Cyy[hi] - self._Cyy[lo])
+        count = int(self._Ccnt[hi] - self._Ccnt[lo])
+        return GramFactor(U=U[0], tau=tau[0], phi=phi[0], syy=syy, count=count)
 
     def get(self, lo: int, hi: int, lam: float) -> float:
-        """Cost at one lambda; off-grid lambdas recompute from the factor."""
-        h = self._lam_index.get(float(lam))
-        if h is not None:
-            return float(self.cost_vector(lo, hi)[h])
-        f = self.factor(lo, hi)
-        ilen = np.array([(hi - lo) / self.m])
-        return float(
-            _spectral_costs(
-                f.tau[None], f.phi[None], np.array([f.syy]), ilen,
-                self.dataset.n, np.array([float(lam)]),
-            )[0, 0]
-        )
+        """Cost at one lambda; off-grid lambdas are recomputed, not stored."""
+        return self.costfn(lam)(lo, hi)
 
     def theta(self, lo: int, hi: int, lam: float) -> np.ndarray:
-        """Ridge coefficients for one interval from the cached factor."""
+        """Ridge coefficients for one interval, from a fresh factorization."""
         f = self.factor(lo, hi)
         ilen = np.array([(hi - lo) / self.m])
         return _spectral_thetas(
@@ -292,20 +238,37 @@ class CostCache:
         )[0]
 
     def costfn(self, lam: float):
-        """Closure (lo, hi) -> cost at a fixed lambda, for the segmenter."""
+        """Cost function (lo, hi) -> cost at a fixed lambda, for the segmenter.
+
+        lo is an int, giving a float, or an ascending int64 array, giving one
+        cost per entry (the batched column form of segment.pelt). Costs at a lambda of
+        the grid are stored in the table; others are recomputed per call.
+        """
         lam = float(lam)
         h = self._lam_index.get(lam)
-        if self._bulk is not None and h is not None:
-            m = self.m
-            table = np.full((m + 1, m + 1), np.nan)
-            los, his = np.triu_indices(m + 1, k=1)
-            table[los, his] = self._bulk["costs"][:, h]
+        lams = np.array([lam])
 
-            def fn(lo: int, hi: int) -> float:
-                return float(table[lo, hi])
+        def fn(lo, hi):
+            if isinstance(lo, np.ndarray):
+                if lo.size:  # ascending: the ends bound every entry
+                    self._check_pair(lo[0], hi)
+                    self._check_pair(lo[-1], hi)
+                los = lo
+            else:
+                self._check_pair(lo, hi)
+                if h is not None:
+                    c = self._table[h, hi, lo]
+                    if c == c:  # NaN marks a cost not computed yet
+                        return float(c)
+                los = np.array([lo])
+            if h is None:
+                c = self._costs(los, hi, lams)[:, 0]
+            else:
+                self._fill(los, hi)
+                c = self._table[h, hi, los]
+            return c if los is lo else float(c[0])
 
-            return fn
-        return lambda lo, hi: self.get(lo, hi, lam)
+        return fn
 
 
 def cache_get(cache: CostCache, d: Dataset, I: Interval, lam: float) -> float:

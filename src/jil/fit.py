@@ -1,10 +1,11 @@
 """Full segmentation fits tying together costs, the segmenter, and models.
 
-fit_ljil builds a CostCache, segments with the pruned DP, and attaches the
-cached ridge coefficients per interval. fit_djil does the same with one
-freshly trained network per candidate interval, memoized so the segmenter
-never trains the same interval twice; its lam is fixed at 0 because the
-network cost carries no coefficient penalty.
+fit_ljil builds a lazy CostCache, segments with the pruned column-wise DP
+(which fills only the surviving candidates' costs), and attaches ridge
+coefficients refactorized for the final intervals. fit_djil does the same
+with one freshly trained network per candidate interval, memoized so the
+segmenter never trains the same interval twice; its lam is fixed at 0
+because the network cost carries no coefficient penalty.
 """
 
 from __future__ import annotations
@@ -25,14 +26,17 @@ def fit_ljil(
     lam: float,
     gamma: float,
     cache: CostCache = None,
-    precompute: bool = True,
 ) -> JilFit:
-    """Ridge-per-segment fit on an m-cell grid with jump penalty gamma."""
+    """Ridge-per-segment fit on an m-cell grid with jump penalty gamma.
+
+    Without a cache, a lazy one is built, so only the intervals the pruned DP
+    evaluates are ever factorized.
+    """
     validate_dataset(d)
     lam = float(lam)
     if cache is None:
-        cache = CostCache(d, m, lambdas=(lam,), precompute=precompute)
-    partition, objective = pelt(cache.costfn(lam), m, gamma)
+        cache = CostCache(d, m, lambdas=(lam,))
+    partition, objective = pelt(cache.costfn(lam), m, gamma, batched=True)
     models = tuple(Linear(cache.theta(iv.lo, iv.hi, lam)) for iv in partition.intervals)
     return JilFit(partition, models, m, lam, gamma, objective, method="ljil")
 

@@ -15,15 +15,25 @@ Zero-slack pruning is exact when splitting an interval never increases total
 cost (true for least-squares costs); the prune switch makes any divergence
 on other cost structures observable against dp_no_prune.
 
-The cost function argument is a callable (lo, hi) -> float over grid index
-pairs 0 <= lo < hi <= m. Reported objectives are recomputed from the
-backtracked partition by left-to-right summation, so all three solvers
-return bit-identical numbers whenever their partitions agree.
+The DP runs column by column: step r asks for the costs of all of R_r at
+once and takes the first minimum of B(j) + gamma + cost([j/m, r/m)) over
+R_r, so ties keep the smallest j. The prune test at step r reuses the costs
+of step r-1, so pruning costs no further lookups.
+
+The cost function argument is a callable over grid index pairs
+0 <= lo < hi <= m. By default it is scalar, (lo, hi) -> float, and the DP
+calls it once per candidate pair in ascending lo within each column. With
+batched=True it must also accept lo as an ascending int64 array and return
+the array of costs for one hi; each column is then a single call. Reported
+objectives are recomputed from the backtracked partition by left-to-right
+summation of scalar calls, so all three solvers return bit-identical numbers
+whenever their partitions agree.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,50 +54,66 @@ _ENUM_MAX_M = 16
 
 @dataclass(frozen=True)
 class BellmanState:
-    """DP tables: values B(0..m), predecessors, and per-step candidate sets."""
+    """DP tables: values B(0..m), predecessors, and per-step candidate sets.
+
+    R[r] is the read-only int64 array of candidates j evaluated at step r,
+    ascending; R[0] is [0].
+    """
 
     B: np.ndarray
     pred: np.ndarray
     R: tuple
 
 
-def _check_gamma(gamma: float):
-    if not (isinstance(gamma, (int, float, np.floating)) and math.isfinite(gamma)) or gamma < 0:
+def _check_gamma(gamma):
+    ok = (
+        isinstance(gamma, numbers.Real)
+        and not isinstance(gamma, bool)
+        and math.isfinite(gamma)
+        and gamma >= 0
+    )
+    if not ok:
         raise InvalidPenalty(f"gamma must be finite and >= 0, got {gamma!r}")
 
 
-def bellman_tables(costfn, m: int, gamma: float, prune: bool = True) -> BellmanState:
+def _per_pair(costfn):
+    """Column form (R, r) -> costs of a scalar costfn, one call per pair in R."""
+
+    def column(R, r):
+        return np.array([costfn(j, r) for j in R.tolist()], dtype=float)
+
+    return column
+
+
+def bellman_tables(
+    costfn, m: int, gamma: float, prune: bool = True, *, batched: bool = False
+) -> BellmanState:
     """Run the recursion and return the full DP state."""
     _check_gamma(gamma)
     if m < 1:
         raise ValueError(f"grid resolution must be >= 1, got {m}")
     gamma = float(gamma)
+    column = costfn if batched else _per_pair(costfn)
     B = np.empty(m + 1)
     B[0] = -gamma
     pred = np.zeros(m + 1, dtype=np.int64)
-    R_hist = [(0,)]
-    R = [0]
+    R = np.zeros(1, dtype=np.int64)
+    R.flags.writeable = False
+    R_hist = [R]
+    c = None
     for r in range(1, m + 1):
-        if prune:
-            if r > 1:
-                prev = B[r - 1]
-                R = [
-                    j
-                    for j in R + [r - 1]
-                    if B[j] + (costfn(j, r - 1) if j < r - 1 else 0.0) <= prev
-                ]
-        else:
-            R = list(range(r))
-        R_hist.append(tuple(R))
-        best_j = R[0]
-        best_v = B[best_j] + gamma + costfn(best_j, r)
-        for j in R[1:]:
-            v = B[j] + gamma + costfn(j, r)
-            if v < best_v:  # ties keep the smallest j
-                best_v = v
-                best_j = j
-        B[r] = best_v
-        pred[r] = best_j
+        if not prune:
+            R = np.arange(r, dtype=np.int64)
+        elif r > 1:
+            # c holds column r-1's costs of R_{r-1}; j = r-1 always survives
+            R = np.append(R[B[R] + c <= B[r - 1]], r - 1)
+        R.flags.writeable = False
+        R_hist.append(R)
+        c = column(R, r)
+        v = B[R] + gamma + c
+        k = int(np.argmin(v))  # first minimum: ties keep the smallest j
+        B[r] = v[k]
+        pred[r] = R[k]
     return BellmanState(B=B, pred=pred, R=tuple(R_hist))
 
 
@@ -108,21 +134,21 @@ def _objective(costfn, edges, gamma: float) -> float:
     return total + gamma * (len(edges) - 1)
 
 
-def pelt(costfn, m: int, gamma: float, prune: bool = True):
+def pelt(costfn, m: int, gamma: float, prune: bool = True, *, batched: bool = False):
     """Penalized segmentation with (optionally pruned) DP.
 
     Returns (Partition, objective) where objective = sum of interval costs
     plus gamma per interval.
     """
-    state = bellman_tables(costfn, m, gamma, prune=prune)
+    state = bellman_tables(costfn, m, gamma, prune=prune, batched=batched)
     edges = _backtrack_edges(state.pred, m)
     part = Partition.from_edges(edges, m)
     return part, _objective(costfn, edges, float(gamma))
 
 
-def dp_no_prune(costfn, m: int, gamma: float):
+def dp_no_prune(costfn, m: int, gamma: float, *, batched: bool = False):
     """Exact DP over all predecessors (reference implementation)."""
-    return pelt(costfn, m, gamma, prune=False)
+    return pelt(costfn, m, gamma, prune=False, batched=batched)
 
 
 def enumerate_partitions(costfn, m: int, gamma: float):

@@ -1,10 +1,10 @@
 """K-fold cross-validation over the (lambda, gamma) hyperparameter grid.
 
-For the ridge flavor every fold builds one CostCache on its training rows,
-so a single eigendecomposition per candidate interval serves the entire
-lambda grid, and the segmenter runs once per (lambda, gamma) pair. Scores
-are held-out SSE totals divided by n. Per-fold contributions are combined
-with exact summation, so scores do not depend on fold labeling or
+For the ridge flavor every fold fills one CostCache on its training rows up
+front, so a single eigendecomposition per interval serves the entire lambda
+grid, and the column-wise segmenter runs once per (lambda, gamma) pair.
+Scores are held-out SSE totals divided by n. Per-fold contributions are
+combined with exact summation, so scores do not depend on fold labeling or
 processing order. Ties prefer the larger lambda, then the larger gamma.
 
 The network flavor tunes gamma only (lambda is pinned at 0); per fold each
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Interval, grid_cell, make_xbar, validate_dataset
+from .core import Dataset, Interval, check_grid, grid_cell, make_xbar, validate_dataset
 from .cost import CostCache
 from .errors import BadFoldCount
 from .mlp import TrainConfig, mlp_train
@@ -37,19 +37,8 @@ __all__ = [
 ]
 
 
-def _check_sorted_positive(name, values, allow_zero):
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError(f"{name} grid must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} grid must be finite")
-    low_ok = np.all(arr >= 0) if allow_zero else np.all(arr > 0)
-    if not low_ok:
-        bound = ">= 0" if allow_zero else "> 0"
-        raise ValueError(f"{name} values must be {bound}")
-    if np.any(np.diff(arr) < 0):
-        raise ValueError(f"{name} grid must be sorted ascending")
-    return tuple(float(v) for v in arr)
+def _grid(name, values, allow_zero):
+    return tuple(check_grid(name, values, allow_zero).tolist())
 
 
 @dataclass(frozen=True)
@@ -62,8 +51,8 @@ class TuningGrid:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "lambdas", _check_sorted_positive("lambda", self.lambdas, True))
-        object.__setattr__(self, "gammas", _check_sorted_positive("gamma", self.gammas, False))
+        object.__setattr__(self, "lambdas", _grid("lambda", self.lambdas, True))
+        object.__setattr__(self, "gammas", _grid("gamma", self.gammas, False))
         if self.k_folds < 2:
             raise ValueError(f"k_folds must be >= 2, got {self.k_folds}")
 
@@ -134,7 +123,7 @@ def cv_select_ljil(
         for h, lam in enumerate(grid.lambdas):
             costfn = cache.costfn(lam)
             for j, gam in enumerate(grid.gammas):
-                partition, _ = pelt(costfn, m, gam)
+                partition, _ = pelt(costfn, m, gam, batched=True)
                 thetas = np.stack(
                     [cache.theta(iv.lo, iv.hi, lam) for iv in partition.intervals]
                 )
@@ -154,7 +143,7 @@ def cv_select_djil(d: Dataset, m: int, gammas, k: int, cfg: TrainConfig) -> floa
     and shared across the gamma grid.
     """
     validate_dataset(d)
-    gams = _check_sorted_positive("gamma", gammas, False)
+    gams = _grid("gamma", gammas, False)
     assign = kfold_split(d.n, k, cfg.seed)
     parts = [[] for _ in gams]
     for fid in range(k):

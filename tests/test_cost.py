@@ -293,6 +293,43 @@ def test_cache_costfn_closure(rng):
     assert f(2, 6) == cache.get(2, 6, 0.1)
 
 
+def test_cache_costfn_array_matches_scalar_bitwise(rng):
+    d = make_ds(rng, 60, 2)
+    for lam in (0.05, 0.37):  # on and off the cache's grid
+        batched = CostCache(d, 9, lambdas=(0.0, 0.05)).costfn(lam)
+        scalar = CostCache(d, 9, lambdas=(0.0, 0.05)).costfn(lam)
+        for hi in range(1, 10):
+            los = np.arange(hi, dtype=np.int64)[::2].copy()
+            got = batched(los, hi)
+            assert isinstance(got, np.ndarray) and got.shape == los.shape
+            want = [scalar(int(lo), hi) for lo in los]
+            assert got.tolist() == want
+            assert all(isinstance(v, float) for v in want)
+
+
+def test_cache_costfn_rejects_bad_indices(rng):
+    d = make_ds(rng, 30, 1)
+    f = CostCache(d, 5, lambdas=(0.0,)).costfn(0.0)
+    for lo, hi in ((-1, 2), (3, 3), (4, 2), (0, 6)):
+        with pytest.raises(ValueError):
+            f(lo, hi)
+    for los, hi in (([-1, 0], 2), ([0, 3], 3), ([1, 2], 6)):
+        with pytest.raises(ValueError):
+            f(np.array(los, dtype=np.int64), hi)
+
+
+def test_cache_fills_only_requested_costs(rng):
+    d = make_ds(rng, 50, 2)
+    m = 8
+    lazy = CostCache(d, m, lambdas=(0.0, 0.1))
+    assert np.isnan(lazy._table).all()
+    lazy.costfn(0.1)(np.array([1, 4], dtype=np.int64), 6)
+    assert np.count_nonzero(~np.isnan(lazy._table)) == 2 * 2  # both lambdas, two pairs
+    eager = CostCache(d, m, lambdas=(0.0, 0.1), precompute=True)
+    for h in range(2):
+        assert np.count_nonzero(~np.isnan(eager._table[h])) == m * (m + 1) // 2
+
+
 def test_cache_get_rejects_foreign_dataset(rng):
     d1 = make_ds(rng, 20, 1)
     d2 = make_ds(rng, 20, 1)

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import jil.fit as fit_mod
-from jil.core import Dataset, Interval, Linear, Partition
+from jil.core import Dataset, Interval, Linear, Partition, make_grid
 from jil.cost import CostCache
 from jil.errors import InvalidData
 from jil.fit import fit_djil, fit_ljil, recompute_objective
 from jil.mlp import TrainConfig
-from jil.segment import enumerate_partitions, pelt
+from jil.segment import bellman_tables, enumerate_partitions, pelt
+from jil.sim import ScenarioSpec, gen_scenario
 
 
 def s1_like(rng, n, p=2, noise=0.25):
@@ -69,10 +72,36 @@ def test_ljil_prewarmed_cache_identical(rng):
 
 def test_ljil_lazy_and_bulk_identical(rng):
     d = s1_like(rng, 100)
-    f1 = fit_ljil(d, 12, 1e-3, 0.07, precompute=True)
-    f2 = fit_ljil(d, 12, 1e-3, 0.07, precompute=False)
+    eager = CostCache(d, 12, lambdas=(1e-3,), precompute=True)
+    f1 = fit_ljil(d, 12, 1e-3, 0.07, cache=eager)
+    f2 = fit_ljil(d, 12, 1e-3, 0.07)
     assert f1.partition == f2.partition
     assert f1.objective == f2.objective
+
+
+def test_ljil_computes_only_pruned_survivors(rng):
+    d = s1_like(rng, 400)
+    m, lam, gamma = 80, 0.0, 4.0 * np.log(400) / 400
+    cache = CostCache(d, m, lambdas=(lam,))
+    f = fit_ljil(d, m, lam, gamma, cache=cache)
+    computed = np.count_nonzero(~np.isnan(cache._table))
+    state = bellman_tables(cache.costfn(lam), m, gamma, batched=True)
+    assert computed == sum(R.size for R in state.R[1:])
+    assert computed < m * (m + 1) // 2
+    assert np.count_nonzero(~np.isnan(cache._table)) == computed  # the rerun added none
+    assert f.partition.size == 3
+
+
+def test_ljil_peak_memory_at_n4000():
+    d, _ = gen_scenario(ScenarioSpec(1, 4000, 4, 7))
+    m = make_grid(d.n, 5.0)
+    tracemalloc.start()
+    try:
+        fit_ljil(d, m, 0.0, 4.0 * np.log(d.n) / d.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 def test_ljil_fields_recorded(rng):

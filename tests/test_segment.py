@@ -151,6 +151,20 @@ def test_invalid_penalty():
             dp_no_prune(lambda lo, hi: 0.0, 4, bad)
 
 
+def test_penalty_accepts_numpy_integer():
+    fn = lambda lo, hi: float(hi - lo) ** 2
+    assert pelt(fn, 5, np.int64(1)) == pelt(fn, 5, 1.0)
+    assert dp_no_prune(fn, 5, np.int64(0)) == dp_no_prune(fn, 5, 0.0)
+    assert enumerate_partitions(fn, 5, np.int32(2)) == enumerate_partitions(fn, 5, 2.0)
+
+
+def test_penalty_rejects_bool():
+    for bad in (True, False, np.bool_(True)):
+        for solver in (pelt, dp_no_prune, enumerate_partitions):
+            with pytest.raises(InvalidPenalty):
+                solver(lambda lo, hi: 0.0, 4, bad)
+
+
 def test_grid_too_large_guard():
     with pytest.raises(GridTooLarge):
         enumerate_partitions(lambda lo, hi: 0.0, 17, 0.1)
@@ -247,3 +261,57 @@ def test_bellman_state_invariants(rng):
         for j in state.R[r]:
             c = fn(j, r - 1) if j < r - 1 else 0.0
             assert state.B[j] + c <= state.B[r - 1] + 1e-12
+
+
+# ------------------------------------------------------ batched column form
+
+
+def seeded_tables(rng):
+    """Arbitrary, tie-rich, all-zero and least-squares cost tables."""
+    for m in (1, 2, 7, 25):
+        yield np.triu(rng.uniform(0.0, 2.0, size=(m + 1, m + 1)), k=1)
+        yield np.triu(0.5 * rng.integers(0, 3, size=(m + 1, m + 1)), k=1)
+        yield np.zeros((m + 1, m + 1))
+    yield sse_cost_table(rng, 12)
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_batched_matches_per_pair_bitwise(rng, prune):
+    for table in seeded_tables(rng):
+        m = table.shape[0] - 1
+        fn = table_costfn(table)  # indexes with an int or an int64 array lo
+        for gamma in (0.0, 0.5, 1.0):
+            s = bellman_tables(fn, m, gamma, prune=prune)
+            sb = bellman_tables(fn, m, gamma, prune=prune, batched=True)
+            assert sb.B.tobytes() == s.B.tobytes()
+            assert sb.pred.tobytes() == s.pred.tobytes()
+            assert all(np.array_equal(a, b) for a, b in zip(s.R, sb.R))
+            solver = pelt if prune else dp_no_prune
+            part, obj = solver(fn, m, gamma)
+            part_b, obj_b = solver(fn, m, gamma, batched=True)
+            assert part_b == part
+            assert float(obj_b).hex() == float(obj).hex()
+
+
+def test_column_calls_and_candidate_arrays(rng):
+    m = 10
+    table = sse_cost_table(rng, m)
+    pairs, columns = [], []
+
+    def scalar(lo, hi):
+        pairs.append((lo, hi))
+        return table[lo, hi]
+
+    def column(lo, hi):
+        columns.append((lo.copy(), hi))
+        return table[lo, hi]
+
+    state = bellman_tables(scalar, m, 0.1)
+    assert bellman_tables(column, m, 0.1, batched=True).pred.tolist() == state.pred.tolist()
+    # one scalar call per candidate, none repeated by the prune test
+    assert pairs == [(j, r) for r in range(1, m + 1) for j in state.R[r].tolist()]
+    assert len(columns) == m
+    for r, (lo, hi) in enumerate(columns, start=1):
+        assert hi == r and np.array_equal(lo, state.R[r])
+    for R in state.R:
+        assert R.dtype == np.int64 and not R.flags.writeable
