@@ -10,9 +10,7 @@ from .core import (
     Interval,
     JilFit,
     Linear,
-    Mlp,
     Partition,
-    SegmentModel,
     grid_cell,
     make_grid,
     normalize_treatment,
@@ -68,12 +66,10 @@ __all__ = [
     "MaxDose",
     "MidPoint",
     "MinDose",
-    "Mlp",
     "MlpModel",
     "Partition",
     "PropensityModel",
     "ScenarioSpec",
-    "SegmentModel",
     "TrainConfig",
     "TruthOracle",
     "TuningGrid",

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -22,7 +23,6 @@ from .core import (
     Dataset,
     JilFit,
     Linear,
-    Mlp,
     Partition,
     make_grid,
     normalize_treatment,
@@ -50,7 +50,7 @@ from .sim import (
     replicate_table1,
     true_optimal_value,
 )
-from .tuning import TuningGrid, cv_select_djil, cv_select_ljil, default_gamma
+from .tuning import cv_select_djil, cv_select_ljil, default_gamma, default_grid
 
 SCHEMA_VERSION = "1"
 
@@ -195,12 +195,11 @@ def _artifact_dict(fit: JilFit, prop: PropensityModel, value, provenance: dict) 
         if fit.method == "ljil":
             models.append({"theta": [float(t) for t in mod.theta]})
         else:
-            net = mod.network
             models.append(
                 {
-                    "layer_sizes": [int(s) for s in net.layer_sizes],
-                    "weights": [[[float(v) for v in row] for row in W] for W in net.weights],
-                    "biases": [[float(v) for v in b] for b in net.biases],
+                    "layer_sizes": [int(s) for s in mod.layer_sizes],
+                    "weights": [[[float(v) for v in row] for row in W] for W in mod.weights],
+                    "biases": [[float(v) for v in b] for b in mod.biases],
                 }
             )
     payload = {"kind": prop.kind, "floor": float(prop.floor)}
@@ -271,12 +270,13 @@ def _fit_from_artifact(art: dict) -> JilFit:
         if art["method"] == "ljil":
             models.append(Linear(np.asarray(entry["theta"], dtype=float)))
         else:
-            net = MlpModel(
-                tuple(int(s) for s in entry["layer_sizes"]),
-                tuple(np.asarray(W, dtype=float) for W in entry["weights"]),
-                tuple(np.asarray(b, dtype=float) for b in entry["biases"]),
+            models.append(
+                MlpModel(
+                    tuple(int(s) for s in entry["layer_sizes"]),
+                    tuple(np.asarray(W, dtype=float) for W in entry["weights"]),
+                    tuple(np.asarray(b, dtype=float) for b in entry["biases"]),
+                )
             )
-            models.append(Mlp(net))
     return JilFit(
         partition=partition,
         models=tuple(models),
@@ -321,15 +321,14 @@ def cmd_simulate(args) -> int:
 def _resolve_ljil(d: Dataset, m: int, args):
     lam, gamma = args.lam, args.gamma
     if lam == "auto" or gamma == "auto":
-        g0 = default_gamma(d.n)
-        lambdas = (0.0, 1e-3, 1e-2) if lam == "auto" else (float(lam),)
-        if gamma == "auto":
-            gammas = tuple(g0 * f for f in (0.25, 0.5, 1.0, 2.0, 4.0))
-        elif gamma == "default":
-            gammas = (g0,)
-        else:
-            gammas = (float(gamma),)
-        grid = TuningGrid(lambdas=lambdas, gammas=gammas, k_folds=args.folds, seed=args.seed)
+        # cross-validate the default grid along each axis set to auto
+        grid = default_grid(d.n, args.seed, args.folds)
+        if lam != "auto":
+            grid = replace(grid, lambdas=(float(lam),))
+        if gamma == "default":
+            grid = replace(grid, gammas=(default_gamma(d.n),))
+        elif gamma != "auto":
+            grid = replace(grid, gammas=(float(gamma),))
         report = cv_select_ljil(d, m, grid)
         return report.best_lambda, report.best_gamma
     if gamma == "default":
@@ -348,10 +347,8 @@ def cmd_fit(args) -> int:
         cfg = TrainConfig(seed=args.seed)
         gamma = args.gamma
         if gamma == "auto":
-            g0 = default_gamma(d.n)
-            gamma = cv_select_djil(
-                d, m, tuple(g0 * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)), args.folds, cfg
-            )
+            gammas = default_grid(d.n, args.seed, args.folds).gammas
+            gamma = cv_select_djil(d, m, gammas, args.folds, cfg)
         elif gamma == "default":
             gamma = default_gamma(d.n)
         fit = fit_djil(d, m, float(gamma), cfg)
@@ -388,7 +385,7 @@ def _print_fit_report(fit: JilFit, value, d: Dataset) -> None:
         if fit.method == "ljil":
             print(f"interval {span} theta " + " ".join(_fmt(t) for t in mod.theta))
         else:
-            arch = "x".join(str(s) for s in mod.network.layer_sizes)
+            arch = "x".join(str(s) for s in mod.layer_sizes)
             print(f"interval {span} mlp {arch}")
     print(f"v_hat {_fmt(value.v_hat)}")
     print(f"sigma_hat {_fmt(value.sigma_hat)}")

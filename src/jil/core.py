@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -28,8 +27,6 @@ __all__ = [
     "Interval",
     "Partition",
     "Linear",
-    "Mlp",
-    "SegmentModel",
     "JilFit",
     "grid_cell",
     "make_grid",
@@ -254,22 +251,6 @@ class Linear:
                 f"model expects {self.theta.shape[0] - 1} covariates, got {X.shape[1]}"
             )
         return self.theta[0] + X @ self.theta[1:]
-
-
-@dataclass(frozen=True)
-class Mlp:
-    """Per-interval neural-network outcome model (wraps an MlpModel)."""
-
-    network: object
-
-    def predict(self, x: np.ndarray) -> float:
-        return float(self.network.predict(x))
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.network.predict_batch(X)
-
-
-SegmentModel = Union[Linear, Mlp]
 
 
 @dataclass(frozen=True)

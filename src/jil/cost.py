@@ -24,8 +24,9 @@ minimum-norm solution on singular designs.
 CostCache stores costs only, over a fixed lam grid, in one table filled a
 column at a time: the costs of every requested interval ending at one grid
 point come from one batched eigendecomposition of prefix-sum moments, and
-the eigenvectors are not kept. Coefficients are refactorized per interval
-on demand, which the fits need only for the final partition.
+the eigenvectors are not kept. Coefficients are refactorized on demand,
+for all intervals of a partition in one batched call, which the fits need
+only for the partitions they score or return.
 """
 
 from __future__ import annotations
@@ -34,17 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Interval, check_grid, grid_cell, make_xbar
+from .core import Dataset, check_grid, grid_cell, make_xbar
 
-__all__ = [
-    "GramFactor",
-    "CostCache",
-    "cache_get",
-    "cost",
-    "gram_factor",
-    "multi_lambda_costs",
-    "ridge_fit",
-]
+__all__ = ["GramFactor", "CostCache"]
 
 # eigenvalues below this fraction of the largest are treated as exact nulls
 _CLAMP_REL = 1e-10
@@ -52,24 +45,25 @@ _CLAMP_REL = 1e-10
 
 @dataclass(frozen=True)
 class GramFactor:
-    """Eigendecomposition of one interval's Gram matrix plus outcome moments.
+    """Eigendecompositions of K intervals' Gram matrices plus outcome moments,
+    each field stacked along a leading axis of size K.
 
-    U diag(tau) U^T reconstructs sum xbar xbar^T over the interval's rows;
-    phi = U^T sum xbar*y; syy = sum y^2; count = rows in the interval.
+    For interval k, U[k] diag(tau[k]) U[k]^T reconstructs sum xbar xbar^T over
+    its rows; phi[k] = U[k]^T sum xbar*y; syy[k] = sum y^2; count[k] = rows.
     """
 
     U: np.ndarray
     tau: np.ndarray
     phi: np.ndarray
-    syy: float
-    count: int
+    syy: np.ndarray
+    count: np.ndarray
 
 
 def _factorize(Gs: np.ndarray, bs: np.ndarray):
     """Eigendecompose a stack of Gram matrices; returns (U, tau, phi) stacks.
 
-    One code path serves both the scalar (K=1) and column cases so their
-    results are bit-identical.
+    One code path serves cost-table columns and partitions' coefficients,
+    K = 1 included, so each interval's results are bit-identical in any batch.
     """
     tau, U = np.linalg.eigh(Gs)
     thr = _CLAMP_REL * np.maximum(tau[:, -1:], 0.0)
@@ -104,46 +98,6 @@ def _spectral_thetas(U, tau, phi, ilen, n, lam) -> np.ndarray:
     return np.einsum("kij,kj->ki", U, dinv * phi)
 
 
-def _interval_moments(d: Dataset, I: Interval):
-    """Direct (mask-based) Gram moments of one interval."""
-    cells = grid_cell(d.treatments, I.m)
-    mask = (cells >= I.lo) & (cells < I.hi)
-    Xb = make_xbar(d.covariates[mask])
-    y = d.outcomes[mask]
-    G = Xb.T @ Xb
-    b = Xb.T @ y
-    return G, b, float(y @ y), int(mask.sum())
-
-
-def gram_factor(d: Dataset, I: Interval) -> GramFactor:
-    """Eigendecomposition of the interval Gram matrix (direct path)."""
-    G, b, syy, count = _interval_moments(d, I)
-    U, tau, phi = _factorize(G[None], b[None])
-    return GramFactor(U=U[0], tau=tau[0], phi=phi[0], syy=syy, count=count)
-
-
-def ridge_fit(d: Dataset, I: Interval, lam: float) -> np.ndarray:
-    """Per-interval ridge coefficients; min-norm when lam = 0 and singular."""
-    f = gram_factor(d, I)
-    ilen = np.array([I.length])
-    return _spectral_thetas(f.U[None], f.tau[None], f.phi[None], ilen, d.n, lam)[0]
-
-
-def multi_lambda_costs(d: Dataset, I: Interval, lambdas) -> np.ndarray:
-    """Interval costs over a sorted non-negative lambda grid, one factorization."""
-    lams = check_grid("lambda", lambdas, allow_zero=True)
-    f = gram_factor(d, I)
-    ilen = np.array([I.length])
-    return _spectral_costs(
-        f.tau[None], f.phi[None], np.array([f.syy]), ilen, d.n, lams
-    )[0]
-
-
-def cost(d: Dataset, I: Interval, lam: float) -> float:
-    """Penalized least-squares cost of one interval."""
-    return float(multi_lambda_costs(d, I, np.array([float(lam)]))[0])
-
-
 class CostCache:
     """Interval costs for one dataset on one grid, over a fixed lambda grid.
 
@@ -154,7 +108,8 @@ class CostCache:
     one batched eigendecomposition that serves every lambda of the grid; the
     eigenvectors are dropped once the costs are stored. precompute=True fills
     every column up front, one column at a time, so temporaries stay
-    O(m d^2). factor and theta refactorize their one interval on each call.
+    O(m d^2). factor and theta refactorize the intervals they are asked for
+    on each call.
     There is no lock: a cache belongs to one thread (replication runs in
     processes).
     """
@@ -215,27 +170,24 @@ class CostCache:
 
     # ------------------------------------------------------------- access
 
-    def factor(self, lo: int, hi: int) -> GramFactor:
-        """Eigendecomposition for the interval [lo/m, hi/m), computed per call."""
-        self._check_pair(lo, hi)
-        G = self._Cxx[hi] - self._Cxx[lo]
-        b = self._Cxy[hi] - self._Cxy[lo]
-        U, tau, phi = _factorize(G[None], b[None])
-        syy = float(self._Cyy[hi] - self._Cyy[lo])
-        count = int(self._Ccnt[hi] - self._Ccnt[lo])
-        return GramFactor(U=U[0], tau=tau[0], phi=phi[0], syy=syy, count=count)
+    def factor(self, los: np.ndarray, his: np.ndarray) -> GramFactor:
+        """Eigendecompositions of the intervals [lo/m, hi/m) for the pairs of
+        the equal-length int64 arrays los, his, computed per call in one
+        batch; each interval gets the same bits as in a batch of its own."""
+        los, his = np.asarray(los), np.asarray(his)
+        if los.shape != his.shape or not np.all((0 <= los) & (los < his) & (his <= self.m)):
+            raise ValueError(f"invalid interval indices ({los}, {his}) on grid {self.m}")
+        U, tau, phi = _factorize(self._Cxx[his] - self._Cxx[los], self._Cxy[his] - self._Cxy[los])
+        syy = self._Cyy[his] - self._Cyy[los]
+        return GramFactor(U=U, tau=tau, phi=phi, syy=syy, count=self._Ccnt[his] - self._Ccnt[los])
 
-    def get(self, lo: int, hi: int, lam: float) -> float:
-        """Cost at one lambda; off-grid lambdas are recomputed, not stored."""
-        return self.costfn(lam)(lo, hi)
-
-    def theta(self, lo: int, hi: int, lam: float) -> np.ndarray:
-        """Ridge coefficients for one interval, from a fresh factorization."""
-        f = self.factor(lo, hi)
-        ilen = np.array([(hi - lo) / self.m])
-        return _spectral_thetas(
-            f.U[None], f.tau[None], f.phi[None], ilen, self.dataset.n, float(lam)
-        )[0]
+    def theta(self, los: np.ndarray, his: np.ndarray, lam: float) -> np.ndarray:
+        """Ridge coefficients (K, d) of the K intervals given as in factor,
+        e.g. every interval of a partition, from one fresh factorization."""
+        los, his = np.asarray(los), np.asarray(his)
+        f = self.factor(los, his)
+        ilen = (his - los) / self.m
+        return _spectral_thetas(f.U, f.tau, f.phi, ilen, self.dataset.n, float(lam))
 
     def costfn(self, lam: float):
         """Cost function (lo, hi) -> cost at a fixed lambda, for the segmenter.
@@ -270,11 +222,3 @@ class CostCache:
 
         return fn
 
-
-def cache_get(cache: CostCache, d: Dataset, I: Interval, lam: float) -> float:
-    """Memoized cost lookup; validates the cache belongs to (d, I.m)."""
-    if d is not cache.dataset:
-        raise ValueError("cache was built for a different dataset")
-    if I.m != cache.m:
-        raise ValueError(f"cache grid is {cache.m}, interval grid is {I.m}")
-    return cache.get(I.lo, I.hi, lam)

@@ -2,22 +2,22 @@
 
 fit_ljil builds a lazy CostCache, segments with the pruned column-wise DP
 (which fills only the surviving candidates' costs), and attaches ridge
-coefficients refactorized for the final intervals. fit_djil does the same
-with one freshly trained network per candidate interval, memoized so the
-segmenter never trains the same interval twice; its lam is fixed at 0
-because the network cost carries no coefficient penalty.
+coefficients refactorized for the final intervals in one batched call.
+fit_djil does the same over a NetworkCosts table, which trains one network
+per candidate interval at most once; its lam is fixed at 0 because the
+network cost carries no coefficient penalty.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, Interval, JilFit, Linear, Mlp, grid_cell, validate_dataset
+from .core import Dataset, Interval, JilFit, Linear, grid_cell, validate_dataset
 from .cost import CostCache
 from .mlp import MlpModel, TrainConfig, mlp_train
 from .segment import pelt
 
-__all__ = ["fit_ljil", "fit_djil", "recompute_objective"]
+__all__ = ["NetworkCosts", "fit_ljil", "fit_djil", "recompute_objective"]
 
 
 def fit_ljil(
@@ -37,8 +37,47 @@ def fit_ljil(
     if cache is None:
         cache = CostCache(d, m, lambdas=(lam,))
     partition, objective = pelt(cache.costfn(lam), m, gamma, batched=True)
-    models = tuple(Linear(cache.theta(iv.lo, iv.hi, lam)) for iv in partition.intervals)
+    edges = np.array(partition.edges())
+    models = tuple(Linear(theta) for theta in cache.theta(edges[:-1], edges[1:], lam))
     return JilFit(partition, models, m, lam, gamma, objective, method="ljil")
+
+
+class NetworkCosts:
+    """Per-interval networks and their costs for one dataset on one grid.
+
+    The network counterpart of cost.CostCache. cost(lo, hi) is the costfn for
+    segment.pelt: the SSE of the interval's network divided by the full
+    sample size n, so costs add up across a partition. model(lo, hi) is that
+    network, or None for an interval without rows, whose cost is 0. Each
+    interval is trained at most once, on first use, through mlp_train.
+    """
+
+    def __init__(self, dataset: Dataset, m: int, cfg: TrainConfig):
+        self.dataset = dataset
+        self.m = int(m)
+        self.cfg = cfg
+        self._cells = grid_cell(dataset.treatments, self.m)
+        self._memo = {}
+
+    def _entry(self, lo: int, hi: int):
+        got = self._memo.get((lo, hi))
+        if got is None:
+            d = self.dataset
+            rows = np.flatnonzero((self._cells >= lo) & (self._cells < hi))
+            if rows.size == 0:
+                got = (None, 0.0)
+            else:
+                model = mlp_train(d, Interval(lo, hi, self.m), self.cfg)
+                resid = d.outcomes[rows] - model.predict_batch(d.covariates[rows])
+                got = (model, float(np.dot(resid, resid) / d.n))
+            self._memo[lo, hi] = got
+        return got
+
+    def cost(self, lo: int, hi: int) -> float:
+        return self._entry(lo, hi)[1]
+
+    def model(self, lo: int, hi: int):
+        return self._entry(lo, hi)[0]
 
 
 def _zero_network(p: int, hidden: tuple) -> MlpModel:
@@ -57,25 +96,12 @@ def fit_djil(d: Dataset, m: int, gamma: float, cfg: TrainConfig) -> JilFit:
     mirroring the zero ridge coefficients of an empty linear segment.
     """
     validate_dataset(d)
-    cells = grid_cell(d.treatments, m)
-    memo = {}
-
-    def entry(lo: int, hi: int):
-        key = (lo, hi)
-        got = memo.get(key)
-        if got is None:
-            rows = np.flatnonzero((cells >= lo) & (cells < hi))
-            if rows.size == 0:
-                got = (_zero_network(d.p, cfg.hidden), 0.0)
-            else:
-                model = mlp_train(d, Interval(lo, hi, m), cfg)
-                resid = d.outcomes[rows] - model.predict_batch(d.covariates[rows])
-                got = (model, float(np.dot(resid, resid) / d.n))
-            memo[key] = got
-        return got
-
-    partition, objective = pelt(lambda lo, hi: entry(lo, hi)[1], m, gamma)
-    models = tuple(Mlp(entry(iv.lo, iv.hi)[0]) for iv in partition.intervals)
+    table = NetworkCosts(d, m, cfg)
+    partition, objective = pelt(table.cost, m, gamma)
+    models = []
+    for iv in partition.intervals:
+        net = table.model(iv.lo, iv.hi)
+        models.append(_zero_network(d.p, cfg.hidden) if net is None else net)
     return JilFit(partition, models, m, 0.0, gamma, objective, method="djil")
 
 

@@ -22,8 +22,6 @@ __all__ = [
     "init_model",
     "mlp_train",
     "mlp_predict",
-    "mlp_cost",
-    "squared_loss_gradient",
     "gradient_check",
 ]
 
@@ -168,40 +166,6 @@ def mlp_train(d: Dataset, interval: Interval, cfg: TrainConfig) -> MlpModel:
     return MlpModel(model.layer_sizes, tuple(weights), tuple(biases))
 
 
-def mlp_cost(d: Dataset, interval: Interval, cfg: TrainConfig) -> float:
-    """Segment cost (1/n) * SSE of a freshly trained network on its interval.
-
-    The denominator is the full sample size n, not the interval count, so
-    per-interval costs add up across a partition. An empty interval costs 0.
-    """
-    cells = grid_cell(d.treatments, interval.m)
-    rows = np.flatnonzero((cells >= interval.lo) & (cells < interval.hi))
-    if rows.size == 0:
-        return 0.0
-    model = mlp_train(d, interval, cfg)
-    resid = d.outcomes[rows] - model.predict_batch(d.covariates[rows])
-    return float(np.dot(resid, resid) / d.n)
-
-
-def squared_loss_gradient(model: MlpModel, x: np.ndarray, y: float):
-    """Backprop gradient of (pred(x) - y)^2 for a single observation."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != model.n_inputs:
-        raise DimensionMismatch(
-            f"network expects {model.n_inputs} covariates, got shape {x.shape}"
-        )
-    acts, pres = _forward(model, x[None, :])
-    delta = 2.0 * (acts[-1] - y)
-    dws = [None] * len(model.weights)
-    dbs = [None] * len(model.biases)
-    for k in range(len(model.weights) - 1, -1, -1):
-        dws[k] = delta.T @ acts[k]
-        dbs[k] = delta.ravel().copy()
-        if k > 0:
-            delta = (delta @ model.weights[k]) * (pres[k - 1] > 0.0)
-    return tuple(dws), tuple(dbs)
-
-
 def gradient_check(model: MlpModel, x: np.ndarray, y: float, eps: float = 1e-5) -> float:
     """Worst relative error between backprop and central finite differences.
 
@@ -210,7 +174,11 @@ def gradient_check(model: MlpModel, x: np.ndarray, y: float, eps: float = 1e-5) 
     is |analytic - numeric| / max(|analytic| + |numeric|, 1e-12).
     """
     x = np.asarray(x, dtype=float)
-    dws, dbs = squared_loss_gradient(model, x, y)
+    if x.ndim != 1 or x.shape[0] != model.n_inputs:
+        raise DimensionMismatch(
+            f"network expects {model.n_inputs} covariates, got shape {x.shape}"
+        )
+    dws, dbs = _batch_gradients(model, x[None, :], np.array([y]))
 
     def loss(weights, biases):
         probe = MlpModel(model.layer_sizes, tuple(weights), tuple(biases))

@@ -7,8 +7,9 @@ Scores are held-out SSE totals divided by n. Per-fold contributions are
 combined with exact summation, so scores do not depend on fold labeling or
 processing order. Ties prefer the larger lambda, then the larger gamma.
 
-The network flavor tunes gamma only (lambda is pinned at 0); per fold each
-candidate interval is trained once and memoized across the gamma grid.
+The network flavor tunes gamma only (lambda is pinned at 0); per fold one
+fit.NetworkCosts table trains each candidate interval once and serves the
+whole gamma grid.
 Held-out rows landing in an interval that had no training rows contribute
 nothing to the score.
 """
@@ -20,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Interval, check_grid, grid_cell, make_xbar, validate_dataset
+from .core import Dataset, check_grid, grid_cell, make_xbar, validate_dataset
 from .cost import CostCache
 from .errors import BadFoldCount
-from .mlp import TrainConfig, mlp_train
+from .fit import NetworkCosts
+from .mlp import TrainConfig
 from .segment import pelt
 
 __all__ = [
@@ -124,9 +126,8 @@ def cv_select_ljil(
             costfn = cache.costfn(lam)
             for j, gam in enumerate(grid.gammas):
                 partition, _ = pelt(costfn, m, gam, batched=True)
-                thetas = np.stack(
-                    [cache.theta(iv.lo, iv.hi, lam) for iv in partition.intervals]
-                )
+                edges = np.array(partition.edges())
+                thetas = cache.theta(edges[:-1], edges[1:], lam)
                 resid = Yva - np.sum(Xva * thetas[partition.locate_cells(cells_va)], axis=1)
                 parts[h][j].append(float(np.dot(resid, resid)))
     scores = np.array([[math.fsum(parts[h][j]) for j in range(J)] for h in range(H)])
@@ -139,8 +140,8 @@ def cv_select_djil(d: Dataset, m: int, gammas, k: int, cfg: TrainConfig) -> floa
     """Select gamma for the network flavor by K-fold CV (lambda fixed at 0).
 
     The fold split derives from cfg.seed so one config fully determines the
-    procedure. Within a fold each candidate interval is trained at most once
-    and shared across the gamma grid.
+    procedure. Within a fold one NetworkCosts table trains each candidate
+    interval at most once and serves every gamma of the grid.
     """
     validate_dataset(d)
     gams = _grid("gamma", gammas, False)
@@ -148,33 +149,16 @@ def cv_select_djil(d: Dataset, m: int, gammas, k: int, cfg: TrainConfig) -> floa
     parts = [[] for _ in gams]
     for fid in range(k):
         va = assign == fid
-        d_tr = d.subset(np.flatnonzero(~va))
-        cells_tr = grid_cell(d_tr.treatments, m)
-        memo = {}
-
-        def entry(lo, hi):
-            key = (lo, hi)
-            got = memo.get(key)
-            if got is None:
-                rows = np.flatnonzero((cells_tr >= lo) & (cells_tr < hi))
-                if rows.size == 0:
-                    got = (None, 0.0)
-                else:
-                    model = mlp_train(d_tr, Interval(lo, hi, m), cfg)
-                    r = d_tr.outcomes[rows] - model.predict_batch(d_tr.covariates[rows])
-                    got = (model, float(np.dot(r, r) / d_tr.n))
-                memo[key] = got
-            return got
-
+        table = NetworkCosts(d.subset(np.flatnonzero(~va)), m, cfg)
         Xva = d.covariates[va]
         Yva = d.outcomes[va]
         cells_va = grid_cell(d.treatments[va], m)
         for j, gam in enumerate(gams):
-            partition, _ = pelt(lambda lo, hi: entry(lo, hi)[1], m, gam)
+            partition, _ = pelt(table.cost, m, gam)
             idx = partition.locate_cells(cells_va)
             sse = 0.0
             for ki, iv in enumerate(partition.intervals):
-                model = entry(iv.lo, iv.hi)[0]
+                model = table.model(iv.lo, iv.hi)
                 if model is None:
                     continue
                 rows = idx == ki

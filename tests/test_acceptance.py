@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from conftest import cost_oracle
-from jil.core import Dataset, Interval, JilFit, Linear, Partition
-from jil.cost import multi_lambda_costs, cost
-from jil.mlp import TrainConfig, gradient_check, init_model, mlp_cost
+from jil.core import Dataset, JilFit, Linear, Partition
+from jil.cost import CostCache
+from jil.fit import NetworkCosts
+from jil.mlp import TrainConfig, gradient_check, init_model
 from jil.policy import I2dr, PropensityModel, estimate_value, fit_propensity
 from jil.segment import dp_no_prune, enumerate_partitions, pelt
 from jil.sim import ScenarioSpec, replicate_table1, true_optimal_value
@@ -157,7 +158,8 @@ def test_spectral_costs_and_cv_fast_path_match_direct_refits():
             lams[0] = 0.0
         lo = int(rng.integers(0, m))
         hi = int(rng.integers(lo + 1, m + 1))
-        fast = multi_lambda_costs(d, Interval(lo, hi, m), lams)
+        cache = CostCache(d, m, lambdas=lams)
+        fast = [cache.costfn(lam)(lo, hi) for lam in lams]
         for pos, lam in enumerate(lams):
             direct = cost_oracle(X, A, Y, lo, hi, m, float(lam))
             assert abs(fast[pos] - direct) <= 1e-8 * max(1.0, abs(direct))
@@ -328,10 +330,9 @@ def test_backprop_matches_finite_differences_and_beats_linear_fit():
     X = rng.uniform(-1, 1, (n, 2))
     Y = np.sin(2.0 * np.pi * X[:, 1]) + 0.1 * rng.standard_normal(n)
     d = Dataset(X, rng.random(n), Y)
-    seg = Interval(0, 1, 1)
-    linear_mse = cost(d, seg, 0.0)
+    linear_mse = CostCache(d, 1).costfn(0.0)(0, 1)
     cfg = TrainConfig(hidden=(32, 32), epochs=500, learning_rate=1e-2, batch_size=32, seed=11)
-    mlp_mse = mlp_cost(d, seg, cfg)
+    mlp_mse = NetworkCosts(d, 1, cfg).cost(0, 1)
     assert mlp_mse < linear_mse
     print(
         f"[PASS] worst backprop relative error {worst:.2e} < 1e-4 over 50 networks; "

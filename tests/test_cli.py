@@ -12,6 +12,7 @@ import pytest
 import jil.cli as cli
 from jil.cli import main
 from jil.sim import ScenarioSpec, gen_scenario
+from jil.tuning import default_gamma, default_grid
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,53 @@ def test_fit_auto_cv_smoke(tmp_path, capsys):
     assert art["lambda"] in (0.0, 1e-3, 1e-2)
     assert art["gamma"] > 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "lam_flag, gamma_flag",
+    [("auto", "auto"), ("auto", "default"), ("auto", "0.05"), ("0.001", "auto")],
+)
+def test_fit_cv_grid_is_default_grid(s1_csv, tmp_path, monkeypatch, capsys, lam_flag, gamma_flag):
+    grids = []
+    real = cli.cv_select_ljil
+
+    def capture(d, m, grid):
+        grids.append(grid)
+        return real(d, m, grid)
+
+    monkeypatch.setattr(cli, "cv_select_ljil", capture)
+    rc = main(["fit", "--data", str(s1_csv), "--lambda", lam_flag, "--gamma", gamma_flag,
+               "--folds", "3", "--seed", "6", "--out", str(tmp_path / "m.json")])
+    assert rc == 0
+    capsys.readouterr()
+    want = default_grid(400, 6, 3)
+    (got,) = grids
+    assert (got.k_folds, got.seed) == (3, 6)
+    assert got.lambdas == (want.lambdas if lam_flag == "auto" else (0.001,))
+    if gamma_flag == "auto":
+        assert got.gammas == want.gammas
+    elif gamma_flag == "default":
+        assert got.gammas == (default_gamma(400),)
+    else:
+        assert got.gammas == (0.05,)
+
+
+def test_fit_djil_cv_gammas_are_default_grid(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "d.csv"
+    main(["simulate", "--scenario", "1", "--n", "40", "--p", "2", "--seed", "3",
+          "--out", str(data)])
+    seen = []
+
+    def capture(d, m, gammas, k, cfg):
+        seen.append((gammas, k, cfg.seed))
+        return gammas[0]
+
+    monkeypatch.setattr(cli, "cv_select_djil", capture)
+    rc = main(["fit", "--data", str(data), "--method", "djil", "--c", "20",
+               "--folds", "4", "--seed", "9", "--out", str(tmp_path / "m.json")])
+    assert rc == 0
+    capsys.readouterr()
+    assert seen == [(default_grid(40, 9, 4).gammas, 4, 9)]
 
 
 def test_fit_malformed_row_exit_2(tmp_path, capsys):

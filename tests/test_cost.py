@@ -1,4 +1,9 @@
-"""Per-interval ridge fitting, cost evaluation, and the cost cache."""
+"""Per-interval ridge fitting, cost evaluation, and the cost cache.
+
+Coefficients and costs are read through CostCache (theta, costfn, factor),
+the one ridge cost path of the package, and checked against the oracles in
+conftest.
+"""
 
 from __future__ import annotations
 
@@ -9,14 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import cost_oracle, ridge_oracle, rows_in_interval
 from jil.core import Dataset, Interval
-from jil.cost import (
-    CostCache,
-    cache_get,
-    cost,
-    gram_factor,
-    multi_lambda_costs,
-    ridge_fit,
-)
+from jil.cost import CostCache
 
 
 def make_ds(rng, n, p, y_scale=1.0):
@@ -26,18 +24,34 @@ def make_ds(rng, n, p, y_scale=1.0):
     return Dataset(X, A, Y)
 
 
-# ------------------------------------------------------------- ridge_fit
+def theta_of(d, iv, lam):
+    """Ridge coefficients of one interval, from a fresh cache."""
+    return CostCache(d, iv.m, lambdas=(lam,)).theta(np.array([iv.lo]), np.array([iv.hi]), lam)[0]
+
+
+def costs_of(d, iv, lambdas):
+    """Costs of one interval over a lambda grid, from one cache on that grid."""
+    cache = CostCache(d, iv.m, lambdas=lambdas)
+    return np.array([cache.costfn(lam)(iv.lo, iv.hi) for lam in cache.lambdas])
+
+
+def cost_of(d, iv, lam):
+    """Cost of one interval at one lambda, from a fresh cache."""
+    return float(costs_of(d, iv, (lam,))[0])
+
+
+# ------------------------------------------------------------- ridge fit
 
 
 def test_ridge_intercept_only_sample_mean():
     d = Dataset(np.zeros((3, 0)), np.array([0.1, 0.5, 0.9]), np.array([1.0, 2.0, 3.0]))
-    theta = ridge_fit(d, Interval(0, 1, 1), 0.0)
+    theta = theta_of(d, Interval(0, 1, 1), 0.0)
     np.testing.assert_allclose(theta, [2.0])
 
 
 def test_ridge_huge_lambda_shrinks_to_zero(rng):
     d = make_ds(rng, 30, 2)
-    theta = ridge_fit(d, Interval(0, 5, 5), 1e12)
+    theta = theta_of(d, Interval(0, 5, 5), 1e12)
     assert np.all(np.abs(theta) < 1e-9)
 
 
@@ -46,7 +60,7 @@ def test_ridge_matches_direct_solve(rng):
         d = make_ds(rng, 20, 2)
         lo, hi, m = 2, 5, 7
         for lam in (0.0, 1e-3, 0.05, 1.7):
-            got = ridge_fit(d, Interval(lo, hi, m), lam)
+            got = theta_of(d, Interval(lo, hi, m), lam)
             want = ridge_oracle(d.covariates, d.treatments, d.outcomes, lo, hi, m, lam)
             np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8)
 
@@ -56,7 +70,7 @@ def test_ridge_empty_interval_returns_zero(rng):
     A = np.full(10, 0.05)  # everything in the first cell
     d = Dataset(X, A, rng.standard_normal(10))
     for lam in (0.0, 0.5):
-        theta = ridge_fit(d, Interval(5, 9, 10), lam)
+        theta = theta_of(d, Interval(5, 9, 10), lam)
         np.testing.assert_array_equal(theta, np.zeros(3))
 
 
@@ -64,7 +78,7 @@ def test_ridge_min_norm_on_singular_gram(rng):
     # more parameters than observations: lam=0 must return the min-norm solution
     X = rng.uniform(-1, 1, size=(3, 4))
     d = Dataset(X, np.array([0.2, 0.4, 0.6]), rng.standard_normal(3))
-    got = ridge_fit(d, Interval(0, 1, 1), 0.0)
+    got = theta_of(d, Interval(0, 1, 1), 0.0)
     want = ridge_oracle(d.covariates, d.treatments, d.outcomes, 0, 1, 1, 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-8)
 
@@ -73,7 +87,7 @@ def test_ridge_min_norm_duplicate_column(rng):
     X = rng.uniform(-1, 1, size=(12, 2))
     X[:, 1] = X[:, 0]
     d = Dataset(X, rng.random(12), X[:, 0] + 0.1 * rng.standard_normal(12))
-    got = ridge_fit(d, Interval(0, 1, 1), 0.0)
+    got = theta_of(d, Interval(0, 1, 1), 0.0)
     want = ridge_oracle(d.covariates, d.treatments, d.outcomes, 0, 1, 1, 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-8)
 
@@ -83,7 +97,7 @@ def test_ridge_norm_monotone_in_lambda(rng):
         d = make_ds(rng, 25, 3)
         iv = Interval(1, 4, 4)
         lams = [0.0, 1e-4, 1e-2, 0.3, 2.0, 50.0]
-        norms = [np.linalg.norm(ridge_fit(d, iv, lam)) for lam in lams]
+        norms = [np.linalg.norm(theta_of(d, iv, lam)) for lam in lams]
         for a, b in zip(norms, norms[1:]):
             assert b <= a + 1e-12
 
@@ -93,20 +107,20 @@ def test_ridge_norm_monotone_in_lambda(rng):
 
 def test_cost_empty_interval_zero(rng):
     d = Dataset(rng.uniform(-1, 1, (5, 1)), np.full(5, 0.01), rng.standard_normal(5))
-    assert cost(d, Interval(5, 10, 10), 0.0) == 0.0
-    assert cost(d, Interval(5, 10, 10), 0.7) == 0.0
+    assert cost_of(d, Interval(5, 10, 10), 0.0) == 0.0
+    assert cost_of(d, Interval(5, 10, 10), 0.7) == 0.0
 
 
 def test_cost_single_point_exact_fit():
     d = Dataset(np.zeros((4, 0)), np.array([0.05, 0.35, 0.65, 0.95]), np.array([3.0, -1.0, 2.0, 5.0]))
-    assert cost(d, Interval(1, 2, 4), 0.0) == 0.0
+    assert cost_of(d, Interval(1, 2, 4), 0.0) == 0.0
 
 
 def test_cost_matches_brute_force(rng):
     for _ in range(6):
         d = make_ds(rng, 30, 2)
         for lam in (0.0, 0.02, 0.9):
-            got = cost(d, Interval(1, 5, 6), lam)
+            got = cost_of(d, Interval(1, 5, 6), lam)
             want = cost_oracle(d.covariates, d.treatments, d.outcomes, 1, 5, 6, lam)
             assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
 
@@ -120,7 +134,7 @@ def test_cost_nonnegative(rng):
         lo = int(rng.integers(0, m))
         hi = int(rng.integers(lo + 1, m + 1))
         lam = float(rng.choice([0.0, 1e-3, 0.1, 5.0]))
-        assert cost(d, Interval(lo, hi, m), lam) >= 0.0
+        assert cost_of(d, Interval(lo, hi, m), lam) >= 0.0
 
 
 def test_cost_row_permutation_invariance(rng):
@@ -128,21 +142,22 @@ def test_cost_row_permutation_invariance(rng):
     perm = rng.permutation(60)
     dp = Dataset(d.covariates[perm], d.treatments[perm], d.outcomes[perm])
     for lam in (0.0, 0.05):
-        a = cost(d, Interval(2, 7, 9), lam)
-        b = cost(dp, Interval(2, 7, 9), lam)
+        a = cost_of(d, Interval(2, 7, 9), lam)
+        b = cost_of(dp, Interval(2, 7, 9), lam)
         assert a == pytest.approx(b, rel=1e-8, abs=1e-12)
 
 
-# ------------------------------------------------------ multi_lambda_costs
+# ------------------------------------------------------ multi-lambda costs
 
 
 def test_multi_lambda_singleton_equals_scalar(rng):
+    # a cost does not depend on the other lambdas of the cache's grid
     d = make_ds(rng, 40, 2)
     iv = Interval(1, 6, 8)
-    for lam in (0.0, 0.3):
-        vec = multi_lambda_costs(d, iv, np.array([lam]))
-        assert vec.shape == (1,)
-        assert vec[0] == cost(d, iv, lam)
+    vec = costs_of(d, iv, np.array([0.0, 0.3]))
+    assert vec.shape == (2,)
+    for h, lam in enumerate((0.0, 0.3)):
+        assert vec[h] == cost_of(d, iv, lam)
 
 
 def test_multi_lambda_matches_direct_solves(rng):
@@ -150,7 +165,7 @@ def test_multi_lambda_matches_direct_solves(rng):
     for _ in range(5):
         d = make_ds(rng, 50, 3)
         iv = Interval(2, 9, 11)
-        got = multi_lambda_costs(d, iv, lams)
+        got = costs_of(d, iv, lams)
         want = [
             cost_oracle(d.covariates, d.treatments, d.outcomes, 2, 9, 11, lam)
             for lam in lams
@@ -161,16 +176,16 @@ def test_multi_lambda_matches_direct_solves(rng):
 def test_multi_lambda_zero_outcomes(rng):
     X = rng.uniform(-1, 1, (20, 2))
     d = Dataset(X, rng.random(20), np.zeros(20))
-    got = multi_lambda_costs(d, Interval(0, 4, 4), np.array([0.0, 0.1, 1.0]))
+    got = costs_of(d, Interval(0, 4, 4), np.array([0.0, 0.1, 1.0]))
     np.testing.assert_array_equal(got, np.zeros(3))
 
 
 def test_multi_lambda_requires_sorted_nonnegative(rng):
     d = make_ds(rng, 10, 1)
     with pytest.raises(ValueError):
-        multi_lambda_costs(d, Interval(0, 2, 2), np.array([0.1, 0.0]))
+        costs_of(d, Interval(0, 2, 2), np.array([0.1, 0.0]))
     with pytest.raises(ValueError):
-        multi_lambda_costs(d, Interval(0, 2, 2), np.array([-0.1, 0.0]))
+        costs_of(d, Interval(0, 2, 2), np.array([-0.1, 0.0]))
 
 
 def test_eigendecomposition_consistency_sample(rng):
@@ -183,7 +198,7 @@ def test_eigendecomposition_consistency_sample(rng):
         m = int(rng.integers(1, 15))
         lo = int(rng.integers(0, m))
         hi = int(rng.integers(lo + 1, m + 1))
-        got = multi_lambda_costs(d, Interval(lo, hi, m), lams)
+        got = costs_of(d, Interval(lo, hi, m), lams)
         want = [
             cost_oracle(d.covariates, d.treatments, d.outcomes, lo, hi, m, lam)
             for lam in lams
@@ -196,24 +211,26 @@ def test_eigendecomposition_consistency_sample(rng):
 
 def test_gram_factor_invariants(rng):
     d = make_ds(rng, 50, 3)
-    iv = Interval(2, 8, 10)
-    f = gram_factor(d, iv)
+    los, his = np.array([2, 0, 5]), np.array([8, 10, 6])
+    f = CostCache(d, 10).factor(los, his)
+    assert f.U.shape == (3, 4, 4) and f.tau.shape == f.phi.shape == (3, 4)
     assert np.all(f.tau >= 0.0)
-    mask = rows_in_interval(d.treatments, 2, 8, 10)
-    Xb = np.hstack([np.ones((mask.sum(), 1)), d.covariates[mask]])
-    G = Xb.T @ Xb
-    recon = f.U @ np.diag(f.tau) @ f.U.T
-    assert np.linalg.norm(recon - G) <= 1e-8 * max(1.0, np.linalg.norm(G))
-    assert f.count == int(mask.sum())
-    assert f.syy == pytest.approx(float(d.outcomes[mask] @ d.outcomes[mask]))
+    for k in range(3):
+        mask = rows_in_interval(d.treatments, los[k], his[k], 10)
+        Xb = np.hstack([np.ones((mask.sum(), 1)), d.covariates[mask]])
+        G = Xb.T @ Xb
+        recon = f.U[k] @ np.diag(f.tau[k]) @ f.U[k].T
+        assert np.linalg.norm(recon - G) <= 1e-8 * max(1.0, np.linalg.norm(G))
+        assert f.count[k] == int(mask.sum())
+        assert f.syy[k] == pytest.approx(float(d.outcomes[mask] @ d.outcomes[mask]))
 
 
 def test_gram_factor_empty(rng):
     d = Dataset(rng.uniform(-1, 1, (6, 2)), np.full(6, 0.99), rng.standard_normal(6))
-    f = gram_factor(d, Interval(0, 5, 10))
-    assert f.count == 0
-    np.testing.assert_array_equal(f.tau, np.zeros(3))
-    np.testing.assert_array_equal(f.phi, np.zeros(3))
+    f = CostCache(d, 10).factor(np.array([0]), np.array([5]))
+    assert f.count[0] == 0
+    np.testing.assert_array_equal(f.tau, np.zeros((1, 3)))
+    np.testing.assert_array_equal(f.phi, np.zeros((1, 3)))
 
 
 # ------------------------------------------------------------- CostCache
@@ -223,8 +240,8 @@ def test_cache_repeated_lookup_bitwise(rng):
     d = make_ds(rng, 40, 2)
     cache = CostCache(d, 8, lambdas=(0.0, 0.1))
     iv = Interval(1, 5, 8)
-    a = cache_get(cache, d, iv, 0.1)
-    b = cache_get(cache, d, iv, 0.1)
+    a = cache.costfn(0.1)(iv.lo, iv.hi)
+    b = cache.costfn(0.1)(iv.lo, iv.hi)
     assert a == b and not np.isnan(a)
 
 
@@ -234,15 +251,16 @@ def test_cache_fresh_instance_reproduces(rng):
     c2 = CostCache(d, 8, lambdas=(0.0, 0.1))
     for lo in range(8):
         for hi in range(lo + 1, 9):
-            assert c1.get(lo, hi, 0.1) == c2.get(lo, hi, 0.1)
+            assert c1.costfn(0.1)(lo, hi) == c2.costfn(0.1)(lo, hi)
 
 
 def test_cache_distinct_intervals_not_aliased(rng):
     d = make_ds(rng, 60, 2, y_scale=2.0)
     cache = CostCache(d, 6, lambdas=(0.0,))
-    v1 = cache.get(0, 3, 0.0)
-    v2 = cache.get(0, 5, 0.0)
-    v1_again = cache.get(0, 3, 0.0)
+    f = cache.costfn(0.0)
+    v1 = f(0, 3)
+    v2 = f(0, 5)
+    v1_again = f(0, 3)
     assert v1 == v1_again
     assert v1 != v2  # same lo, different hi: independent entries
 
@@ -254,7 +272,7 @@ def test_cache_precompute_matches_lazy_bitwise(rng):
     for lo in range(9):
         for hi in range(lo + 1, 10):
             for lam in (0.0, 0.05):
-                assert eager.get(lo, hi, lam) == lazy.get(lo, hi, lam)
+                assert eager.costfn(lam)(lo, hi) == lazy.costfn(lam)(lo, hi)
 
 
 def test_cache_agrees_with_scalar_ops(rng):
@@ -263,34 +281,35 @@ def test_cache_agrees_with_scalar_ops(rng):
     for lo in range(7):
         for hi in range(lo + 1, 8):
             for lam in (0.0, 0.2):
-                direct = cost(d, Interval(lo, hi, 7), lam)
-                assert cache.get(lo, hi, lam) == pytest.approx(direct, rel=1e-8, abs=1e-12)
+                direct = cost_oracle(d.covariates, d.treatments, d.outcomes, lo, hi, 7, lam)
+                assert cache.costfn(lam)(lo, hi) == pytest.approx(direct, rel=1e-8, abs=1e-12)
 
 
 def test_cache_theta_agrees_with_ridge_fit(rng):
     d = make_ds(rng, 45, 2)
     cache = CostCache(d, 7, lambdas=(0.0, 0.2))
     for lam in (0.0, 0.2):
-        got = cache.theta(2, 6, lam)
-        want = ridge_fit(d, Interval(2, 6, 7), lam)
+        got = cache.theta(np.array([2]), np.array([6]), lam)[0]
+        want = ridge_oracle(d.covariates, d.treatments, d.outcomes, 2, 6, 7, lam)
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10)
 
 
 def test_cache_off_grid_lambda(rng):
     d = make_ds(rng, 30, 2)
     cache = CostCache(d, 5, lambdas=(0.0,))
-    got = cache.get(1, 4, 0.37)
-    want = cost(d, Interval(1, 4, 5), 0.37)
+    got = cache.costfn(0.37)(1, 4)
+    want = cost_oracle(d.covariates, d.treatments, d.outcomes, 1, 4, 5, 0.37)
     assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
-    assert cache.get(1, 4, 0.37) == got
+    assert cache.costfn(0.37)(1, 4) == got
+    assert np.isnan(cache._table).all()  # off the grid: computed, not stored
 
 
 def test_cache_costfn_closure(rng):
     d = make_ds(rng, 30, 1)
     cache = CostCache(d, 6, lambdas=(0.1,), precompute=True)
     f = cache.costfn(0.1)
-    assert f(0, 3) == cache.get(0, 3, 0.1)
-    assert f(2, 6) == cache.get(2, 6, 0.1)
+    assert f(0, 3) == cache.costfn(0.1)(0, 3) == cache._table[0, 3, 0]
+    assert f(2, 6) == cost_of(d, Interval(2, 6, 6), 0.1)
 
 
 def test_cache_costfn_array_matches_scalar_bitwise(rng):
@@ -330,11 +349,38 @@ def test_cache_fills_only_requested_costs(rng):
         assert np.count_nonzero(~np.isnan(eager._table[h])) == m * (m + 1) // 2
 
 
-def test_cache_get_rejects_foreign_dataset(rng):
-    d1 = make_ds(rng, 20, 1)
-    d2 = make_ds(rng, 20, 1)
-    cache = CostCache(d1, 4, lambdas=(0.0,))
-    with pytest.raises(ValueError):
-        cache_get(cache, d2, Interval(0, 2, 4), 0.0)
-    with pytest.raises(ValueError):
-        cache_get(cache, d1, Interval(0, 2, 5), 0.0)  # grid mismatch
+def test_cache_theta_batched_matches_per_interval_bitwise(rng):
+    for _ in range(20):
+        n = int(rng.integers(5, 80))
+        p = int(rng.integers(0, 9))
+        m = int(rng.integers(1, 15))
+        d = make_ds(rng, n, p, y_scale=float(rng.uniform(0.1, 5.0)))
+        cache = CostCache(d, m, lambdas=(0.0,))
+        his = rng.integers(1, m + 1, size=int(rng.integers(1, 2 * m + 1)))
+        los = np.array([rng.integers(0, hi) for hi in his], dtype=np.int64)
+        for lam in (0.0, 1e-3, 0.37):  # on and off the cache's grid
+            batched = cache.theta(los, his, lam)
+            assert batched.shape == (los.size, p + 1)
+            for k in range(los.size):
+                single = cache.theta(los[k : k + 1], his[k : k + 1], lam)[0]
+                assert batched[k].tobytes() == single.tobytes()
+
+
+def test_cache_factor_batched_matches_per_interval_bitwise(rng):
+    d = make_ds(rng, 50, 3)
+    cache = CostCache(d, 10)
+    los = np.array([0, 2, 5, 2], dtype=np.int64)
+    his = np.array([10, 8, 6, 3], dtype=np.int64)
+    stacked = cache.factor(los, his)
+    assert stacked.U.shape == (4, 4, 4) and stacked.count.shape == (4,)
+    for k in range(los.size):
+        f = cache.factor(los[k : k + 1], his[k : k + 1])
+        for name in ("U", "tau", "phi", "syy", "count"):
+            assert getattr(stacked, name)[k].tobytes() == getattr(f, name)[0].tobytes()
+
+
+def test_cache_theta_rejects_bad_index_arrays(rng):
+    cache = CostCache(make_ds(rng, 30, 1), 5)
+    for los, his in (([0, 2], [2]), ([-1, 2], [2, 5]), ([0, 3], [2, 3]), ([1, 2], [3, 6])):
+        with pytest.raises(ValueError):
+            cache.theta(np.array(los, dtype=np.int64), np.array(his, dtype=np.int64), 0.0)

@@ -12,7 +12,7 @@ from jil.core import Dataset, Interval, Linear, Partition, make_grid
 from jil.cost import CostCache
 from jil.errors import InvalidData
 from jil.fit import fit_djil, fit_ljil, recompute_objective
-from jil.mlp import TrainConfig
+from jil.mlp import MlpModel, TrainConfig
 from jil.segment import bellman_tables, enumerate_partitions, pelt
 from jil.sim import ScenarioSpec, gen_scenario
 
@@ -38,7 +38,8 @@ def test_ljil_matches_manual_pipeline(rng):
     assert f.partition == part
     assert f.objective == obj
     for model, iv in zip(f.models, part.intervals):
-        np.testing.assert_array_equal(model.theta, cache.theta(iv.lo, iv.hi, lam))
+        alone = cache.theta(np.array([iv.lo]), np.array([iv.hi]), lam)[0]
+        assert model.theta.tobytes() == alone.tobytes()
 
 
 def test_ljil_recovers_three_segments(rng):
@@ -187,7 +188,8 @@ def test_djil_deterministic(rng):
     f2 = fit_djil(d, 4, 0.2, djil_cfg(seed=9, epochs=40))
     assert f1.partition == f2.partition
     for a, b in zip(f1.models, f2.models):
-        for w1, w2 in zip(a.network.weights, b.network.weights):
+        assert isinstance(a, MlpModel)
+        for w1, w2 in zip(a.weights, b.weights):
             np.testing.assert_array_equal(w1, w2)
 
 
@@ -200,14 +202,21 @@ def test_djil_objective_matches_independent_recompute(rng):
     assert recompute_objective(d, f) == pytest.approx(f.objective, rel=1e-8, abs=1e-10)
 
 
-def test_djil_empty_interval_predicts_zero():
-    # every observation sits in the last cell; earlier cells are empty
+def test_djil_empty_interval_predicts_zero(rng, monkeypatch):
+    # the DP never keeps a lone empty interval (merging it saves one gamma),
+    # so the segmenter's answer is forced to contain one
     n = 30
-    rng = np.random.default_rng(5)
-    A = np.full(n, 0.95)
-    d = Dataset(rng.uniform(-1, 1, (n, 1)), A, rng.standard_normal(n) + 2.0)
-    f = fit_djil(d, 3, 1e-6, djil_cfg(epochs=40))
-    empty = [iv for iv in f.partition.intervals if iv.hi < 3]
-    for iv in empty:
-        k = f.partition.intervals.index(iv)
-        assert f.models[k].predict(np.array([0.3])) == 0.0
+    d = Dataset(rng.uniform(-1, 1, (n, 1)), np.full(n, 0.95), rng.standard_normal(n) + 2.0)
+    forced = Partition.from_edges([0, 2, 3], 3)
+
+    def forced_pelt(costfn, m, gamma):
+        return forced, costfn(0, 2) + costfn(2, 3) + 2 * gamma
+
+    monkeypatch.setattr(fit_mod, "pelt", forced_pelt)
+    f = fit_djil(d, 3, 0.1, djil_cfg(epochs=20))
+    empty, full = f.models
+    assert empty.layer_sizes == full.layer_sizes == (1, 8, 1)
+    assert not any(w.any() for w in empty.weights + empty.biases)
+    assert empty.predict(np.array([0.3])) == 0.0
+    assert any(w.any() for w in full.weights)
+    assert recompute_objective(d, f) == pytest.approx(f.objective, rel=1e-12)

@@ -7,15 +7,15 @@ import pytest
 
 from jil.core import Dataset, Interval
 from jil.errors import DimensionMismatch, EmptySegment
+from jil.fit import NetworkCosts
 from jil.mlp import (
     MlpModel,
     TrainConfig,
+    _batch_gradients,
     gradient_check,
     init_model,
-    mlp_cost,
     mlp_predict,
     mlp_train,
-    squared_loss_gradient,
 )
 
 
@@ -140,20 +140,22 @@ def test_init_glorot_bounds(rng):
         np.testing.assert_array_equal(b, np.zeros_like(b))
 
 
-# ---------------------------------------------------------------- mlp_cost
+# ------------------------------------------------- network interval costs
 
 
 def test_mlp_cost_empty_interval_zero(rng):
     d = Dataset(rng.uniform(-1, 1, (10, 2)), np.full(10, 0.05), rng.standard_normal(10))
     cfg = TrainConfig(hidden=(4,), epochs=5, learning_rate=0.01, batch_size=4, seed=0)
-    assert mlp_cost(d, Interval(5, 10, 10), cfg) == 0.0
+    table = NetworkCosts(d, 10, cfg)
+    assert table.cost(5, 10) == 0.0
+    assert table.model(5, 10) is None
 
 
 def test_mlp_cost_constant_data_small(rng):
     n = 50
     d = Dataset(rng.uniform(-1, 1, (n, 1)), rng.random(n), np.full(n, 2.0))
     cfg = TrainConfig(hidden=(4,), epochs=300, learning_rate=0.05, batch_size=16, seed=2)
-    assert mlp_cost(d, full_interval(n), cfg) <= 1e-2
+    assert NetworkCosts(d, 1, cfg).cost(0, 1) <= 1e-2
 
 
 def test_mlp_cost_uses_full_n_denominator(rng):
@@ -163,8 +165,11 @@ def test_mlp_cost_uses_full_n_denominator(rng):
     d = Dataset(rng.uniform(-1, 1, (n, 1)), A, rng.standard_normal(n))
     cfg = TrainConfig(hidden=(), epochs=400, learning_rate=0.3, batch_size=20, seed=4)
     iv = Interval(0, 1, 2)
-    c = mlp_cost(d, iv, cfg)
+    table = NetworkCosts(d, iv.m, cfg)
+    c = table.cost(iv.lo, iv.hi)
     model = mlp_train(d, iv, cfg)
+    for w1, w2 in zip(table.model(iv.lo, iv.hi).weights, model.weights):
+        np.testing.assert_array_equal(w1, w2)
     mask = A < 0.5
     sse = np.sum((d.outcomes[mask] - model.predict_batch(d.covariates[mask])) ** 2)
     assert c == pytest.approx(sse / n, rel=1e-12)
@@ -199,10 +204,17 @@ def test_gradient_linear_net_closed_form(rng):
     model = hand_model([3, 1], [w], [b])
     x = rng.uniform(-1, 1, 3)
     y = 0.4
-    dws, dbs = squared_loss_gradient(model, x, y)
+    dws, dbs = _batch_gradients(model, x[None, :], np.array([y]))
     pred = mlp_predict(model, x)
     np.testing.assert_array_equal(dws[0], 2.0 * (pred - y) * x[None, :])
     np.testing.assert_array_equal(dbs[0], np.array([2.0 * (pred - y)]))
+
+
+def test_gradient_check_dimension_mismatch():
+    model = hand_model([2, 1], [np.zeros((1, 2))], [np.zeros(1)])
+    for x in (np.zeros(3), np.zeros((1, 2))):
+        with pytest.raises(DimensionMismatch):
+            gradient_check(model, x, 0.0)
 
 
 def test_gradient_check_random_networks(rng):

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from jil.core import Dataset, Interval
+import jil.fit as fit_mod
+import jil.tuning as tuning_mod
+from jil.core import Dataset, Interval, Partition
 from jil.errors import BadFoldCount
 from jil.mlp import TrainConfig, mlp_train
 from jil.segment import dp_no_prune
@@ -272,6 +274,40 @@ def test_djil_cv_matches_naive_per_gamma_loop(rng):
         if scores[j] < best[0]:
             best = (scores[j], gammas[j])
     assert got == best[1]
+
+
+def test_djil_cv_trains_each_interval_once_per_fold(rng, monkeypatch):
+    n, m, k = 60, 5, 3
+    A = rng.random(n)
+    Y = np.where(A < 0.5, 2.0, -2.0) + 0.3 * rng.standard_normal(n)
+    d = Dataset(rng.uniform(-1, 1, (n, 2)), A, Y)
+    calls = []
+    real = fit_mod.mlp_train
+
+    def counting(dd, iv, cfg):
+        calls.append((dd, iv.lo, iv.hi))  # holding dd keeps each fold's id unique
+        return real(dd, iv, cfg)
+
+    monkeypatch.setattr(fit_mod, "mlp_train", counting)
+    cv_select_djil(d, m, (0.001, 0.01, 0.1, 1.0), k, small_cfg(seed=2, epochs=5))
+    folds = {}
+    for dd, lo, hi in calls:
+        folds.setdefault(id(dd), []).append((lo, hi))
+    assert len(folds) == k
+    for pairs in folds.values():
+        assert len(pairs) == len(set(pairs)) <= m * (m + 1) // 2
+
+
+def test_djil_cv_skips_held_out_rows_in_untrained_interval(rng, monkeypatch):
+    # row 0 is alone in cell 0, so in its held-out fold the interval [0, 1)
+    # has no training rows and no network; its held-out residual is skipped
+    n = 30
+    A = np.concatenate([[0.1], np.full(n - 1, 0.9)])
+    d = Dataset(rng.uniform(-1, 1, (n, 2)), A, rng.standard_normal(n))
+    forced = Partition.from_edges([0, 1, 2], 2)
+    monkeypatch.setattr(tuning_mod, "pelt", lambda costfn, m, gamma: (forced, 0.0))
+    # both gammas see the same partition, so the tie goes to the larger one
+    assert cv_select_djil(d, 2, (0.1, 0.2), 2, small_cfg(epochs=5)) == 0.2
 
 
 def test_djil_cv_deterministic(rng):
