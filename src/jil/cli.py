@@ -45,10 +45,8 @@ from .policy import (
 )
 from .sim import (
     ScenarioSpec,
-    _rep_seed,
     gen_scenario,
     replicate_table1,
-    true_optimal_value,
 )
 from .tuning import cv_select_djil, cv_select_ljil, default_gamma, default_grid
 
@@ -445,53 +443,21 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _bench_djil(args, v_opt: float) -> dict:
-    records = []
-    for rep in range(args.reps):
-        seed_r = _rep_seed(args.seed, rep)
-        d, _ = gen_scenario(ScenarioSpec(args.scenario, args.n, args.p, seed_r))
-        m = make_grid(args.n, args.c)
-        fit = fit_djil(d, m, default_gamma(args.n), TrainConfig(seed=seed_r))
-        prop = fit_propensity(d, fit.partition)
-        val = estimate_value(d, I2dr(fit), prop, 0.05)
-        records.append(
-            {
-                "v_hat": val.v_hat,
-                "sigma_hat": val.sigma_hat,
-                "covered": val.ci_lo <= v_opt <= val.ci_hi,
-                "segments": fit.partition.size,
-            }
-        )
-    return {
-        "mean_v_hat": float(np.mean([r["v_hat"] for r in records])),
-        "mean_sigma_hat": float(np.mean([r["sigma_hat"] for r in records])),
-        "coverage_pct": 100.0 * float(np.mean([r["covered"] for r in records])),
-        "mean_segments": float(np.mean([r["segments"] for r in records])),
-        "mean_l2": None,
-        "v_opt": v_opt,
-    }
-
-
 def cmd_bench(args) -> int:
     workers = None
     env = os.environ.get("JIL_THREADS")
     if env:
         workers = int(env)
-    if args.method == "ljil":
-        res = replicate_table1(
-            args.reps,
-            args.n,
-            args.seed,
-            scenario=args.scenario,
-            p=args.p,
-            c=args.c,
-            workers=workers,
-        )
-    else:
-        v_opt = true_optimal_value(
-            ScenarioSpec(args.scenario, args.n, args.p, args.seed), 10**6, args.seed
-        )
-        res = _bench_djil(args, v_opt)
+    res = replicate_table1(
+        args.reps,
+        args.n,
+        args.seed,
+        scenario=args.scenario,
+        p=args.p,
+        c=args.c,
+        workers=workers,
+        method=args.method,
+    )
     cols = [
         "scenario",
         "n",

@@ -76,3 +76,17 @@ class SchemaMismatch(JilError):
 
 class IoError(JilError):
     """File could not be read or written."""
+
+
+class NoConvergence(JilError):
+    """An iterative solver stopped without meeting its convergence test.
+
+    Attributes
+    ----------
+    decrement : float
+        Newton decrement g' H^-1 g at the last iterate.
+    """
+
+    def __init__(self, decrement: float, message: str):
+        self.decrement = decrement
+        super().__init__(message)

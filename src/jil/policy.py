@@ -11,11 +11,11 @@ rule is estimated by augmented inverse-propensity weighting,
 with a Wald interval V_hat +/- z_{alpha/2} * sigma_hat / sqrt(n), where
 sigma_hat is the per-observation standard deviation of the bracketed terms.
 
-The generalized propensity e(I|x) comes from either a softmax-linear model
-trained by full-batch gradient descent or the marginal interval
-frequencies; predicted probabilities are floored at `floor` by an exact
-water-filling adjustment (never plain clipping, which would break the
-simplex constraint).
+The generalized propensity e(I|x) comes from either a softmax-linear model,
+fitted by damped Newton to its penalized maximum-likelihood solution, or the
+marginal interval frequencies; predicted probabilities are floored at
+`floor` by an exact water-filling adjustment (never plain clipping, which
+would break the simplex constraint).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .core import Dataset, Interval, JilFit, Partition, grid_cell, make_xbar
-from .errors import DegeneratePartition, DimensionMismatch, InsufficientData
+from .errors import DegeneratePartition, DimensionMismatch, InsufficientData, NoConvergence
 
 __all__ = [
     "I2dr",
@@ -46,6 +46,14 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-12
+
+# Softmax propensity: log-loss / n + _L2 * ||W||^2, minimized by damped
+# Newton until the Newton decrement g'H^-1g is at most _NEWTON_TOL.
+_L2 = 1e-4
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 50
+_ARMIJO = 0.25
+_MAX_HALVINGS = 50
 
 
 @dataclass(frozen=True)
@@ -126,14 +134,73 @@ def floor_probabilities(probs: np.ndarray, floor: float) -> np.ndarray:
     return f + (1.0 - k * f) * share
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_objective(W: np.ndarray, Xb: np.ndarray, labels: np.ndarray) -> float:
+    z = Xb @ W.T
+    top = z.max(axis=1)
+    lse = top + np.log(np.exp(z - top[:, None]).sum(axis=1))
+    loss = np.mean(lse - z[np.arange(len(labels)), labels])
+    return float(loss + _L2 * np.sum(W * W))
+
+
+def _fit_softmax(Xb: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
+    """Penalized multinomial MLE by damped Newton from W = 0.
+
+    The objective is strictly convex (curvature >= 2 * _L2), so the minimizer
+    is unique. Each iteration solves H s = -g and backtracks on the objective
+    until the Armijo condition holds. Once the Newton decrement g'H^-1g (an
+    affine-invariant estimate of twice the suboptimality) is at most
+    _NEWTON_TOL, the full step is taken and the loop stops; the decrement is
+    not driven further because objective differences below it are rounding.
+    """
+    n, d = Xb.shape
+    onehot = np.zeros((n, K))
+    onehot[np.arange(n), labels] = 1.0
+    W = np.zeros((K, d))
+    f = _softmax_objective(W, Xb, labels)
+    diag = np.arange(K)
+    for _ in range(_NEWTON_MAX_ITER):
+        P = _softmax(Xb @ W.T)
+        g = ((P - onehot).T @ Xb / n + 2.0 * _L2 * W).ravel()
+        PX = P[:, :, None] * Xb[:, None, :]
+        A = PX.reshape(n, K * d)
+        H = -(A.T @ A)
+        H.reshape(K, d, K, d)[diag, :, diag, :] += np.matmul(PX.transpose(1, 2, 0), Xb)
+        H /= n
+        H[np.diag_indices_from(H)] += 2.0 * _L2
+        step = np.linalg.solve(H, -g).reshape(K, d)
+        dec = -float(g @ step.ravel())
+        if dec <= _NEWTON_TOL:
+            return W + step
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            f_new = _softmax_objective(W + t * step, Xb, labels)
+            if f_new <= f - _ARMIJO * t * dec:
+                break
+            t *= 0.5
+        else:
+            raise NoConvergence(
+                dec, f"propensity line search found no decrease (Newton decrement {dec:.3e})"
+            )
+        W, f = W + t * step, f_new
+    raise NoConvergence(
+        dec, f"propensity not converged in {_NEWTON_MAX_ITER} Newton steps (decrement {dec:.3e})"
+    )
+
+
 def fit_propensity(
     d: Dataset, partition: Partition, kind: str = "multinomial", floor: float = 0.01
 ) -> PropensityModel:
     """Estimate e(I | x) for every interval of the partition.
 
-    The multinomial fit runs 500 full-batch gradient steps (rate 0.1,
-    l2 1e-4) on the softmax log-loss from a zero initialization, so it is
-    deterministic. The empirical fit ignores x and uses interval counts / n.
+    The multinomial fit is the unique minimizer of the softmax log-loss / n
+    plus 1e-4 ||W||^2, found by damped Newton from W = 0 (see _fit_softmax);
+    it raises NoConvergence rather than return a non-converged W. The
+    empirical fit ignores x and uses interval counts / n.
     """
     if partition is None or partition.size < 1:
         raise DegeneratePartition("propensity requires a non-empty partition")
@@ -144,17 +211,7 @@ def fit_propensity(
     if kind == "empirical":
         freqs = np.bincount(labels, minlength=K) / d.n
         return PropensityModel(kind="empirical", partition=partition, floor=floor, freqs=freqs)
-    Xb = make_xbar(d.covariates)
-    onehot = np.zeros((d.n, K))
-    onehot[np.arange(d.n), labels] = 1.0
-    W = np.zeros((K, Xb.shape[1]))
-    for _ in range(500):
-        logits = Xb @ W.T
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        P = e / e.sum(axis=1, keepdims=True)
-        grad = (P - onehot).T @ Xb / d.n + 2e-4 * W
-        W -= 0.1 * grad
+    W = _fit_softmax(make_xbar(d.covariates), labels, K)
     return PropensityModel(kind="multinomial", partition=partition, floor=floor, weights=W)
 
 
@@ -168,10 +225,7 @@ def propensity_probs(prop: PropensityModel, X: np.ndarray) -> np.ndarray:
             raise DimensionMismatch(
                 f"propensity expects {prop.weights.shape[1] - 1} covariates, got {X.shape[1]}"
             )
-        logits = make_xbar(X) @ prop.weights.T
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        raw = e / e.sum(axis=1, keepdims=True)
+        raw = _softmax(make_xbar(X) @ prop.weights.T)
     return floor_probabilities(raw, prop.floor)
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from .core import Dataset, grid_cell, make_grid
 from .errors import BadSpec, MissingTruth
-from .fit import fit_ljil
+from .fit import fit_djil, fit_ljil
+from .mlp import TrainConfig
 from .policy import I2dr, UniformRandom, estimate_value, fit_propensity, recommend_batch, select_dose
 from .tuning import default_gamma
 
@@ -270,15 +271,19 @@ def _rep_seed(seed: int, rep: int) -> int:
 
 
 def _table1_rep(args):
-    scenario, n, p, c, lam, gamma, alpha, seed, rep = args
+    method, scenario, n, p, c, lam, gamma, alpha, seed, rep = args
     spec = ScenarioSpec(scenario, n, p, _rep_seed(seed, rep))
     d, oracle = gen_scenario(spec)
     m = make_grid(n, c)
-    fit = fit_ljil(d, m, lam, gamma)
+    if method == "ljil":
+        fit = fit_ljil(d, m, lam, gamma)
+    else:
+        fit = fit_djil(d, m, gamma, TrainConfig(seed=spec.seed))
     rule = I2dr(fit)
     prop = fit_propensity(d, fit.partition)
     rep_value = estimate_value(d, rule, prop, alpha)
-    l2 = integrated_l2_loss(fit, oracle) if oracle.true_theta is not None else None
+    has_theta = method == "ljil" and oracle.true_theta is not None
+    l2 = integrated_l2_loss(fit, oracle) if has_theta else None
     return {
         "v_hat": rep_value.v_hat,
         "sigma_hat": rep_value.sigma_hat,
@@ -302,18 +307,24 @@ def replicate_table1(
     alpha: float = 0.05,
     v_opt: float = None,
     workers=None,
+    method: str = "ljil",
 ) -> dict:
     """Full-pipeline replications: generate, fit, estimate value, aggregate.
 
     Defaults mirror the headline simulation: m = n/5, lam = 0,
-    gamma = 4 log(n)/n. Coverage counts replications whose CI contains
-    v_opt (estimated by a 10^6-draw MC when not supplied).
+    gamma = 4 log(n)/n. method "ljil" fits ridge segments at lam; "djil"
+    fits networks with the default TrainConfig seeded by the replication's
+    data seed, ignores lam and reports l2 = None. Coverage counts
+    replications whose CI contains v_opt (estimated by a 10^6-draw MC when
+    not supplied).
     """
+    if method not in ("ljil", "djil"):
+        raise ValueError(f"method must be 'ljil' or 'djil', got {method!r}")
     if gamma is None:
         gamma = default_gamma(n)
     if v_opt is None:
         v_opt = true_optimal_value(ScenarioSpec(scenario, n, p, seed), 10**6, seed)
-    arglist = [(scenario, n, p, c, lam, gamma, alpha, seed, r) for r in range(reps)]
+    arglist = [(method, scenario, n, p, c, lam, gamma, alpha, seed, r) for r in range(reps)]
     w = resolve_workers(workers)
     if w > 1:
         with ProcessPoolExecutor(max_workers=w) as pool:

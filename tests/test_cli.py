@@ -372,3 +372,20 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "evaluate" in proc.stdout
+
+
+@pytest.mark.parametrize("method", ["ljil", "djil"])
+def test_bench_one_driver_honours_jil_threads(monkeypatch, capsys, method):
+    seen = {}
+
+    def fake(reps, n, seed, **kw):
+        seen.update(kw, reps=reps, n=n, seed=seed)
+        return {"mean_v_hat": 1.0, "mean_sigma_hat": 1.0, "coverage_pct": 100.0,
+                "mean_segments": 1.0, "mean_l2": None, "v_opt": 1.0}
+
+    monkeypatch.setenv("JIL_THREADS", "2")
+    monkeypatch.setattr(cli, "replicate_table1", fake)
+    rc = main(["bench", "--n", "40", "--reps", "2", "--method", method])
+    assert rc == 0
+    assert seen["method"] == method and seen["workers"] == 2
+    assert capsys.readouterr().out.splitlines()[1].split("\t")[3] == method

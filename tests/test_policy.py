@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.stats import norm
 
-from jil.core import Dataset, Interval, JilFit, Linear, Partition
-from jil.errors import DimensionMismatch, InsufficientData
+import jil.policy
+from jil.core import Dataset, Interval, JilFit, Linear, Partition, grid_cell
+from jil.errors import DimensionMismatch, InsufficientData, JilError, NoConvergence
 from jil.policy import (
     I2dr,
     MaxDose,
@@ -23,6 +25,7 @@ from jil.policy import (
     recommend_batch,
     select_dose,
 )
+from jil.sim import ScenarioSpec, gen_scenario
 
 from conftest import cell_of
 
@@ -167,6 +170,100 @@ def test_propensity_insufficient_rows(rng):
     d = Dataset(rng.uniform(-1, 1, (1, 2)), np.array([0.5]), np.array([0.0]))
     with pytest.raises(InsufficientData):
         fit_propensity(d, Partition.from_edges([0, 2, 4], 4))
+
+
+def softmax_objective(W, X, labels):
+    """Softmax log-loss / n + 1e-4 ||W||^2 and its gradient, from scratch."""
+    n = X.shape[0]
+    Xb = np.hstack([np.ones((n, 1)), X])
+    z = Xb @ W.T
+    z = z - z.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    onehot = np.eye(W.shape[0])[labels]
+    f = -np.sum(logp * onehot) / n + 1e-4 * np.sum(W * W)
+    g = (np.exp(logp) - onehot).T @ Xb / n + 2e-4 * W
+    return f, g
+
+
+def interval_labels(d, part):
+    return part.locate_cells(grid_cell(d.treatments, part.m))
+
+
+@pytest.mark.parametrize(
+    "scenario, edges",
+    [
+        (1, [0, 80]),
+        (1, [0, 28, 52, 80]),
+        (3, [0, 20, 40, 60, 80]),
+        (3, [0, 8, 20, 33, 40, 52, 60, 80]),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_propensity_reaches_stationary_point(scenario, edges, seed):
+    d, _ = gen_scenario(ScenarioSpec(scenario, 400, 4, seed))
+    part = Partition.from_edges(edges, 80)
+    prop = fit_propensity(d, part)
+    _, g = softmax_objective(prop.weights, d.covariates, interval_labels(d, part))
+    assert np.abs(g).max() <= 1e-8
+
+
+def test_propensity_separable_labels_converge(rng):
+    # x[:, 0] decides the interval, so the unpenalized MLE does not exist;
+    # the ridge term keeps the penalized one finite
+    n = 400
+    X = rng.uniform(-1, 1, (n, 2))
+    d = Dataset(X, (X[:, 0] + 1.0) / 2.0 * 0.999, rng.standard_normal(n))
+    part = Partition.from_edges([0, 5, 10], 10)
+    labels = interval_labels(d, part)
+    prop = fit_propensity(d, part)
+    _, g = softmax_objective(prop.weights, X, labels)
+    assert np.all(np.isfinite(prop.weights))
+    assert np.abs(g).max() <= 1e-8
+    probs = propensity_probs(prop, X)
+    assert np.mean(np.argmax(probs, axis=1) == labels) >= 0.95
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6])
+def test_propensity_scaled_covariates_converge(scale):
+    d, _ = gen_scenario(ScenarioSpec(3, 400, 4, 0))
+    big = Dataset(d.covariates * scale, d.treatments, d.outcomes)
+    part = Partition.from_edges([0, 20, 40, 60, 80], 80)
+    prop = fit_propensity(big, part)
+    _, g = softmax_objective(prop.weights, big.covariates, interval_labels(big, part))
+    # the gradient in the unscaled coordinates W * diag(1, scale, ...)
+    assert np.abs(g / np.r_[1.0, np.full(4, scale)]).max() <= 1e-8
+
+
+def test_propensity_iteration_cap_raises(monkeypatch):
+    d, _ = gen_scenario(ScenarioSpec(1, 400, 4, 0))
+    monkeypatch.setattr(jil.policy, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match="decrement") as info:
+        fit_propensity(d, Partition.from_edges([0, 28, 52, 80], 80))
+    assert isinstance(info.value, JilError)
+    assert info.value.decrement > jil.policy._NEWTON_TOL
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_propensity_matches_independent_solver(seed):
+    d, _ = gen_scenario(ScenarioSpec(3, 400, 4, seed))
+    part = Partition.from_edges([0, 20, 40, 60, 80], 80)
+    labels = interval_labels(d, part)
+    shape = (part.size, d.p + 1)
+
+    def fun(w):
+        f, g = softmax_objective(w.reshape(shape), d.covariates, labels)
+        return f, g.ravel()
+
+    res = minimize(fun, np.zeros(shape).ravel(), jac=True, method="L-BFGS-B",
+                   options={"gtol": 1e-12, "ftol": 1e-16, "maxiter": 10_000})
+    prop = fit_propensity(d, part)
+    f_newton, _ = softmax_objective(prop.weights, d.covariates, labels)
+    assert f_newton == pytest.approx(res.fun, rel=1e-10)
+    ref = PropensityModel(kind="multinomial", partition=part, floor=prop.floor,
+                          weights=res.x.reshape(shape))
+    X = d.covariates
+    np.testing.assert_allclose(propensity_probs(prop, X), propensity_probs(ref, X),
+                               rtol=0, atol=1e-6)
 
 
 # ----------------------------------------------------------- estimate_value

@@ -5,11 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from jil.core import Interval, JilFit, Linear, Partition
+from jil.core import Interval, JilFit, Linear, Partition, make_grid
 from jil.errors import BadSpec, MissingTruth
-from jil.policy import I2dr, MaxDose, MidPoint, UniformRandom
+from jil.fit import fit_djil
+from jil.mlp import TrainConfig
+from jil.policy import I2dr, MaxDose, MidPoint, UniformRandom, estimate_value, fit_propensity
 from jil.sim import (
     ScenarioSpec,
+    _rep_seed,
     gauss,
     gen_scenario,
     integrated_l2_loss,
@@ -18,6 +21,7 @@ from jil.sim import (
     theta_path,
     true_optimal_value,
 )
+from jil.tuning import default_gamma
 
 
 # -------------------------------------------------------- scenario spec
@@ -274,3 +278,23 @@ def test_replicate_table1_explicit_v_opt_changes_coverage_only():
     b = replicate_table1(2, 100, seed=3, v_opt=-100.0)
     assert [r["v_hat"] for r in a["records"]] == [r["v_hat"] for r in b["records"]]
     assert b["coverage_pct"] == 0.0
+
+
+def test_replicate_table1_djil_matches_direct_fits():
+    res = replicate_table1(2, 40, seed=3, c=10.0, method="djil", v_opt=1.34)
+    m = make_grid(40, 10.0)
+    for rep, rec in enumerate(res["records"]):
+        spec = ScenarioSpec(1, 40, 4, _rep_seed(3, rep))
+        d, _ = gen_scenario(spec)
+        fit = fit_djil(d, m, default_gamma(40), TrainConfig(seed=spec.seed))
+        value = estimate_value(d, I2dr(fit), fit_propensity(d, fit.partition), 0.05)
+        assert rec["v_hat"] == value.v_hat
+        assert rec["sigma_hat"] == value.sigma_hat
+        assert rec["boundaries"] == fit.partition.boundaries()
+        assert rec["l2"] is None
+    assert res["mean_l2"] is None
+
+
+def test_replicate_table1_rejects_unknown_method():
+    with pytest.raises(ValueError, match="method"):
+        replicate_table1(1, 40, seed=0, method="mlp", v_opt=1.34)
