@@ -408,11 +408,16 @@ def cmd_evaluate(args) -> int:
         )
     a = a_raw
     if prov.get("a_min") is not None:
-        a = np.clip(
-            (a_raw - float(prov["a_min"])) / (float(prov["a_max"]) - float(prov["a_min"])),
-            0.0,
-            1.0,
-        )
+        a_min, a_max = float(prov["a_min"]), float(prov["a_max"])
+        bad = ~((a_raw >= a_min) & (a_raw <= a_max))
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise InvalidData(
+                "treatments", row,
+                f"treatment {_fmt(a_raw[row])} at row {row} is outside the fitted range "
+                f"[{_fmt(a_min)}, {_fmt(a_max)}]",
+            )
+        a = (a_raw - a_min) / (a_max - a_min)
     d = Dataset(X, a, y)
     validate_dataset(d)
     fit = _fit_from_artifact(art)

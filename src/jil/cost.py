@@ -27,36 +27,22 @@ point come from one batched eigendecomposition of prefix-sum moments, and
 the eigenvectors are not kept. Coefficients are refactorized on demand,
 for all intervals of a partition in one batched call, which the fits need
 only for the partitions they score or return.
+
+CostCache shares its interface with fit.NetworkCosts, so one fit body and
+one CV loop serve both model families: costfn(lam) is the segmenter's cost
+function and models(los, his, lam) returns one model per interval.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Dataset, check_grid, grid_cell, make_xbar
+from .core import Dataset, Linear, check_grid, grid_cell, make_xbar
 
-__all__ = ["GramFactor", "CostCache"]
+__all__ = ["CostCache"]
 
 # eigenvalues below this fraction of the largest are treated as exact nulls
 _CLAMP_REL = 1e-10
-
-
-@dataclass(frozen=True)
-class GramFactor:
-    """Eigendecompositions of K intervals' Gram matrices plus outcome moments,
-    each field stacked along a leading axis of size K.
-
-    For interval k, U[k] diag(tau[k]) U[k]^T reconstructs sum xbar xbar^T over
-    its rows; phi[k] = U[k]^T sum xbar*y; syy[k] = sum y^2; count[k] = rows.
-    """
-
-    U: np.ndarray
-    tau: np.ndarray
-    phi: np.ndarray
-    syy: np.ndarray
-    count: np.ndarray
 
 
 def _factorize(Gs: np.ndarray, bs: np.ndarray):
@@ -70,6 +56,25 @@ def _factorize(Gs: np.ndarray, bs: np.ndarray):
     tau = np.where(tau < thr, 0.0, tau)
     phi = np.einsum("kij,ki->kj", U, bs)
     return U, tau, phi
+
+
+def _check_pairs(los: np.ndarray, his: np.ndarray, m: int):
+    """Reject index arrays that are not equal-length pairs 0 <= lo < hi <= m."""
+    if los.shape != his.shape or not np.all((0 <= los) & (los < his) & (his <= m)):
+        raise ValueError(f"invalid interval indices ({los}, {his}) on grid {m}")
+
+
+def _check_call(lo, hi, m: int):
+    """Check the arguments of a costfn call: lo is an int or an ascending
+    int64 array, whose ends bound every entry."""
+    if isinstance(lo, np.ndarray):
+        if not lo.size:
+            return
+        first, last = int(lo[0]), int(lo[-1])
+    else:
+        first = last = lo
+    if not (0 <= first and last < hi <= m):
+        raise ValueError(f"invalid interval indices ({lo}, {hi}) on grid {m}")
 
 
 def _spectral_costs(tau, phi, syy, ilen, n, lambdas) -> np.ndarray:
@@ -108,8 +113,8 @@ class CostCache:
     one batched eigendecomposition that serves every lambda of the grid; the
     eigenvectors are dropped once the costs are stored. precompute=True fills
     every column up front, one column at a time, so temporaries stay
-    O(m d^2). factor and theta refactorize the intervals they are asked for
-    on each call.
+    O(m d^2). theta refactorizes the intervals it is asked for on each call,
+    and models wraps its coefficients as one Linear model per interval.
     There is no lock: a cache belongs to one thread (replication runs in
     processes).
     """
@@ -146,7 +151,6 @@ class CostCache:
         self._Cxx = csum_xx[bnd]
         self._Cxy = csum_xy[bnd]
         self._Cyy = csum_yy[bnd]
-        self._Ccnt = bnd
 
     def _costs(self, los: np.ndarray, hi: int, lambdas: np.ndarray) -> np.ndarray:
         """Costs (K, H) of the intervals [lo, hi), lo in los, from one batched
@@ -164,50 +168,38 @@ class CostCache:
         if miss.size:
             col[:, miss] = self._costs(miss, hi, self.lambdas).T
 
-    def _check_pair(self, lo, hi):
-        if not (0 <= lo < hi <= self.m):
-            raise ValueError(f"invalid interval indices ({lo}, {hi}) on grid {self.m}")
-
     # ------------------------------------------------------------- access
 
-    def factor(self, los: np.ndarray, his: np.ndarray) -> GramFactor:
-        """Eigendecompositions of the intervals [lo/m, hi/m) for the pairs of
-        the equal-length int64 arrays los, his, computed per call in one
-        batch; each interval gets the same bits as in a batch of its own."""
-        los, his = np.asarray(los), np.asarray(his)
-        if los.shape != his.shape or not np.all((0 <= los) & (los < his) & (his <= self.m)):
-            raise ValueError(f"invalid interval indices ({los}, {his}) on grid {self.m}")
-        U, tau, phi = _factorize(self._Cxx[his] - self._Cxx[los], self._Cxy[his] - self._Cxy[los])
-        syy = self._Cyy[his] - self._Cyy[los]
-        return GramFactor(U=U, tau=tau, phi=phi, syy=syy, count=self._Ccnt[his] - self._Ccnt[los])
-
     def theta(self, los: np.ndarray, his: np.ndarray, lam: float) -> np.ndarray:
-        """Ridge coefficients (K, d) of the K intervals given as in factor,
-        e.g. every interval of a partition, from one fresh factorization."""
+        """Ridge coefficients (K, d) of the intervals [lo/m, hi/m) for the pairs
+        of the equal-length int64 arrays los, his, e.g. every interval of a
+        partition, from one fresh batched factorization; each interval gets
+        the same bits as in a batch of its own."""
         los, his = np.asarray(los), np.asarray(his)
-        f = self.factor(los, his)
-        ilen = (his - los) / self.m
-        return _spectral_thetas(f.U, f.tau, f.phi, ilen, self.dataset.n, float(lam))
+        _check_pairs(los, his, self.m)
+        U, tau, phi = _factorize(self._Cxx[his] - self._Cxx[los], self._Cxy[his] - self._Cxy[los])
+        return _spectral_thetas(U, tau, phi, (his - los) / self.m, self.dataset.n, float(lam))
+
+    def models(self, los: np.ndarray, his: np.ndarray, lam: float) -> tuple:
+        """One Linear model per interval, from a single theta call."""
+        return tuple(Linear(t) for t in self.theta(los, his, lam))
 
     def costfn(self, lam: float):
         """Cost function (lo, hi) -> cost at a fixed lambda, for the segmenter.
 
         lo is an int, giving a float, or an ascending int64 array, giving one
-        cost per entry (the batched column form of segment.pelt). Costs at a lambda of
-        the grid are stored in the table; others are recomputed per call.
+        cost per entry (the batched column form of segment.pelt); indices
+        must satisfy 0 <= lo < hi <= m. Costs at a lambda of the grid are
+        stored in the table; others are recomputed per call.
         """
         lam = float(lam)
         h = self._lam_index.get(lam)
         lams = np.array([lam])
 
         def fn(lo, hi):
-            if isinstance(lo, np.ndarray):
-                if lo.size:  # ascending: the ends bound every entry
-                    self._check_pair(lo[0], hi)
-                    self._check_pair(lo[-1], hi)
-                los = lo
-            else:
-                self._check_pair(lo, hi)
+            _check_call(lo, hi, self.m)
+            los = lo
+            if not isinstance(lo, np.ndarray):
                 if h is not None:
                     c = self._table[h, hi, lo]
                     if c == c:  # NaN marks a cost not computed yet

@@ -1,11 +1,13 @@
 """Full segmentation fits tying together costs, the segmenter, and models.
 
-fit_ljil builds a lazy CostCache, segments with the pruned column-wise DP
-(which fills only the surviving candidates' costs), and attaches ridge
-coefficients refactorized for the final intervals in one batched call.
-fit_djil does the same over a NetworkCosts table, which trains one network
-per candidate interval at most once; its lam is fixed at 0 because the
-network cost carries no coefficient penalty.
+Both model families run one fit body over an interval table: the pruned
+column-wise DP segments with the table's costfn(lam), which fills only the
+surviving candidates' costs, and the table's models(los, his, lam) attaches
+one model per final interval. fit_ljil uses a lazy CostCache, whose models
+are ridge coefficients refactorized for the final intervals in one batched
+call. fit_djil uses a NetworkCosts table, which trains one network per
+candidate interval at most once; its lam is fixed at 0 because the network
+cost carries no coefficient penalty.
 """
 
 from __future__ import annotations
@@ -13,11 +15,23 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Dataset, Interval, JilFit, Linear, grid_cell, validate_dataset
-from .cost import CostCache
+from .cost import CostCache, _check_call, _check_pairs
 from .mlp import MlpModel, TrainConfig, mlp_train
 from .segment import pelt
 
 __all__ = ["NetworkCosts", "fit_ljil", "fit_djil", "recompute_objective"]
+
+
+def _fit(table, lam: float, gamma: float, method: str, segment) -> JilFit:
+    """Segment with the table's costs at lam, then attach its models.
+
+    segment is the caller's module-level pelt, so each driver's DP calls can
+    be replaced or traced in the module that makes them.
+    """
+    partition, objective = segment(table.costfn(lam), table.m, gamma, batched=True)
+    edges = np.array(partition.edges())
+    models = table.models(edges[:-1], edges[1:], lam)
+    return JilFit(partition, models, table.m, lam, gamma, objective, method=method)
 
 
 def fit_ljil(
@@ -36,20 +50,19 @@ def fit_ljil(
     lam = float(lam)
     if cache is None:
         cache = CostCache(d, m, lambdas=(lam,))
-    partition, objective = pelt(cache.costfn(lam), m, gamma, batched=True)
-    edges = np.array(partition.edges())
-    models = tuple(Linear(theta) for theta in cache.theta(edges[:-1], edges[1:], lam))
-    return JilFit(partition, models, m, lam, gamma, objective, method="ljil")
+    return _fit(cache, lam, gamma, "ljil", pelt)
 
 
 class NetworkCosts:
     """Per-interval networks and their costs for one dataset on one grid.
 
-    The network counterpart of cost.CostCache. cost(lo, hi) is the costfn for
-    segment.pelt: the SSE of the interval's network divided by the full
-    sample size n, so costs add up across a partition. model(lo, hi) is that
-    network, or None for an interval without rows, whose cost is 0. Each
-    interval is trained at most once, on first use, through mlp_train.
+    The network counterpart of cost.CostCache, with the same interface.
+    costfn(0.0) is the segmenter's cost function: the SSE of the interval's
+    network divided by the full sample size n, so costs add up across a
+    partition; lo is an int or an ascending int64 array, as for CostCache.
+    models(los, his, 0.0) returns those networks. An interval without rows
+    costs 0 and gets the all-zero network, which predicts 0. Each interval
+    is trained at most once, on first use, through mlp_train.
     """
 
     def __init__(self, dataset: Dataset, m: int, cfg: TrainConfig):
@@ -58,6 +71,12 @@ class NetworkCosts:
         self.cfg = cfg
         self._cells = grid_cell(dataset.treatments, self.m)
         self._memo = {}
+        sizes = (dataset.p,) + tuple(cfg.hidden) + (1,)
+        self._zero = MlpModel(
+            sizes,
+            tuple(np.zeros((o, i)) for i, o in zip(sizes[:-1], sizes[1:])),
+            tuple(np.zeros(o) for o in sizes[1:]),
+        )
 
     def _entry(self, lo: int, hi: int):
         got = self._memo.get((lo, hi))
@@ -65,7 +84,7 @@ class NetworkCosts:
             d = self.dataset
             rows = np.flatnonzero((self._cells >= lo) & (self._cells < hi))
             if rows.size == 0:
-                got = (None, 0.0)
+                got = (self._zero, 0.0)
             else:
                 model = mlp_train(d, Interval(lo, hi, self.m), self.cfg)
                 resid = d.outcomes[rows] - model.predict_batch(d.covariates[rows])
@@ -73,20 +92,31 @@ class NetworkCosts:
             self._memo[lo, hi] = got
         return got
 
-    def cost(self, lo: int, hi: int) -> float:
-        return self._entry(lo, hi)[1]
+    @staticmethod
+    def _check_lam(lam):
+        if float(lam) != 0.0:
+            raise ValueError(
+                f"network costs carry no coefficient penalty; lam must be 0, got {lam}"
+            )
 
-    def model(self, lo: int, hi: int):
-        return self._entry(lo, hi)[0]
+    def costfn(self, lam: float):
+        """Cost function (lo, hi) -> cost, as CostCache.costfn; lam must be 0."""
+        self._check_lam(lam)
 
+        def fn(lo, hi):
+            _check_call(lo, hi, self.m)
+            if isinstance(lo, np.ndarray):
+                return np.array([self._entry(j, hi)[1] for j in lo.tolist()], dtype=float)
+            return self._entry(lo, hi)[1]
 
-def _zero_network(p: int, hidden: tuple) -> MlpModel:
-    sizes = (p,) + tuple(hidden) + (1,)
-    return MlpModel(
-        sizes,
-        tuple(np.zeros((o, i)) for i, o in zip(sizes[:-1], sizes[1:])),
-        tuple(np.zeros(o) for o in sizes[1:]),
-    )
+        return fn
+
+    def models(self, los: np.ndarray, his: np.ndarray, lam: float) -> tuple:
+        """One network per interval [lo/m, hi/m); lam must be 0."""
+        self._check_lam(lam)
+        los, his = np.asarray(los), np.asarray(his)
+        _check_pairs(los, his, self.m)
+        return tuple(self._entry(lo, hi)[0] for lo, hi in zip(los.tolist(), his.tolist()))
 
 
 def fit_djil(d: Dataset, m: int, gamma: float, cfg: TrainConfig) -> JilFit:
@@ -96,13 +126,7 @@ def fit_djil(d: Dataset, m: int, gamma: float, cfg: TrainConfig) -> JilFit:
     mirroring the zero ridge coefficients of an empty linear segment.
     """
     validate_dataset(d)
-    table = NetworkCosts(d, m, cfg)
-    partition, objective = pelt(table.cost, m, gamma)
-    models = []
-    for iv in partition.intervals:
-        net = table.model(iv.lo, iv.hi)
-        models.append(_zero_network(d.p, cfg.hidden) if net is None else net)
-    return JilFit(partition, models, m, 0.0, gamma, objective, method="djil")
+    return _fit(NetworkCosts(d, m, cfg), 0.0, gamma, "djil", pelt)
 
 
 def recompute_objective(d: Dataset, fit: JilFit) -> float:

@@ -27,42 +27,23 @@ batched=True it must also accept lo as an ascending int64 array and return
 the array of costs for one hi; each column is then a single call. Reported
 objectives are recomputed from the backtracked partition by left-to-right
 summation of scalar calls, so all three solvers return bit-identical numbers
-whenever their partitions agree.
+whenever their partitions agree. The DP tables themselves are not returned;
+a column costfn sees every candidate set as its (R_r, r) arguments.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Partition
 from .errors import GridTooLarge, InvalidPenalty
 
-__all__ = [
-    "BellmanState",
-    "bellman_tables",
-    "dp_no_prune",
-    "enumerate_partitions",
-    "pelt",
-]
+__all__ = ["dp_no_prune", "enumerate_partitions", "pelt"]
 
 _ENUM_MAX_M = 16
-
-
-@dataclass(frozen=True)
-class BellmanState:
-    """DP tables: values B(0..m), predecessors, and per-step candidate sets.
-
-    R[r] is the read-only int64 array of candidates j evaluated at step r,
-    ascending; R[0] is [0].
-    """
-
-    B: np.ndarray
-    pred: np.ndarray
-    R: tuple
 
 
 def _check_gamma(gamma):
@@ -85,48 +66,6 @@ def _per_pair(costfn):
     return column
 
 
-def bellman_tables(
-    costfn, m: int, gamma: float, prune: bool = True, *, batched: bool = False
-) -> BellmanState:
-    """Run the recursion and return the full DP state."""
-    _check_gamma(gamma)
-    if m < 1:
-        raise ValueError(f"grid resolution must be >= 1, got {m}")
-    gamma = float(gamma)
-    column = costfn if batched else _per_pair(costfn)
-    B = np.empty(m + 1)
-    B[0] = -gamma
-    pred = np.zeros(m + 1, dtype=np.int64)
-    R = np.zeros(1, dtype=np.int64)
-    R.flags.writeable = False
-    R_hist = [R]
-    c = None
-    for r in range(1, m + 1):
-        if not prune:
-            R = np.arange(r, dtype=np.int64)
-        elif r > 1:
-            # c holds column r-1's costs of R_{r-1}; j = r-1 always survives
-            R = np.append(R[B[R] + c <= B[r - 1]], r - 1)
-        R.flags.writeable = False
-        R_hist.append(R)
-        c = column(R, r)
-        v = B[R] + gamma + c
-        k = int(np.argmin(v))  # first minimum: ties keep the smallest j
-        B[r] = v[k]
-        pred[r] = R[k]
-    return BellmanState(B=B, pred=pred, R=tuple(R_hist))
-
-
-def _backtrack_edges(pred: np.ndarray, m: int) -> list:
-    edges = [m]
-    r = m
-    while r > 0:
-        r = int(pred[r])
-        edges.append(r)
-    edges.reverse()
-    return edges
-
-
 def _objective(costfn, edges, gamma: float) -> float:
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -140,10 +79,32 @@ def pelt(costfn, m: int, gamma: float, prune: bool = True, *, batched: bool = Fa
     Returns (Partition, objective) where objective = sum of interval costs
     plus gamma per interval.
     """
-    state = bellman_tables(costfn, m, gamma, prune=prune, batched=batched)
-    edges = _backtrack_edges(state.pred, m)
-    part = Partition.from_edges(edges, m)
-    return part, _objective(costfn, edges, float(gamma))
+    _check_gamma(gamma)
+    if m < 1:
+        raise ValueError(f"grid resolution must be >= 1, got {m}")
+    gamma = float(gamma)
+    column = costfn if batched else _per_pair(costfn)
+    B = np.empty(m + 1)
+    B[0] = -gamma
+    pred = np.zeros(m + 1, dtype=np.int64)
+    R = np.zeros(1, dtype=np.int64)
+    c = None
+    for r in range(1, m + 1):
+        if not prune:
+            R = np.arange(r, dtype=np.int64)
+        elif r > 1:
+            # c holds column r-1's costs of R_{r-1}; j = r-1 always survives
+            R = np.append(R[B[R] + c <= B[r - 1]], r - 1)
+        c = column(R, r)
+        v = B[R] + gamma + c
+        k = int(np.argmin(v))  # first minimum: ties keep the smallest j
+        B[r] = v[k]
+        pred[r] = R[k]
+    edges = [m]
+    while edges[-1] > 0:
+        edges.append(int(pred[edges[-1]]))
+    edges.reverse()
+    return Partition.from_edges(edges, m), _objective(costfn, edges, gamma)
 
 
 def dp_no_prune(costfn, m: int, gamma: float, *, batched: bool = False):

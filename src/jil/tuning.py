@@ -1,17 +1,18 @@
 """K-fold cross-validation over the (lambda, gamma) hyperparameter grid.
 
-For the ridge flavor every fold fills one CostCache on its training rows up
-front, so a single eigendecomposition per interval serves the entire lambda
-grid, and the column-wise segmenter runs once per (lambda, gamma) pair.
-Scores are held-out SSE totals divided by n. Per-fold contributions are
-combined with exact summation, so scores do not depend on fold labeling or
-processing order. Ties prefer the larger lambda, then the larger gamma.
+Both flavors run one fold loop. Every fold builds one interval table on its
+training rows and runs the fit body of jil.fit once per (lambda, gamma)
+pair. For the ridge flavor the table is a CostCache filled up front, so a
+single eigendecomposition per interval serves the entire lambda grid. The
+network flavor tunes gamma only (lambda is pinned at 0) over a
+fit.NetworkCosts table, which trains each candidate interval once and
+serves the whole gamma grid.
 
-The network flavor tunes gamma only (lambda is pinned at 0); per fold one
-fit.NetworkCosts table trains each candidate interval once and serves the
-whole gamma grid.
-Held-out rows landing in an interval that had no training rows contribute
-nothing to the score.
+Scores are held-out SSE totals divided by n, with held-out rows predicted
+by the fitted models; a held-out row in an interval without training rows
+is predicted as 0. Per-fold contributions are combined with exact
+summation, so scores do not depend on fold labeling or processing order.
+Ties prefer the larger lambda, then the larger gamma.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, check_grid, grid_cell, make_xbar, validate_dataset
+from .core import Dataset, check_grid, grid_cell, validate_dataset
 from .cost import CostCache
 from .errors import BadFoldCount
-from .fit import NetworkCosts
+from .fit import NetworkCosts, _fit
 from .mlp import TrainConfig
 from .segment import pelt
 
@@ -97,6 +98,37 @@ def _pick_largest_on_ties(scores: np.ndarray, lambdas, gammas):
     return float(lambdas[best_h]), float(gammas[best_j])
 
 
+def _cv(d: Dataset, make_table, method: str, lambdas, gammas, assign: np.ndarray):
+    """Held-out SSE / n over the (lambda, gamma) grid, and the chosen pair.
+
+    Per fold, make_table(training rows) builds one interval table that serves
+    the whole grid; each grid pair's fit predicts the held-out rows through
+    its models' predict_batch, so an interval without training rows predicts
+    0 for both model families. Folds are combined by exact summation.
+    """
+    H, J = len(lambdas), len(gammas)
+    parts = [[[] for _ in range(J)] for _ in range(H)]
+    for fid in sorted(int(v) for v in np.unique(assign)):
+        va = assign == fid
+        table = make_table(d.subset(np.flatnonzero(~va)))
+        Xva = d.covariates[va]
+        Yva = d.outcomes[va]
+        cells_va = grid_cell(d.treatments[va], table.m)
+        for h, lam in enumerate(lambdas):
+            for j, gam in enumerate(gammas):
+                fit = _fit(table, lam, gam, method, pelt)
+                idx = fit.partition.locate_cells(cells_va)
+                pred = np.empty(Yva.size)
+                for k, model in enumerate(fit.models):
+                    rows = idx == k
+                    pred[rows] = model.predict_batch(Xva[rows])
+                resid = Yva - pred
+                parts[h][j].append(float(np.dot(resid, resid)))
+    scores = np.array([[math.fsum(parts[h][j]) for j in range(J)] for h in range(H)])
+    scores /= d.n
+    return (scores,) + _pick_largest_on_ties(scores, lambdas, gammas)
+
+
 def cv_select_ljil(
     d: Dataset, m: int, grid: TuningGrid, fold_assignments=None
 ) -> CvReport:
@@ -113,26 +145,11 @@ def cv_select_ljil(
         assign = np.asarray(fold_assignments, dtype=np.int64)
         if assign.shape != (d.n,):
             raise BadFoldCount("fold_assignments length must equal n")
-    H, J = len(grid.lambdas), len(grid.gammas)
-    parts = [[[] for _ in range(J)] for _ in range(H)]
-    for fid in sorted(int(v) for v in np.unique(assign)):
-        va = assign == fid
-        d_tr = d.subset(np.flatnonzero(~va))
-        cache = CostCache(d_tr, m, lambdas=grid.lambdas, precompute=True)
-        Xva = make_xbar(d.covariates[va])
-        Yva = d.outcomes[va]
-        cells_va = grid_cell(d.treatments[va], m)
-        for h, lam in enumerate(grid.lambdas):
-            costfn = cache.costfn(lam)
-            for j, gam in enumerate(grid.gammas):
-                partition, _ = pelt(costfn, m, gam, batched=True)
-                edges = np.array(partition.edges())
-                thetas = cache.theta(edges[:-1], edges[1:], lam)
-                resid = Yva - np.sum(Xva * thetas[partition.locate_cells(cells_va)], axis=1)
-                parts[h][j].append(float(np.dot(resid, resid)))
-    scores = np.array([[math.fsum(parts[h][j]) for j in range(J)] for h in range(H)])
-    scores /= d.n
-    best_lambda, best_gamma = _pick_largest_on_ties(scores, grid.lambdas, grid.gammas)
+
+    def make_table(d_tr):
+        return CostCache(d_tr, m, lambdas=grid.lambdas, precompute=True)
+
+    scores, best_lambda, best_gamma = _cv(d, make_table, "ljil", grid.lambdas, grid.gammas, assign)
     return CvReport(scores, best_lambda, best_gamma, assign)
 
 
@@ -146,32 +163,11 @@ def cv_select_djil(d: Dataset, m: int, gammas, k: int, cfg: TrainConfig) -> floa
     validate_dataset(d)
     gams = _grid("gamma", gammas, False)
     assign = kfold_split(d.n, k, cfg.seed)
-    parts = [[] for _ in gams]
-    for fid in range(k):
-        va = assign == fid
-        table = NetworkCosts(d.subset(np.flatnonzero(~va)), m, cfg)
-        Xva = d.covariates[va]
-        Yva = d.outcomes[va]
-        cells_va = grid_cell(d.treatments[va], m)
-        for j, gam in enumerate(gams):
-            partition, _ = pelt(table.cost, m, gam)
-            idx = partition.locate_cells(cells_va)
-            sse = 0.0
-            for ki, iv in enumerate(partition.intervals):
-                model = table.model(iv.lo, iv.hi)
-                if model is None:
-                    continue
-                rows = idx == ki
-                if rows.any():
-                    r = Yva[rows] - model.predict_batch(Xva[rows])
-                    sse += float(np.dot(r, r))
-            parts[j].append(sse)
-    scores = np.array([math.fsum(p) for p in parts]) / d.n
-    best_val, best = np.inf, gams[-1]
-    for j in range(len(gams) - 1, -1, -1):
-        if scores[j] < best_val:
-            best_val, best = scores[j], gams[j]
-    return float(best)
+
+    def make_table(d_tr):
+        return NetworkCosts(d_tr, m, cfg)
+
+    return _cv(d, make_table, "djil", (0.0,), gams, assign)[2]
 
 
 def default_gamma(n: int) -> float:

@@ -180,28 +180,68 @@ def test_fit_missing_file_exit_2(tmp_path, capsys):
 
 
 def test_fit_raw_treatments_normalized(tmp_path, capsys):
+    lines, model = raw_dose_fit(tmp_path)
+    doses = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    art = json.loads(model.read_text())
+    assert art["provenance"]["a_min"] == pytest.approx(doses.min())
+    assert art["provenance"]["a_max"] == pytest.approx(doses.max())
+    capsys.readouterr()
+    rc = main(["evaluate", "--model", str(model), "--data", str(tmp_path / "raw.csv")])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["v_hat"] == art["value"]["v_hat"]
+
+
+def raw_dose_fit(tmp_path):
+    """A fit on doses in [50, 300]: the data's lines and the artifact path."""
     rng = np.random.default_rng(8)
     n = 120
     doses = rng.uniform(50.0, 300.0, n)
     x = rng.uniform(-1, 1, n)
     y = np.where(doses < 175.0, 1.0, -1.0) + 0.2 * rng.standard_normal(n)
-    data = tmp_path / "raw.csv"
     lines = ["y,a,x1"] + [
         f"{float(y[i])!r},{float(doses[i])!r},{float(x[i])!r}" for i in range(n)
     ]
+    data = tmp_path / "raw.csv"
     data.write_text("\n".join(lines) + "\n")
     model = tmp_path / "m.json"
     rc = main(["fit", "--data", str(data), "--lambda", "0", "--gamma", "0.05",
                "--c", "10", "--out", str(model)])
     assert rc == 0
+    return lines, model
+
+
+def test_evaluate_raw_doses_in_range_round_trip_bitwise(tmp_path, capsys):
+    lines, model = raw_dose_fit(tmp_path)
     art = json.loads(model.read_text())
-    assert art["provenance"]["a_min"] == pytest.approx(doses.min())
-    assert art["provenance"]["a_max"] == pytest.approx(doses.max())
+    # the training rows, reordered, are in range and map to the same cells
+    data = tmp_path / "again.csv"
+    data.write_text("\n".join([lines[0]] + lines[:0:-1]) + "\n")
     capsys.readouterr()
-    rc = main(["evaluate", "--model", str(model), "--data", str(data)])
-    assert rc == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["v_hat"] == art["value"]["v_hat"]
+    assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 0
+    got = json.loads(capsys.readouterr().out)
+    for key in ("v_hat", "sigma_hat", "ci_lo", "ci_hi"):
+        assert float(got[key]).hex() == float(art["value"][key]).hex()
+
+
+@pytest.mark.parametrize("row,scale", [(17, 1.0 + 1e-12), (3, 1.0 - 1e-12)])
+def test_evaluate_dose_outside_fitted_range_exit_2(tmp_path, capsys, row, scale):
+    lines, model = raw_dose_fit(tmp_path)
+    art = json.loads(model.read_text())
+    edge = art["provenance"]["a_max" if scale > 1.0 else "a_min"]
+    fields = lines[row + 1].split(",")
+    fields[1] = repr(edge * scale)
+    lines[row + 1] = ",".join(fields)
+    data = tmp_path / "out.csv"
+    data.write_text("\n".join(lines) + "\n")
+    plot = tmp_path / "plot.tsv"
+    capsys.readouterr()
+    rc = main(["evaluate", "--model", str(model), "--data", str(data),
+               "--plot-data", str(plot)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"at row {row} is outside the fitted range" in err
+    assert not plot.exists()
 
 
 # ----------------------------------------------------------------- evaluate

@@ -1,8 +1,8 @@
 """Per-interval ridge fitting, cost evaluation, and the cost cache.
 
-Coefficients and costs are read through CostCache (theta, costfn, factor),
+Coefficients and costs are read through CostCache (theta, costfn),
 the one ridge cost path of the package, and checked against the oracles in
-conftest.
+conftest; the eigendecomposition is checked through cost._factorize.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import cost_oracle, ridge_oracle, rows_in_interval
 from jil.core import Dataset, Interval
-from jil.cost import CostCache
+from jil.cost import CostCache, _factorize
 
 
 def make_ds(rng, n, p, y_scale=1.0):
@@ -206,31 +206,35 @@ def test_eigendecomposition_consistency_sample(rng):
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10)
 
 
-# ------------------------------------------------------------ GramFactor
+# ---------------------------------------------------------- factorization
+
+
+def gram_of(d, lo, hi, m):
+    """Gram matrix and cross moment of an interval, built from its rows."""
+    mask = rows_in_interval(d.treatments, lo, hi, m)
+    Xb = np.hstack([np.ones((mask.sum(), 1)), d.covariates[mask]])
+    return Xb.T @ Xb, Xb.T @ d.outcomes[mask]
 
 
 def test_gram_factor_invariants(rng):
     d = make_ds(rng, 50, 3)
-    los, his = np.array([2, 0, 5]), np.array([8, 10, 6])
-    f = CostCache(d, 10).factor(los, his)
-    assert f.U.shape == (3, 4, 4) and f.tau.shape == f.phi.shape == (3, 4)
-    assert np.all(f.tau >= 0.0)
+    pairs = ((2, 8), (0, 10), (5, 6))
+    Gs, bs = map(np.array, zip(*(gram_of(d, lo, hi, 10) for lo, hi in pairs)))
+    U, tau, phi = _factorize(Gs, bs)
+    assert U.shape == (3, 4, 4) and tau.shape == phi.shape == (3, 4)
+    assert np.all(tau >= 0.0)
     for k in range(3):
-        mask = rows_in_interval(d.treatments, los[k], his[k], 10)
-        Xb = np.hstack([np.ones((mask.sum(), 1)), d.covariates[mask]])
-        G = Xb.T @ Xb
-        recon = f.U[k] @ np.diag(f.tau[k]) @ f.U[k].T
-        assert np.linalg.norm(recon - G) <= 1e-8 * max(1.0, np.linalg.norm(G))
-        assert f.count[k] == int(mask.sum())
-        assert f.syy[k] == pytest.approx(float(d.outcomes[mask] @ d.outcomes[mask]))
+        recon = U[k] @ np.diag(tau[k]) @ U[k].T
+        assert np.linalg.norm(recon - Gs[k]) <= 1e-8 * max(1.0, np.linalg.norm(Gs[k]))
+        np.testing.assert_allclose(phi[k], U[k].T @ bs[k], rtol=1e-12, atol=1e-12)
 
 
 def test_gram_factor_empty(rng):
     d = Dataset(rng.uniform(-1, 1, (6, 2)), np.full(6, 0.99), rng.standard_normal(6))
-    f = CostCache(d, 10).factor(np.array([0]), np.array([5]))
-    assert f.count[0] == 0
-    np.testing.assert_array_equal(f.tau, np.zeros((1, 3)))
-    np.testing.assert_array_equal(f.phi, np.zeros((1, 3)))
+    G, b = gram_of(d, 0, 5, 10)
+    _, tau, phi = _factorize(G[None], b[None])
+    np.testing.assert_array_equal(tau, np.zeros((1, 3)))
+    np.testing.assert_array_equal(phi, np.zeros((1, 3)))
 
 
 # ------------------------------------------------------------- CostCache
@@ -368,15 +372,14 @@ def test_cache_theta_batched_matches_per_interval_bitwise(rng):
 
 def test_cache_factor_batched_matches_per_interval_bitwise(rng):
     d = make_ds(rng, 50, 3)
-    cache = CostCache(d, 10)
-    los = np.array([0, 2, 5, 2], dtype=np.int64)
-    his = np.array([10, 8, 6, 3], dtype=np.int64)
-    stacked = cache.factor(los, his)
-    assert stacked.U.shape == (4, 4, 4) and stacked.count.shape == (4,)
-    for k in range(los.size):
-        f = cache.factor(los[k : k + 1], his[k : k + 1])
-        for name in ("U", "tau", "phi", "syy", "count"):
-            assert getattr(stacked, name)[k].tobytes() == getattr(f, name)[0].tobytes()
+    pairs = ((0, 10), (2, 8), (5, 6), (2, 3))
+    Gs, bs = map(np.array, zip(*(gram_of(d, lo, hi, 10) for lo, hi in pairs)))
+    stacked = _factorize(Gs, bs)
+    assert stacked[0].shape == (4, 4, 4)
+    for k in range(len(pairs)):
+        single = _factorize(Gs[k : k + 1], bs[k : k + 1])
+        for a, b in zip(stacked, single):
+            assert a[k].tobytes() == b[0].tobytes()
 
 
 def test_cache_theta_rejects_bad_index_arrays(rng):

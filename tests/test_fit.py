@@ -13,7 +13,7 @@ from jil.cost import CostCache
 from jil.errors import InvalidData
 from jil.fit import fit_djil, fit_ljil, recompute_objective
 from jil.mlp import MlpModel, TrainConfig
-from jil.segment import bellman_tables, enumerate_partitions, pelt
+from jil.segment import enumerate_partitions, pelt
 from jil.sim import ScenarioSpec, gen_scenario
 
 
@@ -86,8 +86,17 @@ def test_ljil_computes_only_pruned_survivors(rng):
     cache = CostCache(d, m, lambdas=(lam,))
     f = fit_ljil(d, m, lam, gamma, cache=cache)
     computed = np.count_nonzero(~np.isnan(cache._table))
-    state = bellman_tables(cache.costfn(lam), m, gamma, batched=True)
-    assert computed == sum(R.size for R in state.R[1:])
+    costfn = cache.costfn(lam)
+    candidates = []
+
+    def column(lo, hi):  # records each DP column's candidate set R_r
+        if isinstance(lo, np.ndarray):
+            candidates.append(lo.size)
+        return costfn(lo, hi)
+
+    assert pelt(column, m, gamma, batched=True)[0] == f.partition
+    assert len(candidates) == m
+    assert computed == sum(candidates)
     assert computed < m * (m + 1) // 2
     assert np.count_nonzero(~np.isnan(cache._table)) == computed  # the rerun added none
     assert f.partition.size == 3
@@ -181,6 +190,30 @@ def test_djil_trains_each_interval_once(rng, monkeypatch):
     assert len(calls) >= f.partition.size
 
 
+def test_djil_trains_the_intervals_per_pair_pelt_trains(rng, monkeypatch):
+    # the column DP asks for the same candidates, in the same order, as the
+    # per-pair DP on the same table, so the same networks get trained
+    d, _ = gen_scenario(ScenarioSpec(2, 120, 2, 3))
+    m, gamma, cfg = 12, 0.05, djil_cfg(seed=1, epochs=5)
+    calls = []
+    real = fit_mod.mlp_train
+
+    def counting(dd, iv, c):
+        calls.append((iv.lo, iv.hi))
+        return real(dd, iv, c)
+
+    monkeypatch.setattr(fit_mod, "mlp_train", counting)
+    f = fit_djil(d, m, gamma, cfg)
+    batched = list(calls)
+    calls.clear()
+    table = fit_mod.NetworkCosts(d, m, cfg)
+    part, obj = pelt(table.costfn(0.0), m, gamma)
+    assert calls == batched
+    assert len(batched) > m
+    assert f.partition == part
+    assert float(f.objective).hex() == float(obj).hex()
+
+
 def test_djil_deterministic(rng):
     n = 70
     d = Dataset(rng.uniform(-1, 1, (n, 1)), rng.random(n), rng.standard_normal(n))
@@ -209,7 +242,7 @@ def test_djil_empty_interval_predicts_zero(rng, monkeypatch):
     d = Dataset(rng.uniform(-1, 1, (n, 1)), np.full(n, 0.95), rng.standard_normal(n) + 2.0)
     forced = Partition.from_edges([0, 2, 3], 3)
 
-    def forced_pelt(costfn, m, gamma):
+    def forced_pelt(costfn, m, gamma, **kw):
         return forced, costfn(0, 2) + costfn(2, 3) + 2 * gamma
 
     monkeypatch.setattr(fit_mod, "pelt", forced_pelt)

@@ -147,15 +147,18 @@ def test_mlp_cost_empty_interval_zero(rng):
     d = Dataset(rng.uniform(-1, 1, (10, 2)), np.full(10, 0.05), rng.standard_normal(10))
     cfg = TrainConfig(hidden=(4,), epochs=5, learning_rate=0.01, batch_size=4, seed=0)
     table = NetworkCosts(d, 10, cfg)
-    assert table.cost(5, 10) == 0.0
-    assert table.model(5, 10) is None
+    assert table.costfn(0.0)(5, 10) == 0.0
+    (zero,) = table.models(np.array([5]), np.array([10]), 0.0)
+    assert zero.layer_sizes == (2, 4, 1)
+    assert not any(w.any() for w in zero.weights + zero.biases)
+    np.testing.assert_array_equal(zero.predict_batch(d.covariates), np.zeros(10))
 
 
 def test_mlp_cost_constant_data_small(rng):
     n = 50
     d = Dataset(rng.uniform(-1, 1, (n, 1)), rng.random(n), np.full(n, 2.0))
     cfg = TrainConfig(hidden=(4,), epochs=300, learning_rate=0.05, batch_size=16, seed=2)
-    assert NetworkCosts(d, 1, cfg).cost(0, 1) <= 1e-2
+    assert NetworkCosts(d, 1, cfg).costfn(0.0)(0, 1) <= 1e-2
 
 
 def test_mlp_cost_uses_full_n_denominator(rng):
@@ -166,13 +169,50 @@ def test_mlp_cost_uses_full_n_denominator(rng):
     cfg = TrainConfig(hidden=(), epochs=400, learning_rate=0.3, batch_size=20, seed=4)
     iv = Interval(0, 1, 2)
     table = NetworkCosts(d, iv.m, cfg)
-    c = table.cost(iv.lo, iv.hi)
+    c = table.costfn(0.0)(iv.lo, iv.hi)
     model = mlp_train(d, iv, cfg)
-    for w1, w2 in zip(table.model(iv.lo, iv.hi).weights, model.weights):
+    (net,) = table.models(np.array([iv.lo]), np.array([iv.hi]), 0.0)
+    for w1, w2 in zip(net.weights, model.weights):
         np.testing.assert_array_equal(w1, w2)
     mask = A < 0.5
     sse = np.sum((d.outcomes[mask] - model.predict_batch(d.covariates[mask])) ** 2)
     assert c == pytest.approx(sse / n, rel=1e-12)
+
+
+def test_network_costfn_array_matches_scalar_bitwise(rng):
+    n = 60
+    d = Dataset(rng.uniform(-1, 1, (n, 2)), rng.random(n), rng.standard_normal(n))
+    cfg = TrainConfig(hidden=(4,), epochs=3, learning_rate=0.05, batch_size=16, seed=5)
+    m = 6
+    scalar = NetworkCosts(d, m, cfg).costfn(0.0)
+    column = NetworkCosts(d, m, cfg).costfn(0.0)  # a fresh table trains anew
+    for hi in range(1, m + 1):
+        los = np.arange(hi, dtype=np.int64)
+        got = column(los, hi)
+        assert got.dtype == np.float64 and got.shape == (hi,)
+        assert got.tobytes() == np.array([scalar(lo, hi) for lo in range(hi)]).tobytes()
+    assert column(np.zeros(0, dtype=np.int64), 3).shape == (0,)
+
+
+def test_network_table_rejects_lambda_and_bad_indices(rng):
+    d = Dataset(rng.uniform(-1, 1, (20, 1)), rng.random(20), rng.standard_normal(20))
+    table = NetworkCosts(d, 5, TrainConfig(hidden=(2,), epochs=1, seed=0))
+    for lam in (0.1, 1e-3):
+        with pytest.raises(ValueError):
+            table.costfn(lam)
+        with pytest.raises(ValueError):
+            table.models(np.array([0]), np.array([5]), lam)
+    fn = table.costfn(0)
+    for lo, hi in ((-1, 2), (2, 2), (3, 2), (0, 6)):
+        with pytest.raises(ValueError):
+            fn(lo, hi)
+    for lo in ([-1, 2], [2, 5], [0, 6]):
+        with pytest.raises(ValueError):
+            fn(np.array(lo, dtype=np.int64), 5)
+    for los, his in (([0, 2], [2]), ([0, 3], [2, 3]), ([1, 2], [3, 6])):
+        with pytest.raises(ValueError):
+            table.models(np.array(los), np.array(his), 0.0)
+    assert table._memo == {}  # nothing was trained for a rejected call
 
 
 def test_mlp_beats_linear_on_nonlinear_segment(rng):

@@ -10,11 +10,39 @@ import pytest
 from conftest import cost_oracle
 from jil.core import Dataset, Interval, Partition
 from jil.errors import GridTooLarge, InvalidPenalty
-from jil.segment import bellman_tables, dp_no_prune, enumerate_partitions, pelt
+from jil.segment import dp_no_prune, enumerate_partitions, pelt
 
 
 def table_costfn(table):
     return lambda lo, hi: table[lo, hi]
+
+
+def recording_costfn(table):
+    """Column costfn over a table that records each DP column call (R_r, r).
+
+    Scalar calls, which recompute the objective, are not recorded.
+    """
+    columns = []
+
+    def fn(lo, hi):
+        if isinstance(lo, np.ndarray):
+            columns.append((lo.copy(), hi))
+        return table[lo, hi]
+
+    return fn, columns
+
+
+def replay(columns, table, gamma):
+    """B(0..m) and pred rebuilt in the test from recorded candidate sets."""
+    m = len(columns)
+    B = np.empty(m + 1)
+    B[0] = -gamma
+    pred = np.zeros(m + 1, dtype=np.int64)
+    for R, r in columns:
+        v = B[R] + gamma + table[R, r]
+        k = int(np.argmin(v))
+        B[r], pred[r] = v[k], R[k]
+    return B, pred
 
 
 def random_cost_table(rng, m):
@@ -243,24 +271,28 @@ def test_objective_is_recomputable(rng):
 def test_bellman_state_invariants(rng):
     m = 8
     table = sse_cost_table(rng, m)
-    fn = table_costfn(table)
+    fn, columns = recording_costfn(table)
     gamma = 0.1
-    state = bellman_tables(fn, m, gamma, prune=True)
-    assert state.B[0] == -gamma
-    # stored B and pred are self-consistent with the recursion
+    part, _ = pelt(fn, m, gamma, batched=True)
+    assert [r for _, r in columns] == list(range(1, m + 1))
+    R = {r: cands for cands, r in columns}
+    B, pred = replay(columns, table, gamma)
+    # the partition backtracks through the rebuilt predecessors
+    edges = [m]
+    while edges[-1] > 0:
+        edges.append(int(pred[edges[-1]]))
+    assert part.edges() == edges[::-1]
     for r in range(1, m + 1):
-        j = state.pred[r]
-        assert state.B[r] == pytest.approx(state.B[j] + gamma + fn(j, r), abs=1e-12)
-        # every stored candidate satisfies the pruning inequality at its step
-        for cand in state.R[r]:
-            assert cand < r
+        assert R[r].dtype == np.int64
+        assert np.all(np.diff(R[r]) > 0) and R[r][-1] == r - 1
+        assert B[r] == pytest.approx(B[pred[r]] + gamma + table[pred[r], r], abs=1e-12)
     # pruning rule recheck: R_r built from R_{r-1} u {r-1}
     for r in range(2, m + 1):
-        allowed = set(state.R[r - 1]) | {r - 1}
-        assert set(state.R[r]) <= allowed
-        for j in state.R[r]:
-            c = fn(j, r - 1) if j < r - 1 else 0.0
-            assert state.B[j] + c <= state.B[r - 1] + 1e-12
+        allowed = set(R[r - 1].tolist()) | {r - 1}
+        assert set(R[r].tolist()) <= allowed
+        for j in R[r].tolist():
+            c = table[j, r - 1] if j < r - 1 else 0.0
+            assert B[j] + c <= B[r - 1] + 1e-12
 
 
 # ------------------------------------------------------ batched column form
@@ -277,41 +309,45 @@ def seeded_tables(rng):
 
 @pytest.mark.parametrize("prune", [True, False])
 def test_batched_matches_per_pair_bitwise(rng, prune):
+    solver = pelt if prune else dp_no_prune
     for table in seeded_tables(rng):
         m = table.shape[0] - 1
-        fn = table_costfn(table)  # indexes with an int or an int64 array lo
         for gamma in (0.0, 0.5, 1.0):
-            s = bellman_tables(fn, m, gamma, prune=prune)
-            sb = bellman_tables(fn, m, gamma, prune=prune, batched=True)
-            assert sb.B.tobytes() == s.B.tobytes()
-            assert sb.pred.tobytes() == s.pred.tobytes()
-            assert all(np.array_equal(a, b) for a, b in zip(s.R, sb.R))
-            solver = pelt if prune else dp_no_prune
-            part, obj = solver(fn, m, gamma)
+            pairs = []
+
+            def scalar(lo, hi):
+                pairs.append((lo, hi))
+                return table[lo, hi]
+
+            fn, columns = recording_costfn(table)
+            part, obj = solver(scalar, m, gamma)
             part_b, obj_b = solver(fn, m, gamma, batched=True)
             assert part_b == part
             assert float(obj_b).hex() == float(obj).hex()
+            # the per-pair DP asked for the same candidates, column by column
+            dp_pairs = pairs[: len(pairs) - part.size]
+            assert dp_pairs == [(j, r) for R, r in columns for j in R.tolist()]
+            if not prune:
+                assert all(np.array_equal(R, np.arange(r)) for R, r in columns)
 
 
 def test_column_calls_and_candidate_arrays(rng):
     m = 10
     table = sse_cost_table(rng, m)
-    pairs, columns = [], []
+    pairs = []
 
     def scalar(lo, hi):
         pairs.append((lo, hi))
         return table[lo, hi]
 
-    def column(lo, hi):
-        columns.append((lo.copy(), hi))
-        return table[lo, hi]
-
-    state = bellman_tables(scalar, m, 0.1)
-    assert bellman_tables(column, m, 0.1, batched=True).pred.tolist() == state.pred.tolist()
-    # one scalar call per candidate, none repeated by the prune test
-    assert pairs == [(j, r) for r in range(1, m + 1) for j in state.R[r].tolist()]
+    column, columns = recording_costfn(table)
+    part, _ = pelt(scalar, m, 0.1)
+    assert pelt(column, m, 0.1, batched=True)[0] == part
+    # one scalar call per candidate, none repeated by the prune test, then
+    # one per interval to recompute the objective
+    assert pairs == [(j, r) for R, r in columns for j in R.tolist()] + [
+        (iv.lo, iv.hi) for iv in part.intervals
+    ]
     assert len(columns) == m
     for r, (lo, hi) in enumerate(columns, start=1):
-        assert hi == r and np.array_equal(lo, state.R[r])
-    for R in state.R:
-        assert R.dtype == np.int64 and not R.flags.writeable
+        assert hi == r and lo.dtype == np.int64

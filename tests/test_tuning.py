@@ -263,10 +263,12 @@ def test_djil_cv_matches_naive_per_gamma_loop(rng):
                     next(ki for ki, q in enumerate(part.intervals) if q.lo <= c < q.hi)
                 ]
                 rows = (cells_tr >= iv.lo) & (cells_tr < iv.hi)
-                if not rows.any():
-                    continue
-                model = mlp_train(d_tr, Interval(iv.lo, iv.hi, m), cfg)
-                sse += (d.outcomes[i] - model.predict(d.covariates[i])) ** 2
+                if rows.any():
+                    model = mlp_train(d_tr, Interval(iv.lo, iv.hi, m), cfg)
+                    pred = model.predict(d.covariates[i])
+                else:  # an interval without training rows predicts 0
+                    pred = 0.0
+                sse += (d.outcomes[i] - pred) ** 2
             scores[j] += sse
     scores /= n
     best = (np.inf, None)
@@ -300,14 +302,40 @@ def test_djil_cv_trains_each_interval_once_per_fold(rng, monkeypatch):
 
 def test_djil_cv_skips_held_out_rows_in_untrained_interval(rng, monkeypatch):
     # row 0 is alone in cell 0, so in its held-out fold the interval [0, 1)
-    # has no training rows and no network; its held-out residual is skipped
-    n = 30
+    # has no training rows; like an empty ridge segment it predicts 0, so
+    # the row adds y_0^2 to the score instead of being skipped
+    n, k = 30, 2
     A = np.concatenate([[0.1], np.full(n - 1, 0.9)])
-    d = Dataset(rng.uniform(-1, 1, (n, 2)), A, rng.standard_normal(n))
+    Y = np.concatenate([[5.0], rng.standard_normal(n - 1)])
+    d = Dataset(rng.uniform(-1, 1, (n, 2)), A, Y)
     forced = Partition.from_edges([0, 1, 2], 2)
-    monkeypatch.setattr(tuning_mod, "pelt", lambda costfn, m, gamma: (forced, 0.0))
+    monkeypatch.setattr(tuning_mod, "pelt", lambda costfn, m, gamma, **kw: (forced, 0.0))
+    seen = []
+    real_pick = tuning_mod._pick_largest_on_ties
+
+    def recording_pick(scores, lambdas, gammas):
+        seen.append(scores.copy())
+        return real_pick(scores, lambdas, gammas)
+
+    monkeypatch.setattr(tuning_mod, "_pick_largest_on_ties", recording_pick)
+    cfg = small_cfg(epochs=5)
     # both gammas see the same partition, so the tie goes to the larger one
-    assert cv_select_djil(d, 2, (0.1, 0.2), 2, small_cfg(epochs=5)) == 0.2
+    assert cv_select_djil(d, 2, (0.1, 0.2), k, cfg) == 0.2
+    assign = kfold_split(n, k, cfg.seed)
+    sse = 0.0
+    for fid in range(k):
+        va = assign == fid
+        d_tr = d.subset(np.flatnonzero(~va))
+        for i in np.flatnonzero(va):
+            if i == 0:
+                pred = 0.0  # no training row in [0, 1)
+            else:
+                pred = mlp_train(d_tr, Interval(1, 2, 2), cfg).predict(d.covariates[i])
+            sse += (d.outcomes[i] - pred) ** 2
+    (scores,) = seen
+    assert scores.shape == (1, 2) and scores[0, 0] == scores[0, 1]
+    assert scores[0, 0] == pytest.approx(sse / n, rel=1e-12)
+    assert scores[0, 0] >= 25.0 / n
 
 
 def test_djil_cv_deterministic(rng):
