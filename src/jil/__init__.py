@@ -33,7 +33,7 @@ from .policy import (
     recommend_batch,
     select_dose,
 )
-from .segment import dp_no_prune, enumerate_partitions, pelt
+from .segment import dp_no_prune, pelt
 from .sim import (
     ScenarioSpec,
     TruthOracle,
@@ -80,7 +80,6 @@ __all__ = [
     "default_gamma",
     "default_grid",
     "dp_no_prune",
-    "enumerate_partitions",
     "estimate_value",
     "fit_djil",
     "fit_ljil",

@@ -52,6 +52,11 @@ from .tuning import cv_select_djil, cv_select_ljil, default_gamma, default_grid
 
 SCHEMA_VERSION = "1"
 
+
+class _UsageError(Exception):
+    """A flag or environment setting the command cannot use (exit 1)."""
+
+
 ARTIFACT_KEYS = (
     "schema_version",
     "method",
@@ -248,8 +253,29 @@ def _load_artifact(path: str) -> dict:
     return art
 
 
+def _decode_artifact(art: dict):
+    """(fit, propensity, p, seed, raw dose range or None) of a loaded artifact.
+
+    This is the one place an artifact's fields are decoded: a missing key or
+    a value of the wrong type or shape raises SchemaMismatch.
+    """
+    try:
+        fit = _fit_from_artifact(art)
+        prop = _prop_from_artifact(art["propensity"], fit.partition)
+        prov = art["provenance"]
+        p, seed = int(prov["p"]), int(prov["seed"])
+        a_range = None
+        if prov.get("a_min") is not None:
+            a_range = float(prov["a_min"]), float(prov["a_max"])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"malformed model file: {type(exc).__name__}: {exc}") from None
+    return fit, prop, p, seed, a_range
+
+
 def _fit_from_artifact(art: dict) -> JilFit:
-    m = int(art["m"])
+    m = art["m"]
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise SchemaMismatch(f"m must be an integer, got {m!r}")
     edges = [0]
     for lo, hi in art["partition"]:
         if int(lo) != edges[-1]:
@@ -257,10 +283,7 @@ def _fit_from_artifact(art: dict) -> JilFit:
         edges.append(int(hi))
     if edges[-1] != m:
         raise SchemaMismatch("partition does not cover the grid")
-    try:
-        partition = Partition.from_edges(edges, m)
-    except ValueError as exc:
-        raise SchemaMismatch(f"bad partition: {exc}") from None
+    partition = Partition.from_edges(edges, m)
     if len(art["models"]) != partition.size:
         raise SchemaMismatch("one model per interval required")
     models = []
@@ -286,24 +309,20 @@ def _fit_from_artifact(art: dict) -> JilFit:
     )
 
 
-def _prop_from_artifact(art: dict, partition: Partition) -> PropensityModel:
-    payload = art["propensity"]
-    try:
-        if payload["kind"] == "multinomial":
-            return PropensityModel(
-                kind="multinomial",
-                partition=partition,
-                floor=float(payload["floor"]),
-                weights=np.asarray(payload["weights"], dtype=float),
-            )
+def _prop_from_artifact(payload: dict, partition: Partition) -> PropensityModel:
+    if payload["kind"] == "multinomial":
         return PropensityModel(
-            kind="empirical",
+            kind="multinomial",
             partition=partition,
             floor=float(payload["floor"]),
-            freqs=np.asarray(payload["freqs"], dtype=float),
+            weights=np.asarray(payload["weights"], dtype=float),
         )
-    except (KeyError, ValueError) as exc:
-        raise SchemaMismatch(f"bad propensity payload: {exc}") from None
+    return PropensityModel(
+        kind="empirical",
+        partition=partition,
+        floor=float(payload["floor"]),
+        freqs=np.asarray(payload["freqs"], dtype=float),
+    )
 
 
 # ---------------------------------------------------------------- commands
@@ -316,10 +335,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _resolve_ljil(d: Dataset, m: int, args):
+def _resolve(d: Dataset, m: int, args, cfg: TrainConfig):
+    """(lam, gamma) from the flags, cross-validating the default grid along
+    each axis set to auto. D-JIL has no lambda axis: its lam is 0."""
     lam, gamma = args.lam, args.gamma
+    if args.method == "djil":
+        if lam not in ("auto", 0.0):
+            raise _UsageError(f"--lambda must be auto or 0 with --method djil, got {lam}")
+        lam = 0.0
     if lam == "auto" or gamma == "auto":
-        # cross-validate the default grid along each axis set to auto
         grid = default_grid(d.n, args.seed, args.folds)
         if lam != "auto":
             grid = replace(grid, lambdas=(float(lam),))
@@ -327,7 +351,10 @@ def _resolve_ljil(d: Dataset, m: int, args):
             grid = replace(grid, gammas=(default_gamma(d.n),))
         elif gamma != "auto":
             grid = replace(grid, gammas=(float(gamma),))
-        report = cv_select_ljil(d, m, grid)
+        if args.method == "ljil":
+            report = cv_select_ljil(d, m, grid)
+        else:
+            report = cv_select_djil(d, m, grid, cfg)
         return report.best_lambda, report.best_gamma
     if gamma == "default":
         gamma = default_gamma(d.n)
@@ -338,18 +365,12 @@ def cmd_fit(args) -> int:
     y, a_raw, X = _read_csv(args.data)
     d, a_min, a_max = _build_dataset(y, a_raw, X)
     m = make_grid(d.n, args.c)
+    cfg = TrainConfig(seed=args.seed)
+    lam, gamma = _resolve(d, m, args, cfg)
     if args.method == "ljil":
-        lam, gamma = _resolve_ljil(d, m, args)
         fit = fit_ljil(d, m, lam, gamma)
     else:
-        cfg = TrainConfig(seed=args.seed)
-        gamma = args.gamma
-        if gamma == "auto":
-            gammas = default_grid(d.n, args.seed, args.folds).gammas
-            gamma = cv_select_djil(d, m, gammas, args.folds, cfg)
-        elif gamma == "default":
-            gamma = default_gamma(d.n)
-        fit = fit_djil(d, m, float(gamma), cfg)
+        fit = fit_djil(d, m, gamma, cfg)
     prop = fit_propensity(d, fit.partition)
     value = estimate_value(d, I2dr(fit), prop, args.alpha)
     provenance = {
@@ -399,16 +420,13 @@ _PREFS = {
 
 
 def cmd_evaluate(args) -> int:
-    art = _load_artifact(args.model)
+    fit, prop, p, seed, a_range = _decode_artifact(_load_artifact(args.model))
     y, a_raw, X = _read_csv(args.data)
-    prov = art["provenance"]
-    if X.shape[1] != int(prov["p"]):
-        raise SchemaMismatch(
-            f"model was fit with p={int(prov['p'])} covariates, data has p={X.shape[1]}"
-        )
+    if X.shape[1] != p:
+        raise SchemaMismatch(f"model was fit with p={p} covariates, data has p={X.shape[1]}")
     a = a_raw
-    if prov.get("a_min") is not None:
-        a_min, a_max = float(prov["a_min"]), float(prov["a_max"])
+    if a_range is not None:
+        a_min, a_max = a_range
         bad = ~((a_raw >= a_min) & (a_raw <= a_max))
         if bad.any():
             row = int(np.argmax(bad))
@@ -420,12 +438,10 @@ def cmd_evaluate(args) -> int:
         a = (a_raw - a_min) / (a_max - a_min)
     d = Dataset(X, a, y)
     validate_dataset(d)
-    fit = _fit_from_artifact(art)
-    prop = _prop_from_artifact(art, fit.partition)
     rule = I2dr(fit)
     value = estimate_value(d, rule, prop, args.alpha)
     if args.plot_data:
-        pref = _PREFS[args.pref](int(prov["seed"]))
+        pref = _PREFS[args.pref](seed)
         idx = recommend_batch(rule, d.covariates)
         ivs = fit.partition.intervals
         rows = ["index\tlo\thi\tdose"]
@@ -448,11 +464,18 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    workers = None
+def _jil_threads():
+    """Worker count from JIL_THREADS: None when unset, else an integer >= 0."""
     env = os.environ.get("JIL_THREADS")
-    if env:
-        workers = int(env)
+    if not env:
+        return None
+    if not env.strip().isdecimal():
+        raise _UsageError(f"JIL_THREADS must be a non-negative integer, got {env!r}")
+    return int(env)
+
+
+def cmd_bench(args) -> int:
+    workers = _jil_threads()
     res = replicate_table1(
         args.reps,
         args.n,
@@ -611,6 +634,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return int(args.func(args))
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (JilError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,6 @@ exactly one interval of any valid partition.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,9 +166,6 @@ class Interval:
     def length(self) -> float:
         return (self.hi - self.lo) / self.m
 
-    def contains(self, a: float) -> bool:
-        return self.lo <= grid_cell(a, self.m) < self.hi
-
     def __str__(self) -> str:
         if self.hi == self.m:
             return f"[{self.lo / self.m:g}, 1]"
@@ -217,16 +213,8 @@ class Partition:
         """Interior change points as fractions of [0, 1]."""
         return [hi / self.m for hi in self._his[:-1]]
 
-    def locate_cell(self, cell: int) -> int:
-        """Index of the interval whose [lo, hi) contains the grid cell."""
-        return bisect_right(self._his, cell)
-
-    def locate(self, a: float) -> int:
-        """Index of the unique interval containing treatment value a."""
-        return self.locate_cell(grid_cell(a, self.m))
-
     def locate_cells(self, cells: np.ndarray) -> np.ndarray:
-        """Vectorized locate_cell."""
+        """Index of the interval whose [lo, hi) contains each grid cell."""
         return np.searchsorted(np.asarray(self._his), cells, side="right")
 
 
@@ -240,9 +228,6 @@ class Linear:
         th = np.asarray(self.theta, dtype=float).copy()
         th.flags.writeable = False
         object.__setattr__(self, "theta", th)
-
-    def predict(self, x: np.ndarray) -> float:
-        return float(self.predict_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)

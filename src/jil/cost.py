@@ -30,7 +30,9 @@ only for the partitions they score or return.
 
 CostCache shares its interface with fit.NetworkCosts, so one fit body and
 one CV loop serve both model families: costfn(lam) is the segmenter's cost
-function and models(los, his, lam) returns one model per interval.
+function and models(los, his, lam) returns one model per interval. costfn
+accepts only a lam on the cache's lambda grid, as NetworkCosts accepts only
+lam = 0; any other lam raises ValueError.
 """
 
 from __future__ import annotations
@@ -152,21 +154,18 @@ class CostCache:
         self._Cxy = csum_xy[bnd]
         self._Cyy = csum_yy[bnd]
 
-    def _costs(self, los: np.ndarray, hi: int, lambdas: np.ndarray) -> np.ndarray:
-        """Costs (K, H) of the intervals [lo, hi), lo in los, from one batched
-        factorization."""
-        G = self._Cxx[hi] - self._Cxx[los]
-        b = self._Cxy[hi] - self._Cxy[los]
-        syy = self._Cyy[hi] - self._Cyy[los]
-        _, tau, phi = _factorize(G, b)
-        return _spectral_costs(tau, phi, syy, (hi - los) / self.m, self.dataset.n, lambdas)
-
     def _fill(self, los: np.ndarray, hi: int):
-        """Compute and store the costs of column hi still missing for lo in los."""
+        """Compute and store the costs of column hi still missing for lo in los,
+        from one batched factorization that serves the whole lambda grid."""
         col = self._table[:, hi]
         miss = los[np.isnan(col[0, los])]
         if miss.size:
-            col[:, miss] = self._costs(miss, hi, self.lambdas).T
+            G = self._Cxx[hi] - self._Cxx[miss]
+            b = self._Cxy[hi] - self._Cxy[miss]
+            syy = self._Cyy[hi] - self._Cyy[miss]
+            _, tau, phi = _factorize(G, b)
+            ilen = (hi - miss) / self.m
+            col[:, miss] = _spectral_costs(tau, phi, syy, ilen, self.dataset.n, self.lambdas).T
 
     # ------------------------------------------------------------- access
 
@@ -189,28 +188,22 @@ class CostCache:
 
         lo is an int, giving a float, or an ascending int64 array, giving one
         cost per entry (the batched column form of segment.pelt); indices
-        must satisfy 0 <= lo < hi <= m. Costs at a lambda of the grid are
-        stored in the table; others are recomputed per call.
+        must satisfy 0 <= lo < hi <= m. lam must be on the cache's lambda
+        grid, where every cost is computed once and stored in the table.
         """
-        lam = float(lam)
-        h = self._lam_index.get(lam)
-        lams = np.array([lam])
+        h = self._lam_index.get(float(lam))
+        if h is None:
+            raise ValueError(f"lam {lam} is not on this cache's lambda grid {self.lambdas}")
 
         def fn(lo, hi):
             _check_call(lo, hi, self.m)
-            los = lo
-            if not isinstance(lo, np.ndarray):
-                if h is not None:
-                    c = self._table[h, hi, lo]
-                    if c == c:  # NaN marks a cost not computed yet
-                        return float(c)
-                los = np.array([lo])
-            if h is None:
-                c = self._costs(los, hi, lams)[:, 0]
-            else:
-                self._fill(los, hi)
-                c = self._table[h, hi, los]
-            return c if los is lo else float(c[0])
+            if isinstance(lo, np.ndarray):
+                self._fill(lo, hi)
+                return self._table[h, hi, lo]
+            c = self._table[h, hi, lo]
+            if c != c:  # NaN marks a cost not computed yet
+                self._fill(np.array([lo]), hi)
+                c = self._table[h, hi, lo]
+            return float(c)
 
         return fn
-

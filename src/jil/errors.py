@@ -46,10 +46,6 @@ class InvalidPenalty(JilError):
     """Segmentation penalty is negative or non-finite."""
 
 
-class GridTooLarge(JilError):
-    """Brute-force partition enumeration requested on a grid beyond its guard."""
-
-
 class BadFoldCount(JilError):
     """Cross-validation fold count outside [2, n]."""
 
@@ -72,10 +68,6 @@ class BadSpec(JilError):
 
 class SchemaMismatch(JilError):
     """Model artifact is incompatible with the supplied data."""
-
-
-class IoError(JilError):
-    """File could not be read or written."""
 
 
 class NoConvergence(JilError):

@@ -34,23 +34,15 @@ def _fit(table, lam: float, gamma: float, method: str, segment) -> JilFit:
     return JilFit(partition, models, table.m, lam, gamma, objective, method=method)
 
 
-def fit_ljil(
-    d: Dataset,
-    m: int,
-    lam: float,
-    gamma: float,
-    cache: CostCache = None,
-) -> JilFit:
+def fit_ljil(d: Dataset, m: int, lam: float, gamma: float) -> JilFit:
     """Ridge-per-segment fit on an m-cell grid with jump penalty gamma.
 
-    Without a cache, a lazy one is built, so only the intervals the pruned DP
+    The fit builds a lazy CostCache, so only the intervals the pruned DP
     evaluates are ever factorized.
     """
     validate_dataset(d)
     lam = float(lam)
-    if cache is None:
-        cache = CostCache(d, m, lambdas=(lam,))
-    return _fit(cache, lam, gamma, "ljil", pelt)
+    return _fit(CostCache(d, m, lambdas=(lam,)), lam, gamma, "ljil", pelt)
 
 
 class NetworkCosts:

@@ -21,8 +21,6 @@ __all__ = [
     "TrainConfig",
     "init_model",
     "mlp_train",
-    "mlp_predict",
-    "gradient_check",
 ]
 
 
@@ -47,9 +45,6 @@ class MlpModel:
     @property
     def n_inputs(self) -> int:
         return self.layer_sizes[0]
-
-    def predict(self, x: np.ndarray) -> float:
-        return mlp_predict(self, x)
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -109,16 +104,6 @@ def _forward(model: MlpModel, X: np.ndarray):
     return acts, pres
 
 
-def mlp_predict(model: MlpModel, x: np.ndarray) -> float:
-    """Scalar prediction for one covariate vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != model.n_inputs:
-        raise DimensionMismatch(
-            f"network expects {model.n_inputs} covariates, got shape {x.shape}"
-        )
-    return float(_forward(model, x[None, :])[0][-1][0, 0])
-
-
 def _batch_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray):
     """Mean gradient of (pred - y)^2 over the batch, per weight and bias."""
     nb = X.shape[0]
@@ -165,42 +150,3 @@ def mlp_train(d: Dataset, interval: Interval, cfg: TrainConfig) -> MlpModel:
                 biases[k] = biases[k] - lr * dbs[k]
     return MlpModel(model.layer_sizes, tuple(weights), tuple(biases))
 
-
-def gradient_check(model: MlpModel, x: np.ndarray, y: float, eps: float = 1e-5) -> float:
-    """Worst relative error between backprop and central finite differences.
-
-    For each parameter entry the numeric gradient is
-    (loss(theta + eps) - loss(theta - eps)) / (2 eps) and the relative error
-    is |analytic - numeric| / max(|analytic| + |numeric|, 1e-12).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != model.n_inputs:
-        raise DimensionMismatch(
-            f"network expects {model.n_inputs} covariates, got shape {x.shape}"
-        )
-    dws, dbs = _batch_gradients(model, x[None, :], np.array([y]))
-
-    def loss(weights, biases):
-        probe = MlpModel(model.layer_sizes, tuple(weights), tuple(biases))
-        r = mlp_predict(probe, x) - y
-        return r * r
-
-    worst = 0.0
-    weights = [w.copy() for w in model.weights]
-    biases = [b.copy() for b in model.biases]
-    for k in range(len(weights)):
-        for arrs, grads, idx_arr in ((weights, dws, weights[k]), (biases, dbs, biases[k])):
-            it = np.nditer(idx_arr, flags=["multi_index"])
-            for _ in it:
-                ix = it.multi_index
-                orig = idx_arr[ix]
-                idx_arr[ix] = orig + eps
-                up = loss(weights, biases)
-                idx_arr[ix] = orig - eps
-                down = loss(weights, biases)
-                idx_arr[ix] = orig
-                numeric = (up - down) / (2.0 * eps)
-                analytic = float(grads[k][ix])
-                err = abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-12)
-                worst = max(worst, err)
-    return worst

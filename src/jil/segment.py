@@ -26,7 +26,8 @@ calls it once per candidate pair in ascending lo within each column. With
 batched=True it must also accept lo as an ascending int64 array and return
 the array of costs for one hi; each column is then a single call. Reported
 objectives are recomputed from the backtracked partition by left-to-right
-summation of scalar calls, so all three solvers return bit-identical numbers
+summation of scalar calls, so pelt, dp_no_prune and any reference search
+that sums interval costs in the same order return bit-identical numbers
 whenever their partitions agree. The DP tables themselves are not returned;
 a column costfn sees every candidate set as its (R_r, r) arguments.
 """
@@ -39,11 +40,9 @@ import numbers
 import numpy as np
 
 from .core import Partition
-from .errors import GridTooLarge, InvalidPenalty
+from .errors import InvalidPenalty
 
-__all__ = ["dp_no_prune", "enumerate_partitions", "pelt"]
-
-_ENUM_MAX_M = 16
+__all__ = ["dp_no_prune", "pelt"]
 
 
 def _check_gamma(gamma):
@@ -111,28 +110,3 @@ def dp_no_prune(costfn, m: int, gamma: float, *, batched: bool = False):
     """Exact DP over all predecessors (reference implementation)."""
     return pelt(costfn, m, gamma, prune=False, batched=batched)
 
-
-def enumerate_partitions(costfn, m: int, gamma: float):
-    """Exhaustive minimizer over all 2^(m-1) boundary subsets (oracle).
-
-    Ties break toward fewer intervals, then the lexicographically smallest
-    boundary set. Guarded to m <= 16.
-    """
-    _check_gamma(gamma)
-    if m < 1:
-        raise ValueError(f"grid resolution must be >= 1, got {m}")
-    if m > _ENUM_MAX_M:
-        raise GridTooLarge(f"enumeration supports m <= {_ENUM_MAX_M}, got {m}")
-    gamma = float(gamma)
-    best_key = None
-    best_edges = None
-    for mask in range(1 << (m - 1)):
-        cuts = tuple(j + 1 for j in range(m - 1) if mask >> j & 1)
-        edges = (0,) + cuts + (m,)
-        obj = _objective(costfn, edges, gamma)
-        key = (obj, len(edges) - 1, cuts)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_edges = edges
-    part = Partition.from_edges(list(best_edges), m)
-    return part, best_key[0]

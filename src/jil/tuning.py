@@ -4,9 +4,10 @@ Both flavors run one fold loop. Every fold builds one interval table on its
 training rows and runs the fit body of jil.fit once per (lambda, gamma)
 pair. For the ridge flavor the table is a CostCache filled up front, so a
 single eigendecomposition per interval serves the entire lambda grid. The
-network flavor tunes gamma only (lambda is pinned at 0) over a
-fit.NetworkCosts table, which trains each candidate interval once and
-serves the whole gamma grid.
+network flavor tunes gamma only (its grid's lambda axis must be (0.0,))
+over a fit.NetworkCosts table, which trains each candidate interval once
+and serves the whole gamma grid. Both flavors take their folds and seed
+from the TuningGrid and return a CvReport.
 
 Scores are held-out SSE totals divided by n, with held-out rows predicted
 by the fitted models; a held-out row in an interval without training rows
@@ -98,14 +99,23 @@ def _pick_largest_on_ties(scores: np.ndarray, lambdas, gammas):
     return float(lambdas[best_h]), float(gammas[best_j])
 
 
-def _cv(d: Dataset, make_table, method: str, lambdas, gammas, assign: np.ndarray):
-    """Held-out SSE / n over the (lambda, gamma) grid, and the chosen pair.
+def _cv(d: Dataset, make_table, method: str, grid: TuningGrid, fold_assignments=None):
+    """Held-out SSE / n over the grid's (lambda, gamma) pairs, as a CvReport.
 
+    Folds come from fold_assignments, else from the grid's k_folds and seed.
     Per fold, make_table(training rows) builds one interval table that serves
     the whole grid; each grid pair's fit predicts the held-out rows through
     its models' predict_batch, so an interval without training rows predicts
     0 for both model families. Folds are combined by exact summation.
     """
+    validate_dataset(d)
+    if fold_assignments is None:
+        assign = kfold_split(d.n, grid.k_folds, grid.seed)
+    else:
+        assign = np.asarray(fold_assignments, dtype=np.int64)
+        if assign.shape != (d.n,):
+            raise BadFoldCount("fold_assignments length must equal n")
+    lambdas, gammas = grid.lambdas, grid.gammas
     H, J = len(lambdas), len(gammas)
     parts = [[[] for _ in range(J)] for _ in range(H)]
     for fid in sorted(int(v) for v in np.unique(assign)):
@@ -126,7 +136,8 @@ def _cv(d: Dataset, make_table, method: str, lambdas, gammas, assign: np.ndarray
                 parts[h][j].append(float(np.dot(resid, resid)))
     scores = np.array([[math.fsum(parts[h][j]) for j in range(J)] for h in range(H)])
     scores /= d.n
-    return (scores,) + _pick_largest_on_ties(scores, lambdas, gammas)
+    best_lambda, best_gamma = _pick_largest_on_ties(scores, lambdas, gammas)
+    return CvReport(scores, best_lambda, best_gamma, assign)
 
 
 def cv_select_ljil(
@@ -138,36 +149,29 @@ def cv_select_ljil(
     grid pair and accumulates the squared held-out residuals under the
     fitted piecewise-linear model.
     """
-    validate_dataset(d)
-    if fold_assignments is None:
-        assign = kfold_split(d.n, grid.k_folds, grid.seed)
-    else:
-        assign = np.asarray(fold_assignments, dtype=np.int64)
-        if assign.shape != (d.n,):
-            raise BadFoldCount("fold_assignments length must equal n")
 
     def make_table(d_tr):
         return CostCache(d_tr, m, lambdas=grid.lambdas, precompute=True)
 
-    scores, best_lambda, best_gamma = _cv(d, make_table, "ljil", grid.lambdas, grid.gammas, assign)
-    return CvReport(scores, best_lambda, best_gamma, assign)
+    return _cv(d, make_table, "ljil", grid, fold_assignments)
 
 
-def cv_select_djil(d: Dataset, m: int, gammas, k: int, cfg: TrainConfig) -> float:
-    """Select gamma for the network flavor by K-fold CV (lambda fixed at 0).
+def cv_select_djil(d: Dataset, m: int, grid: TuningGrid, cfg: TrainConfig) -> CvReport:
+    """Select gamma for the network flavor by K-fold CV; grid.lambdas must be
+    (0.0,), since network costs carry no coefficient penalty.
 
-    The fold split derives from cfg.seed so one config fully determines the
-    procedure. Within a fold one NetworkCosts table trains each candidate
-    interval at most once and serves every gamma of the grid.
+    Within a fold one NetworkCosts table trains each candidate interval at
+    most once and serves every gamma of the grid.
     """
-    validate_dataset(d)
-    gams = _grid("gamma", gammas, False)
-    assign = kfold_split(d.n, k, cfg.seed)
+    if grid.lambdas != (0.0,):
+        raise ValueError(
+            f"network CV tunes gamma only; grid lambdas must be (0.0,), got {grid.lambdas}"
+        )
 
     def make_table(d_tr):
         return NetworkCosts(d_tr, m, cfg)
 
-    return _cv(d, make_table, "djil", (0.0,), gams, assign)[2]
+    return _cv(d, make_table, "djil", grid)
 
 
 def default_gamma(n: int) -> float:

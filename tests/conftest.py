@@ -3,14 +3,19 @@
 The oracles here deliberately avoid every fast path in the package: ridge
 solves go through dense normal equations (or lstsq for the singular case),
 costs and losses are accumulated with plain Python loops where feasible, and
-interval membership is recomputed from first principles. Tests compare the
-library against these, never against itself.
+interval membership is recomputed from first principles. The exhaustive
+partition search and the finite-difference gradient check live here too.
+Tests compare the library against these, never against itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+
+from jil.core import Partition
+from jil.errors import DimensionMismatch
+from jil.mlp import MlpModel, _batch_gradients
 
 
 def make_xbar(X: np.ndarray) -> np.ndarray:
@@ -72,6 +77,75 @@ def random_xy(rng, n, p, scale=1.0):
     A = rng.random(n)
     Y = scale * rng.standard_normal(n) + X.sum(axis=1)
     return X, A, Y
+
+
+_ENUM_MAX_M = 16
+
+
+def enumerate_partitions(costfn, m: int, gamma: float):
+    """Exhaustive minimizer over all 2^(m-1) boundary subsets.
+
+    Returns (Partition, objective). Ties break toward fewer intervals, then
+    the lexicographically smallest boundary set. Each objective sums the
+    interval costs left to right and then adds gamma per interval, as the
+    library's DP reports its objective, so equal partitions give equal bits.
+    Guarded to m <= 16.
+    """
+    if not 1 <= m <= _ENUM_MAX_M:
+        raise ValueError(f"enumeration supports 1 <= m <= {_ENUM_MAX_M}, got {m}")
+    gamma = float(gamma)
+    best_key = best_edges = None
+    for mask in range(1 << (m - 1)):
+        cuts = tuple(j + 1 for j in range(m - 1) if mask >> j & 1)
+        edges = (0,) + cuts + (m,)
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            total += costfn(lo, hi)
+        key = (total + gamma * (len(edges) - 1), len(edges) - 1, cuts)
+        if best_key is None or key < best_key:
+            best_key, best_edges = key, edges
+    return Partition.from_edges(list(best_edges), m), best_key[0]
+
+
+def gradient_check(model: MlpModel, x, y: float, eps: float = 1e-5) -> float:
+    """Worst relative error between backprop and central finite differences.
+
+    The analytic gradient of (pred - y)^2 at one row comes from the
+    library's backprop; for each parameter entry the numeric gradient is
+    (loss(theta + eps) - loss(theta - eps)) / (2 eps) and the relative error
+    is |analytic - numeric| / max(|analytic| + |numeric|, 1e-12).
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.shape[0] != model.n_inputs:
+        raise DimensionMismatch(
+            f"network expects {model.n_inputs} covariates, got shape {x.shape}"
+        )
+    dws, dbs = _batch_gradients(model, x[None, :], np.array([y]))
+
+    def loss(weights, biases):
+        probe = MlpModel(model.layer_sizes, tuple(weights), tuple(biases))
+        r = float(probe.predict_batch(x[None, :])[0]) - y
+        return r * r
+
+    worst = 0.0
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    for k in range(len(weights)):
+        for grads, arr in ((dws, weights[k]), (dbs, biases[k])):
+            it = np.nditer(arr, flags=["multi_index"])
+            for _ in it:
+                ix = it.multi_index
+                orig = arr[ix]
+                arr[ix] = orig + eps
+                up = loss(weights, biases)
+                arr[ix] = orig - eps
+                down = loss(weights, biases)
+                arr[ix] = orig
+                numeric = (up - down) / (2.0 * eps)
+                analytic = float(grads[k][ix])
+                err = abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-12)
+                worst = max(worst, err)
+    return worst
 
 
 @pytest.fixture

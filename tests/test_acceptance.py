@@ -13,13 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cost_oracle
+from conftest import cost_oracle, enumerate_partitions, gradient_check
 from jil.core import Dataset, JilFit, Linear, Partition
 from jil.cost import CostCache
 from jil.fit import NetworkCosts
-from jil.mlp import TrainConfig, gradient_check, init_model
+from jil.mlp import TrainConfig, init_model
 from jil.policy import I2dr, PropensityModel, estimate_value, fit_propensity
-from jil.segment import dp_no_prune, enumerate_partitions, pelt
+from jil.segment import dp_no_prune, pelt
 from jil.sim import ScenarioSpec, replicate_table1, true_optimal_value
 from jil.tuning import TuningGrid, cv_select_ljil, kfold_split
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import jil.cli as cli
 from jil.cli import main
 from jil.sim import ScenarioSpec, gen_scenario
-from jil.tuning import default_gamma, default_grid
+from jil.tuning import CvReport, default_gamma, default_grid
 
 
 @pytest.fixture(scope="module")
@@ -142,16 +143,32 @@ def test_fit_djil_cv_gammas_are_default_grid(tmp_path, monkeypatch, capsys):
           "--out", str(data)])
     seen = []
 
-    def capture(d, m, gammas, k, cfg):
-        seen.append((gammas, k, cfg.seed))
-        return gammas[0]
+    def capture(d, m, grid, cfg):
+        seen.append((grid, cfg.seed))
+        scores = np.zeros((1, len(grid.gammas)))
+        return CvReport(scores, 0.0, grid.gammas[0], np.zeros(d.n, dtype=np.int64))
 
     monkeypatch.setattr(cli, "cv_select_djil", capture)
     rc = main(["fit", "--data", str(data), "--method", "djil", "--c", "20",
                "--folds", "4", "--seed", "9", "--out", str(tmp_path / "m.json")])
     assert rc == 0
     capsys.readouterr()
-    assert seen == [(default_grid(40, 9, 4).gammas, 4, 9)]
+    assert seen == [(replace(default_grid(40, 9, 4), lambdas=(0.0,)), 9)]
+
+
+@pytest.mark.parametrize("lam_flag", ["0.5", "1e-3"])
+def test_fit_djil_rejects_lambda_exit_1(tmp_path, monkeypatch, capsys, lam_flag):
+    data = tmp_path / "d.csv"
+    main(["simulate", "--scenario", "1", "--n", "40", "--p", "2", "--seed", "3",
+          "--out", str(data)])
+    monkeypatch.setattr(cli, "fit_djil", lambda *a: pytest.fail("fitted despite --lambda"))
+    model = tmp_path / "m.json"
+    capsys.readouterr()
+    rc = main(["fit", "--data", str(data), "--method", "djil", "--lambda", lam_flag,
+               "--gamma", "0.05", "--out", str(model)])
+    assert rc == 1
+    assert "--lambda" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_fit_malformed_row_exit_2(tmp_path, capsys):
@@ -298,6 +315,36 @@ def test_evaluate_corrupt_model_exit_2(s1_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _drop_theta(art):
+    del art["models"][0]["theta"]
+
+
+def _unpair_partition(art):
+    art["partition"][0] = [art["partition"][0][0]]
+
+
+def _drop_p(art):
+    del art["provenance"]["p"]
+
+
+def _spell_m(art):
+    art["m"] = "eighty"
+
+
+@pytest.mark.parametrize("corrupt", [_drop_theta, _unpair_partition, _drop_p, _spell_m])
+def test_evaluate_malformed_model_fields_exit_2(s1_csv, tmp_path, capsys, corrupt):
+    model = tmp_path / "m.json"
+    assert main(["fit", "--data", str(s1_csv), "--lambda", "0", "--gamma", "default",
+                 "--out", str(model)]) == 0
+    art = json.loads(model.read_text())
+    corrupt(art)
+    model.write_text(json.dumps(art))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--data", str(s1_csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+
+
 def test_evaluate_plot_data_preferences(s1_csv, tmp_path, capsys):
     model = tmp_path / "m.json"
     main(["fit", "--data", str(s1_csv), "--lambda", "0", "--gamma", "default",
@@ -412,6 +459,14 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "evaluate" in proc.stdout
+
+
+@pytest.mark.parametrize("threads", ["two", "-4", "2.5"])
+def test_bench_rejects_bad_jil_threads_exit_1(monkeypatch, capsys, threads):
+    monkeypatch.setenv("JIL_THREADS", threads)
+    monkeypatch.setattr(cli, "replicate_table1", lambda *a, **kw: pytest.fail("replicated"))
+    assert main(["bench", "--n", "40", "--reps", "2"]) == 1
+    assert "JIL_THREADS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["ljil", "djil"])

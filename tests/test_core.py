@@ -22,6 +22,8 @@ from jil.core import (
 )
 from jil.errors import DegenerateTreatment, DimensionMismatch, InvalidData
 
+from conftest import cell_of
+
 
 # ---------------------------------------------------------------- make_grid
 
@@ -109,22 +111,27 @@ def test_interval_validation():
         Interval(0, 1, 0)
 
 
+def contains(iv, a):
+    """Membership as the library defines it: lo <= grid_cell(a) < hi."""
+    return iv.lo <= grid_cell(a, iv.m) < iv.hi
+
+
 def test_interval_membership_half_open_dyadic():
     # m = 8 makes every boundary exactly representable, so the half-open
     # convention is checked without rounding ambiguity
     iv = Interval(2, 4, 8)
-    assert iv.contains(0.25)
-    assert iv.contains(0.25 + 1e-9)
-    assert iv.contains(0.5 - 1e-9)
-    assert not iv.contains(0.5)
-    assert not iv.contains(0.25 - 1e-9)
+    assert contains(iv, 0.25)
+    assert contains(iv, 0.25 + 1e-9)
+    assert contains(iv, 0.5 - 1e-9)
+    assert not contains(iv, 0.5)
+    assert not contains(iv, 0.25 - 1e-9)
 
 
 def test_interval_right_closure_at_one():
     last = Interval(6, 8, 8)
-    assert last.contains(1.0)
+    assert contains(last, 1.0)
     inner = Interval(0, 8, 8)
-    assert inner.contains(1.0)
+    assert contains(inner, 1.0)
 
 
 @given(m=st.integers(1, 64), data=st.data())
@@ -168,10 +175,10 @@ def test_partition_membership_determinism(m, data):
     # integer-exact total length
     assert sum(Fraction(iv.hi - iv.lo, m) for iv in part.intervals) == 1
     a = data.draw(st.floats(0.0, 1.0, allow_nan=False))
-    hits = [iv for iv in part.intervals if iv.contains(a)]
+    hits = [iv for iv in part.intervals if iv.lo <= cell_of(a, m) < iv.hi]
     assert len(hits) == 1
-    # locate agrees with the unique containing interval
-    assert part.intervals[part.locate(a)] is hits[0]
+    # locate_cells on the library's grid cell finds the unique containing interval
+    assert part.intervals[part.locate_cells(grid_cell(np.array([a]), m))[0]] is hits[0]
 
 
 def test_partition_boundaries():
@@ -264,7 +271,6 @@ def test_linear_predict_matches_hand_oracle():
     X = np.array([[0.5, 0.25], [0.0, 0.0]])
     # hand oracle: 1 + 2*0.5 - 1*0.25 = 1.75 ; intercept only = 1
     np.testing.assert_allclose(model.predict_batch(X), [1.75, 1.0])
-    assert model.predict(np.array([0.5, 0.25])) == pytest.approx(1.75)
 
 
 def test_linear_dimension_mismatch():

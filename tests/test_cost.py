@@ -299,13 +299,17 @@ def test_cache_theta_agrees_with_ridge_fit(rng):
 
 
 def test_cache_off_grid_lambda(rng):
+    # a lambda off the cache's grid is rejected, as NetworkCosts rejects
+    # any lambda but 0, and nothing is computed
     d = make_ds(rng, 30, 2)
-    cache = CostCache(d, 5, lambdas=(0.0,))
-    got = cache.costfn(0.37)(1, 4)
-    want = cost_oracle(d.covariates, d.treatments, d.outcomes, 1, 4, 5, 0.37)
-    assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
-    assert cache.costfn(0.37)(1, 4) == got
-    assert np.isnan(cache._table).all()  # off the grid: computed, not stored
+    cache = CostCache(d, 5, lambdas=(0.0, 0.1))
+    for lam in (0.37, 1e-3, np.nextafter(0.1, 1.0)):
+        with pytest.raises(ValueError, match="lambda grid"):
+            cache.costfn(lam)
+    assert np.isnan(cache._table).all()
+    assert cache.costfn(0.1)(1, 4) == pytest.approx(
+        cost_oracle(d.covariates, d.treatments, d.outcomes, 1, 4, 5, 0.1), rel=1e-8, abs=1e-12
+    )
 
 
 def test_cache_costfn_closure(rng):
@@ -318,7 +322,7 @@ def test_cache_costfn_closure(rng):
 
 def test_cache_costfn_array_matches_scalar_bitwise(rng):
     d = make_ds(rng, 60, 2)
-    for lam in (0.05, 0.37):  # on and off the cache's grid
+    for lam in (0.0, 0.05):  # each lambda of the cache's grid
         batched = CostCache(d, 9, lambdas=(0.0, 0.05)).costfn(lam)
         scalar = CostCache(d, 9, lambdas=(0.0, 0.05)).costfn(lam)
         for hi in range(1, 10):

@@ -13,8 +13,10 @@ from jil.cost import CostCache
 from jil.errors import InvalidData
 from jil.fit import fit_djil, fit_ljil, recompute_objective
 from jil.mlp import MlpModel, TrainConfig
-from jil.segment import enumerate_partitions, pelt
+from jil.segment import pelt
 from jil.sim import ScenarioSpec, gen_scenario
+
+from conftest import enumerate_partitions
 
 
 def s1_like(rng, n, p=2, noise=0.25):
@@ -60,10 +62,12 @@ def test_ljil_objective_matches_independent_recompute(rng):
 
 
 def test_ljil_prewarmed_cache_identical(rng):
+    # CV runs the fit body over a table filled up front; fit_ljil's lazy
+    # table must give the same partition, objective and coefficients
     d = s1_like(rng, 120)
     m, lam, gamma = 15, 0.0, 0.1
     cache = CostCache(d, m, lambdas=(lam,), precompute=True)
-    f1 = fit_ljil(d, m, lam, gamma, cache=cache)
+    f1 = fit_mod._fit(cache, lam, gamma, "ljil", pelt)
     f2 = fit_ljil(d, m, lam, gamma)
     assert f1.partition == f2.partition
     assert f1.objective == f2.objective
@@ -74,17 +78,24 @@ def test_ljil_prewarmed_cache_identical(rng):
 def test_ljil_lazy_and_bulk_identical(rng):
     d = s1_like(rng, 100)
     eager = CostCache(d, 12, lambdas=(1e-3,), precompute=True)
-    f1 = fit_ljil(d, 12, 1e-3, 0.07, cache=eager)
+    f1 = fit_mod._fit(eager, 1e-3, 0.07, "ljil", pelt)
     f2 = fit_ljil(d, 12, 1e-3, 0.07)
     assert f1.partition == f2.partition
     assert f1.objective == f2.objective
 
 
-def test_ljil_computes_only_pruned_survivors(rng):
+def test_ljil_computes_only_pruned_survivors(rng, monkeypatch):
     d = s1_like(rng, 400)
     m, lam, gamma = 80, 0.0, 4.0 * np.log(400) / 400
-    cache = CostCache(d, m, lambdas=(lam,))
-    f = fit_ljil(d, m, lam, gamma, cache=cache)
+    built = []
+
+    def recording_cache(*args, **kw):  # keeps the table fit_ljil builds
+        built.append(CostCache(*args, **kw))
+        return built[-1]
+
+    monkeypatch.setattr(fit_mod, "CostCache", recording_cache)
+    f = fit_ljil(d, m, lam, gamma)
+    (cache,) = built
     computed = np.count_nonzero(~np.isnan(cache._table))
     costfn = cache.costfn(lam)
     candidates = []
@@ -250,6 +261,6 @@ def test_djil_empty_interval_predicts_zero(rng, monkeypatch):
     empty, full = f.models
     assert empty.layer_sizes == full.layer_sizes == (1, 8, 1)
     assert not any(w.any() for w in empty.weights + empty.biases)
-    assert empty.predict(np.array([0.3])) == 0.0
+    assert empty.predict_batch(np.array([[0.3]])).tolist() == [0.0]
     assert any(w.any() for w in full.weights)
     assert recompute_objective(d, f) == pytest.approx(f.objective, rel=1e-12)

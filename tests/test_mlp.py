@@ -8,15 +8,14 @@ import pytest
 from jil.core import Dataset, Interval
 from jil.errors import DimensionMismatch, EmptySegment
 from jil.fit import NetworkCosts
-from jil.mlp import (
-    MlpModel,
-    TrainConfig,
-    _batch_gradients,
-    gradient_check,
-    init_model,
-    mlp_predict,
-    mlp_train,
-)
+from jil.mlp import MlpModel, TrainConfig, _batch_gradients, init_model, mlp_train
+
+from conftest import gradient_check
+
+
+def predict_one(model, x):
+    """The network's prediction at one covariate vector, through predict_batch."""
+    return float(model.predict_batch(np.asarray(x, dtype=float)[None, :])[0])
 
 
 def hand_model(layer_sizes, weights, biases):
@@ -32,27 +31,28 @@ def hand_model(layer_sizes, weights, biases):
 
 def test_predict_zero_network():
     model = hand_model([3, 2, 1], [np.zeros((2, 3)), np.zeros((1, 2))], [np.zeros(2), np.zeros(1)])
-    assert mlp_predict(model, np.array([1.0, -2.0, 0.5])) == 0.0
+    assert predict_one(model, np.array([1.0, -2.0, 0.5])) == 0.0
 
 
 def test_predict_single_hidden_unit_hand_eval():
     # ReLU(1*2 - 1) * 1 + 0 = 1
     model = hand_model([1, 1, 1], [np.array([[1.0]]), np.array([[1.0]])],
                        [np.array([-1.0]), np.array([0.0])])
-    assert mlp_predict(model, np.array([2.0])) == 1.0
+    assert predict_one(model, np.array([2.0])) == 1.0
 
 
 def test_predict_relu_clips_negative_preactivation():
     model = hand_model([1, 1, 1], [np.array([[-2.0]]), np.array([[1.0]])],
                        [np.array([0.0]), np.array([0.7])])
     # preactivation -1 clips to 0, output equals the output bias
-    assert mlp_predict(model, np.array([0.5])) == 0.7
+    assert predict_one(model, np.array([0.5])) == 0.7
 
 
 def test_predict_dimension_mismatch():
     model = hand_model([2, 1], [np.zeros((1, 2))], [np.zeros(1)])
-    with pytest.raises(DimensionMismatch):
-        mlp_predict(model, np.array([1.0, 2.0, 3.0]))
+    for X in (np.array([[1.0, 2.0, 3.0]]), np.array([1.0, 2.0])):
+        with pytest.raises(DimensionMismatch):
+            model.predict_batch(X)
 
 
 # ---------------------------------------------------------------- training
@@ -245,7 +245,7 @@ def test_gradient_linear_net_closed_form(rng):
     x = rng.uniform(-1, 1, 3)
     y = 0.4
     dws, dbs = _batch_gradients(model, x[None, :], np.array([y]))
-    pred = mlp_predict(model, x)
+    pred = predict_one(model, x)
     np.testing.assert_array_equal(dws[0], 2.0 * (pred - y) * x[None, :])
     np.testing.assert_array_equal(dbs[0], np.array([2.0 * (pred - y)]))
 

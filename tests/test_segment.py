@@ -7,10 +7,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import cost_oracle
+from conftest import cost_oracle, enumerate_partitions
 from jil.core import Dataset, Interval, Partition
-from jil.errors import GridTooLarge, InvalidPenalty
-from jil.segment import dp_no_prune, enumerate_partitions, pelt
+from jil.errors import InvalidPenalty
+from jil.segment import dp_no_prune, pelt
 
 
 def table_costfn(table):
@@ -72,7 +72,7 @@ def sse_cost_table(rng, m, n=None):
 def brute_force_best(table, m, gamma):
     """In-test exhaustive minimizer with the stated tie-break.
 
-    Independent of the library's enumerate_partitions: iterates boundary
+    Independent of conftest's enumerate_partitions: iterates boundary
     subsets via itertools.combinations.
     """
     best = None
@@ -183,19 +183,14 @@ def test_penalty_accepts_numpy_integer():
     fn = lambda lo, hi: float(hi - lo) ** 2
     assert pelt(fn, 5, np.int64(1)) == pelt(fn, 5, 1.0)
     assert dp_no_prune(fn, 5, np.int64(0)) == dp_no_prune(fn, 5, 0.0)
-    assert enumerate_partitions(fn, 5, np.int32(2)) == enumerate_partitions(fn, 5, 2.0)
+    assert pelt(fn, 5, np.int32(2)) == enumerate_partitions(fn, 5, 2.0)
 
 
 def test_penalty_rejects_bool():
     for bad in (True, False, np.bool_(True)):
-        for solver in (pelt, dp_no_prune, enumerate_partitions):
+        for solver in (pelt, dp_no_prune):
             with pytest.raises(InvalidPenalty):
                 solver(lambda lo, hi: 0.0, 4, bad)
-
-
-def test_grid_too_large_guard():
-    with pytest.raises(GridTooLarge):
-        enumerate_partitions(lambda lo, hi: 0.0, 17, 0.1)
 
 
 # ------------------------------------------------------- oracle agreement

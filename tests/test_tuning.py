@@ -222,10 +222,27 @@ def small_cfg(seed=0, epochs=40):
     return TrainConfig(hidden=(4,), epochs=epochs, learning_rate=0.05, batch_size=32, seed=seed)
 
 
+def djil_grid(gammas, k, seed):
+    return TuningGrid(lambdas=(0.0,), gammas=gammas, k_folds=k, seed=seed)
+
+
 def test_djil_cv_single_candidate(rng):
     n = 40
     d = Dataset(rng.uniform(-1, 1, (n, 2)), rng.random(n), rng.standard_normal(n))
-    assert cv_select_djil(d, 3, (0.3,), 2, small_cfg()) == 0.3
+    rep = cv_select_djil(d, 3, djil_grid((0.3,), 2, 5), small_cfg(seed=0))
+    assert (rep.best_lambda, rep.best_gamma) == (0.0, 0.3)
+    # the folds come from the grid's seed, not the training seed
+    np.testing.assert_array_equal(rep.fold_assignments, kfold_split(n, 2, 5))
+
+
+def test_djil_cv_rejects_a_lambda_axis(rng, monkeypatch):
+    n = 40
+    d = Dataset(rng.uniform(-1, 1, (n, 2)), rng.random(n), rng.standard_normal(n))
+    monkeypatch.setattr(fit_mod, "mlp_train", lambda *a: pytest.fail("trained a network"))
+    for lambdas in ((0.0, 1e-3), (1e-3,)):
+        grid = TuningGrid(lambdas=lambdas, gammas=(0.3,), k_folds=2, seed=0)
+        with pytest.raises(ValueError, match="lambdas"):
+            cv_select_djil(d, 3, grid, small_cfg())
 
 
 def test_djil_cv_matches_naive_per_gamma_loop(rng):
@@ -237,9 +254,9 @@ def test_djil_cv_matches_naive_per_gamma_loop(rng):
     m, k = 4, 2
     gammas = (0.01, 2.0)
     cfg = small_cfg(seed=7)
-    got = cv_select_djil(d, m, gammas, k, cfg)
+    rep = cv_select_djil(d, m, djil_grid(gammas, k, 7), cfg)
 
-    assign = kfold_split(n, k, seed=cfg.seed)
+    assign = kfold_split(n, k, seed=7)
     scores = np.zeros(len(gammas))
     for fid in range(k):
         va = assign == fid
@@ -265,7 +282,7 @@ def test_djil_cv_matches_naive_per_gamma_loop(rng):
                 rows = (cells_tr >= iv.lo) & (cells_tr < iv.hi)
                 if rows.any():
                     model = mlp_train(d_tr, Interval(iv.lo, iv.hi, m), cfg)
-                    pred = model.predict(d.covariates[i])
+                    pred = model.predict_batch(d.covariates[i : i + 1])[0]
                 else:  # an interval without training rows predicts 0
                     pred = 0.0
                 sse += (d.outcomes[i] - pred) ** 2
@@ -275,7 +292,10 @@ def test_djil_cv_matches_naive_per_gamma_loop(rng):
     for j in reversed(range(len(gammas))):
         if scores[j] < best[0]:
             best = (scores[j], gammas[j])
-    assert got == best[1]
+    assert rep.best_gamma == best[1]
+    assert rep.best_lambda == 0.0
+    assert rep.scores.shape == (1, len(gammas))
+    np.testing.assert_allclose(rep.scores[0], scores, rtol=1e-12)
 
 
 def test_djil_cv_trains_each_interval_once_per_fold(rng, monkeypatch):
@@ -291,7 +311,7 @@ def test_djil_cv_trains_each_interval_once_per_fold(rng, monkeypatch):
         return real(dd, iv, cfg)
 
     monkeypatch.setattr(fit_mod, "mlp_train", counting)
-    cv_select_djil(d, m, (0.001, 0.01, 0.1, 1.0), k, small_cfg(seed=2, epochs=5))
+    cv_select_djil(d, m, djil_grid((0.001, 0.01, 0.1, 1.0), k, 2), small_cfg(seed=2, epochs=5))
     folds = {}
     for dd, lo, hi in calls:
         folds.setdefault(id(dd), []).append((lo, hi))
@@ -310,18 +330,11 @@ def test_djil_cv_skips_held_out_rows_in_untrained_interval(rng, monkeypatch):
     d = Dataset(rng.uniform(-1, 1, (n, 2)), A, Y)
     forced = Partition.from_edges([0, 1, 2], 2)
     monkeypatch.setattr(tuning_mod, "pelt", lambda costfn, m, gamma, **kw: (forced, 0.0))
-    seen = []
-    real_pick = tuning_mod._pick_largest_on_ties
-
-    def recording_pick(scores, lambdas, gammas):
-        seen.append(scores.copy())
-        return real_pick(scores, lambdas, gammas)
-
-    monkeypatch.setattr(tuning_mod, "_pick_largest_on_ties", recording_pick)
     cfg = small_cfg(epochs=5)
+    rep = cv_select_djil(d, 2, djil_grid((0.1, 0.2), k, 0), cfg)
     # both gammas see the same partition, so the tie goes to the larger one
-    assert cv_select_djil(d, 2, (0.1, 0.2), k, cfg) == 0.2
-    assign = kfold_split(n, k, cfg.seed)
+    assert rep.best_gamma == 0.2
+    assign = kfold_split(n, k, 0)
     sse = 0.0
     for fid in range(k):
         va = assign == fid
@@ -330,9 +343,10 @@ def test_djil_cv_skips_held_out_rows_in_untrained_interval(rng, monkeypatch):
             if i == 0:
                 pred = 0.0  # no training row in [0, 1)
             else:
-                pred = mlp_train(d_tr, Interval(1, 2, 2), cfg).predict(d.covariates[i])
+                net = mlp_train(d_tr, Interval(1, 2, 2), cfg)
+                pred = net.predict_batch(d.covariates[i : i + 1])[0]
             sse += (d.outcomes[i] - pred) ** 2
-    (scores,) = seen
+    scores = rep.scores
     assert scores.shape == (1, 2) and scores[0, 0] == scores[0, 1]
     assert scores[0, 0] == pytest.approx(sse / n, rel=1e-12)
     assert scores[0, 0] >= 25.0 / n
@@ -342,9 +356,10 @@ def test_djil_cv_deterministic(rng):
     n = 50
     d = Dataset(rng.uniform(-1, 1, (n, 2)), rng.random(n), rng.standard_normal(n))
     g = (0.05, 0.5)
-    assert cv_select_djil(d, 3, g, 2, small_cfg(seed=3)) == cv_select_djil(
-        d, 3, g, 2, small_cfg(seed=3)
-    )
+    first = cv_select_djil(d, 3, djil_grid(g, 2, 3), small_cfg(seed=3))
+    again = cv_select_djil(d, 3, djil_grid(g, 2, 3), small_cfg(seed=3))
+    assert first.best_gamma == again.best_gamma
+    assert first.scores.tobytes() == again.scores.tobytes()
 
 
 def test_djil_cv_global_linear_data_prefers_fewest_segments():
@@ -356,7 +371,8 @@ def test_djil_cv_global_linear_data_prefers_fewest_segments():
         A = r.random(n)
         Y = 1.0 + X[:, 0] - X[:, 1] + 0.2 * r.standard_normal(n)
         d = Dataset(X, A, Y)
-        best = cv_select_djil(d, 5, (0.005, 1.0), 3, small_cfg(seed=seed, epochs=60))
+        grid = djil_grid((0.005, 1.0), 3, seed)
+        best = cv_select_djil(d, 5, grid, small_cfg(seed=seed, epochs=60)).best_gamma
         wins += best == 1.0
     assert wins >= 16
 
