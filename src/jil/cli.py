@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -220,13 +220,7 @@ def _artifact_dict(fit: JilFit, prop: PropensityModel, value, provenance: dict) 
         "partition": [[int(iv.lo), int(iv.hi)] for iv in fit.partition.intervals],
         "models": models,
         "propensity": payload,
-        "value": {
-            "v_hat": value.v_hat,
-            "sigma_hat": value.sigma_hat,
-            "ci_lo": value.ci_lo,
-            "ci_hi": value.ci_hi,
-            "alpha": value.alpha,
-        },
+        "value": asdict(value),
         "provenance": provenance,
     }
 
@@ -450,17 +444,7 @@ def cmd_evaluate(args) -> int:
             dose = select_dose(iv, pref)
             rows.append(f"{i}\t{_fmt(iv.lo_frac)}\t{_fmt(iv.hi_frac)}\t{_fmt(dose)}")
         _atomic_write_text(args.plot_data, "\n".join(rows) + "\n")
-    print(
-        _jtext(
-            {
-                "v_hat": value.v_hat,
-                "sigma_hat": value.sigma_hat,
-                "ci_lo": value.ci_lo,
-                "ci_hi": value.ci_hi,
-                "alpha": value.alpha,
-            }
-        )
-    )
+    print(_jtext(asdict(value)))
     return 0
 
 

@@ -21,12 +21,15 @@ so a whole grid of lam values reuses a single factorization. When lam = 0,
 eigenvalues clamped to zero are dropped (w_j = 0), which yields the
 minimum-norm solution on singular designs.
 
-CostCache stores costs only, over a fixed lam grid, in one table filled a
-column at a time: the costs of every requested interval ending at one grid
-point come from one batched eigendecomposition of prefix-sum moments, and
-the eigenvectors are not kept. Coefficients are refactorized on demand,
-for all intervals of a partition in one batched call, which the fits need
-only for the partitions they score or return.
+CostCache computes costs over a fixed lam grid from prefix-sum moments: the
+costs of a set of intervals ending at one grid point come from one batched
+eigendecomposition, and the eigenvectors are not kept. By default nothing
+is stored: each costfn call computes the column it asks for, which the DP
+asks for once. precompute=True fills a table of every interval's costs up
+front, for callers that run many DPs over one table (CV folds).
+Coefficients are refactorized on demand, for all intervals of a partition
+in one batched call, which the fits need only for the partitions they
+score or return.
 
 CostCache shares its interface with fit.NetworkCosts, so one fit body and
 one CV loop serve both model families: costfn(lam) is the segmenter's cost
@@ -109,16 +112,15 @@ class CostCache:
     """Interval costs for one dataset on one grid, over a fixed lambda grid.
 
     Gram moments come from prefix sums over grid cells, so each interval's
-    moments are a single subtraction. The cache holds costs only: one float64
-    table of shape (H, m+1, m+1) indexed [h, hi, lo], NaN where a cost has not
-    been computed yet. Column hi is filled for a whole set of lo at once, by
-    one batched eigendecomposition that serves every lambda of the grid; the
-    eigenvectors are dropped once the costs are stored. precompute=True fills
-    every column up front, one column at a time, so temporaries stay
-    O(m d^2). theta refactorizes the intervals it is asked for on each call,
-    and models wraps its coefficients as one Linear model per interval.
-    There is no lock: a cache belongs to one thread (replication runs in
-    processes).
+    moments are a single subtraction. Without precompute the cache holds only
+    these prefix sums, and each costfn call factorizes the intervals it asks
+    for, in one batched eigendecomposition that serves every lambda of the
+    grid. precompute=True fills a float64 table of shape (H, m+1, m+1),
+    indexed [h, hi, lo], one column at a time, so temporaries stay O(m d^2);
+    costfn then only reads it. theta refactorizes the intervals it is asked
+    for on each call, and models wraps its coefficients as one Linear model
+    per interval. There is no lock: a cache belongs to one thread
+    (replication runs in processes).
     """
 
     def __init__(self, dataset: Dataset, m: int, lambdas=(0.0,), precompute: bool = False):
@@ -129,10 +131,11 @@ class CostCache:
         self.lambdas = check_grid("lambda", lambdas, allow_zero=True)
         self._lam_index = {float(l): h for h, l in enumerate(self.lambdas)}
         self._build_prefix()
-        self._table = np.full((self.lambdas.size, self.m + 1, self.m + 1), np.nan)
+        self._table = None
         if precompute:
+            self._table = np.zeros((self.lambdas.size, self.m + 1, self.m + 1))
             for r in range(1, self.m + 1):
-                self._fill(np.arange(r), r)
+                self._table[:, r, :r] = self._costs(np.arange(r), r)
 
     # ---------------------------------------------------------- internals
 
@@ -154,18 +157,13 @@ class CostCache:
         self._Cxy = csum_xy[bnd]
         self._Cyy = csum_yy[bnd]
 
-    def _fill(self, los: np.ndarray, hi: int):
-        """Compute and store the costs of column hi still missing for lo in los,
-        from one batched factorization that serves the whole lambda grid."""
-        col = self._table[:, hi]
-        miss = los[np.isnan(col[0, los])]
-        if miss.size:
-            G = self._Cxx[hi] - self._Cxx[miss]
-            b = self._Cxy[hi] - self._Cxy[miss]
-            syy = self._Cyy[hi] - self._Cyy[miss]
-            _, tau, phi = _factorize(G, b)
-            ilen = (hi - miss) / self.m
-            col[:, miss] = _spectral_costs(tau, phi, syy, ilen, self.dataset.n, self.lambdas).T
+    def _costs(self, los: np.ndarray, hi: int) -> np.ndarray:
+        """Costs (H, K) of the intervals [lo/m, hi/m) for lo in los, from one
+        batched factorization that serves the whole lambda grid."""
+        _, tau, phi = _factorize(self._Cxx[hi] - self._Cxx[los], self._Cxy[hi] - self._Cxy[los])
+        syy = self._Cyy[hi] - self._Cyy[los]
+        ilen = (hi - los) / self.m
+        return _spectral_costs(tau, phi, syy, ilen, self.dataset.n, self.lambdas).T
 
     # ------------------------------------------------------------- access
 
@@ -189,7 +187,8 @@ class CostCache:
         lo is an int, giving a float, or an ascending int64 array, giving one
         cost per entry (the batched column form of segment.pelt); indices
         must satisfy 0 <= lo < hi <= m. lam must be on the cache's lambda
-        grid, where every cost is computed once and stored in the table.
+        grid. Each call reads the precomputed table or, without one,
+        computes the costs it asks for.
         """
         h = self._lam_index.get(float(lam))
         if h is None:
@@ -197,13 +196,8 @@ class CostCache:
 
         def fn(lo, hi):
             _check_call(lo, hi, self.m)
-            if isinstance(lo, np.ndarray):
-                self._fill(lo, hi)
-                return self._table[h, hi, lo]
-            c = self._table[h, hi, lo]
-            if c != c:  # NaN marks a cost not computed yet
-                self._fill(np.array([lo]), hi)
-                c = self._table[h, hi, lo]
-            return float(c)
+            los = lo if isinstance(lo, np.ndarray) else np.array([lo])
+            c = self._costs(los, hi)[h] if self._table is None else self._table[h, hi, los]
+            return c if isinstance(lo, np.ndarray) else float(c[0])
 
         return fn

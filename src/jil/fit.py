@@ -1,13 +1,13 @@
 """Full segmentation fits tying together costs, the segmenter, and models.
 
 Both model families run one fit body over an interval table: the pruned
-column-wise DP segments with the table's costfn(lam), which fills only the
-surviving candidates' costs, and the table's models(los, his, lam) attaches
-one model per final interval. fit_ljil uses a lazy CostCache, whose models
-are ridge coefficients refactorized for the final intervals in one batched
-call. fit_djil uses a NetworkCosts table, which trains one network per
-candidate interval at most once; its lam is fixed at 0 because the network
-cost carries no coefficient penalty.
+column-wise DP segments with the table's costfn(lam), which computes only
+the surviving candidates' costs, and the table's models(los, his, lam)
+attaches one model per final interval. fit_ljil uses a CostCache without a
+table, whose models are ridge coefficients refactorized for the final
+intervals in one batched call. fit_djil uses a NetworkCosts table, which
+trains one network per candidate interval at most once; its lam is fixed
+at 0 because the network cost carries no coefficient penalty.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ def _fit(table, lam: float, gamma: float, method: str, segment) -> JilFit:
 def fit_ljil(d: Dataset, m: int, lam: float, gamma: float) -> JilFit:
     """Ridge-per-segment fit on an m-cell grid with jump penalty gamma.
 
-    The fit builds a lazy CostCache, so only the intervals the pruned DP
-    evaluates are ever factorized.
+    The fit builds a CostCache without a table, so only the intervals the
+    pruned DP evaluates are factorized, each once, and memory stays O(m d^2).
     """
     validate_dataset(d)
     lam = float(lam)
@@ -48,13 +48,14 @@ def fit_ljil(d: Dataset, m: int, lam: float, gamma: float) -> JilFit:
 class NetworkCosts:
     """Per-interval networks and their costs for one dataset on one grid.
 
-    The network counterpart of cost.CostCache, with the same interface.
-    costfn(0.0) is the segmenter's cost function: the SSE of the interval's
-    network divided by the full sample size n, so costs add up across a
-    partition; lo is an int or an ascending int64 array, as for CostCache.
-    models(los, his, 0.0) returns those networks. An interval without rows
-    costs 0 and gets the all-zero network, which predicts 0. Each interval
-    is trained at most once, on first use, through mlp_train.
+    The network counterpart of cost.CostCache, with the same interface,
+    except that costfn(0.0) takes DP columns only: (R, hi) -> costs for an
+    ascending int64 array R, as segment.pelt calls it with batched=True.
+    An interval's cost is the SSE of its network divided by the full sample
+    size n, so costs add up across a partition. models(los, his, 0.0)
+    returns those networks. An interval without rows costs 0 and gets the
+    all-zero network, which predicts 0. Each interval is trained at most
+    once, on first use, through mlp_train.
     """
 
     def __init__(self, dataset: Dataset, m: int, cfg: TrainConfig):
@@ -92,16 +93,15 @@ class NetworkCosts:
             )
 
     def costfn(self, lam: float):
-        """Cost function (lo, hi) -> cost, as CostCache.costfn; lam must be 0."""
+        """Column cost function (R, hi) -> costs of [j/m, hi/m) for j in R;
+        lam must be 0."""
         self._check_lam(lam)
 
-        def fn(lo, hi):
-            _check_call(lo, hi, self.m)
-            if isinstance(lo, np.ndarray):
-                return np.array([self._entry(j, hi)[1] for j in lo.tolist()], dtype=float)
-            return self._entry(lo, hi)[1]
+        def column(R, hi):
+            _check_call(R, hi, self.m)
+            return np.array([self._entry(j, hi)[1] for j in R.tolist()], dtype=float)
 
-        return fn
+        return column
 
     def models(self, los: np.ndarray, his: np.ndarray, lam: float) -> tuple:
         """One network per interval [lo/m, hi/m); lam must be 0."""

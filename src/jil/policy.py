@@ -71,12 +71,17 @@ def _predictions(fit: JilFit, X: np.ndarray) -> np.ndarray:
     return np.stack([mod.predict_batch(X) for mod in fit.models], axis=1)
 
 
+def _recommend(fit: JilFit, X: np.ndarray):
+    """(rec, qmax): per row of X, the first interval whose prediction is
+    within _TIE_TOL of the row maximum, and that maximum."""
+    Q = _predictions(fit, X)
+    qmax = Q.max(axis=1)
+    return np.argmax(Q >= qmax[:, None] - _TIE_TOL, axis=1), qmax
+
+
 def recommend_batch(rule: I2dr, X: np.ndarray) -> np.ndarray:
     """Index of the recommended interval per row of X."""
-    X = np.asarray(X, dtype=float)
-    Q = _predictions(rule.fit, X)
-    best = Q.max(axis=1, keepdims=True)
-    return np.argmax(Q >= best - _TIE_TOL, axis=1)
+    return _recommend(rule.fit, np.asarray(X, dtype=float))[0]
 
 
 def recommend(rule: I2dr, x: np.ndarray) -> Interval:
@@ -252,9 +257,7 @@ def estimate_value(d: Dataset, rule: I2dr, prop: PropensityModel, alpha: float) 
     if prop.partition != rule.fit.partition:
         raise ValueError("propensity and rule were fit on different partitions")
     fit = rule.fit
-    Q = _predictions(fit, d.covariates)
-    qmax = Q.max(axis=1)
-    rec = np.argmax(Q >= qmax[:, None] - _TIE_TOL, axis=1)
+    rec, qmax = _recommend(fit, d.covariates)
     seg = fit.partition.locate_cells(grid_cell(d.treatments, fit.m))
     ind = (seg == rec).astype(float)
     e = propensity_probs(prop, d.covariates)[np.arange(d.n), rec]

@@ -21,15 +21,18 @@ R_r, so ties keep the smallest j. The prune test at step r reuses the costs
 of step r-1, so pruning costs no further lookups.
 
 The cost function argument is a callable over grid index pairs
-0 <= lo < hi <= m. By default it is scalar, (lo, hi) -> float, and the DP
-calls it once per candidate pair in ascending lo within each column. With
-batched=True it must also accept lo as an ascending int64 array and return
-the array of costs for one hi; each column is then a single call. Reported
-objectives are recomputed from the backtracked partition by left-to-right
-summation of scalar calls, so pelt, dp_no_prune and any reference search
-that sums interval costs in the same order return bit-identical numbers
-whenever their partitions agree. The DP tables themselves are not returned;
-a column costfn sees every candidate set as its (R_r, r) arguments.
+0 <= lo < hi <= m, in one of two forms. By default it is scalar,
+(lo, hi) -> float, and the DP calls it once per candidate pair in ascending
+lo within each column. With batched=True it is a column function, (R, r)
+-> costs, called once per column with R an ascending int64 array; it is
+never called with a scalar. Either way the DP asks for each cost once and
+calls the costfn for nothing else: it keeps the cost of the interval it
+picks at each column, and the reported objective sums the kept costs of the
+backtracked partition from left to right. So pelt, dp_no_prune and any
+reference search that sums interval costs in the same order return
+bit-identical numbers whenever their partitions agree. The DP tables
+themselves are not returned; a column costfn sees every candidate set as
+its (R_r, r) arguments.
 """
 
 from __future__ import annotations
@@ -65,13 +68,6 @@ def _per_pair(costfn):
     return column
 
 
-def _objective(costfn, edges, gamma: float) -> float:
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        total += costfn(lo, hi)
-    return total + gamma * (len(edges) - 1)
-
-
 def pelt(costfn, m: int, gamma: float, prune: bool = True, *, batched: bool = False):
     """Penalized segmentation with (optionally pruned) DP.
 
@@ -86,6 +82,7 @@ def pelt(costfn, m: int, gamma: float, prune: bool = True, *, batched: bool = Fa
     B = np.empty(m + 1)
     B[0] = -gamma
     pred = np.zeros(m + 1, dtype=np.int64)
+    cost = np.empty(m + 1)  # cost[r]: cost of the interval picked at column r
     R = np.zeros(1, dtype=np.int64)
     c = None
     for r in range(1, m + 1):
@@ -99,11 +96,15 @@ def pelt(costfn, m: int, gamma: float, prune: bool = True, *, batched: bool = Fa
         k = int(np.argmin(v))  # first minimum: ties keep the smallest j
         B[r] = v[k]
         pred[r] = R[k]
+        cost[r] = c[k]
     edges = [m]
     while edges[-1] > 0:
         edges.append(int(pred[edges[-1]]))
     edges.reverse()
-    return Partition.from_edges(edges, m), _objective(costfn, edges, gamma)
+    objective = 0.0
+    for hi in edges[1:]:
+        objective += float(cost[hi])
+    return Partition.from_edges(edges, m), objective + gamma * (len(edges) - 1)
 
 
 def dp_no_prune(costfn, m: int, gamma: float, *, batched: bool = False):

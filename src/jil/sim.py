@@ -257,13 +257,14 @@ def integrated_l2_loss(fit, oracle: TruthOracle, n_quad: int = 10_000) -> float:
 
 
 def resolve_workers(workers) -> int:
-    """None -> serial; 0 -> one per CPU; otherwise the requested count."""
+    """None -> serial; 0 -> one per CPU; otherwise the requested count,
+    which must not be negative."""
     if workers is None:
         return 1
     workers = int(workers)
-    if workers == 0:
-        return os.cpu_count() or 1
-    return max(1, workers)
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0 or None, got {workers}")
+    return workers or os.cpu_count() or 1
 
 
 def _rep_seed(seed: int, rep: int) -> int:
@@ -320,12 +321,12 @@ def replicate_table1(
     """
     if method not in ("ljil", "djil"):
         raise ValueError(f"method must be 'ljil' or 'djil', got {method!r}")
+    w = resolve_workers(workers)
     if gamma is None:
         gamma = default_gamma(n)
     if v_opt is None:
         v_opt = true_optimal_value(ScenarioSpec(scenario, n, p, seed), 10**6, seed)
     arglist = [(method, scenario, n, p, c, lam, gamma, alpha, seed, r) for r in range(reps)]
-    w = resolve_workers(workers)
     if w > 1:
         with ProcessPoolExecutor(max_workers=w) as pool:
             records = list(pool.map(_table1_rep, arglist))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import jil.cost
 from jil.core import Partition
 from jil.errors import DimensionMismatch
 from jil.mlp import MlpModel, _batch_gradients
@@ -151,3 +152,18 @@ def gradient_check(model: MlpModel, x, y: float, eps: float = 1e-5) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260813)
+
+
+@pytest.fixture
+def factorized(monkeypatch):
+    """Sizes of every batch cost._factorize gets while the test runs: the
+    number of intervals the ridge path factorizes, call by call."""
+    sizes = []
+    real = jil.cost._factorize
+
+    def recording(Gs, bs):
+        sizes.append(Gs.shape[0])
+        return real(Gs, bs)
+
+    monkeypatch.setattr(jil.cost, "_factorize", recording)
+    return sizes

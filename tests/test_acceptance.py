@@ -332,7 +332,7 @@ def test_backprop_matches_finite_differences_and_beats_linear_fit():
     d = Dataset(X, rng.random(n), Y)
     linear_mse = CostCache(d, 1).costfn(0.0)(0, 1)
     cfg = TrainConfig(hidden=(32, 32), epochs=500, learning_rate=1e-2, batch_size=32, seed=11)
-    mlp_mse = NetworkCosts(d, 1, cfg).costfn(0.0)(0, 1)
+    mlp_mse = NetworkCosts(d, 1, cfg).costfn(0.0)(np.array([0]), 1)[0]
     assert mlp_mse < linear_mse
     print(
         f"[PASS] worst backprop relative error {worst:.2e} < 1e-4 over 50 networks; "

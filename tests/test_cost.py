@@ -298,7 +298,7 @@ def test_cache_theta_agrees_with_ridge_fit(rng):
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10)
 
 
-def test_cache_off_grid_lambda(rng):
+def test_cache_off_grid_lambda(rng, factorized):
     # a lambda off the cache's grid is rejected, as NetworkCosts rejects
     # any lambda but 0, and nothing is computed
     d = make_ds(rng, 30, 2)
@@ -306,7 +306,7 @@ def test_cache_off_grid_lambda(rng):
     for lam in (0.37, 1e-3, np.nextafter(0.1, 1.0)):
         with pytest.raises(ValueError, match="lambda grid"):
             cache.costfn(lam)
-    assert np.isnan(cache._table).all()
+    assert factorized == []
     assert cache.costfn(0.1)(1, 4) == pytest.approx(
         cost_oracle(d.covariates, d.treatments, d.outcomes, 1, 4, 5, 0.1), rel=1e-8, abs=1e-12
     )
@@ -316,7 +316,8 @@ def test_cache_costfn_closure(rng):
     d = make_ds(rng, 30, 1)
     cache = CostCache(d, 6, lambdas=(0.1,), precompute=True)
     f = cache.costfn(0.1)
-    assert f(0, 3) == cache.costfn(0.1)(0, 3) == cache._table[0, 3, 0]
+    lazy = CostCache(d, 6, lambdas=(0.1,)).costfn(0.1)
+    assert f(0, 3) == cache.costfn(0.1)(0, 3) == lazy(0, 3)
     assert f(2, 6) == cost_of(d, Interval(2, 6, 6), 0.1)
 
 
@@ -345,16 +346,22 @@ def test_cache_costfn_rejects_bad_indices(rng):
             f(np.array(los, dtype=np.int64), hi)
 
 
-def test_cache_fills_only_requested_costs(rng):
+def test_cache_fills_only_requested_costs(rng, factorized):
     d = make_ds(rng, 50, 2)
     m = 8
     lazy = CostCache(d, m, lambdas=(0.0, 0.1))
-    assert np.isnan(lazy._table).all()
+    assert factorized == []
     lazy.costfn(0.1)(np.array([1, 4], dtype=np.int64), 6)
-    assert np.count_nonzero(~np.isnan(lazy._table)) == 2 * 2  # both lambdas, two pairs
+    assert factorized == [2]  # one call for both pairs, serving both lambdas
+    lazy.costfn(0.0)(3, 5)
+    assert factorized == [2, 1]
+    factorized.clear()
     eager = CostCache(d, m, lambdas=(0.0, 0.1), precompute=True)
-    for h in range(2):
-        assert np.count_nonzero(~np.isnan(eager._table[h])) == m * (m + 1) // 2
+    assert factorized == list(range(1, m + 1))  # one call per column
+    for lam in (0.0, 0.1):
+        eager.costfn(lam)(np.arange(m, dtype=np.int64), m)
+        eager.costfn(lam)(2, 7)
+    assert sum(factorized) == m * (m + 1) // 2  # reads computed nothing more
 
 
 def test_cache_theta_batched_matches_per_interval_bitwise(rng):

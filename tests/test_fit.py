@@ -84,45 +84,56 @@ def test_ljil_lazy_and_bulk_identical(rng):
     assert f1.objective == f2.objective
 
 
-def test_ljil_computes_only_pruned_survivors(rng, monkeypatch):
+def test_ljil_computes_only_pruned_survivors(rng, factorized):
     d = s1_like(rng, 400)
     m, lam, gamma = 80, 0.0, 4.0 * np.log(400) / 400
-    built = []
-
-    def recording_cache(*args, **kw):  # keeps the table fit_ljil builds
-        built.append(CostCache(*args, **kw))
-        return built[-1]
-
-    monkeypatch.setattr(fit_mod, "CostCache", recording_cache)
     f = fit_ljil(d, m, lam, gamma)
-    (cache,) = built
-    computed = np.count_nonzero(~np.isnan(cache._table))
-    costfn = cache.costfn(lam)
+    computed = sum(factorized)
+    costfn = CostCache(d, m, lambdas=(lam,)).costfn(lam)
     candidates = []
 
     def column(lo, hi):  # records each DP column's candidate set R_r
-        if isinstance(lo, np.ndarray):
-            candidates.append(lo.size)
+        candidates.append(lo.size)
         return costfn(lo, hi)
 
     assert pelt(column, m, gamma, batched=True)[0] == f.partition
     assert len(candidates) == m
-    assert computed == sum(candidates)
-    assert computed < m * (m + 1) // 2
-    assert np.count_nonzero(~np.isnan(cache._table)) == computed  # the rerun added none
+    # each candidate once, then the final intervals' coefficients
+    assert computed == sum(candidates) + f.partition.size
+    assert sum(candidates) < m * (m + 1) // 2
     assert f.partition.size == 3
 
 
 def test_ljil_peak_memory_at_n4000():
+    # no O(m^2) allocation on the fit path: at m = 800 one (m+1)^2 float64
+    # table alone would take 4.9 MB
     d, _ = gen_scenario(ScenarioSpec(1, 4000, 4, 7))
     m = make_grid(d.n, 5.0)
+    assert m == 800
     tracemalloc.start()
     try:
         fit_ljil(d, m, 0.0, 4.0 * np.log(d.n) / d.n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * 2**20
+    assert peak <= 4 * 2**20
+
+
+@pytest.mark.xfail(
+    reason="prefix-sum SSE cancels at large outcome offsets", raises=AssertionError, strict=True
+)
+def test_ljil_partition_invariant_to_outcome_offset():
+    # the partition must not depend on shifting the outcome; the uncentered
+    # moments of CostCache lose it at an offset of 1e7 (2 or 3 segments, not 1)
+    n, m = 400, 80
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, (n, 4))
+        A = rng.random(n)
+        Y = X.sum(axis=1) + rng.standard_normal(n)
+        base = fit_ljil(Dataset(X, A, Y), m, 0.0, 4.0 * np.log(n) / n).partition
+        shifted = fit_ljil(Dataset(X, A, Y + 1e7), m, 0.0, 4.0 * np.log(n) / n).partition
+        assert shifted == base, seed
 
 
 def test_ljil_fields_recorded(rng):
@@ -217,8 +228,8 @@ def test_djil_trains_the_intervals_per_pair_pelt_trains(rng, monkeypatch):
     f = fit_djil(d, m, gamma, cfg)
     batched = list(calls)
     calls.clear()
-    table = fit_mod.NetworkCosts(d, m, cfg)
-    part, obj = pelt(table.costfn(0.0), m, gamma)
+    column = fit_mod.NetworkCosts(d, m, cfg).costfn(0.0)
+    part, obj = pelt(lambda lo, hi: column(np.array([lo]), hi)[0], m, gamma)
     assert calls == batched
     assert len(batched) > m
     assert f.partition == part
@@ -253,8 +264,8 @@ def test_djil_empty_interval_predicts_zero(rng, monkeypatch):
     d = Dataset(rng.uniform(-1, 1, (n, 1)), np.full(n, 0.95), rng.standard_normal(n) + 2.0)
     forced = Partition.from_edges([0, 2, 3], 3)
 
-    def forced_pelt(costfn, m, gamma, **kw):
-        return forced, costfn(0, 2) + costfn(2, 3) + 2 * gamma
+    def forced_pelt(column, m, gamma, **kw):
+        return forced, column(np.array([0]), 2)[0] + column(np.array([2]), 3)[0] + 2 * gamma
 
     monkeypatch.setattr(fit_mod, "pelt", forced_pelt)
     f = fit_djil(d, 3, 0.1, djil_cfg(epochs=20))

@@ -18,15 +18,12 @@ def table_costfn(table):
 
 
 def recording_costfn(table):
-    """Column costfn over a table that records each DP column call (R_r, r).
-
-    Scalar calls, which recompute the objective, are not recorded.
-    """
+    """Column costfn over a table that records each DP column call (R_r, r)."""
     columns = []
 
     def fn(lo, hi):
-        if isinstance(lo, np.ndarray):
-            columns.append((lo.copy(), hi))
+        assert isinstance(lo, np.ndarray)  # the column DP makes no scalar call
+        columns.append((lo.copy(), hi))
         return table[lo, hi]
 
     return fn, columns
@@ -258,8 +255,10 @@ def test_objective_is_recomputable(rng):
     fn = table_costfn(table)
     gamma = 0.07
     part, obj = pelt(fn, m, gamma)
+    # the kept costs summed left to right: the same bits as a fresh sum
     recomputed = sum(fn(iv.lo, iv.hi) for iv in part.intervals) + gamma * part.size
-    assert obj == pytest.approx(recomputed, abs=1e-12)
+    assert float(obj).hex() == float(recomputed).hex()
+    assert type(obj) is float
     assert isinstance(part, Partition)
 
 
@@ -319,9 +318,9 @@ def test_batched_matches_per_pair_bitwise(rng, prune):
             part_b, obj_b = solver(fn, m, gamma, batched=True)
             assert part_b == part
             assert float(obj_b).hex() == float(obj).hex()
-            # the per-pair DP asked for the same candidates, column by column
-            dp_pairs = pairs[: len(pairs) - part.size]
-            assert dp_pairs == [(j, r) for R, r in columns for j in R.tolist()]
+            # the per-pair DP asked for the same candidates, column by column,
+            # and for nothing else
+            assert pairs == [(j, r) for R, r in columns for j in R.tolist()]
             if not prune:
                 assert all(np.array_equal(R, np.arange(r)) for R, r in columns)
 
@@ -338,11 +337,9 @@ def test_column_calls_and_candidate_arrays(rng):
     column, columns = recording_costfn(table)
     part, _ = pelt(scalar, m, 0.1)
     assert pelt(column, m, 0.1, batched=True)[0] == part
-    # one scalar call per candidate, none repeated by the prune test, then
-    # one per interval to recompute the objective
-    assert pairs == [(j, r) for R, r in columns for j in R.tolist()] + [
-        (iv.lo, iv.hi) for iv in part.intervals
-    ]
+    # one scalar call per candidate, none repeated by the prune test and
+    # none after the last column: the objective sums the costs the DP kept
+    assert pairs == [(j, r) for R, r in columns for j in R.tolist()]
     assert len(columns) == m
     for r, (lo, hi) in enumerate(columns, start=1):
         assert hi == r and lo.dtype == np.int64

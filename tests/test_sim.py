@@ -273,6 +273,12 @@ def test_replicate_table1_parallel_matches_serial():
     assert [r["l2"] for r in a["records"]] == [r["l2"] for r in b["records"]]
 
 
+def test_replicate_table1_rejects_negative_workers():
+    for workers in (-1, -4):
+        with pytest.raises(ValueError, match=f"workers must be >= 0 or None, got {workers}"):
+            replicate_table1(1, 40, seed=0, v_opt=1.34, workers=workers)
+
+
 def test_replicate_table1_explicit_v_opt_changes_coverage_only():
     a = replicate_table1(2, 100, seed=3, v_opt=1.34)
     b = replicate_table1(2, 100, seed=3, v_opt=-100.0)
