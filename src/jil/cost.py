@@ -10,26 +10,46 @@ and the interval cost is
     cost(I) = (1/n) sum_i 1(A_i in I) {Y_i - xbar_i^T theta_I}^2
               + lam * |I| * ||theta_I||^2.
 
-Both are computed through one symmetric eigendecomposition of the interval
-Gram matrix, G = U diag(tau) U^T with phi = U^T b. Substituting the spectral
-form gives, writing w_j = 1/(tau_j + n*lam*|I|),
+Moments. The outcomes are shifted once by their mean c, and one prefix array
+over grid cells holds the augmented moments M = sum z z^T of
+z = (xbar, Y - c), so an interval's moments are a single subtraction:
+M = [[G, b'], [b'^T, s']], with G the Gram matrix, b' = sum xbar (Y - c) and
+s' = sum (Y - c)^2. Centering keeps s' and b' from cancelling when the
+outcomes sit far from zero.
 
-    residual SSE = syy - 2 sum_j w_j phi_j^2 + sum_j tau_j w_j^2 phi_j^2
-    ||theta||^2  = sum_j w_j^2 phi_j^2 ,
+Penalty. With theta' = theta - c e1 the residuals are Y - c - xbar^T theta',
+and the penalty stays on the uncentered theta = theta' + c e1. So for
+v = (-theta', 1),
 
-so a whole grid of lam values reuses a single factorization. When lam = 0,
-eigenvalues clamped to zero are dropped (w_j = 0), which yields the
-minimum-norm solution on singular designs.
+    n * cost(theta) = v^T (M + n*lam*|I| * P) v,
+    P = [[Id, -c e1], [-c e1^T, c^2]].
 
-CostCache computes costs over a fixed lam grid from prefix-sum moments: the
-costs of a set of intervals ending at one grid point come from one batched
-eigendecomposition, and the eigenvectors are not kept. By default nothing
-is stored: each costfn call computes the column it asks for, which the DP
-asks for once. precompute=True fills a table of every interval's costs up
-front, for callers that run many DPs over one table (CV folds).
-Coefficients are refactorized on demand, for all intervals of a partition
-in one batched call, which the fits need only for the partitions they
-score or return.
+Cost. Minimizing over theta' leaves the Schur complement of the leading
+d x d block of A = M + n*lam*|I|*P, which is the square of the last pivot of
+the Cholesky factor of A: the last pivot^2 equals n * cost(I). The leading
+pivots double as the rank check, so one batched Cholesky per lam serves a
+whole DP column, and theta' = (G + n*lam*|I|*Id)^{-1} (b' - n*lam*|I|*c e1)
+comes from one batched solve.
+
+Routing. The Cholesky serves an interval when it has more than d rows (at
+lam = 0; at least one row at lam > 0; M[0, 0] is its exact row count), its
+factorization succeeds and every leading pivot^2 is at least _CLAMP_REL
+times the largest leading diagonal entry of A. Every other interval takes
+the min-norm path: one symmetric eigendecomposition of G solves the
+uncentered system theta = (G + n*lam*|I|*Id)^+ (b' + c G e1), dropping
+eigenvalues below _CLAMP_REL of the largest at lam = 0 (the minimum-norm
+solution, which is not shift-equivariant, hence the uncentered system), and
+the cost is formed from theta and the centered moments. An interval without
+rows gets theta = 0 and costs exactly 0 at every lam. Routing is decided per
+interval, so an interval gets the same bits in any batch.
+
+CostCache computes costs over a fixed lam grid. By default nothing is
+stored: each costfn(lam) call computes the column it asks for at that lam
+only, which the DP asks for once. precompute=True fills a table of every
+interval's costs up front, one column and lam at a time, for callers that
+run many DPs over one table (CV folds). Coefficients are solved on demand,
+for all intervals of a partition in one batched call, which the fits need
+only for the partitions they score or return.
 
 CostCache shares its interface with fit.NetworkCosts, so one fit body and
 one CV loop serve both model families: costfn(lam) is the segmenter's cost
@@ -46,21 +66,57 @@ from .core import Dataset, Linear, check_grid, grid_cell, make_xbar
 
 __all__ = ["CostCache"]
 
-# eigenvalues below this fraction of the largest are treated as exact nulls
+# an eigenvalue below this fraction of the largest, or a Cholesky pivot^2
+# below this fraction of the largest diagonal entry, is treated as a null
 _CLAMP_REL = 1e-10
 
 
 def _factorize(Gs: np.ndarray, bs: np.ndarray):
     """Eigendecompose a stack of Gram matrices; returns (U, tau, phi) stacks.
 
-    One code path serves cost-table columns and partitions' coefficients,
-    K = 1 included, so each interval's results are bit-identical in any batch.
+    The min-norm path's factorization; each interval's results are
+    bit-identical in any batch, K = 1 included.
     """
     tau, U = np.linalg.eigh(Gs)
     thr = _CLAMP_REL * np.maximum(tau[:, -1:], 0.0)
     tau = np.where(tau < thr, 0.0, tau)
     phi = np.einsum("kij,ki->kj", U, bs)
     return U, tau, phi
+
+
+def _pivots(As: np.ndarray) -> np.ndarray:
+    """Cholesky pivots (K, D) of a stack of matrices As (K, D, D), all zero
+    for a matrix the factorization fails on.
+
+    LAPACK fails a batch as a whole, so a failed batch is split in halves
+    until each failure stands alone: a matrix's pivots never depend on its
+    batch, and a few failures cost O(log K) more calls.
+    """
+    try:
+        return np.diagonal(np.linalg.cholesky(As), axis1=1, axis2=2)
+    except np.linalg.LinAlgError:
+        if len(As) == 1:
+            return np.zeros((1, As.shape[1]))
+        half = len(As) // 2
+        return np.concatenate([_pivots(As[:half]), _pivots(As[half:])])
+
+
+def _cholesky(As: np.ndarray, fast: np.ndarray):
+    """Route a stack of augmented matrices As (K, D, D) through one batched
+    Cholesky factorization; returns (ok, last).
+
+    ok marks the intervals the factor serves: those in the mask fast whose
+    factorization succeeds with every leading pivot^2 at least _CLAMP_REL
+    times the largest leading diagonal entry. last holds the squared last
+    pivots, n times the costs, where ok and 0 elsewhere.
+    """
+    pivots = np.zeros((As.shape[1], As.shape[0]))  # (D, K): reductions run over K
+    idx = np.flatnonzero(fast)
+    pivots[:, idx] = _pivots(As[idx]).T
+    sq = pivots * pivots
+    lead = np.diagonal(As, axis1=1, axis2=2).T[:-1]
+    ok = fast & (sq[:-1].min(axis=0) >= _CLAMP_REL * lead.max(axis=0))
+    return ok, np.where(ok, sq[-1], 0.0)
 
 
 def _check_pairs(los: np.ndarray, his: np.ndarray, m: int):
@@ -82,28 +138,9 @@ def _check_call(lo, hi, m: int):
         raise ValueError(f"invalid interval indices ({lo}, {hi}) on grid {m}")
 
 
-def _spectral_costs(tau, phi, syy, ilen, n, lambdas) -> np.ndarray:
-    """Costs (K, H) for stacked factors over a lambda grid.
-
-    tau, phi: (K, d); syy, ilen: (K,); lambdas: (H,).
-    """
-    lambdas = np.asarray(lambdas, dtype=float)
-    ph2 = phi * phi
-    denom = tau[:, None, :] + n * lambdas[None, :, None] * ilen[:, None, None]
-    dinv = np.where(denom > 0.0, 1.0 / np.where(denom > 0.0, denom, 1.0), 0.0)
-    resid = (
-        syy[:, None]
-        - 2.0 * np.einsum("khd,kd->kh", dinv, ph2)
-        + np.einsum("khd,kd->kh", dinv * dinv, ph2 * tau)
-    )
-    resid = np.maximum(resid, 0.0)
-    norm2 = np.einsum("khd,kd->kh", dinv * dinv, ph2)
-    return resid / n + lambdas[None, :] * ilen[:, None] * norm2
-
-
-def _spectral_thetas(U, tau, phi, ilen, n, lam) -> np.ndarray:
-    """Coefficients (K, d) for stacked factors at a single lambda."""
-    denom = tau + n * lam * ilen[:, None]
+def _spectral_thetas(U, tau, phi, ridge) -> np.ndarray:
+    """Coefficients (K, d) for stacked factors and ridge weights n*lam*|I|."""
+    denom = tau + ridge[:, None]
     dinv = np.where(denom > 0.0, 1.0 / np.where(denom > 0.0, denom, 1.0), 0.0)
     return np.einsum("kij,kj->ki", U, dinv * phi)
 
@@ -111,16 +148,16 @@ def _spectral_thetas(U, tau, phi, ilen, n, lam) -> np.ndarray:
 class CostCache:
     """Interval costs for one dataset on one grid, over a fixed lambda grid.
 
-    Gram moments come from prefix sums over grid cells, so each interval's
-    moments are a single subtraction. Without precompute the cache holds only
-    these prefix sums, and each costfn call factorizes the intervals it asks
-    for, in one batched eigendecomposition that serves every lambda of the
-    grid. precompute=True fills a float64 table of shape (H, m+1, m+1),
-    indexed [h, hi, lo], one column at a time, so temporaries stay O(m d^2);
-    costfn then only reads it. theta refactorizes the intervals it is asked
-    for on each call, and models wraps its coefficients as one Linear model
-    per interval. There is no lock: a cache belongs to one thread
-    (replication runs in processes).
+    Augmented moments come from prefix sums over grid cells, so each
+    interval's moments are a single subtraction. Without precompute the
+    cache holds only these prefix sums, and each costfn(lam) call computes
+    the intervals it asks for at that lam, in one batched Cholesky
+    factorization. precompute=True fills a float64 table of shape
+    (H, m+1, m+1), indexed [h, hi, lo], one column and lam at a time, so
+    temporaries stay O(m d^2); costfn then only reads it. theta solves the
+    intervals it is asked for on each call, and models wraps its
+    coefficients as one Linear model per interval. There is no lock: a cache
+    belongs to one thread (replication runs in processes).
     """
 
     def __init__(self, dataset: Dataset, m: int, lambdas=(0.0,), precompute: bool = False):
@@ -135,7 +172,8 @@ class CostCache:
         if precompute:
             self._table = np.zeros((self.lambdas.size, self.m + 1, self.m + 1))
             for r in range(1, self.m + 1):
-                self._table[:, r, :r] = self._costs(np.arange(r), r)
+                for h, lam in enumerate(self.lambdas):
+                    self._table[h, r, :r] = self._costs(np.arange(r), r, float(lam))
 
     # ---------------------------------------------------------- internals
 
@@ -143,39 +181,78 @@ class CostCache:
         d = self.dataset
         m = self.m
         cells = grid_cell(d.treatments, m)
-        order = np.argsort(cells, kind="stable")
-        xb = make_xbar(d.covariates)[order]
-        y = d.outcomes[order]
-        outer = xb[:, :, None] * xb[:, None, :]
-        dim = xb.shape[1]
-        # prefix sums at cell boundaries: row j holds the sum over cells < j
-        csum_xx = np.concatenate([np.zeros((1, dim, dim)), np.cumsum(outer, axis=0)])
-        csum_xy = np.concatenate([np.zeros((1, dim)), np.cumsum(xb * y[:, None], axis=0)])
-        csum_yy = np.concatenate([[0.0], np.cumsum(y * y)])
-        bnd = np.searchsorted(cells[order], np.arange(m + 1))
-        self._Cxx = csum_xx[bnd]
-        self._Cxy = csum_xy[bnd]
-        self._Cyy = csum_yy[bnd]
+        c = float(np.mean(d.outcomes))
+        z = np.hstack([make_xbar(d.covariates), (d.outcomes - c)[:, None]])
+        dim = z.shape[1]
+        # per-cell sums of z z^T, then prefix sums at cell boundaries: row j
+        # holds the sum over cells < j
+        cell_sums = np.empty((m, dim, dim))
+        for i in range(dim):
+            for j in range(i + 1):
+                s = np.bincount(cells, weights=z[:, i] * z[:, j], minlength=m)
+                cell_sums[:, i, j] = cell_sums[:, j, i] = s
+        self._M = np.zeros((m + 1, dim, dim))
+        np.cumsum(cell_sums, axis=0, out=self._M[1:])
+        self._shift = c
+        P = np.eye(dim)
+        P[0, -1] = P[-1, 0] = -c
+        P[-1, -1] = c * c
+        self._P = P
 
-    def _costs(self, los: np.ndarray, hi: int) -> np.ndarray:
-        """Costs (H, K) of the intervals [lo/m, hi/m) for lo in los, from one
-        batched factorization that serves the whole lambda grid."""
-        _, tau, phi = _factorize(self._Cxx[hi] - self._Cxx[los], self._Cxy[hi] - self._Cxy[los])
-        syy = self._Cyy[hi] - self._Cyy[los]
-        ilen = (hi - los) / self.m
-        return _spectral_costs(tau, phi, syy, ilen, self.dataset.n, self.lambdas).T
+    def _route(self, los, his, lam: float):
+        """Moments (K, D, D), ridge weights n*lam*|I| (K,), augmented
+        matrices and the Cholesky route (ok, last) of [lo/m, hi/m)."""
+        M = self._M[his] - self._M[los]
+        ridge = self.dataset.n * lam * ((his - los) / self.m)
+        A = M + ridge[:, None, None] * self._P
+        # at lam = 0 an interval with at most d rows has a singular Gram
+        fast = M[:, 0, 0] > (0 if lam > 0.0 else M.shape[1] - 1)
+        return M, ridge, A, *_cholesky(A, fast)
+
+    def _min_norm(self, M: np.ndarray, ridge: np.ndarray) -> np.ndarray:
+        """Min-norm coefficients (K, d) of the uncentered system from one
+        batched eigendecomposition; all zeros for an interval without rows."""
+        d = M.shape[1] - 1
+        G = M[:, :d, :d]
+        U, tau, phi = _factorize(G, M[:, :d, d] + self._shift * G[:, :, 0])
+        return _spectral_thetas(U, tau, phi, ridge)
+
+    def _costs(self, los: np.ndarray, his, lam: float) -> np.ndarray:
+        """Costs (K,) of the intervals [lo/m, hi/m) at one lambda."""
+        M, ridge, _, ok, ncost = self._route(los, his, lam)
+        rest = ~ok
+        if rest.any():
+            M, ridge = M[rest], ridge[rest]
+            theta = self._min_norm(M, ridge)
+            d = theta.shape[1]
+            t = theta.copy()
+            t[:, 0] -= self._shift  # theta', against the centered moments
+            sse = (
+                M[:, d, d]
+                - 2.0 * np.einsum("ki,ki->k", t, M[:, :d, d])
+                + np.einsum("ki,ki->k", t, np.einsum("kij,kj->ki", M[:, :d, :d], t))
+            )
+            ncost[rest] = np.maximum(sse, 0.0) + ridge * np.einsum("ki,ki->k", theta, theta)
+        return ncost / self.dataset.n
 
     # ------------------------------------------------------------- access
 
     def theta(self, los: np.ndarray, his: np.ndarray, lam: float) -> np.ndarray:
         """Ridge coefficients (K, d) of the intervals [lo/m, hi/m) for the pairs
         of the equal-length int64 arrays los, his, e.g. every interval of a
-        partition, from one fresh batched factorization; each interval gets
-        the same bits as in a batch of its own."""
+        partition, from one fresh batched solve routed as the costs are;
+        each interval gets the same bits as in a batch of its own."""
         los, his = np.asarray(los), np.asarray(his)
         _check_pairs(los, his, self.m)
-        U, tau, phi = _factorize(self._Cxx[his] - self._Cxx[los], self._Cxy[his] - self._Cxy[los])
-        return _spectral_thetas(U, tau, phi, (his - los) / self.m, self.dataset.n, float(lam))
+        M, ridge, A, ok, _ = self._route(los, his, float(lam))
+        d = M.shape[1] - 1
+        theta = np.empty((los.size, d))
+        theta[ok] = np.linalg.solve(A[ok, :d, :d], A[ok, :d, d:])[:, :, 0]
+        theta[ok, 0] += self._shift
+        rest = ~ok
+        if rest.any():
+            theta[rest] = self._min_norm(M[rest], ridge[rest])
+        return theta
 
     def models(self, los: np.ndarray, his: np.ndarray, lam: float) -> tuple:
         """One Linear model per interval, from a single theta call."""
@@ -188,16 +265,17 @@ class CostCache:
         cost per entry (the batched column form of segment.pelt); indices
         must satisfy 0 <= lo < hi <= m. lam must be on the cache's lambda
         grid. Each call reads the precomputed table or, without one,
-        computes the costs it asks for.
+        computes the costs it asks for at lam only.
         """
         h = self._lam_index.get(float(lam))
         if h is None:
             raise ValueError(f"lam {lam} is not on this cache's lambda grid {self.lambdas}")
+        lam = float(lam)
 
         def fn(lo, hi):
             _check_call(lo, hi, self.m)
             los = lo if isinstance(lo, np.ndarray) else np.array([lo])
-            c = self._costs(los, hi)[h] if self._table is None else self._table[h, hi, los]
+            c = self._costs(los, hi, lam) if self._table is None else self._table[h, hi, los]
             return c if isinstance(lo, np.ndarray) else float(c[0])
 
         return fn

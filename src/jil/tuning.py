@@ -2,8 +2,8 @@
 
 Both flavors run one fold loop. Every fold builds one interval table on its
 training rows and runs the fit body of jil.fit once per (lambda, gamma)
-pair. For the ridge flavor the table is a CostCache filled up front, so a
-single eigendecomposition per interval serves the entire lambda grid. The
+pair. For the ridge flavor the table is a CostCache filled up front, so
+each interval's cost at each lambda of the grid is computed once per fold. The
 network flavor tunes gamma only (its grid's lambda axis must be (0.0,))
 over a fit.NetworkCosts table, which trains each candidate interval once
 and serves the whole gamma grid. Both flavors take their folds and seed

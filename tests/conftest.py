@@ -156,14 +156,16 @@ def rng():
 
 @pytest.fixture
 def factorized(monkeypatch):
-    """Sizes of every batch cost._factorize gets while the test runs: the
-    number of intervals the ridge path factorizes, call by call."""
+    """Sizes of every batch cost._cholesky gets while the test runs: the
+    number of intervals the ridge path evaluates, call by call. Every cost
+    column and every theta call routes all of its intervals through it, the
+    ones the min-norm path then takes included."""
     sizes = []
-    real = jil.cost._factorize
+    real = jil.cost._cholesky
 
-    def recording(Gs, bs):
-        sizes.append(Gs.shape[0])
-        return real(Gs, bs)
+    def recording(As, fast):
+        sizes.append(As.shape[0])
+        return real(As, fast)
 
-    monkeypatch.setattr(jil.cost, "_factorize", recording)
+    monkeypatch.setattr(jil.cost, "_cholesky", recording)
     return sizes

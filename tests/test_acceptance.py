@@ -90,7 +90,7 @@ def test_segmentation_solvers_agree_on_100_random_tables():
     )
 
 
-# ------------------------------------------- 2: spectral ridge path vs direct
+# ---------------------------------------------- 2: ridge cost table vs direct
 
 
 def _direct_pair(d, tr_mask, cells, lo, hi, m, lam):
@@ -188,7 +188,7 @@ def test_spectral_costs_and_cv_fast_path_match_direct_refits():
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     print(
-        "[PASS] one-factorization ridge costs matched per-lambda direct solves on "
+        "[PASS] cached ridge costs matched per-lambda direct solves on "
         f"100 intervals and CV scores matched naive refits on 20 instances ({elapsed:.1f}s)"
     )
 

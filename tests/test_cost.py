@@ -2,7 +2,9 @@
 
 Coefficients and costs are read through CostCache (theta, costfn),
 the one ridge cost path of the package, and checked against the oracles in
-conftest; the eigendecomposition is checked through cost._factorize.
+conftest, on both of its routes: the Cholesky of the centered augmented
+moments and the min-norm eigendecomposition, checked through
+cost._factorize.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jil.cost
 from conftest import cost_oracle, ridge_oracle, rows_in_interval
 from jil.core import Dataset, Interval
 from jil.cost import CostCache, _factorize
@@ -206,6 +209,151 @@ def test_eigendecomposition_consistency_sample(rng):
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10)
 
 
+# ---------------------------------------- outcome shifts and the min-norm route
+
+
+@pytest.fixture
+def min_norm(monkeypatch):
+    """Sizes of every batch the min-norm path (cost._factorize) gets."""
+    sizes = []
+    real = jil.cost._factorize
+
+    def recording(Gs, bs):
+        sizes.append(Gs.shape[0])
+        return real(Gs, bs)
+
+    monkeypatch.setattr(jil.cost, "_factorize", recording)
+    return sizes
+
+
+def test_cost_matches_oracle_at_outcome_offsets():
+    # an outcome offset must not cost precision: an SSE formed from
+    # uncentered moments cancels once the offset dwarfs the noise
+    n, m = 400, 80
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-1.0, 1.0, (n, 4))
+    A = rng.random(n)
+    base = X.sum(axis=1) + rng.standard_normal(n)
+    los = rng.integers(0, m - 5, size=25)
+    pairs = [(int(lo), int(rng.integers(lo + 5, m + 1))) for lo in los]  # >= 5 cells
+    for offset in (0.0, 1e3, 1e5, 1e7):
+        Y = base + offset
+        cache = CostCache(Dataset(X, A, Y), m, lambdas=(0.0, 1e-2))
+        for lam in (0.0, 1e-2):
+            f = cache.costfn(lam)
+            for lo, hi in pairs:
+                want = cost_oracle(X, A, Y, lo, hi, m, lam)
+                assert f(lo, hi) == pytest.approx(want, rel=1e-8), (offset, lam, lo, hi)
+
+
+def check_min_norm_route(d, lo, hi, m, lam, min_norm):
+    """Cost and coefficients of one interval match the oracles, and both come
+    from the min-norm path."""
+    min_norm.clear()
+    iv = Interval(lo, hi, m)
+    got_cost, got_theta = cost_of(d, iv, lam), theta_of(d, iv, lam)
+    assert min_norm == [1, 1]
+    X, A, Y = d.covariates, d.treatments, d.outcomes
+    assert got_cost == pytest.approx(cost_oracle(X, A, Y, lo, hi, m, lam), rel=1e-8, abs=1e-12)
+    want = ridge_oracle(X, A, Y, lo, hi, m, lam)
+    np.testing.assert_allclose(got_theta, want, rtol=1e-7, atol=1e-8)
+    return got_cost, got_theta
+
+
+def test_min_norm_route_few_rows(rng, min_norm):
+    # at lam = 0 an interval with d rows or fewer has a singular or
+    # interpolating Gram; d = 4 here, and the first cell holds 4, then 2 rows
+    for rows in (4, 2):
+        A = np.concatenate([np.linspace(0.05, 0.45, rows), rng.uniform(0.5, 1.0, 30)])
+        X = rng.uniform(-1, 1, (A.size, 3))
+        d = Dataset(X, A, 5.0 + X.sum(axis=1) + rng.standard_normal(A.size))
+        check_min_norm_route(d, 0, 1, 2, 0.0, min_norm)
+
+
+def test_min_norm_route_collinear_covariates(rng, min_norm):
+    n = 60
+    A = rng.random(n)
+    X = rng.uniform(-1, 1, (n, 3))
+    X[:, 2] = X[:, 0]  # a duplicated column
+    d = Dataset(X, A, X[:, 0] + rng.standard_normal(n))
+    check_min_norm_route(d, 0, 4, 4, 0.0, min_norm)
+    # a binary covariate, 0 on [0, 1/2) and 1 (the intercept's twin) on [1/2, 1)
+    X[:, 2] = A >= 0.5
+    d = Dataset(X, A, 2.0 * X[:, 2] + X[:, 1] + rng.standard_normal(n))
+    for lo, hi in ((0, 2), (2, 4)):
+        check_min_norm_route(d, lo, hi, 4, 0.0, min_norm)
+    # a near-duplicate column: the Cholesky succeeds, but its pivot ratio
+    # (about 1e-12) sends the interval to the min-norm path, which drops the
+    # near-null direction as a singular-value cutoff of 1e-5 does
+    X[:, 2] = X[:, 0] + 1e-6 * rng.standard_normal(n)
+    d = Dataset(X, A, X[:, 0] + rng.standard_normal(n))
+    min_norm.clear()
+    got = theta_of(d, Interval(0, 1, 1), 0.0)
+    assert min_norm == [1]
+    Xb = np.hstack([np.ones((n, 1)), X])
+    want = np.linalg.lstsq(Xb, d.outcomes, rcond=1e-5)[0]
+    np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-8)
+    sse = float(np.sum((d.outcomes - Xb @ want) ** 2))
+    assert cost_of(d, Interval(0, 1, 1), 0.0) == pytest.approx(sse / n, rel=1e-8)
+
+
+def test_min_norm_route_noiseless_outcomes(rng, min_norm):
+    # SSE = 0 leaves the augmented moments singular. Constant outcomes center
+    # to exact zeros, so the Cholesky fails and the min-norm path takes the
+    # interval; linear ones leave a last pivot at rounding level, which
+    # either route must turn into a zero cost and the exact coefficients
+    n = 40
+    X = rng.uniform(-1, 1, (n, 2))
+    A = rng.random(n)
+    cost, theta = check_min_norm_route(Dataset(X, A, np.full(n, 3.0)), 0, 3, 3, 0.0, min_norm)
+    assert cost <= 1e-12
+    np.testing.assert_allclose(theta, [3.0, 0.0, 0.0], atol=1e-12)
+    d = Dataset(X, A, 3.0 + X @ np.array([1.5, -2.0]))
+    for lo, hi in ((0, 3), (1, 2), (2, 3)):
+        assert cost_of(d, Interval(lo, hi, 3), 0.0) <= 1e-12
+        np.testing.assert_allclose(theta_of(d, Interval(lo, hi, 3), 0.0), [3.0, 1.5, -2.0], rtol=1e-10)
+
+
+def test_min_norm_route_empty_interval_exact_zero(rng, min_norm):
+    d = Dataset(rng.uniform(-1, 1, (8, 2)), np.full(8, 0.9), 1e5 + rng.standard_normal(8))
+    for lam in (1e-3, 0.5):
+        min_norm.clear()
+        assert cost_of(d, Interval(0, 2, 4), lam) == 0.0
+        np.testing.assert_array_equal(theta_of(d, Interval(0, 2, 4), lam), np.zeros(3))
+        assert min_norm == [1, 1]
+
+
+def test_min_norm_route_per_interval_in_a_failing_batch(rng, min_norm):
+    # a binary covariate constant on each half fails the Cholesky of those
+    # intervals; every interval of a column keeps the bits of a batch of its own
+    n, m = 80, 8
+    A = rng.random(n)
+    X = rng.uniform(-1, 1, (n, 2))
+    X[:, 1] = A >= 0.5
+    d = Dataset(X, A, X[:, 0] + rng.standard_normal(n))
+    cache = CostCache(d, m, lambdas=(0.0,))
+    f = cache.costfn(0.0)
+    for hi in range(1, m + 1):
+        los = np.arange(hi, dtype=np.int64)
+        assert f(los, hi).tolist() == [f(int(lo), hi) for lo in los]
+        thetas = cache.theta(los, np.full(hi, hi), 0.0)
+        for k, lo in enumerate(los):
+            single = cache.theta(los[k : k + 1], np.array([hi]), 0.0)[0]
+            assert thetas[k].tobytes() == single.tobytes()
+    assert min_norm  # the failing intervals took the min-norm path
+
+
+def test_min_norm_path_idle_on_full_rank_data(rng, min_norm):
+    # the Cholesky serves every interval of generic data with enough rows
+    d = make_ds(rng, 200, 3)
+    m = 10
+    cache = CostCache(d, m, lambdas=(0.0, 1e-3, 0.1), precompute=True)
+    los, his = np.triu_indices(m + 1, 1)
+    for lam in cache.lambdas:
+        cache.theta(los, his, lam)
+    assert min_norm == []
+
+
 # ---------------------------------------------------------- factorization
 
 
@@ -352,16 +500,17 @@ def test_cache_fills_only_requested_costs(rng, factorized):
     lazy = CostCache(d, m, lambdas=(0.0, 0.1))
     assert factorized == []
     lazy.costfn(0.1)(np.array([1, 4], dtype=np.int64), 6)
-    assert factorized == [2]  # one call for both pairs, serving both lambdas
+    assert factorized == [2]  # one call for both pairs, at that lambda only
     lazy.costfn(0.0)(3, 5)
     assert factorized == [2, 1]
     factorized.clear()
     eager = CostCache(d, m, lambdas=(0.0, 0.1), precompute=True)
-    assert factorized == list(range(1, m + 1))  # one call per column
+    # one call per column and lambda
+    assert factorized == [r for r in range(1, m + 1) for _ in range(2)]
     for lam in (0.0, 0.1):
         eager.costfn(lam)(np.arange(m, dtype=np.int64), m)
         eager.costfn(lam)(2, 7)
-    assert sum(factorized) == m * (m + 1) // 2  # reads computed nothing more
+    assert sum(factorized) == 2 * m * (m + 1) // 2  # reads computed nothing more
 
 
 def test_cache_theta_batched_matches_per_interval_bitwise(rng):
