@@ -38,10 +38,10 @@ from .policy import (
     MinDose,
     PropensityModel,
     UniformRandom,
+    _doses,
     estimate_value,
     fit_propensity,
     recommend_batch,
-    select_dose,
 )
 from .sim import (
     ScenarioSpec,
@@ -179,6 +179,10 @@ def _is_number(tok: str) -> bool:
 
 def _build_dataset(y, a_raw, X):
     """Dataset plus the raw treatment range when min-max scaling was needed."""
+    bad = ~np.isfinite(a_raw)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InvalidData("treatments", row, f"non-finite treatment at row {row}")
     a_min = a_max = None
     a = a_raw
     if a_raw.size and (a_raw.min() < 0.0 or a_raw.max() > 1.0):
@@ -205,11 +209,11 @@ def _artifact_dict(fit: JilFit, prop: PropensityModel, value, provenance: dict) 
                     "biases": [[float(v) for v in b] for b in mod.biases],
                 }
             )
-    payload = {"kind": prop.kind, "floor": float(prop.floor)}
-    if prop.kind == "multinomial":
-        payload["weights"] = [[float(v) for v in row] for row in prop.weights]
-    else:
-        payload["freqs"] = [float(v) for v in prop.freqs]
+    payload = {
+        "kind": "multinomial",
+        "floor": float(prop.floor),
+        "weights": [[float(v) for v in row] for row in prop.weights],
+    }
     return {
         "schema_version": SCHEMA_VERSION,
         "method": fit.method,
@@ -304,18 +308,12 @@ def _fit_from_artifact(art: dict) -> JilFit:
 
 
 def _prop_from_artifact(payload: dict, partition: Partition) -> PropensityModel:
-    if payload["kind"] == "multinomial":
-        return PropensityModel(
-            kind="multinomial",
-            partition=partition,
-            floor=float(payload["floor"]),
-            weights=np.asarray(payload["weights"], dtype=float),
-        )
+    if payload["kind"] != "multinomial":
+        raise SchemaMismatch(f"unknown propensity kind {payload['kind']!r}")
     return PropensityModel(
-        kind="empirical",
         partition=partition,
         floor=float(payload["floor"]),
-        freqs=np.asarray(payload["freqs"], dtype=float),
+        weights=np.asarray(payload["weights"], dtype=float),
     )
 
 
@@ -435,14 +433,13 @@ def cmd_evaluate(args) -> int:
     rule = I2dr(fit)
     value = estimate_value(d, rule, prop, args.alpha)
     if args.plot_data:
-        pref = _PREFS[args.pref](seed)
         idx = recommend_batch(rule, d.covariates)
-        ivs = fit.partition.intervals
+        edges = np.array(fit.partition.edges())
+        lo, hi = edges[idx], edges[idx + 1]
+        doses = _doses(lo, hi, fit.m, _PREFS[args.pref](seed))
         rows = ["index\tlo\thi\tdose"]
-        for i, j in enumerate(idx):
-            iv = ivs[j]
-            dose = select_dose(iv, pref)
-            rows.append(f"{i}\t{_fmt(iv.lo_frac)}\t{_fmt(iv.hi_frac)}\t{_fmt(dose)}")
+        for i, (a, b, dose) in enumerate(zip(lo / fit.m, hi / fit.m, doses)):
+            rows.append(f"{i}\t{_fmt(a)}\t{_fmt(b)}\t{_fmt(dose)}")
         _atomic_write_text(args.plot_data, "\n".join(rows) + "\n")
     print(_jtext(asdict(value)))
     return 0

@@ -11,11 +11,10 @@ rule is estimated by augmented inverse-propensity weighting,
 with a Wald interval V_hat +/- z_{alpha/2} * sigma_hat / sqrt(n), where
 sigma_hat is the per-observation standard deviation of the bracketed terms.
 
-The generalized propensity e(I|x) comes from either a softmax-linear model,
-fitted by damped Newton to its penalized maximum-likelihood solution, or the
-marginal interval frequencies; predicted probabilities are floored at
-`floor` by an exact water-filling adjustment (never plain clipping, which
-would break the simplex constraint).
+The generalized propensity e(I|x) is a softmax-linear model, fitted by
+damped Newton to its penalized maximum-likelihood solution; predicted
+probabilities are floored at 0.01 by an exact water-filling adjustment
+(never plain clipping, which would break the simplex constraint).
 """
 
 from __future__ import annotations
@@ -54,6 +53,9 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
 _ARMIJO = 0.25
 _MAX_HALVINGS = 50
+
+# Lower bound on every predicted interval probability; keeps AIPW weights <= 100.
+_FLOOR = 0.01
 
 
 @dataclass(frozen=True)
@@ -98,29 +100,19 @@ def recommend(rule: I2dr, x: np.ndarray) -> Interval:
 
 @dataclass(frozen=True)
 class PropensityModel:
-    """Generalized propensity over partition intervals.
+    """Generalized propensity over partition intervals: softmax-linear
+    weights of shape (|P|, p+1), with predicted probabilities floored at
+    `floor` and renormalized."""
 
-    kind "multinomial" carries softmax-linear weights of shape (|P|, p+1);
-    kind "empirical" carries marginal frequencies of shape (|P|,). Predicted
-    probabilities are floored at `floor` and renormalized.
-    """
-
-    kind: str
     partition: Partition
     floor: float
-    weights: np.ndarray = None
-    freqs: np.ndarray = None
+    weights: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("multinomial", "empirical"):
-            raise ValueError(f"unknown propensity kind {self.kind!r}")
         if not (0.0 < self.floor < 0.5):
             raise ValueError(f"floor must lie in (0, 0.5), got {self.floor}")
-        if self.kind == "multinomial":
-            if self.weights is None or self.weights.shape[0] != self.partition.size:
-                raise ValueError("multinomial weights must have one row per interval")
-        elif self.freqs is None or len(self.freqs) != self.partition.size:
-            raise ValueError("empirical freqs must have one entry per interval")
+        if self.weights.shape[0] != self.partition.size:
+            raise ValueError("propensity weights must have one row per interval")
 
 
 def floor_probabilities(probs: np.ndarray, floor: float) -> np.ndarray:
@@ -197,15 +189,12 @@ def _fit_softmax(Xb: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
     )
 
 
-def fit_propensity(
-    d: Dataset, partition: Partition, kind: str = "multinomial", floor: float = 0.01
-) -> PropensityModel:
+def fit_propensity(d: Dataset, partition: Partition) -> PropensityModel:
     """Estimate e(I | x) for every interval of the partition.
 
-    The multinomial fit is the unique minimizer of the softmax log-loss / n
-    plus 1e-4 ||W||^2, found by damped Newton from W = 0 (see _fit_softmax);
-    it raises NoConvergence rather than return a non-converged W. The
-    empirical fit ignores x and uses interval counts / n.
+    The fit is the unique minimizer of the softmax log-loss / n plus
+    1e-4 ||W||^2, found by damped Newton from W = 0 (see _fit_softmax); it
+    raises NoConvergence rather than return a non-converged W.
     """
     if partition is None or partition.size < 1:
         raise DegeneratePartition("propensity requires a non-empty partition")
@@ -213,25 +202,18 @@ def fit_propensity(
     if d.n < K:
         raise InsufficientData(f"need n >= |P| = {K} observations, got {d.n}")
     labels = partition.locate_cells(grid_cell(d.treatments, partition.m))
-    if kind == "empirical":
-        freqs = np.bincount(labels, minlength=K) / d.n
-        return PropensityModel(kind="empirical", partition=partition, floor=floor, freqs=freqs)
     W = _fit_softmax(make_xbar(d.covariates), labels, K)
-    return PropensityModel(kind="multinomial", partition=partition, floor=floor, weights=W)
+    return PropensityModel(partition=partition, floor=_FLOOR, weights=W)
 
 
 def propensity_probs(prop: PropensityModel, X: np.ndarray) -> np.ndarray:
     """Floored interval probabilities per row of X, shape (n, |P|)."""
     X = np.asarray(X, dtype=float)
-    if prop.kind == "empirical":
-        raw = np.tile(np.asarray(prop.freqs, dtype=float), (X.shape[0], 1))
-    else:
-        if X.shape[1] + 1 != prop.weights.shape[1]:
-            raise DimensionMismatch(
-                f"propensity expects {prop.weights.shape[1] - 1} covariates, got {X.shape[1]}"
-            )
-        raw = _softmax(make_xbar(X) @ prop.weights.T)
-    return floor_probabilities(raw, prop.floor)
+    if X.shape[1] + 1 != prop.weights.shape[1]:
+        raise DimensionMismatch(
+            f"propensity expects {prop.weights.shape[1] - 1} covariates, got {X.shape[1]}"
+        )
+    return floor_probabilities(_softmax(make_xbar(X) @ prop.weights.T), prop.floor)
 
 
 # ------------------------------------------------------------------- value
@@ -297,14 +279,22 @@ class UniformRandom:
         self._rng = np.random.default_rng(self.seed)
 
 
+def _doses(lo: np.ndarray, hi: np.ndarray, m: int, pref) -> np.ndarray:
+    """Concrete treatments inside the grid intervals [lo/m, hi/m), one per
+    entry of the integer index arrays lo and hi. UniformRandom draws its
+    doses from its stream in entry order."""
+    if isinstance(pref, MinDose):
+        return lo / m
+    if isinstance(pref, MaxDose):
+        return hi / m
+    if isinstance(pref, MidPoint):
+        return (lo + hi) / (2.0 * m)
+    if isinstance(pref, UniformRandom):
+        return lo / m + pref._rng.random(len(lo)) * ((hi - lo) / m)
+    raise TypeError(f"unknown preference {pref!r}")
+
+
 def select_dose(interval: Interval, pref) -> float:
     """Concrete treatment inside a recommended interval."""
-    if isinstance(pref, MinDose):
-        return interval.lo_frac
-    if isinstance(pref, MaxDose):
-        return interval.hi_frac
-    if isinstance(pref, MidPoint):
-        return (interval.lo + interval.hi) / (2.0 * interval.m)
-    if isinstance(pref, UniformRandom):
-        return interval.lo_frac + pref._rng.random() * interval.length
-    raise TypeError(f"unknown preference {pref!r}")
+    lo, hi = np.array([interval.lo]), np.array([interval.hi])
+    return float(_doses(lo, hi, interval.m, pref)[0])

@@ -23,7 +23,7 @@ from .core import Dataset, grid_cell, make_grid
 from .errors import BadSpec, MissingTruth
 from .fit import fit_djil, fit_ljil
 from .mlp import TrainConfig
-from .policy import I2dr, UniformRandom, estimate_value, fit_propensity, recommend_batch, select_dose
+from .policy import I2dr, _doses, estimate_value, fit_propensity, recommend_batch
 from .tuning import default_gamma
 
 __all__ = [
@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 _MIN_P = {1: 2, 2: 2, 3: 2, 4: 2, 5: 3}
+
+# Quadrature nodes of integrated_l2_loss.
+_N_QUAD = 10_000
 
 
 @dataclass(frozen=True)
@@ -90,24 +93,12 @@ def _q_s1(X, A):
     return np.where(A < 0.35, 1.0 + x1, np.where(A < 0.65, x1 - x2, 1.0 - x2))
 
 
-def _sup_s1(X):
-    x1, x2 = X[..., 0], X[..., 1]
-    return np.maximum(1.0 + x1, np.maximum(x1 - x2, 1.0 - x2))
-
-
 def _q_s2(X, A):
     x1, x2 = X[..., 0], X[..., 1]
     return np.where(
         A < 0.35,
         1.0 + x1**3,
         np.where(A < 0.65, x1 - np.log(1.5 + x2), 1.0 - np.sin(0.5 * np.pi * x2)),
-    )
-
-
-def _sup_s2(X):
-    x1, x2 = X[..., 0], X[..., 1]
-    return np.maximum(
-        1.0 + x1**3, np.maximum(x1 - np.log(1.5 + x2), 1.0 - np.sin(0.5 * np.pi * x2))
     )
 
 
@@ -125,11 +116,14 @@ def _q_s3(X, A):
     )
 
 
-def _sup_s3(X):
-    x1, x2 = X[..., 0], X[..., 1]
-    out = np.maximum(np.sqrt(x1 / 2.0 + 0.5), np.sin(2.0 * np.pi * x2))
-    out = np.maximum(out, 0.5 - (x1 + x2 - 0.75) ** 2)
-    return np.maximum(out, 0.5)
+def _sup_pieces(qfn, cuts, X):
+    """sup_a Q(X, a) for a Q constant in a between the cuts: the maximum of
+    Q over one dose per piece, the piece midpoints."""
+    edges = [0.0, *cuts, 1.0]
+    out = qfn(X, (edges[0] + edges[1]) / 2.0)
+    for lo, hi in zip(edges[1:], edges[2:]):
+        out = np.maximum(out, qfn(X, (lo + hi) / 2.0))
+    return out
 
 
 def _s4_slope(X):
@@ -172,10 +166,12 @@ def _theta_s1(p):
     return theta0
 
 
+# id -> (Q, closed-form sup_a Q, change points); the piecewise-constant
+# scenarios take their sup from _sup_pieces instead
 _SCENARIOS = {
-    1: (_q_s1, _sup_s1, [0.35, 0.65]),
-    2: (_q_s2, _sup_s2, [0.35, 0.65]),
-    3: (_q_s3, _sup_s3, [0.25, 0.5, 0.75]),
+    1: (_q_s1, None, [0.35, 0.65]),
+    2: (_q_s2, None, [0.35, 0.65]),
+    3: (_q_s3, None, [0.25, 0.5, 0.75]),
     4: (_q_s4, _sup_s4, None),
     5: (_q_s5, _sup_s5, None),
 }
@@ -210,11 +206,13 @@ def gen_scenario(spec: ScenarioSpec):
 
 
 def true_optimal_value(spec: ScenarioSpec, n_mc: int, seed: int) -> float:
-    """Monte-Carlo E[sup_a Q(X, a)] using the closed-form per-x maximizer."""
+    """Monte-Carlo E[sup_a Q(X, a)] using the exact per-x supremum."""
     if n_mc < 1000:
         raise ValueError(f"n_mc must be >= 1000, got {n_mc}")
     X = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_mc, spec.p))
-    return float(np.mean(_SCENARIOS[spec.id][1](X)))
+    qfn, supfn, cuts = _SCENARIOS[spec.id]
+    sup = supfn(X) if cuts is None else _sup_pieces(qfn, cuts, X)
+    return float(np.mean(sup))
 
 
 def policy_value_mc(rule: I2dr, pref, spec: ScenarioSpec, n_mc: int, seed: int) -> float:
@@ -224,13 +222,8 @@ def policy_value_mc(rule: I2dr, pref, spec: ScenarioSpec, n_mc: int, seed: int) 
     """
     X = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_mc, spec.p))
     idx = recommend_batch(rule, X)
-    ivs = rule.fit.partition.intervals
-    if isinstance(pref, UniformRandom):
-        lo = np.array([iv.lo_frac for iv in ivs])[idx]
-        ln = np.array([iv.length for iv in ivs])[idx]
-        doses = lo + pref._rng.random(n_mc) * ln
-    else:
-        doses = np.array([select_dose(iv, pref) for iv in ivs])[idx]
+    edges = np.array(rule.fit.partition.edges())
+    doses = _doses(edges[idx], edges[idx + 1], rule.fit.m, pref)
     return float(np.mean(_SCENARIOS[spec.id][0](X, doses)))
 
 
@@ -242,13 +235,12 @@ def theta_path(fit, a: np.ndarray) -> np.ndarray:
     return thetas[fit.partition.locate_cells(grid_cell(np.asarray(a, dtype=float), fit.m))]
 
 
-def integrated_l2_loss(fit, oracle: TruthOracle, n_quad: int = 10_000) -> float:
-    """Midpoint-rule integral of ||theta_hat(a) - theta_0(a)||^2 over [0, 1]."""
+def integrated_l2_loss(fit, oracle: TruthOracle) -> float:
+    """Midpoint-rule integral of ||theta_hat(a) - theta_0(a)||^2 over [0, 1]
+    on _N_QUAD nodes."""
     if oracle.true_theta is None:
         raise MissingTruth(f"scenario {oracle.scenario.id} has no linear coefficient truth")
-    if n_quad < 1:
-        raise ValueError(f"n_quad must be >= 1, got {n_quad}")
-    nodes = (np.arange(n_quad) + 0.5) / n_quad
+    nodes = (np.arange(_N_QUAD) + 0.5) / _N_QUAD
     diff = theta_path(fit, nodes) - oracle.true_theta(nodes)
     return float(np.mean(np.sum(diff * diff, axis=1)))
 
@@ -272,17 +264,18 @@ def _rep_seed(seed: int, rep: int) -> int:
 
 
 def _table1_rep(args):
-    method, scenario, n, p, c, lam, gamma, alpha, seed, rep = args
+    method, scenario, n, p, c, seed, rep = args
     spec = ScenarioSpec(scenario, n, p, _rep_seed(seed, rep))
     d, oracle = gen_scenario(spec)
     m = make_grid(n, c)
+    gamma = default_gamma(n)
     if method == "ljil":
-        fit = fit_ljil(d, m, lam, gamma)
+        fit = fit_ljil(d, m, 0.0, gamma)
     else:
         fit = fit_djil(d, m, gamma, TrainConfig(seed=spec.seed))
     rule = I2dr(fit)
     prop = fit_propensity(d, fit.partition)
-    rep_value = estimate_value(d, rule, prop, alpha)
+    rep_value = estimate_value(d, rule, prop, 0.05)
     has_theta = method == "ljil" and oracle.true_theta is not None
     l2 = integrated_l2_loss(fit, oracle) if has_theta else None
     return {
@@ -303,30 +296,26 @@ def replicate_table1(
     scenario: int = 1,
     p: int = 4,
     c: float = 5.0,
-    lam: float = 0.0,
-    gamma: float = None,
-    alpha: float = 0.05,
     v_opt: float = None,
     workers=None,
     method: str = "ljil",
 ) -> dict:
     """Full-pipeline replications: generate, fit, estimate value, aggregate.
 
-    Defaults mirror the headline simulation: m = n/5, lam = 0,
-    gamma = 4 log(n)/n. method "ljil" fits ridge segments at lam; "djil"
-    fits networks with the default TrainConfig seeded by the replication's
-    data seed, ignores lam and reports l2 = None. Coverage counts
+    Every replication fits the headline simulation's setting: m = n/c,
+    jump penalty gamma = default_gamma(n) = 4 log(n)/n, and a 95% Wald
+    interval (alpha = 0.05). method "ljil" fits ridge segments at
+    lambda = 0; "djil" fits networks with the default TrainConfig seeded by
+    the replication's data seed and reports l2 = None. Coverage counts
     replications whose CI contains v_opt (estimated by a 10^6-draw MC when
     not supplied).
     """
     if method not in ("ljil", "djil"):
         raise ValueError(f"method must be 'ljil' or 'djil', got {method!r}")
     w = resolve_workers(workers)
-    if gamma is None:
-        gamma = default_gamma(n)
     if v_opt is None:
         v_opt = true_optimal_value(ScenarioSpec(scenario, n, p, seed), 10**6, seed)
-    arglist = [(method, scenario, n, p, c, lam, gamma, alpha, seed, r) for r in range(reps)]
+    arglist = [(method, scenario, n, p, c, seed, r) for r in range(reps)]
     if w > 1:
         with ProcessPoolExecutor(max_workers=w) as pool:
             records = list(pool.map(_table1_rep, arglist))

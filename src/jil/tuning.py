@@ -102,7 +102,8 @@ def _pick_largest_on_ties(scores: np.ndarray, lambdas, gammas):
 def _cv(d: Dataset, make_table, method: str, grid: TuningGrid, fold_assignments=None):
     """Held-out SSE / n over the grid's (lambda, gamma) pairs, as a CvReport.
 
-    Folds come from fold_assignments, else from the grid's k_folds and seed.
+    Folds come from fold_assignments, which must hold at least 2 distinct
+    labels, else from the grid's k_folds and seed.
     Per fold, make_table(training rows) builds one interval table that serves
     the whole grid; each grid pair's fit predicts the held-out rows through
     its models' predict_batch, so an interval without training rows predicts
@@ -115,10 +116,13 @@ def _cv(d: Dataset, make_table, method: str, grid: TuningGrid, fold_assignments=
         assign = np.asarray(fold_assignments, dtype=np.int64)
         if assign.shape != (d.n,):
             raise BadFoldCount("fold_assignments length must equal n")
+    folds = np.unique(assign)
+    if folds.size < 2:
+        raise BadFoldCount(f"need at least 2 distinct fold labels, got {folds.size}")
     lambdas, gammas = grid.lambdas, grid.gammas
     H, J = len(lambdas), len(gammas)
     parts = [[[] for _ in range(J)] for _ in range(H)]
-    for fid in sorted(int(v) for v in np.unique(assign)):
+    for fid in folds:
         va = assign == fid
         table = make_table(d.subset(np.flatnonzero(~va)))
         Xva = d.covariates[va]

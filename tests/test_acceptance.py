@@ -282,13 +282,12 @@ def test_single_interval_value_equals_sample_mean():
         fit = JilFit(part, (model,), m, 0.0, 0.1, 0.0)
         if trial % 3 == 0:
             prop = PropensityModel(
-                kind="multinomial",
                 partition=part,
                 floor=0.01,
                 weights=rng.standard_normal((1, p + 1)),
             )
         else:
-            prop = fit_propensity(d, part, kind="empirical" if trial % 2 else "multinomial")
+            prop = fit_propensity(d, part)
         v = estimate_value(d, I2dr(fit), prop, 0.05).v_hat
         worst = max(worst, abs(v - float(np.mean(d.outcomes))))
     assert worst <= 1e-12

@@ -12,6 +12,7 @@ import pytest
 
 import jil.cli as cli
 from jil.cli import main
+from jil.policy import I2dr, UniformRandom, recommend, select_dose
 from jil.sim import ScenarioSpec, gen_scenario
 from jil.tuning import CvReport, default_gamma, default_grid
 
@@ -181,6 +182,19 @@ def test_fit_malformed_row_exit_2(tmp_path, capsys):
     assert "row 1" in err
 
 
+@pytest.mark.parametrize("dose", ["inf", "-inf", "nan"])
+def test_fit_non_finite_dose_names_row_exit_2(tmp_path, capsys, dose):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"y,a,x1\n1.0,0.5,0.1\n2.0,{dose},0.2\n1.5,0.2,0.3\n")
+    model = tmp_path / "m.json"
+    rc = main(["fit", "--data", str(bad), "--gamma", "0.1", "--lambda", "0",
+               "--out", str(model)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "row 1" in err
+    assert not model.exists()
+
+
 def test_fit_bad_header_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("outcome,dose,x1\n1.0,0.5,0.1\n")
@@ -331,7 +345,15 @@ def _spell_m(art):
     art["m"] = "eighty"
 
 
-@pytest.mark.parametrize("corrupt", [_drop_theta, _unpair_partition, _drop_p, _spell_m])
+def _empirical_propensity(art):
+    # an otherwise well-formed payload of a kind the reader does not know
+    k = len(art["partition"])
+    art["propensity"].update(kind="empirical", freqs=[1.0 / k] * k)
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_drop_theta, _unpair_partition, _drop_p, _spell_m, _empirical_propensity]
+)
 def test_evaluate_malformed_model_fields_exit_2(s1_csv, tmp_path, capsys, corrupt):
     model = tmp_path / "m.json"
     assert main(["fit", "--data", str(s1_csv), "--lambda", "0", "--gamma", "default",
@@ -382,6 +404,27 @@ def test_evaluate_uniform_pref_deterministic(s1_csv, tmp_path, capsys):
           "--pref", "uniform", "--plot-data", str(t2)])
     assert t1.read_bytes() == t2.read_bytes()
     capsys.readouterr()
+
+
+def test_evaluate_plot_data_uniform_matches_select_dose(s1_csv, tmp_path, capsys):
+    # every row's interval is the recommendation at that row's covariates, and
+    # the doses are one select_dose call per row, in row order, on a fresh
+    # UniformRandom seeded by the artifact's seed
+    model, tsv = tmp_path / "m.json", tmp_path / "u.tsv"
+    main(["fit", "--data", str(s1_csv), "--lambda", "0", "--gamma", "default",
+          "--seed", "5", "--out", str(model)])
+    assert main(["evaluate", "--model", str(model), "--data", str(s1_csv),
+                 "--pref", "uniform", "--plot-data", str(tsv)]) == 0
+    capsys.readouterr()
+    rule = I2dr(cli._decode_artifact(cli._load_artifact(str(model)))[0])
+    X = np.loadtxt(s1_csv, delimiter=",", skiprows=1)[:, 2:]
+    pref = UniformRandom(5)
+    want = ["index\tlo\thi\tdose"]
+    for i, x in enumerate(X):
+        iv = recommend(rule, x)
+        cols = (iv.lo_frac, iv.hi_frac, select_dose(iv, pref))
+        want.append("\t".join([str(i)] + [format(v, ".17g") for v in cols]))
+    assert tsv.read_text().splitlines() == want
 
 
 # --------------------------------------------------------------------- djil

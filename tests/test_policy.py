@@ -125,9 +125,7 @@ def test_propensity_single_interval_is_one(rng):
 
 def test_propensity_zero_weights_uniform():
     part = Partition.from_edges([0, 2, 4], 4)
-    prop = PropensityModel(
-        kind="multinomial", partition=part, floor=0.01, weights=np.zeros((2, 3))
-    )
+    prop = PropensityModel(partition=part, floor=0.01, weights=np.zeros((2, 3)))
     probs = propensity_probs(prop, np.array([[0.4, -0.2], [5.0, 5.0]]))
     np.testing.assert_allclose(probs, 0.5 * np.ones((2, 2)), rtol=0, atol=1e-15)
 
@@ -153,17 +151,6 @@ def test_propensity_simplex_after_training(rng):
     probs = propensity_probs(prop, X)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert probs.min() >= 0.01 - 1e-15
-
-
-def test_propensity_empirical_frequencies(rng):
-    n = 100
-    A = np.concatenate([rng.uniform(0, 0.5, 25), rng.uniform(0.5, 1.0, 75)])
-    d = Dataset(rng.uniform(-1, 1, (n, 2)), A, rng.standard_normal(n))
-    part = Partition.from_edges([0, 4, 8], 8)
-    prop = fit_propensity(d, part, kind="empirical")
-    assert prop.kind == "empirical"
-    probs = propensity_probs(prop, np.zeros((3, 2)))
-    np.testing.assert_allclose(probs, np.tile([0.25, 0.75], (3, 1)), rtol=0, atol=1e-12)
 
 
 def test_propensity_insufficient_rows(rng):
@@ -259,8 +246,7 @@ def test_propensity_matches_independent_solver(seed):
     prop = fit_propensity(d, part)
     f_newton, _ = softmax_objective(prop.weights, d.covariates, labels)
     assert f_newton == pytest.approx(res.fun, rel=1e-10)
-    ref = PropensityModel(kind="multinomial", partition=part, floor=prop.floor,
-                          weights=res.x.reshape(shape))
+    ref = PropensityModel(partition=part, floor=prop.floor, weights=res.x.reshape(shape))
     X = d.covariates
     np.testing.assert_allclose(propensity_probs(prop, X), propensity_probs(ref, X),
                                rtol=0, atol=1e-6)
@@ -291,7 +277,7 @@ def test_value_constant_outcome_zero_variance(rng):
     n = 30
     d = Dataset(rng.uniform(-1, 1, (n, 1)), rng.random(n), np.full(n, 2.5))
     rule = I2dr(linear_fit([[2.5, 0.0], [2.5, 0.0]], [0, 3, 6], 6))
-    prop = fit_propensity(d, rule.fit.partition, kind="empirical")
+    prop = fit_propensity(d, rule.fit.partition)
     rep = estimate_value(d, rule, prop, alpha=0.05)
     assert rep.v_hat == pytest.approx(2.5, abs=1e-12)
     assert rep.sigma_hat == pytest.approx(0.0, abs=1e-12)
@@ -309,7 +295,7 @@ def test_value_hand_oracle():
     th0 = np.array([1.0, 2.0])
     th1 = np.array([0.5, -1.0])
     rule = I2dr(linear_fit([th0, th1], [0, 2, 4], m))
-    prop = fit_propensity(d, part, kind="empirical")
+    prop = fit_propensity(d, part)
 
     # independent per-row recomputation
     probs = propensity_probs(prop, X)
@@ -375,7 +361,7 @@ def test_value_ci_width_scales_with_sqrt_n():
             A = gen.random(n)
             Y = gen.standard_normal(n)
             d = Dataset(X, A, Y)
-            prop = fit_propensity(d, rule.fit.partition, kind="empirical")
+            prop = fit_propensity(d, rule.fit.partition)
             rep = estimate_value(d, rule, prop, alpha=0.05)
             widths[n].append(rep.ci_hi - rep.ci_lo)
     ratio = np.mean(widths[250]) / np.mean(widths[500])
@@ -411,6 +397,21 @@ def test_select_dose_uniform_deterministic():
     s2 = [select_dose(iv, p2) for _ in range(5)]
     assert s1 == s2
     assert len(set(s1)) > 1
+
+
+@pytest.mark.parametrize(
+    "make_pref", [MinDose, MaxDose, MidPoint, lambda: UniformRandom(seed=4)]
+)
+def test_select_dose_matches_batch_doses(rng, make_pref):
+    # the batch path behind policy_value_mc and --plot-data gives, row by row,
+    # the same bits as one select_dose call per row on a fresh preference
+    m = 37
+    lo = rng.integers(0, m, 500)
+    hi = np.array([rng.integers(a + 1, m + 1) for a in lo])
+    batch = jil.policy._doses(lo, hi, m, make_pref())
+    pref = make_pref()
+    rows = [select_dose(Interval(int(a), int(b), m), pref) for a, b in zip(lo, hi)]
+    assert batch.tolist() == rows
 
 
 def test_select_dose_always_inside_closure(rng):

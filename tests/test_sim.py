@@ -139,6 +139,17 @@ def test_true_optimal_values_match_published():
         assert got == pytest.approx(v, abs=0.03), f"scenario {sid}"
 
 
+@pytest.mark.parametrize("sid", [1, 2, 3])
+def test_true_optimal_value_piecewise_is_dense_grid_max(sid):
+    # Q is constant in a between its change points, so the supremum over a
+    # is the maximum of the true Q over a dense dose grid
+    spec = ScenarioSpec(sid, 10, 2, 0)
+    _, oracle = gen_scenario(spec)
+    X = np.random.default_rng(6).uniform(-1.0, 1.0, (2000, 2))
+    dense = np.max([oracle.q(X, a) for a in np.linspace(0.0, 1.0, 801)], axis=0)
+    assert true_optimal_value(spec, 2000, seed=6) == float(np.mean(dense))
+
+
 def test_true_optimal_value_deterministic():
     spec = ScenarioSpec(3, 10, 2, 0)
     assert true_optimal_value(spec, 10_000, seed=4) == true_optimal_value(spec, 10_000, seed=4)
@@ -209,7 +220,7 @@ def s1_true_fit(p=4, m=20):
 def test_l2_loss_zero_for_truth():
     fit, _ = s1_true_fit()
     _, oracle = gen_scenario(ScenarioSpec(1, 10, 4, 0))
-    assert integrated_l2_loss(fit, oracle, 10_000) == 0.0
+    assert integrated_l2_loss(fit, oracle) == 0.0
 
 
 def test_l2_loss_constant_offset():
@@ -222,14 +233,14 @@ def test_l2_loss_constant_offset():
     )
     _, oracle = gen_scenario(ScenarioSpec(1, 10, 4, 0))
     want = float(np.dot(delta, delta))
-    assert integrated_l2_loss(shifted, oracle, 10_000) == pytest.approx(want, rel=1e-12)
+    assert integrated_l2_loss(shifted, oracle) == pytest.approx(want, rel=1e-12)
 
 
 def test_l2_loss_missing_truth():
     fit, _ = s1_true_fit(p=2)
     _, oracle = gen_scenario(ScenarioSpec(4, 10, 2, 0))
     with pytest.raises(MissingTruth):
-        integrated_l2_loss(fit, oracle, 1000)
+        integrated_l2_loss(fit, oracle)
 
 
 def test_l2_loss_rejects_network_fit():
@@ -237,7 +248,7 @@ def test_l2_loss_rejects_network_fit():
     bad = JilFit(fit.partition, fit.models, fit.m, 0.0, 0.1, 0.0, method="djil")
     _, oracle = gen_scenario(ScenarioSpec(1, 10, 4, 0))
     with pytest.raises(ValueError):
-        integrated_l2_loss(bad, oracle, 1000)
+        integrated_l2_loss(bad, oracle)
 
 
 def test_theta_path_right_continuous():

@@ -58,6 +58,15 @@ def test_kfold_bad_counts():
         kfold_split(10, 11, seed=0)
 
 
+@pytest.mark.parametrize("labels", [np.zeros(40, int), np.full(40, 3)])
+def test_cv_single_fold_label_rejected(rng, labels):
+    # one label leaves every fold's training set empty
+    d = piecewise_data(rng, 40)
+    grid = TuningGrid(lambdas=(0.0, 1e-2), gammas=(0.1, 0.2), k_folds=2, seed=0)
+    with pytest.raises(BadFoldCount, match="2 distinct"):
+        cv_select_ljil(d, 8, grid, fold_assignments=labels)
+
+
 def test_tuning_grid_validation():
     with pytest.raises(ValueError):
         TuningGrid(lambdas=(), gammas=(0.1,), k_folds=2, seed=0)
