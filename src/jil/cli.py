@@ -310,9 +310,12 @@ def _fit_from_artifact(art: dict) -> JilFit:
 def _prop_from_artifact(payload: dict, partition: Partition) -> PropensityModel:
     if payload["kind"] != "multinomial":
         raise SchemaMismatch(f"unknown propensity kind {payload['kind']!r}")
+    if float(payload["floor"]) != PropensityModel.floor:
+        raise SchemaMismatch(
+            f"propensity floor {payload['floor']!r} is not {PropensityModel.floor!r}"
+        )
     return PropensityModel(
         partition=partition,
-        floor=float(payload["floor"]),
         weights=np.asarray(payload["weights"], dtype=float),
     )
 

@@ -35,12 +35,13 @@ Routing. The Cholesky serves an interval when it has more than d rows (at
 lam = 0; at least one row at lam > 0; M[0, 0] is its exact row count), its
 factorization succeeds and every leading pivot^2 is at least _CLAMP_REL
 times the largest leading diagonal entry of A. Every other interval takes
-the min-norm path: one symmetric eigendecomposition of G solves the
-uncentered system theta = (G + n*lam*|I|*Id)^+ (b' + c G e1), dropping
-eigenvalues below _CLAMP_REL of the largest at lam = 0 (the minimum-norm
-solution, which is not shift-equivariant, hence the uncentered system), and
-the cost is formed from theta and the centered moments. An interval without
-rows gets theta = 0 and costs exactly 0 at every lam. Routing is decided per
+the one fallback, CostCache._min_norm, which serves costs and coefficients
+alike: one batched symmetric eigendecomposition of G solves the uncentered
+system theta = (G + n*lam*|I|*Id)^+ (b' + c G e1), dropping eigenvalues
+below _CLAMP_REL of the largest at lam = 0 (the minimum-norm solution,
+which is not shift-equivariant, hence the uncentered system), and the cost
+is formed from theta and the centered moments. An interval without rows
+gets theta = 0 and costs exactly 0 at every lam. Routing is decided per
 interval, so an interval gets the same bits in any batch.
 
 CostCache computes costs over a fixed lam grid. By default nothing is
@@ -69,19 +70,6 @@ __all__ = ["CostCache"]
 # an eigenvalue below this fraction of the largest, or a Cholesky pivot^2
 # below this fraction of the largest diagonal entry, is treated as a null
 _CLAMP_REL = 1e-10
-
-
-def _factorize(Gs: np.ndarray, bs: np.ndarray):
-    """Eigendecompose a stack of Gram matrices; returns (U, tau, phi) stacks.
-
-    The min-norm path's factorization; each interval's results are
-    bit-identical in any batch, K = 1 included.
-    """
-    tau, U = np.linalg.eigh(Gs)
-    thr = _CLAMP_REL * np.maximum(tau[:, -1:], 0.0)
-    tau = np.where(tau < thr, 0.0, tau)
-    phi = np.einsum("kij,ki->kj", U, bs)
-    return U, tau, phi
 
 
 def _pivots(As: np.ndarray) -> np.ndarray:
@@ -136,13 +124,6 @@ def _check_call(lo, hi, m: int):
         first = last = lo
     if not (0 <= first and last < hi <= m):
         raise ValueError(f"invalid interval indices ({lo}, {hi}) on grid {m}")
-
-
-def _spectral_thetas(U, tau, phi, ridge) -> np.ndarray:
-    """Coefficients (K, d) for stacked factors and ridge weights n*lam*|I|."""
-    denom = tau + ridge[:, None]
-    dinv = np.where(denom > 0.0, 1.0 / np.where(denom > 0.0, denom, 1.0), 0.0)
-    return np.einsum("kij,kj->ki", U, dinv * phi)
 
 
 class CostCache:
@@ -209,30 +190,34 @@ class CostCache:
         fast = M[:, 0, 0] > (0 if lam > 0.0 else M.shape[1] - 1)
         return M, ridge, A, *_cholesky(A, fast)
 
-    def _min_norm(self, M: np.ndarray, ridge: np.ndarray) -> np.ndarray:
-        """Min-norm coefficients (K, d) of the uncentered system from one
-        batched eigendecomposition; all zeros for an interval without rows."""
+    def _min_norm(self, M: np.ndarray, ridge: np.ndarray):
+        """(theta (K, d), n * cost (K,)) of the min-norm path for moments M
+        and ridge weights n*lam*|I|, from one batched eigendecomposition;
+        theta is all zeros and the cost 0 for an interval without rows. Each
+        interval gets the same bits in any batch, K = 1 included."""
         d = M.shape[1] - 1
-        G = M[:, :d, :d]
-        U, tau, phi = _factorize(G, M[:, :d, d] + self._shift * G[:, :, 0])
-        return _spectral_thetas(U, tau, phi, ridge)
+        G, b = M[:, :d, :d], M[:, :d, d]
+        tau, U = np.linalg.eigh(G)
+        tau = np.where(tau < _CLAMP_REL * np.maximum(tau[:, -1:], 0.0), 0.0, tau)
+        phi = np.einsum("kij,ki->kj", U, b + self._shift * G[:, :, 0])
+        denom = tau + ridge[:, None]
+        dinv = np.where(denom > 0.0, 1.0 / np.where(denom > 0.0, denom, 1.0), 0.0)
+        theta = np.einsum("kij,kj->ki", U, dinv * phi)
+        t = theta.copy()
+        t[:, 0] -= self._shift  # theta', against the centered moments
+        sse = (
+            M[:, d, d]
+            - 2.0 * np.einsum("ki,ki->k", t, b)
+            + np.einsum("ki,ki->k", t, np.einsum("kij,kj->ki", G, t))
+        )
+        return theta, np.maximum(sse, 0.0) + ridge * np.einsum("ki,ki->k", theta, theta)
 
     def _costs(self, los: np.ndarray, his, lam: float) -> np.ndarray:
         """Costs (K,) of the intervals [lo/m, hi/m) at one lambda."""
         M, ridge, _, ok, ncost = self._route(los, his, lam)
         rest = ~ok
         if rest.any():
-            M, ridge = M[rest], ridge[rest]
-            theta = self._min_norm(M, ridge)
-            d = theta.shape[1]
-            t = theta.copy()
-            t[:, 0] -= self._shift  # theta', against the centered moments
-            sse = (
-                M[:, d, d]
-                - 2.0 * np.einsum("ki,ki->k", t, M[:, :d, d])
-                + np.einsum("ki,ki->k", t, np.einsum("kij,kj->ki", M[:, :d, :d], t))
-            )
-            ncost[rest] = np.maximum(sse, 0.0) + ridge * np.einsum("ki,ki->k", theta, theta)
+            ncost[rest] = self._min_norm(M[rest], ridge[rest])[1]
         return ncost / self.dataset.n
 
     # ------------------------------------------------------------- access
@@ -251,7 +236,7 @@ class CostCache:
         theta[ok, 0] += self._shift
         rest = ~ok
         if rest.any():
-            theta[rest] = self._min_norm(M[rest], ridge[rest])
+            theta[rest] = self._min_norm(M[rest], ridge[rest])[0]
         return theta
 
     def models(self, los: np.ndarray, his: np.ndarray, lam: float) -> tuple:

@@ -1,10 +1,10 @@
 """Small feedforward ReLU regressors used as per-interval outcome models.
 
 A network maps covariates x in R^p to a scalar prediction through ReLU
-hidden layers and an identity output. Training minimizes the minibatch
-objective mean((pred - y)^2) + l2 * sum ||W||^2 (weights only, biases
-unpenalized) by plain SGD with a fixed learning rate; the shuffle order and
-initial weights come from one seeded generator so a fit is reproducible.
+hidden layers and an identity output. Training minimizes the unpenalized
+minibatch objective mean((pred - y)^2) by plain SGD with a fixed learning
+rate; the shuffle order and initial weights come from one seeded generator
+so a fit is reproducible.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class MlpModel:
             raise DimensionMismatch(
                 f"network expects {self.n_inputs} covariates, got shape {X.shape}"
             )
-        return _forward(self, X)[0][-1].ravel()
+        return _forward(self.weights, self.biases, X)[0][-1].ravel()
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,12 @@ class TrainConfig:
     learning_rate: float = 1e-2
     batch_size: int = 32
     seed: int = 0
-    l2: float = 0.0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if not (self.learning_rate > 0):
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.l2 < 0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
 
 
 def init_model(p: int, hidden: tuple, rng: np.random.Generator) -> MlpModel:
@@ -86,8 +83,9 @@ def init_model(p: int, hidden: tuple, rng: np.random.Generator) -> MlpModel:
     return MlpModel(sizes, tuple(weights), tuple(biases))
 
 
-def _forward(model: MlpModel, X: np.ndarray):
-    """Activations and pre-activations per layer; X is (n, p).
+def _forward(weights, biases, X: np.ndarray):
+    """Activations and pre-activations per layer of the network with these
+    weight and bias sequences; X is (n, p).
 
     Returns (acts, pres) where acts[0] = X, acts[k+1] = activation after
     layer k, pres[k] = pre-activation of layer k. The last layer is linear.
@@ -95,8 +93,8 @@ def _forward(model: MlpModel, X: np.ndarray):
     acts = [X]
     pres = []
     h = X
-    last = len(model.weights) - 1
-    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+    last = len(weights) - 1
+    for k, (w, b) in enumerate(zip(weights, biases)):
         z = h @ w.T + b
         pres.append(z)
         h = z if k == last else np.maximum(z, 0.0)
@@ -104,19 +102,19 @@ def _forward(model: MlpModel, X: np.ndarray):
     return acts, pres
 
 
-def _batch_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray):
+def _batch_gradients(weights, biases, X: np.ndarray, y: np.ndarray):
     """Mean gradient of (pred - y)^2 over the batch, per weight and bias."""
     nb = X.shape[0]
-    acts, pres = _forward(model, X)
+    acts, pres = _forward(weights, biases, X)
     # d mean loss / d pred
     delta = 2.0 * (acts[-1] - y[:, None]) / nb
-    dws = [None] * len(model.weights)
-    dbs = [None] * len(model.biases)
-    for k in range(len(model.weights) - 1, -1, -1):
+    dws = [None] * len(weights)
+    dbs = [None] * len(biases)
+    for k in range(len(weights) - 1, -1, -1):
         dws[k] = delta.T @ acts[k]
         dbs[k] = delta.sum(axis=0)
         if k > 0:
-            delta = (delta @ model.weights[k]) * (pres[k - 1] > 0.0)
+            delta = (delta @ weights[k]) * (pres[k - 1] > 0.0)
     return dws, dbs
 
 
@@ -125,7 +123,7 @@ def mlp_train(d: Dataset, interval: Interval, cfg: TrainConfig) -> MlpModel:
 
     Raises EmptySegment when no observation falls in the interval. Rows are
     shuffled once per epoch; each minibatch applies one SGD step
-    W -= lr * (grad + 2 * l2 * W), biases without the penalty term.
+    W <- W - lr * grad to every weight matrix and bias vector.
     """
     cells = grid_cell(d.treatments, interval.m)
     rows = np.flatnonzero((cells >= interval.lo) & (cells < interval.hi))
@@ -135,18 +133,16 @@ def mlp_train(d: Dataset, interval: Interval, cfg: TrainConfig) -> MlpModel:
     y = d.outcomes[rows]
     rng = np.random.default_rng(cfg.seed)
     model = init_model(d.p, cfg.hidden, rng)
-    weights = [w.copy() for w in model.weights]
-    biases = [b.copy() for b in model.biases]
+    weights, biases = list(model.weights), list(model.biases)
     lr = cfg.learning_rate
     nr = rows.size
     for _ in range(cfg.epochs):
         order = rng.permutation(nr)
         for start in range(0, nr, cfg.batch_size):
             take = order[start : start + cfg.batch_size]
-            cur = MlpModel(model.layer_sizes, tuple(weights), tuple(biases))
-            dws, dbs = _batch_gradients(cur, X[take], y[take])
+            dws, dbs = _batch_gradients(weights, biases, X[take], y[take])
             for k in range(len(weights)):
-                weights[k] = weights[k] - lr * (dws[k] + 2.0 * cfg.l2 * weights[k])
+                weights[k] = weights[k] - lr * dws[k]
                 biases[k] = biases[k] - lr * dbs[k]
     return MlpModel(model.layer_sizes, tuple(weights), tuple(biases))
 

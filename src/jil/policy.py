@@ -20,6 +20,7 @@ probabilities are floored at 0.01 by an exact water-filling adjustment
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.stats import norm
@@ -101,30 +102,30 @@ def recommend(rule: I2dr, x: np.ndarray) -> Interval:
 @dataclass(frozen=True)
 class PropensityModel:
     """Generalized propensity over partition intervals: softmax-linear
-    weights of shape (|P|, p+1), with predicted probabilities floored at
-    `floor` and renormalized."""
+    weights of shape (|P|, p+1). Predicted probabilities are floored at the
+    class constant `floor` (0.01, the same for every model) and kept on the
+    simplex by floor_probabilities."""
 
+    floor: ClassVar[float] = _FLOOR
     partition: Partition
-    floor: float
     weights: np.ndarray
 
     def __post_init__(self):
-        if not (0.0 < self.floor < 0.5):
-            raise ValueError(f"floor must lie in (0, 0.5), got {self.floor}")
         if self.weights.shape[0] != self.partition.size:
             raise ValueError("propensity weights must have one row per interval")
 
 
-def floor_probabilities(probs: np.ndarray, floor: float) -> np.ndarray:
-    """Raise every probability to >= floor while keeping rows on the simplex.
+def floor_probabilities(probs: np.ndarray) -> np.ndarray:
+    """Raise every probability to >= _FLOOR while keeping rows on the simplex.
 
-    Each row is replaced by floor + (1 - K*floor) * s / sum(s) with
-    s = max(p - floor, 0): mass above the floor is rescaled to fill the
-    remaining budget, which is exact, unlike clip-and-renormalize.
+    Each row is replaced by f + (1 - K*f) * s / sum(s) with
+    f = min(_FLOOR, 1/K) and s = max(p - f, 0): mass above the floor is
+    rescaled to fill the remaining budget, which is exact, unlike
+    clip-and-renormalize.
     """
     probs = np.asarray(probs, dtype=float)
     k = probs.shape[1]
-    f = min(float(floor), 1.0 / k)
+    f = min(_FLOOR, 1.0 / k)
     s = np.maximum(probs - f, 0.0)
     tot = s.sum(axis=1, keepdims=True)
     share = np.where(tot > 0.0, s / np.where(tot > 0.0, tot, 1.0), 1.0 / k)
@@ -203,7 +204,7 @@ def fit_propensity(d: Dataset, partition: Partition) -> PropensityModel:
         raise InsufficientData(f"need n >= |P| = {K} observations, got {d.n}")
     labels = partition.locate_cells(grid_cell(d.treatments, partition.m))
     W = _fit_softmax(make_xbar(d.covariates), labels, K)
-    return PropensityModel(partition=partition, floor=_FLOOR, weights=W)
+    return PropensityModel(partition=partition, weights=W)
 
 
 def propensity_probs(prop: PropensityModel, X: np.ndarray) -> np.ndarray:
@@ -213,7 +214,7 @@ def propensity_probs(prop: PropensityModel, X: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"propensity expects {prop.weights.shape[1] - 1} covariates, got {X.shape[1]}"
         )
-    return floor_probabilities(_softmax(make_xbar(X) @ prop.weights.T), prop.floor)
+    return floor_probabilities(_softmax(make_xbar(X) @ prop.weights.T))
 
 
 # ------------------------------------------------------------------- value

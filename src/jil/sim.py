@@ -220,6 +220,8 @@ def policy_value_mc(rule: I2dr, pref, spec: ScenarioSpec, n_mc: int, seed: int) 
 
     Uses the scenario's exact Q with no outcome noise.
     """
+    if n_mc < 1:
+        raise ValueError(f"n_mc must be >= 1, got {n_mc}")
     X = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_mc, spec.p))
     idx = recommend_batch(rule, X)
     edges = np.array(rule.fit.partition.edges())
@@ -312,6 +314,8 @@ def replicate_table1(
     """
     if method not in ("ljil", "djil"):
         raise ValueError(f"method must be 'ljil' or 'djil', got {method!r}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     w = resolve_workers(workers)
     if v_opt is None:
         v_opt = true_optimal_value(ScenarioSpec(scenario, n, p, seed), 10**6, seed)

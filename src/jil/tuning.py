@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import Dataset, check_grid, grid_cell, validate_dataset
 from .cost import CostCache
-from .errors import BadFoldCount
+from .errors import BadFoldCount, InsufficientData
 from .fit import NetworkCosts, _fit
 from .mlp import TrainConfig
 from .segment import pelt
@@ -179,9 +179,9 @@ def cv_select_djil(d: Dataset, m: int, grid: TuningGrid, cfg: TrainConfig) -> Cv
 
 
 def default_gamma(n: int) -> float:
-    """Jump-penalty default 4 log(n) / n."""
+    """Jump-penalty default 4 log(n) / n; raises InsufficientData for n < 2."""
     if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+        raise InsufficientData(f"n must be >= 2, got {n}")
     return 4.0 * math.log(n) / n
 
 

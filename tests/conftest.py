@@ -121,7 +121,7 @@ def gradient_check(model: MlpModel, x, y: float, eps: float = 1e-5) -> float:
         raise DimensionMismatch(
             f"network expects {model.n_inputs} covariates, got shape {x.shape}"
         )
-    dws, dbs = _batch_gradients(model, x[None, :], np.array([y]))
+    dws, dbs = _batch_gradients(model.weights, model.biases, x[None, :], np.array([y]))
 
     def loss(weights, biases):
         probe = MlpModel(model.layer_sizes, tuple(weights), tuple(biases))

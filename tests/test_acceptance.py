@@ -281,11 +281,7 @@ def test_single_interval_value_equals_sample_mean():
         model = Linear(rng.standard_normal(p + 1) * 3.0)
         fit = JilFit(part, (model,), m, 0.0, 0.1, 0.0)
         if trial % 3 == 0:
-            prop = PropensityModel(
-                partition=part,
-                floor=0.01,
-                weights=rng.standard_normal((1, p + 1)),
-            )
+            prop = PropensityModel(partition=part, weights=rng.standard_normal((1, p + 1)))
         else:
             prop = fit_propensity(d, part)
         v = estimate_value(d, I2dr(fit), prop, 0.05).v_hat

@@ -195,6 +195,18 @@ def test_fit_non_finite_dose_names_row_exit_2(tmp_path, capsys, dose):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--gamma", "default"], ["--method", "djil"]])
+def test_fit_one_row_exit_2(tmp_path, capsys, flags):
+    # the default jump penalty 4 log(n) / n needs n >= 2
+    one = tmp_path / "one.csv"
+    one.write_text("y,a,x1\n1.0,0.5,0.1\n")
+    model = tmp_path / "m.json"
+    assert main(["fit", "--data", str(one), "--out", str(model), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+    assert not model.exists()
+
+
 def test_fit_bad_header_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("outcome,dose,x1\n1.0,0.5,0.1\n")
@@ -351,8 +363,14 @@ def _empirical_propensity(art):
     art["propensity"].update(kind="empirical", freqs=[1.0 / k] * k)
 
 
+def _raise_floor(art):
+    # the propensity floor is a constant of the program, not of the artifact
+    art["propensity"]["floor"] = 0.2
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_drop_theta, _unpair_partition, _drop_p, _spell_m, _empirical_propensity]
+    "corrupt",
+    [_drop_theta, _unpair_partition, _drop_p, _spell_m, _empirical_propensity, _raise_floor],
 )
 def test_evaluate_malformed_model_fields_exit_2(s1_csv, tmp_path, capsys, corrupt):
     model = tmp_path / "m.json"
@@ -510,6 +528,12 @@ def test_bench_rejects_bad_jil_threads_exit_1(monkeypatch, capsys, threads):
     monkeypatch.setattr(cli, "replicate_table1", lambda *a, **kw: pytest.fail("replicated"))
     assert main(["bench", "--n", "40", "--reps", "2"]) == 1
     assert "JIL_THREADS" in capsys.readouterr().err
+
+
+def test_bench_one_row_exit_2(capsys):
+    assert main(["bench", "--n", "1", "--reps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
 
 
 @pytest.mark.parametrize("method", ["ljil", "djil"])

@@ -4,7 +4,7 @@ Coefficients and costs are read through CostCache (theta, costfn),
 the one ridge cost path of the package, and checked against the oracles in
 conftest, on both of its routes: the Cholesky of the centered augmented
 moments and the min-norm eigendecomposition, checked through
-cost._factorize.
+CostCache._min_norm.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jil.cost
-from conftest import cost_oracle, ridge_oracle, rows_in_interval
+from conftest import cost_oracle, ridge_oracle
 from jil.core import Dataset, Interval
-from jil.cost import CostCache, _factorize
+from jil.cost import CostCache
 
 
 def make_ds(rng, n, p, y_scale=1.0):
@@ -214,15 +214,15 @@ def test_eigendecomposition_consistency_sample(rng):
 
 @pytest.fixture
 def min_norm(monkeypatch):
-    """Sizes of every batch the min-norm path (cost._factorize) gets."""
+    """Sizes of every batch the min-norm path (CostCache._min_norm) gets."""
     sizes = []
-    real = jil.cost._factorize
+    real = jil.cost.CostCache._min_norm
 
-    def recording(Gs, bs):
-        sizes.append(Gs.shape[0])
-        return real(Gs, bs)
+    def recording(self, M, ridge):
+        sizes.append(M.shape[0])
+        return real(self, M, ridge)
 
-    monkeypatch.setattr(jil.cost, "_factorize", recording)
+    monkeypatch.setattr(jil.cost.CostCache, "_min_norm", recording)
     return sizes
 
 
@@ -352,37 +352,6 @@ def test_min_norm_path_idle_on_full_rank_data(rng, min_norm):
     for lam in cache.lambdas:
         cache.theta(los, his, lam)
     assert min_norm == []
-
-
-# ---------------------------------------------------------- factorization
-
-
-def gram_of(d, lo, hi, m):
-    """Gram matrix and cross moment of an interval, built from its rows."""
-    mask = rows_in_interval(d.treatments, lo, hi, m)
-    Xb = np.hstack([np.ones((mask.sum(), 1)), d.covariates[mask]])
-    return Xb.T @ Xb, Xb.T @ d.outcomes[mask]
-
-
-def test_gram_factor_invariants(rng):
-    d = make_ds(rng, 50, 3)
-    pairs = ((2, 8), (0, 10), (5, 6))
-    Gs, bs = map(np.array, zip(*(gram_of(d, lo, hi, 10) for lo, hi in pairs)))
-    U, tau, phi = _factorize(Gs, bs)
-    assert U.shape == (3, 4, 4) and tau.shape == phi.shape == (3, 4)
-    assert np.all(tau >= 0.0)
-    for k in range(3):
-        recon = U[k] @ np.diag(tau[k]) @ U[k].T
-        assert np.linalg.norm(recon - Gs[k]) <= 1e-8 * max(1.0, np.linalg.norm(Gs[k]))
-        np.testing.assert_allclose(phi[k], U[k].T @ bs[k], rtol=1e-12, atol=1e-12)
-
-
-def test_gram_factor_empty(rng):
-    d = Dataset(rng.uniform(-1, 1, (6, 2)), np.full(6, 0.99), rng.standard_normal(6))
-    G, b = gram_of(d, 0, 5, 10)
-    _, tau, phi = _factorize(G[None], b[None])
-    np.testing.assert_array_equal(tau, np.zeros((1, 3)))
-    np.testing.assert_array_equal(phi, np.zeros((1, 3)))
 
 
 # ------------------------------------------------------------- CostCache
@@ -530,16 +499,25 @@ def test_cache_theta_batched_matches_per_interval_bitwise(rng):
                 assert batched[k].tobytes() == single.tobytes()
 
 
-def test_cache_factor_batched_matches_per_interval_bitwise(rng):
-    d = make_ds(rng, 50, 3)
-    pairs = ((0, 10), (2, 8), (5, 6), (2, 3))
-    Gs, bs = map(np.array, zip(*(gram_of(d, lo, hi, 10) for lo, hi in pairs)))
-    stacked = _factorize(Gs, bs)
-    assert stacked[0].shape == (4, 4, 4)
-    for k in range(len(pairs)):
-        single = _factorize(Gs[k : k + 1], bs[k : k + 1])
-        for a, b in zip(stacked, single):
-            assert a[k].tobytes() == b[0].tobytes()
+def test_min_norm_batched_matches_per_interval_bitwise(rng):
+    # the min-norm path gives each interval the same theta and n * cost bits
+    # in any batch, at zero and positive ridge; cell 0 holds no rows
+    n, m = 50, 10
+    A = rng.uniform(0.1, 1.0, n)
+    X = rng.uniform(-1, 1, (n, 3))
+    d = Dataset(X, A, 4.0 + X.sum(axis=1) + rng.standard_normal(n))
+    cache = CostCache(d, m)
+    los, his = np.array([0, 2, 5, 2, 0]), np.array([10, 8, 6, 3, 1])
+    M = cache._M[his] - cache._M[los]
+    for ridge in (np.zeros(los.size), n * 1e-3 * (his - los) / m):
+        thetas, ncosts = cache._min_norm(M, ridge)
+        assert thetas.shape == (los.size, 4) and ncosts.shape == (los.size,)
+        np.testing.assert_array_equal(thetas[-1], np.zeros(4))
+        assert ncosts[-1] == 0.0
+        for k in range(los.size):
+            theta, ncost = cache._min_norm(M[k : k + 1], ridge[k : k + 1])
+            assert thetas[k].tobytes() == theta[0].tobytes()
+            assert ncosts[k].tobytes() == ncost[0].tobytes()
 
 
 def test_cache_theta_rejects_bad_index_arrays(rng):

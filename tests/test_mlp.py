@@ -78,7 +78,7 @@ def test_train_no_hidden_matches_least_squares(rng):
     X = rng.uniform(-1, 1, (n, 2))
     Y = 1.0 + 2.0 * X[:, 0] - X[:, 1] + 0.05 * rng.standard_normal(n)
     d = Dataset(X, rng.random(n), Y)
-    cfg = TrainConfig(hidden=(), epochs=2000, learning_rate=0.3, batch_size=n, seed=3, l2=0.0)
+    cfg = TrainConfig(hidden=(), epochs=2000, learning_rate=0.3, batch_size=n, seed=3)
     model = mlp_train(d, full_interval(n), cfg)
     Xb = np.hstack([np.ones((n, 1)), X])
     theta, *_ = np.linalg.lstsq(Xb, Y, rcond=None)
@@ -246,7 +246,7 @@ def test_gradient_linear_net_closed_form(rng):
     model = hand_model([3, 1], [w], [b])
     x = rng.uniform(-1, 1, 3)
     y = 0.4
-    dws, dbs = _batch_gradients(model, x[None, :], np.array([y]))
+    dws, dbs = _batch_gradients(model.weights, model.biases, x[None, :], np.array([y]))
     pred = predict_one(model, x)
     np.testing.assert_array_equal(dws[0], 2.0 * (pred - y) * x[None, :])
     np.testing.assert_array_equal(dbs[0], np.array([2.0 * (pred - y)]))

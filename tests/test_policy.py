@@ -96,11 +96,11 @@ def test_recommend_deterministic(rng):
 
 
 def test_floor_probabilities_hand_cases():
-    q = floor_probabilities(np.array([[0.001, 0.999]]), 0.01)
+    q = floor_probabilities(np.array([[0.001, 0.999]]))
     np.testing.assert_allclose(q, [[0.01, 0.99]], rtol=0, atol=1e-15)
-    q = floor_probabilities(np.array([[0.005, 0.005, 0.99]]), 0.01)
+    q = floor_probabilities(np.array([[0.005, 0.005, 0.99]]))
     np.testing.assert_allclose(q, [[0.01, 0.01, 0.98]], rtol=0, atol=1e-15)
-    q = floor_probabilities(np.array([[0.25, 0.75]]), 0.01)
+    q = floor_probabilities(np.array([[0.25, 0.75]]))
     np.testing.assert_allclose(q, [[0.25, 0.75]], rtol=0, atol=1e-15)
 
 
@@ -109,7 +109,7 @@ def test_floor_probabilities_invariants(rng):
         k = int(rng.integers(2, 7))
         raw = rng.random(k) + 1e-12
         p = (raw / raw.sum())[None, :]
-        q = floor_probabilities(p, 0.01)
+        q = floor_probabilities(p)
         assert q.min() >= 0.01 - 1e-15
         assert abs(q.sum() - 1.0) <= 1e-12
 
@@ -125,7 +125,7 @@ def test_propensity_single_interval_is_one(rng):
 
 def test_propensity_zero_weights_uniform():
     part = Partition.from_edges([0, 2, 4], 4)
-    prop = PropensityModel(partition=part, floor=0.01, weights=np.zeros((2, 3)))
+    prop = PropensityModel(partition=part, weights=np.zeros((2, 3)))
     probs = propensity_probs(prop, np.array([[0.4, -0.2], [5.0, 5.0]]))
     np.testing.assert_allclose(probs, 0.5 * np.ones((2, 2)), rtol=0, atol=1e-15)
 
@@ -246,7 +246,7 @@ def test_propensity_matches_independent_solver(seed):
     prop = fit_propensity(d, part)
     f_newton, _ = softmax_objective(prop.weights, d.covariates, labels)
     assert f_newton == pytest.approx(res.fun, rel=1e-10)
-    ref = PropensityModel(partition=part, floor=prop.floor, weights=res.x.reshape(shape))
+    ref = PropensityModel(partition=part, weights=res.x.reshape(shape))
     X = d.covariates
     np.testing.assert_allclose(propensity_probs(prop, X), propensity_probs(ref, X),
                                rtol=0, atol=1e-6)

@@ -205,6 +205,13 @@ def test_policy_value_uniform_preference_runs():
     assert np.isfinite(v2)
 
 
+def test_policy_value_rejects_empty_mc():
+    # an empty Monte-Carlo mean is NaN; it must fail, not return
+    for n_mc in (0, -1):
+        with pytest.raises(ValueError, match=f"n_mc must be >= 1, got {n_mc}"):
+            policy_value_mc(s1_oracle_rule(), MidPoint(), ScenarioSpec(1, 10, 2, 0), n_mc, seed=1)
+
+
 # -------------------------------------------------------------- l2 loss
 
 
@@ -315,3 +322,10 @@ def test_replicate_table1_djil_matches_direct_fits():
 def test_replicate_table1_rejects_unknown_method():
     with pytest.raises(ValueError, match="method"):
         replicate_table1(1, 40, seed=0, method="mlp", v_opt=1.34)
+
+
+def test_replicate_table1_rejects_no_reps():
+    # zero replications would aggregate to NaN means
+    for reps in (0, -2):
+        with pytest.raises(ValueError, match=f"reps must be >= 1, got {reps}"):
+            replicate_table1(reps, 40, seed=0, v_opt=1.34)

@@ -8,7 +8,7 @@ import pytest
 import jil.fit as fit_mod
 import jil.tuning as tuning_mod
 from jil.core import Dataset, Interval, Partition
-from jil.errors import BadFoldCount
+from jil.errors import BadFoldCount, InsufficientData
 from jil.mlp import TrainConfig, mlp_train
 from jil.segment import dp_no_prune
 from jil.tuning import (
@@ -394,7 +394,7 @@ def test_default_gamma_values():
     assert default_gamma(800) == pytest.approx(0.033423, abs=1e-5)
     assert default_gamma(7) == pytest.approx(4.0 * np.log(7) / 7, rel=1e-15)
     assert default_gamma(2) == pytest.approx(2.0 * np.log(2.0), rel=1e-15)
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientData):
         default_gamma(1)
 
 
