@@ -14,7 +14,6 @@ from .core import (
     grid_cell,
     make_grid,
     normalize_treatment,
-    validate_dataset,
 )
 from .errors import JilError
 from .fit import fit_djil, fit_ljil, recompute_objective
@@ -98,6 +97,5 @@ __all__ = [
     "replicate_table1",
     "select_dose",
     "true_optimal_value",
-    "validate_dataset",
     "__version__",
 ]

@@ -21,12 +21,12 @@ import numpy as np
 
 from .core import (
     Dataset,
+    Interval,
     JilFit,
     Linear,
     Partition,
     make_grid,
     normalize_treatment,
-    validate_dataset,
 )
 from .errors import InvalidData, JilError, SchemaMismatch
 from .fit import fit_djil, fit_ljil
@@ -188,9 +188,7 @@ def _build_dataset(y, a_raw, X):
     if a_raw.size and (a_raw.min() < 0.0 or a_raw.max() > 1.0):
         a_min, a_max = float(a_raw.min()), float(a_raw.max())
         a = normalize_treatment(a_raw)
-    d = Dataset(X, a, y)
-    validate_dataset(d)
-    return d, a_min, a_max
+    return Dataset(X, a, y), a_min, a_max
 
 
 # --------------------------------------------------------------- artifacts
@@ -274,16 +272,7 @@ def _fit_from_artifact(art: dict) -> JilFit:
     m = art["m"]
     if isinstance(m, bool) or not isinstance(m, int):
         raise SchemaMismatch(f"m must be an integer, got {m!r}")
-    edges = [0]
-    for lo, hi in art["partition"]:
-        if int(lo) != edges[-1]:
-            raise SchemaMismatch("partition intervals do not abut")
-        edges.append(int(hi))
-    if edges[-1] != m:
-        raise SchemaMismatch("partition does not cover the grid")
-    partition = Partition.from_edges(edges, m)
-    if len(art["models"]) != partition.size:
-        raise SchemaMismatch("one model per interval required")
+    partition = Partition(tuple(Interval(int(lo), int(hi), m) for lo, hi in art["partition"]))
     models = []
     for entry in art["models"]:
         if art["method"] == "ljil":
@@ -303,7 +292,6 @@ def _fit_from_artifact(art: dict) -> JilFit:
         lam=float(art["lambda"]),
         gamma=float(art["gamma"]),
         objective=float(art["objective"]),
-        method=art["method"],
     )
 
 
@@ -432,7 +420,6 @@ def cmd_evaluate(args) -> int:
             )
         a = (a_raw - a_min) / (a_max - a_min)
     d = Dataset(X, a, y)
-    validate_dataset(d)
     rule = I2dr(fit)
     value = estimate_value(d, rule, prop, args.alpha)
     if args.plot_data:

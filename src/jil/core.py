@@ -11,6 +11,11 @@ cell(a) = min(floor(a*m), m-1): interval (lo, hi) contains a iff
 lo <= cell(a) < hi. Fitting, prediction, propensity estimation, and
 cross-validation all share this one rule, so a given observation belongs to
 exactly one interval of any valid partition.
+
+A Dataset is validated when it is built: every instance has at least one
+row, equal field lengths, finite values and treatments in [0, 1], so no
+consumer checks it again. Likewise a JilFit's method ("ljil" or "djil")
+follows from its models rather than being stored beside them.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ __all__ = [
     "make_grid",
     "make_xbar",
     "normalize_treatment",
-    "validate_dataset",
 ]
 
 
@@ -90,7 +94,9 @@ def normalize_treatment(raw) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """n observations of (covariates in R^p, treatment in [0,1], outcome in R)."""
+    """n >= 1 observations of (covariates in R^p, treatment in [0,1], outcome
+    in R), all finite. Construction raises InvalidData naming the field and
+    the first offending row (None for a structural fault)."""
 
     covariates: np.ndarray
     treatments: np.ndarray
@@ -100,6 +106,25 @@ class Dataset:
         cov = np.atleast_2d(np.asarray(self.covariates, dtype=float))
         tr = np.asarray(self.treatments, dtype=float).ravel()
         out = np.asarray(self.outcomes, dtype=float).ravel()
+        n = cov.shape[0]
+        if n < 1:
+            raise InvalidData("covariates", None, "dataset has no rows")
+        bad = ~np.isfinite(cov)
+        if bad.any():
+            row = int(np.argwhere(bad)[0, 0])
+            raise InvalidData("covariates", row, f"non-finite covariate at row {row}")
+        if tr.shape[0] != n:
+            raise InvalidData("treatments", None, "treatments length differs from covariates")
+        bad = ~np.isfinite(tr) | (tr < 0.0) | (tr > 1.0)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise InvalidData("treatments", row, f"treatment outside [0, 1] at row {row}")
+        if out.shape[0] != n:
+            raise InvalidData("outcomes", None, "outcomes length differs from covariates")
+        bad = ~np.isfinite(out)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise InvalidData("outcomes", row, f"non-finite outcome at row {row}")
         for name, arr in (("covariates", cov), ("treatments", tr), ("outcomes", out)):
             arr = arr.copy()
             arr.flags.writeable = False
@@ -116,28 +141,6 @@ class Dataset:
     def subset(self, idx) -> "Dataset":
         """Row subset (used by cross-validation)."""
         return Dataset(self.covariates[idx], self.treatments[idx], self.outcomes[idx])
-
-
-def validate_dataset(d: Dataset) -> None:
-    """Raise InvalidData naming the field and first offending row."""
-    if d.n < 1:
-        raise InvalidData("covariates", None, "dataset has no rows")
-    bad = ~np.isfinite(d.covariates)
-    if bad.any():
-        row = int(np.argwhere(bad)[0, 0])
-        raise InvalidData("covariates", row, f"non-finite covariate at row {row}")
-    if d.treatments.shape[0] != d.n:
-        raise InvalidData("treatments", None, "treatments length differs from covariates")
-    bad = ~np.isfinite(d.treatments) | (d.treatments < 0.0) | (d.treatments > 1.0)
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise InvalidData("treatments", row, f"treatment outside [0, 1] at row {row}")
-    if d.outcomes.shape[0] != d.n:
-        raise InvalidData("outcomes", None, "outcomes length differs from covariates")
-    bad = ~np.isfinite(d.outcomes)
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise InvalidData("outcomes", row, f"non-finite outcome at row {row}")
 
 
 @dataclass(frozen=True)
@@ -253,7 +256,6 @@ class JilFit:
     lam: float
     gamma: float
     objective: float
-    method: str = "ljil"
 
     def __post_init__(self):
         object.__setattr__(self, "models", tuple(self.models))
@@ -261,3 +263,8 @@ class JilFit:
             raise ValueError("one model per partition interval required")
         if self.m != self.partition.m:
             raise ValueError("fit grid must match the partition grid")
+
+    @property
+    def method(self) -> str:
+        """Model family: "ljil" for linear segment models, else "djil"."""
+        return "ljil" if isinstance(self.models[0], Linear) else "djil"

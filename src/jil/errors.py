@@ -50,10 +50,6 @@ class BadFoldCount(JilError):
     """Cross-validation fold count outside [2, n]."""
 
 
-class DegeneratePartition(JilError):
-    """Partition with no intervals (or otherwise unusable for propensity fitting)."""
-
-
 class InsufficientData(JilError):
     """Too few observations for the requested estimate."""
 

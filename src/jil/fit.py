@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, Interval, JilFit, Linear, grid_cell, validate_dataset
+from .core import Dataset, Interval, JilFit, Linear, grid_cell
 from .cost import CostCache, _check_call, _check_pairs
 from .mlp import MlpModel, TrainConfig, mlp_train
 from .segment import pelt
@@ -22,7 +22,7 @@ from .segment import pelt
 __all__ = ["NetworkCosts", "fit_ljil", "fit_djil", "recompute_objective"]
 
 
-def _fit(table, lam: float, gamma: float, method: str, segment) -> JilFit:
+def _fit(table, lam: float, gamma: float, segment) -> JilFit:
     """Segment with the table's costs at lam, then attach its models.
 
     segment is the caller's module-level pelt, so each driver's DP calls can
@@ -31,7 +31,7 @@ def _fit(table, lam: float, gamma: float, method: str, segment) -> JilFit:
     partition, objective = segment(table.costfn(lam), table.m, gamma, batched=True)
     edges = np.array(partition.edges())
     models = table.models(edges[:-1], edges[1:], lam)
-    return JilFit(partition, models, table.m, lam, gamma, objective, method=method)
+    return JilFit(partition, models, table.m, lam, gamma, objective)
 
 
 def fit_ljil(d: Dataset, m: int, lam: float, gamma: float) -> JilFit:
@@ -40,9 +40,8 @@ def fit_ljil(d: Dataset, m: int, lam: float, gamma: float) -> JilFit:
     The fit builds a CostCache without a table, so only the intervals the
     pruned DP evaluates are factorized, each once, and memory stays O(m d^2).
     """
-    validate_dataset(d)
     lam = float(lam)
-    return _fit(CostCache(d, m, lambdas=(lam,)), lam, gamma, "ljil", pelt)
+    return _fit(CostCache(d, m, lambdas=(lam,)), lam, gamma, pelt)
 
 
 class NetworkCosts:
@@ -117,8 +116,7 @@ def fit_djil(d: Dataset, m: int, gamma: float, cfg: TrainConfig) -> JilFit:
     Empty intervals cost 0 and carry an all-zero network (predicting 0),
     mirroring the zero ridge coefficients of an empty linear segment.
     """
-    validate_dataset(d)
-    return _fit(NetworkCosts(d, m, cfg), 0.0, gamma, "djil", pelt)
+    return _fit(NetworkCosts(d, m, cfg), 0.0, gamma, pelt)
 
 
 def recompute_objective(d: Dataset, fit: JilFit) -> float:

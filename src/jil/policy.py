@@ -19,6 +19,7 @@ probabilities are floored at 0.01 by an exact water-filling adjustment
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -26,7 +27,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .core import Dataset, Interval, JilFit, Partition, grid_cell, make_xbar
-from .errors import DegeneratePartition, DimensionMismatch, InsufficientData, NoConvergence
+from .errors import DimensionMismatch, InsufficientData, NoConvergence
 
 __all__ = [
     "I2dr",
@@ -197,8 +198,6 @@ def fit_propensity(d: Dataset, partition: Partition) -> PropensityModel:
     1e-4 ||W||^2, found by damped Newton from W = 0 (see _fit_softmax); it
     raises NoConvergence rather than return a non-converged W.
     """
-    if partition is None or partition.size < 1:
-        raise DegeneratePartition("propensity requires a non-empty partition")
     K = partition.size
     if d.n < K:
         raise InsufficientData(f"need n >= |P| = {K} observations, got {d.n}")
@@ -248,7 +247,7 @@ def estimate_value(d: Dataset, rule: I2dr, prop: PropensityModel, alpha: float) 
     v_hat = float(np.mean(terms))
     sigma_hat = float(np.sqrt(np.sum((terms - v_hat) ** 2) / (d.n - 1)))
     z = float(norm.ppf(1.0 - alpha / 2.0))
-    half = z * sigma_hat / np.sqrt(d.n)
+    half = z * sigma_hat / math.sqrt(d.n)
     return ValueReport(v_hat, sigma_hat, v_hat - half, v_hat + half, float(alpha))
 
 

@@ -266,11 +266,9 @@ def _rep_seed(seed: int, rep: int) -> int:
 
 
 def _table1_rep(args):
-    method, scenario, n, p, c, seed, rep = args
+    method, scenario, n, p, m, gamma, seed, rep = args
     spec = ScenarioSpec(scenario, n, p, _rep_seed(seed, rep))
     d, oracle = gen_scenario(spec)
-    m = make_grid(n, c)
-    gamma = default_gamma(n)
     if method == "ljil":
         fit = fit_ljil(d, m, 0.0, gamma)
     else:
@@ -317,9 +315,13 @@ def replicate_table1(
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     w = resolve_workers(workers)
+    # every argument is checked before the Monte-Carlo v_opt run
+    spec = ScenarioSpec(scenario, n, p, seed)
+    m = make_grid(n, c)
+    gamma = default_gamma(n)
     if v_opt is None:
-        v_opt = true_optimal_value(ScenarioSpec(scenario, n, p, seed), 10**6, seed)
-    arglist = [(method, scenario, n, p, c, seed, r) for r in range(reps)]
+        v_opt = true_optimal_value(spec, 10**6, seed)
+    arglist = [(method, scenario, n, p, m, gamma, seed, r) for r in range(reps)]
     if w > 1:
         with ProcessPoolExecutor(max_workers=w) as pool:
             records = list(pool.map(_table1_rep, arglist))

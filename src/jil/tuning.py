@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, check_grid, grid_cell, validate_dataset
+from .core import Dataset, check_grid, grid_cell
 from .cost import CostCache
 from .errors import BadFoldCount, InsufficientData
 from .fit import NetworkCosts, _fit
@@ -99,7 +99,7 @@ def _pick_largest_on_ties(scores: np.ndarray, lambdas, gammas):
     return float(lambdas[best_h]), float(gammas[best_j])
 
 
-def _cv(d: Dataset, make_table, method: str, grid: TuningGrid, fold_assignments=None):
+def _cv(d: Dataset, make_table, grid: TuningGrid, fold_assignments=None):
     """Held-out SSE / n over the grid's (lambda, gamma) pairs, as a CvReport.
 
     Folds come from fold_assignments, which must hold at least 2 distinct
@@ -109,7 +109,6 @@ def _cv(d: Dataset, make_table, method: str, grid: TuningGrid, fold_assignments=
     its models' predict_batch, so an interval without training rows predicts
     0 for both model families. Folds are combined by exact summation.
     """
-    validate_dataset(d)
     if fold_assignments is None:
         assign = kfold_split(d.n, grid.k_folds, grid.seed)
     else:
@@ -130,7 +129,7 @@ def _cv(d: Dataset, make_table, method: str, grid: TuningGrid, fold_assignments=
         cells_va = grid_cell(d.treatments[va], table.m)
         for h, lam in enumerate(lambdas):
             for j, gam in enumerate(gammas):
-                fit = _fit(table, lam, gam, method, pelt)
+                fit = _fit(table, lam, gam, pelt)
                 idx = fit.partition.locate_cells(cells_va)
                 pred = np.empty(Yva.size)
                 for k, model in enumerate(fit.models):
@@ -157,7 +156,7 @@ def cv_select_ljil(
     def make_table(d_tr):
         return CostCache(d_tr, m, lambdas=grid.lambdas, precompute=True)
 
-    return _cv(d, make_table, "ljil", grid, fold_assignments)
+    return _cv(d, make_table, grid, fold_assignments)
 
 
 def cv_select_djil(d: Dataset, m: int, grid: TuningGrid, cfg: TrainConfig) -> CvReport:
@@ -175,7 +174,7 @@ def cv_select_djil(d: Dataset, m: int, grid: TuningGrid, cfg: TrainConfig) -> Cv
     def make_table(d_tr):
         return NetworkCosts(d_tr, m, cfg)
 
-    return _cv(d, make_table, "djil", grid)
+    return _cv(d, make_table, grid)
 
 
 def default_gamma(n: int) -> float:

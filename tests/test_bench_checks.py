@@ -1,11 +1,14 @@
 """The benchmark's own output checks pass on the library's fits.
 
 bench/workloads.py checks every op it times: the objective recomputes,
-pelt and dp_no_prune agree on a precompute=True cache's scalar costfn, and
-the D-JIL workload trains networks through mlp_train(d, Interval, cfg) with
-a TrainConfig(**kwargs). Running those checks here, on small inputs, keeps
-the names and call forms the benchmark relies on working. The workload
-module is imported read-only: nothing under bench/ is installed or changed.
+pelt and dp_no_prune agree on a precompute=True cache's scalar costfn, the
+D-JIL workload trains networks through mlp_train(d, Interval, cfg) with a
+TrainConfig(**kwargs), the CV workload rebuilds a JilFit from the `jil fit`
+artifact, and the replication workload refits replication 0 with
+fit_ljil(d, m, 0.0, default_gamma(d.n)). Running those checks here, on small
+inputs, keeps the names and call forms the benchmark relies on working. The
+workload module is imported read-only: nothing under bench/ is installed or
+changed.
 """
 
 from __future__ import annotations
@@ -51,3 +54,25 @@ def test_djil_workload_runs_and_checks(workloads, tmp_path):
     assert set(figures) == {"cp_hausdorff", "regret"}
     gap = w.trace_extra(inputs)["segment.djil_prune_gap"]
     assert math.isfinite(gap) and gap >= -1e-12
+
+
+def test_ljil_cv_workload_runs_and_checks(workloads, tmp_path):
+    # `jil simulate`, `jil fit` (CV defaults) and `jil evaluate --plot-data`,
+    # then the artifact is rebuilt as a JilFit and checked against the data
+    class LjilCvTiny(workloads.LjilCv):
+        n = 60
+
+    w = LjilCvTiny(seed=3, workdir=str(tmp_path))
+    inputs = w.prepare(0)
+    assert w.check(inputs, w.run(inputs), first=True, quality=False) is None
+
+
+def test_bench_reps_workload_runs_and_checks(workloads, tmp_path):
+    # replication 0 is refit directly and must match its record
+    class BenchRepsTiny(workloads.BenchReps):
+        n = 60
+        reps = 2
+
+    w = BenchRepsTiny(seed=3, workdir=str(tmp_path))
+    inputs = w.prepare(0)
+    assert w.check(inputs, w.run(inputs), first=True, quality=False) is None

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import jil.cli as cli
+import jil.sim
 from jil.cli import main
 from jil.policy import I2dr, UniformRandom, recommend, select_dose
 from jil.sim import ScenarioSpec, gen_scenario
@@ -357,6 +358,15 @@ def _spell_m(art):
     art["m"] = "eighty"
 
 
+def _gap_partition(art):
+    # the second interval starts one cell after the first ends
+    art["partition"][1][0] += 1
+
+
+def _extra_model(art):
+    art["models"].append(art["models"][0])
+
+
 def _empirical_propensity(art):
     # an otherwise well-formed payload of a kind the reader does not know
     k = len(art["partition"])
@@ -370,7 +380,8 @@ def _raise_floor(art):
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_drop_theta, _unpair_partition, _drop_p, _spell_m, _empirical_propensity, _raise_floor],
+    [_drop_theta, _unpair_partition, _gap_partition, _extra_model, _drop_p, _spell_m,
+     _empirical_propensity, _raise_floor],
 )
 def test_evaluate_malformed_model_fields_exit_2(s1_csv, tmp_path, capsys, corrupt):
     model = tmp_path / "m.json"
@@ -530,7 +541,12 @@ def test_bench_rejects_bad_jil_threads_exit_1(monkeypatch, capsys, threads):
     assert "JIL_THREADS" in capsys.readouterr().err
 
 
-def test_bench_one_row_exit_2(capsys):
+def test_bench_one_row_exit_2(monkeypatch, capsys):
+    # the sample size is checked before the 10^6-draw v_opt run
+    def boom(*args):
+        raise AssertionError("v_opt computed before the sample-size check")
+
+    monkeypatch.setattr(jil.sim, "true_optimal_value", boom)
     assert main(["bench", "--n", "1", "--reps", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "internal error" not in err

@@ -18,9 +18,9 @@ from jil.core import (
     grid_cell,
     make_grid,
     normalize_treatment,
-    validate_dataset,
 )
 from jil.errors import DegenerateTreatment, DimensionMismatch, InvalidData
+from jil.mlp import MlpModel
 
 from conftest import cell_of
 
@@ -210,27 +210,28 @@ def make_ds(n=5, p=2, seed=0):
 
 
 def test_validate_ok():
-    validate_dataset(make_ds())  # must not raise
+    d = make_ds()  # must not raise
+    assert d.n == 5
 
 
 def test_validate_treatment_out_of_range():
     d = make_ds()
     t = d.treatments.copy()
     t[2] = 1.5
-    bad = Dataset(d.covariates, t, d.outcomes)
     with pytest.raises(InvalidData) as exc:
-        validate_dataset(bad)
+        Dataset(d.covariates, t, d.outcomes)
     assert exc.value.field == "treatments"
     assert exc.value.row == 2
+    assert str(exc.value) == "treatment outside [0, 1] at row 2"
 
 
 def test_validate_length_mismatch():
     d = make_ds()
-    bad = Dataset(d.covariates, d.treatments, d.outcomes[:-1])
     with pytest.raises(InvalidData) as exc:
-        validate_dataset(bad)
+        Dataset(d.covariates, d.treatments, d.outcomes[:-1])
     assert exc.value.field == "outcomes"
     assert exc.value.row is None
+    assert str(exc.value) == "outcomes length differs from covariates"
 
 
 def test_validate_nonfinite_covariate():
@@ -238,15 +239,93 @@ def test_validate_nonfinite_covariate():
     c = d.covariates.copy()
     c[3, 1] = np.nan
     with pytest.raises(InvalidData) as exc:
-        validate_dataset(Dataset(c, d.treatments, d.outcomes))
+        Dataset(c, d.treatments, d.outcomes)
     assert exc.value.field == "covariates"
     assert exc.value.row == 3
 
 
 def test_validate_empty():
-    bad = Dataset(np.zeros((0, 2)), np.zeros(0), np.zeros(0))
-    with pytest.raises(InvalidData):
-        validate_dataset(bad)
+    with pytest.raises(InvalidData) as exc:
+        Dataset(np.zeros((0, 2)), np.zeros(0), np.zeros(0))
+    assert (exc.value.field, exc.value.row) == ("covariates", None)
+    assert str(exc.value) == "dataset has no rows"
+
+
+def _nan_cov(c, t, y):
+    c[1, 0] = np.inf
+    return c, t, y
+
+
+def _nan_dose(c, t, y):
+    t[3] = np.nan
+    return c, t, y
+
+
+def _low_dose(c, t, y):
+    t[1] = -0.4
+    return c, t, y
+
+
+def _high_dose(c, t, y):
+    t[4] = 1.7
+    return c, t, y
+
+
+def _short_doses(c, t, y):
+    return c, t[:-1], y
+
+
+def _nan_outcome(c, t, y):
+    y[2] = np.nan
+    return c, t, y
+
+
+def _long_outcomes(c, t, y):
+    return c, t, np.append(y, 0.0)
+
+
+@pytest.mark.parametrize(
+    "corrupt, field, row, message",
+    [
+        (_nan_cov, "covariates", 1, "non-finite covariate at row 1"),
+        (_nan_dose, "treatments", 3, "treatment outside [0, 1] at row 3"),
+        (_low_dose, "treatments", 1, "treatment outside [0, 1] at row 1"),
+        (_high_dose, "treatments", 4, "treatment outside [0, 1] at row 4"),
+        (_short_doses, "treatments", None, "treatments length differs from covariates"),
+        (_nan_outcome, "outcomes", 2, "non-finite outcome at row 2"),
+        (_long_outcomes, "outcomes", None, "outcomes length differs from covariates"),
+    ],
+)
+def test_dataset_rejects_at_construction(corrupt, field, row, message):
+    d = make_ds()
+    args = corrupt(d.covariates.copy(), d.treatments.copy(), d.outcomes.copy())
+    with pytest.raises(InvalidData) as exc:
+        Dataset(*args)
+    assert (exc.value.field, exc.value.row, str(exc.value)) == (field, row, message)
+
+
+def test_dataset_reports_first_offending_field_and_row():
+    # covariates are checked before treatments, treatments before outcomes,
+    # and within a field the first bad row is named
+    c = np.zeros((6, 2))
+    t = np.full(6, 0.5)
+    y = np.zeros(6)
+    c[4, 1] = c[2, 0] = np.nan
+    t[0] = 2.0
+    y[0] = np.nan
+    with pytest.raises(InvalidData) as exc:
+        Dataset(c, t, y)
+    assert (exc.value.field, exc.value.row) == ("covariates", 2)
+    with pytest.raises(InvalidData) as exc:
+        Dataset(np.zeros((6, 2)), t, y)
+    assert (exc.value.field, exc.value.row) == ("treatments", 0)
+
+
+def test_dataset_subset_is_validated():
+    d = make_ds()
+    assert d.subset(np.array([4, 0])).n == 2
+    with pytest.raises(InvalidData, match="dataset has no rows"):
+        d.subset(np.zeros(0, dtype=np.int64))
 
 
 def test_dataset_shape_and_immutability():
@@ -258,8 +337,7 @@ def test_dataset_shape_and_immutability():
 
 def test_dataset_intercept_only():
     d = Dataset(np.zeros((4, 0)), np.linspace(0, 1, 4), np.arange(4.0))
-    validate_dataset(d)
-    assert d.p == 0
+    assert (d.n, d.p) == (4, 0)
 
 
 # ------------------------------------------------------- segment models
@@ -296,3 +374,14 @@ def test_jilfit_alignment_checked():
         JilFit(part, (Linear(np.zeros(3)),), 10, 0.0, 0.1, 1.0)
     with pytest.raises(ValueError):
         JilFit(part, (Linear(np.zeros(3)), Linear(np.zeros(3))), 12, 0.0, 0.1, 1.0)
+
+
+def test_jilfit_method_follows_models():
+    part = edges_to_partition([0, 5, 10], 10)
+    linear = JilFit(part, (Linear(np.zeros(3)),) * 2, 10, 0.0, 0.1, 1.0)
+    net = MlpModel((2, 1), (np.zeros((1, 2)),), (np.zeros(1),))
+    network = JilFit(part, (net, net), 10, 0.0, 0.1, 1.0)
+    assert (linear.method, network.method) == ("ljil", "djil")
+    # the family is not a field a caller can set against the models
+    with pytest.raises(TypeError):
+        JilFit(part, (net, net), 10, 0.0, 0.1, 1.0, method="ljil")

@@ -67,7 +67,7 @@ def test_ljil_prewarmed_cache_identical(rng):
     d = s1_like(rng, 120)
     m, lam, gamma = 15, 0.0, 0.1
     cache = CostCache(d, m, lambdas=(lam,), precompute=True)
-    f1 = fit_mod._fit(cache, lam, gamma, "ljil", pelt)
+    f1 = fit_mod._fit(cache, lam, gamma, pelt)
     f2 = fit_ljil(d, m, lam, gamma)
     assert f1.partition == f2.partition
     assert f1.objective == f2.objective
@@ -78,7 +78,7 @@ def test_ljil_prewarmed_cache_identical(rng):
 def test_ljil_lazy_and_bulk_identical(rng):
     d = s1_like(rng, 100)
     eager = CostCache(d, 12, lambdas=(1e-3,), precompute=True)
-    f1 = fit_mod._fit(eager, 1e-3, 0.07, "ljil", pelt)
+    f1 = fit_mod._fit(eager, 1e-3, 0.07, pelt)
     f2 = fit_ljil(d, 12, 1e-3, 0.07)
     assert f1.partition == f2.partition
     assert f1.objective == f2.objective

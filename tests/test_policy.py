@@ -9,7 +9,8 @@ from scipy.stats import norm
 
 import jil.policy
 from jil.core import Dataset, Interval, JilFit, Linear, Partition, grid_cell
-from jil.errors import DimensionMismatch, InsufficientData, JilError, NoConvergence
+from jil.cost import CostCache
+from jil.errors import DimensionMismatch, InsufficientData, InvalidData, JilError, NoConvergence
 from jil.policy import (
     I2dr,
     MaxDose,
@@ -33,7 +34,7 @@ from conftest import cell_of
 def linear_fit(thetas, edges, m, lam=0.0, gamma=0.1):
     part = Partition.from_edges(edges, m)
     models = tuple(Linear(np.asarray(t, dtype=float)) for t in thetas)
-    return JilFit(part, models, m, lam, gamma, 0.0, method="ljil")
+    return JilFit(part, models, m, lam, gamma, 0.0)
 
 
 # ---------------------------------------------------------------- recommend
@@ -271,6 +272,46 @@ def test_value_single_interval_equals_mean_outcome(rng):
         prop = fit_propensity(d, rule.fit.partition)
         rep = estimate_value(d, rule, prop, alpha=0.05)
         assert rep.v_hat == pytest.approx(float(np.mean(d.outcomes)), abs=1e-12)
+
+
+def test_value_report_fields_are_python_floats(rng):
+    d = two_interval_setup(rng, 40, p=2)
+    rule = I2dr(linear_fit(rng.standard_normal((2, 3)), [0, 3, 6], 6))
+    rep = estimate_value(d, rule, fit_propensity(d, rule.fit.partition), alpha=0.05)
+    assert [type(v) for v in vars(rep).values()] == [float] * 5
+    half = float(norm.ppf(0.975)) * rep.sigma_hat / np.sqrt(d.n)
+    assert (rep.ci_lo, rep.ci_hi) == (rep.v_hat - half, rep.v_hat + half)
+
+
+@pytest.mark.parametrize(
+    "field, row, value",
+    [("outcomes", 2, np.nan), ("treatments", 1, -0.4), ("treatments", 4, 1.7), ("outcomes", None, None)],
+)
+def test_invalid_rows_never_reach_propensity_value_or_costs(rng, field, row, value):
+    # each fails when the Dataset is built, so no consumer sees it; value
+    # None drops the field's last row
+    n = 8
+    cols = {
+        "covariates": rng.uniform(-1, 1, (n, 1)),
+        "treatments": rng.random(n),
+        "outcomes": rng.standard_normal(n),
+    }
+    if row is None:
+        cols[field] = cols[field][:-1]
+    else:
+        cols[field][row] = value
+    good = two_interval_setup(rng, n)
+    rule = I2dr(linear_fit([[0.0, 1.0], [1.0, 0.0]], [0, 3, 6], 6))
+    prop = fit_propensity(good, rule.fit.partition)
+    consumers = [
+        lambda d: fit_propensity(d, rule.fit.partition),
+        lambda d: estimate_value(d, rule, prop, 0.05),
+        lambda d: CostCache(d, 6).costfn(0.0)(0, 6),
+    ]
+    for use in consumers:
+        with pytest.raises(InvalidData) as exc:
+            use(Dataset(**cols))
+        assert (exc.value.field, exc.value.row) == (field, row)
 
 
 def test_value_constant_outcome_zero_variance(rng):

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import jil.sim
 from jil.core import Interval, JilFit, Linear, Partition, make_grid
-from jil.errors import BadSpec, MissingTruth
+from jil.errors import BadSpec, InsufficientData, MissingTruth
 from jil.fit import fit_djil
-from jil.mlp import TrainConfig
+from jil.mlp import MlpModel, TrainConfig
 from jil.policy import I2dr, MaxDose, MidPoint, UniformRandom, estimate_value, fit_propensity
 from jil.sim import (
     ScenarioSpec,
@@ -165,7 +166,7 @@ def s1_oracle_rule(p=2):
     th[1, 1], th[1, 2] = 1.0, -1.0
     th[2, 0], th[2, 2] = 1.0, -1.0
     models = tuple(Linear(t) for t in th)
-    return I2dr(JilFit(part, models, 20, 0.0, 0.1, 0.0, method="ljil"))
+    return I2dr(JilFit(part, models, 20, 0.0, 0.1, 0.0))
 
 
 def test_policy_value_midpoint_s4_zero():
@@ -173,7 +174,7 @@ def test_policy_value_midpoint_s4_zero():
         JilFit(
             Partition.from_edges([0, 4], 4),
             (Linear(np.zeros(3)),),
-            4, 0.0, 0.1, 0.0, method="ljil",
+            4, 0.0, 0.1, 0.0,
         )
     )
     v = policy_value_mc(rule, MidPoint(), ScenarioSpec(4, 10, 2, 0), 20_000, seed=3)
@@ -190,7 +191,7 @@ def test_policy_value_dominated_by_oracle(rng):
     v_star = policy_value_mc(s1_oracle_rule(), MidPoint(), spec, 50_000, seed=21)
     part = Partition.from_edges([0, 7, 13, 20], 20)
     models = tuple(Linear(t) for t in rng.standard_normal((3, 3)))
-    rand_rule = I2dr(JilFit(part, models, 20, 0.0, 0.1, 0.0, method="ljil"))
+    rand_rule = I2dr(JilFit(part, models, 20, 0.0, 0.1, 0.0))
     v_rand = policy_value_mc(rand_rule, MidPoint(), spec, 50_000, seed=21)
     assert v_rand <= v_star + 1e-9
 
@@ -221,7 +222,7 @@ def s1_true_fit(p=4, m=20):
     th[0, 0], th[0, 1] = 1.0, 1.0
     th[1, 1], th[1, 2] = 1.0, -1.0
     th[2, 0], th[2, 2] = 1.0, -1.0
-    return JilFit(part, tuple(Linear(t) for t in th), m, 0.0, 0.1, 0.0, method="ljil"), th
+    return JilFit(part, tuple(Linear(t) for t in th), m, 0.0, 0.1, 0.0), th
 
 
 def test_l2_loss_zero_for_truth():
@@ -236,7 +237,7 @@ def test_l2_loss_constant_offset():
     shifted = JilFit(
         fit.partition,
         tuple(Linear(t + delta) for t in th),
-        fit.m, 0.0, 0.1, 0.0, method="ljil",
+        fit.m, 0.0, 0.1, 0.0,
     )
     _, oracle = gen_scenario(ScenarioSpec(1, 10, 4, 0))
     want = float(np.dot(delta, delta))
@@ -251,8 +252,10 @@ def test_l2_loss_missing_truth():
 
 
 def test_l2_loss_rejects_network_fit():
-    fit, th = s1_true_fit()
-    bad = JilFit(fit.partition, fit.models, fit.m, 0.0, 0.1, 0.0, method="djil")
+    fit, _ = s1_true_fit()
+    net = MlpModel((4, 1), (np.zeros((1, 4)),), (np.zeros(1),))
+    bad = JilFit(fit.partition, (net,) * fit.partition.size, fit.m, 0.0, 0.1, 0.0)
+    assert bad.method == "djil"
     _, oracle = gen_scenario(ScenarioSpec(1, 10, 4, 0))
     with pytest.raises(ValueError):
         integrated_l2_loss(bad, oracle)
@@ -322,6 +325,16 @@ def test_replicate_table1_djil_matches_direct_fits():
 def test_replicate_table1_rejects_unknown_method():
     with pytest.raises(ValueError, match="method"):
         replicate_table1(1, 40, seed=0, method="mlp", v_opt=1.34)
+
+
+def test_replicate_table1_checks_sample_size_before_v_opt(monkeypatch):
+    # the 10^6-draw v_opt run must not precede the sample-size check
+    def boom(*args):
+        raise AssertionError("v_opt computed before the sample-size check")
+
+    monkeypatch.setattr(jil.sim, "true_optimal_value", boom)
+    with pytest.raises(InsufficientData):
+        replicate_table1(1, 1, 0)
 
 
 def test_replicate_table1_rejects_no_reps():
