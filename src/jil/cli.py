@@ -157,24 +157,17 @@ def _read_csv(path: str):
             raise InvalidData(
                 "csv", i, f"expected {p + 2} fields at row {i}, got {len(parts)}"
             )
-        try:
-            vals = [float(tok) for tok in parts]
-        except ValueError:
-            bad = next(t.strip() for t in parts if not _is_number(t))
-            raise InvalidData("csv", i, f"cannot parse {bad!r} at row {i}") from None
+        vals = []
+        for tok in parts:
+            try:
+                vals.append(float(tok))
+            except ValueError:
+                raise InvalidData("csv", i, f"cannot parse {tok.strip()!r} at row {i}") from None
         y.append(vals[0])
         a.append(vals[1])
         X.append(vals[2:])
     n = len(y)
     return np.asarray(y), np.asarray(a), np.asarray(X, dtype=float).reshape(n, p)
-
-
-def _is_number(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
 
 
 def _build_dataset(y, a_raw, X):
@@ -457,93 +450,48 @@ def cmd_bench(args) -> int:
         workers=workers,
         method=args.method,
     )
-    cols = [
-        "scenario",
-        "n",
-        "reps",
-        "method",
+    row = {
+        "scenario": str(args.scenario),
+        "n": str(args.n),
+        "reps": str(args.reps),
+        "method": args.method,
+    }
+    for key in (
         "mean_v_hat",
         "mean_sigma_hat",
         "coverage_pct",
         "mean_segments",
         "mean_l2",
         "v_opt",
-    ]
-    l2 = res["mean_l2"]
-    row = [
-        str(args.scenario),
-        str(args.n),
-        str(args.reps),
-        args.method,
-        _fmt(res["mean_v_hat"]),
-        _fmt(res["mean_sigma_hat"]),
-        _fmt(res["coverage_pct"]),
-        _fmt(res["mean_segments"]),
-        "nan" if l2 is None else _fmt(l2),
-        _fmt(res["v_opt"]),
-    ]
-    print("\t".join(cols))
+    ):
+        row[key] = "nan" if res[key] is None else _fmt(res[key])
     print("\t".join(row))
+    print("\t".join(row.values()))
     return 0
 
 
 # ------------------------------------------------------------------ parser
 
 
-def _lambda_flag(tok: str):
-    t = tok.strip().lower()
-    if t == "auto":
-        return "auto"
-    try:
-        v = float(t)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a real number or 'auto', got {tok!r}")
-    if not np.isfinite(v) or v < 0:
-        raise argparse.ArgumentTypeError(f"lambda must be finite and >= 0, got {tok!r}")
-    return v
+def _flag(cast, ok, need, words=()):
+    """An argparse type: one of the keywords in words (any case), or cast of
+    the token when ok accepts the value; any other token is rejected with
+    a message naming what the flag needs."""
 
+    def parse(tok: str):
+        t = tok.strip().lower()
+        if t in words:
+            return t
+        try:
+            v = cast(t)
+        except ValueError:
+            pass
+        else:
+            if ok(v):
+                return v
+        raise argparse.ArgumentTypeError(f"expected {need}, got {tok!r}")
 
-def _gamma_flag(tok: str):
-    t = tok.strip().lower()
-    if t in ("auto", "default"):
-        return t
-    try:
-        v = float(t)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a real number, 'auto', or 'default', got {tok!r}"
-        )
-    if not np.isfinite(v) or v < 0:
-        raise argparse.ArgumentTypeError(f"gamma must be finite and >= 0, got {tok!r}")
-    return v
-
-
-def _positive_int(tok: str) -> int:
-    v = int(tok)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {tok!r}")
-    return v
-
-
-def _fold_count(tok: str) -> int:
-    v = int(tok)
-    if v < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 folds, got {tok!r}")
-    return v
-
-
-def _positive_real(tok: str) -> float:
-    v = float(tok)
-    if not np.isfinite(v) or v <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive real, got {tok!r}")
-    return v
-
-
-def _alpha_flag(tok: str) -> float:
-    v = float(tok)
-    if not 0.0 < v < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1), got {tok!r}")
-    return v
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -553,11 +501,20 @@ def build_parser() -> argparse.ArgumentParser:
         "interval dosing rules.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    count = _flag(int, lambda v: v >= 1, "a positive integer")
+    folds = _flag(int, lambda v: v >= 2, "at least 2 folds")
+    coarseness = _flag(float, lambda v: 0 < v < np.inf, "a finite real > 0")
+    alpha = _flag(float, lambda v: 0 < v < 1, "a real in (0, 1)")
+    lam = _flag(float, lambda v: 0 <= v < np.inf, "a finite real >= 0 or 'auto'", ("auto",))
+    gamma = _flag(
+        float, lambda v: 0 <= v < np.inf, "a finite real >= 0, 'auto' or 'default'",
+        ("auto", "default"),
+    )
 
     ps = sub.add_parser("simulate", help="draw a synthetic dosing dataset as CSV")
     ps.add_argument("--scenario", type=int, choices=range(1, 6), required=True)
-    ps.add_argument("--n", type=_positive_int, required=True)
-    ps.add_argument("--p", type=_positive_int, default=4)
+    ps.add_argument("--n", type=count, required=True)
+    ps.add_argument("--p", type=count, default=4)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_simulate)
@@ -565,14 +522,14 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("fit", help="fit a segmentation on a CSV dataset")
     pf.add_argument("--data", required=True)
     pf.add_argument("--method", choices=("ljil", "djil"), default="ljil")
-    pf.add_argument("--c", type=_positive_real, default=5.0,
+    pf.add_argument("--c", type=coarseness, default=5.0,
                     help="grid coarseness; m = floor(n / c)")
-    pf.add_argument("--lambda", dest="lam", type=_lambda_flag, default="auto",
+    pf.add_argument("--lambda", dest="lam", type=lam, default="auto",
                     help="ridge penalty, or 'auto' for cross-validation")
-    pf.add_argument("--gamma", type=_gamma_flag, default="auto",
+    pf.add_argument("--gamma", type=gamma, default="auto",
                     help="jump penalty, 'auto' for CV, 'default' for 4 log(n)/n")
-    pf.add_argument("--folds", type=_fold_count, default=5)
-    pf.add_argument("--alpha", type=_alpha_flag, default=0.05)
+    pf.add_argument("--folds", type=folds, default=5)
+    pf.add_argument("--alpha", type=alpha, default=0.05)
     pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--out", required=True)
     pf.set_defaults(func=cmd_fit)
@@ -580,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("evaluate", help="re-estimate a saved model's value on a CSV")
     pe.add_argument("--model", required=True)
     pe.add_argument("--data", required=True)
-    pe.add_argument("--alpha", type=_alpha_flag, default=0.05)
+    pe.add_argument("--alpha", type=alpha, default=0.05)
     pe.add_argument("--pref", choices=("min", "max", "mid", "uniform"), default="mid")
     pe.add_argument("--plot-data", dest="plot_data", default=None,
                     help="write per-row recommended intervals and doses as TSV")
@@ -588,11 +545,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bench", help="replicate the simulation study at small scale")
     pb.add_argument("--scenario", type=int, choices=range(1, 6), default=1)
-    pb.add_argument("--n", type=_positive_int, required=True)
-    pb.add_argument("--p", type=_positive_int, default=4)
-    pb.add_argument("--reps", type=_positive_int, required=True)
+    pb.add_argument("--n", type=count, required=True)
+    pb.add_argument("--p", type=count, default=4)
+    pb.add_argument("--reps", type=count, required=True)
     pb.add_argument("--method", choices=("ljil", "djil"), default="ljil")
-    pb.add_argument("--c", type=_positive_real, default=5.0)
+    pb.add_argument("--c", type=coarseness, default=5.0)
     pb.add_argument("--seed", type=int, default=0)
     pb.set_defaults(func=cmd_bench)
     return parser

@@ -5,6 +5,11 @@ Y | X, A ~ N(Q(X, A), 1). Scenarios 1-3 are piecewise constant in the
 treatment (jumps at known change points); scenario 4 is tent-shaped in a
 and scenario 5 quadratic in a with an interior per-x maximizer.
 
+Each scenario is one record: minimum p, Q, sup_a Q, and for scenarios 1-3
+the cut points. A piecewise scenario is declared as its cuts plus one
+function of X per piece; its Q, sup_a Q, change points and theta_0 all
+derive from that declaration, so they agree on where each jump is.
+
 Gaussian noise comes from an in-repo Box-Muller transform over the
 generator's uniform stream, so datasets are reproducible bit for bit from
 a seed across platforms. Replications derive per-replication seeds from
@@ -39,8 +44,6 @@ __all__ = [
     "resolve_workers",
 ]
 
-_MIN_P = {1: 2, 2: 2, 3: 2, 4: 2, 5: 3}
-
 # Quadrature nodes of integrated_l2_loss.
 _N_QUAD = 10_000
 
@@ -55,12 +58,13 @@ class ScenarioSpec:
     seed: int
 
     def __post_init__(self):
-        if self.id not in _MIN_P:
+        if self.id not in _SCENARIOS:
             raise BadSpec(f"scenario id must be 1..5, got {self.id}")
         if self.n < 1:
             raise BadSpec(f"n must be >= 1, got {self.n}")
-        if self.p < _MIN_P[self.id]:
-            raise BadSpec(f"scenario {self.id} needs p >= {_MIN_P[self.id]}, got {self.p}")
+        min_p = _SCENARIOS[self.id].min_p
+        if self.p < min_p:
+            raise BadSpec(f"scenario {self.id} needs p >= {min_p}, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -88,42 +92,53 @@ def gauss(rng: np.random.Generator, size: int) -> np.ndarray:
 # ------------------------------------------------------------- scenarios
 
 
-def _q_s1(X, A):
-    x1, x2 = X[..., 0], X[..., 1]
-    return np.where(A < 0.35, 1.0 + x1, np.where(A < 0.65, x1 - x2, 1.0 - x2))
+@dataclass(frozen=True)
+class _Scenario:
+    """One scenario's truth: the minimum p, Q(X, A), sup_a Q(X), and for
+    the piecewise-constant scenarios the cuts and, when Q is linear in
+    (1, x1, x2) on every piece, the coefficient rows of theta_0."""
+
+    min_p: int
+    q: object
+    sup: object
+    cuts: tuple = None
+    theta: tuple = None
+
+    def oracle(self, spec: ScenarioSpec) -> TruthOracle:
+        def q(x, a):
+            out = self.q(np.asarray(x, dtype=float), np.asarray(a, dtype=float))
+            return float(out) if np.ndim(out) == 0 else out
+
+        theta0 = None
+        if self.theta is not None:
+            th = np.zeros((len(self.theta), spec.p + 1))
+            th[:, :3] = self.theta
+
+            def theta0(a):
+                return th[np.searchsorted(self.cuts, a, side="right")]
+
+        cuts = None if self.cuts is None else list(self.cuts)
+        return TruthOracle(spec, q, cuts, theta0)
 
 
-def _q_s2(X, A):
-    x1, x2 = X[..., 0], X[..., 1]
-    return np.where(
-        A < 0.35,
-        1.0 + x1**3,
-        np.where(A < 0.65, x1 - np.log(1.5 + x2), 1.0 - np.sin(0.5 * np.pi * x2)),
-    )
+def _piecewise(cuts, *pieces, theta=None) -> _Scenario:
+    """A scenario whose Q is pieces[k](X) on the k-th dose interval of
+    [0, 1] cut at cuts, each interval closed on the left. The pieces read
+    x1 and x2, so p >= 2."""
 
+    def q(X, A):
+        out = pieces[-1](X)
+        for c, piece in zip(cuts[::-1], pieces[-2::-1]):
+            out = np.where(A < c, piece(X), out)
+        return out
 
-def _q_s3(X, A):
-    x1, x2 = X[..., 0], X[..., 1]
-    b4 = np.broadcast_to(0.5, np.broadcast_shapes(np.shape(A), x1.shape))
-    return np.where(
-        A < 0.25,
-        np.sqrt(x1 / 2.0 + 0.5),
-        np.where(
-            A < 0.5,
-            np.sin(2.0 * np.pi * x2),
-            np.where(A < 0.75, 0.5 - (x1 + x2 - 0.75) ** 2, b4),
-        ),
-    )
+    def sup(X):
+        out = pieces[0](X)
+        for piece in pieces[1:]:
+            out = np.maximum(out, piece(X))
+        return out
 
-
-def _sup_pieces(qfn, cuts, X):
-    """sup_a Q(X, a) for a Q constant in a between the cuts: the maximum of
-    Q over one dose per piece, the piece midpoints."""
-    edges = [0.0, *cuts, 1.0]
-    out = qfn(X, (edges[0] + edges[1]) / 2.0)
-    for lo, hi in zip(edges[1:], edges[2:]):
-        out = np.maximum(out, qfn(X, (lo + hi) / 2.0))
-    return out
+    return _Scenario(2, q, sup, cuts, theta)
 
 
 def _s4_slope(X):
@@ -131,7 +146,7 @@ def _s4_slope(X):
 
 
 def _q_s4(X, A):
-    return 2.0 * np.abs(np.asarray(A) - 0.5) * _s4_slope(X)
+    return 2.0 * np.abs(A - 0.5) * _s4_slope(X)
 
 
 def _sup_s4(X):
@@ -140,55 +155,40 @@ def _sup_s4(X):
     return np.maximum(_s4_slope(X), 0.0)
 
 
-def _q_s5(X, A):
-    x1, x2, x3 = X[..., 0], X[..., 1], X[..., 2]
-    g = 1.0 + 0.5 * x1 + 0.5 * x2 - 2.0 * np.asarray(A)
-    return 8.0 + 4.0 * x1 - 2.0 * x2 - 2.0 * x3 - 10.0 * g * g
-
-
 def _sup_s5(X):
     # the maximizer a = 0.5 + 0.25 (x1 + x2) always lies inside [0, 1]
-    x1, x2, x3 = X[..., 0], X[..., 1], X[..., 2]
-    return 8.0 + 4.0 * x1 - 2.0 * x2 - 2.0 * x3
+    return 8.0 + 4.0 * X[..., 0] - 2.0 * X[..., 1] - 2.0 * X[..., 2]
 
 
-def _theta_s1(p):
-    th = np.zeros((3, p + 1))
-    th[0, 0], th[0, 1] = 1.0, 1.0
-    th[1, 1], th[1, 2] = 1.0, -1.0
-    th[2, 0], th[2, 2] = 1.0, -1.0
-
-    def theta0(a):
-        a = np.asarray(a, dtype=float)
-        seg = np.where(a < 0.35, 0, np.where(a < 0.65, 1, 2))
-        return th[seg]
-
-    return theta0
+def _q_s5(X, A):
+    g = 1.0 + 0.5 * X[..., 0] + 0.5 * X[..., 1] - 2.0 * A
+    return _sup_s5(X) - 10.0 * g * g
 
 
-# id -> (Q, closed-form sup_a Q, change points); the piecewise-constant
-# scenarios take their sup from _sup_pieces instead
 _SCENARIOS = {
-    1: (_q_s1, None, [0.35, 0.65]),
-    2: (_q_s2, None, [0.35, 0.65]),
-    3: (_q_s3, None, [0.25, 0.5, 0.75]),
-    4: (_q_s4, _sup_s4, None),
-    5: (_q_s5, _sup_s5, None),
+    1: _piecewise(
+        (0.35, 0.65),
+        lambda X: 1.0 + X[..., 0],
+        lambda X: X[..., 0] - X[..., 1],
+        lambda X: 1.0 - X[..., 1],
+        theta=((1.0, 1.0, 0.0), (0.0, 1.0, -1.0), (1.0, 0.0, -1.0)),
+    ),
+    2: _piecewise(
+        (0.35, 0.65),
+        lambda X: 1.0 + X[..., 0] ** 3,
+        lambda X: X[..., 0] - np.log(1.5 + X[..., 1]),
+        lambda X: 1.0 - np.sin(0.5 * np.pi * X[..., 1]),
+    ),
+    3: _piecewise(
+        (0.25, 0.5, 0.75),
+        lambda X: np.sqrt(X[..., 0] / 2.0 + 0.5),
+        lambda X: np.sin(2.0 * np.pi * X[..., 1]),
+        lambda X: 0.5 - (X[..., 0] + X[..., 1] - 0.75) ** 2,
+        lambda X: 0.5,
+    ),
+    4: _Scenario(2, _q_s4, _sup_s4),
+    5: _Scenario(3, _q_s5, _sup_s5),
 }
-
-
-def _wrap_q(qfn):
-    def q(x, a):
-        out = qfn(np.asarray(x, dtype=float), np.asarray(a, dtype=float))
-        return float(out) if np.ndim(out) == 0 else out
-
-    return q
-
-
-def _make_oracle(spec: ScenarioSpec) -> TruthOracle:
-    qfn, _, cuts = _SCENARIOS[spec.id]
-    theta0 = _theta_s1(spec.p) if spec.id == 1 else None
-    return TruthOracle(spec, _wrap_q(qfn), cuts, theta0)
 
 
 def gen_scenario(spec: ScenarioSpec):
@@ -200,9 +200,8 @@ def gen_scenario(spec: ScenarioSpec):
     X = rng.uniform(-1.0, 1.0, (spec.n, spec.p))
     A = rng.random(spec.n)
     eps = gauss(rng, spec.n)
-    qfn = _SCENARIOS[spec.id][0]
-    Y = qfn(X, A) + eps
-    return Dataset(X, A, Y), _make_oracle(spec)
+    scenario = _SCENARIOS[spec.id]
+    return Dataset(X, A, scenario.q(X, A) + eps), scenario.oracle(spec)
 
 
 def true_optimal_value(spec: ScenarioSpec, n_mc: int, seed: int) -> float:
@@ -210,9 +209,7 @@ def true_optimal_value(spec: ScenarioSpec, n_mc: int, seed: int) -> float:
     if n_mc < 1000:
         raise ValueError(f"n_mc must be >= 1000, got {n_mc}")
     X = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_mc, spec.p))
-    qfn, supfn, cuts = _SCENARIOS[spec.id]
-    sup = supfn(X) if cuts is None else _sup_pieces(qfn, cuts, X)
-    return float(np.mean(sup))
+    return float(np.mean(_SCENARIOS[spec.id].sup(X)))
 
 
 def policy_value_mc(rule: I2dr, pref, spec: ScenarioSpec, n_mc: int, seed: int) -> float:
@@ -226,7 +223,7 @@ def policy_value_mc(rule: I2dr, pref, spec: ScenarioSpec, n_mc: int, seed: int) 
     idx = recommend_batch(rule, X)
     edges = np.array(rule.fit.partition.edges())
     doses = _doses(edges[idx], edges[idx + 1], rule.fit.m, pref)
-    return float(np.mean(_SCENARIOS[spec.id][0](X, doses)))
+    return float(np.mean(_SCENARIOS[spec.id].q(X, doses)))
 
 
 def theta_path(fit, a: np.ndarray) -> np.ndarray:

@@ -99,29 +99,21 @@ def _pick_largest_on_ties(scores: np.ndarray, lambdas, gammas):
     return float(lambdas[best_h]), float(gammas[best_j])
 
 
-def _cv(d: Dataset, make_table, grid: TuningGrid, fold_assignments=None):
+def _cv(d: Dataset, make_table, grid: TuningGrid):
     """Held-out SSE / n over the grid's (lambda, gamma) pairs, as a CvReport.
 
-    Folds come from fold_assignments, which must hold at least 2 distinct
-    labels, else from the grid's k_folds and seed.
+    Folds come from the grid's k_folds and seed; kfold_split uses every
+    label 0..k-1, so each fold has held-out and training rows.
     Per fold, make_table(training rows) builds one interval table that serves
     the whole grid; each grid pair's fit predicts the held-out rows through
     its models' predict_batch, so an interval without training rows predicts
     0 for both model families. Folds are combined by exact summation.
     """
-    if fold_assignments is None:
-        assign = kfold_split(d.n, grid.k_folds, grid.seed)
-    else:
-        assign = np.asarray(fold_assignments, dtype=np.int64)
-        if assign.shape != (d.n,):
-            raise BadFoldCount("fold_assignments length must equal n")
-    folds = np.unique(assign)
-    if folds.size < 2:
-        raise BadFoldCount(f"need at least 2 distinct fold labels, got {folds.size}")
+    assign = kfold_split(d.n, grid.k_folds, grid.seed)
     lambdas, gammas = grid.lambdas, grid.gammas
     H, J = len(lambdas), len(gammas)
     parts = [[[] for _ in range(J)] for _ in range(H)]
-    for fid in folds:
+    for fid in range(grid.k_folds):
         va = assign == fid
         table = make_table(d.subset(np.flatnonzero(~va)))
         Xva = d.covariates[va]
@@ -143,9 +135,7 @@ def _cv(d: Dataset, make_table, grid: TuningGrid, fold_assignments=None):
     return CvReport(scores, best_lambda, best_gamma, assign)
 
 
-def cv_select_ljil(
-    d: Dataset, m: int, grid: TuningGrid, fold_assignments=None
-) -> CvReport:
+def cv_select_ljil(d: Dataset, m: int, grid: TuningGrid) -> CvReport:
     """Select (lambda, gamma) for the ridge flavor by K-fold CV.
 
     Each fold refits the full segmentation on its training rows for every
@@ -156,7 +146,7 @@ def cv_select_ljil(
     def make_table(d_tr):
         return CostCache(d_tr, m, lambdas=grid.lambdas, precompute=True)
 
-    return _cv(d, make_table, grid, fold_assignments)
+    return _cv(d, make_table, grid)
 
 
 def cv_select_djil(d: Dataset, m: int, grid: TuningGrid, cfg: TrainConfig) -> CvReport:

@@ -179,7 +179,7 @@ def test_spectral_costs_and_cv_fast_path_match_direct_refits():
         gams = tuple(np.sort(rng.uniform(0.01, 0.8, J)))
         assign = kfold_split(n, 3, seed=trial)
         grid = TuningGrid(lambdas=lams, gammas=gams, k_folds=3, seed=trial)
-        report = cv_select_ljil(d, m, grid, fold_assignments=assign)
+        report = cv_select_ljil(d, m, grid)
         naive = _naive_cv_scores(d, m, lams, gams, assign)
         assert np.all(
             np.abs(report.scores - naive) <= 1e-8 * np.maximum(1.0, np.abs(naive))

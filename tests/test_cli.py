@@ -567,3 +567,52 @@ def test_bench_one_driver_honours_jil_threads(monkeypatch, capsys, method):
     assert rc == 0
     assert seen["method"] == method and seen["workers"] == 2
     assert capsys.readouterr().out.splitlines()[1].split("\t")[3] == method
+
+
+# ------------------------------------------------------------------ parser
+
+_FLAG_BASE = {
+    "simulate": ["simulate", "--scenario", "1", "--n", "5", "--out", "x.csv"],
+    "fit": ["fit", "--data", "d.csv", "--out", "m.json"],
+    "evaluate": ["evaluate", "--model", "m.json", "--data", "d.csv"],
+    "bench": ["bench", "--n", "5", "--reps", "1"],
+}
+_ALL_BAD = ("0", "-1", "nan", "inf", "x")
+
+
+_BAD_FLAGS = [
+    ("simulate", "--n", _ALL_BAD),
+    ("simulate", "--p", _ALL_BAD),
+    ("bench", "--n", _ALL_BAD),
+    ("bench", "--p", _ALL_BAD),
+    ("bench", "--reps", _ALL_BAD),
+    ("bench", "--c", _ALL_BAD),
+    ("fit", "--c", _ALL_BAD),
+    ("fit", "--folds", _ALL_BAD),
+    ("fit", "--alpha", _ALL_BAD),
+    ("evaluate", "--alpha", _ALL_BAD),
+    ("fit", "--lambda", ("-1", "nan", "inf", "x")),
+    ("fit", "--gamma", ("-1", "nan", "inf", "x")),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, bad", _BAD_FLAGS, ids=[c + f for c, f, _ in _BAD_FLAGS]
+)
+def test_numeric_flag_out_of_bounds_exit_1(monkeypatch, capsys, command, flag, bad):
+    for name in ("cmd_simulate", "cmd_fit", "cmd_evaluate", "cmd_bench"):
+        monkeypatch.setattr(cli, name, lambda args: pytest.fail("parsed a bad flag"))
+    for tok in bad:
+        assert main(_FLAG_BASE[command] + [flag, tok]) == 1, (flag, tok)
+        assert flag in capsys.readouterr().err, (flag, tok)
+
+
+def test_numeric_flag_edge_values_parse():
+    parse = cli.build_parser().parse_args
+    fit = _FLAG_BASE["fit"]
+    assert parse(fit + ["--folds", "2"]).folds == 2
+    assert parse(fit + ["--alpha", "0.5"]).alpha == 0.5
+    assert parse(fit + ["--lambda", "AUTO"]).lam == "auto"
+    assert parse(fit + ["--gamma", "Default"]).gamma == "default"
+    assert parse(fit + ["--lambda", "0", "--gamma", "0"]).lam == 0.0
+    assert parse(_FLAG_BASE["bench"] + ["--c", "0.5"]).c == 0.5

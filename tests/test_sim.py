@@ -102,6 +102,27 @@ def test_truth_constant_in_a_within_segments():
                 assert np.all(vals == vals[0])
 
 
+@pytest.mark.parametrize("sid", [1, 2, 3])
+def test_truth_switches_pieces_exactly_at_change_points(sid):
+    # Q, the change points and (scenario 1) theta_0 must agree on where each
+    # piece starts: just below a cut is the left piece, the cut itself the right
+    _, oracle = gen_scenario(ScenarioSpec(sid, 10, 3, 1))
+    cuts = oracle.true_change_points
+    assert isinstance(cuts, list)
+    edges = [0.0] + cuts + [1.0]
+    X = np.random.default_rng(4).uniform(-1, 1, (50, 3))
+    for k, c in enumerate(cuts):
+        left, right = (edges[k] + c) / 2.0, (c + edges[k + 2]) / 2.0
+        below = np.nextafter(c, 0.0)
+        np.testing.assert_array_equal(oracle.q(X, below), oracle.q(X, left))
+        np.testing.assert_array_equal(oracle.q(X, c), oracle.q(X, right))
+        if sid == 1:
+            theta = oracle.true_theta
+            np.testing.assert_array_equal(theta(below), theta(left))
+            np.testing.assert_array_equal(theta(c), theta(right))
+            assert not np.array_equal(theta(below), theta(c))
+
+
 def test_s4_s5_have_no_jumps():
     _, o4 = gen_scenario(ScenarioSpec(4, 10, 2, 0))
     _, o5 = gen_scenario(ScenarioSpec(5, 10, 3, 0))
