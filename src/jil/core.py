@@ -103,19 +103,27 @@ class Dataset:
     outcomes: np.ndarray
 
     def __post_init__(self):
-        cov = np.atleast_2d(np.asarray(self.covariates, dtype=float))
-        tr = np.asarray(self.treatments, dtype=float).ravel()
-        out = np.asarray(self.outcomes, dtype=float).ravel()
+        # np.array copies, so a caller's later writes cannot reach the dataset
+        self._own(
+            np.atleast_2d(np.array(self.covariates, dtype=float)),
+            np.array(self.treatments, dtype=float).ravel(),
+            np.array(self.outcomes, dtype=float).ravel(),
+        )
+
+    def _own(self, cov, tr, out):
+        """Validate arrays no caller holds, then keep them read-only as they
+        are, without a further copy."""
         n = cov.shape[0]
         if n < 1:
             raise InvalidData("covariates", None, "dataset has no rows")
-        bad = ~np.isfinite(cov)
-        if bad.any():
-            row = int(np.argwhere(bad)[0, 0])
+        if not np.isfinite(cov).all():
+            row = int(np.argwhere(~np.isfinite(cov))[0, 0])
             raise InvalidData("covariates", row, f"non-finite covariate at row {row}")
         if tr.shape[0] != n:
             raise InvalidData("treatments", None, "treatments length differs from covariates")
-        bad = ~np.isfinite(tr) | (tr < 0.0) | (tr > 1.0)
+        bad = ~np.isfinite(tr)
+        bad |= tr < 0.0
+        bad |= tr > 1.0
         if bad.any():
             row = int(np.argmax(bad))
             raise InvalidData("treatments", row, f"treatment outside [0, 1] at row {row}")
@@ -126,7 +134,6 @@ class Dataset:
             row = int(np.argmax(bad))
             raise InvalidData("outcomes", row, f"non-finite outcome at row {row}")
         for name, arr in (("covariates", cov), ("treatments", tr), ("outcomes", out)):
-            arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -139,8 +146,18 @@ class Dataset:
         return self.covariates.shape[1]
 
     def subset(self, idx) -> "Dataset":
-        """Row subset (used by cross-validation)."""
-        return Dataset(self.covariates[idx], self.treatments[idx], self.outcomes[idx])
+        """Row subset (used by cross-validation), validated as any dataset.
+
+        Indexing copies the rows (a slice views this dataset's read-only
+        rows), so they are kept as they are, without a second copy.
+        """
+        d = object.__new__(Dataset)
+        d._own(
+            np.atleast_2d(self.covariates[idx]),
+            np.asarray(self.treatments[idx]).ravel(),
+            np.asarray(self.outcomes[idx]).ravel(),
+        )
+        return d
 
 
 @dataclass(frozen=True)

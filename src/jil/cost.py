@@ -46,17 +46,22 @@ interval, so an interval gets the same bits in any batch.
 
 CostCache computes costs over a fixed lam grid. By default nothing is
 stored: each costfn(lam) call computes the column it asks for at that lam
-only, which the DP asks for once. precompute=True fills a table of every
-interval's costs up front, one column and lam at a time, for callers that
-run many DPs over one table (CV folds). Coefficients are solved on demand,
-for all intervals of a partition in one batched call, which the fits need
-only for the partitions they score or return.
+only, which the DP asks for once, and each columns() call computes its
+column at every lam of the grid, stacked into one Cholesky call and one
+min-norm call, for the grid form of segment.pelt that CV runs per fold.
+precompute=True fills a table of every interval's costs up front, one
+column and lam at a time; it now serves only the benchmark's solver check
+and tests, and goes once that check reads a column costfn (ROADMAP item 11).
+Coefficients are solved on demand, for any set of intervals in one batched
+call, which the fits and CV need only for the partitions they score or
+return.
 
 CostCache shares its interface with fit.NetworkCosts, so one fit body and
 one CV loop serve both model families: costfn(lam) is the segmenter's cost
-function and models(los, his, lam) returns one model per interval. costfn
-accepts only a lam on the cache's lambda grid, as NetworkCosts accepts only
-lam = 0; any other lam raises ValueError.
+function, columns() its grid form over the table's lambdas, and
+models(los, his, lam) returns one model per interval. costfn accepts only a
+lam on the cache's lambda grid, as NetworkCosts accepts only lam = 0; any
+other lam raises ValueError.
 """
 
 from __future__ import annotations
@@ -133,7 +138,8 @@ class CostCache:
     interval's moments are a single subtraction. Without precompute the
     cache holds only these prefix sums, and each costfn(lam) call computes
     the intervals it asks for at that lam, in one batched Cholesky
-    factorization. precompute=True fills a float64 table of shape
+    factorization (a columns() call, at every lam of the grid in one).
+    precompute=True fills a float64 table of shape
     (H, m+1, m+1), indexed [h, hi, lo], one column and lam at a time, so
     temporaries stay O(m d^2); costfn then only reads it. theta solves the
     intervals it is asked for on each call, and models wraps its
@@ -154,7 +160,7 @@ class CostCache:
             self._table = np.zeros((self.lambdas.size, self.m + 1, self.m + 1))
             for r in range(1, self.m + 1):
                 for h, lam in enumerate(self.lambdas):
-                    self._table[h, r, :r] = self._costs(np.arange(r), r, float(lam))
+                    self._table[h, r, :r] = self._costs(np.arange(r), r, self._at([lam]))[0]
 
     # ---------------------------------------------------------- internals
 
@@ -180,15 +186,25 @@ class CostCache:
         P[-1, -1] = c * c
         self._P = P
 
-    def _route(self, los, his, lam: float):
-        """Moments (K, D, D), ridge weights n*lam*|I| (K,), augmented
-        matrices and the Cholesky route (ok, last) of [lo/m, hi/m)."""
+    def _at(self, lams):
+        """The per-lambda constants _route takes for lams (H,): n*lam, and
+        the fewest rows an interval needs for the Cholesky route (at lam = 0
+        an interval with at most d rows has a singular Gram), as (H, 1)
+        columns."""
+        lams = np.asarray(lams, dtype=float)[:, None]
+        return self.dataset.n * lams, np.where(lams > 0.0, 1.0, float(self._M.shape[1]))
+
+    def _route(self, los, his, at):
+        """Moments M (K, D, D) of [lo/m, hi/m) and, at each lambda of
+        at = self._at(lams), the ridge weights n*lam*|I|, augmented matrices
+        and Cholesky route (ok, last) of every (lambda, interval) pair,
+        stacked lambda-major: row h*K + k is interval k at lams[h]."""
+        n_lam, min_rows = at
         M = self._M[his] - self._M[los]
-        ridge = self.dataset.n * lam * ((his - los) / self.m)
-        A = M + ridge[:, None, None] * self._P
-        # at lam = 0 an interval with at most d rows has a singular Gram
-        fast = M[:, 0, 0] > (0 if lam > 0.0 else M.shape[1] - 1)
-        return M, ridge, A, *_cholesky(A, fast)
+        ridge = n_lam * ((his - los) / self.m)
+        A = (ridge[:, :, None, None] * self._P + M).reshape(-1, *M.shape[1:])
+        fast = M[:, 0, 0] >= min_rows
+        return M, ridge.ravel(), A, *_cholesky(A, fast.ravel())
 
     def _min_norm(self, M: np.ndarray, ridge: np.ndarray):
         """(theta (K, d), n * cost (K,)) of the min-norm path for moments M
@@ -212,13 +228,15 @@ class CostCache:
         )
         return theta, np.maximum(sse, 0.0) + ridge * np.einsum("ki,ki->k", theta, theta)
 
-    def _costs(self, los: np.ndarray, his, lam: float) -> np.ndarray:
-        """Costs (K,) of the intervals [lo/m, hi/m) at one lambda."""
-        M, ridge, _, ok, ncost = self._route(los, his, lam)
-        rest = ~ok
-        if rest.any():
-            ncost[rest] = self._min_norm(M[rest], ridge[rest])[1]
-        return ncost / self.dataset.n
+    def _costs(self, los: np.ndarray, his, at) -> np.ndarray:
+        """Costs (H, K) of the intervals [lo/m, hi/m) at each lambda of
+        at = self._at(lams), from one Cholesky call and at most one min-norm
+        call."""
+        M, ridge, _, ok, ncost = self._route(los, his, at)
+        rest = np.flatnonzero(~ok)
+        if rest.size:
+            ncost[rest] = self._min_norm(M[rest % len(M)], ridge[rest])[1]
+        return (ncost / self.dataset.n).reshape(len(at[0]), -1)
 
     # ------------------------------------------------------------- access
 
@@ -229,7 +247,7 @@ class CostCache:
         each interval gets the same bits as in a batch of its own."""
         los, his = np.asarray(los), np.asarray(his)
         _check_pairs(los, his, self.m)
-        M, ridge, A, ok, _ = self._route(los, his, float(lam))
+        M, ridge, A, ok, _ = self._route(los, his, self._at([lam]))
         d = M.shape[1] - 1
         theta = np.empty((los.size, d))
         theta[ok] = np.linalg.solve(A[ok, :d, :d], A[ok, :d, d:])[:, :, 0]
@@ -255,12 +273,29 @@ class CostCache:
         h = self._lam_index.get(float(lam))
         if h is None:
             raise ValueError(f"lam {lam} is not on this cache's lambda grid {self.lambdas}")
-        lam = float(lam)
+        at = self._at([lam])
 
         def fn(lo, hi):
             _check_call(lo, hi, self.m)
             los = lo if isinstance(lo, np.ndarray) else np.array([lo])
-            c = self._costs(los, hi, lam) if self._table is None else self._table[h, hi, los]
+            c = self._costs(los, hi, at)[0] if self._table is None else self._table[h, hi, los]
             return c if isinstance(lo, np.ndarray) else float(c[0])
+
+        return fn
+
+    def columns(self):
+        """Column cost function (U, r) -> costs (H, |U|) of [j/m, r/m) for j
+        in U at every lambda of the grid, for the grid form of segment.pelt.
+
+        U must be an ascending int64 array with 0 <= j < r <= m. Each call
+        stacks the H*|U| (lambda, interval) pairs into one Cholesky call and
+        one min-norm call for the rest, and computes afresh; routing is per
+        interval, so each cost has the bits costfn(lam) gives it.
+        """
+        at = self._at(self.lambdas)
+
+        def fn(U, r):
+            _check_call(U, r, self.m)
+            return self._costs(U, r, at)
 
         return fn

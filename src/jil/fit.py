@@ -22,13 +22,9 @@ from .segment import pelt
 __all__ = ["NetworkCosts", "fit_ljil", "fit_djil", "recompute_objective"]
 
 
-def _fit(table, lam: float, gamma: float, segment) -> JilFit:
-    """Segment with the table's costs at lam, then attach its models.
-
-    segment is the caller's module-level pelt, so each driver's DP calls can
-    be replaced or traced in the module that makes them.
-    """
-    partition, objective = segment(table.costfn(lam), table.m, gamma, batched=True)
+def _fit(table, lam: float, gamma: float) -> JilFit:
+    """Segment with the table's costs at lam, then attach its models."""
+    partition, objective = pelt(table.costfn(lam), table.m, gamma, batched=True)
     edges = np.array(partition.edges())
     models = table.models(edges[:-1], edges[1:], lam)
     return JilFit(partition, models, table.m, lam, gamma, objective)
@@ -41,15 +37,16 @@ def fit_ljil(d: Dataset, m: int, lam: float, gamma: float) -> JilFit:
     pruned DP evaluates are factorized, each once, and memory stays O(m d^2).
     """
     lam = float(lam)
-    return _fit(CostCache(d, m, lambdas=(lam,)), lam, gamma, pelt)
+    return _fit(CostCache(d, m, lambdas=(lam,)), lam, gamma)
 
 
 class NetworkCosts:
     """Per-interval networks and their costs for one dataset on one grid.
 
     The network counterpart of cost.CostCache, with the same interface,
-    except that costfn(0.0) takes DP columns only: (R, hi) -> costs for an
-    ascending int64 array R, as segment.pelt calls it with batched=True.
+    except that costfn(0.0) and columns() take DP columns only: (R, hi) ->
+    costs for an ascending int64 array R, as segment.pelt calls it with
+    batched=True.
     An interval's cost is the SSE of its network divided by the full sample
     size n, so costs add up across a partition. models(los, his, 0.0)
     returns those networks. An interval without rows costs 0 and gets the
@@ -102,6 +99,11 @@ class NetworkCosts:
 
         return column
 
+    def columns(self):
+        """Column cost function over the table's one-lambda grid, (0.0,), for
+        the grid form of segment.pelt: costfn(0.0), one cost row."""
+        return self.costfn(0.0)
+
     def models(self, los: np.ndarray, his: np.ndarray, lam: float) -> tuple:
         """One network per interval [lo/m, hi/m); lam must be 0."""
         self._check_lam(lam)
@@ -116,7 +118,7 @@ def fit_djil(d: Dataset, m: int, gamma: float, cfg: TrainConfig) -> JilFit:
     Empty intervals cost 0 and carry an all-zero network (predicting 0),
     mirroring the zero ridge coefficients of an empty linear segment.
     """
-    return _fit(NetworkCosts(d, m, cfg), 0.0, gamma, pelt)
+    return _fit(NetworkCosts(d, m, cfg), 0.0, gamma)
 
 
 def recompute_objective(d: Dataset, fit: JilFit) -> float:

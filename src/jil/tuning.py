@@ -1,13 +1,17 @@
 """K-fold cross-validation over the (lambda, gamma) hyperparameter grid.
 
 Both flavors run one fold loop. Every fold builds one interval table on its
-training rows and runs the fit body of jil.fit once per (lambda, gamma)
-pair. For the ridge flavor the table is a CostCache filled up front, so
-each interval's cost at each lambda of the grid is computed once per fold. The
-network flavor tunes gamma only (its grid's lambda axis must be (0.0,))
-over a fit.NetworkCosts table, which trains each candidate interval once
-and serves the whole gamma grid. Both flavors take their folds and seed
-from the TuningGrid and return a CvReport.
+training rows and makes one grid-form segment.pelt call, which runs the DPs
+of every (lambda, gamma) pair in lockstep over the table's columns(): each
+column is computed once, at every lambda, for the union of the candidates
+the DPs still hold, and no table of interval costs is kept. For the ridge
+flavor the table is a CostCache without precompute, so a fold holds
+O(m d^2) cost state and each lambda's coefficients come from one theta call
+over the distinct intervals of its partitions. The network flavor tunes
+gamma only (its grid's lambda axis must be (0.0,)) over a fit.NetworkCosts
+table, which trains each candidate interval once and serves the whole gamma
+grid. Both flavors take their folds and seed from the TuningGrid and return
+a CvReport.
 
 Scores are held-out SSE totals divided by n, with held-out rows predicted
 by the fitted models; a held-out row in an interval without training rows
@@ -26,7 +30,7 @@ import numpy as np
 from .core import Dataset, check_grid, grid_cell
 from .cost import CostCache
 from .errors import BadFoldCount, InsufficientData
-from .fit import NetworkCosts, _fit
+from .fit import NetworkCosts
 from .mlp import TrainConfig
 from .segment import pelt
 
@@ -104,10 +108,13 @@ def _cv(d: Dataset, make_table, grid: TuningGrid):
 
     Folds come from the grid's k_folds and seed; kfold_split uses every
     label 0..k-1, so each fold has held-out and training rows.
-    Per fold, make_table(training rows) builds one interval table that serves
-    the whole grid; each grid pair's fit predicts the held-out rows through
-    its models' predict_batch, so an interval without training rows predicts
-    0 for both model families. Folds are combined by exact summation.
+    Per fold, make_table(training rows) builds one interval table over the
+    grid's lambdas, and one grid-form pelt call over its columns() runs the
+    DPs of every (lambda, gamma) pair in lockstep. Each lambda then gets the
+    models of the distinct intervals of its partitions from one models call,
+    and each partition predicts the held-out rows through its models'
+    predict_batch, so an interval without training rows predicts 0 for both
+    model families. Folds are combined by exact summation.
     """
     assign = kfold_split(d.n, grid.k_folds, grid.seed)
     lambdas, gammas = grid.lambdas, grid.gammas
@@ -119,14 +126,18 @@ def _cv(d: Dataset, make_table, grid: TuningGrid):
         Xva = d.covariates[va]
         Yva = d.outcomes[va]
         cells_va = grid_cell(d.treatments[va], table.m)
+        fits = pelt(table.columns(), table.m, gammas, batched=True)
         for h, lam in enumerate(lambdas):
-            for j, gam in enumerate(gammas):
-                fit = _fit(table, lam, gam, pelt)
-                idx = fit.partition.locate_cells(cells_va)
+            partitions = [partition for partition, _ in fits[h]]
+            pairs = sorted({(iv.lo, iv.hi) for p in partitions for iv in p.intervals})
+            los, his = np.array(pairs, dtype=np.int64).T
+            models = dict(zip(pairs, table.models(los, his, lam)))
+            for j, partition in enumerate(partitions):
+                idx = partition.locate_cells(cells_va)
                 pred = np.empty(Yva.size)
-                for k, model in enumerate(fit.models):
+                for k, iv in enumerate(partition.intervals):
                     rows = idx == k
-                    pred[rows] = model.predict_batch(Xva[rows])
+                    pred[rows] = models[iv.lo, iv.hi].predict_batch(Xva[rows])
                 resid = Yva - pred
                 parts[h][j].append(float(np.dot(resid, resid)))
     scores = np.array([[math.fsum(parts[h][j]) for j in range(J)] for h in range(H)])
@@ -144,7 +155,7 @@ def cv_select_ljil(d: Dataset, m: int, grid: TuningGrid) -> CvReport:
     """
 
     def make_table(d_tr):
-        return CostCache(d_tr, m, lambdas=grid.lambdas, precompute=True)
+        return CostCache(d_tr, m, lambdas=grid.lambdas)
 
     return _cv(d, make_table, grid)
 

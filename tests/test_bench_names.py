@@ -11,7 +11,12 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import jil.cost
+import jil.segment
+import jil.tuning
+from jil.sim import ScenarioSpec, gen_scenario
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -35,3 +40,27 @@ def test_traced_names_exist():
     # jil.tuning has trained no network itself since D-JIL CV moved onto
     # fit.NetworkCosts; that entry is the one stale name in the list
     assert missing == [("jil.tuning", "mlp_train")]
+
+
+def test_tracer_counts_one_grid_dp_per_cv_fold():
+    # ljil-cv's traced layers read these counts: one pelt call per fold,
+    # whose column function is called once per column
+    tracing = load_tracing()
+    d, _ = gen_scenario(ScenarioSpec(1, 120, 2, 3))
+    m, k = 12, 3
+    grid = jil.tuning.TuningGrid((0.0, 1e-2), (0.01, 0.1), k_folds=k, seed=3)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.op = 0
+        report = jil.tuning.cv_select_ljil(d, m, grid)
+        tracer.op = None
+    finally:
+        tracer.uninstall()
+    assert jil.tuning.pelt is jil.segment.pelt
+    counts = tracer.op_counts(0)
+    assert counts["segment.pelt_calls"] == k
+    assert counts["segment.cost_lookups"] == k * m
+    assert counts["cost.builds"] == k
+    assert counts["cost.theta_calls"] == k * len(grid.lambdas)
+    assert np.array_equal(report.scores, jil.tuning.cv_select_ljil(d, m, grid).scores)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -326,6 +327,31 @@ def test_dataset_subset_is_validated():
     assert d.subset(np.array([4, 0])).n == 2
     with pytest.raises(InvalidData, match="dataset has no rows"):
         d.subset(np.zeros(0, dtype=np.int64))
+
+
+def test_dataset_subset_copies_rows_once():
+    d = make_ds(n=20000, p=4)
+    idx = np.arange(16000)
+    tracemalloc.start()
+    try:
+        sub = d.subset(idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sub.covariates.nbytes + sub.treatments.nbytes + sub.outcomes.nbytes
+    assert peak <= 1.2 * kept
+    for name in ("covariates", "treatments", "outcomes"):
+        got, full = getattr(sub, name), getattr(d, name)
+        assert not got.flags.writeable
+        assert not np.shares_memory(got, full)
+        np.testing.assert_array_equal(got, full[idx])
+
+
+def test_dataset_keeps_no_caller_array():
+    X, A, Y = np.zeros((3, 2)), np.array([0.1, 0.5, 0.9]), np.zeros(3)
+    d = Dataset(X, A, Y)
+    X[0, 0], A[0], Y[0] = 7.0, 0.7, 7.0
+    assert d.covariates[0, 0] == 0.0 and d.treatments[0] == 0.1 and d.outcomes[0] == 0.0
 
 
 def test_dataset_shape_and_immutability():

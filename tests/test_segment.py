@@ -9,6 +9,7 @@ import pytest
 
 from conftest import cost_oracle, enumerate_partitions
 from jil.core import Dataset, Interval, Partition
+from jil.cost import CostCache
 from jil.errors import InvalidPenalty
 from jil.segment import dp_no_prune, pelt
 
@@ -343,3 +344,91 @@ def test_column_calls_and_candidate_arrays(rng):
     assert len(columns) == m
     for r, (lo, hi) in enumerate(columns, start=1):
         assert hi == r and lo.dtype == np.int64
+
+
+# ------------------------------------------------------------- grid form
+
+
+def recording_columns(tables):
+    """Grid column function over stacked tables (H, m+1, m+1) that records
+    each call (U, r)."""
+    calls = []
+
+    def fn(U, r):
+        calls.append((U.copy(), r))
+        return tables[:, U, r]
+
+    return fn, calls
+
+
+def assert_grid_matches_separate_runs(tables, gammas, prune):
+    """The grid form returns, bit for bit, what one run per (cost row,
+    penalty) returns, and asks each column for the union of those runs'
+    candidate sets."""
+    H, m = tables.shape[0], tables.shape[1] - 1
+    solver = pelt if prune else dp_no_prune
+    column, calls = recording_columns(tables)
+    grid = solver(column, m, gammas, batched=True)
+    assert len(grid) == H and all(len(row) == len(gammas) for row in grid)
+    union = {r: set() for r in range(1, m + 1)}
+    for h in range(H):
+        for j, gamma in enumerate(gammas):
+            fn, columns = recording_costfn(tables[h])
+            part, obj = solver(fn, m, gamma, batched=True)
+            assert grid[h][j][0] == part
+            assert float(grid[h][j][1]).hex() == float(obj).hex()
+            for R, r in columns:
+                union[r] |= set(R.tolist())
+    assert [r for _, r in calls] == list(range(1, m + 1))
+    for U, r in calls:
+        assert U.dtype == np.int64 and np.all(np.diff(U) > 0)
+        assert U.tolist() == sorted(union[r])
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_grid_matches_separate_runs_on_tables(rng, prune):
+    # arbitrary, tie-heavy (costs from {0, 0.5, 1}), all-zero and
+    # least-squares rows: ties must go to the smallest j row by row
+    tables = list(seeded_tables(rng))
+    for H in (1, 3):
+        for k in range(0, len(tables) - H + 1):
+            stack = tables[k : k + H]
+            if len({t.shape for t in stack}) > 1:
+                continue
+            gammas = (0.0, 0.25, 0.5, 1.0, 2.0)
+            assert_grid_matches_separate_runs(np.stack(stack), gammas, prune)
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_grid_matches_separate_runs_on_ridge_costs(rng, prune):
+    lambdas = (0.0, 1e-3, 1e-2)
+    for trial in range(6):
+        n, p, m = int(rng.integers(30, 160)), int(rng.integers(0, 4)), int(rng.integers(1, 25))
+        X = rng.uniform(-1, 1, (n, p))
+        A = rng.random(n)
+        Y = np.where(A < 0.4, 1.0, -1.0) + X.sum(axis=1) + rng.standard_normal(n)
+        cache = CostCache(Dataset(X, A, Y), m, lambdas=lambdas)
+        gammas = tuple(float(g) for g in np.sort(rng.uniform(0.0, 0.2, 4)))
+        solver = pelt if prune else dp_no_prune
+        grid = solver(cache.columns(), m, gammas, batched=True)
+        for h, lam in enumerate(lambdas):
+            for j, gamma in enumerate(gammas):
+                part, obj = solver(cache.costfn(lam), m, gamma, batched=True)
+                assert grid[h][j][0] == part
+                assert float(grid[h][j][1]).hex() == float(obj).hex()
+
+
+def test_grid_one_row_takes_scalar_and_one_row_columns(rng):
+    m = 9
+    table = sse_cost_table(rng, m)
+    gammas = (0.05, 0.3)
+    want = [[pelt(table_costfn(table), m, g) for g in gammas]]
+    assert pelt(table_costfn(table), m, gammas) == want
+    column, _ = recording_costfn(table)
+    assert pelt(column, m, list(gammas), batched=True) == want
+
+
+def test_grid_rejects_bad_penalties():
+    for bad in ((), (0.1, -0.1), (np.nan,), (True,)):
+        with pytest.raises(InvalidPenalty):
+            pelt(lambda lo, hi: 0.0, 4, bad)

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import jil.fit as fit_mod
 import jil.tuning as tuning_mod
-from jil.core import Dataset, Interval, Partition
+from jil.core import Dataset, Interval, Partition, grid_cell, make_grid
+from jil.cost import CostCache
 from jil.errors import BadFoldCount, InsufficientData
+from jil.fit import NetworkCosts
 from jil.mlp import TrainConfig, mlp_train
-from jil.segment import dp_no_prune
+from jil.segment import dp_no_prune, pelt
+from jil.sim import ScenarioSpec, gen_scenario
 from jil.tuning import (
     CvReport,
     TuningGrid,
@@ -216,6 +222,76 @@ def test_cv_report_best_attains_minimum(rng):
     assert rep.scores[h, j] == rep.scores.min()
 
 
+def reference_fold_loop(d, make_table, grid):
+    """CV scores as one separate DP per (lambda, gamma) pair computes them:
+    per fold, a table, H*J pelt calls over its costfn(lam), and one models
+    call per partition; folds combined by exact summation."""
+    assign = kfold_split(d.n, grid.k_folds, grid.seed)
+    H, J = len(grid.lambdas), len(grid.gammas)
+    parts = [[[] for _ in range(J)] for _ in range(H)]
+    for fid in range(grid.k_folds):
+        va = assign == fid
+        table = make_table(d.subset(np.flatnonzero(~va)))
+        cells = grid_cell(d.treatments[va], table.m)
+        for h, lam in enumerate(grid.lambdas):
+            for j, gamma in enumerate(grid.gammas):
+                part, _ = pelt(table.costfn(lam), table.m, gamma, batched=True)
+                edges = np.array(part.edges())
+                models = table.models(edges[:-1], edges[1:], lam)
+                idx = part.locate_cells(cells)
+                pred = np.empty(int(va.sum()))
+                for k, model in enumerate(models):
+                    pred[idx == k] = model.predict_batch(d.covariates[va][idx == k])
+                resid = d.outcomes[va] - pred
+                parts[h][j].append(float(np.dot(resid, resid)))
+    scores = np.array([[math.fsum(parts[h][j]) for j in range(J)] for h in range(H)])
+    return scores / d.n
+
+
+@pytest.mark.parametrize("scenario", [1, 3, 5])
+def test_cv_matches_reference_fold_loop_bitwise(scenario):
+    d, _ = gen_scenario(ScenarioSpec(scenario, 400, 4, 2))
+    m = make_grid(d.n, 5.0)
+    grid = default_grid(d.n, seed=2)
+    rep = cv_select_ljil(d, m, grid)
+    want = reference_fold_loop(
+        d, lambda d_tr: CostCache(d_tr, m, lambdas=grid.lambdas, precompute=True), grid
+    )
+    assert rep.scores.tobytes() == want.tobytes()
+    assert (rep.best_lambda, rep.best_gamma) == naive_best(want, grid.lambdas, grid.gammas)
+
+
+def test_cv_one_theta_call_per_fold_and_lambda(rng, monkeypatch):
+    d = piecewise_data(rng, 200)
+    grid = TuningGrid(lambdas=(0.0, 1e-2), gammas=(0.01, 0.05, 0.2), k_folds=4, seed=1)
+    calls = []
+    real = CostCache.theta
+
+    def recording(self, los, his, lam):
+        calls.append((lam, list(zip(np.asarray(los).tolist(), np.asarray(his).tolist()))))
+        return real(self, los, his, lam)
+
+    monkeypatch.setattr(CostCache, "theta", recording)
+    cv_select_ljil(d, 10, grid)
+    assert [lam for lam, _ in calls] == [lam for _ in range(4) for lam in grid.lambdas]
+    for _, pairs in calls:
+        assert pairs == sorted(set(pairs))  # each distinct interval solved once
+
+
+def test_cv_holds_no_interval_table():
+    # one fold's table alone would take H (m+1)^2 8 B = 15.4 MB at m = 800
+    d, _ = gen_scenario(ScenarioSpec(1, 4000, 4, 7))
+    m = make_grid(d.n, 5.0)
+    assert m == 800
+    tracemalloc.start()
+    try:
+        cv_select_ljil(d, m, default_grid(d.n, seed=7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
 # ------------------------------------------------------------- djil CV
 
 
@@ -330,7 +406,9 @@ def test_djil_cv_skips_held_out_rows_in_untrained_interval(rng, monkeypatch):
     Y = np.concatenate([[5.0], rng.standard_normal(n - 1)])
     d = Dataset(rng.uniform(-1, 1, (n, 2)), A, Y)
     forced = Partition.from_edges([0, 1, 2], 2)
-    monkeypatch.setattr(tuning_mod, "pelt", lambda costfn, m, gamma, **kw: (forced, 0.0))
+    monkeypatch.setattr(
+        tuning_mod, "pelt", lambda costfn, m, gammas, **kw: [[(forced, 0.0)] * len(gammas)]
+    )
     cfg = small_cfg(epochs=5)
     rep = cv_select_djil(d, 2, djil_grid((0.1, 0.2), k, 0), cfg)
     # both gammas see the same partition, so the tie goes to the larger one
@@ -376,6 +454,23 @@ def test_djil_cv_global_linear_data_prefers_fewest_segments():
         best = cv_select_djil(d, 5, grid, small_cfg(seed=seed, epochs=60)).best_gamma
         wins += best == 1.0
     assert wins >= 16
+
+
+def test_djil_cv_matches_reference_fold_loop(rng, monkeypatch):
+    n, m = 80, 6
+    A = rng.random(n)
+    d = Dataset(rng.uniform(-1, 1, (n, 2)), A, np.where(A < 0.5, 1.0, -1.0) + rng.standard_normal(n))
+    grid = djil_grid((0.001, 0.01, 0.1), 3, 4)
+    cfg = small_cfg(seed=4, epochs=5)
+    trainings = []
+    real = fit_mod.mlp_train
+    monkeypatch.setattr(fit_mod, "mlp_train", lambda *a: trainings.append(1) or real(*a))
+    rep = cv_select_djil(d, m, grid, cfg)
+    got = len(trainings)
+    trainings.clear()
+    want = reference_fold_loop(d, lambda d_tr: NetworkCosts(d_tr, m, cfg), grid)
+    assert rep.scores.tobytes() == want.tobytes()
+    assert got == len(trainings) > 0
 
 
 # ------------------------------------------------------------- defaults
