@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -242,63 +243,81 @@ def _load_artifact(path: str) -> dict:
     return art
 
 
+def _int(v, what: str):
+    """v if it is a JSON integer; a bool or a number with a fraction is not."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SchemaMismatch(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _finite(v, what: str):
+    """v, a finite JSON number (not a bool) or nested lists of them, as a
+    float array."""
+
+    def ok(x):
+        if isinstance(x, list):
+            return all(ok(y) for y in x)
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+    if not ok(v):
+        raise SchemaMismatch(f"{what} must be finite JSON numbers")
+    return np.asarray(v, dtype=float)
+
+
 def _decode_artifact(art: dict):
     """(fit, propensity, p, seed, raw dose range or None) of a loaded artifact.
 
     This is the one place an artifact's fields are decoded: a missing key or
-    a value of the wrong type or shape raises SchemaMismatch.
+    a value of the wrong type or shape raises SchemaMismatch. Integers
+    follow _int and every other number _finite.
     """
     try:
         fit = _fit_from_artifact(art)
         prop = _prop_from_artifact(art["propensity"], fit.partition)
         prov = art["provenance"]
-        p, seed = int(prov["p"]), int(prov["seed"])
+        p, seed = _int(prov["p"], "p"), _int(prov["seed"], "seed")
         a_range = None
         if prov.get("a_min") is not None:
-            a_range = float(prov["a_min"]), float(prov["a_max"])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+            a_range = tuple(_finite([prov["a_min"], prov["a_max"]], "a_min, a_max").tolist())
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"malformed model file: {type(exc).__name__}: {exc}") from None
     return fit, prop, p, seed, a_range
 
 
 def _fit_from_artifact(art: dict) -> JilFit:
-    m = art["m"]
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise SchemaMismatch(f"m must be an integer, got {m!r}")
-    partition = Partition(tuple(Interval(int(lo), int(hi), m) for lo, hi in art["partition"]))
+    m = _int(art["m"], "m")
+    edges = [(_int(lo, "partition"), _int(hi, "partition")) for lo, hi in art["partition"]]
+    partition = Partition(tuple(Interval(lo, hi, m) for lo, hi in edges))
     models = []
     for entry in art["models"]:
         if art["method"] == "ljil":
-            models.append(Linear(np.asarray(entry["theta"], dtype=float)))
+            models.append(Linear(_finite(entry["theta"], "theta")))
         else:
             models.append(
                 MlpModel(
-                    tuple(int(s) for s in entry["layer_sizes"]),
-                    tuple(np.asarray(W, dtype=float) for W in entry["weights"]),
-                    tuple(np.asarray(b, dtype=float) for b in entry["biases"]),
+                    tuple(_int(s, "layer_sizes") for s in entry["layer_sizes"]),
+                    tuple(_finite(W, "weights") for W in entry["weights"]),
+                    tuple(_finite(b, "biases") for b in entry["biases"]),
                 )
             )
     return JilFit(
         partition=partition,
         models=tuple(models),
         m=m,
-        lam=float(art["lambda"]),
-        gamma=float(art["gamma"]),
-        objective=float(art["objective"]),
+        lam=float(_finite(art["lambda"], "lambda")),
+        gamma=float(_finite(art["gamma"], "gamma")),
+        objective=float(_finite(art["objective"], "objective")),
     )
 
 
 def _prop_from_artifact(payload: dict, partition: Partition) -> PropensityModel:
     if payload["kind"] != "multinomial":
         raise SchemaMismatch(f"unknown propensity kind {payload['kind']!r}")
-    if float(payload["floor"]) != PropensityModel.floor:
+    if float(_finite(payload["floor"], "floor")) != PropensityModel.floor:
         raise SchemaMismatch(
             f"propensity floor {payload['floor']!r} is not {PropensityModel.floor!r}"
         )
-    return PropensityModel(
-        partition=partition,
-        weights=np.asarray(payload["weights"], dtype=float),
-    )
+    return PropensityModel(partition, _finite(payload["weights"], "propensity weights"))
 
 
 # ---------------------------------------------------------------- commands

@@ -10,7 +10,8 @@ Membership of a treatment value is defined through its grid cell,
 cell(a) = min(floor(a*m), m-1): interval (lo, hi) contains a iff
 lo <= cell(a) < hi. Fitting, prediction, propensity estimation, and
 cross-validation all share this one rule, so a given observation belongs to
-exactly one interval of any valid partition.
+exactly one interval of any valid partition; Partition.locate applies it to
+treatment values, and no other module hands grid cells to a partition.
 
 A Dataset is validated when it is built: every instance has at least one
 row, equal field lengths, finite values and treatments in [0, 1], so no
@@ -233,9 +234,10 @@ class Partition:
         """Interior change points as fractions of [0, 1]."""
         return [hi / self.m for hi in self._his[:-1]]
 
-    def locate_cells(self, cells: np.ndarray) -> np.ndarray:
-        """Index of the interval whose [lo, hi) contains each grid cell."""
-        return np.searchsorted(np.asarray(self._his), cells, side="right")
+    def locate(self, a) -> np.ndarray:
+        """Index of the interval that contains each treatment value in a,
+        by the grid-cell membership rule of this module."""
+        return np.searchsorted(np.asarray(self._his), grid_cell(a, self.m), side="right")
 
 
 @dataclass(frozen=True)
@@ -246,6 +248,8 @@ class Linear:
 
     def __post_init__(self):
         th = np.asarray(self.theta, dtype=float).copy()
+        if th.ndim != 1 or not th.size:
+            raise ValueError(f"theta must be a non-empty vector, got shape {th.shape}")
         th.flags.writeable = False
         object.__setattr__(self, "theta", th)
 

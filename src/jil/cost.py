@@ -44,27 +44,21 @@ is formed from theta and the centered moments. An interval without rows
 gets theta = 0 and costs exactly 0 at every lam. Routing is decided per
 interval, so an interval gets the same bits in any batch.
 
-CostCache computes costs over a fixed lam grid. By default nothing is
-stored: each costfn(lam) call computes the column it asks for at that lam
-only, which the DP asks for once, and each columns() call computes its
-column at every lam of the grid, stacked into one Cholesky call and one
-min-norm call, for the grid form of segment.pelt that CV runs per fold.
-precompute=True fills a table of every interval's costs up front, one
-column and lam at a time; it now serves only the benchmark's solver check
-and tests, and goes once that check reads a column costfn (ROADMAP item 11).
-Coefficients are solved on demand, for any set of intervals in one batched
-call, which the fits and CV need only for the partitions they score or
-return.
-
-CostCache shares its interface with fit.NetworkCosts, so one fit body and
-one CV loop serve both model families: costfn(lam) is the segmenter's cost
-function, columns() its grid form over the table's lambdas, and
-models(los, his, lam) returns one model per interval. costfn accepts only a
-lam on the cache's lambda grid, as NetworkCosts accepts only lam = 0; any
-other lam raises ValueError.
+CostCache computes costs over a fixed lam grid and stores none: each
+columns() call computes its DP column at every lam of the grid, stacked into
+one Cholesky call and one min-norm call. A lone fit reads the one cost row
+of a one-lam cache; a CV fold runs the grid form of segment.pelt over all
+rows. Coefficients are solved on demand, for any set of intervals in one
+batched call. CostCache shares this interface, columns() and
+models(los, his, lam), with fit.NetworkCosts, so one fit body and one CV
+loop serve both model families. The scalar costfn(lam) and precompute=True,
+a table of every interval's costs for costfn to read, serve only the
+benchmark's solver check and tests (ROADMAP item 11).
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -118,17 +112,11 @@ def _check_pairs(los: np.ndarray, his: np.ndarray, m: int):
         raise ValueError(f"invalid interval indices ({los}, {his}) on grid {m}")
 
 
-def _check_call(lo, hi, m: int):
-    """Check the arguments of a costfn call: lo is an int or an ascending
-    int64 array, whose ends bound every entry."""
-    if isinstance(lo, np.ndarray):
-        if not lo.size:
-            return
-        first, last = int(lo[0]), int(lo[-1])
-    else:
-        first = last = lo
-    if not (0 <= first and last < hi <= m):
-        raise ValueError(f"invalid interval indices ({lo}, {hi}) on grid {m}")
+def _check_call(R: np.ndarray, r, m: int):
+    """Check the arguments of a column call: R is an ascending int64 array,
+    whose ends bound every entry, and 0 <= j < r <= m for j in R."""
+    if R.size and not (0 <= R[0] and R[-1] < r <= m):
+        raise ValueError(f"invalid interval indices ({R}, {r}) on grid {m}")
 
 
 class CostCache:
@@ -136,13 +124,12 @@ class CostCache:
 
     Augmented moments come from prefix sums over grid cells, so each
     interval's moments are a single subtraction. Without precompute the
-    cache holds only these prefix sums, and each costfn(lam) call computes
-    the intervals it asks for at that lam, in one batched Cholesky
-    factorization (a columns() call, at every lam of the grid in one).
-    precompute=True fills a float64 table of shape
+    cache holds only these prefix sums, and each columns() call computes
+    the intervals it asks for at every lam of the grid in one batched
+    Cholesky factorization. precompute=True fills a float64 table of shape
     (H, m+1, m+1), indexed [h, hi, lo], one column and lam at a time, so
-    temporaries stay O(m d^2); costfn then only reads it. theta solves the
-    intervals it is asked for on each call, and models wraps its
+    temporaries stay O(m d^2); the scalar costfn then only reads it. theta
+    solves the intervals it is asked for on each call, and models wraps its
     coefficients as one Linear model per interval. There is no lock: a cache
     belongs to one thread (replication runs in processes).
     """
@@ -261,14 +248,29 @@ class CostCache:
         """One Linear model per interval, from a single theta call."""
         return tuple(Linear(t) for t in self.theta(los, his, lam))
 
-    def costfn(self, lam: float):
-        """Cost function (lo, hi) -> cost at a fixed lambda, for the segmenter.
+    def columns(self):
+        """Column cost function (U, r) -> costs (H, |U|) of [j/m, r/m) for j
+        in U at every lambda of the grid, for the column form of segment.pelt.
 
-        lo is an int, giving a float, or an ascending int64 array, giving one
-        cost per entry (the batched column form of segment.pelt); indices
-        must satisfy 0 <= lo < hi <= m. lam must be on the cache's lambda
-        grid. Each call reads the precomputed table or, without one,
-        computes the costs it asks for at lam only.
+        U must be an ascending int64 array with 0 <= j < r <= m. Each call
+        stacks the H*|U| (lambda, interval) pairs into one Cholesky call and
+        one min-norm call for the rest, and computes afresh; routing is per
+        interval, so a cost has the same bits in any call.
+        """
+        at = self._at(self.lambdas)
+
+        def fn(U, r):
+            _check_call(U, r, self.m)
+            return self._costs(U, r, at)
+
+        return fn
+
+    def costfn(self, lam: float):
+        """Scalar cost function (lo, hi) -> cost at lam, a lambda of the grid
+        (else ValueError), for the scalar form of segment.pelt; lo and hi are
+        ints with 0 <= lo < hi <= m. The library segments through columns();
+        the benchmark's solver check, on a precompute=True table, is this
+        adapter's only caller outside the tests (ROADMAP item 11).
         """
         h = self._lam_index.get(float(lam))
         if h is None:
@@ -276,26 +278,10 @@ class CostCache:
         at = self._at([lam])
 
         def fn(lo, hi):
-            _check_call(lo, hi, self.m)
-            los = lo if isinstance(lo, np.ndarray) else np.array([lo])
-            c = self._costs(los, hi, at)[0] if self._table is None else self._table[h, hi, los]
-            return c if isinstance(lo, np.ndarray) else float(c[0])
-
-        return fn
-
-    def columns(self):
-        """Column cost function (U, r) -> costs (H, |U|) of [j/m, r/m) for j
-        in U at every lambda of the grid, for the grid form of segment.pelt.
-
-        U must be an ascending int64 array with 0 <= j < r <= m. Each call
-        stacks the H*|U| (lambda, interval) pairs into one Cholesky call and
-        one min-norm call for the rest, and computes afresh; routing is per
-        interval, so each cost has the bits costfn(lam) gives it.
-        """
-        at = self._at(self.lambdas)
-
-        def fn(U, r):
-            _check_call(U, r, self.m)
-            return self._costs(U, r, at)
+            los = np.array([operator.index(lo)])
+            _check_call(los, hi, self.m)
+            if self._table is not None:
+                return float(self._table[h, hi, lo])
+            return float(self._costs(los, hi, at)[0, 0])
 
         return fn

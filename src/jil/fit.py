@@ -1,13 +1,13 @@
 """Full segmentation fits tying together costs, the segmenter, and models.
 
 Both model families run one fit body over an interval table: the pruned
-column-wise DP segments with the table's costfn(lam), which computes only
-the surviving candidates' costs, and the table's models(los, his, lam)
-attaches one model per final interval. fit_ljil uses a CostCache without a
-table, whose models are ridge coefficients refactorized for the final
-intervals in one batched call. fit_djil uses a NetworkCosts table, which
-trains one network per candidate interval at most once; its lam is fixed
-at 0 because the network cost carries no coefficient penalty.
+column-wise DP segments with the table's columns(), which computes only the
+surviving candidates' costs, and _attach gives the final intervals their
+models from one models(los, his, lam) call. CV runs both steps per fold and
+scores with _sse, the residual rule of recompute_objective. fit_ljil uses a
+one-lambda CostCache; fit_djil a NetworkCosts table, which trains each
+candidate interval at most once, at lam 0: network costs carry no
+coefficient penalty.
 """
 
 from __future__ import annotations
@@ -22,12 +22,36 @@ from .segment import pelt
 __all__ = ["NetworkCosts", "fit_ljil", "fit_djil", "recompute_objective"]
 
 
+def _attach(table, lam: float, results, gammas) -> list:
+    """One JilFit per DP result (Partition, objective) of the table at lam,
+    paired with gammas; the distinct intervals of all the partitions get
+    their models from one models call."""
+    pairs = sorted({(iv.lo, iv.hi) for partition, _ in results for iv in partition.intervals})
+    los, his = np.array(pairs, dtype=np.int64).T
+    models = dict(zip(pairs, table.models(los, his, lam)))
+    return [
+        JilFit(partition, [models[iv.lo, iv.hi] for iv in partition.intervals],
+               table.m, lam, gamma, objective)
+        for (partition, objective), gamma in zip(results, gammas)
+    ]
+
+
+def _sse(fit: JilFit, X: np.ndarray, A: np.ndarray, Y: np.ndarray) -> float:
+    """Residual sum of squares of a fit on rows (X, A, Y), each row predicted
+    by the model of the interval that holds its dose."""
+    idx = fit.partition.locate(A)
+    pred = np.empty(Y.size)
+    for k, model in enumerate(fit.models):
+        rows = idx == k
+        pred[rows] = model.predict_batch(X[rows])
+    resid = Y - pred
+    return float(np.dot(resid, resid))
+
+
 def _fit(table, lam: float, gamma: float) -> JilFit:
-    """Segment with the table's costs at lam, then attach its models."""
-    partition, objective = pelt(table.costfn(lam), table.m, gamma, batched=True)
-    edges = np.array(partition.edges())
-    models = table.models(edges[:-1], edges[1:], lam)
-    return JilFit(partition, models, table.m, lam, gamma, objective)
+    """Segment with the one cost row of a table over lambdas (lam,), then
+    attach its models."""
+    return _attach(table, lam, [pelt(table.columns(), table.m, gamma, batched=True)], [gamma])[0]
 
 
 def fit_ljil(d: Dataset, m: int, lam: float, gamma: float) -> JilFit:
@@ -43,15 +67,14 @@ def fit_ljil(d: Dataset, m: int, lam: float, gamma: float) -> JilFit:
 class NetworkCosts:
     """Per-interval networks and their costs for one dataset on one grid.
 
-    The network counterpart of cost.CostCache, with the same interface,
-    except that costfn(0.0) and columns() take DP columns only: (R, hi) ->
-    costs for an ascending int64 array R, as segment.pelt calls it with
-    batched=True.
+    The network counterpart of cost.CostCache, with the same interface
+    over the one-lambda grid (0.0,): columns() is the column cost function
+    (R, hi) -> costs (1, |R|) segment.pelt calls with batched=True, and
+    models(los, his, 0.0) returns the networks of the intervals.
     An interval's cost is the SSE of its network divided by the full sample
-    size n, so costs add up across a partition. models(los, his, 0.0)
-    returns those networks. An interval without rows costs 0 and gets the
-    all-zero network, which predicts 0. Each interval is trained at most
-    once, on first use, through mlp_train.
+    size n, so costs add up across a partition. An interval without rows
+    costs 0 and gets the all-zero network, which predicts 0. Each interval
+    is trained at most once, on first use, through mlp_train.
     """
 
     def __init__(self, dataset: Dataset, m: int, cfg: TrainConfig):
@@ -81,32 +104,21 @@ class NetworkCosts:
             self._memo[lo, hi] = got
         return got
 
-    @staticmethod
-    def _check_lam(lam):
-        if float(lam) != 0.0:
-            raise ValueError(
-                f"network costs carry no coefficient penalty; lam must be 0, got {lam}"
-            )
-
-    def costfn(self, lam: float):
-        """Column cost function (R, hi) -> costs of [j/m, hi/m) for j in R;
-        lam must be 0."""
-        self._check_lam(lam)
+    def columns(self):
+        """Column cost function (R, hi) -> costs (1, |R|) of [j/m, hi/m)
+        for j in R, one row for the table's one lambda, 0."""
 
         def column(R, hi):
             _check_call(R, hi, self.m)
-            return np.array([self._entry(j, hi)[1] for j in R.tolist()], dtype=float)
+            return np.array([[self._entry(j, hi)[1] for j in R.tolist()]])
 
         return column
 
-    def columns(self):
-        """Column cost function over the table's one-lambda grid, (0.0,), for
-        the grid form of segment.pelt: costfn(0.0), one cost row."""
-        return self.costfn(0.0)
-
     def models(self, los: np.ndarray, his: np.ndarray, lam: float) -> tuple:
-        """One network per interval [lo/m, hi/m); lam must be 0."""
-        self._check_lam(lam)
+        """One network per interval [lo/m, hi/m); lam must be 0, since
+        network costs carry no coefficient penalty."""
+        if float(lam) != 0.0:
+            raise ValueError(f"network costs carry no coefficient penalty; lam must be 0, got {lam}")
         los, his = np.asarray(los), np.asarray(his)
         _check_pairs(los, his, self.m)
         return tuple(self._entry(lo, hi)[0] for lo, hi in zip(los.tolist(), his.tolist()))
@@ -124,16 +136,11 @@ def fit_djil(d: Dataset, m: int, gamma: float, cfg: TrainConfig) -> JilFit:
 def recompute_objective(d: Dataset, fit: JilFit) -> float:
     """Objective of a fit from its stored components, independent of caches.
 
-    Sum over intervals of residual SSE / n plus lam * |I| * ||theta||^2 for
-    linear segments, plus gamma per interval.
+    Residual SSE / n by _sse, plus lam * |I| * ||theta||^2 for each linear
+    segment, plus gamma per interval.
     """
-    cells = grid_cell(d.treatments, fit.m)
-    total = 0.0
+    total = _sse(fit, d.covariates, d.treatments, d.outcomes) / d.n
     for iv, model in zip(fit.partition.intervals, fit.models):
-        rows = np.flatnonzero((cells >= iv.lo) & (cells < iv.hi))
-        if rows.size:
-            resid = d.outcomes[rows] - model.predict_batch(d.covariates[rows])
-            total += float(np.dot(resid, resid)) / d.n
         if isinstance(model, Linear):
             total += fit.lam * iv.length * float(np.dot(model.theta, model.theta))
     return total + fit.gamma * fit.partition.size

@@ -37,10 +37,10 @@ class MlpModel:
     biases: tuple
 
     def __post_init__(self):
-        if len(self.weights) != len(self.layer_sizes) - 1:
-            raise ValueError("one weight matrix per layer transition required")
-        if len(self.biases) != len(self.weights):
-            raise ValueError("one bias vector per weight matrix required")
+        shapes = list(zip(self.layer_sizes[1:], self.layer_sizes[:-1]))
+        got = [np.shape(W) for W in self.weights], [np.shape(b) for b in self.biases]
+        if got != (shapes, [s[:1] for s in shapes]):
+            raise ValueError(f"weights and biases must match layer_sizes {self.layer_sizes}")
 
     @property
     def n_inputs(self) -> int:

@@ -26,7 +26,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.stats import norm
 
-from .core import Dataset, Interval, JilFit, Partition, grid_cell, make_xbar
+from .core import Dataset, Interval, JilFit, Partition, make_xbar
 from .errors import DimensionMismatch, InsufficientData, NoConvergence
 
 __all__ = [
@@ -201,7 +201,7 @@ def fit_propensity(d: Dataset, partition: Partition) -> PropensityModel:
     K = partition.size
     if d.n < K:
         raise InsufficientData(f"need n >= |P| = {K} observations, got {d.n}")
-    labels = partition.locate_cells(grid_cell(d.treatments, partition.m))
+    labels = partition.locate(d.treatments)
     W = _fit_softmax(make_xbar(d.covariates), labels, K)
     return PropensityModel(partition=partition, weights=W)
 
@@ -240,7 +240,7 @@ def estimate_value(d: Dataset, rule: I2dr, prop: PropensityModel, alpha: float) 
         raise ValueError("propensity and rule were fit on different partitions")
     fit = rule.fit
     rec, qmax = _recommend(fit, d.covariates)
-    seg = fit.partition.locate_cells(grid_cell(d.treatments, fit.m))
+    seg = fit.partition.locate(d.treatments)
     ind = (seg == rec).astype(float)
     e = propensity_probs(prop, d.covariates)[np.arange(d.n), rec]
     terms = ind / e * (d.outcomes - qmax) + qmax

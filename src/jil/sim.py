@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, grid_cell, make_grid
+from .core import Dataset, make_grid
 from .errors import BadSpec, MissingTruth
 from .fit import fit_djil, fit_ljil
 from .mlp import TrainConfig
@@ -231,7 +231,7 @@ def theta_path(fit, a: np.ndarray) -> np.ndarray:
     if fit.method != "ljil":
         raise ValueError("coefficient paths are defined for linear fits only")
     thetas = np.stack([mod.theta for mod in fit.models])
-    return thetas[fit.partition.locate_cells(grid_cell(np.asarray(a, dtype=float), fit.m))]
+    return thetas[fit.partition.locate(np.asarray(a, dtype=float))]
 
 
 def integrated_l2_loss(fit, oracle: TruthOracle) -> float:

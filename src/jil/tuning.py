@@ -1,17 +1,17 @@
 """K-fold cross-validation over the (lambda, gamma) hyperparameter grid.
 
-Both flavors run one fold loop. Every fold builds one interval table on its
-training rows and makes one grid-form segment.pelt call, which runs the DPs
-of every (lambda, gamma) pair in lockstep over the table's columns(): each
-column is computed once, at every lambda, for the union of the candidates
-the DPs still hold, and no table of interval costs is kept. For the ridge
-flavor the table is a CostCache without precompute, so a fold holds
-O(m d^2) cost state and each lambda's coefficients come from one theta call
-over the distinct intervals of its partitions. The network flavor tunes
-gamma only (its grid's lambda axis must be (0.0,)) over a fit.NetworkCosts
-table, which trains each candidate interval once and serves the whole gamma
-grid. Both flavors take their folds and seed from the TuningGrid and return
-a CvReport.
+Both flavors run one fold loop, the fit body of fit.py over a grid. Every
+fold builds one interval table on its training rows and makes one grid-form
+segment.pelt call, which runs the DPs of every (lambda, gamma) pair in
+lockstep over the table's columns(): each column is computed once, at every
+lambda, for the union of the candidates the DPs still hold, and no table of
+interval costs is kept. fit._attach gives each lambda's partitions their
+models from one models call, as for a lone fit, and fit._sse scores them.
+The ridge flavor's table is a CostCache without precompute, O(m d^2) per
+fold. The network flavor tunes gamma only (its grid's lambda axis must be
+(0.0,)) over a fit.NetworkCosts table, which trains each candidate interval
+once for the whole gamma grid. Both flavors take their folds and seed from
+the TuningGrid and return a CvReport.
 
 Scores are held-out SSE totals divided by n, with held-out rows predicted
 by the fitted models; a held-out row in an interval without training rows
@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, check_grid, grid_cell
+from .core import Dataset, check_grid
 from .cost import CostCache
 from .errors import BadFoldCount, InsufficientData
-from .fit import NetworkCosts
+from .fit import NetworkCosts, _attach, _sse
 from .mlp import TrainConfig
 from .segment import pelt
 
@@ -107,42 +107,22 @@ def _cv(d: Dataset, make_table, grid: TuningGrid):
     """Held-out SSE / n over the grid's (lambda, gamma) pairs, as a CvReport.
 
     Folds come from the grid's k_folds and seed; kfold_split uses every
-    label 0..k-1, so each fold has held-out and training rows.
-    Per fold, make_table(training rows) builds one interval table over the
-    grid's lambdas, and one grid-form pelt call over its columns() runs the
-    DPs of every (lambda, gamma) pair in lockstep. Each lambda then gets the
-    models of the distinct intervals of its partitions from one models call,
-    and each partition predicts the held-out rows through its models'
-    predict_batch, so an interval without training rows predicts 0 for both
-    model families. Folds are combined by exact summation.
+    label 0..k-1, so each fold has held-out and training rows. Per fold,
+    make_table(training rows) builds one table over the grid's lambdas, for
+    one grid-form pelt call, fit._attach per lambda and fit._sse on the
+    held-out rows. Folds are combined by exact summation.
     """
     assign = kfold_split(d.n, grid.k_folds, grid.seed)
-    lambdas, gammas = grid.lambdas, grid.gammas
-    H, J = len(lambdas), len(gammas)
-    parts = [[[] for _ in range(J)] for _ in range(H)]
+    sse = []  # per fold, the held-out SSE of each (lambda, gamma) pair
     for fid in range(grid.k_folds):
         va = assign == fid
         table = make_table(d.subset(np.flatnonzero(~va)))
-        Xva = d.covariates[va]
-        Yva = d.outcomes[va]
-        cells_va = grid_cell(d.treatments[va], table.m)
-        fits = pelt(table.columns(), table.m, gammas, batched=True)
-        for h, lam in enumerate(lambdas):
-            partitions = [partition for partition, _ in fits[h]]
-            pairs = sorted({(iv.lo, iv.hi) for p in partitions for iv in p.intervals})
-            los, his = np.array(pairs, dtype=np.int64).T
-            models = dict(zip(pairs, table.models(los, his, lam)))
-            for j, partition in enumerate(partitions):
-                idx = partition.locate_cells(cells_va)
-                pred = np.empty(Yva.size)
-                for k, iv in enumerate(partition.intervals):
-                    rows = idx == k
-                    pred[rows] = models[iv.lo, iv.hi].predict_batch(Xva[rows])
-                resid = Yva - pred
-                parts[h][j].append(float(np.dot(resid, resid)))
-    scores = np.array([[math.fsum(parts[h][j]) for j in range(J)] for h in range(H)])
-    scores /= d.n
-    best_lambda, best_gamma = _pick_largest_on_ties(scores, lambdas, gammas)
+        held_out = d.covariates[va], d.treatments[va], d.outcomes[va]
+        results = pelt(table.columns(), table.m, grid.gammas, batched=True)
+        sse.append([[_sse(fit, *held_out) for fit in _attach(table, lam, row, grid.gammas)]
+                    for lam, row in zip(grid.lambdas, results)])
+    scores = np.apply_along_axis(math.fsum, 0, np.array(sse)) / d.n
+    best_lambda, best_gamma = _pick_largest_on_ties(scores, grid.lambdas, grid.gammas)
     return CvReport(scores, best_lambda, best_gamma, assign)
 
 

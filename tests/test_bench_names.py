@@ -42,21 +42,26 @@ def test_traced_names_exist():
     assert missing == [("jil.tuning", "mlp_train")]
 
 
-def test_tracer_counts_one_grid_dp_per_cv_fold():
-    # ljil-cv's traced layers read these counts: one pelt call per fold,
-    # whose column function is called once per column
-    tracing = load_tracing()
-    d, _ = gen_scenario(ScenarioSpec(1, 120, 2, 3))
-    m, k = 12, 3
-    grid = jil.tuning.TuningGrid((0.0, 1e-2), (0.01, 0.1), k_folds=k, seed=3)
-    tracer = tracing.Tracer()
+def traced(call):
+    """(result, tracer) of call() run as traced op 0 of a fresh Tracer."""
+    tracer = load_tracing().Tracer()
     tracer.install()
     try:
         tracer.op = 0
-        report = jil.tuning.cv_select_ljil(d, m, grid)
+        result = call()
         tracer.op = None
     finally:
         tracer.uninstall()
+    return result, tracer
+
+
+def test_tracer_counts_one_grid_dp_per_cv_fold():
+    # ljil-cv's traced layers read these counts: one pelt call per fold,
+    # whose column function is called once per column
+    d, _ = gen_scenario(ScenarioSpec(1, 120, 2, 3))
+    m, k = 12, 3
+    grid = jil.tuning.TuningGrid((0.0, 1e-2), (0.01, 0.1), k_folds=k, seed=3)
+    report, tracer = traced(lambda: jil.tuning.cv_select_ljil(d, m, grid))
     assert jil.tuning.pelt is jil.segment.pelt
     counts = tracer.op_counts(0)
     assert counts["segment.pelt_calls"] == k
@@ -64,3 +69,34 @@ def test_tracer_counts_one_grid_dp_per_cv_fold():
     assert counts["cost.builds"] == k
     assert counts["cost.theta_calls"] == k * len(grid.lambdas)
     assert np.array_equal(report.scores, jil.tuning.cv_select_ljil(d, m, grid).scores)
+
+
+def test_tracer_counts_one_column_dp_per_lone_fit():
+    # ljil-large's and bench-reps' traced layers read these counts: one pelt
+    # call whose column function is called once per column, one cost build
+    # and one theta call; the scalar costfn is never called, so cost.costfn_s
+    # reads 0
+    d, _ = gen_scenario(ScenarioSpec(1, 200, 2, 4))
+    m = 40
+    fit, tracer = traced(lambda: jil.fit_ljil(d, m, 0.0, jil.default_gamma(d.n)))
+    assert tracer.op_counts(0) == {
+        "cost.builds": 1,
+        "cost.theta_calls": 1,
+        "segment.cost_lookups": m,
+        "segment.exact_lookups": m * (m + 1) // 2,
+        "segment.pelt_calls": 1,
+    }
+    assert not [s for s in tracer.spans if s[1] == "cost.costfn"]
+    assert fit.partition == jil.fit_ljil(d, m, 0.0, jil.default_gamma(d.n)).partition
+
+
+def test_tracer_counts_one_column_dp_per_djil_fit():
+    d, _ = gen_scenario(ScenarioSpec(1, 60, 2, 4))
+    m = 6
+    cfg = jil.TrainConfig(hidden=(2,), epochs=2, seed=1)
+    _, tracer = traced(lambda: jil.fit_djil(d, m, 0.05, cfg))
+    counts = tracer.op_counts(0)
+    assert counts["segment.pelt_calls"] == 1
+    assert counts["segment.cost_lookups"] == m
+    assert 0 < counts["mlp.trainings"] <= m * (m + 1) // 2
+    assert "cost.builds" not in counts

@@ -216,6 +216,21 @@ def test_fit_bad_header_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "data file is empty"), ("\n \n", "data file is empty"),
+     ("y,a,x1\n1.0,0.5,0.1\n2.0,0.3\n", "expected 3 fields at row 1, got 2")],
+)
+def test_fit_empty_file_or_short_row_exit_2(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    model = tmp_path / "m.json"
+    assert main(["fit", "--data", str(bad), "--gamma", "0.1", "--lambda", "0",
+                 "--out", str(model)]) == 2
+    assert message in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_fit_missing_file_exit_2(tmp_path, capsys):
     rc = main(["fit", "--data", str(tmp_path / "nope.csv"),
                "--out", str(tmp_path / "m.json")])
@@ -378,22 +393,129 @@ def _raise_floor(art):
     art["propensity"]["floor"] = 0.2
 
 
+def _fractional_edges(art):
+    # both ends of an inner edge truncate to the same integer
+    b = art["partition"][0][1]
+    art["partition"][0][1] = b + 0.7
+    art["partition"][1][0] = b + 0.2
+
+
+def _bool_edge(art):
+    art["partition"][0][0] = False
+
+
+def _fractional_seed(art):
+    art["provenance"]["seed"] = 3.9
+
+
+def _float_p(art):
+    art["provenance"]["p"] = float(art["provenance"]["p"])
+
+
+def _string_theta(art):
+    art["models"][0]["theta"] = [str(t) for t in art["models"][0]["theta"]]
+
+
+def _bool_theta(art):
+    art["models"][0]["theta"][0] = True
+
+
+def _scalar_theta(art):
+    art["models"][0]["theta"] = 3.0
+
+
+def _nan_theta(art):
+    art["models"][0]["theta"][0] = float("nan")
+
+
+def _nan_propensity_weight(art):
+    art["propensity"]["weights"][0][0] = float("nan")
+
+
+def _unknown_method(art):
+    art["method"] = "xjil"
+
+
+@pytest.fixture(scope="module")
+def s1_artifact(s1_csv, tmp_path_factory):
+    model = tmp_path_factory.mktemp("model") / "m.json"
+    assert main(["fit", "--data", str(s1_csv), "--lambda", "0", "--gamma", "default",
+                 "--out", str(model)]) == 0
+    return model.read_text()
+
+
+def evaluate_corrupted(text, corrupt, data, tmp_path, capsys):
+    """(exit code, stderr) of evaluate on a corrupted copy of an artifact,
+    checking that any error is reported as one, not as an internal failure."""
+    art = json.loads(text)
+    corrupt(art)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(art))
+    capsys.readouterr()
+    rc = main(["evaluate", "--model", str(model), "--data", str(data)])
+    err = capsys.readouterr().err
+    assert not err or (err.startswith("error: ") and "internal error" not in err)
+    return rc, err
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_drop_theta, _unpair_partition, _gap_partition, _extra_model, _drop_p, _spell_m,
-     _empirical_propensity, _raise_floor],
+     _empirical_propensity, _raise_floor, _fractional_edges, _bool_edge, _fractional_seed,
+     _float_p, _string_theta, _bool_theta, _scalar_theta, _nan_theta, _nan_propensity_weight,
+     _unknown_method],
 )
-def test_evaluate_malformed_model_fields_exit_2(s1_csv, tmp_path, capsys, corrupt):
+def test_evaluate_malformed_model_fields_exit_2(s1_csv, s1_artifact, tmp_path, capsys, corrupt):
+    assert evaluate_corrupted(s1_artifact, corrupt, s1_csv, tmp_path, capsys)[0] == 2
+
+
+@pytest.mark.parametrize("key", cli.ARTIFACT_KEYS)
+def test_evaluate_model_missing_key_exit_2(s1_csv, s1_artifact, tmp_path, capsys, key):
+    def drop(art):
+        del art[key]
+
+    rc, err = evaluate_corrupted(s1_artifact, drop, s1_csv, tmp_path, capsys)
+    assert rc == 2 and key in err
+
+
+def test_evaluate_model_not_an_object_exit_2(s1_csv, tmp_path, capsys):
     model = tmp_path / "m.json"
-    assert main(["fit", "--data", str(s1_csv), "--lambda", "0", "--gamma", "default",
-                 "--out", str(model)]) == 0
-    art = json.loads(model.read_text())
-    corrupt(art)
-    model.write_text(json.dumps(art))
-    capsys.readouterr()
+    model.write_text("[1, 2]")
     assert main(["evaluate", "--model", str(model), "--data", str(s1_csv)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "internal error" not in err
+    assert "must contain a JSON object" in capsys.readouterr().err
+
+
+def _float_layer_size(art):
+    art["models"][0]["layer_sizes"][0] = float(art["models"][0]["layer_sizes"][0])
+
+
+def _string_weight(art):
+    art["models"][0]["weights"][0][0][0] = "0.5"
+
+
+def _nan_bias(art):
+    art["models"][0]["biases"][0][0] = float("nan")
+
+
+def _short_bias(art):
+    art["models"][0]["biases"][0] = art["models"][0]["biases"][0][:1]
+
+
+def _narrow_weight(art):
+    art["models"][0]["weights"][0] = [row[:1] for row in art["models"][0]["weights"][0]]
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_float_layer_size, _string_weight, _nan_bias, _short_bias, _narrow_weight]
+)
+def test_evaluate_malformed_network_fields_exit_2(tmp_path, capsys, corrupt):
+    data = tmp_path / "d.csv"
+    main(["simulate", "--scenario", "1", "--n", "80", "--p", "2", "--seed", "13",
+          "--out", str(data)])
+    model = tmp_path / "m.json"
+    assert main(["fit", "--data", str(data), "--method", "djil", "--c", "20",
+                 "--gamma", "0.1", "--seed", "5", "--out", str(model)]) == 0
+    assert evaluate_corrupted(model.read_text(), corrupt, data, tmp_path, capsys)[0] == 2
 
 
 def test_evaluate_plot_data_preferences(s1_csv, tmp_path, capsys):

@@ -178,8 +178,9 @@ def test_partition_membership_determinism(m, data):
     a = data.draw(st.floats(0.0, 1.0, allow_nan=False))
     hits = [iv for iv in part.intervals if iv.lo <= cell_of(a, m) < iv.hi]
     assert len(hits) == 1
-    # locate_cells on the library's grid cell finds the unique containing interval
-    assert part.intervals[part.locate_cells(grid_cell(np.array([a]), m))[0]] is hits[0]
+    # locate finds the unique containing interval, for an array and a scalar
+    assert part.intervals[part.locate(np.array([a]))[0]] is hits[0]
+    assert part.intervals[part.locate(a)] is hits[0]
 
 
 def test_partition_boundaries():

@@ -1,7 +1,7 @@
 """Per-interval ridge fitting, cost evaluation, and the cost cache.
 
-Coefficients and costs are read through CostCache (theta, costfn),
-the one ridge cost path of the package, and checked against the oracles in
+Coefficients and costs are read through CostCache (theta, columns, and
+the scalar costfn adapter), the one ridge cost path of the package, and checked against the oracles in
 conftest, on both of its routes: the Cholesky of the centered augmented
 moments and the min-norm eigendecomposition, checked through
 CostCache._min_norm.
@@ -34,8 +34,7 @@ def theta_of(d, iv, lam):
 
 def costs_of(d, iv, lambdas):
     """Costs of one interval over a lambda grid, from one cache on that grid."""
-    cache = CostCache(d, iv.m, lambdas=lambdas)
-    return np.array([cache.costfn(lam)(iv.lo, iv.hi) for lam in cache.lambdas])
+    return CostCache(d, iv.m, lambdas=lambdas).columns()(np.array([iv.lo]), iv.hi)[:, 0]
 
 
 def cost_of(d, iv, lam):
@@ -332,10 +331,10 @@ def test_min_norm_route_per_interval_in_a_failing_batch(rng, min_norm):
     X[:, 1] = A >= 0.5
     d = Dataset(X, A, X[:, 0] + rng.standard_normal(n))
     cache = CostCache(d, m, lambdas=(0.0,))
-    f = cache.costfn(0.0)
+    column, f = cache.columns(), cache.costfn(0.0)
     for hi in range(1, m + 1):
         los = np.arange(hi, dtype=np.int64)
-        assert f(los, hi).tolist() == [f(int(lo), hi) for lo in los]
+        assert column(los, hi)[0].tolist() == [f(int(lo), hi) for lo in los]
         thetas = cache.theta(los, np.full(hi, hi), 0.0)
         for k, lo in enumerate(los):
             single = cache.theta(los[k : k + 1], np.array([hi]), 0.0)[0]
@@ -438,29 +437,36 @@ def test_cache_costfn_closure(rng):
     assert f(2, 6) == cost_of(d, Interval(2, 6, 6), 0.1)
 
 
-def test_cache_costfn_array_matches_scalar_bitwise(rng):
+def test_cache_columns_match_scalar_costfn_bitwise(rng):
     d = make_ds(rng, 60, 2)
-    for lam in (0.0, 0.05):  # each lambda of the cache's grid
-        batched = CostCache(d, 9, lambdas=(0.0, 0.05)).costfn(lam)
-        scalar = CostCache(d, 9, lambdas=(0.0, 0.05)).costfn(lam)
+    lambdas = (0.0, 0.05)
+    column = CostCache(d, 9, lambdas=lambdas).columns()
+    for h, lam in enumerate(lambdas):  # each lambda of the cache's grid
+        scalar = CostCache(d, 9, lambdas=lambdas).costfn(lam)
+        one_row = CostCache(d, 9, lambdas=(lam,)).columns()
         for hi in range(1, 10):
             los = np.arange(hi, dtype=np.int64)[::2].copy()
-            got = batched(los, hi)
-            assert isinstance(got, np.ndarray) and got.shape == los.shape
+            got = column(los, hi)
+            assert isinstance(got, np.ndarray) and got.shape == (len(lambdas), los.size)
             want = [scalar(int(lo), hi) for lo in los]
-            assert got.tolist() == want
+            assert got[h].tolist() == one_row(los, hi)[0].tolist() == want
             assert all(isinstance(v, float) for v in want)
 
 
 def test_cache_costfn_rejects_bad_indices(rng):
     d = make_ds(rng, 30, 1)
-    f = CostCache(d, 5, lambdas=(0.0,)).costfn(0.0)
+    cache = CostCache(d, 5, lambdas=(0.0,))
+    f, column = cache.costfn(0.0), cache.columns()
     for lo, hi in ((-1, 2), (3, 3), (4, 2), (0, 6)):
         with pytest.raises(ValueError):
             f(lo, hi)
     for los, hi in (([-1, 0], 2), ([0, 3], 3), ([1, 2], 6)):
         with pytest.raises(ValueError):
-            f(np.array(los, dtype=np.int64), hi)
+            column(np.array(los, dtype=np.int64), hi)
+    # the scalar adapter takes no column: that is what columns() is for
+    for lo in (np.array([0, 1], dtype=np.int64), np.array([1], dtype=np.int64), 1.0):
+        with pytest.raises(TypeError):
+            f(lo, 3)
 
 
 def test_cache_fills_only_requested_costs(rng, factorized):
@@ -468,16 +474,17 @@ def test_cache_fills_only_requested_costs(rng, factorized):
     m = 8
     lazy = CostCache(d, m, lambdas=(0.0, 0.1))
     assert factorized == []
-    lazy.costfn(0.1)(np.array([1, 4], dtype=np.int64), 6)
-    assert factorized == [2]  # one call for both pairs, at that lambda only
+    lazy.columns()(np.array([1, 4], dtype=np.int64), 6)
+    assert factorized == [4]  # one call for both pairs at both lambdas
     lazy.costfn(0.0)(3, 5)
-    assert factorized == [2, 1]
+    assert factorized == [4, 1]  # the scalar adapter computes one cost, at that lambda
     factorized.clear()
     eager = CostCache(d, m, lambdas=(0.0, 0.1), precompute=True)
     # one call per column and lambda
     assert factorized == [r for r in range(1, m + 1) for _ in range(2)]
     for lam in (0.0, 0.1):
-        eager.costfn(lam)(np.arange(m, dtype=np.int64), m)
+        for lo in range(m):
+            eager.costfn(lam)(lo, m)
         eager.costfn(lam)(2, 7)
     assert sum(factorized) == 2 * m * (m + 1) // 2  # reads computed nothing more
 

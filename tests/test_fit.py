@@ -89,12 +89,12 @@ def test_ljil_computes_only_pruned_survivors(rng, factorized):
     m, lam, gamma = 80, 0.0, 4.0 * np.log(400) / 400
     f = fit_ljil(d, m, lam, gamma)
     computed = sum(factorized)
-    costfn = CostCache(d, m, lambdas=(lam,)).costfn(lam)
+    costs = CostCache(d, m, lambdas=(lam,)).columns()
     candidates = []
 
     def column(lo, hi):  # records each DP column's candidate set R_r
         candidates.append(lo.size)
-        return costfn(lo, hi)
+        return costs(lo, hi)
 
     assert pelt(column, m, gamma, batched=True)[0] == f.partition
     assert len(candidates) == m
@@ -240,8 +240,8 @@ def test_djil_trains_the_intervals_per_pair_pelt_trains(rng, monkeypatch):
     f = fit_djil(d, m, gamma, cfg)
     batched = list(calls)
     calls.clear()
-    column = fit_mod.NetworkCosts(d, m, cfg).costfn(0.0)
-    part, obj = pelt(lambda lo, hi: column(np.array([lo]), hi)[0], m, gamma)
+    column = fit_mod.NetworkCosts(d, m, cfg).columns()
+    part, obj = pelt(lambda lo, hi: column(np.array([lo]), hi)[0, 0], m, gamma)
     assert calls == batched
     assert len(batched) > m
     assert f.partition == part
@@ -277,7 +277,7 @@ def test_djil_empty_interval_predicts_zero(rng, monkeypatch):
     forced = Partition.from_edges([0, 2, 3], 3)
 
     def forced_pelt(column, m, gamma, **kw):
-        return forced, column(np.array([0]), 2)[0] + column(np.array([2]), 3)[0] + 2 * gamma
+        return forced, column(np.array([0]), 2)[0, 0] + column(np.array([2]), 3)[0, 0] + 2 * gamma
 
     monkeypatch.setattr(fit_mod, "pelt", forced_pelt)
     f = fit_djil(d, 3, 0.1, djil_cfg(epochs=20))

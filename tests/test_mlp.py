@@ -147,7 +147,7 @@ def test_mlp_cost_empty_interval_zero(rng):
     d = Dataset(rng.uniform(-1, 1, (10, 2)), np.full(10, 0.05), rng.standard_normal(10))
     cfg = TrainConfig(hidden=(4,), epochs=5, learning_rate=0.01, batch_size=4, seed=0)
     table = NetworkCosts(d, 10, cfg)
-    assert table.costfn(0.0)(np.array([5]), 10).tolist() == [0.0]
+    assert table.columns()(np.array([5]), 10).tolist() == [[0.0]]
     (zero,) = table.models(np.array([5]), np.array([10]), 0.0)
     assert zero.layer_sizes == (2, 4, 1)
     assert not any(w.any() for w in zero.weights + zero.biases)
@@ -158,7 +158,7 @@ def test_mlp_cost_constant_data_small(rng):
     n = 50
     d = Dataset(rng.uniform(-1, 1, (n, 1)), rng.random(n), np.full(n, 2.0))
     cfg = TrainConfig(hidden=(4,), epochs=300, learning_rate=0.05, batch_size=16, seed=2)
-    assert NetworkCosts(d, 1, cfg).costfn(0.0)(np.array([0]), 1)[0] <= 1e-2
+    assert NetworkCosts(d, 1, cfg).columns()(np.array([0]), 1)[0, 0] <= 1e-2
 
 
 def test_mlp_cost_uses_full_n_denominator(rng):
@@ -169,7 +169,7 @@ def test_mlp_cost_uses_full_n_denominator(rng):
     cfg = TrainConfig(hidden=(), epochs=400, learning_rate=0.3, batch_size=20, seed=4)
     iv = Interval(0, 1, 2)
     table = NetworkCosts(d, iv.m, cfg)
-    (c,) = table.costfn(0.0)(np.array([iv.lo]), iv.hi)
+    ((c,),) = table.columns()(np.array([iv.lo]), iv.hi)
     model = mlp_train(d, iv, cfg)
     (net,) = table.models(np.array([iv.lo]), np.array([iv.hi]), 0.0)
     for w1, w2 in zip(net.weights, model.weights):
@@ -179,21 +179,21 @@ def test_mlp_cost_uses_full_n_denominator(rng):
     assert c == pytest.approx(sse / n, rel=1e-12)
 
 
-def test_network_costfn_array_matches_scalar_bitwise(rng):
+def test_network_columns_match_single_interval_calls_bitwise(rng):
     n = 60
     d = Dataset(rng.uniform(-1, 1, (n, 2)), rng.random(n), rng.standard_normal(n))
     cfg = TrainConfig(hidden=(4,), epochs=3, learning_rate=0.05, batch_size=16, seed=5)
     m = 6
     # one interval per call, as the per-pair DP asks, against whole columns
-    single = NetworkCosts(d, m, cfg).costfn(0.0)
-    column = NetworkCosts(d, m, cfg).costfn(0.0)  # a fresh table trains anew
+    single = NetworkCosts(d, m, cfg).columns()
+    column = NetworkCosts(d, m, cfg).columns()  # a fresh table trains anew
     for hi in range(1, m + 1):
         los = np.arange(hi, dtype=np.int64)
         got = column(los, hi)
-        assert got.dtype == np.float64 and got.shape == (hi,)
-        want = np.concatenate([single(np.array([lo]), hi) for lo in range(hi)])
-        assert got.tobytes() == want.tobytes()
-    assert column(np.zeros(0, dtype=np.int64), 3).shape == (0,)
+        assert got.dtype == np.float64 and got.shape == (1, hi)  # one cost row
+        want = np.concatenate([single(np.array([lo]), hi)[0] for lo in range(hi)])
+        assert got[0].tobytes() == want.tobytes()
+    assert column(np.zeros(0, dtype=np.int64), 3).shape == (1, 0)
 
 
 def test_network_table_rejects_lambda_and_bad_indices(rng):
@@ -201,10 +201,8 @@ def test_network_table_rejects_lambda_and_bad_indices(rng):
     table = NetworkCosts(d, 5, TrainConfig(hidden=(2,), epochs=1, seed=0))
     for lam in (0.1, 1e-3):
         with pytest.raises(ValueError):
-            table.costfn(lam)
-        with pytest.raises(ValueError):
             table.models(np.array([0]), np.array([5]), lam)
-    fn = table.costfn(0)
+    fn = table.columns()
     for lo, hi in ((-1, 2), (2, 2), (3, 2), (0, 6)):
         with pytest.raises(ValueError):
             fn(np.array([lo], dtype=np.int64), hi)

@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 from scipy.stats import norm
 
 import jil.policy
-from jil.core import Dataset, Interval, JilFit, Linear, Partition, grid_cell
+from jil.core import Dataset, Interval, JilFit, Linear, Partition
 from jil.cost import CostCache
 from jil.errors import DimensionMismatch, InsufficientData, InvalidData, JilError, NoConvergence
 from jil.policy import (
@@ -174,7 +174,7 @@ def softmax_objective(W, X, labels):
 
 
 def interval_labels(d, part):
-    return part.locate_cells(grid_cell(d.treatments, part.m))
+    return part.locate(d.treatments)
 
 
 @pytest.mark.parametrize(

@@ -407,13 +407,15 @@ def test_grid_matches_separate_runs_on_ridge_costs(rng, prune):
         X = rng.uniform(-1, 1, (n, p))
         A = rng.random(n)
         Y = np.where(A < 0.4, 1.0, -1.0) + X.sum(axis=1) + rng.standard_normal(n)
-        cache = CostCache(Dataset(X, A, Y), m, lambdas=lambdas)
+        d = Dataset(X, A, Y)
         gammas = tuple(float(g) for g in np.sort(rng.uniform(0.0, 0.2, 4)))
         solver = pelt if prune else dp_no_prune
-        grid = solver(cache.columns(), m, gammas, batched=True)
+        grid = solver(CostCache(d, m, lambdas=lambdas).columns(), m, gammas, batched=True)
         for h, lam in enumerate(lambdas):
+            # a lone fit's DP: a scalar gamma over a one-lambda cache's one cost row
+            column = CostCache(d, m, lambdas=(lam,)).columns()
             for j, gamma in enumerate(gammas):
-                part, obj = solver(cache.costfn(lam), m, gamma, batched=True)
+                part, obj = solver(column, m, gamma, batched=True)
                 assert grid[h][j][0] == part
                 assert float(grid[h][j][1]).hex() == float(obj).hex()
 
@@ -426,6 +428,14 @@ def test_grid_one_row_takes_scalar_and_one_row_columns(rng):
     assert pelt(table_costfn(table), m, gammas) == want
     column, _ = recording_costfn(table)
     assert pelt(column, m, list(gammas), batched=True) == want
+
+
+def test_scalar_gamma_rejects_a_column_of_several_rows(rng):
+    d = Dataset(rng.uniform(-1, 1, (40, 1)), rng.random(40), rng.standard_normal(40))
+    column = CostCache(d, 5, lambdas=(0.0, 0.1)).columns()
+    for solver in (pelt, dp_no_prune):
+        with pytest.raises(ValueError):
+            solver(column, 5, 0.1, batched=True)
 
 
 def test_grid_rejects_bad_penalties():

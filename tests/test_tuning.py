@@ -224,8 +224,9 @@ def test_cv_report_best_attains_minimum(rng):
 
 def reference_fold_loop(d, make_table, grid):
     """CV scores as one separate DP per (lambda, gamma) pair computes them:
-    per fold, a table, H*J pelt calls over its costfn(lam), and one models
-    call per partition; folds combined by exact summation."""
+    per fold, a table, H*J single-gamma pelt calls each over one cost row of
+    its columns(), and one models call per partition; folds combined by
+    exact summation."""
     assign = kfold_split(d.n, grid.k_folds, grid.seed)
     H, J = len(grid.lambdas), len(grid.gammas)
     parts = [[[] for _ in range(J)] for _ in range(H)]
@@ -233,12 +234,14 @@ def reference_fold_loop(d, make_table, grid):
         va = assign == fid
         table = make_table(d.subset(np.flatnonzero(~va)))
         cells = grid_cell(d.treatments[va], table.m)
+        columns = table.columns()
         for h, lam in enumerate(grid.lambdas):
             for j, gamma in enumerate(grid.gammas):
-                part, _ = pelt(table.costfn(lam), table.m, gamma, batched=True)
+                row = lambda R, r, h=h: columns(R, r)[h]  # noqa: E731
+                part, _ = pelt(row, table.m, gamma, batched=True)
                 edges = np.array(part.edges())
                 models = table.models(edges[:-1], edges[1:], lam)
-                idx = part.locate_cells(cells)
+                idx = np.searchsorted(edges[1:], cells, side="right")
                 pred = np.empty(int(va.sum()))
                 for k, model in enumerate(models):
                     pred[idx == k] = model.predict_batch(d.covariates[va][idx == k])
@@ -255,7 +258,7 @@ def test_cv_matches_reference_fold_loop_bitwise(scenario):
     grid = default_grid(d.n, seed=2)
     rep = cv_select_ljil(d, m, grid)
     want = reference_fold_loop(
-        d, lambda d_tr: CostCache(d_tr, m, lambdas=grid.lambdas, precompute=True), grid
+        d, lambda d_tr: CostCache(d_tr, m, lambdas=grid.lambdas), grid
     )
     assert rep.scores.tobytes() == want.tobytes()
     assert (rep.best_lambda, rep.best_gamma) == naive_best(want, grid.lambdas, grid.gammas)
