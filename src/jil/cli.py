@@ -251,8 +251,7 @@ def _int(v, what: str):
 
 
 def _finite(v, what: str):
-    """v, a finite JSON number (not a bool) or nested lists of them, as a
-    float array."""
+    """v, finite JSON numbers (not bools), alone or in nested lists, as a float array."""
 
     def ok(x):
         if isinstance(x, list):
@@ -264,12 +263,19 @@ def _finite(v, what: str):
     return np.asarray(v, dtype=float)
 
 
+def _number(v, what: str) -> float:
+    """v, one finite JSON number (not a bool or a list), as a float."""
+    if isinstance(v, list):
+        raise SchemaMismatch(f"{what} must be one number, got {v!r}")
+    return float(_finite(v, what))
+
+
 def _decode_artifact(art: dict):
     """(fit, propensity, p, seed, raw dose range or None) of a loaded artifact.
 
-    This is the one place an artifact's fields are decoded: a missing key or
-    a value of the wrong type or shape raises SchemaMismatch. Integers
-    follow _int and every other number _finite.
+    This is the one place an artifact's fields are decoded, by _int, _number
+    and _finite: a missing key or a value of the wrong type or shape raises
+    SchemaMismatch.
     """
     try:
         fit = _fit_from_artifact(art)
@@ -278,7 +284,7 @@ def _decode_artifact(art: dict):
         p, seed = _int(prov["p"], "p"), _int(prov["seed"], "seed")
         a_range = None
         if prov.get("a_min") is not None:
-            a_range = tuple(_finite([prov["a_min"], prov["a_max"]], "a_min, a_max").tolist())
+            a_range = _number(prov["a_min"], "a_min"), _number(prov["a_max"], "a_max")
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"malformed model file: {type(exc).__name__}: {exc}") from None
     return fit, prop, p, seed, a_range
@@ -304,19 +310,18 @@ def _fit_from_artifact(art: dict) -> JilFit:
         partition=partition,
         models=tuple(models),
         m=m,
-        lam=float(_finite(art["lambda"], "lambda")),
-        gamma=float(_finite(art["gamma"], "gamma")),
-        objective=float(_finite(art["objective"], "objective")),
+        lam=_number(art["lambda"], "lambda"),
+        gamma=_number(art["gamma"], "gamma"),
+        objective=_number(art["objective"], "objective"),
     )
 
 
 def _prop_from_artifact(payload: dict, partition: Partition) -> PropensityModel:
     if payload["kind"] != "multinomial":
         raise SchemaMismatch(f"unknown propensity kind {payload['kind']!r}")
-    if float(_finite(payload["floor"], "floor")) != PropensityModel.floor:
-        raise SchemaMismatch(
-            f"propensity floor {payload['floor']!r} is not {PropensityModel.floor!r}"
-        )
+    floor = _number(payload["floor"], "floor")
+    if floor != PropensityModel.floor:
+        raise SchemaMismatch(f"propensity floor {floor!r} is not {PropensityModel.floor!r}")
     return PropensityModel(partition, _finite(payload["weights"], "propensity weights"))
 
 

@@ -48,12 +48,12 @@ CostCache computes costs over a fixed lam grid and stores none: each
 columns() call computes its DP column at every lam of the grid, stacked into
 one Cholesky call and one min-norm call. A lone fit reads the one cost row
 of a one-lam cache; a CV fold runs the grid form of segment.pelt over all
-rows. Coefficients are solved on demand, for any set of intervals in one
-batched call. CostCache shares this interface, columns() and
-models(los, his, lam), with fit.NetworkCosts, so one fit body and one CV
-loop serve both model families. The scalar costfn(lam) and precompute=True,
-a table of every interval's costs for costfn to read, serve only the
-benchmark's solver check and tests (ROADMAP item 11).
+rows. Coefficients are solved on demand, for any intervals in one batched
+call. CostCache shares this interface, columns() and models(los, his, lam),
+with fit.NetworkCosts, so one fit body and one CV loop serve both model
+families. The scalar costfn(lam) and precompute=True, a table of every
+interval's costs for costfn to read, serve only the benchmark's solver
+check and tests (ROADMAP item 11).
 """
 
 from __future__ import annotations
@@ -113,8 +113,7 @@ def _check_pairs(los: np.ndarray, his: np.ndarray, m: int):
 
 
 def _check_call(R: np.ndarray, r, m: int):
-    """Check the arguments of a column call: R is an ascending int64 array,
-    whose ends bound every entry, and 0 <= j < r <= m for j in R."""
+    """Check a column call: 0 <= j < r <= m for j in R, an ascending array."""
     if R.size and not (0 <= R[0] and R[-1] < r <= m):
         raise ValueError(f"invalid interval indices ({R}, {r}) on grid {m}")
 
@@ -267,10 +266,9 @@ class CostCache:
 
     def costfn(self, lam: float):
         """Scalar cost function (lo, hi) -> cost at lam, a lambda of the grid
-        (else ValueError), for the scalar form of segment.pelt; lo and hi are
-        ints with 0 <= lo < hi <= m. The library segments through columns();
-        the benchmark's solver check, on a precompute=True table, is this
-        adapter's only caller outside the tests (ROADMAP item 11).
+        (else ValueError), for the scalar form of segment.pelt. The library
+        segments through columns(); the benchmark's solver check, on a
+        precompute=True table, is its only caller outside the tests (item 11).
         """
         h = self._lam_index.get(float(lam))
         if h is None:

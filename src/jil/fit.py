@@ -49,8 +49,7 @@ def _sse(fit: JilFit, X: np.ndarray, A: np.ndarray, Y: np.ndarray) -> float:
 
 
 def _fit(table, lam: float, gamma: float) -> JilFit:
-    """Segment with the one cost row of a table over lambdas (lam,), then
-    attach its models."""
+    """Segment with the one cost row of a table over lambdas (lam,); attach models."""
     return _attach(table, lam, [pelt(table.columns(), table.m, gamma, batched=True)], [gamma])[0]
 
 
@@ -105,8 +104,7 @@ class NetworkCosts:
         return got
 
     def columns(self):
-        """Column cost function (R, hi) -> costs (1, |R|) of [j/m, hi/m)
-        for j in R, one row for the table's one lambda, 0."""
+        """Column cost function (R, hi) -> (1, |R|) costs of [j/m, hi/m), j in R."""
 
         def column(R, hi):
             _check_call(R, hi, self.m)
@@ -115,10 +113,9 @@ class NetworkCosts:
         return column
 
     def models(self, los: np.ndarray, his: np.ndarray, lam: float) -> tuple:
-        """One network per interval [lo/m, hi/m); lam must be 0, since
-        network costs carry no coefficient penalty."""
+        """One network per interval [lo/m, hi/m); lam must be 0."""
         if float(lam) != 0.0:
-            raise ValueError(f"network costs carry no coefficient penalty; lam must be 0, got {lam}")
+            raise ValueError(f"network costs carry no penalty; lam must be 0, got {lam}")
         los, his = np.asarray(los), np.asarray(his)
         _check_pairs(los, his, self.m)
         return tuple(self._entry(lo, hi)[0] for lo, hi in zip(los.tolist(), his.tolist()))

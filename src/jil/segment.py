@@ -20,21 +20,20 @@ once and takes the first minimum of B(j) + gamma + cost([j/m, r/m)) over
 R_r, so ties keep the smallest j. The prune test at step r reuses the costs
 of step r-1, so pruning costs no further lookups.
 
-The cost function argument is a callable over grid index pairs
-0 <= lo < hi <= m, in one of two forms. By default it is scalar,
-(lo, hi) -> float, and the DP calls it once per candidate pair in ascending
-lo within each column. With batched=True it is a column function, (R, r)
--> costs, called once per column with R an ascending int64 array; it is
-never called with a scalar, and returns (H, |R|) costs, one row per cost
-function (a 1-D array is one row); with a scalar gamma, H > 1 raises
-ValueError. Either way the DP asks for each cost once and
-calls the costfn for nothing else: it keeps the cost of the interval it
-picks at each column, and the reported objective sums the kept costs of the
-backtracked partition from left to right. So pelt, dp_no_prune and any
-reference search that sums interval costs in the same order return
-bit-identical numbers whenever their partitions agree. The DP tables
-themselves are not returned; a column costfn sees every candidate set as
-its (R_r, r) arguments.
+The cost function argument is a callable over grid index pairs 0 <= lo < hi
+<= m, in one of two forms. By default it is scalar, (lo, hi) -> float, and
+the DP calls it once per candidate pair in ascending lo within each column.
+With batched=True it is a column function, (R, r) -> costs, called once per
+column with R an ascending int64 array; it is never called with a scalar,
+and returns (H, |R|) costs, one row per cost function (a 1-D array is one
+row); with a scalar gamma, H > 1 raises ValueError. Either way the DP asks
+for each cost once and calls the costfn for nothing else: it keeps the cost
+of the interval it picks at each column, and the reported objective sums the
+kept costs of the backtracked partition from left to right. So pelt,
+dp_no_prune and any reference search that sums interval costs in the same
+order return bit-identical numbers whenever their partitions agree. The DP
+tables themselves are not returned; a column costfn sees every candidate set
+as its (R_r, r) arguments.
 
 Grid form. With a 1-D sequence of J penalties in place of gamma, one call
 runs a whole grid of DPs in lockstep, one per (cost row, penalty) pair. The
@@ -112,7 +111,10 @@ def _single(column, m: int, gamma: float, prune: bool):
         elif r > 1:
             # c holds column r-1's costs of R_{r-1}; j = r-1 always survives
             R = np.append(R[B[R] + c <= B[r - 1]], r - 1)
-        c = column(R, r).reshape(R.size)  # the one cost row; more raise ValueError
+        c = column(R, r)
+        if c.ndim == 2 and c.shape[0] != 1:
+            raise ValueError(f"a scalar gamma takes one cost row, got {c.shape[0]}")
+        c = c.reshape(R.size)
         v = B[R] + gamma + c
         k = int(np.argmin(v))  # first minimum: ties keep the smallest j
         B[r] = v[k]

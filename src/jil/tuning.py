@@ -107,10 +107,9 @@ def _cv(d: Dataset, make_table, grid: TuningGrid):
     """Held-out SSE / n over the grid's (lambda, gamma) pairs, as a CvReport.
 
     Folds come from the grid's k_folds and seed; kfold_split uses every
-    label 0..k-1, so each fold has held-out and training rows. Per fold,
-    make_table(training rows) builds one table over the grid's lambdas, for
-    one grid-form pelt call, fit._attach per lambda and fit._sse on the
-    held-out rows. Folds are combined by exact summation.
+    label 0..k-1, so each fold has held-out and training rows, and
+    make_table(training rows) builds its one table over the grid's lambdas.
+    Folds are combined by exact summation.
     """
     assign = kfold_split(d.n, grid.k_folds, grid.seed)
     sse = []  # per fold, the held-out SSE of each (lambda, gamma) pair

@@ -432,6 +432,18 @@ def _nan_propensity_weight(art):
     art["propensity"]["weights"][0][0] = float("nan")
 
 
+def _list_lambda(art):
+    art["lambda"] = [art["lambda"]]
+
+
+def _list_floor(art):
+    art["propensity"]["floor"] = [art["propensity"]["floor"]]
+
+
+def _list_dose_range(art):
+    art["provenance"]["a_min"], art["provenance"]["a_max"] = [0.0], [1.0]
+
+
 def _unknown_method(art):
     art["method"] = "xjil"
 
@@ -446,7 +458,7 @@ def s1_artifact(s1_csv, tmp_path_factory):
 
 def evaluate_corrupted(text, corrupt, data, tmp_path, capsys):
     """(exit code, stderr) of evaluate on a corrupted copy of an artifact,
-    checking that any error is reported as one, not as an internal failure."""
+    checking that the error is reported as one, not as an internal failure."""
     art = json.loads(text)
     corrupt(art)
     model = tmp_path / "m.json"
@@ -454,7 +466,7 @@ def evaluate_corrupted(text, corrupt, data, tmp_path, capsys):
     capsys.readouterr()
     rc = main(["evaluate", "--model", str(model), "--data", str(data)])
     err = capsys.readouterr().err
-    assert not err or (err.startswith("error: ") and "internal error" not in err)
+    assert err.startswith("error: ") and "internal error" not in err
     return rc, err
 
 
@@ -463,7 +475,7 @@ def evaluate_corrupted(text, corrupt, data, tmp_path, capsys):
     [_drop_theta, _unpair_partition, _gap_partition, _extra_model, _drop_p, _spell_m,
      _empirical_propensity, _raise_floor, _fractional_edges, _bool_edge, _fractional_seed,
      _float_p, _string_theta, _bool_theta, _scalar_theta, _nan_theta, _nan_propensity_weight,
-     _unknown_method],
+     _list_lambda, _list_floor, _list_dose_range, _unknown_method],
 )
 def test_evaluate_malformed_model_fields_exit_2(s1_csv, s1_artifact, tmp_path, capsys, corrupt):
     assert evaluate_corrupted(s1_artifact, corrupt, s1_csv, tmp_path, capsys)[0] == 2

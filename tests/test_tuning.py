@@ -222,11 +222,21 @@ def test_cv_report_best_attains_minimum(rng):
     assert rep.scores[h, j] == rep.scores.min()
 
 
+def one_cost_row(table, h, lam):
+    """(costfn, batched) of the costs at lam, the h-th lambda, read apart
+    from the stacked columns() the CV runs where the table allows: a ridge
+    table through its scalar costfn; a network table has only columns(), of
+    which row h is taken."""
+    if isinstance(table, CostCache):
+        return table.costfn(lam), False
+    columns = table.columns()
+    return (lambda R, r: columns(R, r)[h]), True
+
+
 def reference_fold_loop(d, make_table, grid):
     """CV scores as one separate DP per (lambda, gamma) pair computes them:
-    per fold, a table, H*J single-gamma pelt calls each over one cost row of
-    its columns(), and one models call per partition; folds combined by
-    exact summation."""
+    per fold, a table, H*J single-gamma pelt calls each over one_cost_row,
+    and one models call per partition; folds combined by exact summation."""
     assign = kfold_split(d.n, grid.k_folds, grid.seed)
     H, J = len(grid.lambdas), len(grid.gammas)
     parts = [[[] for _ in range(J)] for _ in range(H)]
@@ -234,11 +244,10 @@ def reference_fold_loop(d, make_table, grid):
         va = assign == fid
         table = make_table(d.subset(np.flatnonzero(~va)))
         cells = grid_cell(d.treatments[va], table.m)
-        columns = table.columns()
         for h, lam in enumerate(grid.lambdas):
+            costfn, batched = one_cost_row(table, h, lam)
             for j, gamma in enumerate(grid.gammas):
-                row = lambda R, r, h=h: columns(R, r)[h]  # noqa: E731
-                part, _ = pelt(row, table.m, gamma, batched=True)
+                part, _ = pelt(costfn, table.m, gamma, batched=batched)
                 edges = np.array(part.edges())
                 models = table.models(edges[:-1], edges[1:], lam)
                 idx = np.searchsorted(edges[1:], cells, side="right")
@@ -258,7 +267,7 @@ def test_cv_matches_reference_fold_loop_bitwise(scenario):
     grid = default_grid(d.n, seed=2)
     rep = cv_select_ljil(d, m, grid)
     want = reference_fold_loop(
-        d, lambda d_tr: CostCache(d_tr, m, lambdas=grid.lambdas), grid
+        d, lambda d_tr: CostCache(d_tr, m, lambdas=grid.lambdas, precompute=True), grid
     )
     assert rep.scores.tobytes() == want.tobytes()
     assert (rep.best_lambda, rep.best_gamma) == naive_best(want, grid.lambdas, grid.gammas)
