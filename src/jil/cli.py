@@ -39,6 +39,7 @@ from .policy import (
     MinDose,
     PropensityModel,
     UniformRandom,
+    _alpha_ok,
     _doses,
     estimate_value,
     fit_propensity,
@@ -528,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     count = _flag(int, lambda v: v >= 1, "a positive integer")
     folds = _flag(int, lambda v: v >= 2, "at least 2 folds")
     coarseness = _flag(float, lambda v: 0 < v < np.inf, "a finite real > 0")
-    alpha = _flag(float, lambda v: 0 < v < 1, "a real in (0, 1)")
+    alpha = _flag(float, _alpha_ok, "a real in (0, 1) with 1 - alpha/2 < 1")
     lam = _flag(float, lambda v: 0 <= v < np.inf, "a finite real >= 0 or 'auto'", ("auto",))
     gamma = _flag(
         float, lambda v: 0 <= v < np.inf, "a finite real >= 0, 'auto' or 'default'",

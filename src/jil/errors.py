@@ -67,14 +67,16 @@ class SchemaMismatch(JilError):
 
 
 class NoConvergence(JilError):
-    """An iterative solver stopped without meeting its convergence test.
+    """An iterative solver stopped without meeting its convergence test, or
+    left the finite range.
 
     Attributes
     ----------
-    decrement : float
-        Newton decrement g' H^-1 g at the last iterate.
+    decrement : float or None
+        Newton decrement g' H^-1 g at the last iterate; None for a solver
+        without one (network SGD).
     """
 
-    def __init__(self, decrement: float, message: str):
+    def __init__(self, decrement: float | None, message: str):
         self.decrement = decrement
         super().__init__(message)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, Interval, grid_cell
-from .errors import DimensionMismatch, EmptySegment
+from .errors import DimensionMismatch, EmptySegment, NoConvergence
 
 __all__ = [
     "MlpModel",
@@ -123,7 +123,10 @@ def mlp_train(d: Dataset, interval: Interval, cfg: TrainConfig) -> MlpModel:
 
     Raises EmptySegment when no observation falls in the interval. Rows are
     shuffled once per epoch; each minibatch applies one SGD step
-    W <- W - lr * grad to every weight matrix and bias vector.
+    W <- W - lr * grad to every weight matrix and bias vector. A weight
+    that overflows stays non-finite through every later step, so one check
+    after the last epoch catches a diverging run: it raises NoConvergence
+    naming the interval instead of returning a network that predicts NaN.
     """
     cells = grid_cell(d.treatments, interval.m)
     rows = np.flatnonzero((cells >= interval.lo) & (cells < interval.hi))
@@ -136,13 +139,18 @@ def mlp_train(d: Dataset, interval: Interval, cfg: TrainConfig) -> MlpModel:
     weights, biases = list(model.weights), list(model.biases)
     lr = cfg.learning_rate
     nr = rows.size
-    for _ in range(cfg.epochs):
-        order = rng.permutation(nr)
-        for start in range(0, nr, cfg.batch_size):
-            take = order[start : start + cfg.batch_size]
-            dws, dbs = _batch_gradients(weights, biases, X[take], y[take])
-            for k in range(len(weights)):
-                weights[k] = weights[k] - lr * dws[k]
-                biases[k] = biases[k] - lr * dbs[k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = rng.permutation(nr)
+            for start in range(0, nr, cfg.batch_size):
+                take = order[start : start + cfg.batch_size]
+                dws, dbs = _batch_gradients(weights, biases, X[take], y[take])
+                for k in range(len(weights)):
+                    weights[k] = weights[k] - lr * dws[k]
+                    biases[k] = biases[k] - lr * dbs[k]
+    if not all(np.isfinite(w).all() for w in weights + biases):
+        raise NoConvergence(
+            None, f"network training on {interval} diverged: its weights left the finite range"
+        )
     return MlpModel(model.layer_sizes, tuple(weights), tuple(biases))
 

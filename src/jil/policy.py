@@ -9,7 +9,8 @@ rule is estimated by augmented inverse-propensity weighting,
                           + max_I q_I(X_i) ],
 
 with a Wald interval V_hat +/- z_{alpha/2} * sigma_hat / sqrt(n), where
-sigma_hat is the per-observation standard deviation of the bracketed terms.
+sigma_hat is the per-observation standard deviation of the bracketed terms
+and z_{alpha/2} the standard normal quantile of statistics.NormalDist.
 
 The generalized propensity e(I|x) is a softmax-linear model, fitted by
 damped Newton to its penalized maximum-likelihood solution; predicted
@@ -20,11 +21,11 @@ probabilities are floored at 0.01 by an exact water-filling adjustment
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import Dataset, Interval, JilFit, Partition, make_xbar
 from .errors import DimensionMismatch, InsufficientData, NoConvergence
@@ -230,12 +231,18 @@ class ValueReport:
     alpha: float
 
 
+def _alpha_ok(alpha: float) -> bool:
+    """Whether alpha lies in (0, 1) and 1 - alpha/2 stays below 1 in floating
+    point (alpha > 2**-53, about 1.1e-16), so the Wald quantile is finite."""
+    return 0.0 < alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0
+
+
 def estimate_value(d: Dataset, rule: I2dr, prop: PropensityModel, alpha: float) -> ValueReport:
     """Augmented inverse-propensity estimate of the rule's value on d."""
     if d.n < 2:
         raise InsufficientData("value estimation needs at least 2 observations")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not _alpha_ok(alpha):
+        raise ValueError(f"alpha must lie in (0, 1) and 1 - alpha/2 must round below 1, got {alpha}")
     if prop.partition != rule.fit.partition:
         raise ValueError("propensity and rule were fit on different partitions")
     fit = rule.fit
@@ -246,7 +253,7 @@ def estimate_value(d: Dataset, rule: I2dr, prop: PropensityModel, alpha: float) 
     terms = ind / e * (d.outcomes - qmax) + qmax
     v_hat = float(np.mean(terms))
     sigma_hat = float(np.sqrt(np.sum((terms - v_hat) ** 2) / (d.n - 1)))
-    z = float(norm.ppf(1.0 - alpha / 2.0))
+    z = float(statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0))
     half = z * sigma_hat / math.sqrt(d.n)
     return ValueReport(v_hat, sigma_hat, v_hat - half, v_hat + half, float(alpha))
 

@@ -80,6 +80,16 @@ def random_xy(rng, n, p, scale=1.0):
     return X, A, Y
 
 
+def diverging_sgd_rows():
+    """(y, raw doses, X) of 60 rows on which default network SGD overflows:
+    outcomes near 1e7 with spread 1e6, raw doses on [0, 100]."""
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-1.0, 1.0, (60, 2))
+    a = 100.0 * rng.uniform(0.0, 1.0, 60)
+    y = 1e7 + 1e6 * rng.standard_normal(60)
+    return y, a, X
+
+
 _ENUM_MAX_M = 16
 
 

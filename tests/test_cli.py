@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,6 +17,8 @@ from jil.cli import main
 from jil.policy import I2dr, UniformRandom, recommend, select_dose
 from jil.sim import ScenarioSpec, gen_scenario
 from jil.tuning import CvReport, default_gamma, default_grid
+
+from conftest import diverging_sgd_rows
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +337,26 @@ def test_evaluate_alpha_nesting(s1_csv, tmp_path, capsys):
     assert r05["ci_lo"] < r10["ci_lo"] and r10["ci_hi"] < r05["ci_hi"]
 
 
+def _strict_json(text):
+    """json.loads that rejects the NaN and Infinity tokens."""
+    return json.loads(text, parse_constant=lambda tok: pytest.fail(f"{tok} in JSON"))
+
+
+def test_smallest_alpha_keeps_artifact_and_report_finite(s1_csv, tmp_path, capsys):
+    # 1 - alpha/2 rounds to 1 for alpha <= 2**-53, where the quantile is
+    # infinite; the flag rejects those (test_numeric_flag_out_of_bounds_exit_1)
+    # and accepts the next double up
+    smallest = repr(float(np.nextafter(2.0**-53, 1.0)))
+    model = tmp_path / "m.json"
+    assert main(["fit", "--data", str(s1_csv), "--lambda", "0", "--gamma", "default",
+                 "--alpha", smallest, "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert _strict_json(model.read_text())["value"]["alpha"] == float(smallest)
+    assert main(["evaluate", "--model", str(model), "--data", str(s1_csv),
+                 "--alpha", smallest]) == 0
+    _strict_json(capsys.readouterr().out)
+
+
 def test_evaluate_dimension_mismatch_exit_2(s1_csv, tmp_path, capsys):
     model = tmp_path / "m.json"
     main(["fit", "--data", str(s1_csv), "--lambda", "0", "--gamma", "default",
@@ -612,6 +635,21 @@ def test_fit_djil_round_trip(tmp_path, capsys):
     assert got["v_hat"] == art["value"]["v_hat"]
 
 
+def test_fit_djil_diverging_training_exit_2_without_artifact(tmp_path, capsys):
+    y, a, X = diverging_sgd_rows()
+    data = tmp_path / "d.csv"
+    rows = ["y,a,x1,x2"] + [",".join(f"{v:.17g}" for v in row) for row in zip(y, a, *X.T)]
+    data.write_text("\n".join(rows) + "\n")
+    model = tmp_path / "m.json"
+    rc = main(["fit", "--data", str(data), "--method", "djil", "--gamma", "default",
+               "--out", str(model)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert re.match(r"error: network training on \[[\d.]+, [\d.]+[)\]] diverged", err)
+    assert "nan" not in out
+    assert not model.exists()
+
+
 # -------------------------------------------------------------------- bench
 
 
@@ -646,6 +684,21 @@ def test_artifact_created_at_honors_epoch_env(s1_csv, tmp_path, monkeypatch, cap
           "--seed", "9", "--out", str(m2)])
     capsys.readouterr()
     assert m1.read_bytes() == m2.read_bytes()
+
+
+def test_failed_rename_leaves_target_and_no_temp_file(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "x.csv"
+    target.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    rc = main(["simulate", "--scenario", "1", "--n", "5", "--p", "2", "--out", str(target)])
+    assert rc == 2
+    assert "rename refused" in capsys.readouterr().err
+    assert target.read_text() == "old\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["x.csv"]
 
 
 def test_internal_error_exit_3(tmp_path, monkeypatch, capsys):
@@ -723,8 +776,8 @@ _BAD_FLAGS = [
     ("bench", "--c", _ALL_BAD),
     ("fit", "--c", _ALL_BAD),
     ("fit", "--folds", _ALL_BAD),
-    ("fit", "--alpha", _ALL_BAD),
-    ("evaluate", "--alpha", _ALL_BAD),
+    ("fit", "--alpha", _ALL_BAD + ("1e-17",)),
+    ("evaluate", "--alpha", _ALL_BAD + ("1e-17",)),
     ("fit", "--lambda", ("-1", "nan", "inf", "x")),
     ("fit", "--gamma", ("-1", "nan", "inf", "x")),
 ]

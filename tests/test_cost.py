@@ -45,6 +45,11 @@ def cost_of(d, iv, lam):
 # ------------------------------------------------------------- ridge fit
 
 
+def test_cache_rejects_empty_grid(rng):
+    with pytest.raises(ValueError, match="grid resolution must be >= 1"):
+        CostCache(make_ds(rng, 20, 2), 0)
+
+
 def test_ridge_intercept_only_sample_mean():
     d = Dataset(np.zeros((3, 0)), np.array([0.1, 0.5, 0.9]), np.array([1.0, 2.0, 3.0]))
     theta = theta_of(d, Interval(0, 1, 1), 0.0)

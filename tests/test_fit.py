@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 import jil.fit as fit_mod
-from jil.core import Dataset, Interval, Linear, Partition, make_grid
+from jil.core import Dataset, Interval, Linear, Partition, make_grid, normalize_treatment
 from jil.cost import CostCache
-from jil.errors import InvalidData
+from jil.errors import InvalidData, NoConvergence
 from jil.fit import fit_djil, fit_ljil, recompute_objective
 from jil.mlp import MlpModel, TrainConfig
 from jil.segment import pelt
 from jil.sim import ScenarioSpec, gen_scenario
+from jil.tuning import default_gamma
 
-from conftest import enumerate_partitions
+from conftest import diverging_sgd_rows, enumerate_partitions
 
 
 def s1_like(rng, n, p=2, noise=0.25):
@@ -287,3 +288,10 @@ def test_djil_empty_interval_predicts_zero(rng, monkeypatch):
     assert empty.predict_batch(np.array([[0.3]])).tolist() == [0.0]
     assert any(w.any() for w in full.weights)
     assert recompute_objective(d, f) == pytest.approx(f.objective, rel=1e-12)
+
+
+def test_djil_diverging_training_raises_naming_the_interval():
+    y, a, X = diverging_sgd_rows()
+    d = Dataset(X, normalize_treatment(a), y)
+    with pytest.raises(NoConvergence, match=r"network training on \[[\d.]+, [\d.]+[)\]] diverged"):
+        fit_djil(d, make_grid(d.n, 5.0), default_gamma(d.n), TrainConfig())

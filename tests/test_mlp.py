@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from jil.core import Dataset, Interval
-from jil.errors import DimensionMismatch, EmptySegment
+from jil.core import Dataset, Interval, normalize_treatment
+from jil.errors import DimensionMismatch, EmptySegment, NoConvergence
 from jil.fit import NetworkCosts
 from jil.mlp import MlpModel, TrainConfig, _batch_gradients, init_model, mlp_train
 
-from conftest import gradient_check
+from conftest import diverging_sgd_rows, gradient_check
 
 
 def predict_one(model, x):
@@ -103,6 +105,27 @@ def test_train_empty_segment_raises(rng):
     cfg = TrainConfig(hidden=(4,), epochs=5, learning_rate=0.01, batch_size=4, seed=0)
     with pytest.raises(EmptySegment):
         mlp_train(d, Interval(5, 10, 10), cfg)
+
+
+def test_train_diverging_sgd_raises_naming_the_interval():
+    # outcomes near 1e7 overflow SGD at the default rate: the run must fail,
+    # not return a network that predicts NaN, and warn about nothing on the way
+    y, a, X = diverging_sgd_rows()
+    d = Dataset(X, normalize_treatment(a), y)
+    iv = Interval(5, 8, 12)
+    with pytest.raises(NoConvergence, match=re.escape(f"network training on {iv} diverged")) as info:
+        mlp_train(d, iv, TrainConfig())
+    assert info.value.decrement is None
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("epochs", 0), ("batch_size", 0), ("learning_rate", 0.0), ("learning_rate", -0.1),
+     ("learning_rate", float("nan"))],
+)
+def test_train_config_rejects_bad_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
 
 
 def test_train_full_batch_row_permutation_invariance(rng):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import statistics
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -66,6 +69,12 @@ def test_recommend_dimension_mismatch():
     rule = I2dr(linear_fit([[1.0, 0.0]], [0, 2], 2))
     with pytest.raises(DimensionMismatch):
         recommend(rule, np.array([1.0, 2.0]))
+
+
+def test_recommend_rejects_a_covariate_matrix():
+    rule = I2dr(linear_fit([[1.0, 0.0]], [0, 2], 2))
+    with pytest.raises(DimensionMismatch, match="expected a covariate vector"):
+        recommend(rule, np.array([[0.5]]))
 
 
 def test_recommend_batch_matches_scalar(rng):
@@ -152,6 +161,17 @@ def test_propensity_simplex_after_training(rng):
     probs = propensity_probs(prop, X)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert probs.min() >= 0.01 - 1e-15
+
+
+def test_propensity_model_needs_one_weight_row_per_interval():
+    with pytest.raises(ValueError, match="one row per interval"):
+        PropensityModel(Partition.from_edges([0, 3, 6], 6), np.zeros((3, 2)))
+
+
+def test_propensity_probs_covariate_count_checked():
+    prop = PropensityModel(Partition.from_edges([0, 3, 6], 6), np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch, match="propensity expects 2 covariates, got 3"):
+        propensity_probs(prop, np.zeros((4, 3)))
 
 
 def test_propensity_insufficient_rows(rng):
@@ -279,7 +299,9 @@ def test_value_report_fields_are_python_floats(rng):
     rule = I2dr(linear_fit(rng.standard_normal((2, 3)), [0, 3, 6], 6))
     rep = estimate_value(d, rule, fit_propensity(d, rule.fit.partition), alpha=0.05)
     assert [type(v) for v in vars(rep).values()] == [float] * 5
-    half = float(norm.ppf(0.975)) * rep.sigma_hat / np.sqrt(d.n)
+    # the library's quantile is statistics.NormalDist's; SciPy's norm.ppf
+    # differs in the last bits, and test_value_hand_oracle checks the two agree
+    half = statistics.NormalDist().inv_cdf(0.975) * rep.sigma_hat / np.sqrt(d.n)
     assert (rep.ci_lo, rep.ci_hi) == (rep.v_hat - half, rep.v_hat + half)
 
 
@@ -379,9 +401,15 @@ def test_value_input_validation(rng):
     with pytest.raises(InsufficientData):
         estimate_value(d1, rule, prop, alpha=0.05)
     d = two_interval_setup(rng, 20)
-    for bad in (0.0, 1.0, -0.2, 1.3):
+    for bad in (0.0, 1.0, -0.2, 1.3, np.nan):
         with pytest.raises(ValueError):
             estimate_value(d, rule, prop, alpha=bad)
+    # 1 - alpha/2 rounds to 1 for alpha <= 2**-53, where the quantile is infinite
+    for tiny in (1e-17, 2.0**-53):
+        with pytest.raises(ValueError, match="1 - alpha/2 must round below 1"):
+            estimate_value(d, rule, prop, alpha=tiny)
+    rep = estimate_value(d, rule, prop, alpha=np.nextafter(2.0**-53, 1.0))
+    assert all(math.isfinite(v) for v in vars(rep).values())
 
 
 def test_value_partition_mismatch(rng):
@@ -438,6 +466,11 @@ def test_select_dose_uniform_deterministic():
     s2 = [select_dose(iv, p2) for _ in range(5)]
     assert s1 == s2
     assert len(set(s1)) > 1
+
+
+def test_select_dose_rejects_unknown_preference():
+    with pytest.raises(TypeError, match="unknown preference"):
+        select_dose(Interval(1, 3, 4), "mid")
 
 
 @pytest.mark.parametrize(

@@ -177,6 +177,12 @@ def test_invalid_penalty():
             dp_no_prune(lambda lo, hi: 0.0, 4, bad)
 
 
+@pytest.mark.parametrize("gamma", [0.1, [0.1, 0.2]], ids=["scalar", "grid"])
+def test_pelt_rejects_empty_grid(gamma):
+    with pytest.raises(ValueError, match="grid resolution must be >= 1"):
+        pelt(lambda lo, hi: 0.0, 0, gamma)
+
+
 def test_penalty_accepts_numpy_integer():
     fn = lambda lo, hi: float(hi - lo) ** 2
     assert pelt(fn, 5, np.int64(1)) == pelt(fn, 5, 1.0)

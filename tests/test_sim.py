@@ -172,6 +172,11 @@ def test_true_optimal_value_piecewise_is_dense_grid_max(sid):
     assert true_optimal_value(spec, 2000, seed=6) == float(np.mean(dense))
 
 
+def test_true_optimal_value_rejects_few_draws():
+    with pytest.raises(ValueError, match="n_mc must be >= 1000"):
+        true_optimal_value(ScenarioSpec(1, 10, 4, 0), 999, seed=0)
+
+
 def test_true_optimal_value_deterministic():
     spec = ScenarioSpec(3, 10, 2, 0)
     assert true_optimal_value(spec, 10_000, seed=4) == true_optimal_value(spec, 10_000, seed=4)

@@ -73,6 +73,11 @@ def test_tuning_grid_validation():
         TuningGrid(lambdas=(0.0,), gammas=(0.0,), k_folds=2, seed=0)
     with pytest.raises(ValueError):
         TuningGrid(lambdas=(0.0,), gammas=(0.1,), k_folds=1, seed=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="lambda grid must be finite"):
+            TuningGrid(lambdas=(0.0, bad), gammas=(0.1,), k_folds=2, seed=0)
+        with pytest.raises(ValueError, match="gamma grid must be finite"):
+            TuningGrid(lambdas=(0.0,), gammas=(0.1, bad), k_folds=2, seed=0)
 
 
 # ------------------------------------------------------- naive CV oracle
