@@ -1,10 +1,12 @@
 """Command-line front end: simulate, fit, evaluate, bench.
 
 Exit codes: 0 success, 1 usage error, 2 data or model-artifact error,
-3 unexpected internal failure. Artifacts are JSON documents under
-schema_version "1" with every double rendered at 17 significant digits,
-so a written model reloads bitwise. File writes go through a temp file
-and rename, never leaving a partial artifact behind.
+3 unexpected internal failure. Every number leaves as Python's repr prints
+it, the shortest text that reads back to the same double: artifacts and
+the evaluate report are JSON under schema_version "1", so a written model
+reloads bitwise, and a non-finite result, which JSON cannot hold, exits 2
+without output. File writes go through a temp file and rename, never
+leaving a partial artifact behind.
 """
 
 from __future__ import annotations
@@ -78,29 +80,19 @@ ARTIFACT_KEYS = (
 
 
 def _fmt(v) -> str:
-    """A double at 17 significant digits; float(_fmt(v)) == v exactly."""
-    return format(float(v), ".17g")
+    """A double as repr prints it; float(_fmt(v)) == v exactly."""
+    return repr(float(v))
 
 
-def _jtext(obj, indent: int = 0) -> str:
-    """Deterministic JSON: insertion-ordered keys, 17-digit doubles."""
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = "  " * (indent + 1)
-        items = [f"{inner}{json.dumps(k)}: {_jtext(v, indent + 1)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + "  " * indent + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_jtext(v, indent) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    if obj is None:
-        return "null"
-    return json.dumps(obj)
+def _json(obj) -> str:
+    """obj as indented JSON with insertion-ordered keys and repr doubles.
+
+    JSON has no NaN or infinity, so a non-finite number raises JilError.
+    """
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise JilError(f"the result is not finite and has no JSON form ({exc})") from None
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -120,10 +112,14 @@ def _created_at() -> str:
     """ISO-8601 UTC timestamp; SOURCE_DATE_EPOCH overrides the clock so
     repeated builds can produce byte-identical artifacts."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch:
+    if not epoch:
+        return datetime.now(tz=timezone.utc).isoformat(timespec="seconds")
+    try:
         dt = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
-        dt = datetime.now(tz=timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise _UsageError(
+            f"SOURCE_DATE_EPOCH must be a Unix time in seconds, got {epoch!r}"
+        ) from None
     return dt.isoformat(timespec="seconds")
 
 
@@ -193,19 +189,19 @@ def _artifact_dict(fit: JilFit, prop: PropensityModel, value, provenance: dict) 
     models = []
     for mod in fit.models:
         if fit.method == "ljil":
-            models.append({"theta": [float(t) for t in mod.theta]})
+            models.append({"theta": mod.theta.tolist()})
         else:
             models.append(
                 {
                     "layer_sizes": [int(s) for s in mod.layer_sizes],
-                    "weights": [[[float(v) for v in row] for row in W] for W in mod.weights],
-                    "biases": [[float(v) for v in b] for b in mod.biases],
+                    "weights": [W.tolist() for W in mod.weights],
+                    "biases": [b.tolist() for b in mod.biases],
                 }
             )
     payload = {
         "kind": "multinomial",
         "floor": float(prop.floor),
-        "weights": [[float(v) for v in row] for row in prop.weights],
+        "weights": prop.weights.tolist(),
     }
     return {
         "schema_version": SCHEMA_VERSION,
@@ -363,6 +359,7 @@ def _resolve(d: Dataset, m: int, args, cfg: TrainConfig):
 
 
 def cmd_fit(args) -> int:
+    created_at = _created_at()
     y, a_raw, X = _read_csv(args.data)
     d, a_min, a_max = _build_dataset(y, a_raw, X)
     m = make_grid(d.n, args.c)
@@ -378,12 +375,12 @@ def cmd_fit(args) -> int:
         "n": d.n,
         "p": d.p,
         "seed": args.seed,
-        "created_at": _created_at(),
+        "created_at": created_at,
         "a_min": a_min,
         "a_max": a_max,
     }
-    art = _artifact_dict(fit, prop, value, provenance)
-    _atomic_write_text(args.out, _jtext(art) + "\n")
+    text = _json(_artifact_dict(fit, prop, value, provenance))
+    _atomic_write_text(args.out, text + "\n")
     _print_fit_report(fit, value, d)
     return 0
 
@@ -400,13 +397,11 @@ def _print_fit_report(fit: JilFit, value, d: Dataset) -> None:
     cuts = fit.partition.boundaries()
     print("change_points " + (" ".join(_fmt(b) for b in cuts) if cuts else "-"))
     for iv, mod in zip(fit.partition.intervals, fit.models):
-        closing = "]" if iv.hi == iv.m else ")"
-        span = f"[{_fmt(iv.lo_frac)}, {_fmt(iv.hi_frac)}{closing}"
         if fit.method == "ljil":
-            print(f"interval {span} theta " + " ".join(_fmt(t) for t in mod.theta))
+            print(f"interval {iv} theta " + " ".join(_fmt(t) for t in mod.theta))
         else:
             arch = "x".join(str(s) for s in mod.layer_sizes)
-            print(f"interval {span} mlp {arch}")
+            print(f"interval {iv} mlp {arch}")
     print(f"v_hat {_fmt(value.v_hat)}")
     print(f"sigma_hat {_fmt(value.sigma_hat)}")
     print(f"ci_lo {_fmt(value.ci_lo)} ci_hi {_fmt(value.ci_hi)} alpha {_fmt(value.alpha)}")
@@ -440,6 +435,7 @@ def cmd_evaluate(args) -> int:
     d = Dataset(X, a, y)
     rule = I2dr(fit)
     value = estimate_value(d, rule, prop, args.alpha)
+    report = _json(asdict(value))
     if args.plot_data:
         idx = recommend_batch(rule, d.covariates)
         edges = np.array(fit.partition.edges())
@@ -449,7 +445,7 @@ def cmd_evaluate(args) -> int:
         for i, (a, b, dose) in enumerate(zip(lo / fit.m, hi / fit.m, doses)):
             rows.append(f"{i}\t{_fmt(a)}\t{_fmt(b)}\t{_fmt(dose)}")
         _atomic_write_text(args.plot_data, "\n".join(rows) + "\n")
-    print(_jtext(asdict(value)))
+    print(report)
     return 0
 
 

@@ -188,9 +188,8 @@ class Interval:
         return (self.hi - self.lo) / self.m
 
     def __str__(self) -> str:
-        if self.hi == self.m:
-            return f"[{self.lo / self.m:g}, 1]"
-        return f"[{self.lo / self.m:g}, {self.hi / self.m:g})"
+        closing = "]" if self.hi == self.m else ")"
+        return f"[{self.lo_frac!r}, {self.hi_frac!r}{closing}"
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +16,14 @@ import pytest
 import jil.cli as cli
 import jil.sim
 from jil.cli import main
-from jil.policy import I2dr, UniformRandom, recommend, select_dose
+from jil.core import JilFit, Linear, Partition
+from jil.policy import I2dr, PropensityModel, UniformRandom, ValueReport, recommend, select_dose
 from jil.sim import ScenarioSpec, gen_scenario
 from jil.tuning import CvReport, default_gamma, default_grid
 
 from conftest import diverging_sgd_rows
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -609,7 +614,7 @@ def test_evaluate_plot_data_uniform_matches_select_dose(s1_csv, tmp_path, capsys
     for i, x in enumerate(X):
         iv = recommend(rule, x)
         cols = (iv.lo_frac, iv.hi_frac, select_dose(iv, pref))
-        want.append("\t".join([str(i)] + [format(v, ".17g") for v in cols]))
+        want.append("\t".join([str(i)] + [repr(float(v)) for v in cols]))
     assert tsv.read_text().splitlines() == want
 
 
@@ -684,6 +689,152 @@ def test_artifact_created_at_honors_epoch_env(s1_csv, tmp_path, monkeypatch, cap
           "--seed", "9", "--out", str(m2)])
     capsys.readouterr()
     assert m1.read_bytes() == m2.read_bytes()
+
+
+@pytest.mark.parametrize("epoch", ["abc", "99999999999999"])
+def test_fit_rejects_bad_source_date_epoch_before_reading_data_exit_1(
+    tmp_path, monkeypatch, capsys, epoch
+):
+    # the variable is parsed before the data file is opened: a missing file
+    # would exit 2
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    model = tmp_path / "m.json"
+    rc = main(["fit", "--data", str(tmp_path / "absent.csv"), "--lambda", "0",
+               "--gamma", "default", "--out", str(model)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: SOURCE_DATE_EPOCH must be a Unix time in seconds, got {epoch!r}\n"
+    )
+    assert not model.exists()
+
+
+EXTREMES = [5e-324, -0.0, 1.7976931348623157e308, 0.1, 1 / 3]
+
+
+def extreme_artifact_parts():
+    """A two-interval L-JIL fit, propensity and value whose theta and
+    propensity weights hold the smallest subnormal, -0.0, the largest double,
+    and 0.1 and 1/3, which have no exact binary form."""
+    part = Partition.from_edges([0, 1, 2], 2)
+    thetas = np.array([EXTREMES, EXTREMES[::-1]])
+    fit = JilFit(partition=part, models=tuple(Linear(t) for t in thetas), m=2,
+                 lam=0.1, gamma=1 / 3, objective=0.1)
+    prop = PropensityModel(part, thetas.copy())
+    return fit, prop, ValueReport(0.1, 1 / 3, -0.0, 0.5, 0.05)
+
+
+def test_artifact_round_trips_extreme_doubles_bitwise(tmp_path):
+    fit, prop, value = extreme_artifact_parts()
+    provenance = {"n": 10, "p": 4, "seed": 0, "created_at": "2023-11-14T22:13:20+00:00",
+                  "a_min": None, "a_max": None}
+    model = tmp_path / "m.json"
+    model.write_text(cli._json(cli._artifact_dict(fit, prop, value, provenance)) + "\n")
+    got, got_prop, p, seed, a_range = cli._decode_artifact(cli._load_artifact(str(model)))
+    for want, mod in zip(fit.models, got.models):
+        assert mod.theta.tobytes() == want.theta.tobytes()
+    assert got_prop.weights.tobytes() == prop.weights.tobytes()
+    assert (got.lam, got.gamma, got.objective) == (fit.lam, fit.gamma, fit.objective)
+    assert (p, seed, a_range) == (4, 0, None)
+
+
+# an artifact as earlier releases wrote it: 17 significant digits, lists inline
+LEGACY_ARTIFACT = """{
+  "schema_version": "1",
+  "method": "ljil",
+  "m": 2,
+  "lambda": 0.10000000000000001,
+  "gamma": 0.33333333333333331,
+  "objective": 0.10000000000000001,
+  "partition": [[0, 1], [1, 2]],
+  "models": [{
+    "theta": [4.9406564584124654e-324, -0, 1.7976931348623157e+308, 0.10000000000000001, 0.33333333333333331]
+  }, {
+    "theta": [0.33333333333333331, 0.10000000000000001, 1.7976931348623157e+308, -0, 4.9406564584124654e-324]
+  }],
+  "propensity": {
+    "kind": "multinomial",
+    "floor": 0.01,
+    "weights": [[4.9406564584124654e-324, -0, 1.7976931348623157e+308, 0.10000000000000001, 0.33333333333333331], [0.33333333333333331, 0.10000000000000001, 1.7976931348623157e+308, -0, 4.9406564584124654e-324]]
+  },
+  "value": {
+    "v_hat": 0.10000000000000001,
+    "sigma_hat": 0.33333333333333331,
+    "ci_lo": -0,
+    "ci_hi": 0.5,
+    "alpha": 0.050000000000000003
+  },
+  "provenance": {
+    "n": 10,
+    "p": 4,
+    "seed": 0,
+    "created_at": "2023-11-14T22:13:20+00:00",
+    "a_min": null,
+    "a_max": null
+  }
+}
+"""
+
+
+def test_legacy_17_digit_artifact_decodes_to_the_same_doubles(tmp_path):
+    fit, prop, _ = extreme_artifact_parts()
+    model = tmp_path / "old.json"
+    model.write_text(LEGACY_ARTIFACT)
+    got, got_prop, _, _, _ = cli._decode_artifact(cli._load_artifact(str(model)))
+    # that format wrote -0.0 as "-0", a JSON integer, which reads back as +0.0
+    # (as it did when it was written); every other double keeps its bits
+    thetas = np.array([m.theta for m in fit.models]) + 0.0
+    assert np.array([m.theta for m in got.models]).tobytes() == thetas.tobytes()
+    assert got_prop.weights.tobytes() == (prop.weights + 0.0).tobytes()
+    assert (got.lam, got.gamma, got.objective) == (fit.lam, fit.gamma, fit.objective)
+
+
+def run_jil(*args):
+    """`python -m jil` in a fresh process, which reports overflow warnings
+    rather than raising them as the test configuration does."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "jil", *args], capture_output=True,
+                          text=True, env=env)
+
+
+def write_rows(path, y, a, X):
+    rows = [",".join(["y", "a"] + [f"x{j + 1}" for j in range(X.shape[1])])]
+    rows += [",".join(repr(float(v)) for v in row) for row in zip(y, a, *X.T)]
+    path.write_text("\n".join(rows) + "\n")
+
+
+def assert_one_error_line(proc):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and errors[0].startswith("error: the result is not finite")
+    assert "Traceback" not in proc.stderr
+
+
+def test_fit_overflowing_outcomes_exit_2_without_artifact(tmp_path):
+    # 200 rows of 1e160 * N(0, 1) outcomes: the objective and sigma_hat overflow
+    rng = np.random.default_rng(0)
+    data, model = tmp_path / "big.csv", tmp_path / "m.json"
+    write_rows(data, 1e160 * rng.standard_normal(200), rng.random(200),
+               rng.uniform(-1, 1, (200, 2)))
+    proc = run_jil("fit", "--data", str(data), "--lambda", "0", "--gamma", "default",
+                   "--out", str(model))
+    assert_one_error_line(proc)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["big.csv"]
+
+
+def test_evaluate_overflowing_outcomes_exit_2_without_output(s1_csv, s1_artifact, tmp_path):
+    # a model fit on ordinary data, evaluated on 1e155 * N(0, 1) outcomes:
+    # sigma_hat overflows, and neither the report nor the plot data is written
+    model, data, tsv = tmp_path / "m.json", tmp_path / "big.csv", tmp_path / "p.tsv"
+    model.write_text(s1_artifact)
+    raw = np.loadtxt(s1_csv, delimiter=",", skiprows=1)
+    write_rows(data, 1e155 * np.random.default_rng(1).standard_normal(len(raw)),
+               raw[:, 1], raw[:, 2:])
+    proc = run_jil("evaluate", "--model", str(model), "--data", str(data),
+                   "--plot-data", str(tsv))
+    assert_one_error_line(proc)
+    assert not tsv.exists()
 
 
 def test_failed_rename_leaves_target_and_no_temp_file(tmp_path, monkeypatch, capsys):

@@ -101,6 +101,12 @@ def test_interval_basic():
     assert "0.2" in str(iv) and "0.4" in str(iv)
 
 
+def test_interval_str_prints_bounds_as_repr():
+    assert str(Interval(2, 4, 10)) == "[0.2, 0.4)"
+    assert str(Interval(0, 3, 40)) == "[0.0, 0.075)"
+    assert str(Interval(1, 3, 3)) == "[0.3333333333333333, 1.0]"
+
+
 def test_interval_validation():
     with pytest.raises(ValueError):
         Interval(4, 4, 10)
