@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 usage error, 2 data or model-artifact error,
 it, the shortest text that reads back to the same double: artifacts and
 the evaluate report are JSON under schema_version "1", so a written model
 reloads bitwise, and a non-finite result, which JSON cannot hold, exits 2
-without output. File writes go through a temp file and rename, never
-leaving a partial artifact behind.
+without output. fit and evaluate read their data through one loader, so
+raw doses map onto [0, 1] by one rule. File writes go through a temp file
+and rename, never leaving a partial artifact behind.
 """
 
 from __future__ import annotations
@@ -168,18 +169,35 @@ def _read_csv(path: str):
     return np.asarray(y), np.asarray(a), np.asarray(X, dtype=float).reshape(n, p)
 
 
-def _build_dataset(y, a_raw, X):
-    """Dataset plus the raw treatment range when min-max scaling was needed."""
-    bad = ~np.isfinite(a_raw)
+def _load_data(path: str, a_range=None, fit: bool = False):
+    """(Dataset, raw dose range or None) of a y,a,x1..xp CSV, naming the
+    first non-finite dose's row.
+
+    At fit, doses outside [0, 1] are min-max scaled onto it and their range
+    is returned. Otherwise doses map onto [0, 1] by a_range, the range a
+    model was fit on, and a dose outside it is rejected; with no range they
+    must already lie in [0, 1].
+    """
+    y, a, X = _read_csv(path)
+    bad = ~np.isfinite(a)
     if bad.any():
         row = int(np.argmax(bad))
         raise InvalidData("treatments", row, f"non-finite treatment at row {row}")
-    a_min = a_max = None
-    a = a_raw
-    if a_raw.size and (a_raw.min() < 0.0 or a_raw.max() > 1.0):
-        a_min, a_max = float(a_raw.min()), float(a_raw.max())
-        a = normalize_treatment(a_raw)
-    return Dataset(X, a, y), a_min, a_max
+    if fit and a.size and (a.min() < 0.0 or a.max() > 1.0):
+        a_range = float(a.min()), float(a.max())
+        a = normalize_treatment(a)
+    elif a_range is not None:
+        a_min, a_max = a_range
+        bad = (a < a_min) | (a > a_max)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise InvalidData(
+                "treatments", row,
+                f"treatment {_fmt(a[row])} at row {row} is outside the fitted range "
+                f"[{_fmt(a_min)}, {_fmt(a_max)}]",
+            )
+        a = (a - a_min) / (a_max - a_min)
+    return Dataset(X, a, y), a_range
 
 
 # --------------------------------------------------------------- artifacts
@@ -218,28 +236,6 @@ def _artifact_dict(fit: JilFit, prop: PropensityModel, value, provenance: dict) 
     }
 
 
-def _load_artifact(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        art = json.loads(text)
-    except ValueError as exc:
-        raise SchemaMismatch(f"model file is not valid JSON: {exc}") from None
-    if not isinstance(art, dict):
-        raise SchemaMismatch("model file must contain a JSON object")
-    if art.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaMismatch(
-            f"unsupported schema_version {art.get('schema_version')!r}; "
-            f"this build reads {SCHEMA_VERSION!r}"
-        )
-    for key in ARTIFACT_KEYS:
-        if key not in art:
-            raise SchemaMismatch(f"model file is missing key {key!r}")
-    if art["method"] not in ("ljil", "djil"):
-        raise SchemaMismatch(f"unknown method {art['method']!r}")
-    return art
-
-
 def _int(v, what: str):
     """v if it is a JSON integer; a bool or a number with a fraction is not."""
     if isinstance(v, bool) or not isinstance(v, int):
@@ -267,13 +263,32 @@ def _number(v, what: str) -> float:
     return float(_finite(v, what))
 
 
-def _decode_artifact(art: dict):
-    """(fit, propensity, p, seed, raw dose range or None) of a loaded artifact.
+def _read_artifact(path: str):
+    """(fit, propensity, p, seed, raw dose range or None) of a model file.
 
-    This is the one place an artifact's fields are decoded, by _int, _number
-    and _finite: a missing key or a value of the wrong type or shape raises
-    SchemaMismatch.
+    This is the one place an artifact is read: its fields are decoded by
+    _int, _number and _finite, and text that is not JSON, an unknown schema
+    version or method, a missing key or a value of the wrong type or shape
+    raises SchemaMismatch.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        art = json.loads(text)
+    except ValueError as exc:
+        raise SchemaMismatch(f"model file is not valid JSON: {exc}") from None
+    if not isinstance(art, dict):
+        raise SchemaMismatch("model file must contain a JSON object")
+    if art.get("schema_version") != SCHEMA_VERSION:
+        raise SchemaMismatch(
+            f"unsupported schema_version {art.get('schema_version')!r}; "
+            f"this build reads {SCHEMA_VERSION!r}"
+        )
+    for key in ARTIFACT_KEYS:
+        if key not in art:
+            raise SchemaMismatch(f"model file is missing key {key!r}")
+    if art["method"] not in ("ljil", "djil"):
+        raise SchemaMismatch(f"unknown method {art['method']!r}")
     try:
         fit = _fit_from_artifact(art)
         prop = _prop_from_artifact(art["propensity"], fit.partition)
@@ -340,28 +355,27 @@ def _resolve(d: Dataset, m: int, args, cfg: TrainConfig):
         if lam not in ("auto", 0.0):
             raise _UsageError(f"--lambda must be auto or 0 with --method djil, got {lam}")
         lam = 0.0
-    if lam == "auto" or gamma == "auto":
-        grid = default_grid(d.n, args.seed, args.folds)
-        if lam != "auto":
-            grid = replace(grid, lambdas=(float(lam),))
-        if gamma == "default":
-            grid = replace(grid, gammas=(default_gamma(d.n),))
-        elif gamma != "auto":
-            grid = replace(grid, gammas=(float(gamma),))
-        if args.method == "ljil":
-            report = cv_select_ljil(d, m, grid)
-        else:
-            report = cv_select_djil(d, m, grid, cfg)
-        return report.best_lambda, report.best_gamma
     if gamma == "default":
         gamma = default_gamma(d.n)
-    return float(lam), float(gamma)
+    if "auto" not in (lam, gamma):
+        return float(lam), float(gamma)
+    grid = default_grid(d.n, args.seed, args.folds)
+    grid = replace(
+        grid,
+        lambdas=grid.lambdas if lam == "auto" else (float(lam),),
+        gammas=grid.gammas if gamma == "auto" else (float(gamma),),
+    )
+    if args.method == "ljil":
+        report = cv_select_ljil(d, m, grid)
+    else:
+        report = cv_select_djil(d, m, grid, cfg)
+    return report.best_lambda, report.best_gamma
 
 
 def cmd_fit(args) -> int:
     created_at = _created_at()
-    y, a_raw, X = _read_csv(args.data)
-    d, a_min, a_max = _build_dataset(y, a_raw, X)
+    d, a_range = _load_data(args.data, fit=True)
+    a_min, a_max = a_range or (None, None)
     m = make_grid(d.n, args.c)
     cfg = TrainConfig(seed=args.seed)
     lam, gamma = _resolve(d, m, args, cfg)
@@ -416,23 +430,10 @@ _PREFS = {
 
 
 def cmd_evaluate(args) -> int:
-    fit, prop, p, seed, a_range = _decode_artifact(_load_artifact(args.model))
-    y, a_raw, X = _read_csv(args.data)
-    if X.shape[1] != p:
-        raise SchemaMismatch(f"model was fit with p={p} covariates, data has p={X.shape[1]}")
-    a = a_raw
-    if a_range is not None:
-        a_min, a_max = a_range
-        bad = ~((a_raw >= a_min) & (a_raw <= a_max))
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise InvalidData(
-                "treatments", row,
-                f"treatment {_fmt(a_raw[row])} at row {row} is outside the fitted range "
-                f"[{_fmt(a_min)}, {_fmt(a_max)}]",
-            )
-        a = (a_raw - a_min) / (a_max - a_min)
-    d = Dataset(X, a, y)
+    fit, prop, p, seed, a_range = _read_artifact(args.model)
+    d, _ = _load_data(args.data, a_range)
+    if d.p != p:
+        raise SchemaMismatch(f"model was fit with p={p} covariates, data has p={d.p}")
     rule = I2dr(fit)
     value = estimate_value(d, rule, prop, args.alpha)
     report = _json(asdict(value))
@@ -477,15 +478,9 @@ def cmd_bench(args) -> int:
         "reps": str(args.reps),
         "method": args.method,
     }
-    for key in (
-        "mean_v_hat",
-        "mean_sigma_hat",
-        "coverage_pct",
-        "mean_segments",
-        "mean_l2",
-        "v_opt",
-    ):
-        row[key] = "nan" if res[key] is None else _fmt(res[key])
+    for key, v in res.items():
+        if key != "records":
+            row[key] = "nan" if v is None else _fmt(v)
     print("\t".join(row))
     print("\t".join(row.values()))
     return 0

@@ -15,7 +15,9 @@ over grid cells holds the augmented moments M = sum z z^T of
 z = (xbar, Y - c), so an interval's moments are a single subtraction:
 M = [[G, b'], [b'^T, s']], with G the Gram matrix, b' = sum xbar (Y - c) and
 s' = sum (Y - c)^2. Centering keeps s' and b' from cancelling when the
-outcomes sit far from zero.
+outcomes sit far from zero. Finite data can still overflow these sums (or
+c^2 in P below), which would make every cost NaN, so such data raise
+InvalidData naming the outcomes or covariates.
 
 Penalty. With theta' = theta - c e1 the residuals are Y - c - xbar^T theta',
 and the penalty stays on the uncentered theta = theta' + c e1. So for
@@ -63,6 +65,7 @@ import operator
 import numpy as np
 
 from .core import Dataset, Linear, check_grid, grid_cell, make_xbar
+from .errors import InvalidData
 
 __all__ = ["CostCache"]
 
@@ -154,18 +157,25 @@ class CostCache:
         d = self.dataset
         m = self.m
         cells = grid_cell(d.treatments, m)
-        c = float(np.mean(d.outcomes))
-        z = np.hstack([make_xbar(d.covariates), (d.outcomes - c)[:, None]])
-        dim = z.shape[1]
-        # per-cell sums of z z^T, then prefix sums at cell boundaries: row j
-        # holds the sum over cells < j
-        cell_sums = np.empty((m, dim, dim))
-        for i in range(dim):
-            for j in range(i + 1):
-                s = np.bincount(cells, weights=z[:, i] * z[:, j], minlength=m)
-                cell_sums[:, i, j] = cell_sums[:, j, i] = s
-        self._M = np.zeros((m + 1, dim, dim))
-        np.cumsum(cell_sums, axis=0, out=self._M[1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = float(np.mean(d.outcomes))
+            z = np.hstack([make_xbar(d.covariates), (d.outcomes - c)[:, None]])
+            dim = z.shape[1]
+            # per-cell sums of z z^T, then prefix sums at cell boundaries: row
+            # j holds the sum over cells < j
+            cell_sums = np.empty((m, dim, dim))
+            for i in range(dim):
+                for j in range(i + 1):
+                    s = np.bincount(cells, weights=z[:, i] * z[:, j], minlength=m)
+                    cell_sums[:, i, j] = cell_sums[:, j, i] = s
+            self._M = np.zeros((m + 1, dim, dim))
+            np.cumsum(cell_sums, axis=0, out=self._M[1:])
+        # an overflowed sum, or c^2, would turn every cost NaN
+        total = np.diagonal(self._M[-1])
+        if not np.isfinite(total[1:-1]).all():
+            raise InvalidData("covariates", None, "covariates are too large: their moments overflow")
+        if not (np.isfinite(total[-1]) and np.isfinite(c * c)):
+            raise InvalidData("outcomes", None, "outcomes are too large: their moments overflow")
         self._shift = c
         P = np.eye(dim)
         P[0, -1] = P[-1, 0] = -c

@@ -252,7 +252,12 @@ def estimate_value(d: Dataset, rule: I2dr, prop: PropensityModel, alpha: float) 
     e = propensity_probs(prop, d.covariates)[np.arange(d.n), rec]
     terms = ind / e * (d.outcomes - qmax) + qmax
     v_hat = float(np.mean(terms))
-    sigma_hat = float(np.sqrt(np.sum((terms - v_hat) ** 2) / (d.n - 1)))
+    # the deviations are scaled by a power of two before squaring, which is
+    # exact, so the squares overflow only where sigma_hat itself does
+    dev = terms - v_hat
+    k = math.frexp(float(np.max(np.abs(dev))))[1]
+    dev = np.ldexp(dev, -k)
+    sigma_hat = float(np.ldexp(np.sqrt(np.sum(dev * dev) / (d.n - 1)), k))
     z = float(statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0))
     half = z * sigma_hat / math.sqrt(d.n)
     return ValueReport(v_hat, sigma_hat, v_hat - half, v_hat + half, float(alpha))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -227,7 +228,11 @@ def test_fit_bad_header_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, message",
     [("", "data file is empty"), ("\n \n", "data file is empty"),
-     ("y,a,x1\n1.0,0.5,0.1\n2.0,0.3\n", "expected 3 fields at row 1, got 2")],
+     ("y,a,x1\n1.0,0.5,0.1\n2.0,0.3\n", "expected 3 fields at row 1, got 2"),
+     ("y,a,x1,x2\n", "dataset has no rows"),
+     # doses outside [0, 1] with no range cannot be min-max scaled
+     ("y,a,x1\n1.0,5.0,0.1\n2.0,5.0,0.2\n1.5,5.0,0.3\n",
+      "treatment range is zero; cannot normalize")],
 )
 def test_fit_empty_file_or_short_row_exit_2(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.csv"
@@ -309,6 +314,58 @@ def test_evaluate_dose_outside_fitted_range_exit_2(tmp_path, capsys, row, scale)
     err = capsys.readouterr().err
     assert f"at row {row} is outside the fitted range" in err
     assert not plot.exists()
+
+
+def unit_or_raw_model(kind, s1_artifact, tmp_path):
+    """(artifact path, data header) of a model fit on doses in [0, 1] (p = 4)
+    or on raw doses in [50, 300] (p = 1)."""
+    if kind == "raw":
+        lines, model = raw_dose_fit(tmp_path)
+        return model, lines[0]
+    model = tmp_path / "unit.json"
+    model.write_text(s1_artifact)
+    return model, "y,a,x1,x2,x3,x4"
+
+
+@pytest.mark.parametrize("kind", ["unit", "raw"])
+def test_evaluate_header_only_csv_exit_2(s1_artifact, tmp_path, capsys, kind):
+    model, header = unit_or_raw_model(kind, s1_artifact, tmp_path)
+    data, plot = tmp_path / "empty.csv", tmp_path / "plot.tsv"
+    data.write_text(header + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--data", str(data),
+                 "--plot-data", str(plot)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: dataset has no rows\n")
+    assert not plot.exists()
+
+
+@pytest.mark.parametrize("dose", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", ["unit", "raw"])
+def test_evaluate_non_finite_dose_names_row_exit_2(s1_artifact, tmp_path, capsys, kind, dose):
+    model, header = unit_or_raw_model(kind, s1_artifact, tmp_path)
+    width = len(header.split(",")) - 2
+    rows = [header] + [",".join(["1.0", a] + ["0.5"] * width) for a in ("0.5", "1.0", dose)]
+    data = tmp_path / "bad.csv"
+    data.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: non-finite treatment at row 2\n")
+
+
+@pytest.mark.parametrize("dose, row", [("1.5", 1), ("-0.25", 0)])
+def test_evaluate_dose_outside_unit_range_exit_2(s1_artifact, tmp_path, capsys, dose, row):
+    # a model fit on doses in [0, 1] records no range, so new doses are never
+    # rescaled: one outside [0, 1] is rejected
+    model, header = unit_or_raw_model("unit", s1_artifact, tmp_path)
+    doses = ["0.5", "0.2", "0.9"]
+    doses[row] = dose
+    data = tmp_path / "bad.csv"
+    data.write_text("\n".join([header] + [f"1.0,{a},0,0,0,0" for a in doses]) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 2
+    assert capsys.readouterr().err == f"error: treatment outside [0, 1] at row {row}\n"
 
 
 # ----------------------------------------------------------------- evaluate
@@ -607,7 +664,7 @@ def test_evaluate_plot_data_uniform_matches_select_dose(s1_csv, tmp_path, capsys
     assert main(["evaluate", "--model", str(model), "--data", str(s1_csv),
                  "--pref", "uniform", "--plot-data", str(tsv)]) == 0
     capsys.readouterr()
-    rule = I2dr(cli._decode_artifact(cli._load_artifact(str(model)))[0])
+    rule = I2dr(cli._read_artifact(str(model))[0])
     X = np.loadtxt(s1_csv, delimiter=",", skiprows=1)[:, 2:]
     pref = UniformRandom(5)
     want = ["index\tlo\thi\tdose"]
@@ -729,7 +786,7 @@ def test_artifact_round_trips_extreme_doubles_bitwise(tmp_path):
                   "a_min": None, "a_max": None}
     model = tmp_path / "m.json"
     model.write_text(cli._json(cli._artifact_dict(fit, prop, value, provenance)) + "\n")
-    got, got_prop, p, seed, a_range = cli._decode_artifact(cli._load_artifact(str(model)))
+    got, got_prop, p, seed, a_range = cli._read_artifact(str(model))
     for want, mod in zip(fit.models, got.models):
         assert mod.theta.tobytes() == want.theta.tobytes()
     assert got_prop.weights.tobytes() == prop.weights.tobytes()
@@ -779,7 +836,7 @@ def test_legacy_17_digit_artifact_decodes_to_the_same_doubles(tmp_path):
     fit, prop, _ = extreme_artifact_parts()
     model = tmp_path / "old.json"
     model.write_text(LEGACY_ARTIFACT)
-    got, got_prop, _, _, _ = cli._decode_artifact(cli._load_artifact(str(model)))
+    got, got_prop, _, _, _ = cli._read_artifact(str(model))
     # that format wrote -0.0 as "-0", a JSON integer, which reads back as +0.0
     # (as it did when it was written); every other double keeps its bits
     thetas = np.array([m.theta for m in fit.models]) + 0.0
@@ -803,38 +860,57 @@ def write_rows(path, y, a, X):
     path.write_text("\n".join(rows) + "\n")
 
 
-def assert_one_error_line(proc):
+def assert_one_error_line(proc, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
-    assert len(errors) == 1 and errors[0].startswith("error: the result is not finite")
+    assert len(errors) == 1 and errors[0].startswith("error: " + message)
     assert "Traceback" not in proc.stderr
 
 
 def test_fit_overflowing_outcomes_exit_2_without_artifact(tmp_path):
-    # 200 rows of 1e160 * N(0, 1) outcomes: the objective and sigma_hat overflow
+    # 200 rows of 1e160 * N(0, 1) outcomes: their moments overflow, which the
+    # cost layer rejects before any cost is computed
     rng = np.random.default_rng(0)
     data, model = tmp_path / "big.csv", tmp_path / "m.json"
     write_rows(data, 1e160 * rng.standard_normal(200), rng.random(200),
                rng.uniform(-1, 1, (200, 2)))
     proc = run_jil("fit", "--data", str(data), "--lambda", "0", "--gamma", "default",
                    "--out", str(model))
-    assert_one_error_line(proc)
+    assert_one_error_line(proc, "outcomes are too large: their moments overflow")
     assert sorted(f.name for f in tmp_path.iterdir()) == ["big.csv"]
 
 
+def big_outcomes(s1_csv, path, scale):
+    """The s1 rows with outcomes scale * N(0, 1), written to path."""
+    raw = np.loadtxt(s1_csv, delimiter=",", skiprows=1)
+    write_rows(path, scale * np.random.default_rng(1).standard_normal(len(raw)),
+               raw[:, 1], raw[:, 2:])
+
+
 def test_evaluate_overflowing_outcomes_exit_2_without_output(s1_csv, s1_artifact, tmp_path):
-    # a model fit on ordinary data, evaluated on 1e155 * N(0, 1) outcomes:
-    # sigma_hat overflows, and neither the report nor the plot data is written
+    # a model fit on ordinary data, evaluated on 1e307 * N(0, 1) outcomes:
+    # v_hat itself overflows, and neither the report nor the plot data is written
     model, data, tsv = tmp_path / "m.json", tmp_path / "big.csv", tmp_path / "p.tsv"
     model.write_text(s1_artifact)
-    raw = np.loadtxt(s1_csv, delimiter=",", skiprows=1)
-    write_rows(data, 1e155 * np.random.default_rng(1).standard_normal(len(raw)),
-               raw[:, 1], raw[:, 2:])
+    big_outcomes(s1_csv, data, 1e307)
     proc = run_jil("evaluate", "--model", str(model), "--data", str(data),
                    "--plot-data", str(tsv))
-    assert_one_error_line(proc)
+    assert_one_error_line(proc, "the result is not finite")
     assert not tsv.exists()
+
+
+def test_evaluate_large_outcomes_finite_sigma_hat(s1_csv, s1_artifact, tmp_path, capsys):
+    # at 1e155 * N(0, 1) outcomes the squared deviations would overflow, but
+    # sigma_hat (about 1.7e155) is finite and is reported; the test
+    # configuration turns an overflow warning into exit 3
+    model, data = tmp_path / "m.json", tmp_path / "big.csv"
+    model.write_text(s1_artifact)
+    big_outcomes(s1_csv, data, 1e155)
+    assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert all(math.isfinite(v) for v in got.values())
+    assert 1e154 < got["sigma_hat"] < 1e156
 
 
 def test_failed_rename_leaves_target_and_no_temp_file(tmp_path, monkeypatch, capsys):

@@ -32,6 +32,23 @@ def s1_like(rng, n, p=2, noise=0.25):
 # ------------------------------------------------------------------- ljil
 
 
+@pytest.mark.parametrize(
+    "field, scale_y, shift_y, scale_x",
+    [("outcomes", 1e160, 0.0, 1.0), ("outcomes", 1.0, 1e155, 1.0),
+     ("covariates", 1.0, 0.0, 1e160)],
+)
+@pytest.mark.parametrize("lam", [0.0, 1e-2])
+def test_ljil_overflowing_moments_raise_invalid_data(rng, field, scale_y, shift_y, scale_x, lam):
+    # finite data whose moments (or the squared outcome mean of the penalty)
+    # overflow would make every cost NaN; the fit names the field instead,
+    # without an overflow warning, which the test configuration raises
+    d = s1_like(rng, 200)
+    big = Dataset(scale_x * d.covariates, d.treatments, scale_y * d.outcomes + shift_y)
+    with pytest.raises(InvalidData, match=f"{field} are too large") as exc:
+        fit_ljil(big, 40, lam, default_gamma(200))
+    assert (exc.value.field, exc.value.row) == (field, None)
+
+
 def test_ljil_matches_manual_pipeline(rng):
     d = s1_like(rng, 150)
     m, lam, gamma = 20, 1e-3, 0.05

@@ -412,6 +412,25 @@ def test_value_input_validation(rng):
     assert all(math.isfinite(v) for v in vars(rep).values())
 
 
+@pytest.mark.parametrize("k", [0, 600, 1000])
+def test_value_sigma_hat_scales_exactly_by_powers_of_two(rng, k):
+    # scaling outcomes and coefficients by 2**k scales every AIPW term, and so
+    # v_hat and sigma_hat, exactly; past k = 512 the squared deviations
+    # themselves would overflow, though sigma_hat is finite
+    d = two_interval_setup(rng, 50, p=2)
+    thetas = rng.standard_normal((2, 3))
+    rule = I2dr(linear_fit(thetas, [0, 3, 6], 6))
+    prop = fit_propensity(d, rule.fit.partition)
+    big = Dataset(d.covariates, d.treatments, np.ldexp(d.outcomes, k))
+    big_rule = I2dr(linear_fit(np.ldexp(thetas, k), [0, 3, 6], 6))
+    assert (recommend_batch(big_rule, d.covariates) == recommend_batch(rule, d.covariates)).all()
+    rep = estimate_value(d, rule, prop, alpha=0.05)
+    got = estimate_value(big, big_rule, prop, alpha=0.05)
+    assert got.v_hat == math.ldexp(rep.v_hat, k)
+    assert got.sigma_hat == math.ldexp(rep.sigma_hat, k)
+    assert math.isfinite(got.ci_lo) and math.isfinite(got.ci_hi)
+
+
 def test_value_partition_mismatch(rng):
     d = two_interval_setup(rng, 30)
     rule = I2dr(linear_fit([[1.0, 0.0], [0.0, 1.0]], [0, 3, 6], 6))

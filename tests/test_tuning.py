@@ -12,7 +12,7 @@ import jil.fit as fit_mod
 import jil.tuning as tuning_mod
 from jil.core import Dataset, Interval, Partition, grid_cell, make_grid
 from jil.cost import CostCache
-from jil.errors import BadFoldCount, InsufficientData
+from jil.errors import BadFoldCount, InsufficientData, InvalidData
 from jil.fit import NetworkCosts
 from jil.mlp import TrainConfig, mlp_train
 from jil.segment import dp_no_prune, pelt
@@ -143,6 +143,16 @@ def test_cv_single_cell_matches_explicit_loop(rng):
     want = naive_cv_scores(d.covariates, d.treatments, d.outcomes, 6, (0.01,), (0.2,), assign)
     np.testing.assert_allclose(rep.scores, want, rtol=1e-8, atol=1e-10)
     assert rep.best_lambda == 0.01 and rep.best_gamma == 0.2
+
+
+def test_cv_overflowing_outcomes_raise_invalid_data(rng):
+    # 1e160 * N(0, 1) outcomes overflow every fold's moments: CV names the
+    # outcomes rather than scoring NaN costs
+    d = piecewise_data(rng, 120)
+    big = Dataset(d.covariates, d.treatments, 1e160 * rng.standard_normal(d.n))
+    with pytest.raises(InvalidData, match="outcomes are too large") as exc:
+        cv_select_ljil(big, 12, default_grid(d.n, seed=0))
+    assert exc.value.field == "outcomes"
 
 
 def test_cv_grid_matches_naive_refit(rng):
