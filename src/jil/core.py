@@ -49,16 +49,15 @@ def make_grid(n: int, c: float) -> int:
     return max(1, int(np.floor(n / c)))
 
 
-def check_grid(name: str, values, allow_zero: bool) -> np.ndarray:
-    """A non-empty, finite, ascending hyperparameter grid as a float array;
-    values must be >= 0 when allow_zero, else > 0."""
+def check_grid(name: str, values) -> np.ndarray:
+    """A non-empty, finite, ascending grid of values >= 0 as a float array."""
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError(f"{name} grid must be non-empty")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} grid must be finite")
-    if not (np.all(arr >= 0) if allow_zero else np.all(arr > 0)):
-        raise ValueError(f"{name} values must be {'>= 0' if allow_zero else '> 0'}")
+    if not np.all(arr >= 0):
+        raise ValueError(f"{name} values must be >= 0")
     if np.any(np.diff(arr) < 0):
         raise ValueError(f"{name} grid must be sorted ascending")
     return arr

@@ -27,28 +27,31 @@ v = (-theta', 1),
     P = [[Id, -c e1], [-c e1^T, c^2]].
 
 Cost. Minimizing over theta' leaves the Schur complement of the leading
-d x d block of A = M + n*lam*|I|*P, which is the square of the last pivot of
-the Cholesky factor of A: the last pivot^2 equals n * cost(I). The leading
-pivots double as the rank check, so one batched Cholesky per lam serves a
-whole DP column, and theta' = (G + n*lam*|I|*Id)^{-1} (b' - n*lam*|I|*c e1)
-comes from one batched solve.
+d x d block of A = M + n*lam*|I|*P, the last pivot of a symmetric elimination
+of A: that pivot equals n * cost(I). cost._eliminate runs this elimination in
+numpy, elementwise over a stack of matrices, so one call serves a whole DP
+column at every lam and an interval gets the same bits in any batch. A
+leading pivot below _CLAMP_REL times the largest leading diagonal entry of A
+is a null direction, neither divided by nor eliminated, so a rank-deficient
+interval (at lam = 0 one with at most d rows, a collinear or constant
+covariate) costs the residual on the span of its live directions with no
+second path. An interval without rows costs exactly 0 at every lam.
 
-Routing. The Cholesky serves an interval when it has more than d rows (at
-lam = 0; at least one row at lam > 0; M[0, 0] is its exact row count), its
-factorization succeeds and every leading pivot^2 is at least _CLAMP_REL
-times the largest leading diagonal entry of A. Every other interval takes
-the one fallback, CostCache._min_norm, which serves costs and coefficients
-alike: one batched symmetric eigendecomposition of G solves the uncentered
-system theta = (G + n*lam*|I|*Id)^+ (b' + c G e1), dropping eigenvalues
-below _CLAMP_REL of the largest at lam = 0 (the minimum-norm solution,
-which is not shift-equivariant, hence the uncentered system), and the cost
-is formed from theta and the centered moments. An interval without rows
-gets theta = 0 and costs exactly 0 at every lam. Routing is decided per
-interval, so an interval gets the same bits in any batch.
+Routing. Coefficients come from one batched solve of
+(G + n*lam*|I|*Id) theta' = b' - n*lam*|I|*c e1 for an interval with more
+than d rows (at lam = 0; at least one row at lam > 0; M[0, 0] is its exact
+row count) whose leading pivots are all live and whose last pivot is
+positive. Every other interval takes CostCache._min_norm: one batched
+symmetric eigendecomposition of G solves the uncentered system
+theta = (G + n*lam*|I|*Id)^+ (b' + c G e1), dropping eigenvalues below
+_CLAMP_REL of the largest at lam = 0 (the minimum-norm solution, which is
+not shift-equivariant, hence the uncentered system); an interval without
+rows gets theta = 0. Routing is decided per interval, so an interval gets
+the same bits in any batch.
 
 CostCache computes costs over a fixed lam grid and stores none: each
-columns() call computes its DP column at every lam of the grid, stacked into
-one Cholesky call and one min-norm call. A lone fit reads the one cost row
+columns() call computes its DP column at every lam of the grid in one
+_eliminate call. A lone fit reads the one cost row
 of a one-lam cache; a CV fold runs the grid form of segment.pelt over all
 rows. Coefficients are solved on demand, for any intervals in one batched
 call. CostCache shares this interface, columns() and models(los, his, lam),
@@ -69,44 +72,32 @@ from .errors import InvalidData
 
 __all__ = ["CostCache"]
 
-# an eigenvalue below this fraction of the largest, or a Cholesky pivot^2
-# below this fraction of the largest diagonal entry, is treated as a null
+# a pivot below this fraction of the largest leading diagonal entry of its
+# matrix, or an eigenvalue below this fraction of the largest, is a null
 _CLAMP_REL = 1e-10
+_TINY = np.nextafter(0.0, 1.0)  # the smallest positive double
 
 
-def _pivots(As: np.ndarray) -> np.ndarray:
-    """Cholesky pivots (K, D) of a stack of matrices As (K, D, D), all zero
-    for a matrix the factorization fails on.
+def _eliminate(S: np.ndarray):
+    """Symmetric elimination without exchanges over the D-1 leading pivots
+    of a stack S (D, D, K), in place; returns (live, last), both (K,).
 
-    LAPACK fails a batch as a whole, so a failed batch is split in halves
-    until each failure stands alone: a matrix's pivots never depend on its
-    batch, and a few failures cost O(log K) more calls.
+    A pivot below max(_CLAMP_REL * largest leading diagonal entry, _TINY) is
+    a null direction: it is neither divided by nor eliminated. live marks
+    the matrices whose leading pivots are all live; last is the last pivot
+    clamped at 0, the residual of the last variable on the span of the live
+    directions. Every step is elementwise along K, so a matrix gets the same
+    bits in any batch.
     """
-    try:
-        return np.diagonal(np.linalg.cholesky(As), axis1=1, axis2=2)
-    except np.linalg.LinAlgError:
-        if len(As) == 1:
-            return np.zeros((1, As.shape[1]))
-        half = len(As) // 2
-        return np.concatenate([_pivots(As[:half]), _pivots(As[half:])])
-
-
-def _cholesky(As: np.ndarray, fast: np.ndarray):
-    """Route a stack of augmented matrices As (K, D, D) through one batched
-    Cholesky factorization; returns (ok, last).
-
-    ok marks the intervals the factor serves: those in the mask fast whose
-    factorization succeeds with every leading pivot^2 at least _CLAMP_REL
-    times the largest leading diagonal entry. last holds the squared last
-    pivots, n times the costs, where ok and 0 elsewhere.
-    """
-    pivots = np.zeros((As.shape[1], As.shape[0]))  # (D, K): reductions run over K
-    idx = np.flatnonzero(fast)
-    pivots[:, idx] = _pivots(As[idx]).T
-    sq = pivots * pivots
-    lead = np.diagonal(As, axis1=1, axis2=2).T[:-1]
-    ok = fast & (sq[:-1].min(axis=0) >= _CLAMP_REL * lead.max(axis=0))
-    return ok, np.where(ok, sq[-1], 0.0)
+    D = S.shape[0]
+    tol = np.maximum(_CLAMP_REL * np.diagonal(S[:-1, :-1]).max(axis=1, initial=0.0), _TINY)
+    live = np.ones(S.shape[2], dtype=bool)
+    for k in range(D - 1):
+        ok = S[k, k] >= tol
+        live &= ok
+        row = np.divide(S[k, k + 1 :], S[k, k], out=np.zeros_like(S[k, k + 1 :]), where=ok)
+        S[k + 1 :, k + 1 :] -= S[k + 1 :, k, None] * row
+    return live, np.maximum(S[-1, -1], 0.0)
 
 
 def _check_pairs(los: np.ndarray, his: np.ndarray, m: int):
@@ -124,14 +115,15 @@ def _check_call(R: np.ndarray, r, m: int):
 class CostCache:
     """Interval costs for one dataset on one grid, over a fixed lambda grid.
 
-    Augmented moments come from prefix sums over grid cells, so each
-    interval's moments are a single subtraction. Without precompute the
+    Augmented moments come from prefix sums over grid cells, stored
+    cell-major as _M (D, D, m+1), so an interval stack is a single
+    subtraction contiguous along the intervals. Without precompute the
     cache holds only these prefix sums, and each columns() call computes
-    the intervals it asks for at every lam of the grid in one batched
-    Cholesky factorization. precompute=True fills a float64 table of shape
-    (H, m+1, m+1), indexed [h, hi, lo], one column and lam at a time, so
-    temporaries stay O(m d^2); the scalar costfn then only reads it. theta
-    solves the intervals it is asked for on each call, and models wraps its
+    the intervals it asks for at every lam of the grid in one _eliminate
+    call. precompute=True fills a float64 table of shape (H, m+1, m+1),
+    indexed [h, hi, lo], one column at a time at every lam, so temporaries
+    stay O(H m d^2); the scalar costfn then only reads it. theta solves the
+    intervals it is asked for on each call, and models wraps its
     coefficients as one Linear model per interval. There is no lock: a cache
     belongs to one thread (replication runs in processes).
     """
@@ -141,15 +133,14 @@ class CostCache:
             raise ValueError(f"grid resolution must be >= 1, got {m}")
         self.dataset = dataset
         self.m = int(m)
-        self.lambdas = check_grid("lambda", lambdas, allow_zero=True)
+        self.lambdas = check_grid("lambda", lambdas)
         self._lam_index = {float(l): h for h, l in enumerate(self.lambdas)}
         self._build_prefix()
         self._table = None
         if precompute:
             self._table = np.zeros((self.lambdas.size, self.m + 1, self.m + 1))
             for r in range(1, self.m + 1):
-                for h, lam in enumerate(self.lambdas):
-                    self._table[h, r, :r] = self._costs(np.arange(r), r, self._at([lam]))[0]
+                self._table[:, r, :r] = self._costs(np.arange(r), r, self.lambdas)
 
     # ---------------------------------------------------------- internals
 
@@ -161,17 +152,17 @@ class CostCache:
             c = float(np.mean(d.outcomes))
             z = np.hstack([make_xbar(d.covariates), (d.outcomes - c)[:, None]])
             dim = z.shape[1]
-            # per-cell sums of z z^T, then prefix sums at cell boundaries: row
-            # j holds the sum over cells < j
-            cell_sums = np.empty((m, dim, dim))
+            # per-cell sums of z z^T, then prefix sums at cell boundaries:
+            # _M[:, :, j] holds the sum over cells < j
+            cell_sums = np.empty((dim, dim, m))
             for i in range(dim):
                 for j in range(i + 1):
                     s = np.bincount(cells, weights=z[:, i] * z[:, j], minlength=m)
-                    cell_sums[:, i, j] = cell_sums[:, j, i] = s
-            self._M = np.zeros((m + 1, dim, dim))
-            np.cumsum(cell_sums, axis=0, out=self._M[1:])
+                    cell_sums[i, j] = cell_sums[j, i] = s
+            self._M = np.zeros((dim, dim, m + 1))
+            np.cumsum(cell_sums, axis=2, out=self._M[:, :, 1:])
         # an overflowed sum, or c^2, would turn every cost NaN
-        total = np.diagonal(self._M[-1])
+        total = np.diagonal(self._M[:, :, -1])
         if not np.isfinite(total[1:-1]).all():
             raise InvalidData("covariates", None, "covariates are too large: their moments overflow")
         if not (np.isfinite(total[-1]) and np.isfinite(c * c)):
@@ -182,75 +173,58 @@ class CostCache:
         P[-1, -1] = c * c
         self._P = P
 
-    def _at(self, lams):
-        """The per-lambda constants _route takes for lams (H,): n*lam, and
-        the fewest rows an interval needs for the Cholesky route (at lam = 0
-        an interval with at most d rows has a singular Gram), as (H, 1)
-        columns."""
-        lams = np.asarray(lams, dtype=float)[:, None]
-        return self.dataset.n * lams, np.where(lams > 0.0, 1.0, float(self._M.shape[1]))
+    def _stack(self, los, his, lams):
+        """Moments M (D, D, K) of the intervals [lo/m, hi/m), his an array or
+        one hi for all, and at each lambda of lams (H,) the ridge weights
+        n*lam*|I| (H, K) and augmented matrices A (D, D, H*K), stacked
+        lambda-major: A[:, :, h*K + k] is interval k at lams[h]."""
+        M = self._M[:, :, np.atleast_1d(his)] - self._M[:, :, los]
+        ridge = self.dataset.n * lams[:, None] * ((his - los) / self.m)
+        A = (self._P[:, :, None, None] * ridge + M[:, :, None, :]).reshape(*M.shape[:2], -1)
+        return M, ridge, A
 
-    def _route(self, los, his, at):
-        """Moments M (K, D, D) of [lo/m, hi/m) and, at each lambda of
-        at = self._at(lams), the ridge weights n*lam*|I|, augmented matrices
-        and Cholesky route (ok, last) of every (lambda, interval) pair,
-        stacked lambda-major: row h*K + k is interval k at lams[h]."""
-        n_lam, min_rows = at
-        M = self._M[his] - self._M[los]
-        ridge = n_lam * ((his - los) / self.m)
-        A = (ridge[:, :, None, None] * self._P + M).reshape(-1, *M.shape[1:])
-        fast = M[:, 0, 0] >= min_rows
-        return M, ridge.ravel(), A, *_cholesky(A, fast.ravel())
-
-    def _min_norm(self, M: np.ndarray, ridge: np.ndarray):
-        """(theta (K, d), n * cost (K,)) of the min-norm path for moments M
-        and ridge weights n*lam*|I|, from one batched eigendecomposition;
-        theta is all zeros and the cost 0 for an interval without rows. Each
+    def _min_norm(self, M: np.ndarray, ridge: np.ndarray) -> np.ndarray:
+        """Coefficients theta (K, d) of the min-norm path for cell-major
+        moments M (D, D, K) and ridge weights n*lam*|I| (K,), from one batched
+        eigendecomposition; all zeros for an interval without rows. Each
         interval gets the same bits in any batch, K = 1 included."""
-        d = M.shape[1] - 1
-        G, b = M[:, :d, :d], M[:, :d, d]
+        d = M.shape[0] - 1
+        G, b = np.moveaxis(M[:d, :d], -1, 0), M[:d, d].T
         tau, U = np.linalg.eigh(G)
         tau = np.where(tau < _CLAMP_REL * np.maximum(tau[:, -1:], 0.0), 0.0, tau)
         phi = np.einsum("kij,ki->kj", U, b + self._shift * G[:, :, 0])
         denom = tau + ridge[:, None]
         dinv = np.where(denom > 0.0, 1.0 / np.where(denom > 0.0, denom, 1.0), 0.0)
-        theta = np.einsum("kij,kj->ki", U, dinv * phi)
-        t = theta.copy()
-        t[:, 0] -= self._shift  # theta', against the centered moments
-        sse = (
-            M[:, d, d]
-            - 2.0 * np.einsum("ki,ki->k", t, b)
-            + np.einsum("ki,ki->k", t, np.einsum("kij,kj->ki", G, t))
-        )
-        return theta, np.maximum(sse, 0.0) + ridge * np.einsum("ki,ki->k", theta, theta)
+        return np.einsum("kij,kj->ki", U, dinv * phi)
 
-    def _costs(self, los: np.ndarray, his, at) -> np.ndarray:
-        """Costs (H, K) of the intervals [lo/m, hi/m) at each lambda of
-        at = self._at(lams), from one Cholesky call and at most one min-norm
-        call."""
-        M, ridge, _, ok, ncost = self._route(los, his, at)
-        rest = np.flatnonzero(~ok)
-        if rest.size:
-            ncost[rest] = self._min_norm(M[rest % len(M)], ridge[rest])[1]
-        return (ncost / self.dataset.n).reshape(len(at[0]), -1)
+    def _costs(self, los: np.ndarray, his, lams: np.ndarray) -> np.ndarray:
+        """Costs (H, K) of the intervals [lo/m, hi/m) at each lambda of lams
+        (H,), from one _eliminate call; 0 for an interval without rows."""
+        M, _, A = self._stack(los, his, lams)
+        ncost = _eliminate(A)[1].reshape(lams.size, -1)
+        return np.where(M[0, 0] > 0.0, ncost, 0.0) / self.dataset.n
 
     # ------------------------------------------------------------- access
 
     def theta(self, los: np.ndarray, his: np.ndarray, lam: float) -> np.ndarray:
         """Ridge coefficients (K, d) of the intervals [lo/m, hi/m) for the pairs
         of the equal-length int64 arrays los, his, e.g. every interval of a
-        partition, from one fresh batched solve routed as the costs are;
-        each interval gets the same bits as in a batch of its own."""
+        partition, from one fresh batched solve routed by the pivots of one
+        _eliminate call; each interval gets the same bits as in a batch of
+        its own."""
         los, his = np.asarray(los), np.asarray(his)
         _check_pairs(los, his, self.m)
-        M, ridge, A, ok, _ = self._route(los, his, self._at([lam]))
-        d = M.shape[1] - 1
+        M, ridge, A = self._stack(los, his, np.array([lam], dtype=float))
+        live, last = _eliminate(A.copy())
+        d = M.shape[0] - 1
+        ok = (M[0, 0] >= (1.0 if lam > 0.0 else d + 1.0)) & live & (last > 0.0)
         theta = np.empty((los.size, d))
-        theta[ok] = np.linalg.solve(A[ok, :d, :d], A[ok, :d, d:])[:, :, 0]
+        A = np.moveaxis(A, -1, 0)[ok]
+        theta[ok] = np.linalg.solve(A[:, :d, :d], A[:, :d, d:])[:, :, 0]
         theta[ok, 0] += self._shift
         rest = ~ok
         if rest.any():
-            theta[rest] = self._min_norm(M[rest], ridge[rest])[0]
+            theta[rest] = self._min_norm(M[:, :, rest], ridge[0, rest])
         return theta
 
     def models(self, los: np.ndarray, his: np.ndarray, lam: float) -> tuple:
@@ -262,15 +236,14 @@ class CostCache:
         in U at every lambda of the grid, for the column form of segment.pelt.
 
         U must be an ascending int64 array with 0 <= j < r <= m. Each call
-        stacks the H*|U| (lambda, interval) pairs into one Cholesky call and
-        one min-norm call for the rest, and computes afresh; routing is per
-        interval, so a cost has the same bits in any call.
+        stacks the H*|U| (lambda, interval) pairs into one _eliminate call
+        and computes afresh; the kernel is elementwise along the stack, so a
+        cost has the same bits in any call.
         """
-        at = self._at(self.lambdas)
 
         def fn(U, r):
             _check_call(U, r, self.m)
-            return self._costs(U, r, at)
+            return self._costs(U, r, self.lambdas)
 
         return fn
 
@@ -283,13 +256,13 @@ class CostCache:
         h = self._lam_index.get(float(lam))
         if h is None:
             raise ValueError(f"lam {lam} is not on this cache's lambda grid {self.lambdas}")
-        at = self._at([lam])
+        lams = self.lambdas[h : h + 1]
 
         def fn(lo, hi):
             los = np.array([operator.index(lo)])
             _check_call(los, hi, self.m)
             if self._table is not None:
                 return float(self._table[h, hi, lo])
-            return float(self._costs(los, hi, at)[0, 0])
+            return float(self._costs(los, hi, lams)[0, 0])
 
         return fn

@@ -45,8 +45,8 @@ __all__ = [
 ]
 
 
-def _grid(name, values, allow_zero):
-    return tuple(check_grid(name, values, allow_zero).tolist())
+def _grid(name, values):
+    return tuple(check_grid(name, values).tolist())
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class TuningGrid:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "lambdas", _grid("lambda", self.lambdas, True))
-        object.__setattr__(self, "gammas", _grid("gamma", self.gammas, False))
+        object.__setattr__(self, "lambdas", _grid("lambda", self.lambdas))
+        object.__setattr__(self, "gammas", _grid("gamma", self.gammas))
         if self.k_folds < 2:
             raise ValueError(f"k_folds must be >= 2, got {self.k_folds}")
 

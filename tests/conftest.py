@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import jil.cost
-from jil.core import Partition
+from jil.core import Dataset, Partition
 from jil.errors import DimensionMismatch
 from jil.mlp import MlpModel, _batch_gradients
+from jil.sim import ScenarioSpec, gen_scenario
 
 
 def make_xbar(X: np.ndarray) -> np.ndarray:
@@ -88,6 +89,18 @@ def diverging_sgd_rows():
     a = 100.0 * rng.uniform(0.0, 1.0, 60)
     y = 1e7 + 1e6 * rng.standard_normal(60)
     return y, a, X
+
+
+def indicator_data(n, rates=(0.01,), seed=7):
+    """Scenario 1 data (p = 4, seed) with its last len(rates) covariates
+    replaced by Bernoulli indicators at those rates, drawn from seed. A rare
+    indicator is constant on many intervals, all 0 (a null column) or all 1
+    (the intercept's twin), so their Gram matrices are singular at lam = 0."""
+    d, _ = gen_scenario(ScenarioSpec(1, n, 4, seed))
+    X = d.covariates.copy()
+    draws = np.random.default_rng(seed).random((n, len(rates)))
+    X[:, X.shape[1] - len(rates) :] = draws < np.asarray(rates)
+    return Dataset(X, d.treatments, d.outcomes)
 
 
 _ENUM_MAX_M = 16
@@ -164,18 +177,24 @@ def rng():
     return np.random.default_rng(20260813)
 
 
+@pytest.fixture(params=[(0.01,), (0.05,), (0.02, 0.02, 0.02)], ids=["1pct", "5pct", "3x2pct"])
+def indicators(request):
+    """n = 400 scenario 1 data with rare indicator covariates (indicator_data)."""
+    return indicator_data(400, request.param)
+
+
 @pytest.fixture
 def factorized(monkeypatch):
-    """Sizes of every batch cost._cholesky gets while the test runs: the
-    number of intervals the ridge path evaluates, call by call. Every cost
-    column and every theta call routes all of its intervals through it, the
-    ones the min-norm path then takes included."""
+    """Sizes of every stack cost._eliminate gets while the test runs: the
+    number of (lambda, interval) matrices the ridge path evaluates, call by
+    call. Every cost column and every theta call passes all of its
+    intervals through it, the ones theta then solves by min-norm included."""
     sizes = []
-    real = jil.cost._cholesky
+    real = jil.cost._eliminate
 
-    def recording(As, fast):
-        sizes.append(As.shape[0])
-        return real(As, fast)
+    def recording(S):
+        sizes.append(S.shape[2])
+        return real(S)
 
-    monkeypatch.setattr(jil.cost, "_cholesky", recording)
+    monkeypatch.setattr(jil.cost, "_eliminate", recording)
     return sizes

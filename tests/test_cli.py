@@ -119,6 +119,18 @@ def test_fit_auto_cv_smoke(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fit_gamma_zero_cross_validates_lambda(s1_csv, tmp_path, capsys):
+    # --gamma 0 with the default --lambda auto runs CV over lambda at gamma = 0
+    model = tmp_path / "m.json"
+    rc = main(["fit", "--data", str(s1_csv), "--gamma", "0", "--folds", "3",
+               "--out", str(model)])
+    assert rc == 0
+    assert "error" not in capsys.readouterr().err
+    art = json.loads(model.read_text())
+    assert art["gamma"] == 0.0
+    assert art["lambda"] in default_grid(400, 0).lambdas
+
+
 @pytest.mark.parametrize(
     "lam_flag, gamma_flag",
     [("auto", "auto"), ("auto", "default"), ("auto", "0.05"), ("0.001", "auto")],

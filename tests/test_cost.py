@@ -1,9 +1,10 @@
 """Per-interval ridge fitting, cost evaluation, and the cost cache.
 
 Coefficients and costs are read through CostCache (theta, columns, and
-the scalar costfn adapter), the one ridge cost path of the package, and checked against the oracles in
-conftest, on both of its routes: the Cholesky of the centered augmented
-moments and the min-norm eigendecomposition, checked through
+the scalar costfn adapter), the one ridge cost path of the package, and
+checked against the oracles in conftest. Every cost comes from one kernel,
+cost._eliminate, tested here against LAPACK and lstsq; coefficients take
+one of two routes, a solve or the min-norm eigendecomposition of
 CostCache._min_norm.
 """
 
@@ -15,9 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jil.cost
-from conftest import cost_oracle, ridge_oracle
+from conftest import cost_oracle, indicator_data, ridge_oracle
 from jil.core import Dataset, Interval
-from jil.cost import CostCache
+from jil.cost import CostCache, _eliminate
+from jil.fit import fit_ljil
+from jil.segment import dp_no_prune, pelt
+from jil.tuning import default_gamma
 
 
 def make_ds(rng, n, p, y_scale=1.0):
@@ -116,6 +120,16 @@ def test_cost_empty_interval_zero(rng):
     d = Dataset(rng.uniform(-1, 1, (5, 1)), np.full(5, 0.01), rng.standard_normal(5))
     assert cost_of(d, Interval(5, 10, 10), 0.0) == 0.0
     assert cost_of(d, Interval(5, 10, 10), 0.7) == 0.0
+
+
+def test_cost_empty_intervals_exact_zero_in_columns(rng):
+    # eliminating n*lam*|I|*P of an interval without rows leaves rounding in
+    # the last pivot for about one (offset, lam) pair in five
+    for offset in (0.3, 1.7, 3.0, 1e3, 12345.678, 1e5):
+        d = Dataset(rng.uniform(-1, 1, (8, 2)), np.full(8, 0.95), offset + rng.standard_normal(8))
+        column = CostCache(d, 10, lambdas=(0.0, 1e-3, 0.01, 0.37, 2.0)).columns()
+        for hi in range(1, 10):
+            assert not column(np.arange(hi, dtype=np.int64), hi).any()
 
 
 def test_cost_single_point_exact_fit():
@@ -218,12 +232,13 @@ def test_eigendecomposition_consistency_sample(rng):
 
 @pytest.fixture
 def min_norm(monkeypatch):
-    """Sizes of every batch the min-norm path (CostCache._min_norm) gets."""
+    """Sizes of every batch the min-norm path (CostCache._min_norm) gets;
+    only theta calls reach it."""
     sizes = []
     real = jil.cost.CostCache._min_norm
 
     def recording(self, M, ridge):
-        sizes.append(M.shape[0])
+        sizes.append(M.shape[2])
         return real(self, M, ridge)
 
     monkeypatch.setattr(jil.cost.CostCache, "_min_norm", recording)
@@ -251,12 +266,12 @@ def test_cost_matches_oracle_at_outcome_offsets():
 
 
 def check_min_norm_route(d, lo, hi, m, lam, min_norm):
-    """Cost and coefficients of one interval match the oracles, and both come
-    from the min-norm path."""
+    """Cost and coefficients of one interval match the oracles, and the
+    coefficients come from the min-norm path."""
     min_norm.clear()
     iv = Interval(lo, hi, m)
     got_cost, got_theta = cost_of(d, iv, lam), theta_of(d, iv, lam)
-    assert min_norm == [1, 1]
+    assert min_norm == [1]
     X, A, Y = d.covariates, d.treatments, d.outcomes
     assert got_cost == pytest.approx(cost_oracle(X, A, Y, lo, hi, m, lam), rel=1e-8, abs=1e-12)
     want = ridge_oracle(X, A, Y, lo, hi, m, lam)
@@ -286,9 +301,9 @@ def test_min_norm_route_collinear_covariates(rng, min_norm):
     d = Dataset(X, A, 2.0 * X[:, 2] + X[:, 1] + rng.standard_normal(n))
     for lo, hi in ((0, 2), (2, 4)):
         check_min_norm_route(d, lo, hi, 4, 0.0, min_norm)
-    # a near-duplicate column: the Cholesky succeeds, but its pivot ratio
-    # (about 1e-12) sends the interval to the min-norm path, which drops the
-    # near-null direction as a singular-value cutoff of 1e-5 does
+    # a near-duplicate column: its pivot ratio (about 1e-12) makes that
+    # direction null, so theta takes the min-norm path, which drops it as a
+    # singular-value cutoff of 1e-5 does
     X[:, 2] = X[:, 0] + 1e-6 * rng.standard_normal(n)
     d = Dataset(X, A, X[:, 0] + rng.standard_normal(n))
     min_norm.clear()
@@ -303,9 +318,9 @@ def test_min_norm_route_collinear_covariates(rng, min_norm):
 
 def test_min_norm_route_noiseless_outcomes(rng, min_norm):
     # SSE = 0 leaves the augmented moments singular. Constant outcomes center
-    # to exact zeros, so the Cholesky fails and the min-norm path takes the
-    # interval; linear ones leave a last pivot at rounding level, which
-    # either route must turn into a zero cost and the exact coefficients
+    # to exact zeros, so the last pivot is 0 and theta takes the min-norm
+    # path; linear ones leave a last pivot at rounding level, which either
+    # route must turn into a zero cost and the exact coefficients
     n = 40
     X = rng.uniform(-1, 1, (n, 2))
     A = rng.random(n)
@@ -324,12 +339,13 @@ def test_min_norm_route_empty_interval_exact_zero(rng, min_norm):
         min_norm.clear()
         assert cost_of(d, Interval(0, 2, 4), lam) == 0.0
         np.testing.assert_array_equal(theta_of(d, Interval(0, 2, 4), lam), np.zeros(3))
-        assert min_norm == [1, 1]
+        assert min_norm == [1]
 
 
 def test_min_norm_route_per_interval_in_a_failing_batch(rng, min_norm):
-    # a binary covariate constant on each half fails the Cholesky of those
-    # intervals; every interval of a column keeps the bits of a batch of its own
+    # a binary covariate constant on each half leaves those intervals
+    # rank-deficient; every interval of a column keeps the bits of a batch
+    # of its own
     n, m = 80, 8
     A = rng.random(n)
     X = rng.uniform(-1, 1, (n, 2))
@@ -344,11 +360,11 @@ def test_min_norm_route_per_interval_in_a_failing_batch(rng, min_norm):
         for k, lo in enumerate(los):
             single = cache.theta(los[k : k + 1], np.array([hi]), 0.0)[0]
             assert thetas[k].tobytes() == single.tobytes()
-    assert min_norm  # the failing intervals took the min-norm path
+    assert min_norm  # the rank-deficient intervals took the min-norm path
 
 
 def test_min_norm_path_idle_on_full_rank_data(rng, min_norm):
-    # the Cholesky serves every interval of generic data with enough rows
+    # the solve serves every interval of generic data with enough rows
     d = make_ds(rng, 200, 3)
     m = 10
     cache = CostCache(d, m, lambdas=(0.0, 1e-3, 0.1), precompute=True)
@@ -485,8 +501,8 @@ def test_cache_fills_only_requested_costs(rng, factorized):
     assert factorized == [4, 1]  # the scalar adapter computes one cost, at that lambda
     factorized.clear()
     eager = CostCache(d, m, lambdas=(0.0, 0.1), precompute=True)
-    # one call per column and lambda
-    assert factorized == [r for r in range(1, m + 1) for _ in range(2)]
+    # one call per column, at both lambdas
+    assert factorized == [2 * r for r in range(1, m + 1)]
     for lam in (0.0, 0.1):
         for lo in range(m):
             eager.costfn(lam)(lo, m)
@@ -512,24 +528,22 @@ def test_cache_theta_batched_matches_per_interval_bitwise(rng):
 
 
 def test_min_norm_batched_matches_per_interval_bitwise(rng):
-    # the min-norm path gives each interval the same theta and n * cost bits
-    # in any batch, at zero and positive ridge; cell 0 holds no rows
+    # the min-norm path gives each interval the same theta bits in any
+    # batch, at zero and positive ridge; cell 0 holds no rows
     n, m = 50, 10
     A = rng.uniform(0.1, 1.0, n)
     X = rng.uniform(-1, 1, (n, 3))
     d = Dataset(X, A, 4.0 + X.sum(axis=1) + rng.standard_normal(n))
     cache = CostCache(d, m)
     los, his = np.array([0, 2, 5, 2, 0]), np.array([10, 8, 6, 3, 1])
-    M = cache._M[his] - cache._M[los]
+    M = cache._M[:, :, his] - cache._M[:, :, los]  # cell-major: (D, D, K)
     for ridge in (np.zeros(los.size), n * 1e-3 * (his - los) / m):
-        thetas, ncosts = cache._min_norm(M, ridge)
-        assert thetas.shape == (los.size, 4) and ncosts.shape == (los.size,)
+        thetas = cache._min_norm(M, ridge)
+        assert thetas.shape == (los.size, 4)
         np.testing.assert_array_equal(thetas[-1], np.zeros(4))
-        assert ncosts[-1] == 0.0
         for k in range(los.size):
-            theta, ncost = cache._min_norm(M[k : k + 1], ridge[k : k + 1])
+            theta = cache._min_norm(M[:, :, k : k + 1], ridge[k : k + 1])
             assert thetas[k].tobytes() == theta[0].tobytes()
-            assert ncosts[k].tobytes() == ncost[0].tobytes()
 
 
 def test_cache_theta_rejects_bad_index_arrays(rng):
@@ -537,3 +551,113 @@ def test_cache_theta_rejects_bad_index_arrays(rng):
     for los, his in (([0, 2], [2]), ([-1, 2], [2, 5]), ([0, 3], [2, 3]), ([1, 2], [3, 6])):
         with pytest.raises(ValueError):
             cache.theta(np.array(los, dtype=np.int64), np.array(his, dtype=np.int64), 0.0)
+
+
+# ------------------------------------------------------ elimination kernel
+
+
+def spd_stack(rng, D, K, rank=None, rows=None):
+    """K Gram matrices Z^T Z (D, D, K) of Z = [X, y] with rows rows (default
+    3D), X of the given rank (default D - 1) in its D - 1 columns."""
+    rows = 3 * D if rows is None else rows
+    B = rng.standard_normal((K, rows, D - 1))
+    if rank is not None:
+        B = B[:, :, :rank] @ rng.standard_normal((K, rank, D - 1))
+    Z = np.concatenate([B, rng.standard_normal((K, rows, 1))], axis=2)
+    return np.einsum("kni,knj->ijk", Z, Z), Z
+
+
+@pytest.mark.parametrize("D", range(1, 10))
+def test_eliminate_pivots_match_cholesky(rng, D):
+    # well-conditioned Gram matrices: 50 rows per dimension
+    A, _ = spd_stack(rng, D, 40, rows=50 * D)
+    S = A.copy()
+    live, last = _eliminate(S)
+    assert live.all()
+    want = np.diagonal(np.linalg.cholesky(np.moveaxis(A, -1, 0)), axis1=1, axis2=2) ** 2
+    got = np.diagonal(S)  # the pivots stay on the diagonal, (K, D)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(last, got[:, -1])
+
+
+@pytest.mark.parametrize("D, rank", [(2, 0), (4, 1), (6, 3), (6, 4), (9, 5)])
+def test_eliminate_rank_deficient_last_pivot_is_lstsq_residual(rng, D, rank):
+    A, Z = spd_stack(rng, D, 30, rank)
+    live, last = _eliminate(A.copy())
+    assert not live.any()
+    for k in range(Z.shape[0]):
+        X, y = Z[k, :, :-1], Z[k, :, -1]
+        resid = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
+        assert last[k] == pytest.approx(resid @ resid, rel=1e-9)
+
+
+def test_eliminate_bitwise_alone_and_in_a_batch(rng):
+    full, _ = spd_stack(rng, 6, 20)
+    low, _ = spd_stack(rng, 6, 20, rank=2)
+    A = np.concatenate([full, low, np.zeros((6, 6, 3))], axis=2)
+    S = A.copy()
+    live, last = _eliminate(S)
+    for k in range(A.shape[2]):
+        one = A[:, :, k : k + 1].copy()
+        live_k, last_k = _eliminate(one)
+        assert one.tobytes() == np.ascontiguousarray(S[:, :, k : k + 1]).tobytes()
+        assert (live_k[0], last_k[0].tobytes()) == (live[k], last[k].tobytes())
+
+
+def test_columns_call_no_linalg(indicators, monkeypatch):
+    # the DP path is numpy elementwise work only, rank-deficient intervals included
+    m = 80
+    cache = CostCache(indicators, m, lambdas=(0.0, 1e-3))
+    column = cache.columns()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called inside columns()")
+
+    for name in dir(np.linalg):
+        if not name.startswith("_") and callable(getattr(np.linalg, name)) \
+                and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+    for r in range(1, m + 1):
+        column(np.arange(r, dtype=np.int64), r)
+
+
+# ---------------------------------------------------- discrete covariates
+
+
+def test_indicator_costs_match_oracle(indicators, rng):
+    d, m = indicators, 80
+    flags = d.covariates[:, np.isin(d.covariates, (0.0, 1.0)).all(axis=0)]
+    cells = np.minimum((d.treatments * m).astype(int), m - 1)
+    cache = CostCache(d, m, lambdas=(0.0, 1e-3))
+    column = cache.columns()
+    constant = varying = 0
+    for hi in rng.integers(1, m + 1, size=12):
+        los = np.unique(rng.integers(0, hi, size=6))
+        got = column(los, int(hi))
+        for k, lo in enumerate(los):
+            rows = (cells >= lo) & (cells < hi)
+            if rows.any() and (flags[rows] == flags[rows][0]).all():
+                constant += 1
+            else:
+                varying += 1
+            for h, lam in enumerate(cache.lambdas):
+                want = cost_oracle(d.covariates, d.treatments, d.outcomes, int(lo), int(hi), m, lam)
+                assert got[h, k] == pytest.approx(want, rel=1e-9, abs=1e-12), (lo, hi, lam)
+    assert constant and varying
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+def test_indicator_pelt_matches_dp_no_prune(indicators, lam):
+    m, gamma = 80, default_gamma(400)
+    costfn = CostCache(indicators, m, lambdas=(lam,), precompute=True).costfn(lam)
+    pruned, exact = pelt(costfn, m, gamma)[0], dp_no_prune(costfn, m, gamma)[0]
+    assert pruned == exact == fit_ljil(indicators, m, lam, gamma).partition
+
+
+def test_rare_indicator_fit_one_kernel_call_per_column(factorized):
+    # LAPACK failed a batch as a whole, so a 1% indicator used to cost about
+    # 38 factorization calls per column; the kernel never fails a batch
+    d, m = indicator_data(4000, (0.01,)), 800
+    fit = fit_ljil(d, m, 0.0, default_gamma(4000))
+    assert len(factorized) == m + 1  # one per DP column, then one theta call
+    assert factorized[-1] == fit.partition.size

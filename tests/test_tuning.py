@@ -69,8 +69,10 @@ def test_tuning_grid_validation():
         TuningGrid(lambdas=(), gammas=(0.1,), k_folds=2, seed=0)
     with pytest.raises(ValueError):
         TuningGrid(lambdas=(0.0,), gammas=(0.2, 0.1), k_folds=2, seed=0)
-    with pytest.raises(ValueError):
-        TuningGrid(lambdas=(0.0,), gammas=(0.0,), k_folds=2, seed=0)
+    with pytest.raises(ValueError, match="gamma values must be >= 0"):
+        TuningGrid(lambdas=(0.0,), gammas=(-0.1, 0.1), k_folds=2, seed=0)
+    # gamma = 0 is a valid jump penalty, as segment.pelt takes it
+    assert TuningGrid(lambdas=(0.0,), gammas=(0.0,), k_folds=2, seed=0).gammas == (0.0,)
     with pytest.raises(ValueError):
         TuningGrid(lambdas=(0.0,), gammas=(0.1,), k_folds=1, seed=0)
     for bad in (np.nan, np.inf, -np.inf):
