@@ -15,8 +15,9 @@ over grid cells holds the augmented moments M = sum z z^T of
 z = (xbar, Y - c), so an interval's moments are a single subtraction:
 M = [[G, b'], [b'^T, s']], with G the Gram matrix, b' = sum xbar (Y - c) and
 s' = sum (Y - c)^2. Centering keeps s' and b' from cancelling when the
-outcomes sit far from zero. Finite data can still overflow these sums (or
-c^2 in P below), which would make every cost NaN, so such data raise
+outcomes sit far from zero. Finite data can still overflow these sums, or
+c^2 in P below, which only a stack at a positive lam reads (at lam = 0 the
+stack is M alone); either would make costs NaN, so such data raise
 InvalidData naming the outcomes or covariates.
 
 Penalty. With theta' = theta - c e1 the residuals are Y - c - xbar^T theta',
@@ -37,32 +38,32 @@ interval (at lam = 0 one with at most d rows, a collinear or constant
 covariate) costs the residual on the span of its live directions with no
 second path. An interval without rows costs exactly 0 at every lam.
 
-Routing. Coefficients come from one batched solve of
-(G + n*lam*|I|*Id) theta' = b' - n*lam*|I|*c e1 for an interval with more
+Routing. Coefficients come from one batched solve of the leading block of
+A, (G + n*lam*|I|*Id) theta' = b' - n*lam*|I|*c e1, for an interval with more
 than d rows (at lam = 0; at least one row at lam > 0; M[0, 0] is its exact
 row count) whose leading pivots are all live and whose last pivot is
 positive. Every other interval takes CostCache._min_norm: one batched
 symmetric eigendecomposition of G solves the uncentered system
-theta = (G + n*lam*|I|*Id)^+ (b' + c G e1), dropping eigenvalues below
-_CLAMP_REL of the largest at lam = 0 (the minimum-norm solution, which is
+theta = (G + n*lam*|I|*Id)^+ (b' + c G e1), zeroing eigenvalues below
+_CLAMP_REL of the largest (at lam = 0 the minimum-norm solution, which is
 not shift-equivariant, hence the uncentered system); an interval without
 rows gets theta = 0. Routing is decided per interval, so an interval gets
 the same bits in any batch.
 
-CostCache computes costs over a fixed lam grid and stores none: each
-columns() call computes its DP column at every lam of the grid in one
-_eliminate call. A lone fit reads the one cost row
-of a one-lam cache; a CV fold runs the grid form of segment.pelt over all
-rows. Coefficients are solved on demand, for any intervals in one batched
-call. CostCache shares this interface, columns() and models(los, his, lam),
-with fit.NetworkCosts, so one fit body and one CV loop serve both model
-families. The scalar costfn(lam) and precompute=True, a table of every
-interval's costs for costfn to read, serve only the benchmark's solver
-check and tests (ROADMAP item 11).
+CostCache computes costs over a fixed lam grid: each columns() call computes
+its DP column at every lam of the grid in one _eliminate call. A lone fit
+reads the one cost row of a one-lam cache; a CV fold runs the grid form of
+segment.pelt over all rows. Coefficients are solved on demand, for any
+intervals in one batched call. CostCache shares this interface, columns()
+and models(los, his, lam), with fit.NetworkCosts, so one fit body and one CV
+loop serve both model families. The scalar costfn(lam) only reads the table
+of every interval's costs that precompute=True fills; both serve only the
+benchmark's solver check and tests (ROADMAP item 11).
 """
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -76,6 +77,7 @@ __all__ = ["CostCache"]
 # matrix, or an eigenvalue below this fraction of the largest, is a null
 _CLAMP_REL = 1e-10
 _TINY = np.nextafter(0.0, 1.0)  # the smallest positive double
+_OUTCOMES_OVERFLOW = "outcomes are too large: their moments overflow"
 
 
 def _eliminate(S: np.ndarray):
@@ -116,13 +118,13 @@ class CostCache:
     """Interval costs for one dataset on one grid, over a fixed lambda grid.
 
     Augmented moments come from prefix sums over grid cells, stored
-    cell-major as _M (D, D, m+1), so an interval stack is a single
-    subtraction contiguous along the intervals. Without precompute the
-    cache holds only these prefix sums, and each columns() call computes
+    cell-major as _M (D, D, m+1); an interval stack is two take gathers
+    and one subtraction, contiguous along the intervals. Without precompute
+    the cache holds only these prefix sums, and each columns() call computes
     the intervals it asks for at every lam of the grid in one _eliminate
     call. precompute=True fills a float64 table of shape (H, m+1, m+1),
     indexed [h, hi, lo], one column at a time at every lam, so temporaries
-    stay O(H m d^2); the scalar costfn then only reads it. theta solves the
+    stay O(H m d^2); costfn only reads it. theta solves the
     intervals it is asked for on each call, and models wraps its
     coefficients as one Linear model per interval. There is no lock: a cache
     belongs to one thread (replication runs in processes).
@@ -134,7 +136,6 @@ class CostCache:
         self.dataset = dataset
         self.m = int(m)
         self.lambdas = check_grid("lambda", lambdas)
-        self._lam_index = {float(l): h for h, l in enumerate(self.lambdas)}
         self._build_prefix()
         self._table = None
         if precompute:
@@ -161,12 +162,12 @@ class CostCache:
                     cell_sums[i, j] = cell_sums[j, i] = s
             self._M = np.zeros((dim, dim, m + 1))
             np.cumsum(cell_sums, axis=2, out=self._M[:, :, 1:])
-        # an overflowed sum, or c^2, would turn every cost NaN
+        # an overflowed sum would turn every cost NaN
         total = np.diagonal(self._M[:, :, -1])
         if not np.isfinite(total[1:-1]).all():
             raise InvalidData("covariates", None, "covariates are too large: their moments overflow")
-        if not (np.isfinite(total[-1]) and np.isfinite(c * c)):
-            raise InvalidData("outcomes", None, "outcomes are too large: their moments overflow")
+        if not np.isfinite(total[-1]):
+            raise InvalidData("outcomes", None, _OUTCOMES_OVERFLOW)
         self._shift = c
         P = np.eye(dim)
         P[0, -1] = P[-1, 0] = -c
@@ -178,9 +179,14 @@ class CostCache:
         one hi for all, and at each lambda of lams (H,) the ridge weights
         n*lam*|I| (H, K) and augmented matrices A (D, D, H*K), stacked
         lambda-major: A[:, :, h*K + k] is interval k at lams[h]."""
-        M = self._M[:, :, np.atleast_1d(his)] - self._M[:, :, los]
+        M = self._M.take(np.atleast_1d(his), axis=2) - self._M.take(los, axis=2)
         ridge = self.dataset.n * lams[:, None] * ((his - los) / self.m)
-        A = (self._P[:, :, None, None] * ridge + M[:, :, None, :]).reshape(*M.shape[:2], -1)
+        if lams[-1] == 0.0:  # lams ascend, so no penalty term and c^2 is never read
+            A = np.tile(M, lams.size)
+        elif not math.isfinite(self._P[-1, -1]):  # c^2 overflows: NaN costs
+            raise InvalidData("outcomes", None, _OUTCOMES_OVERFLOW)
+        else:
+            A = (self._P[:, :, None, None] * ridge + M[:, :, None, :]).reshape(*M.shape[:2], -1)
         return M, ridge, A
 
     def _min_norm(self, M: np.ndarray, ridge: np.ndarray) -> np.ndarray:
@@ -248,21 +254,19 @@ class CostCache:
         return fn
 
     def costfn(self, lam: float):
-        """Scalar cost function (lo, hi) -> cost at lam, a lambda of the grid
-        (else ValueError), for the scalar form of segment.pelt. The library
-        segments through columns(); the benchmark's solver check, on a
-        precompute=True table, is its only caller outside the tests (item 11).
+        """Scalar cost function (lo, hi) -> cost at lam, for the scalar form
+        of segment.pelt: a read of the precompute=True table, with the bits
+        columns() computes. Without the table, or for a lam off the grid,
+        ValueError. Only the benchmark's solver check and tests call it.
         """
-        h = self._lam_index.get(float(lam))
-        if h is None:
+        if self._table is None:
+            raise ValueError("costfn reads the cost table; build the cache with precompute=True")
+        if float(lam) not in self.lambdas.tolist():
             raise ValueError(f"lam {lam} is not on this cache's lambda grid {self.lambdas}")
-        lams = self.lambdas[h : h + 1]
+        h = self.lambdas.tolist().index(float(lam))
 
         def fn(lo, hi):
-            los = np.array([operator.index(lo)])
-            _check_call(los, hi, self.m)
-            if self._table is not None:
-                return float(self._table[h, hi, lo])
-            return float(self._costs(los, hi, lams)[0, 0])
+            _check_call(np.array([operator.index(lo)]), hi, self.m)
+            return float(self._table[h, hi, lo])
 
         return fn

@@ -1,11 +1,11 @@
 """Per-interval ridge fitting, cost evaluation, and the cost cache.
 
 Coefficients and costs are read through CostCache (theta, columns, and
-the scalar costfn adapter), the one ridge cost path of the package, and
-checked against the oracles in conftest. Every cost comes from one kernel,
-cost._eliminate, tested here against LAPACK and lstsq; coefficients take
-one of two routes, a solve or the min-norm eigendecomposition of
-CostCache._min_norm.
+the scalar costfn, a read of the precompute=True table), the one ridge
+cost path of the package, and checked against the oracles in conftest.
+Every cost comes from one kernel, cost._eliminate, tested here against
+LAPACK and lstsq; coefficients take one of two routes, a solve or the
+min-norm eigendecomposition of CostCache._min_norm.
 """
 
 from __future__ import annotations
@@ -257,12 +257,12 @@ def test_cost_matches_oracle_at_outcome_offsets():
     pairs = [(int(lo), int(rng.integers(lo + 5, m + 1))) for lo in los]  # >= 5 cells
     for offset in (0.0, 1e3, 1e5, 1e7):
         Y = base + offset
-        cache = CostCache(Dataset(X, A, Y), m, lambdas=(0.0, 1e-2))
-        for lam in (0.0, 1e-2):
-            f = cache.costfn(lam)
-            for lo, hi in pairs:
+        column = CostCache(Dataset(X, A, Y), m, lambdas=(0.0, 1e-2)).columns()
+        for lo, hi in pairs:
+            got = column(np.array([lo]), hi)[:, 0]
+            for h, lam in enumerate((0.0, 1e-2)):
                 want = cost_oracle(X, A, Y, lo, hi, m, lam)
-                assert f(lo, hi) == pytest.approx(want, rel=1e-8), (offset, lam, lo, hi)
+                assert got[h] == pytest.approx(want, rel=1e-8), (offset, lam, lo, hi)
 
 
 def check_min_norm_route(d, lo, hi, m, lam, min_norm):
@@ -352,10 +352,10 @@ def test_min_norm_route_per_interval_in_a_failing_batch(rng, min_norm):
     X[:, 1] = A >= 0.5
     d = Dataset(X, A, X[:, 0] + rng.standard_normal(n))
     cache = CostCache(d, m, lambdas=(0.0,))
-    column, f = cache.columns(), cache.costfn(0.0)
+    column = cache.columns()
     for hi in range(1, m + 1):
         los = np.arange(hi, dtype=np.int64)
-        assert column(los, hi)[0].tolist() == [f(int(lo), hi) for lo in los]
+        assert column(los, hi)[0].tolist() == [column(los[k : k + 1], hi)[0, 0] for k in range(hi)]
         thetas = cache.theta(los, np.full(hi, hi), 0.0)
         for k, lo in enumerate(los):
             single = cache.theta(los[k : k + 1], np.array([hi]), 0.0)[0]
@@ -381,39 +381,40 @@ def test_cache_repeated_lookup_bitwise(rng):
     d = make_ds(rng, 40, 2)
     cache = CostCache(d, 8, lambdas=(0.0, 0.1))
     iv = Interval(1, 5, 8)
-    a = cache.costfn(0.1)(iv.lo, iv.hi)
-    b = cache.costfn(0.1)(iv.lo, iv.hi)
-    assert a == b and not np.isnan(a)
+    a = cache.columns()(np.array([iv.lo]), iv.hi)
+    b = cache.columns()(np.array([iv.lo]), iv.hi)
+    assert a.tobytes() == b.tobytes() and not np.isnan(a).any()
 
 
 def test_cache_fresh_instance_reproduces(rng):
     d = make_ds(rng, 40, 2)
     c1 = CostCache(d, 8, lambdas=(0.0, 0.1))
     c2 = CostCache(d, 8, lambdas=(0.0, 0.1))
-    for lo in range(8):
-        for hi in range(lo + 1, 9):
-            assert c1.costfn(0.1)(lo, hi) == c2.costfn(0.1)(lo, hi)
+    for hi in range(1, 9):
+        los = np.arange(hi, dtype=np.int64)
+        assert c1.columns()(los, hi).tobytes() == c2.columns()(los, hi).tobytes()
 
 
 def test_cache_distinct_intervals_not_aliased(rng):
     d = make_ds(rng, 60, 2, y_scale=2.0)
-    cache = CostCache(d, 6, lambdas=(0.0,))
-    f = cache.costfn(0.0)
-    v1 = f(0, 3)
-    v2 = f(0, 5)
-    v1_again = f(0, 3)
+    column = CostCache(d, 6, lambdas=(0.0,)).columns()
+    v1 = column(np.array([0]), 3)[0, 0]
+    v2 = column(np.array([0]), 5)[0, 0]
+    v1_again = column(np.array([0]), 3)[0, 0]
     assert v1 == v1_again
     assert v1 != v2  # same lo, different hi: independent entries
 
 
 def test_cache_precompute_matches_lazy_bitwise(rng):
+    # table reads carry the bits of the lazy cache's columns()
     d = make_ds(rng, 50, 2)
     eager = CostCache(d, 9, lambdas=(0.0, 0.05), precompute=True)
-    lazy = CostCache(d, 9, lambdas=(0.0, 0.05), precompute=False)
-    for lo in range(9):
-        for hi in range(lo + 1, 10):
-            for lam in (0.0, 0.05):
-                assert eager.costfn(lam)(lo, hi) == lazy.costfn(lam)(lo, hi)
+    column = CostCache(d, 9, lambdas=(0.0, 0.05), precompute=False).columns()
+    for hi in range(1, 10):
+        los = np.arange(hi, dtype=np.int64)
+        lazy = column(los, hi)
+        for h, lam in enumerate((0.0, 0.05)):
+            assert [eager.costfn(lam)(lo, hi) for lo in range(hi)] == lazy[h].tolist()
 
 
 def test_cache_agrees_with_scalar_ops(rng):
@@ -439,7 +440,8 @@ def test_cache_off_grid_lambda(rng, factorized):
     # a lambda off the cache's grid is rejected, as NetworkCosts rejects
     # any lambda but 0, and nothing is computed
     d = make_ds(rng, 30, 2)
-    cache = CostCache(d, 5, lambdas=(0.0, 0.1))
+    cache = CostCache(d, 5, lambdas=(0.0, 0.1), precompute=True)
+    factorized.clear()
     for lam in (0.37, 1e-3, np.nextafter(0.1, 1.0)):
         with pytest.raises(ValueError, match="lambda grid"):
             cache.costfn(lam)
@@ -453,8 +455,8 @@ def test_cache_costfn_closure(rng):
     d = make_ds(rng, 30, 1)
     cache = CostCache(d, 6, lambdas=(0.1,), precompute=True)
     f = cache.costfn(0.1)
-    lazy = CostCache(d, 6, lambdas=(0.1,)).costfn(0.1)
-    assert f(0, 3) == cache.costfn(0.1)(0, 3) == lazy(0, 3)
+    lazy = CostCache(d, 6, lambdas=(0.1,)).columns()
+    assert f(0, 3) == cache.costfn(0.1)(0, 3) == lazy(np.array([0]), 3)[0, 0]
     assert f(2, 6) == cost_of(d, Interval(2, 6, 6), 0.1)
 
 
@@ -463,7 +465,7 @@ def test_cache_columns_match_scalar_costfn_bitwise(rng):
     lambdas = (0.0, 0.05)
     column = CostCache(d, 9, lambdas=lambdas).columns()
     for h, lam in enumerate(lambdas):  # each lambda of the cache's grid
-        scalar = CostCache(d, 9, lambdas=lambdas).costfn(lam)
+        scalar = CostCache(d, 9, lambdas=lambdas, precompute=True).costfn(lam)
         one_row = CostCache(d, 9, lambdas=(lam,)).columns()
         for hi in range(1, 10):
             los = np.arange(hi, dtype=np.int64)[::2].copy()
@@ -476,7 +478,7 @@ def test_cache_columns_match_scalar_costfn_bitwise(rng):
 
 def test_cache_costfn_rejects_bad_indices(rng):
     d = make_ds(rng, 30, 1)
-    cache = CostCache(d, 5, lambdas=(0.0,))
+    cache = CostCache(d, 5, lambdas=(0.0,), precompute=True)
     f, column = cache.costfn(0.0), cache.columns()
     for lo, hi in ((-1, 2), (3, 3), (4, 2), (0, 6)):
         with pytest.raises(ValueError):
@@ -490,6 +492,16 @@ def test_cache_costfn_rejects_bad_indices(rng):
             f(lo, 3)
 
 
+def test_cache_costfn_needs_the_table(rng, factorized):
+    # the scalar costfn only reads a precompute=True table; a lazy cache
+    # computes through columns() and has no scalar form
+    lazy = CostCache(make_ds(rng, 30, 2), 5, lambdas=(0.0, 0.1))
+    for lam in (0.0, 0.1, 0.37):
+        with pytest.raises(ValueError, match="precompute=True"):
+            lazy.costfn(lam)
+    assert factorized == []
+
+
 def test_cache_fills_only_requested_costs(rng, factorized):
     d = make_ds(rng, 50, 2)
     m = 8
@@ -497,8 +509,6 @@ def test_cache_fills_only_requested_costs(rng, factorized):
     assert factorized == []
     lazy.columns()(np.array([1, 4], dtype=np.int64), 6)
     assert factorized == [4]  # one call for both pairs at both lambdas
-    lazy.costfn(0.0)(3, 5)
-    assert factorized == [4, 1]  # the scalar adapter computes one cost, at that lambda
     factorized.clear()
     eager = CostCache(d, m, lambdas=(0.0, 0.1), precompute=True)
     # one call per column, at both lambdas

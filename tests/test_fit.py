@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -33,20 +34,56 @@ def s1_like(rng, n, p=2, noise=0.25):
 
 
 @pytest.mark.parametrize(
-    "field, scale_y, shift_y, scale_x",
-    [("outcomes", 1e160, 0.0, 1.0), ("outcomes", 1.0, 1e155, 1.0),
-     ("covariates", 1.0, 0.0, 1e160)],
+    "lam, field, scale_y, shift_y, scale_x",
+    [(0.0, "outcomes", 1e160, 0.0, 1.0), (0.0, "covariates", 1.0, 0.0, 1e160),
+     (1e-2, "outcomes", 1e160, 0.0, 1.0), (1e-2, "outcomes", 1.0, 1e155, 1.0),
+     (1e-2, "covariates", 1.0, 0.0, 1e160)],
 )
-@pytest.mark.parametrize("lam", [0.0, 1e-2])
 def test_ljil_overflowing_moments_raise_invalid_data(rng, field, scale_y, shift_y, scale_x, lam):
-    # finite data whose moments (or the squared outcome mean of the penalty)
-    # overflow would make every cost NaN; the fit names the field instead,
-    # without an overflow warning, which the test configuration raises
+    # finite data whose moments (or, at lam > 0, the squared outcome mean of
+    # the penalty) overflow would make every cost NaN; the fit names the
+    # field instead, without an overflow warning, which the test
+    # configuration raises
     d = s1_like(rng, 200)
     big = Dataset(scale_x * d.covariates, d.treatments, scale_y * d.outcomes + shift_y)
     with pytest.raises(InvalidData, match=f"{field} are too large") as exc:
         fit_ljil(big, 40, lam, default_gamma(200))
     assert (exc.value.field, exc.value.row) == (field, None)
+
+
+def test_ljil_large_outcome_mean_fits_at_lambda_zero(rng):
+    # at lam = 0 the costs carry no penalty, so an outcome mean whose square
+    # overflows still fits; the penalty needs that square at any lam > 0
+    d = s1_like(rng, 200)
+    big = Dataset(d.covariates, d.treatments, d.outcomes + 1e155)
+    f = fit_ljil(big, 40, 0.0, default_gamma(200))
+    assert np.isfinite(f.objective)
+    assert all(np.isfinite(model.theta).all() for model in f.models)
+    cache = CostCache(big, 40)
+    for lam in (1e-2, 1e-300):
+        with pytest.raises(InvalidData, match="outcomes are too large"):
+            cache.theta(np.array([0]), np.array([40]), lam)
+    with pytest.raises(InvalidData, match="outcomes are too large"):
+        CostCache(big, 40, lambdas=(0.0, 1e-2)).columns()(np.array([0]), 40)
+
+
+def test_ljil_outcome_mean_past_squared_overflow_scales_exactly():
+    # scaling by powers of two is exact, so outcomes scaled by 2^503 (mean
+    # about 2^513, whose square overflows; the centered moments do not) fit
+    # the partition of the unscaled data, with the objective scaled by
+    # 2^1006 and theta by 2^503, bit for bit
+    d, _ = gen_scenario(ScenarioSpec(1, 400, 4, 0))
+    y = 2.0**10 + d.outcomes
+    big = 2.0**503 * y
+    c = float(np.mean(big))
+    assert math.isinf(c * c)
+    m, gamma = make_grid(d.n, 5.0), default_gamma(d.n)
+    base = fit_ljil(Dataset(d.covariates, d.treatments, y), m, 0.0, gamma)
+    got = fit_ljil(Dataset(d.covariates, d.treatments, big), m, 0.0, gamma * 2.0**1006)
+    assert got.partition == base.partition
+    assert got.objective == base.objective * 2.0**1006
+    for a, b in zip(got.models, base.models):
+        assert a.theta.tobytes() == (b.theta * 2.0**503).tobytes()
 
 
 def test_ljil_matches_manual_pipeline(rng):

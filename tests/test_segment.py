@@ -426,6 +426,29 @@ def test_grid_matches_separate_runs_on_ridge_costs(rng, prune):
                 assert float(grid[h][j][1]).hex() == float(obj).hex()
 
 
+def test_exact_grid_keeps_every_candidate_where_pruning_drops_some(rng):
+    # concave costs in the interval length: splitting raises cost, so the
+    # zero-slack keep test fails for some j. The exact DP forces it true,
+    # asks every column for all j < r, and matches the exhaustive search
+    m = 9
+    lengths = np.subtract.outer(np.arange(m + 1), np.arange(m + 1)).T / m
+    tables = np.stack(
+        [np.triu(np.sqrt(np.abs(lengths)) + 0.05 * rng.random((m + 1, m + 1)), k=1) for _ in range(2)]
+    )
+    gammas = (0.0, 0.05, 0.3)
+    column, calls = recording_columns(tables)
+    grid = dp_no_prune(column, m, gammas, batched=True)
+    assert [(U.tolist(), r) for U, r in calls] == [(list(range(r)), r) for r in range(1, m + 1)]
+    for h in range(2):
+        for j, gamma in enumerate(gammas):
+            want = enumerate_partitions(table_costfn(tables[h]), m, gamma)
+            assert grid[h][j][0] == want[0]
+            assert float(grid[h][j][1]).hex() == float(want[1]).hex()
+    column, calls = recording_columns(tables)
+    pelt(column, m, gammas, batched=True)
+    assert any(U.size < r for U, r in calls)  # the keep test does prune here
+
+
 def test_grid_one_row_takes_scalar_and_one_row_columns(rng):
     m = 9
     table = sse_cost_table(rng, m)
