@@ -30,8 +30,8 @@ v = (-theta', 1),
 Cost. Minimizing over theta' leaves the Schur complement of the leading
 d x d block of A = M + n*lam*|I|*P, the last pivot of a symmetric elimination
 of A: that pivot equals n * cost(I). cost._eliminate runs this elimination in
-numpy, elementwise over a stack of matrices, so one call serves a whole DP
-column at every lam and an interval gets the same bits in any batch. A
+numpy, elementwise over a stack of matrices, so one call serves a block of DP
+columns at every lam and an interval gets the same bits in any batch. A
 leading pivot below _CLAMP_REL times the largest leading diagonal entry of A
 is a null direction, neither divided by nor eliminated, so a rank-deficient
 interval (at lam = 0 one with at most d rows, a collinear or constant
@@ -50,13 +50,16 @@ not shift-equivariant, hence the uncentered system); an interval without
 rows gets theta = 0. Routing is decided per interval, so an interval gets
 the same bits in any batch.
 
-CostCache computes costs over a fixed lam grid: each columns() call computes
-its DP column at every lam of the grid in one _eliminate call. A lone fit
-reads the one cost row of a one-lam cache; a CV fold runs the grid form of
-segment.pelt over all rows. Coefficients are solved on demand, for any
-intervals in one batched call. CostCache shares this interface, columns()
-and models(los, his, lam), with fit.NetworkCosts, so one fit body and one CV
-loop serve both model families. The scalar costfn(lam) only reads the table
+CostCache computes costs over a fixed lam grid: one _eliminate call computes
+a block of consecutive DP columns at every lam of the grid, and the
+columns() calls inside the block read it; the block's width is bounded by a
+fixed budget of intervals, so the kernel's fixed cost per call is paid once
+per block rather than once per column. A lone fit reads the one cost row of
+a one-lam cache; a CV fold runs the grid form of segment.pelt over all rows.
+Coefficients are solved on demand, for any intervals in one batched call,
+at a lam that must be finite and >= 0. CostCache shares this interface,
+columns() and models(los, his, lam), with fit.NetworkCosts, so one fit body
+and one CV loop serve both model families. The scalar costfn(lam) only reads the table
 of every interval's costs that precompute=True fills; both serve only the
 benchmark's solver check and tests (ROADMAP item 11).
 """
@@ -78,6 +81,10 @@ __all__ = ["CostCache"]
 _CLAMP_REL = 1e-10
 _TINY = np.nextafter(0.0, 1.0)  # the smallest positive double
 _OUTCOMES_OVERFLOW = "outcomes are too large: their moments overflow"
+# intervals one columns() block may stack per lambda: the kernel's fixed cost
+# per call (about 60 us) is then small against its work, and a lone fit at
+# m = 800 keeps its peak allocation near 1 MB
+_BLOCK_PAIRS = 768
 
 
 def _eliminate(S: np.ndarray):
@@ -102,6 +109,12 @@ def _eliminate(S: np.ndarray):
     return live, np.maximum(S[-1, -1], 0.0)
 
 
+def _block_width(u: int, left: int) -> int:
+    """Largest b with b*u + b*(b-1)/2 <= _BLOCK_PAIRS, at most left, at least 1."""
+    k = 2 * u - 1  # the bound is (2b + k)^2 <= k^2 + 8 * _BLOCK_PAIRS
+    return max(1, min((math.isqrt(k * k + 8 * _BLOCK_PAIRS) - k) // 2, left))
+
+
 def _check_pairs(los: np.ndarray, his: np.ndarray, m: int):
     """Reject index arrays that are not equal-length pairs 0 <= lo < hi <= m."""
     if los.shape != his.shape or not np.all((0 <= los) & (los < his) & (his <= m)):
@@ -120,11 +133,12 @@ class CostCache:
     Augmented moments come from prefix sums over grid cells, stored
     cell-major as _M (D, D, m+1); an interval stack is two take gathers
     and one subtraction, contiguous along the intervals. Without precompute
-    the cache holds only these prefix sums, and each columns() call computes
-    the intervals it asks for at every lam of the grid in one _eliminate
-    call. precompute=True fills a float64 table of shape (H, m+1, m+1),
-    indexed [h, hi, lo], one column at a time at every lam, so temporaries
-    stay O(H m d^2); costfn only reads it. theta solves the
+    the cache holds only these prefix sums, and one _eliminate call computes
+    a block of columns() calls at every lam of the grid; a columns() closure
+    holds its current block, at most _BLOCK_PAIRS intervals per lam unless
+    the block is a single column. precompute=True fills a float64 table of
+    shape (H, m+1, m+1), indexed [h, hi, lo], one column at a time at every
+    lam, so temporaries stay O(H m d^2); costfn only reads it. theta solves the
     intervals it is asked for on each call, and models wraps its
     coefficients as one Linear model per interval. There is no lock: a cache
     belongs to one thread (replication runs in processes).
@@ -217,13 +231,14 @@ class CostCache:
         of the equal-length int64 arrays los, his, e.g. every interval of a
         partition, from one fresh batched solve routed by the pivots of one
         _eliminate call; each interval gets the same bits as in a batch of
-        its own."""
+        its own. A lam that is NaN, infinite or negative raises ValueError."""
         los, his = np.asarray(los), np.asarray(his)
         _check_pairs(los, his, self.m)
-        M, ridge, A = self._stack(los, his, np.array([lam], dtype=float))
+        lams = check_grid("lambda", float(lam))
+        M, ridge, A = self._stack(los, his, lams)
         live, last = _eliminate(A.copy())
         d = M.shape[0] - 1
-        ok = (M[0, 0] >= (1.0 if lam > 0.0 else d + 1.0)) & live & (last > 0.0)
+        ok = (M[0, 0] >= (1.0 if lams[0] > 0.0 else d + 1.0)) & live & (last > 0.0)
         theta = np.empty((los.size, d))
         A = np.moveaxis(A, -1, 0)[ok]
         theta[ok] = np.linalg.solve(A[:, :d, :d], A[:, :d, d:])[:, :, 0]
@@ -234,22 +249,51 @@ class CostCache:
         return theta
 
     def models(self, los: np.ndarray, his: np.ndarray, lam: float) -> tuple:
-        """One Linear model per interval, from a single theta call."""
+        """One Linear model per interval, from a single theta call (which
+        checks lam)."""
         return tuple(Linear(t) for t in self.theta(los, his, lam))
 
     def columns(self):
         """Column cost function (U, r) -> costs (H, |U|) of [j/m, r/m) for j
         in U at every lambda of the grid, for the column form of segment.pelt.
 
-        U must be an ascending int64 array with 0 <= j < r <= m. Each call
-        stacks the H*|U| (lambda, interval) pairs into one _eliminate call
-        and computes afresh; the kernel is elementwise along the stack, so a
-        cost has the same bits in any call.
+        U must be an ascending int64 array with 0 <= j < r <= m. One
+        _eliminate call serves a block of b consecutive columns: a call that
+        misses the block computes, at every lambda, each [j/m, r'/m) with
+        r <= r' < r+b and j < r' in V = U + {r, ..., r+b-2}, and the calls
+        that follow read from it while r lies in the block and U is a subset
+        of V. The DP's candidate sets only shrink apart from the newest
+        candidate (R_{r+t} is within R_r + {r, ..., r+t-1}), so a DP that
+        runs column by column hits the block until it ends and asks for no
+        cost twice. Any other call misses and opens a new block at its r,
+        so every call gets exactly the costs it asks for. b is the largest
+        width with b*|U| + b*(b-1)/2, the intervals the block stacks, at most
+        _BLOCK_PAIRS, capped at the columns left and never below 1: a block
+        stacks at most max(_BLOCK_PAIRS, |U|) intervals per lambda, at most
+        _BLOCK_PAIRS - |U| beyond those its calls ask for, and a block of
+        one column stacks exactly U. The kernel is elementwise along the stack,
+        so a cost has the same bits in any block and any call.
         """
+        m, lams = self.m, self.lambdas
+        r0 = b = 0  # the block spans columns r0 .. r0+b-1
+        V = block = None  # block[h, t, k]: cost of [V[k]/m, (r0+t)/m) at lams[h]
 
         def fn(U, r):
-            _check_call(U, r, self.m)
-            return self._costs(U, r, self.lambdas)
+            nonlocal r0, b, V, block
+            _check_call(U, r, m)
+            if r0 <= r < r0 + b and U.size <= V.size:
+                k = np.searchsorted(V, U)
+                if np.array_equal(V.take(k, mode="clip"), U):
+                    return block[:, r - r0, k]
+            width = _block_width(U.size, m + 1 - r)
+            cands = np.concatenate([U, np.arange(r, r + width - 1, dtype=np.int64)])
+            his = np.arange(r, r + width)[:, None]
+            pairs = cands < his  # the intervals [cands[k]/m, (r+t)/m)
+            costs = np.zeros((lams.size, width, cands.size))
+            costs[:, pairs] = self._costs(np.broadcast_to(cands, pairs.shape)[pairs],
+                                          np.broadcast_to(his, pairs.shape)[pairs], lams)
+            r0, b, V, block = r, width, cands, costs  # only once the costs exist
+            return costs[:, 0, : U.size].copy()
 
         return fn
 

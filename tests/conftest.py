@@ -183,18 +183,55 @@ def indicators(request):
     return indicator_data(400, request.param)
 
 
+def block_rule(calls, m: int, budget: int) -> list:
+    """Intervals per lambda that each kernel call of a CostCache.columns()
+    closure stacks for the column calls (U, r), by the stated block rule, in
+    Python sets: a call whose r lies in the current block and whose U lies in
+    its candidate set V reads the block; any other call opens one at r, of
+    the largest width 1 <= b <= m+1-r with b|U| + b(b-1)/2 <= budget (b = 1
+    when none fits), with V = U + {r, ..., r+b-2}, and stacks every [j, r')
+    with r <= r' < r+b and j < r' in V."""
+    sizes, r0, b, V = [], 0, 0, set()
+    for U, r in calls:
+        U = set(U.tolist())
+        if r0 <= r < r0 + b and U <= V:
+            continue
+        r0, b = r, 1
+        while b < m + 1 - r and (b + 1) * len(U) + (b + 1) * b // 2 <= budget:
+            b += 1
+        V = U | set(range(r, r + b - 1))
+        sizes.append(sum(j < t for t in range(r, r + b) for j in V))
+    return sizes
+
+
+class Stacks(list):
+    """Sizes of the stacks cost._eliminate gets, in call order, with
+    .intervals: for each cost stack CostCache._costs builds, its
+    (lambda, lo, hi) rows as an (H*K, 3) array."""
+
+
 @pytest.fixture
 def factorized(monkeypatch):
     """Sizes of every stack cost._eliminate gets while the test runs: the
     number of (lambda, interval) matrices the ridge path evaluates, call by
-    call. Every cost column and every theta call passes all of its
-    intervals through it, the ones theta then solves by min-norm included."""
-    sizes = []
-    real = jil.cost._eliminate
+    call. Every cost block and every theta call passes all of its
+    intervals through it, the ones theta then solves by min-norm included.
+    The list's .intervals records which (lambda, lo, hi) each cost stack
+    holds; theta calls build no cost stack."""
+    sizes = Stacks()
+    sizes.intervals = []
+    real, real_costs = jil.cost._eliminate, jil.cost.CostCache._costs
 
     def recording(S):
         sizes.append(S.shape[2])
         return real(S)
 
+    def recording_costs(self, los, his, lams):
+        H, K = lams.size, los.size
+        sizes.intervals.append(np.column_stack(
+            [np.repeat(lams, K), np.tile(los, H), np.tile(np.broadcast_to(his, los.shape), H)]))
+        return real_costs(self, los, his, lams)
+
     monkeypatch.setattr(jil.cost, "_eliminate", recording)
+    monkeypatch.setattr(jil.cost.CostCache, "_costs", recording_costs)
     return sizes

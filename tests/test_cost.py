@@ -16,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jil.cost
-from conftest import cost_oracle, indicator_data, ridge_oracle
-from jil.core import Dataset, Interval
+from conftest import block_rule, cost_oracle, indicator_data, ridge_oracle
+from jil.core import Dataset, Interval, make_grid
 from jil.cost import CostCache, _eliminate
 from jil.fit import fit_ljil
 from jil.segment import dp_no_prune, pelt
-from jil.tuning import default_gamma
+from jil.sim import ScenarioSpec, gen_scenario
+from jil.tuning import default_gamma, default_grid, kfold_split
 
 
 def make_ds(rng, n, p, y_scale=1.0):
@@ -507,8 +508,16 @@ def test_cache_fills_only_requested_costs(rng, factorized):
     m = 8
     lazy = CostCache(d, m, lambdas=(0.0, 0.1))
     assert factorized == []
-    lazy.columns()(np.array([1, 4], dtype=np.int64), 6)
-    assert factorized == [4]  # one call for both pairs at both lambdas
+    column = lazy.columns()
+    column(np.array([1, 4], dtype=np.int64), 6)
+    # one call for both pairs at both lambdas, plus one block's speculation:
+    # the block runs to the last column (b = 3) over V = {1, 4, 6, 7}, so it
+    # stacks b|U| + b(b-1)/2 = 9 intervals, 7 beyond the 2 asked for
+    assert factorized == [2 * 9]
+    assert block_rule([(np.array([1, 4]), 6)], m, jil.cost._BLOCK_PAIRS) == [9]
+    column(np.array([4, 6], dtype=np.int64), 7)
+    column(np.array([1, 6, 7], dtype=np.int64), 8)
+    assert factorized == [18]  # reads inside the block compute nothing
     factorized.clear()
     eager = CostCache(d, m, lambdas=(0.0, 0.1), precompute=True)
     # one call per column, at both lambdas
@@ -519,6 +528,120 @@ def test_cache_fills_only_requested_costs(rng, factorized):
         eager.costfn(lam)(2, 7)
     assert sum(factorized) == 2 * m * (m + 1) // 2  # reads computed nothing more
 
+
+def random_calls(rng, m, count):
+    """Column calls (U, r) that mostly follow a DP (next column, U within the
+    last U and r-1) and sometimes miss a block: U with a fresh member, r
+    jumping forward or back, r = m, an empty U."""
+    calls, U, r = [], np.zeros(1, dtype=np.int64), 1
+    for _ in range(count):
+        move = rng.random()
+        if move < 0.6 and r < m:  # the DP's next column
+            U = np.append(U[rng.random(U.size) < 0.8], r)
+            r += 1
+        elif move < 0.7:  # a jump, forward or back
+            r = int(rng.integers(1, m + 1))
+            U = np.unique(rng.integers(0, r, size=int(rng.integers(1, r + 1))))
+        elif move < 0.8:  # the same column, a member outside the block's V
+            U = np.unique(np.append(U, rng.integers(0, r)))
+        elif move < 0.9:
+            r = m
+            U = np.unique(rng.integers(0, m, size=int(rng.integers(1, m + 1))))
+        else:
+            U = np.zeros(0, dtype=np.int64)
+        calls.append((U.astype(np.int64), r))
+    return calls
+
+
+@pytest.mark.parametrize("lambdas", [(0.0,), (1e-2,), (0.0, 1e-3, 0.1)],
+                         ids=["lam0", "lam1e-2", "3lams"])
+@pytest.mark.parametrize("budget", [8, 768])
+def test_columns_blocks_match_fresh_calls(rng, monkeypatch, factorized, lambdas, budget):
+    # every call of a columns() closure, read from a block or a miss, has
+    # the bits of a fresh one-column _costs call, and its kernel calls are
+    # the block rule's
+    monkeypatch.setattr(jil.cost, "_BLOCK_PAIRS", budget)
+    for _ in range(4):
+        m = int(rng.integers(1, 41))
+        d = make_ds(rng, 120, 3, y_scale=float(rng.uniform(0.1, 3.0)))
+        cache = CostCache(d, m, lambdas=lambdas)
+        calls = random_calls(rng, m, 60)
+        column = cache.columns()
+        factorized.clear()
+        got = [column(U, r) for U, r in calls]
+        assert factorized == [len(lambdas) * k for k in block_rule(calls, m, budget)]
+        for (U, r), costs in zip(calls, got):
+            want = CostCache._costs(cache, U, r, cache.lambdas)
+            assert costs.shape == (len(lambdas), U.size)
+            assert costs.tobytes() == want.tobytes(), (U, r)
+
+
+def dp_calls(cache, m, gamma):
+    """The (U, r) calls a DP over cache.columns() makes, and its result."""
+    costs, calls = cache.columns(), []
+
+    def column(U, r):
+        calls.append((U.copy(), r))
+        return costs(U, r)
+
+    return calls, pelt(column, m, gamma, batched=True)
+
+
+def stacked_once(stacks, calls, lambdas):
+    """The cost stacks hold each (lambda, lo, hi) once, and every cost the
+    column calls ask for at each lambda is among them."""
+    rows = np.concatenate(stacks)
+    stacked = set(map(tuple, rows.tolist()))
+    assert len(stacked) == rows.shape[0]
+    assert {(lam, j, r) for U, r in calls for j in U.tolist() for lam in lambdas} <= stacked
+
+
+def test_fit_and_cv_fold_stack_no_interval_twice(rng, factorized):
+    d = make_ds(rng, 400, 3)
+    m, gamma = 80, default_gamma(400)
+    fit_ljil(d, m, 0.0, gamma)  # its theta call builds no cost stack
+    fit_stacks = factorized.intervals[:]
+    stacked_once(fit_stacks, dp_calls(CostCache(d, m), m, gamma)[0], (0.0,))
+    # one CV fold: the lockstep DP of the default grid on the training rows
+    grid = default_grid(d.n, 0)
+    train = d.subset(np.flatnonzero(kfold_split(d.n, grid.k_folds, grid.seed) != 0))
+    factorized.intervals.clear()
+    calls, _ = dp_calls(CostCache(train, m, lambdas=grid.lambdas), m, list(grid.gammas))
+    stacked_once(factorized.intervals, calls, grid.lambdas)
+    assert len(factorized.intervals) < len(calls) // 4
+
+
+@pytest.mark.parametrize("n, budget", [(400, 768), (4000, 768), (400, 16)])
+def test_block_speculation_within_budget(factorized, monkeypatch, n, budget):
+    # a block stacks at most max(budget, |U|) intervals per lambda, |U| that
+    # of the call that opened it; beyond the costs its calls ask for it
+    # stacks fewer than budget, and a one-column block (|U| above the
+    # budget) stacks exactly what it is asked for
+    monkeypatch.setattr(jil.cost, "_BLOCK_PAIRS", budget)
+    d, _ = gen_scenario(ScenarioSpec(1, n, 4, 7))
+    m = make_grid(n, 5.0)
+    costs = CostCache(d, m).columns()
+    blocks = []  # per block: [stacked, asked, |U| of the opening call]
+
+    def column(U, r):
+        calls = len(factorized)
+        c = costs(U, r)
+        if len(factorized) > calls:
+            blocks.append([factorized[-1], 0, U.size])
+        blocks[-1][1] += U.size
+        return c
+
+    pelt(column, m, default_gamma(n), batched=True)
+    assert len(blocks) == len(factorized)
+    for stacked, asked, u in blocks:
+        assert u <= asked <= stacked <= max(budget, u)
+        assert stacked - asked < budget
+        if u > budget:
+            assert stacked == asked == u
+    if budget == 16:
+        assert any(u > budget for _, _, u in blocks)  # one-column blocks ran
+    else:
+        assert len(blocks) < m // 4
 
 def test_cache_theta_batched_matches_per_interval_bitwise(rng):
     for _ in range(20):
@@ -554,6 +677,22 @@ def test_min_norm_batched_matches_per_interval_bitwise(rng):
         for k in range(los.size):
             theta = cache._min_norm(M[:, :, k : k + 1], ridge[k : k + 1])
             assert thetas[k].tobytes() == theta[0].tobytes()
+
+
+def test_cache_theta_rejects_bad_lambda(rng, factorized):
+    # only the constructor's grid used to be checked: theta at NaN returned
+    # zeros and at -1 silent coefficients
+    cache = CostCache(make_ds(rng, 200, 4), 40)
+    los, his = np.array([0, 10]), np.array([10, 40])
+    for lam in (np.nan, -1.0, -1e-300, np.inf, -np.inf):
+        for call in (cache.theta, cache.models):
+            with pytest.raises(ValueError, match="lambda"):
+                call(los, his, lam)
+    assert factorized == []
+    # any spelling of a grid lambda gets the same coefficient bytes
+    for lams in ((0.0, 0, np.float64(0.0), np.array(0.0)), (1e-2, np.float64(1e-2))):
+        got = {cache.theta(los, his, lam).tobytes() for lam in lams}
+        assert len(got) == 1
 
 
 def test_cache_theta_rejects_bad_index_arrays(rng):
@@ -664,10 +803,16 @@ def test_indicator_pelt_matches_dp_no_prune(indicators, lam):
     assert pruned == exact == fit_ljil(indicators, m, lam, gamma).partition
 
 
-def test_rare_indicator_fit_one_kernel_call_per_column(factorized):
+def test_rare_indicator_fit_one_kernel_call_per_block(factorized):
     # LAPACK failed a batch as a whole, so a 1% indicator used to cost about
-    # 38 factorization calls per column; the kernel never fails a batch
+    # 38 factorization calls per column; the kernel never fails a batch, so
+    # the fit makes exactly the block rule's kernel calls for its DP's
+    # candidate sets, then one theta call
     d, m = indicator_data(4000, (0.01,)), 800
-    fit = fit_ljil(d, m, 0.0, default_gamma(4000))
-    assert len(factorized) == m + 1  # one per DP column, then one theta call
-    assert factorized[-1] == fit.partition.size
+    gamma = default_gamma(4000)
+    fit = fit_ljil(d, m, 0.0, gamma)
+    sizes = factorized[:]
+    calls, (partition, _) = dp_calls(CostCache(d, m), m, gamma)
+    assert partition == fit.partition and len(calls) == m
+    assert sizes == block_rule(calls, m, jil.cost._BLOCK_PAIRS) + [fit.partition.size]
+    assert len(sizes) == 171 + 1  # against m = 800 columns

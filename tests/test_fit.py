@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import jil.cost
 import jil.fit as fit_mod
 from jil.core import Dataset, Interval, Linear, Partition, make_grid, normalize_treatment
 from jil.cost import CostCache
@@ -63,8 +64,10 @@ def test_ljil_large_outcome_mean_fits_at_lambda_zero(rng):
     for lam in (1e-2, 1e-300):
         with pytest.raises(InvalidData, match="outcomes are too large"):
             cache.theta(np.array([0]), np.array([40]), lam)
-    with pytest.raises(InvalidData, match="outcomes are too large"):
-        CostCache(big, 40, lambdas=(0.0, 1e-2)).columns()(np.array([0]), 40)
+    column = CostCache(big, 40, lambdas=(0.0, 1e-2)).columns()
+    for r in (40, 1, 2):  # a block that failed leaves no costs to read
+        with pytest.raises(InvalidData, match="outcomes are too large"):
+            column(np.array([0]), r)
 
 
 def test_ljil_outcome_mean_past_squared_overflow_scales_exactly():
@@ -143,19 +146,26 @@ def test_ljil_computes_only_pruned_survivors(rng, factorized):
     d = s1_like(rng, 400)
     m, lam, gamma = 80, 0.0, 4.0 * np.log(400) / 400
     f = fit_ljil(d, m, lam, gamma)
-    computed = sum(factorized)
+    computed, calls = sum(factorized), len(factorized)
+    stacked = np.concatenate(factorized.intervals)[:, 1:].astype(np.int64).tolist()
     costs = CostCache(d, m, lambdas=(lam,)).columns()
-    candidates = []
+    columns, candidates = [], []
 
     def column(lo, hi):  # records each DP column's candidate set R_r
-        candidates.append(lo.size)
+        columns.append(hi)
+        candidates.extend((j, hi) for j in lo.tolist())
         return costs(lo, hi)
 
     assert pelt(column, m, gamma, batched=True)[0] == f.partition
-    assert len(candidates) == m
-    # each candidate once, then the final intervals' coefficients
-    assert computed == sum(candidates) + f.partition.size
-    assert sum(candidates) < m * (m + 1) // 2
+    assert columns == list(range(1, m + 1))
+    # each candidate once, then the final intervals' coefficients; the
+    # cost stacks add only the speculation of their blocks, fewer than
+    # _BLOCK_PAIRS intervals per kernel call
+    assert len(set(map(tuple, stacked))) == len(stacked)
+    assert set(candidates) <= set(map(tuple, stacked))
+    assert computed == len(stacked) + f.partition.size
+    assert len(stacked) - len(candidates) < (calls - 1) * jil.cost._BLOCK_PAIRS
+    assert len(candidates) < m * (m + 1) // 2
     assert f.partition.size == 3
 
 

@@ -1,8 +1,10 @@
 """Repository tooling: the pytest configuration reports failures instead of
-aborting, and the library runs without SciPy, which only the tests use."""
+aborting, the library runs without SciPy, which only the tests use, and it
+reads no environment setting but the two the CLI documents."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -64,3 +66,57 @@ def test_cli_commands_never_import_scipy(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+ALLOWED_ENV = {"SOURCE_DATE_EPOCH", "JIL_THREADS"}
+
+
+def env_reads(source: str) -> list:
+    """(line, name) of each environment read in Python source: name is the
+    literal key of os.environ[...], os.environ.get(...) or os.getenv(...),
+    and None for any other use of environ or getenv, which a scan cannot
+    name."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reads = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr in ENV_NAMES
+                or isinstance(node, ast.Name) and node.id in ENV_NAMES):
+            continue
+        up = parent.get(node)
+        key = None
+        if isinstance(up, ast.Subscript):
+            key = up.slice
+        elif isinstance(up, ast.Call) and up.func is node and up.args:
+            key = up.args[0]
+        elif isinstance(up, ast.Attribute) and up.attr == "get":
+            call = parent.get(up)
+            if isinstance(call, ast.Call) and call.args:
+                key = call.args[0]
+        literal = isinstance(key, ast.Constant) and isinstance(key.value, str)
+        reads.append((node.lineno, key.value if literal else None))
+    return sorted(reads, key=lambda read: read[0])
+
+
+def test_env_scan_names_each_read():
+    source = """import os
+from os import environ
+a = os.environ["A"]
+b = os.getenv("B", "1")
+c = os.environ.get("C")
+d = environ.get(name)
+e = dict(os.environ)
+"""
+    assert env_reads(source) == [(3, "A"), (4, "B"), (5, "C"), (6, None), (7, None)]
+
+
+def test_library_reads_only_its_documented_environment():
+    # SOURCE_DATE_EPOCH pins artifact timestamps and JIL_THREADS the worker
+    # count; any other read, such as a tuning constant like the cost
+    # layer's block budget, would be a setting no caller can see
+    found = {}
+    for path in sorted((ROOT / "src" / "jil").glob("*.py")):
+        for line, name in env_reads(path.read_text()):
+            found.setdefault(name, []).append(f"{path.name}:{line}")
+    assert set(found) == ALLOWED_ENV, found
