@@ -38,17 +38,22 @@ interval (at lam = 0 one with at most d rows, a collinear or constant
 covariate) costs the residual on the span of its live directions with no
 second path. An interval without rows costs exactly 0 at every lam.
 
-Routing. Coefficients come from one batched solve of the leading block of
-A, (G + n*lam*|I|*Id) theta' = b' - n*lam*|I|*c e1, for an interval with more
-than d rows (at lam = 0; at least one row at lam > 0; M[0, 0] is its exact
-row count) whose leading pivots are all live and whose last pivot is
-positive. Every other interval takes CostCache._min_norm: one batched
-symmetric eigendecomposition of G solves the uncentered system
-theta = (G + n*lam*|I|*Id)^+ (b' + c G e1), zeroing eigenvalues below
-_CLAMP_REL of the largest (at lam = 0 the minimum-norm solution, which is
-not shift-equivariant, hence the uncentered system); an interval without
-rows gets theta = 0. Routing is decided per interval, so an interval gets
-the same bits in any batch.
+Coefficients. Every interval's theta comes from one rule, the min-norm
+solution theta = (G + r*Id)^+ (b' + c G e1) of the uncentered system, with
+r = n*lam*|I| (at lam = 0 and rank-deficient G the minimum-norm solution,
+which is not shift-equivariant, hence the uncentered system). One batched
+symmetric eigendecomposition G = U diag(tau) U^T, with tau below _CLAMP_REL
+of the largest zeroed, gives it as
+
+    theta = c e1 + U [dinv * U^T b' - c * w * U^T e1],
+
+dinv = 1/(tau + r) where tau + r > 0 and 0 elsewhere, and w = 1 - tau*dinv,
+computed as r*dinv where tau > 0 and as 1 elsewhere. The shift c enters
+outside the solve, and at lam = 0 w is exactly 0 on every live direction,
+so an outcome offset costs the slopes only rounding of its own size. An
+interval without rows gets theta = 0 exactly (the eigenvectors of a zero
+matrix are Id), and every step is elementwise or batched along the
+intervals, so an interval gets the same bits in any batch.
 
 CostCache computes costs over a fixed lam grid: one _eliminate call computes
 a block of consecutive DP columns at every lam of the grid, and the
@@ -77,7 +82,8 @@ from .errors import InvalidData
 __all__ = ["CostCache"]
 
 # a pivot below this fraction of the largest leading diagonal entry of its
-# matrix, or an eigenvalue below this fraction of the largest, is a null
+# matrix (costs), or a Gram eigenvalue below this fraction of the largest
+# (coefficients), is a null direction
 _CLAMP_REL = 1e-10
 _TINY = np.nextafter(0.0, 1.0)  # the smallest positive double
 _OUTCOMES_OVERFLOW = "outcomes are too large: their moments overflow"
@@ -87,26 +93,22 @@ _OUTCOMES_OVERFLOW = "outcomes are too large: their moments overflow"
 _BLOCK_PAIRS = 768
 
 
-def _eliminate(S: np.ndarray):
+def _eliminate(S: np.ndarray) -> np.ndarray:
     """Symmetric elimination without exchanges over the D-1 leading pivots
-    of a stack S (D, D, K), in place; returns (live, last), both (K,).
+    of a stack S (D, D, K), in place; returns the last pivot (K,) clamped at
+    0, the residual of the last variable on the span of the live directions.
 
     A pivot below max(_CLAMP_REL * largest leading diagonal entry, _TINY) is
-    a null direction: it is neither divided by nor eliminated. live marks
-    the matrices whose leading pivots are all live; last is the last pivot
-    clamped at 0, the residual of the last variable on the span of the live
-    directions. Every step is elementwise along K, so a matrix gets the same
-    bits in any batch.
+    a null direction: it is neither divided by nor eliminated. Every step is
+    elementwise along K, so a matrix gets the same bits in any batch.
     """
     D = S.shape[0]
     tol = np.maximum(_CLAMP_REL * np.diagonal(S[:-1, :-1]).max(axis=1, initial=0.0), _TINY)
-    live = np.ones(S.shape[2], dtype=bool)
     for k in range(D - 1):
         ok = S[k, k] >= tol
-        live &= ok
         row = np.divide(S[k, k + 1 :], S[k, k], out=np.zeros_like(S[k, k + 1 :]), where=ok)
         S[k + 1 :, k + 1 :] -= S[k + 1 :, k, None] * row
-    return live, np.maximum(S[-1, -1], 0.0)
+    return np.maximum(S[-1, -1], 0.0)
 
 
 def _block_width(u: int, left: int) -> int:
@@ -139,9 +141,10 @@ class CostCache:
     the block is a single column. precompute=True fills a float64 table of
     shape (H, m+1, m+1), indexed [h, hi, lo], one column at a time at every
     lam, so temporaries stay O(H m d^2); costfn only reads it. theta solves the
-    intervals it is asked for on each call, and models wraps its
-    coefficients as one Linear model per interval. There is no lock: a cache
-    belongs to one thread (replication runs in processes).
+    intervals it is asked for on each call, by the one coefficient rule of
+    the module docstring, and models wraps its coefficients as one Linear
+    model per interval. There is no lock: a cache belongs to one thread
+    (replication runs in processes).
     """
 
     def __init__(self, dataset: Dataset, m: int, lambdas=(0.0,), precompute: bool = False):
@@ -203,25 +206,11 @@ class CostCache:
             A = (self._P[:, :, None, None] * ridge + M[:, :, None, :]).reshape(*M.shape[:2], -1)
         return M, ridge, A
 
-    def _min_norm(self, M: np.ndarray, ridge: np.ndarray) -> np.ndarray:
-        """Coefficients theta (K, d) of the min-norm path for cell-major
-        moments M (D, D, K) and ridge weights n*lam*|I| (K,), from one batched
-        eigendecomposition; all zeros for an interval without rows. Each
-        interval gets the same bits in any batch, K = 1 included."""
-        d = M.shape[0] - 1
-        G, b = np.moveaxis(M[:d, :d], -1, 0), M[:d, d].T
-        tau, U = np.linalg.eigh(G)
-        tau = np.where(tau < _CLAMP_REL * np.maximum(tau[:, -1:], 0.0), 0.0, tau)
-        phi = np.einsum("kij,ki->kj", U, b + self._shift * G[:, :, 0])
-        denom = tau + ridge[:, None]
-        dinv = np.where(denom > 0.0, 1.0 / np.where(denom > 0.0, denom, 1.0), 0.0)
-        return np.einsum("kij,kj->ki", U, dinv * phi)
-
     def _costs(self, los: np.ndarray, his, lams: np.ndarray) -> np.ndarray:
         """Costs (H, K) of the intervals [lo/m, hi/m) at each lambda of lams
         (H,), from one _eliminate call; 0 for an interval without rows."""
         M, _, A = self._stack(los, his, lams)
-        ncost = _eliminate(A)[1].reshape(lams.size, -1)
+        ncost = _eliminate(A).reshape(lams.size, -1)
         return np.where(M[0, 0] > 0.0, ncost, 0.0) / self.dataset.n
 
     # ------------------------------------------------------------- access
@@ -229,23 +218,23 @@ class CostCache:
     def theta(self, los: np.ndarray, his: np.ndarray, lam: float) -> np.ndarray:
         """Ridge coefficients (K, d) of the intervals [lo/m, hi/m) for the pairs
         of the equal-length int64 arrays los, his, e.g. every interval of a
-        partition, from one fresh batched solve routed by the pivots of one
-        _eliminate call; each interval gets the same bits as in a batch of
-        its own. A lam that is NaN, infinite or negative raises ValueError."""
+        partition, from one batched eigendecomposition of their Gram
+        matrices by the coefficient rule of the module docstring; all zeros
+        for an interval without rows, and each interval gets the same bits as
+        in a batch of its own. A lam that is NaN, infinite or negative raises
+        ValueError."""
         los, his = np.asarray(los), np.asarray(his)
         _check_pairs(los, his, self.m)
-        lams = check_grid("lambda", float(lam))
-        M, ridge, A = self._stack(los, his, lams)
-        live, last = _eliminate(A.copy())
+        M, ridge, _ = self._stack(los, his, check_grid("lambda", float(lam)))
         d = M.shape[0] - 1
-        ok = (M[0, 0] >= (1.0 if lams[0] > 0.0 else d + 1.0)) & live & (last > 0.0)
-        theta = np.empty((los.size, d))
-        A = np.moveaxis(A, -1, 0)[ok]
-        theta[ok] = np.linalg.solve(A[:, :d, :d], A[:, :d, d:])[:, :, 0]
-        theta[ok, 0] += self._shift
-        rest = ~ok
-        if rest.any():
-            theta[rest] = self._min_norm(M[:, :, rest], ridge[0, rest])
+        tau, U = np.linalg.eigh(np.moveaxis(M[:d, :d], -1, 0))
+        tau = np.where(tau < _CLAMP_REL * np.maximum(tau[:, -1:], 0.0), 0.0, tau)
+        denom = tau + ridge.T
+        dinv = np.where(denom > 0.0, 1.0 / np.where(denom > 0.0, denom, 1.0), 0.0)
+        w = np.where(tau > 0.0, ridge.T * dinv, 1.0)  # 1 - tau*dinv, exactly 0 at lam = 0
+        phi = dinv * np.einsum("kij,ik->kj", U, M[:d, d]) - self._shift * w * U[:, 0]
+        theta = np.einsum("kij,kj->ki", U, phi)
+        theta[:, 0] += self._shift
         return theta
 
     def models(self, los: np.ndarray, his: np.ndarray, lam: float) -> tuple:

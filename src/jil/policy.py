@@ -237,6 +237,12 @@ def _alpha_ok(alpha: float) -> bool:
     return 0.0 < alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0
 
 
+def _scaled(x: np.ndarray):
+    """(x * 2^-k, k) for the k that brings max |x| into [1/2, 1)."""
+    k = math.frexp(float(np.max(np.abs(x))))[1]
+    return np.ldexp(x, -k), k
+
+
 def estimate_value(d: Dataset, rule: I2dr, prop: PropensityModel, alpha: float) -> ValueReport:
     """Augmented inverse-propensity estimate of the rule's value on d."""
     if d.n < 2:
@@ -251,13 +257,17 @@ def estimate_value(d: Dataset, rule: I2dr, prop: PropensityModel, alpha: float) 
     ind = (seg == rec).astype(float)
     e = propensity_probs(prop, d.covariates)[np.arange(d.n), rec]
     terms = ind / e * (d.outcomes - qmax) + qmax
-    v_hat = float(np.mean(terms))
-    # the deviations are scaled by a power of two before squaring, which is
-    # exact, so the squares overflow only where sigma_hat itself does
-    dev = terms - v_hat
-    k = math.frexp(float(np.max(np.abs(dev))))[1]
-    dev = np.ldexp(dev, -k)
-    sigma_hat = float(np.ldexp(np.sqrt(np.sum(dev * dev) / (d.n - 1)), k))
+    # both sums are correctly rounded (math.fsum), so the report does not
+    # depend on the order of the rows. Each sum's terms are scaled by a power
+    # of two first, which is exact, so fsum cannot overflow: the sum of the
+    # terms is infinite only where it overflows, and the squares only where
+    # sigma_hat does. An infinite term (an overflowed product) keeps the
+    # IEEE sum, as fsum refuses inf - inf
+    t, k = _scaled(terms)
+    total = math.fsum(t) if np.isfinite(t).all() else float(np.sum(t))
+    v_hat = float(np.ldexp(total, k)) / d.n
+    dev, k = _scaled(terms - v_hat)
+    sigma_hat = float(np.ldexp(math.sqrt(math.fsum(dev * dev) / (d.n - 1)), k))
     z = float(statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0))
     half = z * sigma_hat / math.sqrt(d.n)
     return ValueReport(v_hat, sigma_hat, v_hat - half, v_hat + half, float(alpha))

@@ -213,11 +213,10 @@ class Stacks(list):
 @pytest.fixture
 def factorized(monkeypatch):
     """Sizes of every stack cost._eliminate gets while the test runs: the
-    number of (lambda, interval) matrices the ridge path evaluates, call by
-    call. Every cost block and every theta call passes all of its
-    intervals through it, the ones theta then solves by min-norm included.
-    The list's .intervals records which (lambda, lo, hi) each cost stack
-    holds; theta calls build no cost stack."""
+    number of (lambda, interval) costs the ridge path evaluates, call by
+    call. Only cost blocks reach it: theta solves its intervals by its own
+    eigendecomposition and builds no cost stack. The list's .intervals
+    records which (lambda, lo, hi) each cost stack holds."""
     sizes = Stacks()
     sizes.intervals = []
     real, real_costs = jil.cost._eliminate, jil.cost.CostCache._costs

@@ -912,6 +912,19 @@ def test_evaluate_overflowing_outcomes_exit_2_without_output(s1_csv, s1_artifact
     assert not tsv.exists()
 
 
+def test_evaluate_infinite_terms_of_both_signs_exit_2(s1_csv, s1_artifact, tmp_path):
+    # outcomes of +-1.5e308 overflow AIPW terms to +inf and -inf, whose exact
+    # sum is undefined (math.fsum refuses inf - inf); the report is not
+    # finite, which is an error, not an internal failure
+    model, data = tmp_path / "m.json", tmp_path / "huge.csv"
+    model.write_text(s1_artifact)
+    raw = np.loadtxt(s1_csv, delimiter=",", skiprows=1)
+    signs = np.sign(np.random.default_rng(1).standard_normal(len(raw)))
+    write_rows(data, 1.5e308 * signs, raw[:, 1], raw[:, 2:])
+    proc = run_jil("evaluate", "--model", str(model), "--data", str(data))
+    assert_one_error_line(proc, "the result is not finite")
+
+
 def test_evaluate_large_outcomes_finite_sigma_hat(s1_csv, s1_artifact, tmp_path, capsys):
     # at 1e155 * N(0, 1) outcomes the squared deviations would overflow, but
     # sigma_hat (about 1.7e155) is finite and is reported; the test

@@ -4,8 +4,8 @@ Coefficients and costs are read through CostCache (theta, columns, and
 the scalar costfn, a read of the precompute=True table), the one ridge
 cost path of the package, and checked against the oracles in conftest.
 Every cost comes from one kernel, cost._eliminate, tested here against
-LAPACK and lstsq; coefficients take one of two routes, a solve or the
-min-norm eigendecomposition of CostCache._min_norm.
+LAPACK and lstsq; every coefficient comes from one rule, the shift-exact
+min-norm solve of CostCache.theta through a batched eigendecomposition.
 """
 
 from __future__ import annotations
@@ -228,22 +228,7 @@ def test_eigendecomposition_consistency_sample(rng):
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10)
 
 
-# ---------------------------------------- outcome shifts and the min-norm route
-
-
-@pytest.fixture
-def min_norm(monkeypatch):
-    """Sizes of every batch the min-norm path (CostCache._min_norm) gets;
-    only theta calls reach it."""
-    sizes = []
-    real = jil.cost.CostCache._min_norm
-
-    def recording(self, M, ridge):
-        sizes.append(M.shape[2])
-        return real(self, M, ridge)
-
-    monkeypatch.setattr(jil.cost.CostCache, "_min_norm", recording)
-    return sizes
+# ------------------------------------- outcome shifts and rank-deficient intervals
 
 
 def test_cost_matches_oracle_at_outcome_offsets():
@@ -266,13 +251,46 @@ def test_cost_matches_oracle_at_outcome_offsets():
                 assert got[h] == pytest.approx(want, rel=1e-8), (offset, lam, lo, hi)
 
 
-def check_min_norm_route(d, lo, hi, m, lam, min_norm):
-    """Cost and coefficients of one interval match the oracles, and the
-    coefficients come from the min-norm path."""
-    min_norm.clear()
+def theta_slope_drift(X, A, base, pairs, m, lam, offset):
+    """Largest change of the slopes theta[1:] over the intervals pairs when
+    the outcomes base move by offset, beyond the exact change. The ridge
+    pulls the intercept toward 0, so the slopes of an interval move by
+    offset * s, s = -r [(G + r Id)^-1 e1][1:] with r = n*lam*|I|, solved on
+    its rows' Gram matrix G; s = 0 at lam = 0."""
+    n, (los, his) = X.shape[0], np.array(pairs).T
+    cells = np.minimum((A * m).astype(int), m - 1)
+    Xb = np.hstack([np.ones((n, 1)), X])
+    eye = np.eye(Xb.shape[1])
+    exact = []
+    for lo, hi in pairs:
+        rows = Xb[(cells >= lo) & (cells < hi)]
+        r = n * lam * (hi - lo) / m
+        exact.append(-r * np.linalg.solve(rows.T @ rows + r * eye, eye[0])[1:])
+    theta = [CostCache(Dataset(X, A, Y), m).theta(los, his, lam) for Y in (base, base + offset)]
+    return float(np.abs(theta[1][:, 1:] - theta[0][:, 1:] - offset * np.array(exact)).max())
+
+
+def test_theta_slopes_stable_under_outcome_offsets():
+    # the shift c e1 enters theta outside the eigendecomposition, so an
+    # outcome offset costs the slopes only rounding of the offset's size;
+    # solving the uncentered system G theta = sum xbar y by the same
+    # eigendecomposition drifts about 6x past the bound
+    n, m = 400, 80
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-1.0, 1.0, (n, 4))
+    A = rng.random(n)
+    base = X.sum(axis=1) + rng.standard_normal(n)
+    los = rng.integers(0, m - 5, size=25)
+    pairs = [(int(lo), int(rng.integers(lo + 5, m + 1))) for lo in los]  # >= 5 cells
+    for lam in (0.0, 1e-2):
+        for offset in (1e3, 1e5, 1e7):
+            assert theta_slope_drift(X, A, base, pairs, m, lam, offset) <= 1e-16 * offset, (lam, offset)
+
+
+def check_against_oracles(d, lo, hi, m, lam):
+    """Cost and coefficients of one interval match the oracles."""
     iv = Interval(lo, hi, m)
     got_cost, got_theta = cost_of(d, iv, lam), theta_of(d, iv, lam)
-    assert min_norm == [1]
     X, A, Y = d.covariates, d.treatments, d.outcomes
     assert got_cost == pytest.approx(cost_oracle(X, A, Y, lo, hi, m, lam), rel=1e-8, abs=1e-12)
     want = ridge_oracle(X, A, Y, lo, hi, m, lam)
@@ -280,36 +298,34 @@ def check_min_norm_route(d, lo, hi, m, lam, min_norm):
     return got_cost, got_theta
 
 
-def test_min_norm_route_few_rows(rng, min_norm):
+def test_min_norm_route_few_rows(rng):
     # at lam = 0 an interval with d rows or fewer has a singular or
     # interpolating Gram; d = 4 here, and the first cell holds 4, then 2 rows
     for rows in (4, 2):
         A = np.concatenate([np.linspace(0.05, 0.45, rows), rng.uniform(0.5, 1.0, 30)])
         X = rng.uniform(-1, 1, (A.size, 3))
         d = Dataset(X, A, 5.0 + X.sum(axis=1) + rng.standard_normal(A.size))
-        check_min_norm_route(d, 0, 1, 2, 0.0, min_norm)
+        check_against_oracles(d, 0, 1, 2, 0.0)
 
 
-def test_min_norm_route_collinear_covariates(rng, min_norm):
+def test_min_norm_route_collinear_covariates(rng):
     n = 60
     A = rng.random(n)
     X = rng.uniform(-1, 1, (n, 3))
     X[:, 2] = X[:, 0]  # a duplicated column
     d = Dataset(X, A, X[:, 0] + rng.standard_normal(n))
-    check_min_norm_route(d, 0, 4, 4, 0.0, min_norm)
+    check_against_oracles(d, 0, 4, 4, 0.0)
     # a binary covariate, 0 on [0, 1/2) and 1 (the intercept's twin) on [1/2, 1)
     X[:, 2] = A >= 0.5
     d = Dataset(X, A, 2.0 * X[:, 2] + X[:, 1] + rng.standard_normal(n))
     for lo, hi in ((0, 2), (2, 4)):
-        check_min_norm_route(d, lo, hi, 4, 0.0, min_norm)
-    # a near-duplicate column: its pivot ratio (about 1e-12) makes that
-    # direction null, so theta takes the min-norm path, which drops it as a
-    # singular-value cutoff of 1e-5 does
+        check_against_oracles(d, lo, hi, 4, 0.0)
+    # a near-duplicate column: its eigenvalue ratio (about 1e-12) makes that
+    # direction null, so theta drops it as a singular-value cutoff of 1e-5
+    # does
     X[:, 2] = X[:, 0] + 1e-6 * rng.standard_normal(n)
     d = Dataset(X, A, X[:, 0] + rng.standard_normal(n))
-    min_norm.clear()
     got = theta_of(d, Interval(0, 1, 1), 0.0)
-    assert min_norm == [1]
     Xb = np.hstack([np.ones((n, 1)), X])
     want = np.linalg.lstsq(Xb, d.outcomes, rcond=1e-5)[0]
     np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-8)
@@ -317,15 +333,15 @@ def test_min_norm_route_collinear_covariates(rng, min_norm):
     assert cost_of(d, Interval(0, 1, 1), 0.0) == pytest.approx(sse / n, rel=1e-8)
 
 
-def test_min_norm_route_noiseless_outcomes(rng, min_norm):
+def test_min_norm_route_noiseless_outcomes(rng):
     # SSE = 0 leaves the augmented moments singular. Constant outcomes center
-    # to exact zeros, so the last pivot is 0 and theta takes the min-norm
-    # path; linear ones leave a last pivot at rounding level, which either
-    # route must turn into a zero cost and the exact coefficients
+    # to exact zeros, so the last pivot is 0; linear ones leave a last pivot
+    # at rounding level, which must turn into a zero cost, and theta must
+    # give the exact coefficients
     n = 40
     X = rng.uniform(-1, 1, (n, 2))
     A = rng.random(n)
-    cost, theta = check_min_norm_route(Dataset(X, A, np.full(n, 3.0)), 0, 3, 3, 0.0, min_norm)
+    cost, theta = check_against_oracles(Dataset(X, A, np.full(n, 3.0)), 0, 3, 3, 0.0)
     assert cost <= 1e-12
     np.testing.assert_allclose(theta, [3.0, 0.0, 0.0], atol=1e-12)
     d = Dataset(X, A, 3.0 + X @ np.array([1.5, -2.0]))
@@ -334,16 +350,14 @@ def test_min_norm_route_noiseless_outcomes(rng, min_norm):
         np.testing.assert_allclose(theta_of(d, Interval(lo, hi, 3), 0.0), [3.0, 1.5, -2.0], rtol=1e-10)
 
 
-def test_min_norm_route_empty_interval_exact_zero(rng, min_norm):
+def test_min_norm_route_empty_interval_exact_zero(rng):
     d = Dataset(rng.uniform(-1, 1, (8, 2)), np.full(8, 0.9), 1e5 + rng.standard_normal(8))
     for lam in (1e-3, 0.5):
-        min_norm.clear()
         assert cost_of(d, Interval(0, 2, 4), lam) == 0.0
         np.testing.assert_array_equal(theta_of(d, Interval(0, 2, 4), lam), np.zeros(3))
-        assert min_norm == [1]
 
 
-def test_min_norm_route_per_interval_in_a_failing_batch(rng, min_norm):
+def test_min_norm_route_per_interval_in_a_failing_batch(rng):
     # a binary covariate constant on each half leaves those intervals
     # rank-deficient; every interval of a column keeps the bits of a batch
     # of its own
@@ -361,18 +375,6 @@ def test_min_norm_route_per_interval_in_a_failing_batch(rng, min_norm):
         for k, lo in enumerate(los):
             single = cache.theta(los[k : k + 1], np.array([hi]), 0.0)[0]
             assert thetas[k].tobytes() == single.tobytes()
-    assert min_norm  # the rank-deficient intervals took the min-norm path
-
-
-def test_min_norm_path_idle_on_full_rank_data(rng, min_norm):
-    # the solve serves every interval of generic data with enough rows
-    d = make_ds(rng, 200, 3)
-    m = 10
-    cache = CostCache(d, m, lambdas=(0.0, 1e-3, 0.1), precompute=True)
-    los, his = np.triu_indices(m + 1, 1)
-    for lam in cache.lambdas:
-        cache.theta(los, his, lam)
-    assert min_norm == []
 
 
 # ------------------------------------------------------------- CostCache
@@ -661,21 +663,20 @@ def test_cache_theta_batched_matches_per_interval_bitwise(rng):
 
 
 def test_min_norm_batched_matches_per_interval_bitwise(rng):
-    # the min-norm path gives each interval the same theta bits in any
-    # batch, at zero and positive ridge; cell 0 holds no rows
+    # theta gives each interval the same bits in any batch, at zero and
+    # positive lambda; cell 0 holds no rows, so [0, 1) gets exact zeros
     n, m = 50, 10
     A = rng.uniform(0.1, 1.0, n)
     X = rng.uniform(-1, 1, (n, 3))
     d = Dataset(X, A, 4.0 + X.sum(axis=1) + rng.standard_normal(n))
     cache = CostCache(d, m)
     los, his = np.array([0, 2, 5, 2, 0]), np.array([10, 8, 6, 3, 1])
-    M = cache._M[:, :, his] - cache._M[:, :, los]  # cell-major: (D, D, K)
-    for ridge in (np.zeros(los.size), n * 1e-3 * (his - los) / m):
-        thetas = cache._min_norm(M, ridge)
+    for lam in (0.0, 1e-3):
+        thetas = cache.theta(los, his, lam)
         assert thetas.shape == (los.size, 4)
         np.testing.assert_array_equal(thetas[-1], np.zeros(4))
         for k in range(los.size):
-            theta = cache._min_norm(M[:, :, k : k + 1], ridge[k : k + 1])
+            theta = cache.theta(los[k : k + 1], his[k : k + 1], lam)
             assert thetas[k].tobytes() == theta[0].tobytes()
 
 
@@ -721,8 +722,7 @@ def test_eliminate_pivots_match_cholesky(rng, D):
     # well-conditioned Gram matrices: 50 rows per dimension
     A, _ = spd_stack(rng, D, 40, rows=50 * D)
     S = A.copy()
-    live, last = _eliminate(S)
-    assert live.all()
+    last = _eliminate(S)
     want = np.diagonal(np.linalg.cholesky(np.moveaxis(A, -1, 0)), axis1=1, axis2=2) ** 2
     got = np.diagonal(S)  # the pivots stay on the diagonal, (K, D)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -732,8 +732,7 @@ def test_eliminate_pivots_match_cholesky(rng, D):
 @pytest.mark.parametrize("D, rank", [(2, 0), (4, 1), (6, 3), (6, 4), (9, 5)])
 def test_eliminate_rank_deficient_last_pivot_is_lstsq_residual(rng, D, rank):
     A, Z = spd_stack(rng, D, 30, rank)
-    live, last = _eliminate(A.copy())
-    assert not live.any()
+    last = _eliminate(A.copy())
     for k in range(Z.shape[0]):
         X, y = Z[k, :, :-1], Z[k, :, -1]
         resid = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
@@ -745,12 +744,12 @@ def test_eliminate_bitwise_alone_and_in_a_batch(rng):
     low, _ = spd_stack(rng, 6, 20, rank=2)
     A = np.concatenate([full, low, np.zeros((6, 6, 3))], axis=2)
     S = A.copy()
-    live, last = _eliminate(S)
+    last = _eliminate(S)
     for k in range(A.shape[2]):
         one = A[:, :, k : k + 1].copy()
-        live_k, last_k = _eliminate(one)
+        last_k = _eliminate(one)
         assert one.tobytes() == np.ascontiguousarray(S[:, :, k : k + 1]).tobytes()
-        assert (live_k[0], last_k[0].tobytes()) == (live[k], last[k].tobytes())
+        assert last_k[0].tobytes() == last[k].tobytes()
 
 
 def test_columns_call_no_linalg(indicators, monkeypatch):
@@ -807,12 +806,12 @@ def test_rare_indicator_fit_one_kernel_call_per_block(factorized):
     # LAPACK failed a batch as a whole, so a 1% indicator used to cost about
     # 38 factorization calls per column; the kernel never fails a batch, so
     # the fit makes exactly the block rule's kernel calls for its DP's
-    # candidate sets, then one theta call
+    # candidate sets, and its theta call makes none
     d, m = indicator_data(4000, (0.01,)), 800
     gamma = default_gamma(4000)
     fit = fit_ljil(d, m, 0.0, gamma)
     sizes = factorized[:]
     calls, (partition, _) = dp_calls(CostCache(d, m), m, gamma)
     assert partition == fit.partition and len(calls) == m
-    assert sizes == block_rule(calls, m, jil.cost._BLOCK_PAIRS) + [fit.partition.size]
-    assert len(sizes) == 171 + 1  # against m = 800 columns
+    assert sizes == block_rule(calls, m, jil.cost._BLOCK_PAIRS)
+    assert len(sizes) == 171  # against m = 800 columns

@@ -15,11 +15,12 @@ from jil.cost import CostCache
 from jil.errors import InvalidData, NoConvergence
 from jil.fit import fit_djil, fit_ljil, recompute_objective
 from jil.mlp import MlpModel, TrainConfig
+from jil.policy import I2dr, recommend_batch
 from jil.segment import pelt
 from jil.sim import ScenarioSpec, gen_scenario
 from jil.tuning import default_gamma
 
-from conftest import diverging_sgd_rows, enumerate_partitions
+from conftest import diverging_sgd_rows, enumerate_partitions, indicator_data
 
 
 def s1_like(rng, n, p=2, noise=0.25):
@@ -158,13 +159,13 @@ def test_ljil_computes_only_pruned_survivors(rng, factorized):
 
     assert pelt(column, m, gamma, batched=True)[0] == f.partition
     assert columns == list(range(1, m + 1))
-    # each candidate once, then the final intervals' coefficients; the
-    # cost stacks add only the speculation of their blocks, fewer than
-    # _BLOCK_PAIRS intervals per kernel call
+    # each candidate once, and the final intervals' coefficients through no
+    # kernel call; the cost stacks add only the speculation of their
+    # blocks, fewer than _BLOCK_PAIRS intervals per kernel call
     assert len(set(map(tuple, stacked))) == len(stacked)
     assert set(candidates) <= set(map(tuple, stacked))
-    assert computed == len(stacked) + f.partition.size
-    assert len(stacked) - len(candidates) < (calls - 1) * jil.cost._BLOCK_PAIRS
+    assert computed == len(stacked)
+    assert len(stacked) - len(candidates) < calls * jil.cost._BLOCK_PAIRS
     assert len(candidates) < m * (m + 1) // 2
     assert f.partition.size == 3
 
@@ -211,6 +212,28 @@ def test_ljil_partition_invariant_to_covariate_offset():
         for offset in (1e2, 1e3, 1e4):
             shifted = fit_ljil(Dataset(X + offset, A, Y), m, 0.0, 4.0 * np.log(n) / n).partition
             assert shifted == base, (seed, offset)
+
+
+@pytest.mark.xfail(raises=AssertionError,
+                   reason="ROADMAP items 14/16: at lam = 0 a rank-deficient interval's "
+                          "min-norm theta depends on how a rare indicator is coded")
+def test_ljil_recommendations_invariant_to_indicator_coding():
+    # 1 - x and x + 3 carry the same information as a 0/1 indicator, and
+    # the intercept absorbs the change on every interval of full rank; on
+    # an interval where the indicator is constant the min-norm theta splits
+    # the intercept differently, so unseen codings predict differently
+    n = 400
+    m, gamma = make_grid(n, 5.0), default_gamma(n)
+    for seed in range(10):
+        d = indicator_data(n, (0.01,), seed)
+        X = indicator_data(2000, (0.01,), seed + 100).covariates.copy()
+        X[:, -1] = np.arange(X.shape[0]) % 2  # both codes in every test batch
+        want = recommend_batch(I2dr(fit_ljil(d, m, 0.0, gamma)), X)
+        for recode in (lambda x: 1.0 - x, lambda x: x + 3.0):
+            Xr, Zr = d.covariates.copy(), X.copy()
+            Xr[:, -1], Zr[:, -1] = recode(Xr[:, -1]), recode(Zr[:, -1])
+            fit = fit_ljil(Dataset(Xr, d.treatments, d.outcomes), m, 0.0, gamma)
+            assert recommend_batch(I2dr(fit), Zr).tolist() == want.tolist(), seed
 
 
 def test_ljil_fields_recorded(rng):

@@ -1,6 +1,7 @@
 """Repository tooling: the pytest configuration reports failures instead of
 aborting, the library runs without SciPy, which only the tests use, and it
-reads no environment setting but the two the CLI documents."""
+reads no environment setting but the two the CLI documents, and it calls
+numpy.linalg only in the coefficient rule and the propensity fit."""
 
 from __future__ import annotations
 
@@ -120,3 +121,63 @@ def test_library_reads_only_its_documented_environment():
         for line, name in env_reads(path.read_text()):
             found.setdefault(name, []).append(f"{path.name}:{line}")
     assert set(found) == ALLOWED_ENV, found
+
+
+# the library's only numpy.linalg calls: the coefficient rule's
+# eigendecomposition and the propensity's Newton step
+ALLOWED_LINALG = {("cost.py", "CostCache.theta", "eigh"), ("policy.py", "_fit_softmax", "solve")}
+
+
+def linalg_uses(source: str) -> list:
+    """(line, scope, name) of each use of numpy's linalg in Python source:
+    scope is the dotted path of the enclosing classes and functions ("" at
+    module level), and name the attribute read from linalg
+    (np.linalg.eigh gives "eigh"), None for any other use, such as an
+    import of linalg or linalg passed on as a value."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg" \
+                or isinstance(node, ast.Name) and node.id == "linalg":
+            up = parent.get(node)
+            name = up.attr if isinstance(up, ast.Attribute) else None
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                "linalg" in f"{getattr(node, 'module', '')}.{alias.name}".split(".")
+                for alias in node.names):
+            name = None
+        else:
+            continue
+        scope, up = [], parent.get(node)
+        while up is not None:
+            if isinstance(up, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope.append(up.name)
+            up = parent.get(up)
+        uses.append((node.lineno, node.col_offset, ".".join(reversed(scope)), name))
+    return [(line, scope, name) for line, _, scope, name in sorted(uses, key=lambda u: u[:2])]
+
+
+def test_linalg_scan_names_each_use():
+    source = """import numpy as np
+from numpy import linalg
+import numpy.linalg as la
+class C:
+    def f(self):
+        return np.linalg.eigh(self)
+def g(x):
+    solve = numpy.linalg.solve
+    return linalg.norm(x), np.linalg
+"""
+    assert linalg_uses(source) == [
+        (2, "", None), (3, "", None), (6, "C.f", "eigh"), (8, "g", "solve"),
+        (9, "g", "norm"), (9, "g", None)]
+
+
+def test_library_calls_linalg_only_for_theta_and_propensity():
+    # every interval's coefficients come from the one rule in CostCache.theta;
+    # a second solve anywhere else in the library would be a second
+    # coefficient path (the cost kernel calls none: test_columns_call_no_linalg)
+    found = set()
+    for path in sorted((ROOT / "src" / "jil").glob("*.py")):
+        found |= {(path.name, scope, name) for _, scope, name in linalg_uses(path.read_text())}
+    assert found == ALLOWED_LINALG, found
