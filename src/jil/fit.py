@@ -1,8 +1,9 @@
 """Full segmentation fits tying together costs, the segmenter, and models.
 
-Both model families run one fit body over an interval table: the pruned
-column-wise DP segments with the table's columns(), which computes only the
-surviving candidates' costs, and _attach gives the final intervals their
+Both model families run one fit body over an interval table: the pruned DP
+segments with the table's columns(), which serves its costs in blocks of
+columns (CostCache) or one column at a time (NetworkCosts) and computes only
+the surviving candidates' costs and a block's own columns, and _attach gives the final intervals their
 models from one models(los, his, lam) call. CV runs both steps per fold and
 scores with _sse, the residual rule of recompute_objective. fit_ljil uses a
 one-lambda CostCache; fit_djil a NetworkCosts table, which trains each
@@ -68,7 +69,8 @@ class NetworkCosts:
 
     The network counterpart of cost.CostCache, with the same interface
     over the one-lambda grid (0.0,): columns() is the column cost function
-    (R, hi) -> costs (1, |R|) segment.pelt calls with batched=True, and
+    (R, hi) -> costs (1, |R|) segment.pelt calls with batched=True, a block
+    of one column, so no network is trained ahead of the DP, and
     models(los, his, 0.0) returns the networks of the intervals.
     An interval's cost is the SSE of its network divided by the full sample
     size n, so costs add up across a partition. An interval without rows

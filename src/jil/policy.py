@@ -259,13 +259,15 @@ def estimate_value(d: Dataset, rule: I2dr, prop: PropensityModel, alpha: float) 
     terms = ind / e * (d.outcomes - qmax) + qmax
     # both sums are correctly rounded (math.fsum), so the report does not
     # depend on the order of the rows. Each sum's terms are scaled by a power
-    # of two first, which is exact, so fsum cannot overflow: the sum of the
-    # terms is infinite only where it overflows, and the squares only where
-    # sigma_hat does. An infinite term (an overflowed product) keeps the
+    # of two first, which is exact, so fsum cannot overflow, and the scaled
+    # sum is divided by n before it is scaled back: v_hat is infinite only
+    # where the mean overflows, and sigma_hat only where it does itself.
+    # Dividing by n commutes with the scale outside the subnormal and
+    # overflow ranges. An infinite term (an overflowed product) keeps the
     # IEEE sum, as fsum refuses inf - inf
     t, k = _scaled(terms)
     total = math.fsum(t) if np.isfinite(t).all() else float(np.sum(t))
-    v_hat = float(np.ldexp(total, k)) / d.n
+    v_hat = float(np.ldexp(total / d.n, k))
     dev, k = _scaled(terms - v_hat)
     sigma_hat = float(np.ldexp(math.sqrt(math.fsum(dev * dev) / (d.n - 1)), k))
     z = float(statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0))

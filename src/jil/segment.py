@@ -15,39 +15,52 @@ Zero-slack pruning is exact when splitting an interval never increases total
 cost (true for least-squares costs); the prune switch makes any divergence
 on other cost structures observable against dp_no_prune.
 
-The DP runs column by column: step r asks for the costs of all of R_r at
-once and takes the first minimum of B(j) + gamma + cost([j/m, r/m)) over
-R_r, so ties keep the smallest j. The prune test at step r reuses the costs
-of step r-1, so pruning costs no further lookups.
+The DP runs column by column: step r takes the first minimum of
+B(j) + gamma + cost([j/m, r/m)) over R_r, so ties keep the smallest j. The
+prune test at step r reuses the costs of step r-1, so pruning costs no
+further lookups.
 
 The cost function argument is a callable over grid index pairs
 0 <= lo < hi <= m, in one of two forms. By default it is scalar, (lo, hi) ->
 float, and the DP calls it once per candidate pair in ascending lo within
 each column (CostCache.costfn reads a precompute=True table in this form).
-With batched=True, the form the library's fits use, it is a column function,
-(R, r) -> costs, called once per column with R an ascending int64 array; it
-is never called with a scalar, and returns (H, |R|) costs, one row per cost
-function (a 1-D array is one row); with a scalar gamma, H > 1 raises
-ValueError. Either way the DP asks for each cost once and calls the costfn
-for nothing else: it keeps the cost of the interval it picks at each column,
-and the reported objective sums the kept costs of the backtracked partition
-from left to right. So pelt, dp_no_prune and any reference search that sums
-interval costs in the same order return bit-identical numbers whenever their
-partitions agree. The DP tables themselves are not returned; a column costfn
-sees every candidate set as its (R_r, r) arguments.
+With batched=True, the form the library's fits use, it is a column function
+(U, r) -> block, called with U an ascending int64 array, never with a
+scalar. The block contract:
+
+- a call returns (H, b, |U|+b-1) costs, one row per cost function, with
+  1 <= b <= m+1-r: over V = U followed by r, ..., r+b-2, entry [h, t, k] is
+  the cost of [V[k]/m, (r+t)/m) under the h-th cost function;
+- the DP runs columns r, ..., r+b-1 from the block, holding B at V with
+  +inf for a candidate it has pruned, and column r+t reads only the live
+  prefix V[:|U|+t] (entries past it, where V[k] >= r+t, are never read);
+- the DP calls again at r+b with the candidates that survive, so it calls
+  at r = 1 and after each block's last column, and U at a call is R_r
+  (in the grid form below, the union of the DPs' R_r);
+- a 1-D return (|U|,) or a 2-D return (H, |U|) is one column (b = 1), as
+  fit.NetworkCosts and the scalar form's adapter return.
+
+With a scalar gamma, H > 1 raises ValueError; a block of any other shape
+raises ValueError. Either way the DP asks for each cost once and calls the
+costfn for nothing else: it keeps the cost of the interval it picks at each
+column, and the reported objective sums the kept costs of the backtracked
+partition from left to right. So pelt, dp_no_prune and any reference search
+that sums interval costs in the same order return bit-identical numbers
+whenever their partitions agree, whatever the block widths. The DP tables
+themselves are not returned.
 
 Grid form. With a 1-D sequence of J penalties in place of gamma, one call
 runs a whole grid of DPs in lockstep, one per (cost row, penalty) pair. The
-column function then returns an (H, |U|) array: row h holds the costs of
-[j/m, r/m) for j in U under the h-th of H cost functions (one per ridge
-lambda, say), and U, the union of the candidate sets of all H*J DPs, is what
-each column is asked for. Every DP reads its own cost row, keeps its own
-survivors and ties as above, so each returns bit for bit what a separate
-call with that row's costs and its penalty returns. The result is a list
-over the H cost rows, each a list over the J penalties of (Partition,
-objective). Column r's candidates are decided from column r-1 alone, so the
-state is O(H J m) whatever the grid. Costs must be finite: a candidate a DP
-has pruned but another still holds sits at +inf in that DP's row.
+column function then returns H cost rows: row h holds the costs under the
+h-th of H cost functions (one per ridge lambda, say), and U, the union of
+the candidate sets of all H*J DPs at r, is what each call is asked for.
+Every DP reads its own cost row, keeps its own survivors and ties as above,
+so each returns bit for bit what a separate call with that row's costs and
+its penalty returns. The result is a list over the H cost rows, each a list
+over the J penalties of (Partition, objective). Column r's candidates are
+decided from column r-1 alone, so the state is O(H J m) whatever the grid.
+Costs must be finite: a candidate a DP has pruned but another still holds
+sits at +inf in that DP's row.
 """
 
 from __future__ import annotations
@@ -96,6 +109,19 @@ def _backtrack(pred: np.ndarray, cost: np.ndarray, gamma: float, m: int):
     return Partition.from_edges(edges, m), objective + gamma * (len(edges) - 1)
 
 
+def _block(costs, U: np.ndarray, r: int, m: int) -> np.ndarray:
+    """A column function's return for the call (U, r) as a block
+    (H, b, |U|+b-1); a 1-D or 2-D return is one column."""
+    c = np.asarray(costs)
+    if c.ndim == 1:
+        c = c[None]
+    if c.ndim == 2:
+        c = c[:, None]
+    if c.ndim != 3 or not 1 <= c.shape[1] <= m + 1 - r or c.shape[2] != U.size + c.shape[1] - 1:
+        raise ValueError(f"column ({U}, {r}) returned costs of shape {np.shape(costs)}")
+    return c
+
+
 def _single(column, m: int, gamma: float, prune: bool):
     """One DP over 1-D state, on the column's one cost row. The lockstep
     would run it too, but a lone fit_ljil at n = 4000, m = 800 spent 29-30 ms
@@ -105,21 +131,30 @@ def _single(column, m: int, gamma: float, prune: bool):
     B[0] = -gamma
     pred = np.zeros(m + 1, dtype=np.int64)
     cost = np.empty(m + 1)  # cost[r]: cost of the interval picked at column r
-    R = np.zeros(1, dtype=np.int64)
-    c = None
-    for r in range(1, m + 1):
-        if r > 1:
-            # c holds column r-1's costs of R_{r-1}; j = r-1 always survives
-            R = np.append(R[B[R] + c <= B[r - 1]] if prune else R, r - 1)  # exact: keep all
-        c = column(R, r)
-        if c.ndim == 2 and c.shape[0] != 1:
-            raise ValueError(f"a scalar gamma takes one cost row, got {c.shape[0]}")
-        c = c.reshape(R.size)
-        v = B[R] + gamma + c
-        k = int(np.argmin(v))  # first minimum: ties keep the smallest j
-        B[r] = v[k]
-        pred[r] = R[k]
-        cost[r] = c[k]
+    U = np.zeros(1, dtype=np.int64)
+    r = 1
+    while r <= m:
+        C = _block(column(U, r), U, r, m)
+        if C.shape[0] != 1:
+            raise ValueError(f"a scalar gamma takes one cost row, got {C.shape[0]}")
+        u, b = U.size, C.shape[1]
+        V = np.concatenate([U, np.arange(r, r + b - 1, dtype=np.int64)])
+        BV = np.empty(V.size)  # B at V; +inf once pruned
+        BV[:u] = B[U]
+        for t in range(b):  # column r+t reads the live prefix V[:u+t]
+            live = u + t
+            if t:
+                BV[live - 1] = B[r + t - 1]
+            c, bv = C[0, t, :live], BV[:live]
+            v = bv + gamma + c
+            k = int(np.argmin(v))  # first minimum: ties keep the smallest j
+            B[r + t] = v[k]
+            pred[r + t] = V[k]
+            cost[r + t] = c[k]
+            if prune:  # the keep test for column r+t+1; j = r+t always survives
+                bv[bv + c > B[r + t]] = np.inf
+        r += b
+        U = np.append(V[BV < np.inf], r - 1)
     return _backtrack(pred, cost, gamma, m)
 
 
@@ -129,8 +164,8 @@ def _lockstep(column, m: int, gammas, prune: bool):
     (Partition, objective)."""
     gam = np.asarray(gammas, dtype=float)
     U = np.zeros(1, dtype=np.int64)
-    c = np.atleast_2d(column(U, 1))  # (H, |U|)
-    H, J = c.shape[0], gam.size
+    C = _block(column(U, 1), U, 1, m)
+    H, J = C.shape[0], gam.size
     G = H * J
     gam_g = np.tile(gam, H)[:, None]
     dps = np.arange(G)
@@ -140,21 +175,32 @@ def _lockstep(column, m: int, gammas, prune: bool):
     pred = np.zeros((G, m + 1), dtype=np.int64)
     cost = np.empty((G, m + 1))  # cost[g, r]: cost of the interval picked at column r
     BU = B[:, :1].copy()  # B at U; +inf where the row has pruned j
-    for r in range(1, m + 1):
-        if r > 1:
-            # c holds column r-1's costs of U; a pruned j fails at +inf, j = r-1
-            # always survives, and the exact DP's bound is +inf, so it keeps every j
-            bound = B[:, r - 1 : r] if prune else np.inf
-            keep = (BU.reshape(H, J, -1) + c[:, None, :]).reshape(G, -1) <= bound
-            cols = np.flatnonzero(keep.any(axis=0))
-            U = np.append(U[cols], r - 1)
-            BU = np.concatenate([np.where(keep, BU, np.inf)[:, cols], B[:, r - 1 : r]], axis=1)
-            c = np.atleast_2d(column(U, r))
-        v = ((BU + gam_g).reshape(H, J, -1) + c[:, None, :]).reshape(G, -1)
-        k = np.argmin(v, axis=1)  # first minimum: ties keep the smallest j
-        B[:, r] = v[dps, k]
-        pred[:, r] = U[k]
-        cost[:, r] = c[cost_row, k]
+    r = 1
+    while True:
+        u, b = U.size, C.shape[1]
+        V = np.concatenate([U, np.arange(r, r + b - 1, dtype=np.int64)])
+        BV = np.empty((G, V.size))
+        BV[:, :u] = BU
+        for t in range(b):  # column r+t reads the live prefix V[:u+t]
+            live = u + t
+            if t:
+                BV[:, live - 1] = B[:, r + t - 1]
+            c, bv = C[:, t, :live], BV[:, :live]
+            v = ((bv + gam_g).reshape(H, J, live) + c[:, None, :]).reshape(G, live)
+            k = np.argmin(v, axis=1)  # first minimum: ties keep the smallest j
+            B[:, r + t] = v[dps, k]
+            pred[:, r + t] = V[k]
+            cost[:, r + t] = c[cost_row, k]
+            if prune:  # a pruned j fails at +inf, and j = r+t always survives
+                keep = (bv.reshape(H, J, live) + c[:, None, :]).reshape(G, live) <= B[:, r + t, None]
+                bv[~keep] = np.inf
+        r += b
+        if r > m:
+            break
+        cols = np.flatnonzero((BV < np.inf).any(axis=0))
+        U = np.append(V[cols], r - 1)
+        BU = np.concatenate([BV[:, cols], B[:, r - 1 : r]], axis=1)
+        C = _block(column(U, r), U, r, m)
     return [
         [_backtrack(pred[h * J + j], cost[h * J + j], float(gam[j]), m) for j in range(J)]
         for h in range(H)

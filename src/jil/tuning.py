@@ -3,9 +3,9 @@
 Both flavors run one fold loop, the fit body of fit.py over a grid. Every
 fold builds one interval table on its training rows and makes one grid-form
 segment.pelt call, which runs the DPs of every (lambda, gamma) pair in
-lockstep over the table's columns(): each column is computed once, at every
-lambda, for the union of the candidates the DPs still hold, and no table of
-interval costs is kept. fit._attach gives each lambda's partitions their
+lockstep over the table's columns(): each block of columns is computed
+once, at every lambda, for the union of the candidates the DPs still hold,
+and no table of interval costs is kept. fit._attach gives each lambda's partitions their
 models from one models call, as for a lone fit, and fit._sse scores them.
 The ridge flavor's table is a CostCache without precompute, O(m d^2) per
 fold. The network flavor tunes gamma only (its grid's lambda axis must be

@@ -4,7 +4,9 @@ The oracles here deliberately avoid every fast path in the package: ridge
 solves go through dense normal equations (or lstsq for the singular case),
 costs and losses are accumulated with plain Python loops where feasible, and
 interval membership is recomputed from first principles. The exhaustive
-partition search and the finite-difference gradient check live here too.
+partition search, a plain column-form PELT (reference_pelt), the
+full-square form of the cost kernel (eliminate_full) and the
+finite-difference gradient check live here too.
 Tests compare the library against these, never against itself.
 """
 
@@ -183,14 +185,103 @@ def indicators(request):
     return indicator_data(400, request.param)
 
 
+def eliminate_full(S: np.ndarray) -> np.ndarray:
+    """The full-square form of cost._eliminate, the oracle for the packed
+    kernel: symmetric elimination without exchanges over the D-1 leading
+    pivots of a stack S (D, D, K), in place, updating the whole trailing
+    square with the lower column of each pivot; returns the last pivot (K,)
+    clamped at 0. Null pivots follow the kernel's rule."""
+    D = S.shape[0]
+    tol = np.maximum(jil.cost._CLAMP_REL * np.diagonal(S[:-1, :-1]).max(axis=1, initial=0.0),
+                     jil.cost._TINY)
+    for k in range(D - 1):
+        ok = S[k, k] >= tol
+        row = np.divide(S[k, k + 1 :], S[k, k], out=np.zeros_like(S[k, k + 1 :]), where=ok)
+        S[k + 1 :, k + 1 :] -= S[k + 1 :, k, None] * row
+    return np.maximum(S[-1, -1], 0.0)
+
+
+def pack(A: np.ndarray) -> np.ndarray:
+    """The row-major upper triangles (D(D+1)/2, K) of a stack A (D, D, K),
+    the layout cost._eliminate takes."""
+    return A[np.triu_indices(A.shape[0])]
+
+
+def reference_pelt(column, m: int, gamma: float, prune: bool = True):
+    """Plain column-form PELT in Python lists, the oracle for segment.pelt.
+
+    column(R, r) returns the costs (|R|,) of [j/m, r/m) for j in R. Returns
+    (Partition, objective, calls) with calls the (R_r, r) it asked for, in
+    column order. Ties keep the smallest j and the objective sums the kept
+    costs from left to right, as the library does, so equal partitions give
+    equal bits."""
+    B, pred, kept = [-gamma], [0], [0.0]
+    R, c, calls = [0], [], []
+    for r in range(1, m + 1):
+        if r > 1:
+            R = [j for j, cj in zip(R, c) if not prune or B[j] + cj <= B[r - 1]] + [r - 1]
+        calls.append((np.array(R, dtype=np.int64), r))
+        c = [float(x) for x in column(calls[-1][0], r)]
+        best = None
+        for j, cj in zip(R, c):
+            v = B[j] + gamma + cj
+            if best is None or v < best[0]:
+                best = (v, j, cj)
+        B.append(best[0])
+        pred.append(best[1])
+        kept.append(best[2])
+    edges = [m]
+    while edges[-1] > 0:
+        edges.append(pred[edges[-1]])
+    edges.reverse()
+    objective = 0.0
+    for hi in edges[1:]:
+        objective += kept[hi]
+    return Partition.from_edges(edges, m), objective + gamma * (len(edges) - 1), calls
+
+
+def reference_calls(tables, gammas, prune: bool = True) -> list:
+    """The column calls (U_r, r), r = 1..m, of a grid DP over cost tables
+    (H, m+1, m+1) indexed [h, lo, hi]: U_r is the union of reference_pelt's
+    R_r over every (row, gamma)."""
+    m = tables.shape[1] - 1
+    union = [set() for _ in range(m + 1)]
+    for table in tables:
+        for gamma in gammas:
+            for R, r in reference_pelt(lambda R, r: table[R, r], m, gamma, prune)[2]:
+                union[r].update(R.tolist())
+    return [(np.array(sorted(union[r]), dtype=np.int64), r) for r in range(1, m + 1)]
+
+
+def block_columns(tables, width: int):
+    """Block column function over cost tables (H, m+1, m+1) indexed
+    [h, lo, hi], in the form CostCache.columns() returns: a call (U, r)
+    returns (H, b, |U|+b-1) costs over V = U followed by r, ..., r+b-2,
+    b = min(width, m+1-r). Entries outside the live prefix (V[k] >= r+t) are
+    NaN, so a DP that reads one gets a NaN objective. Records each call
+    (U, r, b) in .calls."""
+    m = tables.shape[1] - 1
+
+    def fn(U, r):
+        b = min(width, m + 1 - r)
+        V = np.concatenate([U, np.arange(r, r + b - 1, dtype=np.int64)])
+        his = np.arange(r, r + b)
+        fn.calls.append((U.copy(), r, b))
+        return np.where(V < his[:, None], tables[:, V[None, :], his[:, None]], np.nan)
+
+    fn.calls = []
+    return fn
+
+
 def block_rule(calls, m: int, budget: int) -> list:
-    """Intervals per lambda that each kernel call of a CostCache.columns()
-    closure stacks for the column calls (U, r), by the stated block rule, in
-    Python sets: a call whose r lies in the current block and whose U lies in
-    its candidate set V reads the block; any other call opens one at r, of
-    the largest width 1 <= b <= m+1-r with b|U| + b(b-1)/2 <= budget (b = 1
-    when none fits), with V = U + {r, ..., r+b-2}, and stacks every [j, r')
-    with r <= r' < r+b and j < r' in V."""
+    """Intervals per lambda that each kernel call of a block DP over a
+    CostCache.columns() function stacks, given the DP's column candidate sets
+    (U, r), in Python sets: a column whose r lies in the current block and
+    whose U lies in its candidate set V runs from the block; any other opens
+    one at r, of the largest width 1 <= b <= m+1-r with
+    b|U| + b(b-1)/2 <= budget (b = 1 when none fits), with
+    V = U + {r, ..., r+b-2}, and stacks every [j, r') with r <= r' < r+b and
+    j < r' in V."""
     sizes, r0, b, V = [], 0, 0, set()
     for U, r in calls:
         U = set(U.tolist())
@@ -222,7 +313,7 @@ def factorized(monkeypatch):
     real, real_costs = jil.cost._eliminate, jil.cost.CostCache._costs
 
     def recording(S):
-        sizes.append(S.shape[2])
+        sizes.append(S.shape[-1])
         return real(S)
 
     def recording_costs(self, los, his, lams):

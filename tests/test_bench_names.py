@@ -55,9 +55,11 @@ def traced(call):
     return result, tracer
 
 
-def test_tracer_counts_one_grid_dp_per_cv_fold():
+def test_tracer_counts_one_grid_dp_per_cv_fold(factorized):
     # ljil-cv's traced layers read these counts: one pelt call per fold,
-    # whose column function is called once per column
+    # whose column function is called once per block of columns, so
+    # segment.cost_lookups counts kernel calls; at m = 12 each fold's
+    # columns fit in one block
     d, _ = gen_scenario(ScenarioSpec(1, 120, 2, 3))
     m, k = 12, 3
     grid = jil.tuning.TuningGrid((0.0, 1e-2), (0.01, 0.1), k_folds=k, seed=3)
@@ -65,24 +67,25 @@ def test_tracer_counts_one_grid_dp_per_cv_fold():
     assert jil.tuning.pelt is jil.segment.pelt
     counts = tracer.op_counts(0)
     assert counts["segment.pelt_calls"] == k
-    assert counts["segment.cost_lookups"] == k * m
+    assert counts["segment.cost_lookups"] == len(factorized) == k
     assert counts["cost.builds"] == k
     assert counts["cost.theta_calls"] == k * len(grid.lambdas)
     assert np.array_equal(report.scores, jil.tuning.cv_select_ljil(d, m, grid).scores)
 
 
-def test_tracer_counts_one_column_dp_per_lone_fit():
+def test_tracer_counts_one_column_dp_per_lone_fit(factorized):
     # ljil-large's and bench-reps' traced layers read these counts: one pelt
-    # call whose column function is called once per column, one cost build
-    # and one theta call; the scalar costfn is never called, so cost.costfn_s
-    # reads 0
+    # call whose column function is called once per block of columns, one
+    # kernel call each, one cost build and one theta call; the scalar costfn
+    # is never called, so cost.costfn_s reads 0
     d, _ = gen_scenario(ScenarioSpec(1, 200, 2, 4))
     m = 40
     fit, tracer = traced(lambda: jil.fit_ljil(d, m, 0.0, jil.default_gamma(d.n)))
+    assert 1 < len(factorized) < m
     assert tracer.op_counts(0) == {
         "cost.builds": 1,
         "cost.theta_calls": 1,
-        "segment.cost_lookups": m,
+        "segment.cost_lookups": len(factorized),
         "segment.exact_lookups": m * (m + 1) // 2,
         "segment.pelt_calls": 1,
     }
@@ -91,6 +94,8 @@ def test_tracer_counts_one_column_dp_per_lone_fit():
 
 
 def test_tracer_counts_one_column_dp_per_djil_fit():
+    # network costs come one column per call, so the column function is
+    # called once per column
     d, _ = gen_scenario(ScenarioSpec(1, 60, 2, 4))
     m = 6
     cfg = jil.TrainConfig(hidden=(2,), epochs=2, seed=1)

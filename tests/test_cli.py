@@ -900,16 +900,19 @@ def big_outcomes(s1_csv, path, scale):
                raw[:, 1], raw[:, 2:])
 
 
-def test_evaluate_overflowing_outcomes_exit_2_without_output(s1_csv, s1_artifact, tmp_path):
+def test_evaluate_overflowing_term_sum_reports_finite_mean(s1_csv, s1_artifact, tmp_path, capsys):
     # a model fit on ordinary data, evaluated on 1e307 * N(0, 1) outcomes:
-    # v_hat itself overflows, and neither the report nor the plot data is written
+    # the sum of the AIPW terms overflows, but their mean and sigma_hat are
+    # finite and are reported, with the plot data
     model, data, tsv = tmp_path / "m.json", tmp_path / "big.csv", tmp_path / "p.tsv"
     model.write_text(s1_artifact)
     big_outcomes(s1_csv, data, 1e307)
-    proc = run_jil("evaluate", "--model", str(model), "--data", str(data),
-                   "--plot-data", str(tsv))
-    assert_one_error_line(proc, "the result is not finite")
-    assert not tsv.exists()
+    assert main(["evaluate", "--model", str(model), "--data", str(data),
+                 "--plot-data", str(tsv)]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert all(math.isfinite(v) for v in got.values())
+    assert 1e306 < got["sigma_hat"] < 1e308
+    assert tsv.exists()
 
 
 def test_evaluate_infinite_terms_of_both_signs_exit_2(s1_csv, s1_artifact, tmp_path):

@@ -3,9 +3,12 @@
 Coefficients and costs are read through CostCache (theta, columns, and
 the scalar costfn, a read of the precompute=True table), the one ridge
 cost path of the package, and checked against the oracles in conftest.
-Every cost comes from one kernel, cost._eliminate, tested here against
-LAPACK and lstsq; every coefficient comes from one rule, the shift-exact
-min-norm solve of CostCache.theta through a batched eigendecomposition.
+Every cost comes from one kernel, cost._eliminate on packed upper
+triangles, tested here against LAPACK, lstsq and the full-square form in
+conftest; every coefficient comes from one rule, the shift-exact min-norm
+solve of CostCache.theta through a batched eigendecomposition. columns()
+returns blocks of columns, and its kernel calls follow conftest.block_rule
+for the candidate sets of conftest.reference_pelt.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jil.cost
-from conftest import block_rule, cost_oracle, indicator_data, ridge_oracle
+from conftest import (block_rule, cost_oracle, eliminate_full, indicator_data, pack,
+                      reference_calls, ridge_oracle)
 from jil.core import Dataset, Interval, make_grid
 from jil.cost import CostCache, _eliminate
 from jil.fit import fit_ljil
@@ -37,9 +41,15 @@ def theta_of(d, iv, lam):
     return CostCache(d, iv.m, lambdas=(lam,)).theta(np.array([iv.lo]), np.array([iv.hi]), lam)[0]
 
 
+def first_column(column, U, r):
+    """Costs (H, |U|) of column r alone, from the block a columns() call
+    (U, r) returns."""
+    return column(U, r)[:, 0, : U.size]
+
+
 def costs_of(d, iv, lambdas):
     """Costs of one interval over a lambda grid, from one cache on that grid."""
-    return CostCache(d, iv.m, lambdas=lambdas).columns()(np.array([iv.lo]), iv.hi)[:, 0]
+    return first_column(CostCache(d, iv.m, lambdas=lambdas).columns(), np.array([iv.lo]), iv.hi)[:, 0]
 
 
 def cost_of(d, iv, lam):
@@ -130,7 +140,7 @@ def test_cost_empty_intervals_exact_zero_in_columns(rng):
         d = Dataset(rng.uniform(-1, 1, (8, 2)), np.full(8, 0.95), offset + rng.standard_normal(8))
         column = CostCache(d, 10, lambdas=(0.0, 1e-3, 0.01, 0.37, 2.0)).columns()
         for hi in range(1, 10):
-            assert not column(np.arange(hi, dtype=np.int64), hi).any()
+            assert not first_column(column, np.arange(hi, dtype=np.int64), hi).any()
 
 
 def test_cost_single_point_exact_fit():
@@ -245,7 +255,7 @@ def test_cost_matches_oracle_at_outcome_offsets():
         Y = base + offset
         column = CostCache(Dataset(X, A, Y), m, lambdas=(0.0, 1e-2)).columns()
         for lo, hi in pairs:
-            got = column(np.array([lo]), hi)[:, 0]
+            got = first_column(column, np.array([lo]), hi)[:, 0]
             for h, lam in enumerate((0.0, 1e-2)):
                 want = cost_oracle(X, A, Y, lo, hi, m, lam)
                 assert got[h] == pytest.approx(want, rel=1e-8), (offset, lam, lo, hi)
@@ -370,7 +380,8 @@ def test_min_norm_route_per_interval_in_a_failing_batch(rng):
     column = cache.columns()
     for hi in range(1, m + 1):
         los = np.arange(hi, dtype=np.int64)
-        assert column(los, hi)[0].tolist() == [column(los[k : k + 1], hi)[0, 0] for k in range(hi)]
+        assert first_column(column, los, hi)[0].tolist() == [
+            first_column(column, los[k : k + 1], hi)[0, 0] for k in range(hi)]
         thetas = cache.theta(los, np.full(hi, hi), 0.0)
         for k, lo in enumerate(los):
             single = cache.theta(los[k : k + 1], np.array([hi]), 0.0)[0]
@@ -401,9 +412,9 @@ def test_cache_fresh_instance_reproduces(rng):
 def test_cache_distinct_intervals_not_aliased(rng):
     d = make_ds(rng, 60, 2, y_scale=2.0)
     column = CostCache(d, 6, lambdas=(0.0,)).columns()
-    v1 = column(np.array([0]), 3)[0, 0]
-    v2 = column(np.array([0]), 5)[0, 0]
-    v1_again = column(np.array([0]), 3)[0, 0]
+    v1 = column(np.array([0]), 3)[0, 0, 0]
+    v2 = column(np.array([0]), 5)[0, 0, 0]
+    v1_again = column(np.array([0]), 3)[0, 0, 0]
     assert v1 == v1_again
     assert v1 != v2  # same lo, different hi: independent entries
 
@@ -415,7 +426,7 @@ def test_cache_precompute_matches_lazy_bitwise(rng):
     column = CostCache(d, 9, lambdas=(0.0, 0.05), precompute=False).columns()
     for hi in range(1, 10):
         los = np.arange(hi, dtype=np.int64)
-        lazy = column(los, hi)
+        lazy = first_column(column, los, hi)
         for h, lam in enumerate((0.0, 0.05)):
             assert [eager.costfn(lam)(lo, hi) for lo in range(hi)] == lazy[h].tolist()
 
@@ -459,7 +470,7 @@ def test_cache_costfn_closure(rng):
     cache = CostCache(d, 6, lambdas=(0.1,), precompute=True)
     f = cache.costfn(0.1)
     lazy = CostCache(d, 6, lambdas=(0.1,)).columns()
-    assert f(0, 3) == cache.costfn(0.1)(0, 3) == lazy(np.array([0]), 3)[0, 0]
+    assert f(0, 3) == cache.costfn(0.1)(0, 3) == lazy(np.array([0]), 3)[0, 0, 0]
     assert f(2, 6) == cost_of(d, Interval(2, 6, 6), 0.1)
 
 
@@ -473,10 +484,14 @@ def test_cache_columns_match_scalar_costfn_bitwise(rng):
         for hi in range(1, 10):
             los = np.arange(hi, dtype=np.int64)[::2].copy()
             got = column(los, hi)
-            assert isinstance(got, np.ndarray) and got.shape == (len(lambdas), los.size)
-            want = [scalar(int(lo), hi) for lo in los]
-            assert got[h].tolist() == one_row(los, hi)[0].tolist() == want
-            assert all(isinstance(v, float) for v in want)
+            b = got.shape[1]  # the block runs to the last column here
+            V = np.concatenate([los, np.arange(hi, hi + b - 1)])
+            assert isinstance(got, np.ndarray) and got.shape == (len(lambdas), 10 - hi, V.size)
+            assert got[h].tobytes() == one_row(los, hi)[0].tobytes()
+            for t in range(b):
+                want = [scalar(int(lo), hi + t) if lo < hi + t else 0.0 for lo in V]
+                assert got[h, t].tolist() == want
+                assert all(isinstance(v, float) for v in want)
 
 
 def test_cache_costfn_rejects_bad_indices(rng):
@@ -511,15 +526,18 @@ def test_cache_fills_only_requested_costs(rng, factorized):
     lazy = CostCache(d, m, lambdas=(0.0, 0.1))
     assert factorized == []
     column = lazy.columns()
-    column(np.array([1, 4], dtype=np.int64), 6)
-    # one call for both pairs at both lambdas, plus one block's speculation:
-    # the block runs to the last column (b = 3) over V = {1, 4, 6, 7}, so it
+    block = column(np.array([1, 4], dtype=np.int64), 6)
+    # one call for both pairs at both lambdas and the rest of their block:
+    # it runs to the last column (b = 3) over V = {1, 4, 6, 7}, so it
     # stacks b|U| + b(b-1)/2 = 9 intervals, 7 beyond the 2 asked for
     assert factorized == [2 * 9]
     assert block_rule([(np.array([1, 4]), 6)], m, jil.cost._BLOCK_PAIRS) == [9]
+    assert block.shape == (2, 3, 4)
+    # the entries of no interval, [6, 6), [7, 6) and [7, 7), are 0
+    assert not block[:, 0, 2:].any() and not block[:, 1, 3].any()
+    # every call computes its own block: V = {4, 6, 7}, b = 2, 5 intervals
     column(np.array([4, 6], dtype=np.int64), 7)
-    column(np.array([1, 6, 7], dtype=np.int64), 8)
-    assert factorized == [18]  # reads inside the block compute nothing
+    assert factorized == [18, 2 * 5]
     factorized.clear()
     eager = CostCache(d, m, lambdas=(0.0, 0.1), precompute=True)
     # one call per column, at both lambdas
@@ -533,8 +551,8 @@ def test_cache_fills_only_requested_costs(rng, factorized):
 
 def random_calls(rng, m, count):
     """Column calls (U, r) that mostly follow a DP (next column, U within the
-    last U and r-1) and sometimes miss a block: U with a fresh member, r
-    jumping forward or back, r = m, an empty U."""
+    last U and r-1) and sometimes do not: U with a fresh member, r jumping
+    forward or back, r = m, an empty U."""
     calls, U, r = [], np.zeros(1, dtype=np.int64), 1
     for _ in range(count):
         move = rng.random()
@@ -559,9 +577,10 @@ def random_calls(rng, m, count):
                          ids=["lam0", "lam1e-2", "3lams"])
 @pytest.mark.parametrize("budget", [8, 768])
 def test_columns_blocks_match_fresh_calls(rng, monkeypatch, factorized, lambdas, budget):
-    # every call of a columns() closure, read from a block or a miss, has
-    # the bits of a fresh one-column _costs call, and its kernel calls are
-    # the block rule's
+    # every block a columns() closure returns, whatever calls came before,
+    # has in each column's live prefix the bits of a fresh one-column _costs
+    # call and zeros past it, and each call is one kernel call of the block
+    # rule's size
     monkeypatch.setattr(jil.cost, "_BLOCK_PAIRS", budget)
     for _ in range(4):
         m = int(rng.integers(1, 41))
@@ -571,22 +590,24 @@ def test_columns_blocks_match_fresh_calls(rng, monkeypatch, factorized, lambdas,
         column = cache.columns()
         factorized.clear()
         got = [column(U, r) for U, r in calls]
-        assert factorized == [len(lambdas) * k for k in block_rule(calls, m, budget)]
-        for (U, r), costs in zip(calls, got):
-            want = CostCache._costs(cache, U, r, cache.lambdas)
-            assert costs.shape == (len(lambdas), U.size)
-            assert costs.tobytes() == want.tobytes(), (U, r)
+        assert factorized == [len(lambdas) * block_rule([call], m, budget)[0] for call in calls]
+        for (U, r), block in zip(calls, got):
+            b = block.shape[1]
+            assert block.shape == (len(lambdas), b, U.size + b - 1)
+            V = np.concatenate([U, np.arange(r, r + b - 1, dtype=np.int64)])
+            for t in range(b):
+                want = CostCache._costs(cache, V[: U.size + t], r + t, cache.lambdas)
+                assert block[:, t, : U.size + t].tobytes() == want.tobytes(), (U, r, t)
+                assert not block[:, t, U.size + t :].any()
 
 
-def dp_calls(cache, m, gamma):
-    """The (U, r) calls a DP over cache.columns() makes, and its result."""
-    costs, calls = cache.columns(), []
-
-    def column(U, r):
-        calls.append((U.copy(), r))
-        return costs(U, r)
-
-    return calls, pelt(column, m, gamma, batched=True)
+def dp_calls(d, m, lambdas, gammas):
+    """The column candidate sets (U_r, r), r = 1..m, of the grid DP over the
+    costs of d on m cells at lambdas and gammas, from conftest.reference_pelt
+    over a precompute=True table. The table is built through the kernel, so
+    a test that records kernel calls calls this first."""
+    table = CostCache(d, m, lambdas=lambdas, precompute=True)._table
+    return reference_calls(table.transpose(0, 2, 1), gammas)
 
 
 def stacked_once(stacks, calls, lambdas):
@@ -599,18 +620,27 @@ def stacked_once(stacks, calls, lambdas):
 
 
 def test_fit_and_cv_fold_stack_no_interval_twice(rng, factorized):
+    # the block DP makes the block rule's kernel calls for the reference
+    # DP's candidate sets, and stacks no interval twice
     d = make_ds(rng, 400, 3)
     m, gamma = 80, default_gamma(400)
+    calls = dp_calls(d, m, (0.0,), [gamma])
+    factorized.clear()
+    factorized.intervals.clear()
     fit_ljil(d, m, 0.0, gamma)  # its theta call builds no cost stack
-    fit_stacks = factorized.intervals[:]
-    stacked_once(fit_stacks, dp_calls(CostCache(d, m), m, gamma)[0], (0.0,))
+    stacked_once(factorized.intervals, calls, (0.0,))
+    assert factorized == block_rule(calls, m, jil.cost._BLOCK_PAIRS)
     # one CV fold: the lockstep DP of the default grid on the training rows
     grid = default_grid(d.n, 0)
     train = d.subset(np.flatnonzero(kfold_split(d.n, grid.k_folds, grid.seed) != 0))
+    calls = dp_calls(train, m, grid.lambdas, grid.gammas)
+    factorized.clear()
     factorized.intervals.clear()
-    calls, _ = dp_calls(CostCache(train, m, lambdas=grid.lambdas), m, list(grid.gammas))
+    pelt(CostCache(train, m, lambdas=grid.lambdas).columns(), m, list(grid.gammas), batched=True)
     stacked_once(factorized.intervals, calls, grid.lambdas)
-    assert len(factorized.intervals) < len(calls) // 4
+    H = len(grid.lambdas)
+    assert factorized == [H * k for k in block_rule(calls, m, jil.cost._BLOCK_PAIRS)]
+    assert len(factorized) < len(calls) // 4
 
 
 @pytest.mark.parametrize("n, budget", [(400, 768), (4000, 768), (400, 16)])
@@ -622,15 +652,14 @@ def test_block_speculation_within_budget(factorized, monkeypatch, n, budget):
     monkeypatch.setattr(jil.cost, "_BLOCK_PAIRS", budget)
     d, _ = gen_scenario(ScenarioSpec(1, n, 4, 7))
     m = make_grid(n, 5.0)
+    sizes = {r: U.size for U, r in dp_calls(d, m, (0.0,), [default_gamma(n)])}  # |R_r|
+    factorized.clear()
     costs = CostCache(d, m).columns()
-    blocks = []  # per block: [stacked, asked, |U| of the opening call]
+    blocks = []  # per block: [stacked, asked (the sum of its columns' |R_r|), |U|]
 
     def column(U, r):
-        calls = len(factorized)
         c = costs(U, r)
-        if len(factorized) > calls:
-            blocks.append([factorized[-1], 0, U.size])
-        blocks[-1][1] += U.size
+        blocks.append([factorized[-1], sum(sizes[r + t] for t in range(c.shape[1])), U.size])
         return c
 
     pelt(column, m, default_gamma(n), batched=True)
@@ -721,10 +750,11 @@ def spd_stack(rng, D, K, rank=None, rows=None):
 def test_eliminate_pivots_match_cholesky(rng, D):
     # well-conditioned Gram matrices: 50 rows per dimension
     A, _ = spd_stack(rng, D, 40, rows=50 * D)
-    S = A.copy()
+    S = pack(A)
     last = _eliminate(S)
     want = np.diagonal(np.linalg.cholesky(np.moveaxis(A, -1, 0)), axis1=1, axis2=2) ** 2
-    got = np.diagonal(S)  # the pivots stay on the diagonal, (K, D)
+    upper = np.triu_indices(D)
+    got = S[upper[0] == upper[1]].T  # the pivots stay on the diagonal, (K, D)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     np.testing.assert_array_equal(last, got[:, -1])
 
@@ -732,7 +762,7 @@ def test_eliminate_pivots_match_cholesky(rng, D):
 @pytest.mark.parametrize("D, rank", [(2, 0), (4, 1), (6, 3), (6, 4), (9, 5)])
 def test_eliminate_rank_deficient_last_pivot_is_lstsq_residual(rng, D, rank):
     A, Z = spd_stack(rng, D, 30, rank)
-    last = _eliminate(A.copy())
+    last = _eliminate(pack(A))
     for k in range(Z.shape[0]):
         X, y = Z[k, :, :-1], Z[k, :, -1]
         resid = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
@@ -742,14 +772,47 @@ def test_eliminate_rank_deficient_last_pivot_is_lstsq_residual(rng, D, rank):
 def test_eliminate_bitwise_alone_and_in_a_batch(rng):
     full, _ = spd_stack(rng, 6, 20)
     low, _ = spd_stack(rng, 6, 20, rank=2)
-    A = np.concatenate([full, low, np.zeros((6, 6, 3))], axis=2)
+    A = pack(np.concatenate([full, low, np.zeros((6, 6, 3))], axis=2))
     S = A.copy()
     last = _eliminate(S)
-    for k in range(A.shape[2]):
-        one = A[:, :, k : k + 1].copy()
+    for k in range(A.shape[1]):
+        one = A[:, k : k + 1].copy()
         last_k = _eliminate(one)
-        assert one.tobytes() == np.ascontiguousarray(S[:, :, k : k + 1]).tobytes()
+        assert one.tobytes() == np.ascontiguousarray(S[:, k : k + 1]).tobytes()
         assert last_k[0].tobytes() == last[k].tobytes()
+
+
+def moment_stack(rng, D, kind, K=100):
+    """Augmented moments (D, D, K) of z = (1, x, y - c) over 3D rows each:
+    x uniform with D - 2 columns, y linear in x plus noise, and by kind
+    "full", "rank" (every x a multiple of the first), "collinear" (two equal
+    columns), "indicator" (a column constant at 0 or 1 on all rows, a null
+    column or the intercept's twin) or "offset" (y near 1e6, c off its mean
+    by 0.3, as a global centering leaves an interval's outcomes)."""
+    Z = np.ones((K, 3 * D, D))
+    x = Z[:, :, 1:-1]
+    x[:] = rng.uniform(-1, 1, x.shape)
+    if kind == "rank":
+        x[:] = x[:, :, :1] * rng.standard_normal((K, 1, D - 2))
+    elif kind == "collinear" and D > 3:
+        x[:, :, 1] = x[:, :, 0]
+    elif kind == "indicator" and D > 2:
+        x[:, :, -1] = rng.random((K, 1)) < 0.5
+    y = x.sum(axis=2) + rng.standard_normal((K, 3 * D))
+    Z[:, :, -1] = (y + 1e6) - (1e6 + 0.3) if kind == "offset" else y
+    return np.einsum("kni,knj->ijk", Z, Z)
+
+
+@pytest.mark.parametrize("kind", ["full", "rank", "collinear", "indicator", "offset"])
+@pytest.mark.parametrize("D", range(2, 8))
+def test_eliminate_matches_full_square_oracle(rng, D, kind):
+    # the packed kernel eliminates with each pivot's upper row where the
+    # full-square form reads its lower column, so the two round apart; the
+    # last pivots agree within 1e-13 relative (measured: at most 1.3e-15)
+    A = moment_stack(rng, D, kind)
+    want = eliminate_full(A.copy())
+    assert want.min() > 0.0
+    np.testing.assert_allclose(_eliminate(pack(A)), want, rtol=1e-13, atol=0.0)
 
 
 def test_columns_call_no_linalg(indicators, monkeypatch):
@@ -781,7 +844,7 @@ def test_indicator_costs_match_oracle(indicators, rng):
     constant = varying = 0
     for hi in rng.integers(1, m + 1, size=12):
         los = np.unique(rng.integers(0, hi, size=6))
-        got = column(los, int(hi))
+        got = first_column(column, los, int(hi))
         for k, lo in enumerate(los):
             rows = (cells >= lo) & (cells < hi)
             if rows.any() and (flags[rows] == flags[rows][0]).all():
@@ -805,13 +868,13 @@ def test_indicator_pelt_matches_dp_no_prune(indicators, lam):
 def test_rare_indicator_fit_one_kernel_call_per_block(factorized):
     # LAPACK failed a batch as a whole, so a 1% indicator used to cost about
     # 38 factorization calls per column; the kernel never fails a batch, so
-    # the fit makes exactly the block rule's kernel calls for its DP's
-    # candidate sets, and its theta call makes none
+    # the fit makes exactly the block rule's kernel calls for the reference
+    # DP's candidate sets, and its theta call makes none
     d, m = indicator_data(4000, (0.01,)), 800
     gamma = default_gamma(4000)
-    fit = fit_ljil(d, m, 0.0, gamma)
-    sizes = factorized[:]
-    calls, (partition, _) = dp_calls(CostCache(d, m), m, gamma)
-    assert partition == fit.partition and len(calls) == m
-    assert sizes == block_rule(calls, m, jil.cost._BLOCK_PAIRS)
-    assert len(sizes) == 171  # against m = 800 columns
+    calls = dp_calls(d, m, (0.0,), [gamma])
+    factorized.clear()
+    fit_ljil(d, m, 0.0, gamma)
+    assert len(calls) == m
+    assert factorized == block_rule(calls, m, jil.cost._BLOCK_PAIRS)
+    assert len(factorized) == 171  # against m = 800 columns

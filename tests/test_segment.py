@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import cost_oracle, enumerate_partitions
+from conftest import block_columns, cost_oracle, enumerate_partitions, reference_calls, reference_pelt
 from jil.core import Dataset, Interval, Partition
 from jil.cost import CostCache
 from jil.errors import InvalidPenalty
@@ -350,6 +350,56 @@ def test_column_calls_and_candidate_arrays(rng):
     assert len(columns) == m
     for r, (lo, hi) in enumerate(columns, start=1):
         assert hi == r and lo.dtype == np.int64
+
+
+# ------------------------------------------------------------ block form
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_block_dp_matches_column_reference(rng, prune):
+    # fed blocks of every width 1..m, the DP returns the reference
+    # column-form PELT's partitions and objective bits, for scalar gammas
+    # and for a grid over two cost rows, and opens each block with the
+    # reference's candidate set at its first column (the union over the
+    # grid); entries past a column's live prefix are NaN, so reading one
+    # would show in the objective
+    solver = pelt if prune else dp_no_prune
+    gammas = (0.0, 0.5, 1.0)
+    tables = list(seeded_tables(rng))
+    for k, table in enumerate(tables):
+        m = table.shape[0] - 1
+        other = tables[k - 1] if tables[k - 1].shape == table.shape else table[::-1, ::-1].T
+        stack = np.stack([table, other])
+        refs = [[reference_pelt(lambda R, r, t=t: t[R, r], m, g, prune) for g in gammas] for t in stack]
+        union = {r: U for U, r in reference_calls(stack, gammas, prune)}
+        for width in range(1, m + 1):
+            starts = list(range(1, m + 1, width))
+            for j, gamma in enumerate(gammas):
+                column = block_columns(stack[:1], width)
+                part, obj = solver(column, m, gamma, batched=True)
+                assert part == refs[0][j][0]
+                assert float(obj).hex() == float(refs[0][j][1]).hex()
+                R = {r: R for R, r in refs[0][j][2]}
+                assert [r for _, r, _ in column.calls] == starts
+                assert all(np.array_equal(U, R[r]) for U, r, _ in column.calls)
+            column = block_columns(stack, width)
+            grid = solver(column, m, list(gammas), batched=True)
+            for h in range(2):
+                for j in range(len(gammas)):
+                    assert grid[h][j][0] == refs[h][j][0]
+                    assert float(grid[h][j][1]).hex() == float(refs[h][j][1]).hex()
+            assert [r for _, r, _ in column.calls] == starts
+            assert all(np.array_equal(U, union[r]) for U, r, _ in column.calls)
+
+
+def test_block_of_a_bad_shape_raises():
+    # a block wider than the columns left, or whose candidate axis is not
+    # |U| + b - 1 long, is refused
+    m = 4
+    for shape in ((1, 5, 5), (1, 2, 1), (1, 2, 3), (1, 1, 2, 1), ()):
+        for gamma in (0.1, [0.1, 0.2]):
+            with pytest.raises(ValueError, match="returned costs of shape"):
+                pelt(lambda U, r: np.zeros(shape), m, gamma, batched=True)
 
 
 # ------------------------------------------------------------- grid form
