@@ -450,18 +450,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _jil_threads():
-    """Worker count from JIL_THREADS: None when unset, else an integer >= 0."""
-    env = os.environ.get("JIL_THREADS")
-    if not env:
-        return None
-    if not env.strip().isdecimal():
-        raise _UsageError(f"JIL_THREADS must be a non-negative integer, got {env!r}")
-    return int(env)
-
-
 def cmd_bench(args) -> int:
-    workers = _jil_threads()
     res = replicate_table1(
         args.reps,
         args.n,
@@ -469,7 +458,6 @@ def cmd_bench(args) -> int:
         scenario=args.scenario,
         p=args.p,
         c=args.c,
-        workers=workers,
         method=args.method,
     )
     row = {

@@ -69,8 +69,8 @@ class NetworkCosts:
 
     The network counterpart of cost.CostCache, with the same interface
     over the one-lambda grid (0.0,): columns() is the column cost function
-    (R, hi) -> costs (1, |R|) segment.pelt calls with batched=True, a block
-    of one column, so no network is trained ahead of the DP, and
+    (R, hi) -> costs (1, 1, |R|) segment.pelt calls with batched=True, a
+    block of one column, so no network is trained ahead of the DP, and
     models(los, his, 0.0) returns the networks of the intervals.
     An interval's cost is the SSE of its network divided by the full sample
     size n, so costs add up across a partition. An interval without rows
@@ -106,11 +106,11 @@ class NetworkCosts:
         return got
 
     def columns(self):
-        """Column cost function (R, hi) -> (1, |R|) costs of [j/m, hi/m), j in R."""
+        """Column cost function (R, hi) -> (1, 1, |R|) costs of [j/m, hi/m), j in R."""
 
         def column(R, hi):
             _check_call(R, hi, self.m)
-            return np.array([[self._entry(j, hi)[1] for j in R.tolist()]])
+            return np.array([[[self._entry(j, hi)[1] for j in R.tolist()]]])
 
         return column
 

@@ -36,18 +36,17 @@ scalar. The block contract:
   prefix V[:|U|+t] (entries past it, where V[k] >= r+t, are never read);
 - the DP calls again at r+b with the candidates that survive, so it calls
   at r = 1 and after each block's last column, and U at a call is R_r
-  (in the grid form below, the union of the DPs' R_r);
-- a 1-D return (|U|,) or a 2-D return (H, |U|) is one column (b = 1), as
-  fit.NetworkCosts and the scalar form's adapter return.
+  (in the grid form below, the union of the DPs' R_r).
 
-With a scalar gamma, H > 1 raises ValueError; a block of any other shape
-raises ValueError. Either way the DP asks for each cost once and calls the
-costfn for nothing else: it keeps the cost of the interval it picks at each
-column, and the reported objective sums the kept costs of the backtracked
-partition from left to right. So pelt, dp_no_prune and any reference search
-that sums interval costs in the same order return bit-identical numbers
-whenever their partitions agree, whatever the block widths. The DP tables
-themselves are not returned.
+fit.NetworkCosts and the scalar form's adapter return blocks of one column,
+(1, 1, |U|). With a scalar gamma, H > 1 raises ValueError; a return of any
+other shape raises ValueError. Either way the DP asks for each cost once and
+calls the costfn for nothing else: it keeps the cost of the interval it picks
+at each column, and the reported objective sums the kept costs of the
+backtracked partition from left to right. So pelt, dp_no_prune and any
+reference search that sums interval costs in the same order return
+bit-identical numbers whenever their partitions agree, whatever the block
+widths. The DP tables themselves are not returned.
 
 Grid form. With a 1-D sequence of J penalties in place of gamma, one call
 runs a whole grid of DPs in lockstep, one per (cost row, penalty) pair. The
@@ -91,7 +90,7 @@ def _per_pair(costfn):
     """Column form (R, r) -> costs of a scalar costfn, one call per pair in R."""
 
     def column(R, r):
-        return np.array([costfn(j, r) for j in R.tolist()], dtype=float)
+        return np.array([costfn(j, r) for j in R.tolist()], dtype=float).reshape(1, 1, -1)
 
     return column
 
@@ -110,13 +109,9 @@ def _backtrack(pred: np.ndarray, cost: np.ndarray, gamma: float, m: int):
 
 
 def _block(costs, U: np.ndarray, r: int, m: int) -> np.ndarray:
-    """A column function's return for the call (U, r) as a block
-    (H, b, |U|+b-1); a 1-D or 2-D return is one column."""
+    """A column function's return for the call (U, r), checked to be a
+    block (H, b, |U|+b-1)."""
     c = np.asarray(costs)
-    if c.ndim == 1:
-        c = c[None]
-    if c.ndim == 2:
-        c = c[:, None]
     if c.ndim != 3 or not 1 <= c.shape[1] <= m + 1 - r or c.shape[2] != U.size + c.shape[1] - 1:
         raise ValueError(f"column ({U}, {r}) returned costs of shape {np.shape(costs)}")
     return c
@@ -124,9 +119,10 @@ def _block(costs, U: np.ndarray, r: int, m: int) -> np.ndarray:
 
 def _single(column, m: int, gamma: float, prune: bool):
     """One DP over 1-D state, on the column's one cost row. The lockstep
-    would run it too, but a lone fit_ljil at n = 4000, m = 800 spent 29-30 ms
-    on its (G, |U|) bookkeeping against 13-14 ms here, and ran a fifth slower
-    (0.116 s against 0.095 s, best of 7 on a shared 2-vCPU machine)."""
+    would run it too, but on the same memoized blocks of a lone fit_ljil
+    (scenario 1, p = 4, best of 15, six runs on a shared 2-vCPU machine) its
+    (G, |U|) bookkeeping at G = 1 took 10.8-18.4 ms against 5.9-10.0 ms here
+    at n = 4000, m = 800, and 0.79-0.85 ms against 0.45-0.49 ms at n = 400."""
     B = np.empty(m + 1)
     B[0] = -gamma
     pred = np.zeros(m + 1, dtype=np.int64)
@@ -169,7 +165,6 @@ def _lockstep(column, m: int, gammas, prune: bool):
     G = H * J
     gam_g = np.tile(gam, H)[:, None]
     dps = np.arange(G)
-    cost_row = np.repeat(np.arange(H), J)
     B = np.empty((G, m + 1))
     B[:, 0] = -gam_g[:, 0]
     pred = np.zeros((G, m + 1), dtype=np.int64)
@@ -177,6 +172,7 @@ def _lockstep(column, m: int, gammas, prune: bool):
     BU = B[:, :1].copy()  # B at U; +inf where the row has pruned j
     r = 1
     while True:
+        C = np.repeat(C, J, axis=0)  # row g = h*J + j reads cost row h
         u, b = U.size, C.shape[1]
         V = np.concatenate([U, np.arange(r, r + b - 1, dtype=np.int64)])
         BV = np.empty((G, V.size))
@@ -186,14 +182,13 @@ def _lockstep(column, m: int, gammas, prune: bool):
             if t:
                 BV[:, live - 1] = B[:, r + t - 1]
             c, bv = C[:, t, :live], BV[:, :live]
-            v = ((bv + gam_g).reshape(H, J, live) + c[:, None, :]).reshape(G, live)
+            v = bv + gam_g + c
             k = np.argmin(v, axis=1)  # first minimum: ties keep the smallest j
             B[:, r + t] = v[dps, k]
             pred[:, r + t] = V[k]
-            cost[:, r + t] = c[cost_row, k]
-            if prune:  # a pruned j fails at +inf, and j = r+t always survives
-                keep = (bv.reshape(H, J, live) + c[:, None, :]).reshape(G, live) <= B[:, r + t, None]
-                bv[~keep] = np.inf
+            cost[:, r + t] = c[dps, k]
+            if prune:  # a pruned j stays at +inf, and j = r+t always survives
+                bv[bv + c > B[:, r + t, None]] = np.inf
         r += b
         if r > m:
             break

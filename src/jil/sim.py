@@ -12,14 +12,13 @@ derive from that declaration, so they agree on where each jump is.
 
 Gaussian noise comes from an in-repo Box-Muller transform over the
 generator's uniform stream, so datasets are reproducible bit for bit from
-a seed across platforms. Replications derive per-replication seeds from
-(seed, rep index), making results independent of worker scheduling.
+a seed across platforms. Replications run one after another in one
+process, each on its own seed derived from (seed, rep index), so a
+replication's record does not depend on how many others run.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +40,7 @@ __all__ = [
     "integrated_l2_loss",
     "theta_path",
     "replicate_table1",
-    "resolve_workers",
 ]
-
-# Quadrature nodes of integrated_l2_loss.
-_N_QUAD = 10_000
 
 
 @dataclass(frozen=True)
@@ -235,36 +230,26 @@ def theta_path(fit, a: np.ndarray) -> np.ndarray:
 
 
 def integrated_l2_loss(fit, oracle: TruthOracle) -> float:
-    """Midpoint-rule integral of ||theta_hat(a) - theta_0(a)||^2 over [0, 1]
-    on _N_QUAD nodes."""
+    """Integral of ||theta_hat(a) - theta_0(a)||^2 over [0, 1], exact: both
+    paths are constant between the fit's edges k/m and the true change
+    points, so it sums each such piece's length times the squared distance
+    at the piece's midpoint."""
     if oracle.true_theta is None:
         raise MissingTruth(f"scenario {oracle.scenario.id} has no linear coefficient truth")
-    nodes = (np.arange(_N_QUAD) + 0.5) / _N_QUAD
-    diff = theta_path(fit, nodes) - oracle.true_theta(nodes)
-    return float(np.mean(np.sum(diff * diff, axis=1)))
+    knots = np.union1d(np.asarray(fit.partition.edges()) / fit.m, oracle.true_change_points)
+    mids = 0.5 * (knots[:-1] + knots[1:])
+    diff = theta_path(fit, mids) - oracle.true_theta(mids)
+    return float(np.sum(np.diff(knots) * np.sum(diff * diff, axis=1)))
 
 
 # ------------------------------------------------------------ replication
-
-
-def resolve_workers(workers) -> int:
-    """None -> serial; 0 -> one per CPU; otherwise the requested count,
-    which must not be negative."""
-    if workers is None:
-        return 1
-    workers = int(workers)
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0 or None, got {workers}")
-    return workers or os.cpu_count() or 1
 
 
 def _rep_seed(seed: int, rep: int) -> int:
     return int(np.random.SeedSequence((seed, rep)).generate_state(1, np.uint64)[0])
 
 
-def _table1_rep(args):
-    method, scenario, n, p, m, gamma, seed, rep = args
-    spec = ScenarioSpec(scenario, n, p, _rep_seed(seed, rep))
+def _table1_rep(method: str, spec: ScenarioSpec, m: int, gamma: float) -> dict:
     d, oracle = gen_scenario(spec)
     if method == "ljil":
         fit = fit_ljil(d, m, 0.0, gamma)
@@ -294,7 +279,6 @@ def replicate_table1(
     p: int = 4,
     c: float = 5.0,
     v_opt: float = None,
-    workers=None,
     method: str = "ljil",
 ) -> dict:
     """Full-pipeline replications: generate, fit, estimate value, aggregate.
@@ -311,19 +295,16 @@ def replicate_table1(
         raise ValueError(f"method must be 'ljil' or 'djil', got {method!r}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    w = resolve_workers(workers)
     # every argument is checked before the Monte-Carlo v_opt run
     spec = ScenarioSpec(scenario, n, p, seed)
     m = make_grid(n, c)
     gamma = default_gamma(n)
     if v_opt is None:
         v_opt = true_optimal_value(spec, 10**6, seed)
-    arglist = [(method, scenario, n, p, m, gamma, seed, r) for r in range(reps)]
-    if w > 1:
-        with ProcessPoolExecutor(max_workers=w) as pool:
-            records = list(pool.map(_table1_rep, arglist))
-    else:
-        records = [_table1_rep(a) for a in arglist]
+    records = [
+        _table1_rep(method, ScenarioSpec(scenario, n, p, _rep_seed(seed, r)), m, gamma)
+        for r in range(reps)
+    ]
     for r in records:
         r["covered"] = bool(r["ci_lo"] <= v_opt <= r["ci_hi"])
     l2s = [r["l2"] for r in records if r["l2"] is not None]

@@ -975,14 +975,6 @@ def test_console_entry_point_runs():
     assert "simulate" in proc.stdout and "evaluate" in proc.stdout
 
 
-@pytest.mark.parametrize("threads", ["two", "-4", "2.5"])
-def test_bench_rejects_bad_jil_threads_exit_1(monkeypatch, capsys, threads):
-    monkeypatch.setenv("JIL_THREADS", threads)
-    monkeypatch.setattr(cli, "replicate_table1", lambda *a, **kw: pytest.fail("replicated"))
-    assert main(["bench", "--n", "40", "--reps", "2"]) == 1
-    assert "JIL_THREADS" in capsys.readouterr().err
-
-
 def test_bench_one_row_exit_2(monkeypatch, capsys):
     # the sample size is checked before the 10^6-draw v_opt run
     def boom(*args):
@@ -995,7 +987,7 @@ def test_bench_one_row_exit_2(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("method", ["ljil", "djil"])
-def test_bench_one_driver_honours_jil_threads(monkeypatch, capsys, method):
+def test_bench_one_driver_for_both_methods(monkeypatch, capsys, method):
     seen = {}
 
     def fake(reps, n, seed, **kw):
@@ -1003,11 +995,11 @@ def test_bench_one_driver_honours_jil_threads(monkeypatch, capsys, method):
         return {"mean_v_hat": 1.0, "mean_sigma_hat": 1.0, "coverage_pct": 100.0,
                 "mean_segments": 1.0, "mean_l2": None, "v_opt": 1.0}
 
-    monkeypatch.setenv("JIL_THREADS", "2")
     monkeypatch.setattr(cli, "replicate_table1", fake)
     rc = main(["bench", "--n", "40", "--reps", "2", "--method", method])
     assert rc == 0
-    assert seen["method"] == method and seen["workers"] == 2
+    assert seen == {"reps": 2, "n": 40, "seed": 0, "scenario": 1, "p": 4, "c": 5.0,
+                    "method": method}
     assert capsys.readouterr().out.splitlines()[1].split("\t")[3] == method
 
 

@@ -327,7 +327,7 @@ def test_djil_trains_the_intervals_per_pair_pelt_trains(rng, monkeypatch):
     batched = list(calls)
     calls.clear()
     column = fit_mod.NetworkCosts(d, m, cfg).columns()
-    part, obj = pelt(lambda lo, hi: column(np.array([lo]), hi)[0, 0], m, gamma)
+    part, obj = pelt(lambda lo, hi: column(np.array([lo]), hi)[0, 0, 0], m, gamma)
     assert calls == batched
     assert len(batched) > m
     assert f.partition == part

@@ -170,7 +170,7 @@ def test_mlp_cost_empty_interval_zero(rng):
     d = Dataset(rng.uniform(-1, 1, (10, 2)), np.full(10, 0.05), rng.standard_normal(10))
     cfg = TrainConfig(hidden=(4,), epochs=5, learning_rate=0.01, batch_size=4, seed=0)
     table = NetworkCosts(d, 10, cfg)
-    assert table.columns()(np.array([5]), 10).tolist() == [[0.0]]
+    assert table.columns()(np.array([5]), 10).tolist() == [[[0.0]]]
     (zero,) = table.models(np.array([5]), np.array([10]), 0.0)
     assert zero.layer_sizes == (2, 4, 1)
     assert not any(w.any() for w in zero.weights + zero.biases)
@@ -181,7 +181,7 @@ def test_mlp_cost_constant_data_small(rng):
     n = 50
     d = Dataset(rng.uniform(-1, 1, (n, 1)), rng.random(n), np.full(n, 2.0))
     cfg = TrainConfig(hidden=(4,), epochs=300, learning_rate=0.05, batch_size=16, seed=2)
-    assert NetworkCosts(d, 1, cfg).columns()(np.array([0]), 1)[0, 0] <= 1e-2
+    assert NetworkCosts(d, 1, cfg).columns()(np.array([0]), 1)[0, 0, 0] <= 1e-2
 
 
 def test_mlp_cost_uses_full_n_denominator(rng):
@@ -213,10 +213,10 @@ def test_network_columns_match_single_interval_calls_bitwise(rng):
     for hi in range(1, m + 1):
         los = np.arange(hi, dtype=np.int64)
         got = column(los, hi)
-        assert got.dtype == np.float64 and got.shape == (1, hi)  # one cost row
-        want = np.concatenate([single(np.array([lo]), hi)[0] for lo in range(hi)])
-        assert got[0].tobytes() == want.tobytes()
-    assert column(np.zeros(0, dtype=np.int64), 3).shape == (1, 0)
+        assert got.dtype == np.float64 and got.shape == (1, 1, hi)  # one cost row, one column
+        want = np.concatenate([single(np.array([lo]), hi)[0, 0] for lo in range(hi)])
+        assert got[0, 0].tobytes() == want.tobytes()
+    assert column(np.zeros(0, dtype=np.int64), 3).shape == (1, 1, 0)
 
 
 def test_network_table_rejects_lambda_and_bad_indices(rng):

@@ -19,13 +19,14 @@ def table_costfn(table):
 
 
 def recording_costfn(table):
-    """Column costfn over a table that records each DP column call (R_r, r)."""
+    """Column costfn over a table, returning one-column blocks (1, 1, |R_r|),
+    that records each DP column call (R_r, r)."""
     columns = []
 
     def fn(lo, hi):
         assert isinstance(lo, np.ndarray)  # the column DP makes no scalar call
         columns.append((lo.copy(), hi))
-        return table[lo, hi]
+        return table[lo, hi][None, None]
 
     return fn, columns
 
@@ -393,10 +394,11 @@ def test_block_dp_matches_column_reference(rng, prune):
 
 
 def test_block_of_a_bad_shape_raises():
-    # a block wider than the columns left, or whose candidate axis is not
-    # |U| + b - 1 long, is refused
+    # a block wider than the columns left, one whose candidate axis is not
+    # |U| + b - 1 long, or a return that is not 3-D, even one that would hold
+    # the column's costs, is refused
     m = 4
-    for shape in ((1, 5, 5), (1, 2, 1), (1, 2, 3), (1, 1, 2, 1), ()):
+    for shape in ((1, 5, 5), (1, 2, 1), (1, 2, 3), (1, 1, 2, 1), (), (1,), (1, 1)):
         for gamma in (0.1, [0.1, 0.2]):
             with pytest.raises(ValueError, match="returned costs of shape"):
                 pelt(lambda U, r: np.zeros(shape), m, gamma, batched=True)
@@ -406,13 +408,13 @@ def test_block_of_a_bad_shape_raises():
 
 
 def recording_columns(tables):
-    """Grid column function over stacked tables (H, m+1, m+1) that records
-    each call (U, r)."""
+    """Grid column function over stacked tables (H, m+1, m+1), returning
+    one-column blocks (H, 1, |U|), that records each call (U, r)."""
     calls = []
 
     def fn(U, r):
         calls.append((U.copy(), r))
-        return tables[:, U, r]
+        return tables[:, U, r][:, None]
 
     return fn, calls
 

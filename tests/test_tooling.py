@@ -1,7 +1,8 @@
 """Repository tooling: the pytest configuration reports failures instead of
-aborting, the library runs without SciPy, which only the tests use, and it
-reads no environment setting but the two the CLI documents, and it calls
-numpy.linalg only in the coefficient rule and the propensity fit."""
+aborting, the library runs without SciPy, which only the tests use, it
+reads no environment setting but the one the CLI documents, it runs in one
+process and one thread, and it calls numpy.linalg only in the coefficient
+rule and the propensity fit."""
 
 from __future__ import annotations
 
@@ -70,7 +71,7 @@ def test_cli_commands_never_import_scipy(tmp_path):
 
 
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
-ALLOWED_ENV = {"SOURCE_DATE_EPOCH", "JIL_THREADS"}
+ALLOWED_ENV = {"SOURCE_DATE_EPOCH"}
 
 
 def env_reads(source: str) -> list:
@@ -113,14 +114,54 @@ e = dict(os.environ)
 
 
 def test_library_reads_only_its_documented_environment():
-    # SOURCE_DATE_EPOCH pins artifact timestamps and JIL_THREADS the worker
-    # count; any other read, such as a tuning constant like the cost
-    # layer's block budget, would be a setting no caller can see
+    # SOURCE_DATE_EPOCH pins artifact timestamps; any other read, such as a
+    # worker count or a tuning constant like the cost layer's block budget,
+    # would be a setting no caller can see
     found = {}
     for path in sorted((ROOT / "src" / "jil").glob("*.py")):
         for line, name in env_reads(path.read_text()):
             found.setdefault(name, []).append(f"{path.name}:{line}")
     assert set(found) == ALLOWED_ENV, found
+
+
+CONCURRENCY = {"concurrent", "multiprocessing", "threading"}
+
+
+def absolute_imports(source: str) -> list:
+    """(line, module) of each absolute import in Python source, module the
+    full dotted name imported from (import a.b gives "a.b", from a.b import
+    c gives "a.b"); relative imports are the package's own modules and are
+    left out."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    return sorted(found)
+
+
+def test_import_scan_names_each_module():
+    source = """import os, threading
+from concurrent.futures import ProcessPoolExecutor
+from .sim import replicate_table1
+def f():
+    import multiprocessing.pool as mp
+"""
+    assert absolute_imports(source) == [
+        (1, "os"), (1, "threading"), (2, "concurrent.futures"), (5, "multiprocessing.pool")]
+
+
+def test_library_runs_in_one_process_and_one_thread():
+    # replications run one after another; a pool would be a second
+    # execution path that no result depends on
+    found = [
+        f"{path.name}:{line} {module}"
+        for path in sorted((ROOT / "src" / "jil").glob("*.py"))
+        for line, module in absolute_imports(path.read_text())
+        if module.split(".")[0] in CONCURRENCY
+    ]
+    assert found == [], found
 
 
 # the library's only numpy.linalg calls: the coefficient rule's

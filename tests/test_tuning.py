@@ -247,7 +247,7 @@ def one_cost_row(table, h, lam):
     if isinstance(table, CostCache):
         return table.costfn(lam), False
     columns = table.columns()
-    return (lambda R, r: columns(R, r)[h]), True
+    return (lambda R, r: columns(R, r)[h : h + 1]), True
 
 
 def reference_fold_loop(d, make_table, grid):
