@@ -157,8 +157,8 @@ class CostCache:
     lam, so temporaries stay O(H m d^2); costfn only reads it. theta solves the
     intervals it is asked for on each call, by the one coefficient rule of
     the module docstring, and models wraps its coefficients as one Linear
-    model per interval. There is no lock: a cache belongs to one thread
-    (replication runs in processes).
+    model per interval. There is no lock: the library starts no thread or
+    process, so a cache is used from one thread.
     """
 
     def __init__(self, dataset: Dataset, m: int, lambdas=(0.0,), precompute: bool = False):
@@ -212,23 +212,24 @@ class CostCache:
     def _stack(self, los, his, lams):
         """Packed moments M (T, K), T = D(D+1)/2, of the intervals
         [lo/m, hi/m), his an array or one hi for all, and at each lambda of
-        lams (H,) the ridge weights n*lam*|I| (H, K) and packed augmented
-        matrices A (T, H*K), stacked lambda-major: A[:, h*K + k] is interval k
-        at lams[h]."""
+        lams (H,) the ridge weights n*lam*|I| (H, K). A positive lambda's
+        penalty reads c^2, so one raises InvalidData if c^2 overflows."""
         M = self._M.take(np.atleast_1d(his), axis=1) - self._M.take(los, axis=1)
         ridge = self.dataset.n * lams[:, None] * ((his - los) / self.m)
-        if lams[-1] == 0.0:  # lams ascend, so no penalty term and c^2 is never read
-            A = np.tile(M, lams.size)
-        elif not math.isfinite(self._P[-1]):  # c^2 overflows: NaN costs
+        if lams[-1] > 0.0 and not math.isfinite(self._P[-1]):  # lams ascend
             raise InvalidData("outcomes", None, _OUTCOMES_OVERFLOW)
-        else:
-            A = (self._P[:, None, None] * ridge + M[:, None, :]).reshape(M.shape[0], -1)
-        return M, ridge, A
+        return M, ridge
 
     def _costs(self, los: np.ndarray, his, lams: np.ndarray) -> np.ndarray:
         """Costs (H, K) of the intervals [lo/m, hi/m) at each lambda of lams
-        (H,), from one _eliminate call; 0 for an interval without rows."""
-        M, _, A = self._stack(los, his, lams)
+        (H,), from one _eliminate call over the packed augmented matrices
+        A (T, H*K), stacked lambda-major: A[:, h*K + k] is interval k at
+        lams[h]; 0 for an interval without rows."""
+        M, ridge = self._stack(los, his, lams)
+        if lams[-1] == 0.0:  # lams ascend: no penalty term, and c^2 is never read
+            A = np.tile(M, lams.size)
+        else:
+            A = (self._P[:, None, None] * ridge + M[:, None, :]).reshape(M.shape[0], -1)
         ncost = _eliminate(A).reshape(lams.size, -1)
         return np.where(M[0] > 0.0, ncost, 0.0) / self.dataset.n
 
@@ -244,7 +245,7 @@ class CostCache:
         is NaN, infinite or negative raises ValueError."""
         los, his = np.asarray(los), np.asarray(his)
         _check_pairs(los, his, self.m)
-        M, ridge, _ = self._stack(los, his, check_grid("lambda", float(lam)))
+        M, ridge = self._stack(los, his, check_grid("lambda", float(lam)))
         M = M[self._full]  # (D, D, K)
         d = M.shape[0] - 1
         tau, U = np.linalg.eigh(np.moveaxis(M[:d, :d], -1, 0))

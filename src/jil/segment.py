@@ -39,17 +39,18 @@ scalar. The block contract:
   (in the grid form below, the union of the DPs' R_r).
 
 fit.NetworkCosts and the scalar form's adapter return blocks of one column,
-(1, 1, |U|). With a scalar gamma, H > 1 raises ValueError; a return of any
-other shape raises ValueError. Either way the DP asks for each cost once and
-calls the costfn for nothing else: it keeps the cost of the interval it picks
-at each column, and the reported objective sums the kept costs of the
-backtracked partition from left to right. So pelt, dp_no_prune and any
+(1, 1, |U|). With a scalar gamma, H != 1 raises ValueError, and so does a
+grid call whose H differs from the first call's; a return of any other shape
+raises ValueError. Either way the DP asks for each cost once and calls the
+costfn for nothing else: it keeps the cost of the interval it picks at each
+column, and the reported objective sums the kept costs of the backtracked
+partition from left to right. So pelt, dp_no_prune and any
 reference search that sums interval costs in the same order return
 bit-identical numbers whenever their partitions agree, whatever the block
 widths. The DP tables themselves are not returned.
 
 Grid form. With a 1-D sequence of J penalties in place of gamma, one call
-runs a whole grid of DPs in lockstep, one per (cost row, penalty) pair. The
+runs a whole grid of DPs together, one per (cost row, penalty) pair. The
 column function then returns H cost rows: row h holds the costs under the
 h-th of H cost functions (one per ridge lambda, say), and U, the union of
 the candidate sets of all H*J DPs at r, is what each call is asked for.
@@ -59,7 +60,13 @@ its penalty returns. The result is a list over the H cost rows, each a list
 over the J penalties of (Partition, objective). Column r's candidates are
 decided from column r-1 alone, so the state is O(H J m) whatever the grid.
 Costs must be finite: a candidate a DP has pruned but another still holds
-sits at +inf in that DP's row.
+sits at +inf in that DP's entry.
+
+One DP body (_dp) serves both forms. Its state is indexed [column or
+candidate, DP], with the DP axis last: a scalar gamma has no DP axis, and a
+grid has one of length G = H*J, DP g = h*J + j. So the same lines run a lone
+fit over 1-D arrays and a grid over (., G) arrays, and a one-element gamma
+list is a grid of G = H DPs.
 """
 
 from __future__ import annotations
@@ -117,87 +124,68 @@ def _block(costs, U: np.ndarray, r: int, m: int) -> np.ndarray:
     return c
 
 
-def _single(column, m: int, gamma: float, prune: bool):
-    """One DP over 1-D state, on the column's one cost row. The lockstep
-    would run it too, but on the same memoized blocks of a lone fit_ljil
-    (scenario 1, p = 4, best of 15, six runs on a shared 2-vCPU machine) its
-    (G, |U|) bookkeeping at G = 1 took 10.8-18.4 ms against 5.9-10.0 ms here
-    at n = 4000, m = 800, and 0.79-0.85 ms against 0.45-0.49 ms at n = 400."""
-    B = np.empty(m + 1)
-    B[0] = -gamma
-    pred = np.zeros(m + 1, dtype=np.int64)
-    cost = np.empty(m + 1)  # cost[r]: cost of the interval picked at column r
+def _dp(column, m: int, gamma, prune: bool):
+    """The one DP body: every DP of the call in one pass over the columns.
+
+    State is indexed [column or candidate, DP], the DP axis last. A float
+    gamma has no DP axis: B, pred and cost are (m+1,) and a column's
+    candidates are 1-D, so the lines below index them with plain integers,
+    and it returns (Partition, objective). An ndarray of J penalties over H
+    cost rows adds a trailing axis of G = H*J DPs, DP g = h*J + j reading
+    cost row h at penalty j, and returns [h][j] -> (Partition, objective).
+    Each block is expanded once to [t, k] or [t, k, g]; each column records
+    its first argmins K[t], and pred and the kept costs are gathered from V
+    and the block once per block.
+    """
+    grid = isinstance(gamma, np.ndarray)
     U = np.zeros(1, dtype=np.int64)
+    C = _block(column(U, 1), U, 1, m)
+    H, J = (C.shape[0], gamma.size) if grid else (1, 1)
+    gam = np.tile(gamma, H) if grid else gamma
+    # index tails: v[(k,) + dps] is each DP's entry at its argmin, and
+    # C[(ts[:b], K) + dps] each kept cost of a block
+    dps = (np.arange(gam.size),) if grid else ()
+    ts = np.arange(m + 1)[:, None] if grid else np.arange(m + 1)
+    B = np.empty((m + 1,) + np.shape(gam))
+    B[0] = -gam
+    pred = np.zeros(B.shape, dtype=np.int64)
+    cost = np.empty(B.shape)  # cost[r]: cost of the interval picked at column r
+    BU = B[:1].copy()  # B at U; +inf where a DP has pruned j
     r = 1
-    while r <= m:
-        C = _block(column(U, r), U, r, m)
-        if C.shape[0] != 1:
-            raise ValueError(f"a scalar gamma takes one cost row, got {C.shape[0]}")
-        u, b = U.size, C.shape[1]
+    while True:
+        if C.shape[0] != H:  # a float gamma reads one cost row, a grid the same H
+            raise ValueError(f"column ({U}, {r}) returned {C.shape[0]} cost rows, expected {H}")
+        C = C.transpose(1, 2, 0).repeat(J, axis=-1) if grid else C[0]  # [t, k(, g)]
+        u, b = U.size, C.shape[0]
         V = np.concatenate([U, np.arange(r, r + b - 1, dtype=np.int64)])
-        BV = np.empty(V.size)  # B at V; +inf once pruned
-        BV[:u] = B[U]
+        BV = np.empty((V.size,) + B.shape[1:])
+        BV[:u] = BU
+        K = np.empty((b,) + B.shape[1:], dtype=np.int64)
         for t in range(b):  # column r+t reads the live prefix V[:u+t]
             live = u + t
             if t:
                 BV[live - 1] = B[r + t - 1]
-            c, bv = C[0, t, :live], BV[:live]
-            v = bv + gamma + c
-            k = int(np.argmin(v))  # first minimum: ties keep the smallest j
-            B[r + t] = v[k]
-            pred[r + t] = V[k]
-            cost[r + t] = c[k]
-            if prune:  # the keep test for column r+t+1; j = r+t always survives
-                bv[bv + c > B[r + t]] = np.inf
-        r += b
-        U = np.append(V[BV < np.inf], r - 1)
-    return _backtrack(pred, cost, gamma, m)
-
-
-def _lockstep(column, m: int, gammas, prune: bool):
-    """The DPs of every (cost row h, penalty j) pair in one pass over the
-    columns, as rows g = h*J + j of (G, .) arrays; returns [h][j] ->
-    (Partition, objective)."""
-    gam = np.asarray(gammas, dtype=float)
-    U = np.zeros(1, dtype=np.int64)
-    C = _block(column(U, 1), U, 1, m)
-    H, J = C.shape[0], gam.size
-    G = H * J
-    gam_g = np.tile(gam, H)[:, None]
-    dps = np.arange(G)
-    B = np.empty((G, m + 1))
-    B[:, 0] = -gam_g[:, 0]
-    pred = np.zeros((G, m + 1), dtype=np.int64)
-    cost = np.empty((G, m + 1))  # cost[g, r]: cost of the interval picked at column r
-    BU = B[:, :1].copy()  # B at U; +inf where the row has pruned j
-    r = 1
-    while True:
-        C = np.repeat(C, J, axis=0)  # row g = h*J + j reads cost row h
-        u, b = U.size, C.shape[1]
-        V = np.concatenate([U, np.arange(r, r + b - 1, dtype=np.int64)])
-        BV = np.empty((G, V.size))
-        BV[:, :u] = BU
-        for t in range(b):  # column r+t reads the live prefix V[:u+t]
-            live = u + t
-            if t:
-                BV[:, live - 1] = B[:, r + t - 1]
-            c, bv = C[:, t, :live], BV[:, :live]
-            v = bv + gam_g + c
-            k = np.argmin(v, axis=1)  # first minimum: ties keep the smallest j
-            B[:, r + t] = v[dps, k]
-            pred[:, r + t] = V[k]
-            cost[:, r + t] = c[dps, k]
+            c, bv = C[t, :live], BV[:live]
+            v = bv + gam + c
+            k = K[t] = v.argmin(axis=0)  # first minimum: ties keep the smallest j
+            B[r + t] = v[(k,) + dps]
             if prune:  # a pruned j stays at +inf, and j = r+t always survives
-                bv[bv + c > B[:, r + t, None]] = np.inf
+                bv[bv + c > B[r + t]] = np.inf
+        pred[r : r + b] = V[K]
+        cost[r : r + b] = C[(ts[:b], K) + dps]
         r += b
         if r > m:
             break
-        cols = np.flatnonzero((BV < np.inf).any(axis=0))
-        U = np.append(V[cols], r - 1)
-        BU = np.concatenate([BV[:, cols], B[:, r - 1 : r]], axis=1)
+        keep = BV < np.inf
+        if grid:  # a candidate survives while one DP holds it
+            keep = keep.any(axis=1)
+        U = np.append(V[keep], r - 1)
+        BU = np.concatenate([BV[keep], B[r - 1 : r]])
         C = _block(column(U, r), U, r, m)
+    if not grid:
+        return _backtrack(pred, cost, gamma, m)
     return [
-        [_backtrack(pred[h * J + j], cost[h * J + j], float(gam[j]), m) for j in range(J)]
+        [_backtrack(pred[:, h * J + j], cost[:, h * J + j], float(gamma[j]), m) for j in range(J)]
         for h in range(H)
     ]
 
@@ -207,7 +195,9 @@ def pelt(costfn, m: int, gamma, prune: bool = True, *, batched: bool = False):
 
     Returns (Partition, objective) where objective = sum of interval costs
     plus gamma per interval; given a 1-D sequence of penalties, runs the
-    grid form and returns its [h][j] -> (Partition, objective) lists.
+    grid form and returns its [h][j] -> (Partition, objective) lists. Both
+    run the one DP body, _dp: a scalar gamma over 1-D state, a sequence
+    over state with a trailing axis of one DP per (cost row, penalty).
     """
     grid = np.ndim(gamma) > 0
     if grid and len(gamma) == 0:
@@ -217,9 +207,7 @@ def pelt(costfn, m: int, gamma, prune: bool = True, *, batched: bool = False):
     if m < 1:
         raise ValueError(f"grid resolution must be >= 1, got {m}")
     column = costfn if batched else _per_pair(costfn)
-    if grid:
-        return _lockstep(column, m, [float(g) for g in gamma], prune)
-    return _single(column, m, float(gamma), prune)
+    return _dp(column, m, np.array(gamma, dtype=float) if grid else float(gamma), prune)
 
 
 def dp_no_prune(costfn, m: int, gamma, *, batched: bool = False):

@@ -359,11 +359,11 @@ def test_column_calls_and_candidate_arrays(rng):
 @pytest.mark.parametrize("prune", [True, False])
 def test_block_dp_matches_column_reference(rng, prune):
     # fed blocks of every width 1..m, the DP returns the reference
-    # column-form PELT's partitions and objective bits, for scalar gammas
-    # and for a grid over two cost rows, and opens each block with the
-    # reference's candidate set at its first column (the union over the
-    # grid); entries past a column's live prefix are NaN, so reading one
-    # would show in the objective
+    # column-form PELT's partitions and objective bits, for scalar gammas,
+    # for one-element gamma lists (a grid of one DP) and for a grid over two
+    # cost rows, and opens each block with the reference's candidate set at
+    # its first column (the union over the grid); entries past a column's
+    # live prefix are NaN, so reading one would show in the objective
     solver = pelt if prune else dp_no_prune
     gammas = (0.0, 0.5, 1.0)
     tables = list(seeded_tables(rng))
@@ -376,13 +376,15 @@ def test_block_dp_matches_column_reference(rng, prune):
         for width in range(1, m + 1):
             starts = list(range(1, m + 1, width))
             for j, gamma in enumerate(gammas):
-                column = block_columns(stack[:1], width)
-                part, obj = solver(column, m, gamma, batched=True)
-                assert part == refs[0][j][0]
-                assert float(obj).hex() == float(refs[0][j][1]).hex()
                 R = {r: R for R, r in refs[0][j][2]}
-                assert [r for _, r, _ in column.calls] == starts
-                assert all(np.array_equal(U, R[r]) for U, r, _ in column.calls)
+                for gam in (gamma, [gamma]):
+                    column = block_columns(stack[:1], width)
+                    got = solver(column, m, gam, batched=True)
+                    part, obj = got if gam is gamma else got[0][0]
+                    assert part == refs[0][j][0]
+                    assert float(obj).hex() == float(refs[0][j][1]).hex()
+                    assert [r for _, r, _ in column.calls] == starts
+                    assert all(np.array_equal(U, R[r]) for U, r, _ in column.calls)
             column = block_columns(stack, width)
             grid = solver(column, m, list(gammas), batched=True)
             for h in range(2):
@@ -402,6 +404,11 @@ def test_block_of_a_bad_shape_raises():
         for gamma in (0.1, [0.1, 0.2]):
             with pytest.raises(ValueError, match="returned costs of shape"):
                 pelt(lambda U, r: np.zeros(shape), m, gamma, batched=True)
+    # a scalar gamma reads one cost row, and a grid the same rows at every call
+    with pytest.raises(ValueError, match="returned 2 cost rows, expected 1"):
+        pelt(lambda U, r: np.zeros((2, 1, U.size)), m, 0.1, batched=True)
+    with pytest.raises(ValueError, match="returned 1 cost rows, expected 2"):
+        pelt(lambda U, r: np.zeros((2 if r == 1 else 1, 1, U.size)), m, [0.1], batched=True)
 
 
 # ------------------------------------------------------------- grid form
