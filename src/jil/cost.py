@@ -62,9 +62,11 @@ intervals, so an interval gets the same bits in any batch.
 
 CostCache computes costs over a fixed lam grid: each columns() call returns
 a block of consecutive DP columns at every lam of the grid from one
-_eliminate call, and the DP runs every column of the block from it; the
-block's width is bounded by a fixed budget of intervals, so the kernel's
-fixed cost per call is paid once per block rather than once per column. A
+_eliminate call over one broadcast rectangle, every candidate against
+every column of the block, and the DP runs the block's columns from it. Its
+pairs lo >= hi stack zero or negated moments, which cost exactly 0. The
+rectangle's area is bounded by a fixed budget, so the kernel's fixed
+cost per call is paid once per block rather than once per column. A
 lone fit reads the one cost row of a one-lam cache; a CV fold runs the grid
 form of segment.pelt over all rows.
 Coefficients are solved on demand, for any intervals in one batched call,
@@ -93,40 +95,41 @@ __all__ = ["CostCache"]
 _CLAMP_REL = 1e-10
 _TINY = np.nextafter(0.0, 1.0)  # the smallest positive double
 _OUTCOMES_OVERFLOW = "outcomes are too large: their moments overflow"
-# intervals one columns() block may stack per lambda: the kernel's fixed cost
-# per call (about 60 us) is then small against its work, and a lone fit at
-# m = 800 keeps its peak allocation near 0.6 MB
-_BLOCK_PAIRS = 768
+# pairs one columns() rectangle may stack per lambda: a kernel call costs
+# about 65 us plus 90 ns per pair (2-vCPU Xeon, numpy 2.4), so its fixed cost
+# is then about a third of a call, and a lone fit at m = 800 peaks near 0.63 MiB
+_BLOCK_PAIRS = 1536
 
 
 def _eliminate(S: np.ndarray) -> np.ndarray:
     """Symmetric elimination without exchanges over the D-1 leading pivots
-    of a packed stack S (D(D+1)/2, K), each column the row-major upper
-    triangle of a symmetric D x D matrix, in place; returns the last pivot
-    (K,) clamped at 0, the residual of the last variable on the span of the
-    live directions.
+    of a packed stack S (D(D+1)/2,) + K, K any shape, each S[:, k] the
+    row-major upper triangle of a symmetric D x D matrix, in place; returns
+    the last pivot K clamped at 0, the residual of the last variable on the
+    span of the live directions.
 
     Pivot k updates only the trailing upper triangle, row by row: entry
     (i, j), k < i <= j, loses S[k, i] * S[k, j] / S[k, k]. A pivot below
     max(_CLAMP_REL * largest leading diagonal entry, _TINY) is a null
-    direction: it is neither divided by nor eliminated. Every step is
-    elementwise along K, so a matrix gets the same bits in any batch.
+    direction: the row divides by +inf, so it is 0 and eliminates nothing.
+    Every step is elementwise along K, so a matrix gets the same bits in any batch.
     """
     D = (math.isqrt(8 * S.shape[0] + 1) - 1) // 2
     start = [i * D - i * (i - 1) // 2 for i in range(D + 1)]  # row i: start[i] .. start[i+1]-1
     tol = np.maximum(_CLAMP_REL * S[start[:-2]].max(axis=0, initial=0.0), _TINY)
+    rows = np.empty((D - 1,) + S.shape[1:])  # every pivot's row, one buffer
     for k in range(D - 1):
         a, b = start[k], start[k + 1]
-        row = np.divide(S[a + 1 : b], S[a], out=np.zeros_like(S[a + 1 : b]), where=S[a] >= tol)
+        row = np.divide(S[a + 1 : b], np.where(S[a] >= tol, S[a], np.inf), out=rows[: b - a - 1])
         for i in range(k + 1, D):
             S[start[i] : start[i + 1]] -= S[a + i - k] * row[i - k - 1 :]
     return np.maximum(S[-1], 0.0)
 
 
 def _block_width(u: int, left: int) -> int:
-    """Largest b with b*u + b*(b-1)/2 <= _BLOCK_PAIRS, at most left, at least 1."""
-    k = 2 * u - 1  # the bound is (2b + k)^2 <= k^2 + 8 * _BLOCK_PAIRS
-    return max(1, min((math.isqrt(k * k + 8 * _BLOCK_PAIRS) - k) // 2, left))
+    """Largest b with b*(u+b-1) <= _BLOCK_PAIRS, at most left, at least 1."""
+    k = u - 1  # the bound is (2b + k)^2 <= k^2 + 4 * _BLOCK_PAIRS
+    return max(1, min((math.isqrt(k * k + 4 * _BLOCK_PAIRS) - k) // 2, left))
 
 
 def _check_pairs(los: np.ndarray, his: np.ndarray, m: int):
@@ -136,8 +139,8 @@ def _check_pairs(los: np.ndarray, his: np.ndarray, m: int):
 
 
 def _check_call(R: np.ndarray, r, m: int):
-    """Check a column call: 0 <= j < r <= m for j in R, an ascending array."""
-    if R.size and not (0 <= R[0] and R[-1] < r <= m):
+    """Check a column call: 1 <= r <= m and 0 <= j < r for j in R, an ascending array."""
+    if not (1 <= r <= m and np.all(R[:-1] < R[1:]) and np.all((0 <= R[:1]) & (R[-1:] < r))):
         raise ValueError(f"invalid interval indices ({R}, {r}) on grid {m}")
 
 
@@ -150,9 +153,9 @@ class CostCache:
     contiguous along the intervals, and _full maps an entry (i, j) of the
     unpacked matrix to its packed row. Without precompute the cache holds
     only these prefix sums, and each columns() call computes one block of
-    columns at every lam of the grid in one _eliminate call, at most
-    _BLOCK_PAIRS intervals per lam unless the block is a single column; the
-    closure holds no state. precompute=True fills a float64 table of
+    columns at every lam of the grid in one _eliminate call, a rectangle of
+    at most _BLOCK_PAIRS pairs per lam unless the block is a single column;
+    the closure holds no state. precompute=True fills a float64 table of
     shape (H, m+1, m+1), indexed [h, hi, lo], one column at a time at every
     lam, so temporaries stay O(H m d^2); costfn only reads it. theta solves the
     intervals it is asked for on each call, by the one coefficient rule of
@@ -210,28 +213,28 @@ class CostCache:
         self._P = P
 
     def _stack(self, los, his, lams):
-        """Packed moments M (T, K), T = D(D+1)/2, of the intervals
-        [lo/m, hi/m), his an array or one hi for all, and at each lambda of
-        lams (H,) the ridge weights n*lam*|I| (H, K). A positive lambda's
+        """Packed moments M (T,) + S, T = D(D+1)/2, of [lo/m, hi/m) for los
+        and his broadcast to shape S, and at each lambda of lams (H,) the
+        ridge weights n*lam*(hi-lo)/m (H,) + S. A positive lambda's
         penalty reads c^2, so one raises InvalidData if c^2 overflows."""
         M = self._M.take(np.atleast_1d(his), axis=1) - self._M.take(los, axis=1)
-        ridge = self.dataset.n * lams[:, None] * ((his - los) / self.m)
+        ridge = np.multiply.outer(self.dataset.n * lams, (his - los) / self.m)
         if lams[-1] > 0.0 and not math.isfinite(self._P[-1]):  # lams ascend
             raise InvalidData("outcomes", None, _OUTCOMES_OVERFLOW)
         return M, ridge
 
     def _costs(self, los: np.ndarray, his, lams: np.ndarray) -> np.ndarray:
-        """Costs (H, K) of the intervals [lo/m, hi/m) at each lambda of lams
-        (H,), from one _eliminate call over the packed augmented matrices
-        A (T, H*K), stacked lambda-major: A[:, h*K + k] is interval k at
-        lams[h]; 0 for an interval without rows."""
+        """Costs (H,) + S of [lo/m, hi/m) at each lambda of lams (H,), from
+        one _eliminate call over the packed augmented matrices A (T, H) + S;
+        0 where the row count M[0] is <= 0: no rows, or a pair lo >= hi."""
         M, ridge = self._stack(los, his, lams)
         if lams[-1] == 0.0:  # lams ascend: no penalty term, and c^2 is never read
-            A = np.tile(M, lams.size)
+            # in place: _eliminate never writes packed row 0, the row counts
+            A = M[:, None] if lams.size == 1 else np.repeat(M[:, None], lams.size, axis=1)
         else:
-            A = (self._P[:, None, None] * ridge + M[:, None, :]).reshape(M.shape[0], -1)
-        ncost = _eliminate(A).reshape(lams.size, -1)
-        return np.where(M[0] > 0.0, ncost, 0.0) / self.dataset.n
+            A = self._P.reshape((-1,) + (1,) * ridge.ndim) * ridge
+            A += M[:, None]
+        return np.where(M[0] > 0.0, _eliminate(A), 0.0) / self.dataset.n
 
     # ------------------------------------------------------------- access
 
@@ -269,13 +272,13 @@ class CostCache:
         entry [h, t, k] is the cost of [V[k]/m, (r+t)/m) at the h-th lambda
         of the grid where V[k] < r+t, and 0 elsewhere.
 
-        U must be an ascending int64 array with 0 <= j < r <= m. Each call
-        computes its block in one _eliminate call. b is the largest width
-        with b*|U| + b*(b-1)/2, the intervals the block stacks, at most
-        _BLOCK_PAIRS, capped at the columns left and never below 1: a block
-        stacks at most max(_BLOCK_PAIRS, |U|) intervals per lambda, and a
-        block of one column stacks exactly U. The DP's candidate sets only
-        shrink apart from the newest candidate (R_{r+t} is within
+        U must be an ascending int64 array with 0 <= j < r <= m and r >= 1,
+        else ValueError. Each call computes its block in one _eliminate call
+        over the rectangle of pairs (V[k], r+t), b*|V| = b*(|U|+b-1) of
+        them, b the largest width within _BLOCK_PAIRS, capped at the columns
+        left and never below 1: a block stacks at most max(_BLOCK_PAIRS, |U|)
+        pairs per lambda, one of one column exactly U. The DP's candidate
+        sets only shrink apart from the newest candidate (R_{r+t} is within
         R_r + {r, ..., r+t-1}), so it runs all b columns from the block and
         asks for no cost twice. The kernel is elementwise along the stack,
         so a cost has the same bits in any block.
@@ -286,12 +289,7 @@ class CostCache:
             _check_call(U, r, m)
             width = _block_width(U.size, m + 1 - r)
             V = np.concatenate([U, np.arange(r, r + width - 1, dtype=np.int64)])
-            his = np.arange(r, r + width)[:, None]
-            pairs = V < his  # the intervals [V[k]/m, (r+t)/m)
-            costs = np.zeros((lams.size, width, V.size))
-            costs[:, pairs] = self._costs(np.broadcast_to(V, pairs.shape)[pairs],
-                                          np.broadcast_to(his, pairs.shape)[pairs], lams)
-            return costs
+            return self._costs(V[None, :], np.arange(r, r + width)[:, None], lams)
 
         return block
 

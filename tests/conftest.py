@@ -274,52 +274,55 @@ def block_columns(tables, width: int):
 
 
 def block_rule(calls, m: int, budget: int) -> list:
-    """Intervals per lambda that each kernel call of a block DP over a
+    """Pairs per lambda that each kernel call of a block DP over a
     CostCache.columns() function stacks, given the DP's column candidate sets
     (U, r), in Python sets: a column whose r lies in the current block and
     whose U lies in its candidate set V runs from the block; any other opens
     one at r, of the largest width 1 <= b <= m+1-r with
-    b|U| + b(b-1)/2 <= budget (b = 1 when none fits), with
-    V = U + {r, ..., r+b-2}, and stacks every [j, r') with r <= r' < r+b and
-    j < r' in V."""
+    b(|U| + b - 1) <= budget (b = 1 when none fits), with
+    V = U + {r, ..., r+b-2}, and stacks the whole rectangle of pairs
+    (j, r') with r <= r' < r+b and j in V, b|V| of them, the intervals
+    [j, r') with j < r' among them."""
     sizes, r0, b, V = [], 0, 0, set()
     for U, r in calls:
         U = set(U.tolist())
         if r0 <= r < r0 + b and U <= V:
             continue
         r0, b = r, 1
-        while b < m + 1 - r and (b + 1) * len(U) + (b + 1) * b // 2 <= budget:
+        while b < m + 1 - r and (b + 1) * (len(U) + b) <= budget:
             b += 1
         V = U | set(range(r, r + b - 1))
-        sizes.append(sum(j < t for t in range(r, r + b) for j in V))
+        sizes.append(b * len(V))
     return sizes
 
 
 class Stacks(list):
     """Sizes of the stacks cost._eliminate gets, in call order, with
-    .intervals: for each cost stack CostCache._costs builds, its
-    (lambda, lo, hi) rows as an (H*K, 3) array."""
+    .intervals: for each cost stack CostCache._costs builds, the
+    (lambda, lo, hi) rows of its intervals (lo < hi) as a (K, 3) array."""
 
 
 @pytest.fixture
 def factorized(monkeypatch):
     """Sizes of every stack cost._eliminate gets while the test runs: the
-    number of (lambda, interval) costs the ridge path evaluates, call by
-    call. Only cost blocks reach it: theta solves its intervals by its own
-    eigendecomposition and builds no cost stack. The list's .intervals
-    records which (lambda, lo, hi) each cost stack holds."""
+    number of (lambda, lo, hi) pairs the ridge path eliminates, call by
+    call, those with lo >= hi included. Only cost blocks reach it: theta
+    solves its intervals by its own eigendecomposition and builds no cost
+    stack. The list's .intervals records which (lambda, lo, hi) intervals
+    each cost stack holds."""
     sizes = Stacks()
     sizes.intervals = []
     real, real_costs = jil.cost._eliminate, jil.cost.CostCache._costs
 
     def recording(S):
-        sizes.append(S.shape[-1])
+        sizes.append(S[0].size)
         return real(S)
 
     def recording_costs(self, los, his, lams):
-        H, K = lams.size, los.size
+        lo, hi = (x.ravel() for x in np.broadcast_arrays(los, his))
+        lo, hi = lo[lo < hi], hi[lo < hi]
         sizes.intervals.append(np.column_stack(
-            [np.repeat(lams, K), np.tile(los, H), np.tile(np.broadcast_to(his, los.shape), H)]))
+            [np.repeat(lams, lo.size), np.tile(lo, lams.size), np.tile(hi, lams.size)]))
         return real_costs(self, los, his, lams)
 
     monkeypatch.setattr(jil.cost, "_eliminate", recording)

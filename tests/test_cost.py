@@ -23,7 +23,8 @@ from conftest import (block_rule, cost_oracle, eliminate_full, indicator_data, p
                       reference_calls, ridge_oracle)
 from jil.core import Dataset, Interval, make_grid
 from jil.cost import CostCache, _eliminate
-from jil.fit import fit_ljil
+from jil.fit import NetworkCosts, fit_ljil
+from jil.mlp import TrainConfig
 from jil.segment import dp_no_prune, pelt
 from jil.sim import ScenarioSpec, gen_scenario
 from jil.tuning import default_gamma, default_grid, kfold_split
@@ -510,6 +511,28 @@ def test_cache_costfn_rejects_bad_indices(rng):
             f(lo, 3)
 
 
+def test_columns_reject_bad_calls_on_both_cost_tables(rng):
+    # a column call needs 1 <= r <= m and an ascending U below r, whatever
+    # the size of U: an empty U is no licence for r = 0, which would gather
+    # the prefix at wrapped negative indices
+    d, m = make_ds(rng, 40, 2), 10
+    for table in (CostCache(d, m, lambdas=(0.0, 0.1)), NetworkCosts(d, m, TrainConfig())):
+        column = table.columns()
+        for U, r in (([], 0), ([], -3), ([], 11), ([], 15), ([3, 1], 5), ([2, 2], 5), ([4], 4)):
+            with pytest.raises(ValueError):
+                column(np.array(U, dtype=np.int64), r)
+
+
+def test_repeated_zero_lambdas_match_one_zero_lambda(rng):
+    # at lambda = 0 one lambda's stack is eliminated in place; a grid of
+    # repeated zeros stacks a copy per lambda, each with the same bits
+    d, U = make_ds(rng, 120, 3), np.array([0, 3, 5], dtype=np.int64)
+    one = CostCache(d, 12).columns()(U, 7)
+    two = CostCache(d, 12, lambdas=(0.0, 0.0)).columns()(U, 7)
+    assert two.shape == (2,) + one.shape[1:]
+    assert two[0].tobytes() == two[1].tobytes() == one[0].tobytes()
+
+
 def test_cache_costfn_needs_the_table(rng, factorized):
     # the scalar costfn only reads a precompute=True table; a lazy cache
     # computes through columns() and has no scalar form
@@ -529,15 +552,16 @@ def test_cache_fills_only_requested_costs(rng, factorized):
     block = column(np.array([1, 4], dtype=np.int64), 6)
     # one call for both pairs at both lambdas and the rest of their block:
     # it runs to the last column (b = 3) over V = {1, 4, 6, 7}, so it
-    # stacks b|U| + b(b-1)/2 = 9 intervals, 7 beyond the 2 asked for
-    assert factorized == [2 * 9]
-    assert block_rule([(np.array([1, 4]), 6)], m, jil.cost._BLOCK_PAIRS) == [9]
+    # stacks the b|V| = 12 pairs of its rectangle, 9 of them intervals,
+    # 7 beyond the 2 asked for
+    assert factorized == [2 * 12]
+    assert block_rule([(np.array([1, 4]), 6)], m, jil.cost._BLOCK_PAIRS) == [12]
     assert block.shape == (2, 3, 4)
-    # the entries of no interval, [6, 6), [7, 6) and [7, 7), are 0
+    # the pairs of no interval, [6, 6), [7, 6) and [7, 7), cost 0
     assert not block[:, 0, 2:].any() and not block[:, 1, 3].any()
-    # every call computes its own block: V = {4, 6, 7}, b = 2, 5 intervals
+    # every call computes its own block: V = {4, 6, 7}, b = 2, 6 pairs
     column(np.array([4, 6], dtype=np.int64), 7)
-    assert factorized == [18, 2 * 5]
+    assert factorized == [24, 2 * 6]
     factorized.clear()
     eager = CostCache(d, m, lambdas=(0.0, 0.1), precompute=True)
     # one call per column, at both lambdas
@@ -645,10 +669,10 @@ def test_fit_and_cv_fold_stack_no_interval_twice(rng, factorized):
 
 @pytest.mark.parametrize("n, budget", [(400, 768), (4000, 768), (400, 16)])
 def test_block_speculation_within_budget(factorized, monkeypatch, n, budget):
-    # a block stacks at most max(budget, |U|) intervals per lambda, |U| that
-    # of the call that opened it; beyond the costs its calls ask for it
-    # stacks fewer than budget, and a one-column block (|U| above the
-    # budget) stacks exactly what it is asked for
+    # a block stacks at most max(budget, |U|) pairs per lambda, |U| that of
+    # the call that opened it; beyond the costs its calls ask for it stacks
+    # fewer than budget, and a one-column block (|U| above the budget)
+    # stacks exactly what it is asked for
     monkeypatch.setattr(jil.cost, "_BLOCK_PAIRS", budget)
     d, _ = gen_scenario(ScenarioSpec(1, n, 4, 7))
     m = make_grid(n, 5.0)
@@ -782,6 +806,23 @@ def test_eliminate_bitwise_alone_and_in_a_batch(rng):
         assert last_k[0].tobytes() == last[k].tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(D=st.integers(1, 8), K=st.integers(1, 30), rank=st.integers(0, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_eliminate_keeps_row_0_and_zeroes_empty_and_negated_stacks(D, K, rank, seed):
+    # _costs eliminates a one-lambda stack in place and reads packed row 0,
+    # the row counts, afterwards; a block's pairs lo >= hi stack zero or
+    # negated moments, whose last pivot is exactly 0, with nothing divided
+    # (the test configuration makes a RuntimeWarning an error)
+    A, _ = spd_stack(np.random.default_rng(seed), D, K, rank=min(rank, D - 1))
+    S = pack(np.stack([A, np.zeros_like(A), -A], axis=2))  # (T, 3, K)
+    row0 = S[0].copy()
+    last = _eliminate(S)
+    assert S[0].tobytes() == row0.tobytes()
+    assert not last[1:].any()
+    assert last[0].tobytes() == _eliminate(pack(A)).tobytes()
+
+
 def moment_stack(rng, D, kind, K=100):
     """Augmented moments (D, D, K) of z = (1, x, y - c) over 3D rows each:
     x uniform with D - 2 columns, y linear in x plus noise, and by kind
@@ -877,4 +918,12 @@ def test_rare_indicator_fit_one_kernel_call_per_block(factorized):
     fit_ljil(d, m, 0.0, gamma)
     assert len(calls) == m
     assert factorized == block_rule(calls, m, jil.cost._BLOCK_PAIRS)
-    assert len(factorized) == 171  # against m = 800 columns
+    assert len(factorized) == 84  # against m = 800 columns
+
+
+def test_lone_fit_at_n4000_makes_few_kernel_calls(factorized):
+    # each kernel call has a fixed cost (about 65 us, against 90 ns per
+    # pair), paid once per block: ljil-large's m = 800 fit makes 84 calls
+    d, _ = gen_scenario(ScenarioSpec(1, 4000, 4, 7))
+    fit_ljil(d, make_grid(d.n, 5.0), 0.0, default_gamma(d.n))
+    assert len(factorized) <= 100

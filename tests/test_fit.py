@@ -20,7 +20,8 @@ from jil.segment import pelt
 from jil.sim import ScenarioSpec, gen_scenario
 from jil.tuning import default_gamma
 
-from conftest import diverging_sgd_rows, enumerate_partitions, indicator_data, reference_pelt
+from conftest import (block_rule, diverging_sgd_rows, enumerate_partitions, indicator_data,
+                      reference_pelt)
 
 
 def s1_like(rng, n, p=2, noise=0.25):
@@ -152,15 +153,15 @@ def test_ljil_computes_only_pruned_survivors(rng, factorized):
     factorized.clear()
     factorized.intervals.clear()
     f = fit_ljil(d, m, lam, gamma)
-    computed, calls = sum(factorized), len(factorized)
+    calls = len(factorized)
     stacked = np.concatenate(factorized.intervals)[:, 1:].astype(np.int64).tolist()
     assert f.partition == partition
     # each candidate once, and the final intervals' coefficients through no
-    # kernel call; the cost stacks add only the speculation of their
-    # blocks, fewer than _BLOCK_PAIRS intervals per kernel call
+    # kernel call; the cost stacks are the block rule's rectangles, whose
+    # speculation stays below _BLOCK_PAIRS intervals per kernel call
     assert len(set(map(tuple, stacked))) == len(stacked)
     assert set(candidates) <= set(map(tuple, stacked))
-    assert computed == len(stacked)
+    assert factorized == block_rule(columns, m, jil.cost._BLOCK_PAIRS)
     assert len(stacked) - len(candidates) < calls * jil.cost._BLOCK_PAIRS
     assert len(candidates) < m * (m + 1) // 2
     assert f.partition.size == 3
@@ -170,8 +171,8 @@ def test_ljil_peak_memory_at_n4000():
     # no O(m^2) allocation on the fit path (at m = 800 one (m+1)^2 float64
     # table alone would take 4.9 MB), and no (n, d, d) temporaries in the
     # prefix sums, which are summed per cell first and stored packed; the
-    # fit peaks at 0.56 MB (numpy 2.4, Python 3.11), and the bound leaves
-    # about 20% above that
+    # fit peaks at 0.63 MiB (numpy 2.4, Python 3.11), and the bound leaves
+    # about 7% above that
     d, _ = gen_scenario(ScenarioSpec(1, 4000, 4, 7))
     m = make_grid(d.n, 5.0)
     assert m == 800
