@@ -18,9 +18,9 @@ s' = sum (Y - c)^2. M is symmetric, so it is stored packed: the row-major
 upper triangle, D(D+1)/2 entries for D = d + 1 (21 rather than 36 at
 p = 4), each a row of prefix sums contiguous along the cells. Centering
 keeps s' and b' from cancelling when the outcomes sit far from zero. Finite
-data can still overflow these sums, or c^2 in P below, which only a stack
-at a positive lam reads (at lam = 0 the stack is M alone); either would make
-costs NaN, so such data raise InvalidData naming the outcomes or covariates.
+data can still overflow these sums, or c^2 in P below, which only a
+positive lam reads; either would make costs NaN, so such data raise
+InvalidData naming the outcomes or covariates.
 
 Penalty. With theta' = theta - c e1 the residuals are Y - c - xbar^T theta',
 and the penalty stays on the uncentered theta = theta' + c e1. So for
@@ -28,6 +28,10 @@ v = (-theta', 1),
 
     n * cost(theta) = v^T (M + n*lam*|I| * P) v,
     P = [[Id, -c e1], [-c e1^T, c^2]].
+
+Packed, P is nonzero in only D+1 rows (7 of 21 at p = 4): the d unit
+diagonals, (0, d) and (d, d). So a cost stack is M (a copy per lam of a
+grid), and a positive lam adds n*lam*|I| in place to those rows alone.
 
 Cost. Minimizing over theta' leaves the Schur complement of the leading
 d x d block of A = M + n*lam*|I|*P, the last pivot of a symmetric elimination
@@ -61,20 +65,17 @@ matrix are Id), and every step is elementwise or batched along the
 intervals, so an interval gets the same bits in any batch.
 
 CostCache computes costs over a fixed lam grid: each columns() call returns
-a block of consecutive DP columns at every lam of the grid from one
-_eliminate call over one broadcast rectangle, every candidate against
-every column of the block, and the DP runs the block's columns from it. Its
-pairs lo >= hi stack zero or negated moments, which cost exactly 0. The
-rectangle's area is bounded by a fixed budget, so the kernel's fixed
-cost per call is paid once per block rather than once per column. A
-lone fit reads the one cost row of a one-lam cache; a CV fold runs the grid
-form of segment.pelt over all rows.
-Coefficients are solved on demand, for any intervals in one batched call,
-at a lam that must be finite and >= 0. CostCache shares this interface,
-columns() and models(los, his, lam), with fit.NetworkCosts, so one fit body
-and one CV loop serve both model families. The scalar costfn(lam) only reads the table
-of every interval's costs that precompute=True fills; both serve only the
-benchmark's solver check and tests (ROADMAP item 11).
+a block of consecutive DP columns at every lam from one _eliminate call over
+a broadcast rectangle of every candidate against every column of the block,
+its area within a fixed budget, so the kernel's fixed cost per call is paid
+once per block; pairs lo >= hi stack zero or negated moments and cost
+exactly 0. A lone fit reads the one row of a one-lam cache; a CV fold runs
+the grid form of segment.pelt over all rows. Coefficients are solved on
+demand, for any intervals in one batched call, at a finite lam >= 0.
+CostCache shares this interface, columns() and models(los, his, lam), with
+fit.NetworkCosts, so one fit body and one CV loop serve both model families.
+The scalar costfn(lam) only reads the table that precompute=True fills; both
+serve only the benchmark's solver check and tests (ROADMAP item 11).
 """
 
 from __future__ import annotations
@@ -206,35 +207,33 @@ class CostCache:
         if not np.isfinite(total[-1]):
             raise InvalidData("outcomes", None, _OUTCOMES_OVERFLOW)
         self._shift = c
-        P = np.zeros(upper[0].size)
-        P[diag] = 1.0
-        P[self._full[0, -1]] = -c
-        P[-1] = c * c
-        self._P = P
 
     def _stack(self, los, his, lams):
         """Packed moments M (T,) + S, T = D(D+1)/2, of [lo/m, hi/m) for los
         and his broadcast to shape S, and at each lambda of lams (H,) the
-        ridge weights n*lam*(hi-lo)/m (H,) + S. A positive lambda's
-        penalty reads c^2, so one raises InvalidData if c^2 overflows."""
+        ridge weights n*lam*(hi-lo)/m (H,) + S; InvalidData at a positive
+        lambda if c^2, P's (d, d) entry, overflows."""
         M = self._M.take(np.atleast_1d(his), axis=1) - self._M.take(los, axis=1)
         ridge = np.multiply.outer(self.dataset.n * lams, (his - los) / self.m)
-        if lams[-1] > 0.0 and not math.isfinite(self._P[-1]):  # lams ascend
+        if lams[-1] > 0.0 and not math.isfinite(self._shift * self._shift):  # lams ascend
             raise InvalidData("outcomes", None, _OUTCOMES_OVERFLOW)
         return M, ridge
 
     def _costs(self, los: np.ndarray, his, lams: np.ndarray) -> np.ndarray:
         """Costs (H,) + S of [lo/m, hi/m) at each lambda of lams (H,), from
-        one _eliminate call over the packed augmented matrices A (T, H) + S;
-        0 where the row count M[0] is <= 0: no rows, or a pair lo >= hi."""
+        one _eliminate call over the packed A = M + ridge * P (T, H) + S, the
+        ridge added in place to P's D+1 nonzero rows; 0 where the row count
+        M[0] is <= 0: no rows, or a pair lo >= hi."""
         M, ridge = self._stack(los, his, lams)
-        if lams[-1] == 0.0:  # lams ascend: no penalty term, and c^2 is never read
-            # in place: _eliminate never writes packed row 0, the row counts
-            A = M[:, None] if lams.size == 1 else np.repeat(M[:, None], lams.size, axis=1)
-        else:
-            A = self._P.reshape((-1,) + (1,) * ridge.ndim) * ridge
-            A += M[:, None]
-        return np.where(M[0] > 0.0, _eliminate(A), 0.0) / self.dataset.n
+        live = M[0] > 0.0  # read first: at one lambda, A[0] is M[0] and gains the ridge
+        A = M[:, None] if lams.size == 1 else np.repeat(M[:, None], lams.size, axis=1)
+        if lams[-1] > 0.0:  # lams ascend
+            c = self._shift
+            for t in self._full.diagonal()[:-1]:
+                A[t] += ridge
+            A[self._full[0, -1]] += -c * ridge
+            A[-1] += c * c * ridge
+        return np.where(live, _eliminate(A), 0.0) / self.dataset.n
 
     # ------------------------------------------------------------- access
 

@@ -113,8 +113,8 @@ class PropensityModel:
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.weights.shape[0] != self.partition.size:
-            raise ValueError("propensity weights must have one row per interval")
+        if self.weights.ndim != 2 or self.weights.shape[0] != self.partition.size:
+            raise ValueError("propensity weights must be a matrix with one row per interval")
 
 
 def floor_probabilities(probs: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ solves go through dense normal equations (or lstsq for the singular case),
 costs and losses are accumulated with plain Python loops where feasible, and
 interval membership is recomputed from first principles. The exhaustive
 partition search, a plain column-form PELT (reference_pelt), the
-full-square form of the cost kernel (eliminate_full) and the
-finite-difference gradient check live here too.
+full-square form of the cost kernel (eliminate_full), the dense ridge
+penalty (penalty_matrix) and the finite-difference gradient check live here
+too.
 Tests compare the library against these, never against itself.
 """
 
@@ -199,6 +200,17 @@ def eliminate_full(S: np.ndarray) -> np.ndarray:
         row = np.divide(S[k, k + 1 :], S[k, k], out=np.zeros_like(S[k, k + 1 :]), where=ok)
         S[k + 1 :, k + 1 :] -= S[k + 1 :, k, None] * row
     return np.maximum(S[-1, -1], 0.0)
+
+
+def penalty_matrix(d: int, c: float) -> np.ndarray:
+    """The dense penalty P = [[I_d, -c e1], [-c e1^T, c^2]] (d+1, d+1) of
+    the cost module's docstring: with outcomes centered at c, an interval's
+    n * cost is v^T (M + n*lam*|I| * P) v."""
+    P = np.zeros((d + 1, d + 1))
+    P[:d, :d] = np.eye(d)
+    P[0, d] = P[d, 0] = -c
+    P[d, d] = c * c
+    return P
 
 
 def pack(A: np.ndarray) -> np.ndarray:

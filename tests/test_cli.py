@@ -529,6 +529,10 @@ def _nan_propensity_weight(art):
     art["propensity"]["weights"][0][0] = float("nan")
 
 
+def _flat_propensity_weights(art):
+    art["propensity"]["weights"] = [row[0] for row in art["propensity"]["weights"]]
+
+
 def _list_lambda(art):
     art["lambda"] = [art["lambda"]]
 
@@ -572,7 +576,7 @@ def evaluate_corrupted(text, corrupt, data, tmp_path, capsys):
     [_drop_theta, _unpair_partition, _gap_partition, _extra_model, _drop_p, _spell_m,
      _empirical_propensity, _raise_floor, _fractional_edges, _bool_edge, _fractional_seed,
      _float_p, _string_theta, _bool_theta, _scalar_theta, _nan_theta, _nan_propensity_weight,
-     _list_lambda, _list_floor, _list_dose_range, _unknown_method],
+     _flat_propensity_weights, _list_lambda, _list_floor, _list_dose_range, _unknown_method],
 )
 def test_evaluate_malformed_model_fields_exit_2(s1_csv, s1_artifact, tmp_path, capsys, corrupt):
     assert evaluate_corrupted(s1_artifact, corrupt, s1_csv, tmp_path, capsys)[0] == 2

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import jil.cost
 from conftest import (block_rule, cost_oracle, eliminate_full, indicator_data, pack,
-                      reference_calls, ridge_oracle)
+                      penalty_matrix, reference_calls, ridge_oracle)
 from jil.core import Dataset, Interval, make_grid
 from jil.cost import CostCache, _eliminate
 from jil.fit import NetworkCosts, fit_ljil
@@ -136,12 +136,18 @@ def test_cost_empty_interval_zero(rng):
 
 def test_cost_empty_intervals_exact_zero_in_columns(rng):
     # eliminating n*lam*|I|*P of an interval without rows leaves rounding in
-    # the last pivot for about one (offset, lam) pair in five
+    # the last pivot for about one (offset, lam) pair in five; a one-lambda
+    # cache adds the ridge to M's own row 0, the row counts, and the table
+    # fills one column at a time
+    lambdas = (0.0, 1e-3, 0.01, 0.37, 2.0)
     for offset in (0.3, 1.7, 3.0, 1e3, 12345.678, 1e5):
         d = Dataset(rng.uniform(-1, 1, (8, 2)), np.full(8, 0.95), offset + rng.standard_normal(8))
-        column = CostCache(d, 10, lambdas=(0.0, 1e-3, 0.01, 0.37, 2.0)).columns()
-        for hi in range(1, 10):
-            assert not first_column(column, np.arange(hi, dtype=np.int64), hi).any()
+        for grid in [lambdas] + [(lam,) for lam in lambdas[1:]]:
+            column = CostCache(d, 10, lambdas=grid).columns()
+            for hi in range(1, 10):
+                assert not first_column(column, np.arange(hi, dtype=np.int64), hi).any()
+        table = CostCache(d, 10, lambdas=lambdas, precompute=True)._table
+        assert not table[:, :10].any()  # [h, hi, lo]: every interval below cell 9 is empty
 
 
 def test_cost_single_point_exact_fit():
@@ -810,10 +816,10 @@ def test_eliminate_bitwise_alone_and_in_a_batch(rng):
 @given(D=st.integers(1, 8), K=st.integers(1, 30), rank=st.integers(0, 7),
        seed=st.integers(0, 2**32 - 1))
 def test_eliminate_keeps_row_0_and_zeroes_empty_and_negated_stacks(D, K, rank, seed):
-    # _costs eliminates a one-lambda stack in place and reads packed row 0,
-    # the row counts, afterwards; a block's pairs lo >= hi stack zero or
-    # negated moments, whose last pivot is exactly 0, with nothing divided
-    # (the test configuration makes a RuntimeWarning an error)
+    # _eliminate never writes packed row 0, the row counts; a block's pairs
+    # lo >= hi stack zero or negated moments, whose last pivot is exactly 0,
+    # with nothing divided (the test configuration makes a RuntimeWarning an
+    # error)
     A, _ = spd_stack(np.random.default_rng(seed), D, K, rank=min(rank, D - 1))
     S = pack(np.stack([A, np.zeros_like(A), -A], axis=2))  # (T, 3, K)
     row0 = S[0].copy()
@@ -821,6 +827,44 @@ def test_eliminate_keeps_row_0_and_zeroes_empty_and_negated_stacks(D, K, rank, s
     assert S[0].tobytes() == row0.tobytes()
     assert not last[1:].any()
     assert last[0].tobytes() == _eliminate(pack(A)).tobytes()
+
+
+@pytest.mark.parametrize("lambdas, offset", [
+    ((1e-3,), 0.0), ((0.37,), 0.0), ((0.0, 1e-3, 1e-2), 0.0), ((1e-2,), 1e150),
+    ((0.0, 1e-2), 1e150)])
+def test_penalized_stacks_match_dense_penalty_bitwise(monkeypatch, lambdas, offset):
+    # every stack a positive lambda's costs eliminate is, bit for bit, the
+    # packed M + n*lam*|I|*P with the dense P, however the kernel adds it
+    d, _ = gen_scenario(ScenarioSpec(1, 300, 4, 2))
+    d = Dataset(d.covariates, d.treatments, d.outcomes + offset)
+    m, stacks = 60, []
+    real_costs, real_eliminate = CostCache._costs, jil.cost._eliminate
+
+    def costs(self, los, his, lams):
+        stacks.append([self._M, *np.broadcast_arrays(los, his), lams])
+        return real_costs(self, los, his, lams)
+
+    def eliminate(S):
+        stacks[-1].append(S.copy())  # before the kernel overwrites it
+        return real_eliminate(S)
+
+    monkeypatch.setattr(CostCache, "_costs", costs)
+    monkeypatch.setattr(jil.cost, "_eliminate", eliminate)
+    column = CostCache(d, m, lambdas, precompute=True).columns()
+    column(np.array([0, 7, 30], dtype=np.int64), 31)
+    column(np.arange(55, dtype=np.int64), 55)
+    if len(lambdas) == 1 and not offset:
+        fit_ljil(d, m, lambdas[0], default_gamma(d.n))
+    assert len(stacks) >= m + 2
+    P = penalty_matrix(d.p + 1, float(np.mean(d.outcomes)))
+    upper = np.triu_indices(d.p + 2)
+    for prefix, los, his, lams, S in stacks:
+        M = np.empty((d.p + 2, d.p + 2) + los.shape)
+        M[upper] = M[upper[::-1]] = prefix[:, his] - prefix[:, los]
+        Pb = P.reshape(P.shape + (1,) * los.ndim)
+        for h, lam in enumerate(lams):
+            want = pack(M + Pb * (d.n * lam * ((his - los) / m)))
+            assert np.ascontiguousarray(S[:, h]).tobytes() == want.tobytes()
 
 
 def moment_stack(rng, D, kind, K=100):

@@ -168,6 +168,8 @@ def test_propensity_simplex_after_training(rng):
 def test_propensity_model_needs_one_weight_row_per_interval():
     with pytest.raises(ValueError, match="one row per interval"):
         PropensityModel(Partition.from_edges([0, 3, 6], 6), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="a matrix"):
+        PropensityModel(Partition.from_edges([0, 3, 6], 6), np.zeros(2))
 
 
 def test_propensity_probs_covariate_count_checked():

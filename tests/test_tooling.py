@@ -1,8 +1,8 @@
 """Repository tooling: the pytest configuration reports failures instead of
-aborting, the library runs without SciPy, which only the tests use, it
-reads no environment setting but the one the CLI documents, it runs in one
-process and one thread, and it calls numpy.linalg only in the coefficient
-rule and the propensity fit."""
+aborting and refuses a mistyped mark or ini key, the library runs without
+SciPy, which only the tests use, it reads no environment setting but the one
+the CLI documents, it runs in one process and one thread, and it calls
+numpy.linalg only in the coefficient rule and the propensity fit."""
 
 from __future__ import annotations
 
@@ -42,6 +42,30 @@ def test_failing_property_test_is_reported_and_the_run_goes_on(tmp_path):
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert run.returncode == 1
     assert "1 failed, 1 passed" in run.stdout
+
+
+MISTYPED_MARK_FILE = '''
+import pytest
+
+
+@pytest.mark.slwo
+def test_x():
+    pass
+'''
+
+
+def test_mistyped_mark_or_ini_key_fails_the_run(tmp_path):
+    (tmp_path / "test_mark.py").write_text(MISTYPED_MARK_FILE)
+    typo = tmp_path / "pyproject.toml"
+    typo.write_text(PYPROJECT.read_text().replace("xfail_strict", "xfial_strict"))
+    for config, error in ((PYPROJECT, "'slwo' not found in `markers`"),
+                          (typo, "Unknown config option: xfial_strict")):
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-c", str(config), "-q", "-p", "no:cacheprovider",
+             "--rootdir", str(tmp_path), "test_mark.py"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode != 0 and error in run.stdout + run.stderr
 
 
 CLI_WITHOUT_SCIPY = """
