@@ -6,8 +6,8 @@ costs and losses are accumulated with plain Python loops where feasible, and
 interval membership is recomputed from first principles. The exhaustive
 partition search, a plain column-form PELT (reference_pelt), the
 full-square form of the cost kernel (eliminate_full), the dense ridge
-penalty (penalty_matrix) and the finite-difference gradient check live here
-too.
+penalty (penalty_matrix), a one-network SGD loop (reference_mlp_train) and
+the finite-difference gradient check live here too.
 Tests compare the library against these, never against itself.
 """
 
@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 import jil.cost
-from jil.core import Dataset, Partition
+from jil.core import Dataset, Interval, Partition, grid_cell
 from jil.errors import DimensionMismatch
-from jil.mlp import MlpModel, _batch_gradients
+from jil.mlp import MlpModel, TrainConfig, _batch_gradients, init_model
 from jil.sim import ScenarioSpec, gen_scenario
 
 
@@ -134,6 +134,51 @@ def enumerate_partitions(costfn, m: int, gamma: float):
     return Partition.from_edges(list(best_edges), m), best_key[0]
 
 
+def stack_gradients(model: MlpModel, X, y):
+    """The library's batch-mean gradients of (pred - y)^2 over rows X (n, p),
+    for one network run as a stack of one: (dws, dbs) shaped like the
+    model's weights and biases."""
+    n = X.shape[0]
+    dws = [np.empty((1,) + w.shape) for w in model.weights]
+    dbs = [np.empty((1, 1) + b.shape) for b in model.biases]
+    _batch_gradients([w[None] for w in model.weights], [b[None, None] for b in model.biases],
+                     X[None], np.asarray(y, dtype=float)[None, :, None],
+                     np.full((1, n, 1), float(n)), dws, dbs)
+    return [dw[0] for dw in dws], [db[0, 0] for db in dbs]
+
+
+def reference_mlp_train(d: Dataset, interval: Interval, cfg: TrainConfig) -> MlpModel:
+    """One network trained alone by a plain SGD loop, the oracle for
+    mlp.mlp_train: the init_model draw of default_rng(cfg.seed), then per
+    epoch a permutation of the interval's rows from the same generator, cut
+    into minibatches of at most batch_size rows, the last one short, each
+    taking one step W <- W - lr * mean-gradient, by 2-D forward and backward
+    passes written here."""
+    cells = grid_cell(d.treatments, interval.m)
+    rows = np.flatnonzero((cells >= interval.lo) & (cells < interval.hi))
+    X, y = d.covariates[rows], d.outcomes[rows]
+    rng = np.random.default_rng(cfg.seed)
+    model = init_model(d.p, cfg.hidden, rng)
+    weights, biases = list(model.weights), list(model.biases)
+    last = len(weights) - 1
+    for _ in range(cfg.epochs):
+        order = rng.permutation(rows.size)
+        for start in range(0, rows.size, cfg.batch_size):
+            take = order[start : start + cfg.batch_size]
+            acts, pres = [X[take]], []
+            for k, (w, b) in enumerate(zip(weights, biases)):
+                pres.append(acts[-1] @ w.T + b)
+                acts.append(pres[-1] if k == last else np.maximum(pres[-1], 0.0))
+            delta = 2.0 * (acts[-1] - y[take][:, None]) / take.size
+            for k in range(last, -1, -1):
+                dw, db = delta.T @ acts[k], delta.sum(axis=0)
+                if k > 0:
+                    delta = (delta @ weights[k]) * (pres[k - 1] > 0.0)
+                weights[k] = weights[k] - cfg.learning_rate * dw
+                biases[k] = biases[k] - cfg.learning_rate * db
+    return MlpModel(model.layer_sizes, tuple(weights), tuple(biases))
+
+
 def gradient_check(model: MlpModel, x, y: float, eps: float = 1e-5) -> float:
     """Worst relative error between backprop and central finite differences.
 
@@ -147,7 +192,7 @@ def gradient_check(model: MlpModel, x, y: float, eps: float = 1e-5) -> float:
         raise DimensionMismatch(
             f"network expects {model.n_inputs} covariates, got shape {x.shape}"
         )
-    dws, dbs = _batch_gradients(model.weights, model.biases, x[None, :], np.array([y]))
+    dws, dbs = stack_gradients(model, x[None, :], np.array([y]))
 
     def loss(weights, biases):
         probe = MlpModel(model.layer_sizes, tuple(weights), tuple(biases))

@@ -291,24 +291,33 @@ def test_djil_huge_gamma_single_interval(rng):
     assert f.partition.size == 1
 
 
+def counting_trainer(monkeypatch, record):
+    """Route fit.mlp_train through a wrapper that appends each call's
+    intervals, as one list per trainer call, to record."""
+    real = fit_mod.mlp_train
+
+    def counting(dd, intervals, cfg):
+        record.append([(iv.lo, iv.hi) for iv in intervals])
+        return real(dd, intervals, cfg)
+
+    monkeypatch.setattr(fit_mod, "mlp_train", counting)
+
+
 def test_djil_trains_each_interval_once(rng, monkeypatch):
     n = 90
     A = rng.random(n)
     Y = np.where(A < 0.5, 0.0, 4.0) + 0.1 * rng.standard_normal(n)
     d = Dataset(rng.uniform(-1, 1, (n, 1)), A, Y)
-    calls = []
-    real = fit_mod.mlp_train
-
-    def counting(dd, iv, cfg):
-        calls.append((iv.lo, iv.hi))
-        return real(dd, iv, cfg)
-
-    monkeypatch.setattr(fit_mod, "mlp_train", counting)
+    per_call = []
+    counting_trainer(monkeypatch, per_call)
     m = 6
     f = fit_djil(d, m, 0.05, djil_cfg(epochs=60))
+    calls = [pair for pairs in per_call for pair in pairs]
     assert len(calls) == len(set(calls))
     assert len(calls) <= m * (m + 1) // 2
     assert len(calls) >= f.partition.size
+    # one lockstep call per DP column at most
+    assert 0 < len(per_call) <= m and all(per_call)
 
 
 def test_djil_trains_the_intervals_per_pair_pelt_trains(rng, monkeypatch):
@@ -316,20 +325,15 @@ def test_djil_trains_the_intervals_per_pair_pelt_trains(rng, monkeypatch):
     # per-pair DP on the same table, so the same networks get trained
     d, _ = gen_scenario(ScenarioSpec(2, 120, 2, 3))
     m, gamma, cfg = 12, 0.05, djil_cfg(seed=1, epochs=5)
-    calls = []
-    real = fit_mod.mlp_train
-
-    def counting(dd, iv, c):
-        calls.append((iv.lo, iv.hi))
-        return real(dd, iv, c)
-
-    monkeypatch.setattr(fit_mod, "mlp_train", counting)
+    per_call = []
+    counting_trainer(monkeypatch, per_call)
     f = fit_djil(d, m, gamma, cfg)
-    batched = list(calls)
-    calls.clear()
+    batched = [pair for pairs in per_call for pair in pairs]
+    assert len(per_call) <= m
+    per_call.clear()
     column = fit_mod.NetworkCosts(d, m, cfg).columns()
     part, obj = pelt(lambda lo, hi: column(np.array([lo]), hi)[0, 0, 0], m, gamma)
-    assert calls == batched
+    assert [pair for pairs in per_call for pair in pairs] == batched
     assert len(batched) > m
     assert f.partition == part
     assert float(f.objective).hex() == float(obj).hex()

@@ -1,8 +1,9 @@
-"""Feedforward ReLU regressor: forward pass, backprop, training, cost."""
+"""Feedforward ReLU regressor: forward pass, backprop, lockstep training, cost."""
 
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ import pytest
 from jil.core import Dataset, Interval, normalize_treatment
 from jil.errors import DimensionMismatch, EmptySegment, NoConvergence
 from jil.fit import NetworkCosts
-from jil.mlp import MlpModel, TrainConfig, _batch_gradients, init_model, mlp_train
+from jil.sim import ScenarioSpec, gen_scenario
+from jil.mlp import MlpModel, TrainConfig, init_model, mlp_train
 
-from conftest import diverging_sgd_rows, gradient_check
+from conftest import diverging_sgd_rows, gradient_check, reference_mlp_train, stack_gradients
 
 
 def predict_one(model, x):
@@ -118,14 +120,93 @@ def test_train_diverging_sgd_raises_naming_the_interval():
     assert info.value.decrement is None
 
 
+def cells_dataset(counts, p=2, seed=0):
+    """Rows whose doses put counts[k] of them in cell k of a len(counts)-cell grid."""
+    r = np.random.default_rng(seed)
+    m = len(counts)
+    A = np.repeat((np.arange(m) + 0.5) / m, counts)
+    X = r.uniform(-1, 1, (A.size, p))
+    return Dataset(X, A, np.sin(3 * X[:, 0]) + 0.3 * r.standard_normal(A.size)), m
+
+
+def model_bytes(model):
+    return [a.tobytes() for a in model.weights + model.biases]
+
+
+@pytest.mark.parametrize("hidden", [(8,), (4, 3), ()])
+def test_network_gets_the_same_bits_in_any_stack(hidden):
+    # row counts around the batch size: one row, a short batch, a full one,
+    # one row over, and a short last batch after three full ones; a network
+    # with fewer batches idles while the others still step
+    bs = 6
+    d, m = cells_dataset([1, bs - 1, bs, bs + 1, 3 * bs + 5])
+    cfg = TrainConfig(hidden=hidden, epochs=3, learning_rate=0.05, batch_size=bs, seed=4)
+    ivs = tuple(Interval(k, k + 1, m) for k in range(m))
+    alone = [model_bytes(mlp_train(d, iv, cfg)) for iv in ivs]
+    stacked = mlp_train(d, ivs, cfg)
+    assert isinstance(stacked, tuple) and len(stacked) == m
+    assert [model_bytes(net) for net in stacked] == alone
+    dup = (ivs[3], ivs[4], ivs[0], ivs[3])
+    assert [model_bytes(net) for net in mlp_train(d, dup, cfg)] == [alone[3], alone[4], alone[0], alone[3]]
+    assert mlp_train(d, (), cfg) == ()
+
+
+def test_stack_names_an_empty_interval(rng):
+    d, m = cells_dataset([4, 0, 3])
+    cfg = TrainConfig(hidden=(2,), epochs=1)
+    with pytest.raises(EmptySegment, match=re.escape(str(Interval(1, 2, m)))):
+        mlp_train(d, (Interval(0, 1, m), Interval(1, 2, m), Interval(2, 3, m)), cfg)
+
+
+def test_stack_with_a_diverging_network_names_it_and_warns_nothing():
+    # the rows of test_train_diverging_sgd_raises_naming_the_interval with
+    # their doses moved into [0.5, 1], so its diverging interval
+    # [5/12, 8/12) becomes [17/24, 20/24); well-scaled rows fill [0, 0.5)
+    y, a, X = diverging_sgd_rows()
+    r = np.random.default_rng(1)
+    d = Dataset(np.vstack([X, r.uniform(-1, 1, (40, 2))]),
+                np.concatenate([0.5 + 0.5 * normalize_treatment(a), r.uniform(0.0, 0.5, 40)]),
+                np.concatenate([y, r.standard_normal(40)]))
+    finite, diverging = Interval(0, 12, 24), Interval(17, 20, 24)
+    cfg = TrainConfig()
+    assert np.isfinite(mlp_train(d, finite, cfg).weights[0]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence,
+                           match=re.escape(f"network training on {diverging} diverged")):
+            mlp_train(d, (finite, diverging, finite), cfg)
+
+
+@pytest.mark.parametrize("hidden, epochs", [((8,), 5), ((32, 32), 50)])
+def test_lockstep_matches_reference_sgd_loop(hidden, epochs):
+    # padding slots change the order of the gradient sums, so the weights
+    # agree up to rounding, not bit for bit
+    d, _ = gen_scenario(ScenarioSpec(2, 200, 4, 3))
+    m = 20
+    cfg = TrainConfig(hidden=hidden, epochs=epochs, seed=2)
+    ivs = tuple(Interval(lo, hi, m) for lo, hi in ((0, 20), (0, 5), (3, 9), (10, 11), (12, 20)))
+    for iv, net in zip(ivs, mlp_train(d, ivs, cfg)):
+        want = reference_mlp_train(d, iv, cfg)
+        for got, ref in zip(net.weights + net.biases, want.weights + want.biases):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("epochs", 0), ("batch_size", 0), ("learning_rate", 0.0), ("learning_rate", -0.1),
-     ("learning_rate", float("nan"))],
+     ("learning_rate", float("nan")), ("epochs", 2.5), ("epochs", True), ("epochs", -1),
+     ("batch_size", 1.5), ("batch_size", False), ("hidden", (2.5,)), ("hidden", (-3,)),
+     ("hidden", (0,)), ("hidden", (4, 0)), ("hidden", (True,))],
 )
 def test_train_config_rejects_bad_settings(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: value})
+
+
+def test_train_config_takes_integer_settings():
+    cfg = TrainConfig(hidden=[np.int64(3), 2], epochs=np.int64(2), batch_size=1)
+    assert cfg.hidden == (3, 2) and type(cfg.hidden[0]) is int and type(cfg.epochs) is int
+    assert TrainConfig(hidden=()).hidden == ()  # a linear network
 
 
 def test_train_full_batch_row_permutation_invariance(rng):
@@ -267,7 +348,7 @@ def test_gradient_linear_net_closed_form(rng):
     model = hand_model([3, 1], [w], [b])
     x = rng.uniform(-1, 1, 3)
     y = 0.4
-    dws, dbs = _batch_gradients(model.weights, model.biases, x[None, :], np.array([y]))
+    dws, dbs = stack_gradients(model, x[None, :], np.array([y]))
     pred = predict_one(model, x)
     np.testing.assert_array_equal(dws[0], 2.0 * (pred - y) * x[None, :])
     np.testing.assert_array_equal(dbs[0], np.array([2.0 * (pred - y)]))

@@ -344,7 +344,8 @@ def test_djil_cv_single_candidate(rng):
 def test_djil_cv_rejects_a_lambda_axis(rng, monkeypatch):
     n = 40
     d = Dataset(rng.uniform(-1, 1, (n, 2)), rng.random(n), rng.standard_normal(n))
-    monkeypatch.setattr(fit_mod, "mlp_train", lambda *a: pytest.fail("trained a network"))
+    monkeypatch.setattr(fit_mod, "mlp_train",
+                        lambda dd, ivs, cfg: pytest.fail(f"trained {len(ivs)} networks"))
     for lambdas in ((0.0, 1e-3), (1e-3,)):
         grid = TuningGrid(lambdas=lambdas, gammas=(0.3,), k_folds=2, seed=0)
         with pytest.raises(ValueError, match="lambdas"):
@@ -412,9 +413,10 @@ def test_djil_cv_trains_each_interval_once_per_fold(rng, monkeypatch):
     calls = []
     real = fit_mod.mlp_train
 
-    def counting(dd, iv, cfg):
-        calls.append((dd, iv.lo, iv.hi))  # holding dd keeps each fold's id unique
-        return real(dd, iv, cfg)
+    def counting(dd, ivs, cfg):
+        # holding dd keeps each fold's id unique
+        calls.extend((dd, iv.lo, iv.hi) for iv in ivs)
+        return real(dd, ivs, cfg)
 
     monkeypatch.setattr(fit_mod, "mlp_train", counting)
     cv_select_djil(d, m, djil_grid((0.001, 0.01, 0.1, 1.0), k, 2), small_cfg(seed=2, epochs=5))
@@ -493,7 +495,9 @@ def test_djil_cv_matches_reference_fold_loop(rng, monkeypatch):
     cfg = small_cfg(seed=4, epochs=5)
     trainings = []
     real = fit_mod.mlp_train
-    monkeypatch.setattr(fit_mod, "mlp_train", lambda *a: trainings.append(1) or real(*a))
+    # networks, not trainer calls: the batched DP trains a column's in one call
+    monkeypatch.setattr(fit_mod, "mlp_train",
+                        lambda dd, ivs, c: trainings.extend(ivs) or real(dd, ivs, c))
     rep = cv_select_djil(d, m, grid, cfg)
     got = len(trainings)
     trainings.clear()
