@@ -507,6 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     count = _flag(int, lambda v: v >= 1, "a positive integer")
     folds = _flag(int, lambda v: v >= 2, "at least 2 folds")
+    seed = _flag(int, lambda v: v >= 0, "an integer >= 0")
     coarseness = _flag(float, lambda v: 0 < v < np.inf, "a finite real > 0")
     alpha = _flag(float, _alpha_ok, "a real in (0, 1) with 1 - alpha/2 < 1")
     lam = _flag(float, lambda v: 0 <= v < np.inf, "a finite real >= 0 or 'auto'", ("auto",))
@@ -519,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--scenario", type=int, choices=range(1, 6), required=True)
     ps.add_argument("--n", type=count, required=True)
     ps.add_argument("--p", type=count, default=4)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=seed, default=0)
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_simulate)
 
@@ -534,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="jump penalty, 'auto' for CV, 'default' for 4 log(n)/n")
     pf.add_argument("--folds", type=folds, default=5)
     pf.add_argument("--alpha", type=alpha, default=0.05)
-    pf.add_argument("--seed", type=int, default=0)
+    pf.add_argument("--seed", type=seed, default=0)
     pf.add_argument("--out", required=True)
     pf.set_defaults(func=cmd_fit)
 
@@ -554,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--reps", type=count, required=True)
     pb.add_argument("--method", choices=("ljil", "djil"), default="ljil")
     pb.add_argument("--c", type=coarseness, default=5.0)
-    pb.add_argument("--seed", type=int, default=0)
+    pb.add_argument("--seed", type=seed, default=0)
     pb.set_defaults(func=cmd_bench)
     return parser
 

@@ -127,10 +127,12 @@ def _eliminate(S: np.ndarray) -> np.ndarray:
     return np.maximum(S[-1], 0.0)
 
 
-def _block_width(u: int, left: int) -> int:
-    """Largest b with b*(u+b-1) <= _BLOCK_PAIRS, at most left, at least 1."""
-    k = u - 1  # the bound is (2b + k)^2 <= k^2 + 4 * _BLOCK_PAIRS
-    return max(1, min((math.isqrt(k * k + 4 * _BLOCK_PAIRS) - k) // 2, left))
+def _block_width(u: int, left: int, budget: int) -> int:
+    """Largest b with b*(u+b-1) <= budget, at most left, at least 1: the
+    width of a block of columns over u candidates, whose rectangle of pairs
+    (V[k], r+t) holds b*(u+b-1) of them, with left columns still to run."""
+    k = u - 1  # the bound is (2b + k)^2 <= k^2 + 4 * budget
+    return max(1, min((math.isqrt(k * k + 4 * budget) - k) // 2, left))
 
 
 def _check_pairs(los: np.ndarray, his: np.ndarray, m: int):
@@ -286,7 +288,7 @@ class CostCache:
 
         def block(U, r):
             _check_call(U, r, m)
-            width = _block_width(U.size, m + 1 - r)
+            width = _block_width(U.size, m + 1 - r, _BLOCK_PAIRS)
             V = np.concatenate([U, np.arange(r, r + width - 1, dtype=np.int64)])
             return self._costs(V[None, :], np.arange(r, r + width)[:, None], lams)
 

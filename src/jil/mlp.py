@@ -16,6 +16,7 @@ network gets the same bits in any stack, alone included.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -63,9 +64,9 @@ class MlpModel:
         return _forward(self.weights, self.biases, X)[0][-1].ravel()
 
 
-def _whole(name, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _whole(name, value, least: int = 1) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
@@ -74,7 +75,10 @@ class TrainConfig:
     """SGD hyperparameters for the per-interval network fits.
 
     epochs, batch_size and every hidden width are integers >= 1; hidden = ()
-    gives a linear network.
+    gives a linear network. learning_rate is a finite real > 0 and seed an
+    integer >= 0. Each is checked at construction, so a bad setting raises
+    ValueError naming its field before any network trains; a bool is none
+    of them.
     """
 
     hidden: tuple = (32, 32)
@@ -87,8 +91,11 @@ class TrainConfig:
         object.__setattr__(self, "epochs", _whole("epochs", self.epochs))
         object.__setattr__(self, "batch_size", _whole("batch_size", self.batch_size))
         object.__setattr__(self, "hidden", tuple(_whole("hidden", h) for h in self.hidden))
-        if not (self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        object.__setattr__(self, "seed", _whole("seed", self.seed, least=0))
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not (0 < lr < math.inf):
+            raise ValueError(f"learning_rate must be a finite real > 0, got {lr!r}")
+        object.__setattr__(self, "learning_rate", float(lr))
 
 
 def init_model(p: int, hidden: tuple, rng: np.random.Generator) -> MlpModel:

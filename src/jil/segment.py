@@ -38,16 +38,17 @@ scalar. The block contract:
   at r = 1 and after each block's last column, and U at a call is R_r
   (in the grid form below, the union of the DPs' R_r).
 
-fit.NetworkCosts and the scalar form's adapter return blocks of one column,
-(1, 1, |U|). With a scalar gamma, H != 1 raises ValueError, and so does a
-grid call whose H differs from the first call's; a return of any other shape
-raises ValueError. Either way the DP asks for each cost once and calls the
-costfn for nothing else: it keeps the cost of the interval it picks at each
-column, and the reported objective sums the kept costs of the backtracked
-partition from left to right. So pelt, dp_no_prune and any
-reference search that sums interval costs in the same order return
-bit-identical numbers whenever their partitions agree, whatever the block
-widths. The DP tables themselves are not returned.
+CostCache and fit.NetworkCosts size their blocks by one width rule,
+cost._block_width, each under its own budget; the scalar form's adapter
+returns blocks of one column, (1, 1, |U|). With a scalar gamma, H != 1
+raises ValueError, and so does a grid call whose H differs from the first
+call's; a return of any other shape raises ValueError. Either way the DP
+asks for each cost once and calls the costfn for nothing else: it keeps the
+cost of the interval it picks at each column, and the reported objective
+sums the kept costs of the backtracked partition from left to right. So
+pelt, dp_no_prune and any reference search that sums interval costs in the
+same order return bit-identical numbers whenever their partitions agree,
+whatever the block widths. The DP tables themselves are not returned.
 
 Grid form. With a 1-D sequence of J penalties in place of gamma, one call
 runs a whole grid of DPs together, one per (cost row, penalty) pair. The

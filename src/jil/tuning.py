@@ -9,7 +9,7 @@ and no table of interval costs is kept. fit._attach gives each lambda's partitio
 models from one models call, as for a lone fit, and fit._sse scores them.
 The ridge flavor's table is a CostCache without precompute, O(m d^2) per
 fold. The network flavor tunes gamma only (its grid's lambda axis must be
-(0.0,)) over a fit.NetworkCosts table, which trains each candidate interval
+(0.0,)) over a fit.NetworkCosts table, which trains each interval at most
 once for the whole gamma grid. Both flavors take their folds and seed from
 the TuningGrid and return a CvReport.
 
@@ -143,9 +143,10 @@ def cv_select_djil(d: Dataset, m: int, grid: TuningGrid, cfg: TrainConfig) -> Cv
     """Select gamma for the network flavor by K-fold CV; grid.lambdas must be
     (0.0,), since network costs carry no coefficient penalty.
 
-    Within a fold one NetworkCosts table trains each candidate interval at
-    most once and serves every gamma of the grid; each column's untrained
-    candidates, the union over the gammas' DPs, train in one lockstep call.
+    Within a fold one NetworkCosts table trains each interval at most once
+    and serves every gamma of the grid; each block of columns, over the
+    union of the gammas' candidates, trains its untrained intervals in one
+    lockstep call, and the scores do not depend on the block width.
 
     Each gamma's DP prunes with PELT's zero slack, which is exact only when
     splitting never raises a cost, and trained-network costs break that

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import jil.cost
+import jil.fit
 import jil.segment
 import jil.tuning
 from jil.sim import ScenarioSpec, gen_scenario
@@ -93,12 +94,20 @@ def test_tracer_counts_one_column_dp_per_lone_fit(factorized):
     assert fit.partition == jil.fit_ljil(d, m, 0.0, jil.default_gamma(d.n)).partition
 
 
-def test_tracer_counts_one_column_dp_per_djil_fit():
-    # network costs come one column per call, so the column function is
-    # called once per column
+def test_tracer_counts_one_column_dp_per_djil_fit(monkeypatch):
+    # network costs come in blocks of columns, so the column function is
+    # called once per block, and each block makes one trainer call at most;
+    # under a budget of one network per call, once per column
     d, _ = gen_scenario(ScenarioSpec(1, 60, 2, 4))
     m = 6
     cfg = jil.TrainConfig(hidden=(2,), epochs=2, seed=1)
+    _, tracer = traced(lambda: jil.fit_djil(d, m, 0.05, cfg))
+    counts = tracer.op_counts(0)
+    assert counts["segment.pelt_calls"] == 1
+    assert 1 <= counts["segment.cost_lookups"] < m
+    assert 0 < counts["mlp.trainings"] <= counts["segment.cost_lookups"]
+    assert "cost.builds" not in counts
+    monkeypatch.setattr(jil.fit, "_BLOCK_NETWORKS", 1)
     _, tracer = traced(lambda: jil.fit_djil(d, m, 0.05, cfg))
     counts = tracer.op_counts(0)
     assert counts["segment.pelt_calls"] == 1

@@ -1031,6 +1031,9 @@ _BAD_FLAGS = [
     ("evaluate", "--alpha", _ALL_BAD + ("1e-17",)),
     ("fit", "--lambda", ("-1", "nan", "inf", "x")),
     ("fit", "--gamma", ("-1", "nan", "inf", "x")),
+    ("simulate", "--seed", ("-1", "2.5", "nan", "inf", "x")),
+    ("fit", "--seed", ("-1", "2.5", "nan", "inf", "x")),
+    ("bench", "--seed", ("-1", "2.5", "nan", "inf", "x")),
 ]
 
 
@@ -1054,3 +1057,4 @@ def test_numeric_flag_edge_values_parse():
     assert parse(fit + ["--gamma", "Default"]).gamma == "default"
     assert parse(fit + ["--lambda", "0", "--gamma", "0"]).lam == 0.0
     assert parse(_FLAG_BASE["bench"] + ["--c", "0.5"]).c == 0.5
+    assert parse(fit + ["--seed", "0"]).seed == 0

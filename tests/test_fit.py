@@ -18,7 +18,7 @@ from jil.mlp import MlpModel, TrainConfig
 from jil.policy import I2dr, recommend_batch
 from jil.segment import pelt
 from jil.sim import ScenarioSpec, gen_scenario
-from jil.tuning import default_gamma
+from jil.tuning import TuningGrid, cv_select_djil, default_gamma
 
 from conftest import (block_rule, diverging_sgd_rows, enumerate_partitions, indicator_data,
                       reference_pelt)
@@ -303,40 +303,98 @@ def counting_trainer(monkeypatch, record):
     monkeypatch.setattr(fit_mod, "mlp_train", counting)
 
 
+def counting_blocks(monkeypatch, trainer_calls, record):
+    """Route fit.pelt's column function through a wrapper that appends, per
+    block, (V, r, b, the trainer calls the block made) to record, reading
+    the calls from the list counting_trainer fills."""
+    real = fit_mod.pelt
+
+    def counting(column, m, gamma, **kw):
+        def block(U, r):
+            before = len(trainer_calls)
+            costs = column(U, r)
+            b = costs.shape[1]
+            record.append((U.tolist() + list(range(r, r + b - 1)), r, b, trainer_calls[before:]))
+            return costs
+
+        return real(block, m, gamma, **kw)
+
+    monkeypatch.setattr(fit_mod, "pelt", counting)
+
+
 def test_djil_trains_each_interval_once(rng, monkeypatch):
     n = 90
     A = rng.random(n)
     Y = np.where(A < 0.5, 0.0, 4.0) + 0.1 * rng.standard_normal(n)
     d = Dataset(rng.uniform(-1, 1, (n, 1)), A, Y)
-    per_call = []
+    per_call, blocks = [], []
     counting_trainer(monkeypatch, per_call)
+    counting_blocks(monkeypatch, per_call, blocks)
     m = 6
     f = fit_djil(d, m, 0.05, djil_cfg(epochs=60))
     calls = [pair for pairs in per_call for pair in pairs]
     assert len(calls) == len(set(calls))
     assert len(calls) <= m * (m + 1) // 2
     assert len(calls) >= f.partition.size
-    # one lockstep call per DP column at most
-    assert 0 < len(per_call) <= m and all(per_call)
+    # one lockstep call per block of DP columns at most, over the block's own pairs
+    assert 0 < len(per_call) <= len(blocks) < m and all(per_call)
+    for V, r, b, made in blocks:
+        assert len(made) <= 1
+        assert all(set(pairs) <= {(j, r + t) for t in range(b) for j in V if j < r + t}
+                   for pairs in made)
 
 
 def test_djil_trains_the_intervals_per_pair_pelt_trains(rng, monkeypatch):
-    # the column DP asks for the same candidates, in the same order, as the
-    # per-pair DP on the same table, so the same networks get trained
+    # the block DP asks for the candidates the per-pair DP asks for, column
+    # by column, so it trains those networks, with the same bits, and the
+    # pairs its blocks add past the candidates
     d, _ = gen_scenario(ScenarioSpec(2, 120, 2, 3))
     m, gamma, cfg = 12, 0.05, djil_cfg(seed=1, epochs=5)
     per_call = []
     counting_trainer(monkeypatch, per_call)
     f = fit_djil(d, m, gamma, cfg)
     batched = [pair for pairs in per_call for pair in pairs]
-    assert len(per_call) <= m
+    assert len(per_call) < m
     per_call.clear()
+    monkeypatch.setattr(fit_mod, "_BLOCK_NETWORKS", 1)  # one-pair calls
     column = fit_mod.NetworkCosts(d, m, cfg).columns()
     part, obj = pelt(lambda lo, hi: column(np.array([lo]), hi)[0, 0, 0], m, gamma)
-    assert [pair for pairs in per_call for pair in pairs] == batched
-    assert len(batched) > m
+    per_pair = [pair for pairs in per_call for pair in pairs]
+    assert all(len(pairs) == 1 for pairs in per_call)
+    assert len(batched) == len(set(batched))
+    assert set(batched) >= set(per_pair)
+    assert len(batched) >= len(per_pair) > m
     assert f.partition == part
     assert float(f.objective).hex() == float(obj).hex()
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+@pytest.mark.parametrize("hidden", [(8,), (4, 3)])
+def test_djil_bits_do_not_depend_on_the_block_width(monkeypatch, scenario, hidden):
+    # the DP reads the same candidates column by column whatever the block
+    # width, and a network gets the same bits in any stack, so one network
+    # per trainer call (one column per block) changes no partition,
+    # objective, weight or CV score, only the number of calls
+    d, _ = gen_scenario(ScenarioSpec(scenario, 160, 2, 5))
+    cfg = TrainConfig(hidden=hidden, epochs=5, batch_size=16, seed=3)
+    grid = TuningGrid((0.0,), (0.002, 0.01, 0.05), k_folds=3, seed=1)
+
+    def run():
+        per_call = []
+        with monkeypatch.context() as mp:
+            counting_trainer(mp, per_call)
+            f = fit_djil(d, 32, 0.02, cfg)
+            rep = cv_select_djil(d, 16, grid, cfg)
+        weights = b"".join(w.tobytes() for net in f.models for w in net.weights + net.biases)
+        return (f.partition.edges(), float(f.objective).hex(), weights, rep.scores.tobytes(),
+                rep.best_gamma), len(per_call)
+
+    wide, wide_calls = run()
+    monkeypatch.setattr(fit_mod, "_BLOCK_NETWORKS", 1)
+    narrow, narrow_calls = run()
+    assert wide == narrow
+    assert wide_calls < narrow_calls
+    assert len(wide[0]) > 2  # a partition with a jump
 
 
 def test_djil_deterministic(rng):

@@ -10,6 +10,8 @@ import pytest
 
 from jil.core import Dataset, Interval, normalize_treatment
 from jil.errors import DimensionMismatch, EmptySegment, NoConvergence
+import jil.fit as fit_mod
+from jil.cost import _block_width
 from jil.fit import NetworkCosts
 from jil.sim import ScenarioSpec, gen_scenario
 from jil.mlp import MlpModel, TrainConfig, init_model, mlp_train
@@ -196,7 +198,10 @@ def test_lockstep_matches_reference_sgd_loop(hidden, epochs):
     [("epochs", 0), ("batch_size", 0), ("learning_rate", 0.0), ("learning_rate", -0.1),
      ("learning_rate", float("nan")), ("epochs", 2.5), ("epochs", True), ("epochs", -1),
      ("batch_size", 1.5), ("batch_size", False), ("hidden", (2.5,)), ("hidden", (-3,)),
-     ("hidden", (0,)), ("hidden", (4, 0)), ("hidden", (True,))],
+     ("hidden", (0,)), ("hidden", (4, 0)), ("hidden", (True,)), ("seed", -1), ("seed", 2.5),
+     ("seed", True), ("seed", "3"), ("seed", None), ("learning_rate", float("inf")),
+     ("learning_rate", -float("inf")), ("learning_rate", True), ("learning_rate", "0.1"),
+     ("learning_rate", None)],
 )
 def test_train_config_rejects_bad_settings(field, value):
     with pytest.raises(ValueError, match=field):
@@ -207,6 +212,10 @@ def test_train_config_takes_integer_settings():
     cfg = TrainConfig(hidden=[np.int64(3), 2], epochs=np.int64(2), batch_size=1)
     assert cfg.hidden == (3, 2) and type(cfg.hidden[0]) is int and type(cfg.epochs) is int
     assert TrainConfig(hidden=()).hidden == ()  # a linear network
+    cfg = TrainConfig(seed=np.int64(3), learning_rate=1)
+    assert cfg.seed == 3 and type(cfg.seed) is int
+    assert cfg.learning_rate == 1.0 and type(cfg.learning_rate) is float
+    assert TrainConfig(seed=0, learning_rate=np.float32(0.5)).learning_rate == 0.5
 
 
 def test_train_full_batch_row_permutation_invariance(rng):
@@ -273,7 +282,10 @@ def test_mlp_cost_uses_full_n_denominator(rng):
     cfg = TrainConfig(hidden=(), epochs=400, learning_rate=0.3, batch_size=20, seed=4)
     iv = Interval(0, 1, 2)
     table = NetworkCosts(d, iv.m, cfg)
-    ((c,),) = table.columns()(np.array([iv.lo]), iv.hi)
+    # at m = 2 one block holds both columns: V = (0, 1), and [0, 1) is entry [0, 0, 0]
+    block = table.columns()(np.array([iv.lo]), iv.hi)
+    assert block.shape == (1, 2, 2) and block[0, 0, 1] == 0.0  # [1, 1) is never read
+    c = block[0, 0, 0]
     model = mlp_train(d, iv, cfg)
     (net,) = table.models(np.array([iv.lo]), np.array([iv.hi]), 0.0)
     for w1, w2 in zip(net.weights, model.weights):
@@ -283,21 +295,35 @@ def test_mlp_cost_uses_full_n_denominator(rng):
     assert c == pytest.approx(sse / n, rel=1e-12)
 
 
-def test_network_columns_match_single_interval_calls_bitwise(rng):
+def test_network_columns_match_single_interval_calls_bitwise(rng, monkeypatch):
     n = 60
     d = Dataset(rng.uniform(-1, 1, (n, 2)), rng.random(n), rng.standard_normal(n))
     cfg = TrainConfig(hidden=(4,), epochs=3, learning_rate=0.05, batch_size=16, seed=5)
     m = 6
-    # one interval per call, as the per-pair DP asks, against whole columns
+    # one interval per call, as the per-pair DP asks, against whole blocks
     single = NetworkCosts(d, m, cfg).columns()
+
+    def one(lo, hi):
+        with monkeypatch.context() as mp:
+            mp.setattr(fit_mod, "_BLOCK_NETWORKS", 1)
+            cost = single(np.array([lo]), hi)
+        assert cost.shape == (1, 1, 1)  # one column of one pair
+        return cost[0, 0, 0]
+
     column = NetworkCosts(d, m, cfg).columns()  # a fresh table trains anew
     for hi in range(1, m + 1):
         los = np.arange(hi, dtype=np.int64)
         got = column(los, hi)
-        assert got.dtype == np.float64 and got.shape == (1, 1, hi)  # one cost row, one column
-        want = np.concatenate([single(np.array([lo]), hi)[0, 0] for lo in range(hi)])
-        assert got[0, 0].tobytes() == want.tobytes()
-    assert column(np.zeros(0, dtype=np.int64), 3).shape == (1, 1, 0)
+        b = _block_width(hi, m + 1 - hi, fit_mod._BLOCK_NETWORKS)
+        assert got.dtype == np.float64 and got.shape == (1, b, hi + b - 1)  # one cost row
+        # every entry the DP reads, [lo, hi + t) for lo < hi + t, has a
+        # one-interval call's bits; the rest are 0
+        for t in range(b):
+            want = np.array([one(lo, hi + t) for lo in range(hi + t)])
+            assert got[0, t, : hi + t].tobytes() == want.tobytes()
+            assert not got[0, t, hi + t :].any()
+    b = _block_width(0, m - 2, fit_mod._BLOCK_NETWORKS)
+    assert column(np.zeros(0, dtype=np.int64), 3).shape == (1, b, b - 1)
 
 
 def test_network_table_rejects_lambda_and_bad_indices(rng):
