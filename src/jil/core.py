@@ -21,6 +21,7 @@ follows from its models rather than being stored beside them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,16 @@ __all__ = [
     "make_xbar",
     "normalize_treatment",
 ]
+
+
+def _whole(name: str, value, least: int = 1) -> int:
+    """value as an int: an integer >= least, never a bool, else ValueError
+    naming it, so a float or a bool is refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
 
 
 def make_grid(n: int, c: float) -> int:

@@ -64,6 +64,24 @@ interval without rows gets theta = 0 exactly (the eigenvectors of a zero
 matrix are Id), and every step is elementwise or batched along the
 intervals, so an interval gets the same bits in any batch.
 
+Certificate. A is additive over cells, A_[j,r) = A_[j,s) + A_[s,r) (the
+ridge n*lam*|I| is additive in length), so for the DP of segment.pelt a
+candidate j's value at any column r >= s is min over theta' of
+q_j + v^T A_[s,r) v / n, with q_j = B(j) + gamma + v^T A_[j,s) v / n a
+quadratic in theta' that every candidate shares the second term with.
+segment._dp compares (1+mu) q_j with a competitor's q_i; the quadratic part
+of the difference is v^T Q v / n with Q = (1+mu) A_[j,s) - A_[i,s), and its
+minimum over theta' is the last pivot of an elimination of Q when Q's
+leading d x d block is positive definite, that is when every leading pivot
+is positive (Sylvester's criterion), and -inf otherwise (unbounded below,
+or flat, which is not certified either). cost._schur runs that elimination
+with the kernel's loop, _sweep, but with no clamp: the clamp reads a small
+or negative pivot as a null direction, right for a cost's positive
+semidefinite A but not for the indefinite Q, where skipping a negative
+pivot would overstate the minimum. Q is formed from the packed A of the
+cost path, _assemble, so lam > 0 needs nothing more; certificate() builds
+one (T, mu, pair, |U|) stack per call and makes one _schur call.
+
 CostCache computes costs over a fixed lam grid: each columns() call returns
 a block of consecutive DP columns at every lam from one _eliminate call over
 a broadcast rectangle of every candidate against every column of the block,
@@ -72,10 +90,11 @@ once per block; pairs lo >= hi stack zero or negated moments and cost
 exactly 0. A lone fit reads the one row of a one-lam cache; a CV fold runs
 the grid form of segment.pelt over all rows. Coefficients are solved on
 demand, for any intervals in one batched call, at a finite lam >= 0.
-CostCache shares this interface, columns() and models(los, his, lam), with
-fit.NetworkCosts, so one fit body and one CV loop serve both model families.
-The scalar costfn(lam) only reads the table that precompute=True fills; both
-serve only the benchmark's solver check and tests (ROADMAP item 11).
+CostCache shares this interface, columns(), certificate() and
+models(los, his, lam), with fit.NetworkCosts, whose certificate() is None,
+so one fit body and one CV loop serve both model families. The scalar
+costfn(lam) only reads the table that precompute=True fills; both serve only
+the benchmark's solver check and tests (ROADMAP item 11).
 """
 
 from __future__ import annotations
@@ -85,7 +104,7 @@ import operator
 
 import numpy as np
 
-from .core import Dataset, Linear, check_grid, grid_cell, make_xbar
+from .core import Dataset, Linear, _whole, check_grid, grid_cell, make_xbar
 from .errors import InvalidData
 
 __all__ = ["CostCache"]
@@ -102,29 +121,54 @@ _OUTCOMES_OVERFLOW = "outcomes are too large: their moments overflow"
 _BLOCK_PAIRS = 1536
 
 
-def _eliminate(S: np.ndarray) -> np.ndarray:
+def _row_starts(S: np.ndarray) -> list:
+    """Where each row of the packed upper triangles S (D(D+1)/2,) + K starts:
+    row i is S[start[i]:start[i+1]], and S[start[i]] its diagonal entry."""
+    D = (math.isqrt(8 * S.shape[0] + 1) - 1) // 2
+    return [i * D - i * (i - 1) // 2 for i in range(D + 1)]
+
+
+def _sweep(S: np.ndarray, start: list, tol) -> None:
     """Symmetric elimination without exchanges over the D-1 leading pivots
     of a packed stack S (D(D+1)/2,) + K, K any shape, each S[:, k] the
-    row-major upper triangle of a symmetric D x D matrix, in place; returns
-    the last pivot K clamped at 0, the residual of the last variable on the
-    span of the live directions.
+    row-major upper triangle of a symmetric D x D matrix, in place; start
+    is _row_starts(S), and S[start[k]], k < D-1, end as the pivots.
 
     Pivot k updates only the trailing upper triangle, row by row: entry
-    (i, j), k < i <= j, loses S[k, i] * S[k, j] / S[k, k]. A pivot below
-    max(_CLAMP_REL * largest leading diagonal entry, _TINY) is a null
-    direction: the row divides by +inf, so it is 0 and eliminates nothing.
-    Every step is elementwise along K, so a matrix gets the same bits in any batch.
+    (i, j), k < i <= j, loses S[k, i] * S[k, j] / S[k, k]. A pivot below tol
+    is a null direction: the row divides by +inf, so it is 0 and eliminates
+    nothing. Every step is elementwise along K, so a matrix gets the same
+    bits in any batch.
     """
-    D = (math.isqrt(8 * S.shape[0] + 1) - 1) // 2
-    start = [i * D - i * (i - 1) // 2 for i in range(D + 1)]  # row i: start[i] .. start[i+1]-1
-    tol = np.maximum(_CLAMP_REL * S[start[:-2]].max(axis=0, initial=0.0), _TINY)
+    D = len(start) - 1
     rows = np.empty((D - 1,) + S.shape[1:])  # every pivot's row, one buffer
     for k in range(D - 1):
         a, b = start[k], start[k + 1]
         row = np.divide(S[a + 1 : b], np.where(S[a] >= tol, S[a], np.inf), out=rows[: b - a - 1])
         for i in range(k + 1, D):
             S[start[i] : start[i + 1]] -= S[a + i - k] * row[i - k - 1 :]
+
+
+def _eliminate(S: np.ndarray) -> np.ndarray:
+    """The cost kernel: _sweep a packed stack S in place, a pivot below
+    max(_CLAMP_REL * largest leading diagonal entry, _TINY) a null direction;
+    returns the last pivot K clamped at 0, the residual of the last variable
+    on the span of the live directions."""
+    start = _row_starts(S)
+    _sweep(S, start, np.maximum(_CLAMP_REL * S[start[:-2]].max(axis=0, initial=0.0), _TINY))
     return np.maximum(S[-1], 0.0)
+
+
+def _schur(S: np.ndarray) -> np.ndarray:
+    """The certificate's kernel: _sweep a packed stack S in place without
+    clamps; returns the last pivot, min over theta' of v^T S v with
+    v = (-theta', 1), and -inf wherever a leading pivot is not positive
+    (the quadratic is then unbounded below or flat, and no bound holds).
+    Where S overflows the result may be NaN, which certifies nothing."""
+    start = _row_starts(S)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _sweep(S, start, _TINY)
+    return np.where((S[start[:-2]] > 0.0).all(axis=0), S[-1], -np.inf)
 
 
 def _block_width(u: int, left: int, budget: int) -> int:
@@ -168,10 +212,8 @@ class CostCache:
     """
 
     def __init__(self, dataset: Dataset, m: int, lambdas=(0.0,), precompute: bool = False):
-        if m < 1:
-            raise ValueError(f"grid resolution must be >= 1, got {m}")
         self.dataset = dataset
-        self.m = int(m)
+        self.m = _whole("grid resolution", m)
         self.lambdas = check_grid("lambda", lambdas)
         self._build_prefix()
         self._table = None
@@ -221,11 +263,10 @@ class CostCache:
             raise InvalidData("outcomes", None, _OUTCOMES_OVERFLOW)
         return M, ridge
 
-    def _costs(self, los: np.ndarray, his, lams: np.ndarray) -> np.ndarray:
-        """Costs (H,) + S of [lo/m, hi/m) at each lambda of lams (H,), from
-        one _eliminate call over the packed A = M + ridge * P (T, H) + S, the
-        ridge added in place to P's D+1 nonzero rows; 0 where the row count
-        M[0] is <= 0: no rows, or a pair lo >= hi."""
+    def _assemble(self, los, his, lams: np.ndarray):
+        """The packed A = M + ridge * P (T, H) + S of [lo/m, hi/m) at each
+        lambda of lams (H,), the ridge added in place to P's D+1 nonzero rows,
+        and the mask M[0] > 0 of the pairs with rows."""
         M, ridge = self._stack(los, his, lams)
         live = M[0] > 0.0  # read first: at one lambda, A[0] is M[0] and gains the ridge
         A = M[:, None] if lams.size == 1 else np.repeat(M[:, None], lams.size, axis=1)
@@ -235,6 +276,13 @@ class CostCache:
                 A[t] += ridge
             A[self._full[0, -1]] += -c * ridge
             A[-1] += c * c * ridge
+        return A, live
+
+    def _costs(self, los: np.ndarray, his, lams: np.ndarray) -> np.ndarray:
+        """Costs (H,) + S of [lo/m, hi/m) at each lambda of lams (H,), from
+        one _eliminate call over the packed A of _assemble; 0 where the row
+        count M[0] is <= 0: no rows, or a pair lo >= hi."""
+        A, live = self._assemble(los, his, lams)
         return np.where(live, _eliminate(A), 0.0) / self.dataset.n
 
     # ------------------------------------------------------------- access
@@ -293,6 +341,36 @@ class CostCache:
             return self._costs(V[None, :], np.arange(r, r + width)[:, None], lams)
 
         return block
+
+    def certificate(self):
+        """Dominance bound (U, s, pairs, mus) -> (low, scale) for the
+        functional pruning of segment._dp, by the algebra of the module
+        docstring: for each multiplier mu of mus (N,), each pair (i, h) of
+        the int64 array pairs (P, 2), competitor i at the h-th lambda of the
+        grid, and each candidate j of U, low[mu, p, j] is
+
+            min over theta' of v^T [(1+mu) A_{[j,s)} - A_{[i,s)}] v / n,
+
+        v = (-theta', 1), from one _schur call over the (T, N, P, |U|)
+        stack, -inf where it is not bounded below, and scale[mu, p, j] is
+        ((1+mu) A_{[j,s)} + A_{[i,s)}) at the outcome's diagonal entry,
+        over n, the size the DP's margin reads. U and the competitors need
+        not be sorted; every j and i is at most s, and s at most m.
+        """
+        lams, n = self.lambdas, self.dataset.n
+
+        def bound(U, s, pairs, mus):
+            i, h = pairs.T
+            A = self._assemble(np.concatenate([U, i]), s, lams)[0]  # (T, H, |U|+P)
+            A_j = A[:, None, h, : U.size]  # (T, 1, P, |U|)
+            A_i = A[:, None, h, U.size + np.arange(h.size), None]  # (T, 1, P, 1)
+            mu = (1.0 + mus)[:, None, None]
+            Q = mu * A_j
+            scale = (Q[-1] + A_i[-1]) / n
+            Q -= A_i
+            return _schur(Q) / n, scale
+
+        return bound
 
     def costfn(self, lam: float):
         """Scalar cost function (lo, hi) -> cost at lam, for the scalar form

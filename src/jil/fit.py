@@ -5,7 +5,9 @@ segments with the table's columns(), which serves its costs in blocks of
 DP columns, each as wide as cost._block_width allows within the table's
 budget (_BLOCK_PAIRS pairs for CostCache, _BLOCK_NETWORKS networks for
 NetworkCosts), and computes only the surviving candidates' costs and a
-block's own columns; _attach gives the final intervals their models from
+block's own columns; the table's certificate() (CostCache's dominance
+bound, None for NetworkCosts) goes to pelt by keyword and adds functional
+pruning to PELT's; _attach gives the final intervals their models from
 one models(los, his, lam) call. CV runs both steps per fold and scores with
 _sse, the residual rule of recompute_objective. fit_ljil uses a one-lambda
 CostCache; fit_djil a NetworkCosts table, which trains each interval at
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, Interval, JilFit, Linear, grid_cell
+from .core import Dataset, Interval, JilFit, Linear, _whole, grid_cell
 from .cost import CostCache, _block_width, _check_call, _check_pairs
 from .mlp import MlpModel, TrainConfig, mlp_train
 from .segment import pelt
@@ -63,7 +65,8 @@ def _sse(fit: JilFit, X: np.ndarray, A: np.ndarray, Y: np.ndarray) -> float:
 
 def _fit(table, lam: float, gamma: float) -> JilFit:
     """Segment with the one cost row of a table over lambdas (lam,); attach models."""
-    return _attach(table, lam, [pelt(table.columns(), table.m, gamma, batched=True)], [gamma])[0]
+    result = pelt(table.columns(), table.m, gamma, batched=True, certificate=table.certificate())
+    return _attach(table, lam, [result], [gamma])[0]
 
 
 def fit_ljil(d: Dataset, m: int, lam: float, gamma: float) -> JilFit:
@@ -102,7 +105,7 @@ class NetworkCosts:
 
     def __init__(self, dataset: Dataset, m: int, cfg: TrainConfig):
         self.dataset = dataset
-        self.m = int(m)
+        self.m = _whole("grid resolution", m)
         self.cfg = cfg
         self._cells = grid_cell(dataset.treatments, self.m)
         self._memo = {}
@@ -154,6 +157,12 @@ class NetworkCosts:
             return costs
 
         return block
+
+    def certificate(self):
+        """None: a trained network's cost is not a quadratic in shared
+        parameters, so no candidate can be certified dominated, and the DP
+        prunes by PELT's keep test alone (ROADMAP item 5)."""
+        return None
 
     def models(self, los: np.ndarray, his: np.ndarray, lam: float) -> tuple:
         """One network per interval [lo/m, hi/m); lam must be 0."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Interval, grid_cell
+from .core import Dataset, Interval, _whole, grid_cell
 from .errors import DimensionMismatch, EmptySegment, NoConvergence
 
 __all__ = [
@@ -62,12 +62,6 @@ class MlpModel:
                 f"network expects {self.n_inputs} covariates, got shape {X.shape}"
             )
         return _forward(self.weights, self.biases, X)[0][-1].ravel()
-
-
-def _whole(name, value, least: int = 1) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

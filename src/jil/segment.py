@@ -35,8 +35,9 @@ scalar. The block contract:
   +inf for a candidate it has pruned, and column r+t reads only the live
   prefix V[:|U|+t] (entries past it, where V[k] >= r+t, are never read);
 - the DP calls again at r+b with the candidates that survive, so it calls
-  at r = 1 and after each block's last column, and U at a call is R_r
-  (in the grid form below, the union of the DPs' R_r).
+  at r = 1 and after each block's last column, and U at a call is within
+  R_r: R_r itself, less any candidate a certificate (below) has dropped
+  (in the grid form below, the union of the DPs' sets).
 
 CostCache and fit.NetworkCosts size their blocks by one width rule,
 cost._block_width, each under its own budget; the scalar form's adapter
@@ -63,6 +64,45 @@ decided from column r-1 alone, so the state is O(H J m) whatever the grid.
 Costs must be finite: a candidate a DP has pruned but another still holds
 sits at +inf in that DP's entry.
 
+Functional pruning. PELT never drops a candidate inside the current
+segment: with j' < j the last change point of column r's optimum,
+B(j) + cost([j, r)) - B(r) is at most
+cost([j', j)) + cost([j, r)) - cost([j', r)) <= 0. So sum |R_r| stays near
+a third of m(m+1)/2. A table whose costs are quadratics in
+shared coefficients can hand pelt a certificate by keyword
+(certificate=CostCache.certificate(); the exact DP ignores it) that drops
+such candidates for good, as FPOP does (Maidstone, Hocking, Rigaill &
+Fearnhead 2017, Stat. Comput. 27). After column s, candidate j's value at
+any later column r is min over theta of q_j(theta) + g_r(theta), with
+q_j(theta) = B(j) + gamma + (j's cost of [j, s) at theta) and g_r >= 0 the
+same for every candidate; the newest candidate s has the constant
+q_s = F = B(s) + gamma. So if q_j >= min(q_i, F) + eps everywhere for some
+competitor i and eps > 0, j never again attains a column's minimum. By the
+S-lemma (Polik & Terlaky 2007, SIAM Rev. 49(3)) it suffices that
+
+    cert = min over theta of [(1+mu) q_j - q_i] - mu F > margin
+
+for some mu >= 0, since then q_j >= min(q_i, F) + margin/(1+mu). At a block
+boundary with s = r-1 the DP takes i = pred[s], tries mu in _MUS and asks
+the table (cost.py) for the quadratic part's minimum, -inf where it is
+unbounded or flat. The margin is _MARGIN = 1e-9 times the sum of the
+sizes of cert's terms (each >= 0) and of the quadratic's outcome entries,
+far above the rounding of any cost the DP compares: so a dropped candidate
+is never a column's first minimum, ties come out as in plain PELT, and a
+certified DP returns plain PELT's and the exact DP's bits. A check costs
+about one kernel call, so it runs only where it pays, after _CERTIFY_EVERY
+columns since the last and while |U| times the columns left reaches
+_CERTIFY_WORK; no fit with m <= 220 checks at all. In the grid form each
+DP certifies with its own competitor, B and gamma, the (competitor, cost
+row) stacks are formed once across the DPs, and j leaves U only when
+every DP has pruned or certified it. fit.NetworkCosts supplies no
+certificate: a trained network's cost is not a quadratic in coefficients
+shared across intervals, so its DP prunes by PELT's keep test alone (and
+that is not exact either; see fit.fit_djil). Neither does a scalar
+costfn. A block whose B values are not finite raises ValueError naming
+the first such column, so no NaN objective is returned and the
+certificate never reads a non-finite B.
+
 One DP body (_dp) serves both forms. Its state is indexed [column or
 candidate, DP], with the DP axis last: a scalar gamma has no DP axis, and a
 grid has one of length G = H*J, DP g = h*J + j. So the same lines run a lone
@@ -77,10 +117,26 @@ import numbers
 
 import numpy as np
 
-from .core import Partition
+from .core import Partition, _whole
 from .errors import InvalidPenalty
 
 __all__ = ["dp_no_prune", "pelt"]
+
+# functional pruning: the S-lemma multipliers mu, and the margin a
+# certificate must clear, relative to the size of its terms
+_MUS = np.array([1.0, 4.0, 16.0])
+_MARGIN = 1e-9
+# a certificate costs about one kernel call (about 0.2 ms at |U| = 280,
+# 2-vCPU Xeon, numpy 2.4), so it runs at a block boundary only after
+# _CERTIFY_EVERY columns since the last, and while |U| times the columns
+# left reaches _CERTIFY_WORK pairs, 8 blocks of cost._BLOCK_PAIRS. Lone fits
+# (scenario 1, seed 7, medians of 21 interleaved runs at n = 4000, 9 at
+# 8000): 23.6 ms with no check, 20.8 / 19.7 / 19.5 / 20.3 ms every 16 / 32
+# / 48 / 64 columns at n = 4000, and 99.8 against 56.5 ms at 8000 (every
+# 32); halving or doubling _CERTIFY_WORK moved neither beyond noise. Without
+# the work gate a fit at m = 80 took 1.8 ms instead of 1.5 ms (medians of 41)
+_CERTIFY_EVERY = 32
+_CERTIFY_WORK = 8 * 1536
 
 
 def _check_gamma(gamma):
@@ -125,7 +181,38 @@ def _block(costs, U: np.ndarray, r: int, m: int) -> np.ndarray:
     return c
 
 
-def _dp(column, m: int, gamma, prune: bool):
+def _held(BV: np.ndarray) -> np.ndarray:
+    """Mask of the candidates some DP still holds (B below +inf)."""
+    held = BV < np.inf
+    return held.any(axis=1) if held.ndim > 1 else held
+
+
+def _dominated(certify, U, BU, B, pred, gam, J: int, s: int) -> np.ndarray:
+    """Mask of BU, True where the S-lemma certificate drops candidate j of
+    U for good in that DP at column s. The competitor is i = pred[s] and
+    the newest candidate's value F = B(s) + gamma; j goes when, for some mu
+    of _MUS, (1+mu)(B(j) + gamma) - (B(i) + gamma) - mu F plus certify's
+    low exceeds _MARGIN times the sum of those terms' sizes and its scale
+    (every term is >= 0). The (competitor, cost row) pairs are deduplicated
+    across the DPs of a grid."""
+    i, F = pred[s], B[s] + gam
+    if BU.ndim == 1:  # one DP, one pair
+        qi = B[i] + gam
+        low, scale = (x[:, 0] for x in certify(U, s, np.array([[i, 0]]), _MUS))
+    else:  # DP g reads cost row g // J
+        qi = B[i, np.arange(i.size)] + gam
+        keys = list(zip(i.tolist(), (np.arange(i.size) // J).tolist()))
+        index = {key: p for p, key in enumerate(dict.fromkeys(keys))}
+        low, scale = (x[:, [index[key] for key in keys]].swapaxes(1, 2)
+                      for x in certify(U, s, np.array(list(index)), _MUS))
+    mu = _MUS.reshape((-1,) + (1,) * BU.ndim)
+    with np.errstate(invalid="ignore"):  # inf - inf where a DP has pruned j
+        qj = BU + gam
+        cert = (1.0 + mu) * qj - qi - mu * F + low
+        return (cert > _MARGIN * ((1.0 + mu) * qj + qi + mu * F + scale)).any(axis=0)
+
+
+def _dp(column, m: int, gamma, prune: bool, certify):
     """The one DP body: every DP of the call in one pass over the columns.
 
     State is indexed [column or candidate, DP], the DP axis last. A float
@@ -152,7 +239,7 @@ def _dp(column, m: int, gamma, prune: bool):
     pred = np.zeros(B.shape, dtype=np.int64)
     cost = np.empty(B.shape)  # cost[r]: cost of the interval picked at column r
     BU = B[:1].copy()  # B at U; +inf where a DP has pruned j
-    r = 1
+    r = checked = 1
     while True:
         if C.shape[0] != H:  # a float gamma reads one cost row, a grid the same H
             raise ValueError(f"column ({U}, {r}) returned {C.shape[0]} cost rows, expected {H}")
@@ -172,16 +259,24 @@ def _dp(column, m: int, gamma, prune: bool):
             B[r + t] = v[(k,) + dps]
             if prune:  # a pruned j stays at +inf, and j = r+t always survives
                 bv[bv + c > B[r + t]] = np.inf
+        if not np.isfinite(B[r : r + b]).all():
+            t = int(np.flatnonzero(~np.isfinite(B[r : r + b].reshape(b, -1)).all(axis=1))[0])
+            raise ValueError(
+                f"column {r + t}: DP value {B[r + t]} is not finite; costs must be finite")
         pred[r : r + b] = V[K]
         cost[r : r + b] = C[(ts[:b], K) + dps]
         r += b
         if r > m:
             break
-        keep = BV < np.inf
-        if grid:  # a candidate survives while one DP holds it
-            keep = keep.any(axis=1)
+        keep = _held(BV)
         U = np.append(V[keep], r - 1)
         BU = np.concatenate([BV[keep], B[r - 1 : r]])
+        work = U.size * (m + 1 - r)
+        if certify is not None and r - checked >= _CERTIFY_EVERY and work >= _CERTIFY_WORK:
+            checked = r
+            BU[_dominated(certify, U, BU, B, pred, gam, J, r - 1)] = np.inf
+            keep = _held(BU)
+            U, BU = U[keep], BU[keep]
         C = _block(column(U, r), U, r, m)
     if not grid:
         return _backtrack(pred, cost, gamma, m)
@@ -191,7 +286,8 @@ def _dp(column, m: int, gamma, prune: bool):
     ]
 
 
-def pelt(costfn, m: int, gamma, prune: bool = True, *, batched: bool = False):
+def pelt(costfn, m: int, gamma, prune: bool = True, *, batched: bool = False,
+         certificate=None):
     """Penalized segmentation with (optionally pruned) DP.
 
     Returns (Partition, objective) where objective = sum of interval costs
@@ -199,16 +295,18 @@ def pelt(costfn, m: int, gamma, prune: bool = True, *, batched: bool = False):
     grid form and returns its [h][j] -> (Partition, objective) lists. Both
     run the one DP body, _dp: a scalar gamma over 1-D state, a sequence
     over state with a trailing axis of one DP per (cost row, penalty).
+    certificate, a cost table's dominance bound (CostCache.certificate()),
+    adds functional pruning to PELT's keep test; the exact DP ignores it.
     """
     grid = np.ndim(gamma) > 0
     if grid and len(gamma) == 0:
         raise InvalidPenalty("the grid form needs at least one gamma")
     for g in gamma if grid else (gamma,):
         _check_gamma(g)
-    if m < 1:
-        raise ValueError(f"grid resolution must be >= 1, got {m}")
+    m = _whole("grid resolution", m)
     column = costfn if batched else _per_pair(costfn)
-    return _dp(column, m, np.array(gamma, dtype=float) if grid else float(gamma), prune)
+    gamma = np.array(gamma, dtype=float) if grid else float(gamma)
+    return _dp(column, m, gamma, prune, certificate if prune else None)
 
 
 def dp_no_prune(costfn, m: int, gamma, *, batched: bool = False):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, make_grid
+from .core import Dataset, _whole, make_grid
 from .errors import BadSpec, MissingTruth
 from .fit import fit_djil, fit_ljil
 from .mlp import TrainConfig
@@ -289,12 +289,11 @@ def replicate_table1(
     lambda = 0; "djil" fits networks with the default TrainConfig seeded by
     the replication's data seed and reports l2 = None. Coverage counts
     replications whose CI contains v_opt (estimated by a 10^6-draw MC when
-    not supplied).
+    not supplied). reps must be an integer >= 1, not a bool (ValueError).
     """
     if method not in ("ljil", "djil"):
         raise ValueError(f"method must be 'ljil' or 'djil', got {method!r}")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    reps = _whole("reps", reps)
     # every argument is checked before the Monte-Carlo v_opt run
     spec = ScenarioSpec(scenario, n, p, seed)
     m = make_grid(n, c)

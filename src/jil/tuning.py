@@ -3,7 +3,8 @@
 Both flavors run one fold loop, the fit body of fit.py over a grid. Every
 fold builds one interval table on its training rows and makes one grid-form
 segment.pelt call, which runs the DPs of every (lambda, gamma) pair in
-lockstep over the table's columns(): each block of columns is computed
+lockstep over the table's columns(), with the table's certificate() for
+functional pruning (segment.pelt): each block of columns is computed
 once, at every lambda, for the union of the candidates the DPs still hold,
 and no table of interval costs is kept. fit._attach gives each lambda's partitions their
 models from one models call, as for a lone fit, and fit._sse scores them.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, check_grid
+from .core import Dataset, _whole, check_grid
 from .cost import CostCache
 from .errors import BadFoldCount, InsufficientData
 from .fit import NetworkCosts, _attach, _sse
@@ -51,7 +52,9 @@ def _grid(name, values):
 
 @dataclass(frozen=True)
 class TuningGrid:
-    """Hyperparameter grid and fold layout for cross-validation."""
+    """Hyperparameter grid and fold layout for cross-validation: k_folds an
+    integer >= 2 and seed an integer >= 0, never a bool, checked when built
+    (ValueError naming the field), so a float is refused, not truncated."""
 
     lambdas: tuple
     gammas: tuple
@@ -61,8 +64,8 @@ class TuningGrid:
     def __post_init__(self):
         object.__setattr__(self, "lambdas", _grid("lambda", self.lambdas))
         object.__setattr__(self, "gammas", _grid("gamma", self.gammas))
-        if self.k_folds < 2:
-            raise ValueError(f"k_folds must be >= 2, got {self.k_folds}")
+        object.__setattr__(self, "k_folds", _whole("k_folds", self.k_folds, least=2))
+        object.__setattr__(self, "seed", _whole("seed", self.seed, least=0))
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,8 @@ def _cv(d: Dataset, make_table, grid: TuningGrid):
         va = assign == fid
         table = make_table(d.subset(np.flatnonzero(~va)))
         held_out = d.covariates[va], d.treatments[va], d.outcomes[va]
-        results = pelt(table.columns(), table.m, grid.gammas, batched=True)
+        results = pelt(table.columns(), table.m, grid.gammas, batched=True,
+                       certificate=table.certificate())
         sse.append([[_sse(fit, *held_out) for fit in _attach(table, lam, row, grid.gammas)]
                     for lam, row in zip(grid.lambdas, results)])
     scores = np.apply_along_axis(math.fsum, 0, np.array(sse)) / d.n

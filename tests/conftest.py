@@ -356,7 +356,28 @@ def block_rule(calls, m: int, budget: int) -> list:
 class Stacks(list):
     """Sizes of the stacks cost._eliminate gets, in call order, with
     .intervals: for each cost stack CostCache._costs builds, the
-    (lambda, lo, hi) rows of its intervals (lo < hi) as a (K, 3) array."""
+    (lambda, lo, hi) rows of its intervals (lo < hi) as a (K, 3) array, and
+    .certified: the sizes of the certificate's cost._schur stacks."""
+
+
+@pytest.fixture
+def column_calls(monkeypatch):
+    """Every call (U, r) a CostCache.columns() function gets while the test
+    runs, in order: the column calls a DP actually makes."""
+    calls = []
+    real = jil.cost.CostCache.columns
+
+    def columns(self):
+        block = real(self)
+
+        def recorded(U, r):
+            calls.append((U.copy(), r))
+            return block(U, r)
+
+        return recorded
+
+    monkeypatch.setattr(jil.cost.CostCache, "columns", columns)
+    return calls
 
 
 @pytest.fixture
@@ -366,14 +387,19 @@ def factorized(monkeypatch):
     call, those with lo >= hi included. Only cost blocks reach it: theta
     solves its intervals by its own eigendecomposition and builds no cost
     stack. The list's .intervals records which (lambda, lo, hi) intervals
-    each cost stack holds."""
+    each cost stack holds, and .certified, counted apart, the size of each
+    stack the DP's dominance certificate hands cost._schur."""
     sizes = Stacks()
-    sizes.intervals = []
-    real, real_costs = jil.cost._eliminate, jil.cost.CostCache._costs
+    sizes.intervals, sizes.certified = [], []
+    real, real_costs, real_schur = jil.cost._eliminate, jil.cost.CostCache._costs, jil.cost._schur
 
     def recording(S):
         sizes.append(S[0].size)
         return real(S)
+
+    def recording_schur(S):
+        sizes.certified.append(S[0].size)
+        return real_schur(S)
 
     def recording_costs(self, los, his, lams):
         lo, hi = (x.ravel() for x in np.broadcast_arrays(los, his))
@@ -383,5 +409,6 @@ def factorized(monkeypatch):
         return real_costs(self, los, his, lams)
 
     monkeypatch.setattr(jil.cost, "_eliminate", recording)
+    monkeypatch.setattr(jil.cost, "_schur", recording_schur)
     monkeypatch.setattr(jil.cost.CostCache, "_costs", recording_costs)
     return sizes

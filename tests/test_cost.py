@@ -950,19 +950,25 @@ def test_indicator_pelt_matches_dp_no_prune(indicators, lam):
     assert pruned == exact == fit_ljil(indicators, m, lam, gamma).partition
 
 
-def test_rare_indicator_fit_one_kernel_call_per_block(factorized):
+def test_rare_indicator_fit_one_kernel_call_per_block(factorized, column_calls):
     # LAPACK failed a batch as a whole, so a 1% indicator used to cost about
     # 38 factorization calls per column; the kernel never fails a batch, so
-    # the fit makes exactly the block rule's kernel calls for the reference
-    # DP's candidate sets, and its theta call makes none
+    # the fit makes exactly the block rule's kernel calls for the column
+    # calls it makes, each within the reference DP's candidate set, and its
+    # theta call makes none. The dominance certificate's kernel calls,
+    # counted apart, take it below PELT's 84 calls, and with them too
     d, m = indicator_data(4000, (0.01,)), 800
     gamma = default_gamma(4000)
     calls = dp_calls(d, m, (0.0,), [gamma])
+    assert len(calls) == m
     factorized.clear()
     fit_ljil(d, m, 0.0, gamma)
-    assert len(calls) == m
-    assert factorized == block_rule(calls, m, jil.cost._BLOCK_PAIRS)
-    assert len(factorized) == 84  # against m = 800 columns
+    assert factorized == block_rule(column_calls, m, jil.cost._BLOCK_PAIRS)
+    R = {r: set(U.tolist()) for U, r in calls}
+    assert all(set(U.tolist()) <= R[r] for U, r in column_calls)
+    assert factorized.certified
+    assert len(block_rule(calls, m, jil.cost._BLOCK_PAIRS)) == 84  # plain PELT's calls
+    assert len(factorized) + len(factorized.certified) < 84
 
 
 def test_lone_fit_at_n4000_makes_few_kernel_calls(factorized):

@@ -13,7 +13,7 @@ import jil.fit as fit_mod
 from jil.core import Dataset, Interval, Linear, Partition, make_grid, normalize_treatment
 from jil.cost import CostCache
 from jil.errors import InvalidData, NoConvergence
-from jil.fit import fit_djil, fit_ljil, recompute_objective
+from jil.fit import NetworkCosts, fit_djil, fit_ljil, recompute_objective
 from jil.mlp import MlpModel, TrainConfig
 from jil.policy import I2dr, recommend_batch
 from jil.segment import pelt
@@ -240,6 +240,21 @@ def test_ljil_fields_recorded(rng):
     f = fit_ljil(d, 10, 1e-2, 0.2)
     assert (f.m, f.lam, f.gamma, f.method) == (10, 1e-2, 0.2, "ljil")
     assert all(isinstance(mod, Linear) for mod in f.models)
+
+
+@pytest.mark.parametrize("m", [2.5, np.float64(8.9), True, 4.0])
+def test_fits_and_tables_reject_a_grid_resolution_that_is_not_an_integer(rng, m):
+    # int(m) would fit 2 cells for 2.5, 8 for 8.9 and 1 for True, silently
+    d = Dataset(rng.uniform(-1, 1, (30, 2)), rng.random(30), rng.standard_normal(30))
+    cfg = TrainConfig(hidden=(2,), epochs=1)
+    for build in (lambda: fit_ljil(d, m, 0.0, 0.05), lambda: CostCache(d, m),
+                  lambda: NetworkCosts(d, m, cfg), lambda: fit_djil(d, m, 0.05, cfg)):
+        with pytest.raises(ValueError, match="grid resolution must be an integer"):
+            build()
+    for build in (lambda: CostCache(d, 0), lambda: NetworkCosts(d, -1, cfg)):
+        with pytest.raises(ValueError, match="grid resolution must be >= 1"):
+            build()
+    assert fit_ljil(d, np.int64(4), 0.0, 0.05).m == 4
 
 
 def test_ljil_rejects_invalid_data(rng):

@@ -184,6 +184,32 @@ def test_pelt_rejects_empty_grid(gamma):
         pelt(lambda lo, hi: 0.0, 0, gamma)
 
 
+@pytest.mark.parametrize("m", [2.5, 4.0, np.float64(8.9), True, np.bool_(True), "4"])
+def test_pelt_rejects_a_grid_resolution_that_is_not_an_integer(m):
+    for solver in (pelt, dp_no_prune):
+        with pytest.raises(ValueError, match="grid resolution must be an integer"):
+            solver(lambda lo, hi: 0.0, m, 0.1)
+
+
+def test_pelt_takes_a_numpy_integer_grid_resolution():
+    fn = lambda lo, hi: float(hi - lo) ** 2
+    assert pelt(fn, np.int64(5), 1.0) == pelt(fn, 5, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("gamma", [0.1, [0.1, 0.2]], ids=["scalar", "grid"])
+def test_non_finite_costs_raise_naming_their_column(bad, gamma):
+    # every cost non-finite: the first column already fails
+    for solver in (pelt, dp_no_prune):
+        with pytest.raises(ValueError, match="column 1: DP value .* is not finite"):
+            solver(lambda lo, hi: bad, 4, gamma)
+    # in a block of columns, the first column that reads the bad cost is named
+    table = np.ones((1, 7, 7))
+    table[0, :, 5] = bad
+    with pytest.raises(ValueError, match="column 5: DP value .* is not finite"):
+        pelt(block_columns(table, 6), 6, gamma, prune=False, batched=True)
+
+
 def test_penalty_accepts_numpy_integer():
     fn = lambda lo, hi: float(hi - lo) ** 2
     assert pelt(fn, 5, np.int64(1)) == pelt(fn, 5, 1.0)

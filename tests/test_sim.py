@@ -372,3 +372,7 @@ def test_replicate_table1_rejects_no_reps():
     for reps in (0, -2):
         with pytest.raises(ValueError, match=f"reps must be >= 1, got {reps}"):
             replicate_table1(reps, 40, seed=0, v_opt=1.34)
+    # a float or a bool is refused before any replication runs, not truncated
+    for reps in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="reps must be an integer"):
+            replicate_table1(reps, 40, seed=0, v_opt=1.34)

@@ -75,6 +75,16 @@ def test_tuning_grid_validation():
     assert TuningGrid(lambdas=(0.0,), gammas=(0.0,), k_folds=2, seed=0).gammas == (0.0,)
     with pytest.raises(ValueError):
         TuningGrid(lambdas=(0.0,), gammas=(0.1,), k_folds=1, seed=0)
+    # integers are checked, not truncated
+    for bad in (2.5, 3.0, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="k_folds must be an integer"):
+            TuningGrid(lambdas=(0.0,), gammas=(0.1,), k_folds=bad, seed=0)
+    for bad, message in ((-1, "seed must be >= 0"), (2.5, "seed must be an integer"),
+                         (True, "seed must be an integer"), (1.0, "seed must be an integer")):
+        with pytest.raises(ValueError, match=message):
+            TuningGrid(lambdas=(0.0,), gammas=(0.1,), k_folds=2, seed=bad)
+    grid = TuningGrid(lambdas=(0.0,), gammas=(0.1,), k_folds=np.int64(3), seed=np.int32(4))
+    assert (grid.k_folds, grid.seed) == (3, 4) and type(grid.k_folds) is type(grid.seed) is int
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="lambda grid must be finite"):
             TuningGrid(lambdas=(0.0, bad), gammas=(0.1,), k_folds=2, seed=0)
