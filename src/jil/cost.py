@@ -82,19 +82,17 @@ pivot would overstate the minimum. Q is formed from the packed A of the
 cost path, _assemble, so lam > 0 needs nothing more; certificate() builds
 one (T, mu, pair, |U|) stack per call and makes one _schur call.
 
-CostCache computes costs over a fixed lam grid: each columns() call returns
-a block of consecutive DP columns at every lam from one _eliminate call over
-a broadcast rectangle of every candidate against every column of the block,
-its area within a fixed budget, so the kernel's fixed cost per call is paid
-once per block; pairs lo >= hi stack zero or negated moments and cost
-exactly 0. A lone fit reads the one row of a one-lam cache; a CV fold runs
-the grid form of segment.pelt over all rows. Coefficients are solved on
-demand, for any intervals in one batched call, at a finite lam >= 0.
-CostCache shares this interface, columns(), certificate() and
-models(los, his, lam), with fit.NetworkCosts, whose certificate() is None,
-so one fit body and one CV loop serve both model families. The scalar
-costfn(lam) only reads the table that precompute=True fills; both serve only
-the benchmark's solver check and tests (ROADMAP item 11).
+CostCache serves the pair contract of segment.py over a fixed lam grid:
+costs(los, his) computes its pairs at every lam in one _eliminate call, so
+the kernel's fixed cost is paid once per block of DP columns; pairs
+lo >= hi stack zero or negated moments and cost exactly 0. A lone fit reads
+the one row of a one-lam cache; a CV fold runs the grid form over all rows.
+Coefficients are solved on demand, for any intervals in one batched call,
+at a finite lam >= 0. fit.NetworkCosts shares the interface (costs, budget,
+certificate(), models(los, his, lam)), its certificate() None, so one fit
+body and one CV loop serve both model families. The scalar costfn(lam)
+only reads the table that precompute=True fills; both serve only the
+benchmark's solver check and tests (ROADMAP item 11).
 """
 
 from __future__ import annotations
@@ -115,7 +113,7 @@ __all__ = ["CostCache"]
 _CLAMP_REL = 1e-10
 _TINY = np.nextafter(0.0, 1.0)  # the smallest positive double
 _OUTCOMES_OVERFLOW = "outcomes are too large: their moments overflow"
-# pairs one columns() rectangle may stack per lambda: a kernel call costs
+# pairs one costs() call of the DP may stack per lambda: a kernel call costs
 # about 65 us plus 90 ns per pair (2-vCPU Xeon, numpy 2.4), so its fixed cost
 # is then about a third of a call, and a lone fit at m = 800 peaks near 0.63 MiB
 _BLOCK_PAIRS = 1536
@@ -171,24 +169,16 @@ def _schur(S: np.ndarray) -> np.ndarray:
     return np.where((S[start[:-2]] > 0.0).all(axis=0), S[-1], -np.inf)
 
 
-def _block_width(u: int, left: int, budget: int) -> int:
-    """Largest b with b*(u+b-1) <= budget, at most left, at least 1: the
-    width of a block of columns over u candidates, whose rectangle of pairs
-    (V[k], r+t) holds b*(u+b-1) of them, with left columns still to run."""
-    k = u - 1  # the bound is (2b + k)^2 <= k^2 + 4 * budget
-    return max(1, min((math.isqrt(k * k + 4 * budget) - k) // 2, left))
-
-
 def _check_pairs(los: np.ndarray, his: np.ndarray, m: int):
     """Reject index arrays that are not equal-length pairs 0 <= lo < hi <= m."""
     if los.shape != his.shape or not np.all((0 <= los) & (los < his) & (his <= m)):
         raise ValueError(f"invalid interval indices ({los}, {his}) on grid {m}")
 
 
-def _check_call(R: np.ndarray, r, m: int):
-    """Check a column call: 1 <= r <= m and 0 <= j < r for j in R, an ascending array."""
-    if not (1 <= r <= m and np.all(R[:-1] < R[1:]) and np.all((0 <= R[:1]) & (R[-1:] < r))):
-        raise ValueError(f"invalid interval indices ({R}, {r}) on grid {m}")
+def _check_indices(los: np.ndarray, his: np.ndarray, m: int):
+    """Reject grid indices outside [0, m]."""
+    if not (np.all((0 <= los) & (los <= m)) and np.all((0 <= his) & (his <= m))):
+        raise ValueError(f"invalid interval indices ({los}, {his}) on grid {m}")
 
 
 class CostCache:
@@ -199,17 +189,16 @@ class CostCache:
     cells; an interval stack is two take gathers and one subtraction,
     contiguous along the intervals, and _full maps an entry (i, j) of the
     unpacked matrix to its packed row. Without precompute the cache holds
-    only these prefix sums, and each columns() call computes one block of
-    columns at every lam of the grid in one _eliminate call, a rectangle of
-    at most _BLOCK_PAIRS pairs per lam unless the block is a single column;
-    the closure holds no state. precompute=True fills a float64 table of
-    shape (H, m+1, m+1), indexed [h, hi, lo], one column at a time at every
-    lam, so temporaries stay O(H m d^2); costfn only reads it. theta solves the
+    only these prefix sums. precompute=True fills a float64 table of shape
+    (H, m+1, m+1), indexed [h, hi, lo], one column at a time at every lam,
+    so temporaries stay O(H m d^2); costfn only reads it. theta solves the
     intervals it is asked for on each call, by the one coefficient rule of
     the module docstring, and models wraps its coefficients as one Linear
     model per interval. There is no lock: the library starts no thread or
     process, so a cache is used from one thread.
     """
+
+    budget = _BLOCK_PAIRS  # the pairs per lambda segment.pelt puts in one costs call
 
     def __init__(self, dataset: Dataset, m: int, lambdas=(0.0,), precompute: bool = False):
         self.dataset = dataset
@@ -220,7 +209,7 @@ class CostCache:
         if precompute:
             self._table = np.zeros((self.lambdas.size, self.m + 1, self.m + 1))
             for r in range(1, self.m + 1):
-                self._table[:, r, :r] = self._costs(np.arange(r), r, self.lambdas)
+                self._table[:, r, :r] = self._costs(np.arange(r), np.array([r]), self.lambdas)
 
     # ---------------------------------------------------------- internals
 
@@ -256,8 +245,9 @@ class CostCache:
         """Packed moments M (T,) + S, T = D(D+1)/2, of [lo/m, hi/m) for los
         and his broadcast to shape S, and at each lambda of lams (H,) the
         ridge weights n*lam*(hi-lo)/m (H,) + S; InvalidData at a positive
-        lambda if c^2, P's (d, d) entry, overflows."""
-        M = self._M.take(np.atleast_1d(his), axis=1) - self._M.take(los, axis=1)
+        lambda if c^2, P's (d, d) entry, overflows. los and his have one
+        rank, so the two gathers broadcast along S."""
+        M = self._M.take(his, axis=1) - self._M.take(los, axis=1)
         ridge = np.multiply.outer(self.dataset.n * lams, (his - los) / self.m)
         if lams[-1] > 0.0 and not math.isfinite(self._shift * self._shift):  # lams ascend
             raise InvalidData("outcomes", None, _OUTCOMES_OVERFLOW)
@@ -315,32 +305,16 @@ class CostCache:
         checks lam)."""
         return tuple(Linear(t) for t in self.theta(los, his, lam))
 
-    def columns(self):
-        """Column cost function (U, r) -> block (H, b, |U|+b-1) for the
-        column form of segment.pelt: with V = U followed by r, ..., r+b-2,
-        entry [h, t, k] is the cost of [V[k]/m, (r+t)/m) at the h-th lambda
-        of the grid where V[k] < r+t, and 0 elsewhere.
-
-        U must be an ascending int64 array with 0 <= j < r <= m and r >= 1,
-        else ValueError. Each call computes its block in one _eliminate call
-        over the rectangle of pairs (V[k], r+t), b*|V| = b*(|U|+b-1) of
-        them, b the largest width within _BLOCK_PAIRS, capped at the columns
-        left and never below 1: a block stacks at most max(_BLOCK_PAIRS, |U|)
-        pairs per lambda, one of one column exactly U. The DP's candidate
-        sets only shrink apart from the newest candidate (R_{r+t} is within
-        R_r + {r, ..., r+t-1}), so it runs all b columns from the block and
-        asks for no cost twice. The kernel is elementwise along the stack,
-        so a cost has the same bits in any block.
-        """
-        m, lams = self.m, self.lambdas
-
-        def block(U, r):
-            _check_call(U, r, m)
-            width = _block_width(U.size, m + 1 - r, _BLOCK_PAIRS)
-            V = np.concatenate([U, np.arange(r, r + width - 1, dtype=np.int64)])
-            return self._costs(V[None, :], np.arange(r, r + width)[:, None], lams)
-
-        return block
+    def costs(self, los, his) -> np.ndarray:
+        """Costs (H,) + S of [lo/m, hi/m) at every lambda of the grid, for
+        the int64 index arrays los and his broadcast to shape S, from one
+        _eliminate call; exactly 0 where lo >= hi. The pair contract of
+        segment.pelt: an index outside [0, m] raises ValueError."""
+        los, his = np.asarray(los), np.asarray(his)
+        _check_indices(los, his, self.m)
+        if los.ndim != his.ndim:  # one rank, so the gathers of _stack broadcast
+            los, his = np.broadcast_arrays(los, his)
+        return self._costs(los, his, self.lambdas)
 
     def certificate(self):
         """Dominance bound (U, s, pairs, mus) -> (low, scale) for the
@@ -361,7 +335,7 @@ class CostCache:
 
         def bound(U, s, pairs, mus):
             i, h = pairs.T
-            A = self._assemble(np.concatenate([U, i]), s, lams)[0]  # (T, H, |U|+P)
+            A = self._assemble(np.concatenate([U, i]), np.array([s]), lams)[0]  # (T, H, |U|+P)
             A_j = A[:, None, h, : U.size]  # (T, 1, P, |U|)
             A_i = A[:, None, h, U.size + np.arange(h.size), None]  # (T, 1, P, 1)
             mu = (1.0 + mus)[:, None, None]
@@ -375,7 +349,7 @@ class CostCache:
     def costfn(self, lam: float):
         """Scalar cost function (lo, hi) -> cost at lam, for the scalar form
         of segment.pelt: a read of the precompute=True table, with the bits
-        columns() computes. Without the table, or for a lam off the grid,
+        costs computes. Without the table, or for a lam off the grid,
         ValueError. Only the benchmark's solver check and tests call it.
         """
         if self._table is None:
@@ -385,7 +359,7 @@ class CostCache:
         h = self.lambdas.tolist().index(float(lam))
 
         def fn(lo, hi):
-            _check_call(np.array([operator.index(lo)]), hi, self.m)
+            _check_pairs(np.array([operator.index(lo)]), np.array([operator.index(hi)]), self.m)
             return float(self._table[h, hi, lo])
 
         return fn

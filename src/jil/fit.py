@@ -1,18 +1,16 @@
 """Full segmentation fits tying together costs, the segmenter, and models.
 
 Both model families run one fit body over an interval table: the pruned DP
-segments with the table's columns(), which serves its costs in blocks of
-DP columns, each as wide as cost._block_width allows within the table's
-budget (_BLOCK_PAIRS pairs for CostCache, _BLOCK_NETWORKS networks for
-NetworkCosts), and computes only the surviving candidates' costs and a
-block's own columns; the table's certificate() (CostCache's dominance
-bound, None for NetworkCosts) goes to pelt by keyword and adds functional
-pruning to PELT's; _attach gives the final intervals their models from
-one models(los, his, lam) call. CV runs both steps per fold and scores with
-_sse, the residual rule of recompute_objective. fit_ljil uses a one-lambda
-CostCache; fit_djil a NetworkCosts table, which trains each interval at
-most once, at lam 0 (network costs carry no coefficient penalty), a block's
-untrained intervals in one lockstep mlp_train call.
+segments with the table's costs (segment.pelt's pair contract) under the
+table's budget, so only the surviving candidates' costs and a block's own
+columns are computed; the table's certificate() (CostCache's dominance
+bound, None for NetworkCosts) adds functional pruning to PELT's; _attach
+gives the final intervals their models from one models(los, his, lam)
+call. CV runs both steps per fold and scores with _sse, the residual rule
+of recompute_objective. fit_ljil uses a one-lambda CostCache; fit_djil a
+NetworkCosts table, which trains each interval at most once, at lam 0
+(network costs carry no coefficient penalty), a block's untrained
+intervals in one lockstep mlp_train call.
 """
 
 from __future__ import annotations
@@ -20,20 +18,20 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Dataset, Interval, JilFit, Linear, _whole, grid_cell
-from .cost import CostCache, _block_width, _check_call, _check_pairs
+from .cost import CostCache, _check_indices, _check_pairs
 from .mlp import MlpModel, TrainConfig, mlp_train
 from .segment import pelt
 
 __all__ = ["NetworkCosts", "fit_ljil", "fit_djil", "recompute_objective"]
 
-# pairs one NetworkCosts block may span, b*(|U|+b-1) by cost._block_width,
-# so a trainer call stacks at most max(_BLOCK_NETWORKS, |U|) networks: a
-# one-step lockstep epoch, shuffles included, costs about 57 us for one
-# network plus 12 us per further one at hidden (8,) (2-vCPU Xeon, numpy
-# 2.4). Six scenario-2 fits at n = 400, m = 80, (8,), 5 epochs took 0.71 s
-# at 16, 0.52 s at 24 and 0.52 s at 32 (medians of 5); a (32, 32), 10-epoch
-# fit at n = 800 took 0.77 s at 1, 0.58 s at 16, 0.60 s at 24 and 0.75 s
-# at 32, where the networks of pruned candidates cost more
+# pairs one costs() call of the DP may span, so a trainer call stacks at
+# most max(_BLOCK_NETWORKS, |U|) networks: a one-step lockstep epoch,
+# shuffles included, costs about 57 us for one network plus 12 us per
+# further one at hidden (8,) (2-vCPU Xeon, numpy 2.4). Six scenario-2 fits
+# at n = 400, m = 80, (8,), 5 epochs took 0.71 s at 16, 0.52 s at 24 and
+# 0.52 s at 32 (medians of 5); a (32, 32), 10-epoch fit at n = 800 took
+# 0.77 s at 1, 0.58 s at 16, 0.60 s at 24 and 0.75 s at 32, where the
+# networks of pruned candidates cost more
 _BLOCK_NETWORKS = 24
 
 
@@ -65,7 +63,8 @@ def _sse(fit: JilFit, X: np.ndarray, A: np.ndarray, Y: np.ndarray) -> float:
 
 def _fit(table, lam: float, gamma: float) -> JilFit:
     """Segment with the one cost row of a table over lambdas (lam,); attach models."""
-    result = pelt(table.columns(), table.m, gamma, batched=True, certificate=table.certificate())
+    result = pelt(table.costs, table.m, gamma, budget=table.budget,
+                  certificate=table.certificate())
     return _attach(table, lam, [result], [gamma])[0]
 
 
@@ -83,25 +82,24 @@ class NetworkCosts:
     """Per-interval networks and their costs for one dataset on one grid.
 
     The network counterpart of cost.CostCache, with the same interface
-    over the one-lambda grid (0.0,): columns() is the column cost function
-    (U, r) -> block (1, b, |U|+b-1) segment.pelt calls with batched=True,
-    so no network is trained ahead of the DP, and models(los, his, 0.0)
-    returns the networks of the intervals. A block's width b comes from
-    cost._block_width, the ridge table's rule, under _BLOCK_NETWORKS in
-    place of _BLOCK_PAIRS.
-    An interval's cost is the SSE of its network divided by the full sample
-    size n, so costs add up across a partition. An interval without rows
-    costs 0 and gets the all-zero network, which predicts 0. Each interval
-    is trained at most once, on first use: the untrained nonempty intervals
-    of one call, for a block every (V[k], r+t) with V[k] < r+t, train in
-    lockstep in one mlp_train call, so the DP makes at most one trainer
-    call per block. mlp_train gives a network the same bits in any stack,
-    so the DP's partitions, objectives and networks do not depend on the
-    block width; the price of a wide block is the networks it trains for
-    candidates the DP prunes inside it. A network that diverges raises
-    NoConvergence naming its interval, whether or not the DP would have
-    read its cost.
+    over the one-lambda grid (0.0,): costs is the pair function
+    segment.pelt calls under the budget _BLOCK_NETWORKS, so no network is
+    trained ahead of the DP, and models(los, his, 0.0) returns the networks
+    of the intervals. An interval's cost is the SSE of its network divided
+    by the full sample size n, so costs add up across a partition. An
+    interval without rows costs 0 and gets the all-zero network, which
+    predicts 0. Each interval is trained at most once, on first use: the
+    untrained nonempty intervals of one costs call, for a block of DP
+    columns its pairs lo < hi, train in lockstep in one mlp_train call, so
+    the DP makes at most one trainer call per block. mlp_train gives a
+    network the same bits in any stack, so the DP's partitions, objectives
+    and networks do not depend on the block width; the price of a wide block
+    is the networks it trains for candidates the DP prunes inside it. A
+    network that diverges raises NoConvergence naming its interval, whether
+    or not the DP would have read its cost.
     """
+
+    budget = _BLOCK_NETWORKS  # the pairs segment.pelt puts in one costs call
 
     def __init__(self, dataset: Dataset, m: int, cfg: TrainConfig):
         self.dataset = dataset
@@ -135,28 +133,20 @@ class NetworkCosts:
             resid = d.outcomes[rows] - net.predict_batch(d.covariates[rows])
             self._memo[lo, hi] = (net, float(np.dot(resid, resid) / d.n))
 
-    def columns(self):
-        """Column cost function (U, r) -> block (1, b, |U|+b-1) for the
-        column form of segment.pelt: with V = U followed by r, ..., r+b-2,
-        entry [0, t, k] is the cost of [V[k]/m, (r+t)/m) where V[k] < r+t,
-        and 0 elsewhere (never read). b is cost._block_width's under
-        _BLOCK_NETWORKS, and the block's untrained pairs train in one
-        mlp_train call."""
-        m = self.m
-
-        def block(U, r):
-            _check_call(U, r, m)
-            width = _block_width(U.size, m + 1 - r, _BLOCK_NETWORKS)
-            V = U.tolist() + list(range(r, r + width - 1))
-            # entry [t, k] is read where k < |U| + t, in row-major order
-            live = np.arange(len(V)) < U.size + np.arange(width)[:, None]
-            pairs = [(lo, r + t) for t in range(width) for lo in V[: U.size + t]]
-            self._train(pairs)
-            costs = np.zeros((1, width, len(V)))
-            costs[0, live] = [self._memo[pair][1] for pair in pairs]
-            return costs
-
-        return block
+    def costs(self, los, his) -> np.ndarray:
+        """Costs (1,) + S of [lo/m, hi/m) for the int64 index arrays los and
+        his broadcast to shape S, exactly 0 where lo >= hi: the pair
+        contract of segment.pelt, an index outside [0, m] a ValueError. The
+        untrained pairs lo < hi train in one mlp_train call, in row-major
+        order."""
+        _check_indices(np.asarray(los), np.asarray(his), self.m)
+        los, his = np.broadcast_arrays(los, his)
+        live = los < his
+        pairs = list(zip(los[live].tolist(), his[live].tolist()))
+        self._train(pairs)
+        out = np.zeros((1,) + los.shape)
+        out[0, live] = [self._memo[pair][1] for pair in pairs]
+        return out
 
     def certificate(self):
         """None: a trained network's cost is not a quadratic in shared
@@ -177,8 +167,8 @@ class NetworkCosts:
 
 def fit_djil(d: Dataset, m: int, gamma: float, cfg: TrainConfig) -> JilFit:
     """Network-per-segment fit; each interval is trained at most once, the
-    untrained intervals of one block of DP columns (NetworkCosts.columns)
-    together in one lockstep mlp_train call, and the result does not
+    untrained intervals of one block of DP columns (one NetworkCosts.costs
+    call) together in one lockstep mlp_train call, and the result does not
     depend on the block width.
 
     Empty intervals cost 0 and carry an all-zero network (predicting 0),

@@ -20,40 +20,47 @@ B(j) + gamma + cost([j/m, r/m)) over R_r, so ties keep the smallest j. The
 prune test at step r reuses the costs of step r-1, so pruning costs no
 further lookups.
 
-The cost function argument is a callable over grid index pairs
-0 <= lo < hi <= m, in one of two forms. By default it is scalar, (lo, hi) ->
-float, and the DP calls it once per candidate pair in ascending lo within
-each column (CostCache.costfn reads a precompute=True table in this form).
-With batched=True, the form the library's fits use, it is a column function
-(U, r) -> block, called with U an ascending int64 array, never with a
-scalar. The block contract:
+The cost function argument is a callable over grid index pairs, in one of
+two forms. By default it is scalar, (lo, hi) -> float for 0 <= lo < hi <= m,
+and the DP calls it once per candidate pair in ascending lo within each
+column (CostCache.costfn reads a precompute=True table in this form). Given
+a block budget (budget=, an integer >= 0), the form the library's fits use,
+it is a pair function, the one contract every cost table serves:
 
-- a call returns (H, b, |U|+b-1) costs, one row per cost function, with
-  1 <= b <= m+1-r: over V = U followed by r, ..., r+b-2, entry [h, t, k] is
-  the cost of [V[k]/m, (r+t)/m) under the h-th cost function;
-- the DP runs columns r, ..., r+b-1 from the block, holding B at V with
+- costs(los, his) takes int64 index arrays in [0, m] that broadcast to a
+  shape S and returns (H,) + S costs, one row per cost function: entry
+  [h, ...] is the cost of [lo/m, hi/m) under the h-th, and exactly 0 where
+  lo >= hi. It is elementwise, so a cost has the same bits in any call. An
+  index outside [0, m] raises ValueError.
+- This module alone sizes the blocks. At column r, over the candidates U,
+  _block_width gives the widest b <= m+1-r whose rectangle of pairs
+  (V[k], r+t), V = U followed by r, ..., r+b-2, holds at most budget pairs
+  per cost row (b = 1 when none fits), and the DP makes one call,
+  costs(V[None, :], arange(r, r+b)[:, None]) -> (H, b, |U|+b-1).
+- The DP runs columns r, ..., r+b-1 from the block, holding B at V with
   +inf for a candidate it has pruned, and column r+t reads only the live
-  prefix V[:|U|+t] (entries past it, where V[k] >= r+t, are never read);
-- the DP calls again at r+b with the candidates that survive, so it calls
-  at r = 1 and after each block's last column, and U at a call is within
-  R_r: R_r itself, less any candidate a certificate (below) has dropped
-  (in the grid form below, the union of the DPs' sets).
+  prefix V[:|U|+t] (the pairs past it have lo >= hi and are never read).
+  It calls again at r+b with the candidates that survive, so U at a call
+  is within R_r: R_r itself, less any candidate a certificate (below) has
+  dropped (in the grid form below, the union of the DPs' sets). The
+  candidate sets only shrink apart from the newest candidate (R_{r+t} is
+  within R_r + {r, ..., r+t-1}), so no cost is asked for twice.
 
-CostCache and fit.NetworkCosts size their blocks by one width rule,
-cost._block_width, each under its own budget; the scalar form's adapter
-returns blocks of one column, (1, 1, |U|). With a scalar gamma, H != 1
-raises ValueError, and so does a grid call whose H differs from the first
-call's; a return of any other shape raises ValueError. Either way the DP
-asks for each cost once and calls the costfn for nothing else: it keeps the
-cost of the interval it picks at each column, and the reported objective
-sums the kept costs of the backtracked partition from left to right. So
-pelt, dp_no_prune and any reference search that sums interval costs in the
-same order return bit-identical numbers whenever their partitions agree,
-whatever the block widths. The DP tables themselves are not returned.
+The scalar form runs through the same path: an adapter turns it into a pair
+function, and its budget is 0, so each block is one column. With a scalar
+gamma, H != 1 raises ValueError, and so does a grid call whose H differs
+from the first call's; a return of any other shape raises ValueError.
+Either way the DP asks for each cost once and calls the costfn for nothing
+else: it keeps the cost of the interval it picks at each column, and the
+reported objective sums the kept costs of the backtracked partition from
+left to right. So pelt, dp_no_prune and any reference search that sums
+interval costs in the same order return bit-identical numbers whenever
+their partitions agree, whatever the budget. The DP tables themselves are
+not returned.
 
 Grid form. With a 1-D sequence of J penalties in place of gamma, one call
 runs a whole grid of DPs together, one per (cost row, penalty) pair. The
-column function then returns H cost rows: row h holds the costs under the
+pair function then returns H cost rows: row h holds the costs under the
 h-th of H cost functions (one per ridge lambda, say), and U, the union of
 the candidate sets of all H*J DPs at r, is what each call is asked for.
 Every DP reads its own cost row, keeps its own survivors and ties as above,
@@ -151,12 +158,25 @@ def _check_gamma(gamma):
 
 
 def _per_pair(costfn):
-    """Column form (R, r) -> costs of a scalar costfn, one call per pair in R."""
+    """Pair form of a scalar costfn: one call per pair lo < hi, in row-major
+    order, and 0 for a pair lo >= hi, as one cost row."""
 
-    def column(R, r):
-        return np.array([costfn(j, r) for j in R.tolist()], dtype=float).reshape(1, 1, -1)
+    def costs(los, his):
+        los, his = np.broadcast_arrays(los, his)
+        live = los < his
+        out = np.zeros((1,) + los.shape)
+        out[0, live] = [costfn(lo, hi) for lo, hi in zip(los[live].tolist(), his[live].tolist())]
+        return out
 
-    return column
+    return costs
+
+
+def _block_width(u: int, left: int, budget: int) -> int:
+    """Largest b with b*(u+b-1) <= budget, at most left, at least 1: the
+    width of a block of columns over u candidates, whose rectangle of pairs
+    (V[k], r+t) holds b*(u+b-1) of them, with left columns still to run."""
+    k = u - 1  # the bound is (2b + k)^2 <= k^2 + 4 * budget
+    return max(1, min((math.isqrt(k * k + 4 * budget) - k) // 2, left))
 
 
 def _backtrack(pred: np.ndarray, cost: np.ndarray, gamma: float, m: int):
@@ -172,13 +192,16 @@ def _backtrack(pred: np.ndarray, cost: np.ndarray, gamma: float, m: int):
     return Partition.from_edges(edges, m), objective + gamma * (len(edges) - 1)
 
 
-def _block(costs, U: np.ndarray, r: int, m: int) -> np.ndarray:
-    """A column function's return for the call (U, r), checked to be a
-    block (H, b, |U|+b-1)."""
-    c = np.asarray(costs)
-    if c.ndim != 3 or not 1 <= c.shape[1] <= m + 1 - r or c.shape[2] != U.size + c.shape[1] - 1:
-        raise ValueError(f"column ({U}, {r}) returned costs of shape {np.shape(costs)}")
-    return c
+def _block(costs, U: np.ndarray, r: int, m: int, budget: int):
+    """(V, C): the block at column r over the candidates U, V = U followed by
+    r, ..., r+b-2 with b = _block_width's, and its costs C, one costs call
+    over the rectangle of pairs (V[k], r+t), checked to be (H, b, |V|)."""
+    b = _block_width(U.size, m + 1 - r, budget)
+    V = np.concatenate([U, np.arange(r, r + b - 1, dtype=np.int64)])
+    C = np.asarray(costs(V[None, :], np.arange(r, r + b)[:, None]))
+    if C.ndim != 3 or C.shape[1:] != (b, V.size):
+        raise ValueError(f"block ({U}, {r}) of width {b} returned costs of shape {C.shape}")
+    return V, C
 
 
 def _held(BV: np.ndarray) -> np.ndarray:
@@ -212,7 +235,7 @@ def _dominated(certify, U, BU, B, pred, gam, J: int, s: int) -> np.ndarray:
         return (cert > _MARGIN * ((1.0 + mu) * qj + qi + mu * F + scale)).any(axis=0)
 
 
-def _dp(column, m: int, gamma, prune: bool, certify):
+def _dp(costs, m: int, gamma, prune: bool, certify, budget: int):
     """The one DP body: every DP of the call in one pass over the columns.
 
     State is indexed [column or candidate, DP], the DP axis last. A float
@@ -221,13 +244,13 @@ def _dp(column, m: int, gamma, prune: bool, certify):
     and it returns (Partition, objective). An ndarray of J penalties over H
     cost rows adds a trailing axis of G = H*J DPs, DP g = h*J + j reading
     cost row h at penalty j, and returns [h][j] -> (Partition, objective).
-    Each block is expanded once to [t, k] or [t, k, g]; each column records
-    its first argmins K[t], and pred and the kept costs are gathered from V
-    and the block once per block.
+    Each block (one costs call, by _block) is expanded once to [t, k] or
+    [t, k, g]; each column records its first argmins K[t], and pred and the
+    kept costs are gathered from V and the block once per block.
     """
     grid = isinstance(gamma, np.ndarray)
     U = np.zeros(1, dtype=np.int64)
-    C = _block(column(U, 1), U, 1, m)
+    V, C = _block(costs, U, 1, m, budget)
     H, J = (C.shape[0], gamma.size) if grid else (1, 1)
     gam = np.tile(gamma, H) if grid else gamma
     # index tails: v[(k,) + dps] is each DP's entry at its argmin, and
@@ -242,10 +265,9 @@ def _dp(column, m: int, gamma, prune: bool, certify):
     r = checked = 1
     while True:
         if C.shape[0] != H:  # a float gamma reads one cost row, a grid the same H
-            raise ValueError(f"column ({U}, {r}) returned {C.shape[0]} cost rows, expected {H}")
+            raise ValueError(f"block ({U}, {r}) returned {C.shape[0]} cost rows, expected {H}")
         C = C.transpose(1, 2, 0).repeat(J, axis=-1) if grid else C[0]  # [t, k(, g)]
         u, b = U.size, C.shape[0]
-        V = np.concatenate([U, np.arange(r, r + b - 1, dtype=np.int64)])
         BV = np.empty((V.size,) + B.shape[1:])
         BV[:u] = BU
         K = np.empty((b,) + B.shape[1:], dtype=np.int64)
@@ -277,7 +299,7 @@ def _dp(column, m: int, gamma, prune: bool, certify):
             BU[_dominated(certify, U, BU, B, pred, gam, J, r - 1)] = np.inf
             keep = _held(BU)
             U, BU = U[keep], BU[keep]
-        C = _block(column(U, r), U, r, m)
+        V, C = _block(costs, U, r, m, budget)
     if not grid:
         return _backtrack(pred, cost, gamma, m)
     return [
@@ -286,8 +308,7 @@ def _dp(column, m: int, gamma, prune: bool, certify):
     ]
 
 
-def pelt(costfn, m: int, gamma, prune: bool = True, *, batched: bool = False,
-         certificate=None):
+def pelt(costfn, m: int, gamma, prune: bool = True, *, budget=None, certificate=None):
     """Penalized segmentation with (optionally pruned) DP.
 
     Returns (Partition, objective) where objective = sum of interval costs
@@ -295,6 +316,9 @@ def pelt(costfn, m: int, gamma, prune: bool = True, *, batched: bool = False,
     grid form and returns its [h][j] -> (Partition, objective) lists. Both
     run the one DP body, _dp: a scalar gamma over 1-D state, a sequence
     over state with a trailing axis of one DP per (cost row, penalty).
+    Without a budget costfn is scalar, (lo, hi) -> float; with one, an
+    integer >= 0 of pairs per cost row a block may hold (a cost table's
+    budget), it is a pair function costs(los, his) (the table's costs).
     certificate, a cost table's dominance bound (CostCache.certificate()),
     adds functional pruning to PELT's keep test; the exact DP ignores it.
     """
@@ -304,11 +328,12 @@ def pelt(costfn, m: int, gamma, prune: bool = True, *, batched: bool = False,
     for g in gamma if grid else (gamma,):
         _check_gamma(g)
     m = _whole("grid resolution", m)
-    column = costfn if batched else _per_pair(costfn)
+    costs = _per_pair(costfn) if budget is None else costfn
+    budget = 0 if budget is None else _whole("block budget", budget, least=0)
     gamma = np.array(gamma, dtype=float) if grid else float(gamma)
-    return _dp(column, m, gamma, prune, certificate if prune else None)
+    return _dp(costs, m, gamma, prune, certificate if prune else None, budget)
 
 
-def dp_no_prune(costfn, m: int, gamma, *, batched: bool = False):
+def dp_no_prune(costfn, m: int, gamma, *, budget=None):
     """Exact DP over all predecessors (reference implementation)."""
-    return pelt(costfn, m, gamma, prune=False, batched=batched)
+    return pelt(costfn, m, gamma, prune=False, budget=budget)

@@ -45,7 +45,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One generative setting: scenario id 1-5, sample size, dimension, seed."""
+    """One generative setting: scenario id 1-5, sample size, dimension, seed;
+    each an integer, never a bool, checked when built (BadSpec naming it)."""
 
     id: int
     n: int
@@ -53,10 +54,13 @@ class ScenarioSpec:
     seed: int
 
     def __post_init__(self):
+        for name, least in (("id", None), ("n", 1), ("p", None), ("seed", 0)):
+            try:
+                object.__setattr__(self, name, _whole(name, getattr(self, name), least))
+            except ValueError as e:
+                raise BadSpec(str(e)) from None
         if self.id not in _SCENARIOS:
             raise BadSpec(f"scenario id must be 1..5, got {self.id}")
-        if self.n < 1:
-            raise BadSpec(f"n must be >= 1, got {self.n}")
         min_p = _SCENARIOS[self.id].min_p
         if self.p < min_p:
             raise BadSpec(f"scenario {self.id} needs p >= {min_p}, got {self.p}")

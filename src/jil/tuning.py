@@ -2,17 +2,17 @@
 
 Both flavors run one fold loop, the fit body of fit.py over a grid. Every
 fold builds one interval table on its training rows and makes one grid-form
-segment.pelt call, which runs the DPs of every (lambda, gamma) pair in
-lockstep over the table's columns(), with the table's certificate() for
-functional pruning (segment.pelt): each block of columns is computed
-once, at every lambda, for the union of the candidates the DPs still hold,
-and no table of interval costs is kept. fit._attach gives each lambda's partitions their
-models from one models call, as for a lone fit, and fit._sse scores them.
-The ridge flavor's table is a CostCache without precompute, O(m d^2) per
-fold. The network flavor tunes gamma only (its grid's lambda axis must be
-(0.0,)) over a fit.NetworkCosts table, which trains each interval at most
-once for the whole gamma grid. Both flavors take their folds and seed from
-the TuningGrid and return a CvReport.
+segment.pelt call over the table's costs, budget and certificate(), which
+runs the DPs of every (lambda, gamma) pair in lockstep: each block of
+columns is computed once, at every lambda, for the union of the candidates
+the DPs still hold, and no table of interval costs is kept. fit._attach
+gives each lambda's partitions their models from one models call, as for a
+lone fit, and fit._sse scores them. The ridge flavor's table is a
+CostCache without precompute, O(m d^2) per fold. The network flavor tunes
+gamma only (its grid's lambda axis must be (0.0,)) over a fit.NetworkCosts
+table, which trains each interval at most once for the whole gamma grid.
+Both flavors take their folds and seed from the TuningGrid and return a
+CvReport.
 
 Scores are held-out SSE totals divided by n, with held-out rows predicted
 by the fitted models; a held-out row in an interval without training rows
@@ -87,7 +87,10 @@ class CvReport:
 
 
 def kfold_split(n: int, k: int, seed: int) -> np.ndarray:
-    """Fold id per row: a uniform shuffle cut into k near-equal groups."""
+    """Fold id per row: a uniform shuffle cut into k near-equal groups; n, k
+    and seed are integers, never bools (ValueError naming the field)."""
+    n, k = _whole("n", n), _whole("k", k, least=None)
+    seed = _whole("seed", seed, least=0)
     if not (2 <= k <= n):
         raise BadFoldCount(f"need 2 <= k <= n, got k={k}, n={n}")
     perm = np.random.default_rng(seed).permutation(n)
@@ -120,7 +123,7 @@ def _cv(d: Dataset, make_table, grid: TuningGrid):
         va = assign == fid
         table = make_table(d.subset(np.flatnonzero(~va)))
         held_out = d.covariates[va], d.treatments[va], d.outcomes[va]
-        results = pelt(table.columns(), table.m, grid.gammas, batched=True,
+        results = pelt(table.costs, table.m, grid.gammas, budget=table.budget,
                        certificate=table.certificate())
         sse.append([[_sse(fit, *held_out) for fit in _attach(table, lam, row, grid.gammas)]
                     for lam, row in zip(grid.lambdas, results)])

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import jil.cost
+import jil.segment
 from jil.core import Dataset, Interval, Partition, grid_cell
 from jil.errors import DimensionMismatch
 from jil.mlp import MlpModel, TrainConfig, _batch_gradients, init_model
@@ -310,29 +311,34 @@ def reference_calls(tables, gammas, prune: bool = True) -> list:
     return [(np.array(sorted(union[r]), dtype=np.int64), r) for r in range(1, m + 1)]
 
 
-def block_columns(tables, width: int):
-    """Block column function over cost tables (H, m+1, m+1) indexed
-    [h, lo, hi], in the form CostCache.columns() returns: a call (U, r)
-    returns (H, b, |U|+b-1) costs over V = U followed by r, ..., r+b-2,
-    b = min(width, m+1-r). Entries outside the live prefix (V[k] >= r+t) are
-    NaN, so a DP that reads one gets a NaN objective. Records each call
-    (U, r, b) in .calls."""
-    m = tables.shape[1] - 1
+def table_costs(tables):
+    """Pair function over cost tables (H, m+1, m+1) indexed [h, lo, hi], in
+    the form CostCache.costs takes: a call (los, his) returns (H,) + the
+    broadcast shape. Entries where lo >= hi are NaN, so a DP that reads one
+    gets a NaN objective. Records each block call (U, r, b) the DP makes,
+    (V[None, :], arange(r, r+b)[:, None]) with V = U followed by
+    r, ..., r+b-2, in .calls."""
 
-    def fn(U, r):
-        b = min(width, m + 1 - r)
-        V = np.concatenate([U, np.arange(r, r + b - 1, dtype=np.int64)])
-        his = np.arange(r, r + b)
-        fn.calls.append((U.copy(), r, b))
-        return np.where(V < his[:, None], tables[:, V[None, :], his[:, None]], np.nan)
+    def fn(los, his):
+        b = his.shape[0]
+        fn.calls.append((los[0, : los.shape[1] - b + 1].copy(), int(his[0, 0]), b))
+        return np.where(los < his, tables[:, los, his], np.nan)
 
     fn.calls = []
     return fn
 
 
+@pytest.fixture
+def fixed_width(monkeypatch):
+    """Make a block budget read as a block width: the DP's blocks are then
+    min(budget, columns left) wide (at least 1), whatever |U|."""
+    monkeypatch.setattr(jil.segment, "_block_width",
+                        lambda u, left, budget: max(1, min(budget, left)))
+
+
 def block_rule(calls, m: int, budget: int) -> list:
-    """Pairs per lambda that each kernel call of a block DP over a
-    CostCache.columns() function stacks, given the DP's column candidate sets
+    """Pairs per lambda that each kernel call of a block DP over
+    CostCache.costs stacks, given the DP's column candidate sets
     (U, r), in Python sets: a column whose r lies in the current block and
     whose U lies in its candidate set V runs from the block; any other opens
     one at r, of the largest width 1 <= b <= m+1-r with
@@ -362,21 +368,16 @@ class Stacks(list):
 
 @pytest.fixture
 def column_calls(monkeypatch):
-    """Every call (U, r) a CostCache.columns() function gets while the test
-    runs, in order: the column calls a DP actually makes."""
+    """Every block (U, r) segment.pelt opens while the test runs, in order:
+    the candidate set U of the block's first column r."""
     calls = []
-    real = jil.cost.CostCache.columns
+    real = jil.segment._block
 
-    def columns(self):
-        block = real(self)
+    def recorded(costs, U, r, m, budget):
+        calls.append((U.copy(), r))
+        return real(costs, U, r, m, budget)
 
-        def recorded(U, r):
-            calls.append((U.copy(), r))
-            return block(U, r)
-
-        return recorded
-
-    monkeypatch.setattr(jil.cost.CostCache, "columns", columns)
+    monkeypatch.setattr(jil.segment, "_block", recorded)
     return calls
 
 

@@ -158,7 +158,7 @@ def test_spectral_costs_and_cv_fast_path_match_direct_refits():
             lams[0] = 0.0
         lo = int(rng.integers(0, m))
         hi = int(rng.integers(lo + 1, m + 1))
-        fast = CostCache(d, m, lambdas=lams).columns()(np.array([lo]), hi)[:, 0, 0]
+        fast = CostCache(d, m, lambdas=lams).costs(lo, hi)
         for pos, lam in enumerate(lams):
             direct = cost_oracle(X, A, Y, lo, hi, m, float(lam))
             assert abs(fast[pos] - direct) <= 1e-8 * max(1.0, abs(direct))
@@ -324,9 +324,9 @@ def test_backprop_matches_finite_differences_and_beats_linear_fit():
     X = rng.uniform(-1, 1, (n, 2))
     Y = np.sin(2.0 * np.pi * X[:, 1]) + 0.1 * rng.standard_normal(n)
     d = Dataset(X, rng.random(n), Y)
-    linear_mse = CostCache(d, 1).columns()(np.array([0]), 1)[0, 0, 0]
+    linear_mse = CostCache(d, 1).costs(0, 1)[0]
     cfg = TrainConfig(hidden=(32, 32), epochs=500, learning_rate=1e-2, batch_size=32, seed=11)
-    mlp_mse = NetworkCosts(d, 1, cfg).columns()(np.array([0]), 1)[0, 0, 0]
+    mlp_mse = NetworkCosts(d, 1, cfg).costs(0, 1)[0]
     assert mlp_mse < linear_mse
     print(
         f"[PASS] worst backprop relative error {worst:.2e} < 1e-4 over 50 networks; "

@@ -107,7 +107,7 @@ def test_tracer_counts_one_column_dp_per_djil_fit(monkeypatch):
     assert 1 <= counts["segment.cost_lookups"] < m
     assert 0 < counts["mlp.trainings"] <= counts["segment.cost_lookups"]
     assert "cost.builds" not in counts
-    monkeypatch.setattr(jil.fit, "_BLOCK_NETWORKS", 1)
+    monkeypatch.setattr(jil.fit.NetworkCosts, "budget", 1)
     _, tracer = traced(lambda: jil.fit_djil(d, m, 0.05, cfg))
     counts = tracer.op_counts(0)
     assert counts["segment.pelt_calls"] == 1

@@ -92,7 +92,7 @@ def test_certified_fits_keep_the_bits_of_pelt_and_the_exact_dp(name, factorized,
     assert factorized.certified  # the certificate ran
     plain = [uncertified(fit_ljil, d, m, lam, gamma) for lam in LAMBDAS]
     cache = CostCache(d, m, lambdas=LAMBDAS)
-    exact = dp_no_prune(cache.columns(), m, [gamma], batched=True)
+    exact = dp_no_prune(cache.costs, m, [gamma], budget=cache.budget)
     for fit, other, (row,) in zip(fits, plain, exact):
         assert bits(fit.partition, fit.objective) == bits(other.partition, other.objective) \
             == bits(*row)
@@ -100,9 +100,9 @@ def test_certified_fits_keep_the_bits_of_pelt_and_the_exact_dp(name, factorized,
     # the grid form over the default grid: every (lambda, gamma) DP alike
     gammas = [g * GAMMA_SCALE.get(name, 1.0) for g in default_grid(d.n, 0).gammas]
     factorized.certified.clear()
-    grid = pelt(cache.columns(), m, gammas, batched=True, certificate=cache.certificate())
+    grid = pelt(cache.costs, m, gammas, budget=cache.budget, certificate=cache.certificate())
     assert factorized.certified
-    want = pelt(cache.columns(), m, gammas, batched=True)
+    want = pelt(cache.costs, m, gammas, budget=cache.budget)
     assert [[bits(*x) for x in row] for row in grid] == [[bits(*x) for x in row] for row in want]
 
 
@@ -116,7 +116,7 @@ def test_certified_column_calls_within_pelt_candidate_sets(column_calls):
         R = {r: set(U.tolist()) for U, r in reference_calls(
             CostCache(d, m, lambdas=lambdas, precompute=True)._table.transpose(0, 2, 1), gs)}
         column_calls.clear()
-        pelt(cache.columns(), m, gs, batched=True, certificate=cache.certificate())
+        pelt(cache.costs, m, gs, budget=cache.budget, certificate=cache.certificate())
         assert all(set(U.tolist()) <= R[r] for U, r in column_calls)
         assert any(set(U.tolist()) < R[r] for U, r in column_calls)
 
@@ -129,13 +129,13 @@ def test_certificate_halves_the_candidates_at_n8000(uncertified):
     counts = []
 
     def count(certificate):
-        block, total = cache.columns(), [0]
+        total = [0]
 
-        def column(U, r):
-            total[0] += U.size
-            return block(U, r)[:, :1, : U.size]
+        def costs(los, his):
+            total[0] += los.size
+            return cache.costs(los, his)
 
-        result = pelt(column, m, gamma, batched=True, certificate=certificate)
+        result = pelt(costs, m, gamma, budget=0, certificate=certificate)
         counts.append(total[0])
         return bits(*result)
 
@@ -149,13 +149,13 @@ def test_network_costs_supply_no_certificate():
 
 
 def test_certificate_survives_a_plain_wrapper_around_the_column_function(column_calls):
-    # the benchmark's tracer wraps the column function in a closure and
+    # the benchmark's tracer wraps the pair function in a closure and
     # forwards keywords, so the certificate, a keyword, still prunes
     d = scenario(1, seed=7)
     m, gamma = make_grid(d.n, 5.0), default_gamma(d.n)
     cache = CostCache(d, m)
-    block = cache.columns()
-    got = pelt(lambda U, r: block(U, r), m, gamma, batched=True, certificate=cache.certificate())
+    got = pelt(lambda los, his: cache.costs(los, his), m, gamma, budget=cache.budget,
+               certificate=cache.certificate())
     direct = fit_ljil(d, m, 0.0, gamma)
     assert bits(*got) == bits(direct.partition, direct.objective)
     half = len(column_calls) // 2
@@ -225,9 +225,9 @@ def gapped_mismatches(seeds=range(30)) -> int:
         for lam in (0.0, 1e-3):
             cache = CostCache(Dataset(X, A, Y), m, lambdas=(lam,))
             for gamma in (0.0, 1e-3, 0.05):
-                got = pelt(cache.columns(), m, gamma, batched=True,
+                got = pelt(cache.costs, m, gamma, budget=cache.budget,
                            certificate=cache.certificate())
-                bad += bits(*got) != bits(*dp_no_prune(cache.columns(), m, gamma, batched=True))
+                bad += bits(*got) != bits(*dp_no_prune(cache.costs, m, gamma, budget=cache.budget))
     return bad
 
 

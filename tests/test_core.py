@@ -116,6 +116,25 @@ def test_interval_validation():
         Interval(0, 11, 10)
     with pytest.raises(ValueError):
         Interval(0, 1, 0)
+    iv = Interval(np.int64(1), np.int32(3), np.int64(4))  # numpy integers are integers
+    assert iv == Interval(1, 3, 4) and {type(iv.lo), type(iv.hi), type(iv.m)} == {int}
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: Interval(0, 1, 2.5), "m"),
+    (lambda: Interval(0, 1, True), "m"),
+    (lambda: Interval(0.0, 1, 2), "lo"),
+    (lambda: Interval(0, np.float64(2.0), 2), "hi"),
+    (lambda: Interval(False, 1, 2), "lo"),
+    (lambda: make_grid(2.5, 1.0), "n"),
+    (lambda: make_grid(400.0, 5.0), "n"),
+    (lambda: make_grid(True, 1.0), "n"),
+], ids=["m-float", "m-bool", "lo-float", "hi-numpy-float", "lo-bool", "n-float", "n-whole-float",
+        "n-bool"])
+def test_integer_arguments_are_checked_not_truncated(build, field):
+    # a float or a bool would build a wrong interval or grid silently
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        build()
 
 
 def contains(iv, a):

@@ -3,8 +3,9 @@
 Edges, interval costs, objectives, CV scores and CV choices must match
 exactly. theta, v_hat and sigma_hat pass through LAPACK eigh or the
 propensity's Newton solve, whose bits can differ between BLAS builds, so
-they match within 1e-12 of their size. A change that moves results on purpose rewrites the corpus with
-tests/make_corpus.py and names the moved entries.
+they match within 1e-12 of their size. A change that moves results on
+purpose rewrites the corpus with tests/make_corpus.py and names the moved
+entries.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """Per-interval ridge fitting, cost evaluation, and the cost cache.
 
-Coefficients and costs are read through CostCache (theta, columns, and
+Coefficients and costs are read through CostCache (theta, costs, and
 the scalar costfn, a read of the precompute=True table), the one ridge
 cost path of the package, and checked against the oracles in conftest.
 Every cost comes from one kernel, cost._eliminate on packed upper
 triangles, tested here against LAPACK, lstsq and the full-square form in
 conftest; every coefficient comes from one rule, the shift-exact min-norm
-solve of CostCache.theta through a batched eigendecomposition. columns()
-returns blocks of columns, and its kernel calls follow conftest.block_rule
-for the candidate sets of conftest.reference_pelt.
+solve of CostCache.theta through a batched eigendecomposition. costs
+serves the DP's blocks of columns, one kernel call each, and those calls
+follow conftest.block_rule for the candidate sets of
+conftest.reference_pelt.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jil.cost
+import jil.segment
 from conftest import (block_rule, cost_oracle, eliminate_full, indicator_data, pack,
                       penalty_matrix, reference_calls, ridge_oracle)
 from jil.core import Dataset, Interval, make_grid
@@ -42,15 +44,9 @@ def theta_of(d, iv, lam):
     return CostCache(d, iv.m, lambdas=(lam,)).theta(np.array([iv.lo]), np.array([iv.hi]), lam)[0]
 
 
-def first_column(column, U, r):
-    """Costs (H, |U|) of column r alone, from the block a columns() call
-    (U, r) returns."""
-    return column(U, r)[:, 0, : U.size]
-
-
 def costs_of(d, iv, lambdas):
     """Costs of one interval over a lambda grid, from one cache on that grid."""
-    return first_column(CostCache(d, iv.m, lambdas=lambdas).columns(), np.array([iv.lo]), iv.hi)[:, 0]
+    return CostCache(d, iv.m, lambdas=lambdas).costs(iv.lo, iv.hi)
 
 
 def cost_of(d, iv, lam):
@@ -143,9 +139,9 @@ def test_cost_empty_intervals_exact_zero_in_columns(rng):
     for offset in (0.3, 1.7, 3.0, 1e3, 12345.678, 1e5):
         d = Dataset(rng.uniform(-1, 1, (8, 2)), np.full(8, 0.95), offset + rng.standard_normal(8))
         for grid in [lambdas] + [(lam,) for lam in lambdas[1:]]:
-            column = CostCache(d, 10, lambdas=grid).columns()
+            costs = CostCache(d, 10, lambdas=grid).costs
             for hi in range(1, 10):
-                assert not first_column(column, np.arange(hi, dtype=np.int64), hi).any()
+                assert not costs(np.arange(hi, dtype=np.int64), hi).any()
         table = CostCache(d, 10, lambdas=lambdas, precompute=True)._table
         assert not table[:, :10].any()  # [h, hi, lo]: every interval below cell 9 is empty
 
@@ -260,9 +256,9 @@ def test_cost_matches_oracle_at_outcome_offsets():
     pairs = [(int(lo), int(rng.integers(lo + 5, m + 1))) for lo in los]  # >= 5 cells
     for offset in (0.0, 1e3, 1e5, 1e7):
         Y = base + offset
-        column = CostCache(Dataset(X, A, Y), m, lambdas=(0.0, 1e-2)).columns()
+        costs = CostCache(Dataset(X, A, Y), m, lambdas=(0.0, 1e-2)).costs
         for lo, hi in pairs:
-            got = first_column(column, np.array([lo]), hi)[:, 0]
+            got = costs(lo, hi)
             for h, lam in enumerate((0.0, 1e-2)):
                 want = cost_oracle(X, A, Y, lo, hi, m, lam)
                 assert got[h] == pytest.approx(want, rel=1e-8), (offset, lam, lo, hi)
@@ -384,11 +380,9 @@ def test_min_norm_route_per_interval_in_a_failing_batch(rng):
     X[:, 1] = A >= 0.5
     d = Dataset(X, A, X[:, 0] + rng.standard_normal(n))
     cache = CostCache(d, m, lambdas=(0.0,))
-    column = cache.columns()
     for hi in range(1, m + 1):
         los = np.arange(hi, dtype=np.int64)
-        assert first_column(column, los, hi)[0].tolist() == [
-            first_column(column, los[k : k + 1], hi)[0, 0] for k in range(hi)]
+        assert cache.costs(los, hi)[0].tolist() == [cache.costs(lo, hi)[0] for lo in los]
         thetas = cache.theta(los, np.full(hi, hi), 0.0)
         for k, lo in enumerate(los):
             single = cache.theta(los[k : k + 1], np.array([hi]), 0.0)[0]
@@ -402,8 +396,8 @@ def test_cache_repeated_lookup_bitwise(rng):
     d = make_ds(rng, 40, 2)
     cache = CostCache(d, 8, lambdas=(0.0, 0.1))
     iv = Interval(1, 5, 8)
-    a = cache.columns()(np.array([iv.lo]), iv.hi)
-    b = cache.columns()(np.array([iv.lo]), iv.hi)
+    a = cache.costs(iv.lo, iv.hi)
+    b = cache.costs(iv.lo, iv.hi)
     assert a.tobytes() == b.tobytes() and not np.isnan(a).any()
 
 
@@ -413,27 +407,27 @@ def test_cache_fresh_instance_reproduces(rng):
     c2 = CostCache(d, 8, lambdas=(0.0, 0.1))
     for hi in range(1, 9):
         los = np.arange(hi, dtype=np.int64)
-        assert c1.columns()(los, hi).tobytes() == c2.columns()(los, hi).tobytes()
+        assert c1.costs(los, hi).tobytes() == c2.costs(los, hi).tobytes()
 
 
 def test_cache_distinct_intervals_not_aliased(rng):
     d = make_ds(rng, 60, 2, y_scale=2.0)
-    column = CostCache(d, 6, lambdas=(0.0,)).columns()
-    v1 = column(np.array([0]), 3)[0, 0, 0]
-    v2 = column(np.array([0]), 5)[0, 0, 0]
-    v1_again = column(np.array([0]), 3)[0, 0, 0]
+    costs = CostCache(d, 6, lambdas=(0.0,)).costs
+    v1 = costs(0, 3)[0]
+    v2 = costs(0, 5)[0]
+    v1_again = costs(0, 3)[0]
     assert v1 == v1_again
     assert v1 != v2  # same lo, different hi: independent entries
 
 
 def test_cache_precompute_matches_lazy_bitwise(rng):
-    # table reads carry the bits of the lazy cache's columns()
+    # table reads carry the bits of the lazy cache's costs
     d = make_ds(rng, 50, 2)
     eager = CostCache(d, 9, lambdas=(0.0, 0.05), precompute=True)
-    column = CostCache(d, 9, lambdas=(0.0, 0.05), precompute=False).columns()
+    costs = CostCache(d, 9, lambdas=(0.0, 0.05), precompute=False).costs
     for hi in range(1, 10):
         los = np.arange(hi, dtype=np.int64)
-        lazy = first_column(column, los, hi)
+        lazy = costs(los, hi)
         for h, lam in enumerate((0.0, 0.05)):
             assert [eager.costfn(lam)(lo, hi) for lo in range(hi)] == lazy[h].tolist()
 
@@ -476,25 +470,27 @@ def test_cache_costfn_closure(rng):
     d = make_ds(rng, 30, 1)
     cache = CostCache(d, 6, lambdas=(0.1,), precompute=True)
     f = cache.costfn(0.1)
-    lazy = CostCache(d, 6, lambdas=(0.1,)).columns()
-    assert f(0, 3) == cache.costfn(0.1)(0, 3) == lazy(np.array([0]), 3)[0, 0, 0]
+    lazy = CostCache(d, 6, lambdas=(0.1,)).costs
+    assert f(0, 3) == cache.costfn(0.1)(0, 3) == lazy(0, 3)[0]
     assert f(2, 6) == cost_of(d, Interval(2, 6, 6), 0.1)
 
 
 def test_cache_columns_match_scalar_costfn_bitwise(rng):
     d = make_ds(rng, 60, 2)
     lambdas = (0.0, 0.05)
-    column = CostCache(d, 9, lambdas=lambdas).columns()
+    costs = CostCache(d, 9, lambdas=lambdas).costs
     for h, lam in enumerate(lambdas):  # each lambda of the cache's grid
         scalar = CostCache(d, 9, lambdas=lambdas, precompute=True).costfn(lam)
-        one_row = CostCache(d, 9, lambdas=(lam,)).columns()
+        one_row = CostCache(d, 9, lambdas=(lam,)).costs
         for hi in range(1, 10):
             los = np.arange(hi, dtype=np.int64)[::2].copy()
-            got = column(los, hi)
-            b = got.shape[1]  # the block runs to the last column here
+            # the rectangle of a DP block from column hi to the last column
+            b = 10 - hi
             V = np.concatenate([los, np.arange(hi, hi + b - 1)])
-            assert isinstance(got, np.ndarray) and got.shape == (len(lambdas), 10 - hi, V.size)
-            assert got[h].tobytes() == one_row(los, hi)[0].tobytes()
+            rectangle = V[None, :], np.arange(hi, hi + b)[:, None]
+            got = costs(*rectangle)
+            assert isinstance(got, np.ndarray) and got.shape == (len(lambdas), b, V.size)
+            assert got[h].tobytes() == one_row(*rectangle)[0].tobytes()
             for t in range(b):
                 want = [scalar(int(lo), hi + t) if lo < hi + t else 0.0 for lo in V]
                 assert got[h, t].tolist() == want
@@ -504,44 +500,77 @@ def test_cache_columns_match_scalar_costfn_bitwise(rng):
 def test_cache_costfn_rejects_bad_indices(rng):
     d = make_ds(rng, 30, 1)
     cache = CostCache(d, 5, lambdas=(0.0,), precompute=True)
-    f, column = cache.costfn(0.0), cache.columns()
+    f, costs = cache.costfn(0.0), cache.costs
     for lo, hi in ((-1, 2), (3, 3), (4, 2), (0, 6)):
         with pytest.raises(ValueError):
             f(lo, hi)
-    for los, hi in (([-1, 0], 2), ([0, 3], 3), ([1, 2], 6)):
+    for los, hi in (([-1, 0], 2), ([0, 6], 3), ([1, 2], 6)):
         with pytest.raises(ValueError):
-            column(np.array(los, dtype=np.int64), hi)
-    # the scalar adapter takes no column: that is what columns() is for
+            costs(np.array(los, dtype=np.int64), hi)
+    # the scalar adapter takes no array: that is what costs is for
     for lo in (np.array([0, 1], dtype=np.int64), np.array([1], dtype=np.int64), 1.0):
         with pytest.raises(TypeError):
             f(lo, 3)
 
 
 def test_columns_reject_bad_calls_on_both_cost_tables(rng):
-    # a column call needs 1 <= r <= m and an ascending U below r, whatever
-    # the size of U: an empty U is no licence for r = 0, which would gather
-    # the prefix at wrapped negative indices
+    # a costs call needs every index in [0, m], whatever the size and shape
+    # of the arrays: an empty los is no licence for hi = -3, which would
+    # gather the prefix at a wrapped negative index. Unsorted and repeated
+    # indices and pairs lo >= hi are valid, and such pairs cost 0
     d, m = make_ds(rng, 40, 2), 10
     for table in (CostCache(d, m, lambdas=(0.0, 0.1)), NetworkCosts(d, m, TrainConfig())):
-        column = table.columns()
-        for U, r in (([], 0), ([], -3), ([], 11), ([], 15), ([3, 1], 5), ([2, 2], 5), ([4], 4)):
+        for los, his in (([], -3), ([], 11), ([], 15), ([-1, 3], 5), ([3, 11], 5),
+                         ([[0], [12]], [3]), (0, [[4], [-1]])):
             with pytest.raises(ValueError):
-                column(np.array(U, dtype=np.int64), r)
+                table.costs(np.array(los, dtype=np.int64), np.array(his, dtype=np.int64))
+        for los, his in (([], 0), ([3, 1], 5), ([2, 2], 5), ([4], 4), ([[7], [5]], [[5, 5]])):
+            costs = table.costs(np.array(los, dtype=np.int64), np.array(his, dtype=np.int64))
+            lo, hi = np.broadcast_arrays(los, his)
+            assert costs.shape[1:] == lo.shape and not costs[:, lo >= hi].any()
+
+
+@pytest.mark.parametrize("kind", ["ridge", "network"])
+def test_costs_over_broadcast_shapes_match_one_pair_calls(rng, kind):
+    # the pair contract is elementwise: over index arrays of random shapes
+    # that broadcast together, every pair lo < hi has the bits of a call of
+    # its own, and every pair lo >= hi costs exactly 0
+    d, m = make_ds(rng, 80, 2), 7
+    if kind == "ridge":
+        table, single = (CostCache(d, m, lambdas=(0.0, 1e-3, 0.1)) for _ in range(2))
+    else:
+        cfg = TrainConfig(hidden=(3,), epochs=2, seed=1)
+        table, single = (NetworkCosts(d, m, cfg) for _ in range(2))
+    for _ in range(6):
+        shape = tuple(rng.integers(1, 4, size=int(rng.integers(0, 4))))
+        lo_shape = tuple(k if rng.random() < 0.5 else 1 for k in shape)
+        hi_shape = tuple(k if rng.random() < 0.5 else 1 for k in shape)[int(rng.integers(0, 2)):]
+        los = rng.integers(0, m + 1, size=lo_shape)
+        his = rng.integers(0, m + 1, size=hi_shape)
+        got = table.costs(los, his)
+        lo, hi = np.broadcast_arrays(los, his)
+        assert got.shape[1:] == lo.shape
+        for index in np.ndindex(lo.shape):
+            if lo[index] < hi[index]:
+                want = single.costs(lo[index], hi[index])
+            else:
+                want = np.zeros(got.shape[0])
+            assert got[(slice(None),) + index].tobytes() == want.tobytes()
 
 
 def test_repeated_zero_lambdas_match_one_zero_lambda(rng):
     # at lambda = 0 one lambda's stack is eliminated in place; a grid of
     # repeated zeros stacks a copy per lambda, each with the same bits
     d, U = make_ds(rng, 120, 3), np.array([0, 3, 5], dtype=np.int64)
-    one = CostCache(d, 12).columns()(U, 7)
-    two = CostCache(d, 12, lambdas=(0.0, 0.0)).columns()(U, 7)
+    one = CostCache(d, 12).costs(U, 7)
+    two = CostCache(d, 12, lambdas=(0.0, 0.0)).costs(U, 7)
     assert two.shape == (2,) + one.shape[1:]
     assert two[0].tobytes() == two[1].tobytes() == one[0].tobytes()
 
 
 def test_cache_costfn_needs_the_table(rng, factorized):
     # the scalar costfn only reads a precompute=True table; a lazy cache
-    # computes through columns() and has no scalar form
+    # computes through costs and has no scalar form
     lazy = CostCache(make_ds(rng, 30, 2), 5, lambdas=(0.0, 0.1))
     for lam in (0.0, 0.1, 0.37):
         with pytest.raises(ValueError, match="precompute=True"):
@@ -554,19 +583,18 @@ def test_cache_fills_only_requested_costs(rng, factorized):
     m = 8
     lazy = CostCache(d, m, lambdas=(0.0, 0.1))
     assert factorized == []
-    column = lazy.columns()
-    block = column(np.array([1, 4], dtype=np.int64), 6)
-    # one call for both pairs at both lambdas and the rest of their block:
-    # it runs to the last column (b = 3) over V = {1, 4, 6, 7}, so it
-    # stacks the b|V| = 12 pairs of its rectangle, 9 of them intervals,
-    # 7 beyond the 2 asked for
+    # the DP's block for U = {1, 4} at column 6 runs to the last column
+    # (b = 3) over V = {1, 4, 6, 7}: one call for its rectangle of
+    # b|V| = 12 pairs at both lambdas, 9 of them intervals
+    assert jil.segment._block_width(2, m + 1 - 6, CostCache.budget) == 3
+    assert block_rule([(np.array([1, 4]), 6)], m, CostCache.budget) == [12]
+    block = lazy.costs(np.array([[1, 4, 6, 7]]), np.arange(6, 9)[:, None])
     assert factorized == [2 * 12]
-    assert block_rule([(np.array([1, 4]), 6)], m, jil.cost._BLOCK_PAIRS) == [12]
     assert block.shape == (2, 3, 4)
     # the pairs of no interval, [6, 6), [7, 6) and [7, 7), cost 0
     assert not block[:, 0, 2:].any() and not block[:, 1, 3].any()
-    # every call computes its own block: V = {4, 6, 7}, b = 2, 6 pairs
-    column(np.array([4, 6], dtype=np.int64), 7)
+    # every call computes what it is asked for: V = {4, 6, 7}, b = 2, 6 pairs
+    lazy.costs(np.array([[4, 6, 7]]), np.arange(7, 9)[:, None])
     assert factorized == [24, 2 * 6]
     factorized.clear()
     eager = CostCache(d, m, lambdas=(0.0, 0.1), precompute=True)
@@ -580,7 +608,7 @@ def test_cache_fills_only_requested_costs(rng, factorized):
 
 
 def random_calls(rng, m, count):
-    """Column calls (U, r) that mostly follow a DP (next column, U within the
+    """Block calls (U, r) that mostly follow a DP (next column, U within the
     last U and r-1) and sometimes do not: U with a fresh member, r jumping
     forward or back, r = m, an empty U."""
     calls, U, r = [], np.zeros(1, dtype=np.int64), 1
@@ -606,27 +634,25 @@ def random_calls(rng, m, count):
 @pytest.mark.parametrize("lambdas", [(0.0,), (1e-2,), (0.0, 1e-3, 0.1)],
                          ids=["lam0", "lam1e-2", "3lams"])
 @pytest.mark.parametrize("budget", [8, 768])
-def test_columns_blocks_match_fresh_calls(rng, monkeypatch, factorized, lambdas, budget):
-    # every block a columns() closure returns, whatever calls came before,
-    # has in each column's live prefix the bits of a fresh one-column _costs
-    # call and zeros past it, and each call is one kernel call of the block
-    # rule's size
-    monkeypatch.setattr(jil.cost, "_BLOCK_PAIRS", budget)
+def test_columns_blocks_match_fresh_calls(rng, factorized, lambdas, budget):
+    # every block segment._block asks CostCache.costs for, whatever calls
+    # came before, has in each column's live prefix the bits of a fresh
+    # one-column costs call and zeros past it, and each call is one kernel
+    # call of the block rule's size
     for _ in range(4):
         m = int(rng.integers(1, 41))
         d = make_ds(rng, 120, 3, y_scale=float(rng.uniform(0.1, 3.0)))
         cache = CostCache(d, m, lambdas=lambdas)
         calls = random_calls(rng, m, 60)
-        column = cache.columns()
         factorized.clear()
-        got = [column(U, r) for U, r in calls]
+        got = [jil.segment._block(cache.costs, U, r, m, budget) for U, r in calls]
         assert factorized == [len(lambdas) * block_rule([call], m, budget)[0] for call in calls]
-        for (U, r), block in zip(calls, got):
+        for (U, r), (V, block) in zip(calls, got):
             b = block.shape[1]
             assert block.shape == (len(lambdas), b, U.size + b - 1)
-            V = np.concatenate([U, np.arange(r, r + b - 1, dtype=np.int64)])
+            assert V.tolist() == U.tolist() + list(range(r, r + b - 1))
             for t in range(b):
-                want = CostCache._costs(cache, V[: U.size + t], r + t, cache.lambdas)
+                want = cache.costs(V[: U.size + t], r + t)
                 assert block[:, t, : U.size + t].tobytes() == want.tobytes(), (U, r, t)
                 assert not block[:, t, U.size + t :].any()
 
@@ -666,7 +692,8 @@ def test_fit_and_cv_fold_stack_no_interval_twice(rng, factorized):
     calls = dp_calls(train, m, grid.lambdas, grid.gammas)
     factorized.clear()
     factorized.intervals.clear()
-    pelt(CostCache(train, m, lambdas=grid.lambdas).columns(), m, list(grid.gammas), batched=True)
+    pelt(CostCache(train, m, lambdas=grid.lambdas).costs, m, list(grid.gammas),
+         budget=CostCache.budget)
     stacked_once(factorized.intervals, calls, grid.lambdas)
     H = len(grid.lambdas)
     assert factorized == [H * k for k in block_rule(calls, m, jil.cost._BLOCK_PAIRS)]
@@ -674,25 +701,25 @@ def test_fit_and_cv_fold_stack_no_interval_twice(rng, factorized):
 
 
 @pytest.mark.parametrize("n, budget", [(400, 768), (4000, 768), (400, 16)])
-def test_block_speculation_within_budget(factorized, monkeypatch, n, budget):
+def test_block_speculation_within_budget(factorized, n, budget):
     # a block stacks at most max(budget, |U|) pairs per lambda, |U| that of
     # the call that opened it; beyond the costs its calls ask for it stacks
     # fewer than budget, and a one-column block (|U| above the budget)
     # stacks exactly what it is asked for
-    monkeypatch.setattr(jil.cost, "_BLOCK_PAIRS", budget)
     d, _ = gen_scenario(ScenarioSpec(1, n, 4, 7))
     m = make_grid(n, 5.0)
     sizes = {r: U.size for U, r in dp_calls(d, m, (0.0,), [default_gamma(n)])}  # |R_r|
     factorized.clear()
-    costs = CostCache(d, m).columns()
+    cache = CostCache(d, m)
     blocks = []  # per block: [stacked, asked (the sum of its columns' |R_r|), |U|]
 
-    def column(U, r):
-        c = costs(U, r)
-        blocks.append([factorized[-1], sum(sizes[r + t] for t in range(c.shape[1])), U.size])
+    def column(los, his):
+        c = cache.costs(los, his)
+        r, b = int(his[0, 0]), his.shape[0]
+        blocks.append([factorized[-1], sum(sizes[r + t] for t in range(b)), los.size - b + 1])
         return c
 
-    pelt(column, m, default_gamma(n), batched=True)
+    pelt(column, m, default_gamma(n), budget=budget)
     assert len(blocks) == len(factorized)
     for stacked, asked, u in blocks:
         assert u <= asked <= stacked <= max(budget, u)
@@ -850,9 +877,9 @@ def test_penalized_stacks_match_dense_penalty_bitwise(monkeypatch, lambdas, offs
 
     monkeypatch.setattr(CostCache, "_costs", costs)
     monkeypatch.setattr(jil.cost, "_eliminate", eliminate)
-    column = CostCache(d, m, lambdas, precompute=True).columns()
-    column(np.array([0, 7, 30], dtype=np.int64), 31)
-    column(np.arange(55, dtype=np.int64), 55)
+    costs = CostCache(d, m, lambdas, precompute=True).costs
+    costs(np.array([0, 7, 30], dtype=np.int64), 31)
+    costs(np.arange(55, dtype=np.int64), 55)
     if len(lambdas) == 1 and not offset:
         fit_ljil(d, m, lambdas[0], default_gamma(d.n))
     assert len(stacks) >= m + 2
@@ -904,17 +931,16 @@ def test_columns_call_no_linalg(indicators, monkeypatch):
     # the DP path is numpy elementwise work only, rank-deficient intervals included
     m = 80
     cache = CostCache(indicators, m, lambdas=(0.0, 1e-3))
-    column = cache.columns()
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("np.linalg called inside columns()")
+        raise AssertionError("np.linalg called inside costs()")
 
     for name in dir(np.linalg):
         if not name.startswith("_") and callable(getattr(np.linalg, name)) \
                 and not isinstance(getattr(np.linalg, name), type):
             monkeypatch.setattr(np.linalg, name, forbidden)
     for r in range(1, m + 1):
-        column(np.arange(r, dtype=np.int64), r)
+        cache.costs(np.arange(r, dtype=np.int64), r)
 
 
 # ---------------------------------------------------- discrete covariates
@@ -925,11 +951,10 @@ def test_indicator_costs_match_oracle(indicators, rng):
     flags = d.covariates[:, np.isin(d.covariates, (0.0, 1.0)).all(axis=0)]
     cells = np.minimum((d.treatments * m).astype(int), m - 1)
     cache = CostCache(d, m, lambdas=(0.0, 1e-3))
-    column = cache.columns()
     constant = varying = 0
     for hi in rng.integers(1, m + 1, size=12):
         los = np.unique(rng.integers(0, hi, size=6))
-        got = first_column(column, los, int(hi))
+        got = cache.costs(los, int(hi))
         for k, lo in enumerate(los):
             rows = (cells >= lo) & (cells < hi)
             if rows.any() and (flags[rows] == flags[rows][0]).all():

@@ -66,10 +66,10 @@ def test_ljil_large_outcome_mean_fits_at_lambda_zero(rng):
     for lam in (1e-2, 1e-300):
         with pytest.raises(InvalidData, match="outcomes are too large"):
             cache.theta(np.array([0]), np.array([40]), lam)
-    column = CostCache(big, 40, lambdas=(0.0, 1e-2)).columns()
+    costs = CostCache(big, 40, lambdas=(0.0, 1e-2)).costs
     for r in (40, 1, 2):  # a block that failed leaves no costs to read
         with pytest.raises(InvalidData, match="outcomes are too large"):
-            column(np.array([0]), r)
+            costs(np.array([0]), r)
 
 
 def test_ljil_outcome_mean_past_squared_overflow_scales_exactly():
@@ -319,17 +319,17 @@ def counting_trainer(monkeypatch, record):
 
 
 def counting_blocks(monkeypatch, trainer_calls, record):
-    """Route fit.pelt's column function through a wrapper that appends, per
+    """Route fit.pelt's pair function through a wrapper that appends, per
     block, (V, r, b, the trainer calls the block made) to record, reading
     the calls from the list counting_trainer fills."""
     real = fit_mod.pelt
 
     def counting(column, m, gamma, **kw):
-        def block(U, r):
+        def block(los, his):
             before = len(trainer_calls)
-            costs = column(U, r)
-            b = costs.shape[1]
-            record.append((U.tolist() + list(range(r, r + b - 1)), r, b, trainer_calls[before:]))
+            costs = column(los, his)
+            r, b = int(his[0, 0]), his.shape[0]
+            record.append((los[0].tolist(), r, b, trainer_calls[before:]))
             return costs
 
         return real(block, m, gamma, **kw)
@@ -371,9 +371,8 @@ def test_djil_trains_the_intervals_per_pair_pelt_trains(rng, monkeypatch):
     batched = [pair for pairs in per_call for pair in pairs]
     assert len(per_call) < m
     per_call.clear()
-    monkeypatch.setattr(fit_mod, "_BLOCK_NETWORKS", 1)  # one-pair calls
-    column = fit_mod.NetworkCosts(d, m, cfg).columns()
-    part, obj = pelt(lambda lo, hi: column(np.array([lo]), hi)[0, 0, 0], m, gamma)
+    table = fit_mod.NetworkCosts(d, m, cfg)
+    part, obj = pelt(lambda lo, hi: table.costs(lo, hi)[0], m, gamma)  # one-pair calls
     per_pair = [pair for pairs in per_call for pair in pairs]
     assert all(len(pairs) == 1 for pairs in per_call)
     assert len(batched) == len(set(batched))
@@ -405,7 +404,7 @@ def test_djil_bits_do_not_depend_on_the_block_width(monkeypatch, scenario, hidde
                 rep.best_gamma), len(per_call)
 
     wide, wide_calls = run()
-    monkeypatch.setattr(fit_mod, "_BLOCK_NETWORKS", 1)
+    monkeypatch.setattr(fit_mod.NetworkCosts, "budget", 1)
     narrow, narrow_calls = run()
     assert wide == narrow
     assert wide_calls < narrow_calls

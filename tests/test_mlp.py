@@ -11,8 +11,8 @@ import pytest
 from jil.core import Dataset, Interval, normalize_treatment
 from jil.errors import DimensionMismatch, EmptySegment, NoConvergence
 import jil.fit as fit_mod
-from jil.cost import _block_width
 from jil.fit import NetworkCosts
+from jil.segment import _block_width
 from jil.sim import ScenarioSpec, gen_scenario
 from jil.mlp import MlpModel, TrainConfig, init_model, mlp_train
 
@@ -260,7 +260,7 @@ def test_mlp_cost_empty_interval_zero(rng):
     d = Dataset(rng.uniform(-1, 1, (10, 2)), np.full(10, 0.05), rng.standard_normal(10))
     cfg = TrainConfig(hidden=(4,), epochs=5, learning_rate=0.01, batch_size=4, seed=0)
     table = NetworkCosts(d, 10, cfg)
-    assert table.columns()(np.array([5]), 10).tolist() == [[[0.0]]]
+    assert table.costs(np.array([5]), 10).tolist() == [[0.0]]
     (zero,) = table.models(np.array([5]), np.array([10]), 0.0)
     assert zero.layer_sizes == (2, 4, 1)
     assert not any(w.any() for w in zero.weights + zero.biases)
@@ -271,7 +271,7 @@ def test_mlp_cost_constant_data_small(rng):
     n = 50
     d = Dataset(rng.uniform(-1, 1, (n, 1)), rng.random(n), np.full(n, 2.0))
     cfg = TrainConfig(hidden=(4,), epochs=300, learning_rate=0.05, batch_size=16, seed=2)
-    assert NetworkCosts(d, 1, cfg).columns()(np.array([0]), 1)[0, 0, 0] <= 1e-2
+    assert NetworkCosts(d, 1, cfg).costs(0, 1)[0] <= 1e-2
 
 
 def test_mlp_cost_uses_full_n_denominator(rng):
@@ -282,8 +282,9 @@ def test_mlp_cost_uses_full_n_denominator(rng):
     cfg = TrainConfig(hidden=(), epochs=400, learning_rate=0.3, batch_size=20, seed=4)
     iv = Interval(0, 1, 2)
     table = NetworkCosts(d, iv.m, cfg)
-    # at m = 2 one block holds both columns: V = (0, 1), and [0, 1) is entry [0, 0, 0]
-    block = table.columns()(np.array([iv.lo]), iv.hi)
+    # at m = 2 the DP's one block holds both columns: V = (0, 1), and
+    # [0, 1) is entry [0, 0, 0]
+    block = table.costs(np.array([[0, 1]]), np.array([[1], [2]]))
     assert block.shape == (1, 2, 2) and block[0, 0, 1] == 0.0  # [1, 1) is never read
     c = block[0, 0, 0]
     model = mlp_train(d, iv, cfg)
@@ -295,26 +296,24 @@ def test_mlp_cost_uses_full_n_denominator(rng):
     assert c == pytest.approx(sse / n, rel=1e-12)
 
 
-def test_network_columns_match_single_interval_calls_bitwise(rng, monkeypatch):
+def test_network_columns_match_single_interval_calls_bitwise(rng):
     n = 60
     d = Dataset(rng.uniform(-1, 1, (n, 2)), rng.random(n), rng.standard_normal(n))
     cfg = TrainConfig(hidden=(4,), epochs=3, learning_rate=0.05, batch_size=16, seed=5)
     m = 6
     # one interval per call, as the per-pair DP asks, against whole blocks
-    single = NetworkCosts(d, m, cfg).columns()
+    single = NetworkCosts(d, m, cfg)
 
     def one(lo, hi):
-        with monkeypatch.context() as mp:
-            mp.setattr(fit_mod, "_BLOCK_NETWORKS", 1)
-            cost = single(np.array([lo]), hi)
-        assert cost.shape == (1, 1, 1)  # one column of one pair
-        return cost[0, 0, 0]
+        cost = single.costs(lo, hi)
+        assert cost.shape == (1,)  # one pair
+        return cost[0]
 
-    column = NetworkCosts(d, m, cfg).columns()  # a fresh table trains anew
+    table = NetworkCosts(d, m, cfg)  # a fresh table trains anew
     for hi in range(1, m + 1):
-        los = np.arange(hi, dtype=np.int64)
-        got = column(los, hi)
-        b = _block_width(hi, m + 1 - hi, fit_mod._BLOCK_NETWORKS)
+        # the DP's block over every candidate lo < hi
+        b = _block_width(hi, m + 1 - hi, NetworkCosts.budget)
+        got = table.costs(np.arange(hi + b - 1)[None, :], np.arange(hi, hi + b)[:, None])
         assert got.dtype == np.float64 and got.shape == (1, b, hi + b - 1)  # one cost row
         # every entry the DP reads, [lo, hi + t) for lo < hi + t, has a
         # one-interval call's bits; the rest are 0
@@ -322,8 +321,9 @@ def test_network_columns_match_single_interval_calls_bitwise(rng, monkeypatch):
             want = np.array([one(lo, hi + t) for lo in range(hi + t)])
             assert got[0, t, : hi + t].tobytes() == want.tobytes()
             assert not got[0, t, hi + t :].any()
-    b = _block_width(0, m - 2, fit_mod._BLOCK_NETWORKS)
-    assert column(np.zeros(0, dtype=np.int64), 3).shape == (1, b, b - 1)
+    b = _block_width(0, m - 2, NetworkCosts.budget)
+    assert table.costs(np.arange(3, b + 2)[None, :], np.arange(3, 3 + b)[:, None]).shape \
+        == (1, b, b - 1)
 
 
 def test_network_table_rejects_lambda_and_bad_indices(rng):
@@ -332,17 +332,36 @@ def test_network_table_rejects_lambda_and_bad_indices(rng):
     for lam in (0.1, 1e-3):
         with pytest.raises(ValueError):
             table.models(np.array([0]), np.array([5]), lam)
-    fn = table.columns()
-    for lo, hi in ((-1, 2), (2, 2), (3, 2), (0, 6)):
+    for lo, hi in ((-1, 2), (2, -1), (7, 3), (0, 6)):
         with pytest.raises(ValueError):
-            fn(np.array([lo], dtype=np.int64), hi)
-    for lo in ([-1, 2], [2, 5], [0, 6]):
+            table.costs(np.array([lo], dtype=np.int64), hi)
+    for lo in ([-1, 2], [2, 7], [0, 6]):
         with pytest.raises(ValueError):
-            fn(np.array(lo, dtype=np.int64), 5)
+            table.costs(np.array(lo, dtype=np.int64), 5)
     for los, his in (([0, 2], [2]), ([0, 3], [2, 3]), ([1, 2], [3, 6])):
         with pytest.raises(ValueError):
             table.models(np.array(los), np.array(his), 0.0)
+    # pairs lo >= hi cost 0 and train nothing
+    assert table.costs(np.array([[2], [3], [5]]), np.array([2, 1])).tolist() == [[[0.0] * 2] * 3]
     assert table._memo == {}  # nothing was trained for a rejected call
+
+
+def test_network_costs_train_the_live_pairs_in_row_major_order(rng, monkeypatch):
+    # one trainer call per costs call, over its untrained pairs lo < hi in
+    # row-major order: the order the DP's block reads them, column by column
+    d = Dataset(rng.uniform(-1, 1, (60, 1)), rng.random(60), rng.standard_normal(60))
+    table = NetworkCosts(d, 6, TrainConfig(hidden=(2,), epochs=1, seed=0))
+    trained, real = [], fit_mod.mlp_train
+
+    def recording(data, intervals, cfg):
+        trained.append([(iv.lo, iv.hi) for iv in intervals])
+        return real(data, intervals, cfg)
+
+    monkeypatch.setattr(fit_mod, "mlp_train", recording)
+    table.costs(np.array([[4, 0, 2, 5]]), np.array([[5], [3], [2]]))
+    assert trained == [[(4, 5), (0, 5), (2, 5), (0, 3), (2, 3), (0, 2)]]
+    table.costs(np.array([1, 0, 6]), 5)  # [0, 5) is trained, [6, 5) costs 0
+    assert trained[1:] == [[(1, 5)]]
 
 
 def test_mlp_beats_linear_on_nonlinear_segment(rng):

@@ -332,7 +332,7 @@ def test_invalid_rows_never_reach_propensity_value_or_costs(rng, field, row, val
     consumers = [
         lambda d: fit_propensity(d, rule.fit.partition),
         lambda d: estimate_value(d, rule, prop, 0.05),
-        lambda d: CostCache(d, 6).columns()(np.array([0]), 6),
+        lambda d: CostCache(d, 6).costs(0, 6),
     ]
     for use in consumers:
         with pytest.raises(InvalidData) as exc:

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import block_columns, cost_oracle, enumerate_partitions, reference_calls, reference_pelt
+from conftest import cost_oracle, enumerate_partitions, reference_calls, reference_pelt, table_costs
 from jil.core import Dataset, Interval, Partition
 from jil.cost import CostCache
 from jil.errors import InvalidPenalty
@@ -19,14 +19,14 @@ def table_costfn(table):
 
 
 def recording_costfn(table):
-    """Column costfn over a table, returning one-column blocks (1, 1, |R_r|),
-    that records each DP column call (R_r, r)."""
+    """Pair function over a table that records each DP call (R_r, r); under
+    the budget 0 every block is one column, a call (R_r[None, :], [[r]])."""
     columns = []
 
-    def fn(lo, hi):
-        assert isinstance(lo, np.ndarray)  # the column DP makes no scalar call
-        columns.append((lo.copy(), hi))
-        return table[lo, hi][None, None]
+    def fn(los, his):
+        assert los.shape == (1, los.size) and his.shape == (1, 1)  # one column
+        columns.append((los[0].copy(), int(his[0, 0])))
+        return table[los, his][None]
 
     return fn, columns
 
@@ -207,7 +207,7 @@ def test_non_finite_costs_raise_naming_their_column(bad, gamma):
     table = np.ones((1, 7, 7))
     table[0, :, 5] = bad
     with pytest.raises(ValueError, match="column 5: DP value .* is not finite"):
-        pelt(block_columns(table, 6), 6, gamma, prune=False, batched=True)
+        pelt(table_costs(table), 6, gamma, prune=False, budget=36)
 
 
 def test_penalty_accepts_numpy_integer():
@@ -301,7 +301,7 @@ def test_bellman_state_invariants(rng):
     table = sse_cost_table(rng, m)
     fn, columns = recording_costfn(table)
     gamma = 0.1
-    part, _ = pelt(fn, m, gamma, batched=True)
+    part, _ = pelt(fn, m, gamma, budget=0)
     assert [r for _, r in columns] == list(range(1, m + 1))
     R = {r: cands for cands, r in columns}
     B, pred = replay(columns, table, gamma)
@@ -349,7 +349,7 @@ def test_batched_matches_per_pair_bitwise(rng, prune):
 
             fn, columns = recording_costfn(table)
             part, obj = solver(scalar, m, gamma)
-            part_b, obj_b = solver(fn, m, gamma, batched=True)
+            part_b, obj_b = solver(fn, m, gamma, budget=0)
             assert part_b == part
             assert float(obj_b).hex() == float(obj).hex()
             # the per-pair DP asked for the same candidates, column by column,
@@ -370,7 +370,7 @@ def test_column_calls_and_candidate_arrays(rng):
 
     column, columns = recording_costfn(table)
     part, _ = pelt(scalar, m, 0.1)
-    assert pelt(column, m, 0.1, batched=True)[0] == part
+    assert pelt(column, m, 0.1, budget=0)[0] == part
     # one scalar call per candidate, none repeated by the prune test and
     # none after the last column: the objective sums the costs the DP kept
     assert pairs == [(j, r) for R, r in columns for j in R.tolist()]
@@ -383,8 +383,8 @@ def test_column_calls_and_candidate_arrays(rng):
 
 
 @pytest.mark.parametrize("prune", [True, False])
-def test_block_dp_matches_column_reference(rng, prune):
-    # fed blocks of every width 1..m, the DP returns the reference
+def test_block_dp_matches_column_reference(rng, prune, fixed_width):
+    # in blocks of every width 1..m, the DP returns the reference
     # column-form PELT's partitions and objective bits, for scalar gammas,
     # for one-element gamma lists (a grid of one DP) and for a grid over two
     # cost rows, and opens each block with the reference's candidate set at
@@ -404,15 +404,15 @@ def test_block_dp_matches_column_reference(rng, prune):
             for j, gamma in enumerate(gammas):
                 R = {r: R for R, r in refs[0][j][2]}
                 for gam in (gamma, [gamma]):
-                    column = block_columns(stack[:1], width)
-                    got = solver(column, m, gam, batched=True)
+                    column = table_costs(stack[:1])
+                    got = solver(column, m, gam, budget=width)
                     part, obj = got if gam is gamma else got[0][0]
                     assert part == refs[0][j][0]
                     assert float(obj).hex() == float(refs[0][j][1]).hex()
                     assert [r for _, r, _ in column.calls] == starts
                     assert all(np.array_equal(U, R[r]) for U, r, _ in column.calls)
-            column = block_columns(stack, width)
-            grid = solver(column, m, list(gammas), batched=True)
+            column = table_costs(stack)
+            grid = solver(column, m, list(gammas), budget=width)
             for h in range(2):
                 for j in range(len(gammas)):
                     assert grid[h][j][0] == refs[h][j][0]
@@ -422,32 +422,33 @@ def test_block_dp_matches_column_reference(rng, prune):
 
 
 def test_block_of_a_bad_shape_raises():
-    # a block wider than the columns left, one whose candidate axis is not
-    # |U| + b - 1 long, or a return that is not 3-D, even one that would hold
-    # the column's costs, is refused
+    # a return that is not (H,) + the shape of the pairs asked for (here
+    # (1, 1), a one-column block over U = {0}), even one that would hold the
+    # column's costs, is refused
     m = 4
     for shape in ((1, 5, 5), (1, 2, 1), (1, 2, 3), (1, 1, 2, 1), (), (1,), (1, 1)):
         for gamma in (0.1, [0.1, 0.2]):
             with pytest.raises(ValueError, match="returned costs of shape"):
-                pelt(lambda U, r: np.zeros(shape), m, gamma, batched=True)
+                pelt(lambda los, his: np.zeros(shape), m, gamma, budget=0)
     # a scalar gamma reads one cost row, and a grid the same rows at every call
     with pytest.raises(ValueError, match="returned 2 cost rows, expected 1"):
-        pelt(lambda U, r: np.zeros((2, 1, U.size)), m, 0.1, batched=True)
+        pelt(lambda los, his: np.zeros((2,) + los.shape), m, 0.1, budget=0)
     with pytest.raises(ValueError, match="returned 1 cost rows, expected 2"):
-        pelt(lambda U, r: np.zeros((2 if r == 1 else 1, 1, U.size)), m, [0.1], batched=True)
+        pelt(lambda los, his: np.zeros((2 if his[0, 0] == 1 else 1,) + los.shape), m, [0.1], budget=0)
 
 
 # ------------------------------------------------------------- grid form
 
 
 def recording_columns(tables):
-    """Grid column function over stacked tables (H, m+1, m+1), returning
-    one-column blocks (H, 1, |U|), that records each call (U, r)."""
+    """Pair function over stacked tables (H, m+1, m+1) that records each
+    call (U, r); under the budget 0 every block is one column,
+    (U[None, :], [[r]]) -> (H, 1, |U|)."""
     calls = []
 
-    def fn(U, r):
-        calls.append((U.copy(), r))
-        return tables[:, U, r][:, None]
+    def fn(los, his):
+        calls.append((los[0].copy(), int(his[0, 0])))
+        return tables[:, los, his]
 
     return fn, calls
 
@@ -459,13 +460,13 @@ def assert_grid_matches_separate_runs(tables, gammas, prune):
     H, m = tables.shape[0], tables.shape[1] - 1
     solver = pelt if prune else dp_no_prune
     column, calls = recording_columns(tables)
-    grid = solver(column, m, gammas, batched=True)
+    grid = solver(column, m, gammas, budget=0)
     assert len(grid) == H and all(len(row) == len(gammas) for row in grid)
     union = {r: set() for r in range(1, m + 1)}
     for h in range(H):
         for j, gamma in enumerate(gammas):
             fn, columns = recording_costfn(tables[h])
-            part, obj = solver(fn, m, gamma, batched=True)
+            part, obj = solver(fn, m, gamma, budget=0)
             assert grid[h][j][0] == part
             assert float(grid[h][j][1]).hex() == float(obj).hex()
             for R, r in columns:
@@ -501,12 +502,12 @@ def test_grid_matches_separate_runs_on_ridge_costs(rng, prune):
         d = Dataset(X, A, Y)
         gammas = tuple(float(g) for g in np.sort(rng.uniform(0.0, 0.2, 4)))
         solver = pelt if prune else dp_no_prune
-        grid = solver(CostCache(d, m, lambdas=lambdas).columns(), m, gammas, batched=True)
+        grid = solver(CostCache(d, m, lambdas=lambdas).costs, m, gammas, budget=CostCache.budget)
         for h, lam in enumerate(lambdas):
             # a lone fit's DP: a scalar gamma over a one-lambda cache's one cost row
-            column = CostCache(d, m, lambdas=(lam,)).columns()
+            costs = CostCache(d, m, lambdas=(lam,)).costs
             for j, gamma in enumerate(gammas):
-                part, obj = solver(column, m, gamma, batched=True)
+                part, obj = solver(costs, m, gamma, budget=CostCache.budget)
                 assert grid[h][j][0] == part
                 assert float(grid[h][j][1]).hex() == float(obj).hex()
 
@@ -522,7 +523,7 @@ def test_exact_grid_keeps_every_candidate_where_pruning_drops_some(rng):
     )
     gammas = (0.0, 0.05, 0.3)
     column, calls = recording_columns(tables)
-    grid = dp_no_prune(column, m, gammas, batched=True)
+    grid = dp_no_prune(column, m, gammas, budget=0)
     assert [(U.tolist(), r) for U, r in calls] == [(list(range(r)), r) for r in range(1, m + 1)]
     for h in range(2):
         for j, gamma in enumerate(gammas):
@@ -530,7 +531,7 @@ def test_exact_grid_keeps_every_candidate_where_pruning_drops_some(rng):
             assert grid[h][j][0] == want[0]
             assert float(grid[h][j][1]).hex() == float(want[1]).hex()
     column, calls = recording_columns(tables)
-    pelt(column, m, gammas, batched=True)
+    pelt(column, m, gammas, budget=0)
     assert any(U.size < r for U, r in calls)  # the keep test does prune here
 
 
@@ -541,15 +542,15 @@ def test_grid_one_row_takes_scalar_and_one_row_columns(rng):
     want = [[pelt(table_costfn(table), m, g) for g in gammas]]
     assert pelt(table_costfn(table), m, gammas) == want
     column, _ = recording_costfn(table)
-    assert pelt(column, m, list(gammas), batched=True) == want
+    assert pelt(column, m, list(gammas), budget=0) == want
 
 
 def test_scalar_gamma_rejects_a_column_of_several_rows(rng):
     d = Dataset(rng.uniform(-1, 1, (40, 1)), rng.random(40), rng.standard_normal(40))
-    column = CostCache(d, 5, lambdas=(0.0, 0.1)).columns()
+    costs = CostCache(d, 5, lambdas=(0.0, 0.1)).costs
     for solver in (pelt, dp_no_prune):
         with pytest.raises(ValueError):
-            solver(column, 5, 0.1, batched=True)
+            solver(costs, 5, 0.1, budget=CostCache.budget)
 
 
 def test_grid_rejects_bad_penalties():

@@ -41,6 +41,23 @@ def test_scenario_spec_validation():
         ScenarioSpec(1, 50, 1, 0)
     with pytest.raises(BadSpec):
         ScenarioSpec(5, 50, 2, 0)
+    spec = ScenarioSpec(np.int64(1), np.int32(50), np.int64(2), np.uint64(3))
+    assert spec == ScenarioSpec(1, 50, 2, 3) and {type(v) for v in vars(spec).values()} == {int}
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1, 400.5, 4, 0), "n must be an integer"),
+    ((1, True, 4, 0), "n must be an integer"),
+    ((1, 400, 4.0, 0), "p must be an integer"),
+    ((1, 400, 4, 1.5), "seed must be an integer"),
+    ((1, 400, 4, -1), "seed must be >= 0"),
+    ((1.0, 400, 4, 0), "id must be an integer"),
+    ((True, 400, 4, 0), "id must be an integer"),
+])
+def test_scenario_spec_checks_its_integers(args, message):
+    # unchecked, a float size would build a spec that gen_scenario fails on
+    with pytest.raises(BadSpec, match=message):
+        ScenarioSpec(*args)
 
 
 # ------------------------------------------------------------ generation

@@ -62,6 +62,24 @@ def test_kfold_bad_counts():
         kfold_split(10, 1, seed=0)
     with pytest.raises(BadFoldCount):
         kfold_split(10, 11, seed=0)
+    with pytest.raises(BadFoldCount):
+        kfold_split(10, -2, seed=0)
+
+
+@pytest.mark.parametrize("n, k, seed, message", [
+    (10, 2.5, 0, "k must be an integer"),
+    (10, 3.0, 0, "k must be an integer"),
+    (10, True, 0, "k must be an integer"),
+    (10, 3, 1.5, "seed must be an integer"),
+    (10, 3, False, "seed must be an integer"),
+    (10, 3, -1, "seed must be >= 0"),
+    (10.0, 3, 0, "n must be an integer"),
+])
+def test_kfold_split_checks_its_integers(n, k, seed, message):
+    # unchecked, a float fold count would be truncated, and a float seed or
+    # size would fail inside numpy with an unrelated error
+    with pytest.raises(ValueError, match=message):
+        kfold_split(n, k, seed)
 
 
 def test_tuning_grid_validation():
@@ -250,14 +268,13 @@ def test_cv_report_best_attains_minimum(rng):
 
 
 def one_cost_row(table, h, lam):
-    """(costfn, batched) of the costs at lam, the h-th lambda, read apart
-    from the stacked columns() the CV runs where the table allows: a ridge
-    table through its scalar costfn; a network table has only columns(), of
-    which row h is taken."""
+    """(costfn, budget) of the costs at lam, the h-th lambda, read apart
+    from the stacked costs the CV runs where the table allows: a ridge
+    table through its scalar costfn (no budget); a network table has only
+    costs, of which row h is taken, under its budget."""
     if isinstance(table, CostCache):
-        return table.costfn(lam), False
-    columns = table.columns()
-    return (lambda R, r: columns(R, r)[h : h + 1]), True
+        return table.costfn(lam), None
+    return (lambda los, his: table.costs(los, his)[h : h + 1]), table.budget
 
 
 def reference_fold_loop(d, make_table, grid):
@@ -272,9 +289,9 @@ def reference_fold_loop(d, make_table, grid):
         table = make_table(d.subset(np.flatnonzero(~va)))
         cells = grid_cell(d.treatments[va], table.m)
         for h, lam in enumerate(grid.lambdas):
-            costfn, batched = one_cost_row(table, h, lam)
+            costfn, budget = one_cost_row(table, h, lam)
             for j, gamma in enumerate(grid.gammas):
-                part, _ = pelt(costfn, table.m, gamma, batched=batched)
+                part, _ = pelt(costfn, table.m, gamma, budget=budget)
                 edges = np.array(part.edges())
                 models = table.models(edges[:-1], edges[1:], lam)
                 idx = np.searchsorted(edges[1:], cells, side="right")
