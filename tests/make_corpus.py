@@ -21,7 +21,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
+import jil
+from jil.cost import CostCache
 
 PATH = Path(__file__).resolve().parent / "corpus.json"
 SCENARIOS = (1, 2, 3, 4, 5)
@@ -33,9 +34,6 @@ GAMMA_FACTORS = (0.25, 1.0)
 
 def entry(scenario: int, seed: int, n: int, lam: float, factor: float) -> dict:
     """One corpus entry, computed by the library."""
-    import jil
-    from jil.cost import CostCache
-
     d, _ = jil.gen_scenario(jil.ScenarioSpec(scenario, n, 4, seed))
     m = jil.make_grid(n, 5.0)
     fit = jil.fit_ljil(d, m, lam, factor * jil.default_gamma(n))
