@@ -21,6 +21,7 @@ follows from its models rather than being stored beside them.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -54,21 +55,37 @@ def _whole(name: str, value, least=1) -> int:
     return int(value)
 
 
+def _real(name: str, value, error=ValueError) -> float:
+    """value as a float: a finite real number, never a bool or a string,
+    else error (ValueError by default) naming it, so a "0.5" or a True is
+    refused rather than converted. A plain float skips the abstract-class
+    check, as a plain int does in _whole."""
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
+        raise error(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 def make_grid(n: int, c: float) -> int:
-    """Grid resolution m = max(1, floor(n / c)); n an integer >= 1."""
-    n = _whole("n", n)
+    """Grid resolution m = max(1, floor(n / c)); n an integer >= 1 and c a
+    finite real > 0 (ValueError naming it)."""
+    n, c = _whole("n", n), _real("c", c)
     if not c > 0:
         raise ValueError(f"c must be > 0, got {c}")
     return max(1, int(np.floor(n / c)))
 
 
 def check_grid(name: str, values) -> np.ndarray:
-    """A non-empty, finite, ascending grid of values >= 0 as a float array."""
-    arr = np.asarray(values, dtype=float).ravel()
+    """A non-empty ascending grid of finite reals >= 0, each checked by
+    _real (a lone value is a grid of one, and an array's entries are read
+    as Python numbers), as a float array."""
+    if isinstance(values, np.ndarray):
+        values = values.ravel().tolist()
+    arr = np.array([_real(f"{name} grid", v) for v in (values if np.ndim(values) else [values])])
     if arr.size == 0:
         raise ValueError(f"{name} grid must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} grid must be finite")
     if not np.all(arr >= 0):
         raise ValueError(f"{name} values must be >= 0")
     if np.any(np.diff(arr) < 0):

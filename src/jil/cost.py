@@ -79,8 +79,10 @@ with the kernel's loop, _sweep, but with no clamp: the clamp reads a small
 or negative pivot as a null direction, right for a cost's positive
 semidefinite A but not for the indefinite Q, where skipping a negative
 pivot would overstate the minimum. Q is formed from the packed A of the
-cost path, _assemble, so lam > 0 needs nothing more; certificate() builds
-one (T, mu, pair, |U|) stack per call and makes one _schur call.
+cost path, _assemble, so lam > 0 needs nothing more. The bound is the
+method CostCache.certificate itself, which a fit hands segment.pelt as
+certificate=table.certificate; each call builds one (T, mu, pair, |U|)
+stack and makes one _schur call.
 
 CostCache serves the pair contract of segment.py over a fixed lam grid:
 costs(los, his) computes its pairs at every lam in one _eliminate call, so
@@ -89,10 +91,11 @@ lo >= hi stack zero or negated moments and cost exactly 0. A lone fit reads
 the one row of a one-lam cache; a CV fold runs the grid form over all rows.
 Coefficients are solved on demand, for any intervals in one batched call,
 at a finite lam >= 0. fit.NetworkCosts shares the interface (costs, budget,
-certificate(), models(los, his, lam)), its certificate() None, so one fit
-body and one CV loop serve both model families. The scalar costfn(lam)
-only reads the table that precompute=True fills; both serve only the
-benchmark's solver check and tests (ROADMAP item 11).
+certificate, models(los, his, lam)), with certificate = None as a class
+attribute, as budget is one, so one fit body and one CV loop serve both
+model families. The scalar costfn(lam) only reads the table that
+precompute=True fills; both serve only the benchmark's solver check and
+tests (ROADMAP item 11).
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ import operator
 
 import numpy as np
 
-from .core import Dataset, Linear, _whole, check_grid, grid_cell, make_xbar
+from .core import Dataset, Linear, _real, _whole, check_grid, grid_cell, make_xbar
 from .errors import InvalidData
 
 __all__ = ["CostCache"]
@@ -287,7 +290,7 @@ class CostCache:
         is NaN, infinite or negative raises ValueError."""
         los, his = np.asarray(los), np.asarray(his)
         _check_pairs(los, his, self.m)
-        M, ridge = self._stack(los, his, check_grid("lambda", float(lam)))
+        M, ridge = self._stack(los, his, check_grid("lambda", lam))
         M = M[self._full]  # (D, D, K)
         d = M.shape[0] - 1
         tau, U = np.linalg.eigh(np.moveaxis(M[:d, :d], -1, 0))
@@ -316,12 +319,12 @@ class CostCache:
             los, his = np.broadcast_arrays(los, his)
         return self._costs(los, his, self.lambdas)
 
-    def certificate(self):
-        """Dominance bound (U, s, pairs, mus) -> (low, scale) for the
-        functional pruning of segment._dp, by the algebra of the module
+    def certificate(self, U, s: int, pairs, mus):
+        """The dominance bound (low, scale) that segment.pelt takes as
+        certificate= for functional pruning, by the algebra of the module
         docstring: for each multiplier mu of mus (N,), each pair (i, h) of
         the int64 array pairs (P, 2), competitor i at the h-th lambda of the
-        grid, and each candidate j of U, low[mu, p, j] is
+        grid, and each candidate j of the int64 array U, low[mu, p, j] is
 
             min over theta' of v^T [(1+mu) A_{[j,s)} - A_{[i,s)}] v / n,
 
@@ -331,20 +334,15 @@ class CostCache:
         over n, the size the DP's margin reads. U and the competitors need
         not be sorted; every j and i is at most s, and s at most m.
         """
-        lams, n = self.lambdas, self.dataset.n
-
-        def bound(U, s, pairs, mus):
-            i, h = pairs.T
-            A = self._assemble(np.concatenate([U, i]), np.array([s]), lams)[0]  # (T, H, |U|+P)
-            A_j = A[:, None, h, : U.size]  # (T, 1, P, |U|)
-            A_i = A[:, None, h, U.size + np.arange(h.size), None]  # (T, 1, P, 1)
-            mu = (1.0 + mus)[:, None, None]
-            Q = mu * A_j
-            scale = (Q[-1] + A_i[-1]) / n
-            Q -= A_i
-            return _schur(Q) / n, scale
-
-        return bound
+        i, h = pairs.T
+        A = self._assemble(np.concatenate([U, i]), np.array([s]), self.lambdas)[0]  # (T, H, |U|+P)
+        A_j = A[:, None, h, : U.size]  # (T, 1, P, |U|)
+        A_i = A[:, None, h, U.size + np.arange(h.size), None]  # (T, 1, P, 1)
+        mu = (1.0 + mus)[:, None, None]
+        Q = mu * A_j
+        scale = (Q[-1] + A_i[-1]) / self.dataset.n
+        Q -= A_i
+        return _schur(Q) / self.dataset.n, scale
 
     def costfn(self, lam: float):
         """Scalar cost function (lo, hi) -> cost at lam, for the scalar form
@@ -354,9 +352,10 @@ class CostCache:
         """
         if self._table is None:
             raise ValueError("costfn reads the cost table; build the cache with precompute=True")
-        if float(lam) not in self.lambdas.tolist():
+        lam = _real("lam", lam)
+        if lam not in self.lambdas.tolist():
             raise ValueError(f"lam {lam} is not on this cache's lambda grid {self.lambdas}")
-        h = self.lambdas.tolist().index(float(lam))
+        h = self.lambdas.tolist().index(lam)
 
         def fn(lo, hi):
             _check_pairs(np.array([operator.index(lo)]), np.array([operator.index(hi)]), self.m)

@@ -3,24 +3,26 @@
 Both model families run one fit body over an interval table: the pruned DP
 segments with the table's costs (segment.pelt's pair contract) under the
 table's budget, so only the surviving candidates' costs and a block's own
-columns are computed; the table's certificate() (CostCache's dominance
-bound, None for NetworkCosts) adds functional pruning to PELT's; _attach
-gives the final intervals their models from one models(los, his, lam)
-call. CV runs both steps per fold and scores with _sse, the residual rule
-of recompute_objective. fit_ljil uses a one-lambda CostCache; fit_djil a
-NetworkCosts table, which trains each interval at most once, at lam 0
-(network costs carry no coefficient penalty), a block's untrained
-intervals in one lockstep mlp_train call.
+columns are computed; the table's certificate attribute (the bound method
+CostCache.certificate, None on NetworkCosts) adds functional pruning to
+PELT's; _attach gives the final intervals their models from one
+models(los, his, lam) call. CV runs both steps per fold and scores with
+_sse, the residual rule of recompute_objective. fit_ljil uses a one-lambda
+CostCache; fit_djil a NetworkCosts table, which trains each interval at
+most once, at lam 0 (network costs carry no coefficient penalty), a
+block's untrained intervals in one lockstep mlp_train call. Its costs are
+served by segment._per_pair, the one adapter from per-pair values to the
+pair contract, over its memo of trained networks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, Interval, JilFit, Linear, _whole, grid_cell
+from .core import Dataset, Interval, JilFit, Linear, _real, _whole, grid_cell
 from .cost import CostCache, _check_indices, _check_pairs
 from .mlp import MlpModel, TrainConfig, mlp_train
-from .segment import pelt
+from .segment import _per_pair, pelt
 
 __all__ = ["NetworkCosts", "fit_ljil", "fit_djil", "recompute_objective"]
 
@@ -63,18 +65,18 @@ def _sse(fit: JilFit, X: np.ndarray, A: np.ndarray, Y: np.ndarray) -> float:
 
 def _fit(table, lam: float, gamma: float) -> JilFit:
     """Segment with the one cost row of a table over lambdas (lam,); attach models."""
-    result = pelt(table.costs, table.m, gamma, budget=table.budget,
-                  certificate=table.certificate())
+    result = pelt(table.costs, table.m, gamma, budget=table.budget, certificate=table.certificate)
     return _attach(table, lam, [result], [gamma])[0]
 
 
 def fit_ljil(d: Dataset, m: int, lam: float, gamma: float) -> JilFit:
-    """Ridge-per-segment fit on an m-cell grid with jump penalty gamma.
+    """Ridge-per-segment fit on an m-cell grid with jump penalty gamma; lam
+    is a finite real (core._real; the CostCache refuses a negative one).
 
     The fit builds a CostCache without a table, so only the intervals the
     pruned DP evaluates are factorized, each once, and memory stays O(m d^2).
     """
-    lam = float(lam)
+    lam = _real("lam", lam)
     return _fit(CostCache(d, m, lambdas=(lam,)), lam, gamma)
 
 
@@ -100,6 +102,10 @@ class NetworkCosts:
     """
 
     budget = _BLOCK_NETWORKS  # the pairs segment.pelt puts in one costs call
+    # a trained network's cost is not a quadratic in parameters shared across
+    # intervals, so no candidate can be certified dominated: the DP prunes by
+    # PELT's keep test alone (ROADMAP item 5)
+    certificate = None
 
     def __init__(self, dataset: Dataset, m: int, cfg: TrainConfig):
         self.dataset = dataset
@@ -114,10 +120,11 @@ class NetworkCosts:
             tuple(np.zeros(o) for o in sizes[1:]),
         )
 
-    def _train(self, pairs) -> None:
-        """Memoize (network, cost) for every pair (lo, hi) not yet trained;
-        the nonempty ones train in one mlp_train call, in the given order."""
-        d, new = self.dataset, []
+    def _train(self, los: list, his: list) -> list:
+        """(network, cost) of each pair (lo, hi) of the lists los and his,
+        memoized: the nonempty pairs not yet trained train first, in one
+        mlp_train call, in the given order."""
+        d, new, pairs = self.dataset, [], list(zip(los, his))
         for lo, hi in dict.fromkeys(pairs):
             if (lo, hi) in self._memo:
                 continue
@@ -126,43 +133,30 @@ class NetworkCosts:
                 self._memo[lo, hi] = (self._zero, 0.0)
             else:
                 new.append((lo, hi, rows))
-        if not new:
-            return
-        nets = mlp_train(d, tuple(Interval(lo, hi, self.m) for lo, hi, _ in new), self.cfg)
-        for (lo, hi, rows), net in zip(new, nets):
-            resid = d.outcomes[rows] - net.predict_batch(d.covariates[rows])
-            self._memo[lo, hi] = (net, float(np.dot(resid, resid) / d.n))
+        if new:
+            nets = mlp_train(d, tuple(Interval(lo, hi, self.m) for lo, hi, _ in new), self.cfg)
+            for (lo, hi, rows), net in zip(new, nets):
+                resid = d.outcomes[rows] - net.predict_batch(d.covariates[rows])
+                self._memo[lo, hi] = (net, float(np.dot(resid, resid) / d.n))
+        return [self._memo[pair] for pair in pairs]
 
     def costs(self, los, his) -> np.ndarray:
         """Costs (1,) + S of [lo/m, hi/m) for the int64 index arrays los and
         his broadcast to shape S, exactly 0 where lo >= hi: the pair
-        contract of segment.pelt, an index outside [0, m] a ValueError. The
-        untrained pairs lo < hi train in one mlp_train call, in row-major
-        order."""
+        contract of segment.pelt, an index outside [0, m] a ValueError,
+        served by segment._per_pair, so the untrained pairs lo < hi train in
+        one mlp_train call, in row-major order."""
         _check_indices(np.asarray(los), np.asarray(his), self.m)
-        los, his = np.broadcast_arrays(los, his)
-        live = los < his
-        pairs = list(zip(los[live].tolist(), his[live].tolist()))
-        self._train(pairs)
-        out = np.zeros((1,) + los.shape)
-        out[0, live] = [self._memo[pair][1] for pair in pairs]
-        return out
-
-    def certificate(self):
-        """None: a trained network's cost is not a quadratic in shared
-        parameters, so no candidate can be certified dominated, and the DP
-        prunes by PELT's keep test alone (ROADMAP item 5)."""
-        return None
+        return _per_pair(lambda *live: [cost for _, cost in self._train(*live)])(los, his)
 
     def models(self, los: np.ndarray, his: np.ndarray, lam: float) -> tuple:
-        """One network per interval [lo/m, hi/m); lam must be 0."""
-        if float(lam) != 0.0:
+        """One network per interval [lo/m, hi/m); lam must be 0 (a real
+        number, by core._real)."""
+        if _real("lam", lam) != 0.0:
             raise ValueError(f"network costs carry no penalty; lam must be 0, got {lam}")
         los, his = np.asarray(los), np.asarray(his)
         _check_pairs(los, his, self.m)
-        pairs = list(zip(los.tolist(), his.tolist()))
-        self._train(pairs)
-        return tuple(self._memo[pair][0] for pair in pairs)
+        return tuple(net for net, _ in self._train(los.tolist(), his.tolist()))
 
 
 def fit_djil(d: Dataset, m: int, gamma: float, cfg: TrainConfig) -> JilFit:

@@ -16,13 +16,11 @@ network gets the same bits in any stack, alone included.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Interval, _whole, grid_cell
+from .core import Dataset, Interval, _real, _whole, grid_cell
 from .errors import DimensionMismatch, EmptySegment, NoConvergence
 
 __all__ = [
@@ -86,10 +84,10 @@ class TrainConfig:
         object.__setattr__(self, "batch_size", _whole("batch_size", self.batch_size))
         object.__setattr__(self, "hidden", tuple(_whole("hidden", h) for h in self.hidden))
         object.__setattr__(self, "seed", _whole("seed", self.seed, least=0))
-        lr = self.learning_rate
-        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not (0 < lr < math.inf):
-            raise ValueError(f"learning_rate must be a finite real > 0, got {lr!r}")
-        object.__setattr__(self, "learning_rate", float(lr))
+        lr = _real("learning_rate", self.learning_rate)
+        if not lr > 0:
+            raise ValueError(f"learning_rate must be > 0, got {lr!r}")
+        object.__setattr__(self, "learning_rate", lr)
 
 
 def init_model(p: int, hidden: tuple, rng: np.random.Generator) -> MlpModel:

@@ -10,10 +10,12 @@ where R_r holds r-1 and each j of R_{r-1} that passes the PELT keep test
 
     B(j) + cost([j/m, (r-1)/m)) <= B(r-1).
 
-The exact DP (dp_no_prune) forces the test true, so R_r holds every j < r.
-Zero-slack pruning is exact when splitting an interval never increases total
-cost (true for least-squares costs); the prune switch makes any divergence
-on other cost structures observable against dp_no_prune.
+pelt always runs the keep test. The exact DP, dp_no_prune, is the one way to
+skip it: it forces the test true, so R_r holds every j < r. Zero-slack
+pruning is exact when splitting an interval never increases total cost (true
+for least-squares costs); dp_no_prune makes any divergence on other cost
+structures observable. Both check their arguments and run _dp through one
+private step, _solve.
 
 The DP runs column by column: step r takes the first minimum of
 B(j) + gamma + cost([j/m, r/m)) over R_r, so ties keep the smallest j. The
@@ -46,10 +48,12 @@ it is a pair function, the one contract every cost table serves:
   candidate sets only shrink apart from the newest candidate (R_{r+t} is
   within R_r + {r, ..., r+t-1}), so no cost is asked for twice.
 
-The scalar form runs through the same path: an adapter turns it into a pair
-function, and its budget is 0, so each block is one column. With a scalar
-gamma, H != 1 raises ValueError, and so does a grid call whose H differs
-from the first call's; a return of any other shape raises ValueError.
+The scalar form runs through the same path: _per_pair, the one adapter from
+per-pair values to the pair contract (fit.NetworkCosts.costs is served by
+it too), turns it into a pair function, and its budget is 0, so each block
+is one column. With a scalar gamma, H != 1 raises ValueError, and so does
+a grid call whose H differs from the first call's; a return of any other
+shape raises ValueError.
 Either way the DP asks for each cost once and calls the costfn for nothing
 else: it keeps the cost of the interval it picks at each column, and the
 reported objective sums the kept costs of the backtracked partition from
@@ -75,14 +79,15 @@ Functional pruning. PELT never drops a candidate inside the current
 segment: with j' < j the last change point of column r's optimum,
 B(j) + cost([j, r)) - B(r) is at most
 cost([j', j)) + cost([j, r)) - cost([j', r)) <= 0. So sum |R_r| stays near
-a third of m(m+1)/2. A table whose costs are quadratics in
-shared coefficients can hand pelt a certificate by keyword
-(certificate=CostCache.certificate(); the exact DP ignores it) that drops
-such candidates for good, as FPOP does (Maidstone, Hocking, Rigaill &
-Fearnhead 2017, Stat. Comput. 27). After column s, candidate j's value at
-any later column r is min over theta of q_j(theta) + g_r(theta), with
-q_j(theta) = B(j) + gamma + (j's cost of [j, s) at theta) and g_r >= 0 the
-same for every candidate; the newest candidate s has the constant
+a third of m(m+1)/2. A table whose costs are quadratics in shared
+coefficients can hand pelt a certificate by keyword
+(certificate=table.certificate, the bound method CostCache.certificate;
+dp_no_prune takes none) that drops such candidates for good, as FPOP does
+(Maidstone, Hocking, Rigaill & Fearnhead 2017, Stat. Comput. 27). After
+column s, candidate j's value at any later column r is min over theta of
+q_j(theta) + g_r(theta), with q_j(theta) = B(j) + gamma + (j's cost of
+[j, s) at theta) and g_r >= 0 the same for every candidate; the newest
+candidate s has the constant
 q_s = F = B(s) + gamma. So if q_j >= min(q_i, F) + eps everywhere for some
 competitor i and eps > 0, j never again attains a column's minimum. By the
 S-lemma (Polik & Terlaky 2007, SIAM Rev. 49(3)) it suffices that
@@ -102,13 +107,13 @@ columns since the last and while |U| times the columns left reaches
 _CERTIFY_WORK; no fit with m <= 220 checks at all. In the grid form each
 DP certifies with its own competitor, B and gamma, the (competitor, cost
 row) stacks are formed once across the DPs, and j leaves U only when
-every DP has pruned or certified it. fit.NetworkCosts supplies no
-certificate: a trained network's cost is not a quadratic in coefficients
-shared across intervals, so its DP prunes by PELT's keep test alone (and
-that is not exact either; see fit.fit_djil). Neither does a scalar
-costfn. A block whose B values are not finite raises ValueError naming
-the first such column, so no NaN objective is returned and the
-certificate never reads a non-finite B.
+every DP has pruned or certified it. fit.NetworkCosts.certificate is
+None, a class attribute: a trained network's cost is not a quadratic in
+coefficients shared across intervals, so its DP prunes by PELT's keep test
+alone (and that is not exact either; see fit.fit_djil). A scalar costfn
+has no certificate either. A block whose B values are not finite raises
+ValueError naming the first such column, so no NaN objective is returned
+and the certificate never reads a non-finite B.
 
 One DP body (_dp) serves both forms. Its state is indexed [column or
 candidate, DP], with the DP axis last: a scalar gamma has no DP axis, and a
@@ -120,11 +125,10 @@ list is a grid of G = H DPs.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .core import Partition, _whole
+from .core import Partition, _real, _whole
 from .errors import InvalidPenalty
 
 __all__ = ["dp_no_prune", "pelt"]
@@ -146,26 +150,18 @@ _CERTIFY_EVERY = 32
 _CERTIFY_WORK = 8 * 1536
 
 
-def _check_gamma(gamma):
-    ok = (
-        isinstance(gamma, numbers.Real)
-        and not isinstance(gamma, bool)
-        and math.isfinite(gamma)
-        and gamma >= 0
-    )
-    if not ok:
-        raise InvalidPenalty(f"gamma must be finite and >= 0, got {gamma!r}")
-
-
-def _per_pair(costfn):
-    """Pair form of a scalar costfn: one call per pair lo < hi, in row-major
-    order, and 0 for a pair lo >= hi, as one cost row."""
+def _per_pair(values):
+    """The pair function over per-pair values: costs(los, his) broadcasts
+    the index arrays, hands values(lo_list, hi_list) the live pairs lo < hi
+    as two lists of ints in row-major order, and returns the costs values
+    gives them as one cost row, 0 for a pair lo >= hi. It serves the scalar
+    form and fit.NetworkCosts."""
 
     def costs(los, his):
         los, his = np.broadcast_arrays(los, his)
         live = los < his
         out = np.zeros((1,) + los.shape)
-        out[0, live] = [costfn(lo, hi) for lo, hi in zip(los[live].tolist(), his[live].tolist())]
+        out[0, live] = values(los[live].tolist(), his[live].tolist())
         return out
 
     return costs
@@ -308,8 +304,28 @@ def _dp(costs, m: int, gamma, prune: bool, certify, budget: int):
     ]
 
 
-def pelt(costfn, m: int, gamma, prune: bool = True, *, budget=None, certificate=None):
-    """Penalized segmentation with (optionally pruned) DP.
+def _solve(costfn, m, gamma, budget, prune: bool, certify):
+    """Check the arguments of pelt or dp_no_prune and run _dp: gamma a
+    finite real >= 0 or a non-empty sequence of them (InvalidPenalty), m an
+    integer >= 1 and a budget an integer >= 0 (ValueError). Without a
+    budget the scalar costfn runs through _per_pair under budget 0."""
+    grid = np.ndim(gamma) > 0
+    if grid and len(gamma) == 0:
+        raise InvalidPenalty("the grid form needs at least one gamma")
+    for g in gamma if grid else (gamma,):
+        if _real("gamma", g, InvalidPenalty) < 0:
+            raise InvalidPenalty(f"gamma must be >= 0, got {g!r}")
+    m = _whole("grid resolution", m)
+    if budget is None:  # one costfn call per live pair, in one-column blocks
+        costs, budget = _per_pair(lambda los, his: list(map(costfn, los, his))), 0
+    else:
+        costs, budget = costfn, _whole("block budget", budget, least=0)
+    gamma = np.array(gamma, dtype=float) if grid else float(gamma)
+    return _dp(costs, m, gamma, prune, certify, budget)
+
+
+def pelt(costfn, m: int, gamma, *, budget=None, certificate=None):
+    """Penalized segmentation by the pruned DP (PELT's keep test).
 
     Returns (Partition, objective) where objective = sum of interval costs
     plus gamma per interval; given a 1-D sequence of penalties, runs the
@@ -319,21 +335,14 @@ def pelt(costfn, m: int, gamma, prune: bool = True, *, budget=None, certificate=
     Without a budget costfn is scalar, (lo, hi) -> float; with one, an
     integer >= 0 of pairs per cost row a block may hold (a cost table's
     budget), it is a pair function costs(los, his) (the table's costs).
-    certificate, a cost table's dominance bound (CostCache.certificate()),
-    adds functional pruning to PELT's keep test; the exact DP ignores it.
+    certificate, a cost table's dominance bound (its certificate
+    attribute: CostCache.certificate, None for fit.NetworkCosts), adds
+    functional pruning to PELT's keep test.
     """
-    grid = np.ndim(gamma) > 0
-    if grid and len(gamma) == 0:
-        raise InvalidPenalty("the grid form needs at least one gamma")
-    for g in gamma if grid else (gamma,):
-        _check_gamma(g)
-    m = _whole("grid resolution", m)
-    costs = _per_pair(costfn) if budget is None else costfn
-    budget = 0 if budget is None else _whole("block budget", budget, least=0)
-    gamma = np.array(gamma, dtype=float) if grid else float(gamma)
-    return _dp(costs, m, gamma, prune, certificate if prune else None, budget)
+    return _solve(costfn, m, gamma, budget, True, certificate)
 
 
 def dp_no_prune(costfn, m: int, gamma, *, budget=None):
-    """Exact DP over all predecessors (reference implementation)."""
-    return pelt(costfn, m, gamma, prune=False, budget=budget)
+    """Exact DP over all predecessors (reference implementation): pelt's
+    arguments and forms, with neither the keep test nor a certificate."""
+    return _solve(costfn, m, gamma, budget, False, None)

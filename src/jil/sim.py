@@ -204,9 +204,9 @@ def gen_scenario(spec: ScenarioSpec):
 
 
 def true_optimal_value(spec: ScenarioSpec, n_mc: int, seed: int) -> float:
-    """Monte-Carlo E[sup_a Q(X, a)] using the exact per-x supremum."""
-    if n_mc < 1000:
-        raise ValueError(f"n_mc must be >= 1000, got {n_mc}")
+    """Monte-Carlo E[sup_a Q(X, a)] using the exact per-x supremum; n_mc an
+    integer >= 1000 and seed one >= 0 (ValueError naming it)."""
+    n_mc, seed = _whole("n_mc", n_mc, least=1000), _whole("seed", seed, least=0)
     X = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_mc, spec.p))
     return float(np.mean(_SCENARIOS[spec.id].sup(X)))
 
@@ -214,10 +214,10 @@ def true_optimal_value(spec: ScenarioSpec, n_mc: int, seed: int) -> float:
 def policy_value_mc(rule: I2dr, pref, spec: ScenarioSpec, n_mc: int, seed: int) -> float:
     """Value of a fitted rule under a dose preference, by fresh-draw MC.
 
-    Uses the scenario's exact Q with no outcome noise.
+    Uses the scenario's exact Q with no outcome noise; n_mc is an integer
+    >= 1 and seed one >= 0 (ValueError naming it).
     """
-    if n_mc < 1:
-        raise ValueError(f"n_mc must be >= 1, got {n_mc}")
+    n_mc, seed = _whole("n_mc", n_mc), _whole("seed", seed, least=0)
     X = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_mc, spec.p))
     idx = recommend_batch(rule, X)
     edges = np.array(rule.fit.partition.edges())

@@ -2,7 +2,7 @@
 
 Both flavors run one fold loop, the fit body of fit.py over a grid. Every
 fold builds one interval table on its training rows and makes one grid-form
-segment.pelt call over the table's costs, budget and certificate(), which
+segment.pelt call over the table's costs, budget and certificate, which
 runs the DPs of every (lambda, gamma) pair in lockstep: each block of
 columns is computed once, at every lambda, for the union of the candidates
 the DPs still hold, and no table of interval costs is kept. fit._attach
@@ -124,7 +124,7 @@ def _cv(d: Dataset, make_table, grid: TuningGrid):
         table = make_table(d.subset(np.flatnonzero(~va)))
         held_out = d.covariates[va], d.treatments[va], d.outcomes[va]
         results = pelt(table.costs, table.m, grid.gammas, budget=table.budget,
-                       certificate=table.certificate())
+                       certificate=table.certificate)
         sse.append([[_sse(fit, *held_out) for fit in _attach(table, lam, row, grid.gammas)]
                     for lam, row in zip(grid.lambdas, results)])
     scores = np.apply_along_axis(math.fsum, 0, np.array(sse)) / d.n
@@ -173,7 +173,9 @@ def cv_select_djil(d: Dataset, m: int, grid: TuningGrid, cfg: TrainConfig) -> Cv
 
 
 def default_gamma(n: int) -> float:
-    """Jump-penalty default 4 log(n) / n; raises InsufficientData for n < 2."""
+    """Jump-penalty default 4 log(n) / n; n is an integer (ValueError
+    otherwise), and InsufficientData for n < 2."""
+    n = _whole("n", n, least=None)
     if n < 2:
         raise InsufficientData(f"n must be >= 2, got {n}")
     return 4.0 * math.log(n) / n

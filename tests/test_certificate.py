@@ -73,7 +73,7 @@ def uncertified(monkeypatch):
 
     def run(fn, *args):
         with monkeypatch.context() as patch:
-            patch.setattr(CostCache, "certificate", lambda self: None)
+            patch.setattr(CostCache, "certificate", None)
             return fn(*args)
 
     return run
@@ -100,7 +100,7 @@ def test_certified_fits_keep_the_bits_of_pelt_and_the_exact_dp(name, factorized,
     # the grid form over the default grid: every (lambda, gamma) DP alike
     gammas = [g * GAMMA_SCALE.get(name, 1.0) for g in default_grid(d.n, 0).gammas]
     factorized.certified.clear()
-    grid = pelt(cache.costs, m, gammas, budget=cache.budget, certificate=cache.certificate())
+    grid = pelt(cache.costs, m, gammas, budget=cache.budget, certificate=cache.certificate)
     assert factorized.certified
     want = pelt(cache.costs, m, gammas, budget=cache.budget)
     assert [[bits(*x) for x in row] for row in grid] == [[bits(*x) for x in row] for row in want]
@@ -116,7 +116,7 @@ def test_certified_column_calls_within_pelt_candidate_sets(column_calls):
         R = {r: set(U.tolist()) for U, r in reference_calls(
             CostCache(d, m, lambdas=lambdas, precompute=True)._table.transpose(0, 2, 1), gs)}
         column_calls.clear()
-        pelt(cache.costs, m, gs, budget=cache.budget, certificate=cache.certificate())
+        pelt(cache.costs, m, gs, budget=cache.budget, certificate=cache.certificate)
         assert all(set(U.tolist()) <= R[r] for U, r in column_calls)
         assert any(set(U.tolist()) < R[r] for U, r in column_calls)
 
@@ -139,13 +139,14 @@ def test_certificate_halves_the_candidates_at_n8000(uncertified):
         counts.append(total[0])
         return bits(*result)
 
-    assert count(cache.certificate()) == count(None)
+    assert count(cache.certificate) == count(None)
     assert counts[0] <= counts[1] / 2, counts
 
 
 def test_network_costs_supply_no_certificate():
     d = scenario(2, n=60)
-    assert NetworkCosts(d, 6, TrainConfig(hidden=(2,), epochs=1)).certificate() is None
+    assert NetworkCosts.certificate is None
+    assert NetworkCosts(d, 6, TrainConfig(hidden=(2,), epochs=1)).certificate is None
 
 
 def test_certificate_survives_a_plain_wrapper_around_the_column_function(column_calls):
@@ -155,7 +156,7 @@ def test_certificate_survives_a_plain_wrapper_around_the_column_function(column_
     m, gamma = make_grid(d.n, 5.0), default_gamma(d.n)
     cache = CostCache(d, m)
     got = pelt(lambda los, his: cache.costs(los, his), m, gamma, budget=cache.budget,
-               certificate=cache.certificate())
+               certificate=cache.certificate)
     direct = fit_ljil(d, m, 0.0, gamma)
     assert bits(*got) == bits(direct.partition, direct.objective)
     half = len(column_calls) // 2
@@ -226,7 +227,7 @@ def gapped_mismatches(seeds=range(30)) -> int:
             cache = CostCache(Dataset(X, A, Y), m, lambdas=(lam,))
             for gamma in (0.0, 1e-3, 0.05):
                 got = pelt(cache.costs, m, gamma, budget=cache.budget,
-                           certificate=cache.certificate())
+                           certificate=cache.certificate)
                 bad += bits(*got) != bits(*dp_no_prune(cache.costs, m, gamma, budget=cache.budget))
     return bad
 

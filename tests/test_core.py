@@ -49,6 +49,11 @@ def test_make_grid_rejects_bad_args():
         make_grid(10, 0.0)
     with pytest.raises(ValueError):
         make_grid(10, -1.0)
+    # c is a finite real: inf gave m = 1, True m = 10, and "5" a TypeError
+    for bad in (np.inf, np.nan, True, "5", None):
+        with pytest.raises(ValueError, match="c must be"):
+            make_grid(10, bad)
+    assert make_grid(10, np.float32(2.5)) == make_grid(10, 2.5) == 4
 
 
 # ---------------------------------------------------- normalize_treatment

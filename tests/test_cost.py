@@ -460,6 +460,9 @@ def test_cache_off_grid_lambda(rng, factorized):
     for lam in (0.37, 1e-3, np.nextafter(0.1, 1.0)):
         with pytest.raises(ValueError, match="lambda grid"):
             cache.costfn(lam)
+    for lam in ("0.1", False, np.nan):  # not converted to a grid lambda
+        with pytest.raises(ValueError, match="lam must be"):
+            cache.costfn(lam)
     assert factorized == []
     assert cache.costfn(0.1)(1, 4) == pytest.approx(
         cost_oracle(d.covariates, d.treatments, d.outcomes, 1, 4, 5, 0.1), rel=1e-8, abs=1e-12
@@ -771,7 +774,7 @@ def test_cache_theta_rejects_bad_lambda(rng, factorized):
     # zeros and at -1 silent coefficients
     cache = CostCache(make_ds(rng, 200, 4), 40)
     los, his = np.array([0, 10]), np.array([10, 40])
-    for lam in (np.nan, -1.0, -1e-300, np.inf, -np.inf):
+    for lam in (np.nan, -1.0, -1e-300, np.inf, -np.inf, "0.0", True, None):
         for call in (cache.theta, cache.models):
             with pytest.raises(ValueError, match="lambda"):
                 call(los, his, lam)

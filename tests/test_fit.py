@@ -257,6 +257,19 @@ def test_fits_and_tables_reject_a_grid_resolution_that_is_not_an_integer(rng, m)
     assert fit_ljil(d, np.int64(4), 0.0, 0.05).m == 4
 
 
+def test_ljil_takes_a_real_lambda(rng):
+    # "0.5" fitted at lambda 0.5 and True at lambda 1, silently
+    d = Dataset(rng.uniform(-1, 1, (60, 2)), rng.random(60), rng.standard_normal(60))
+    for bad in ("0.5", True, np.bool_(True), None, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lam must be"):
+            fit_ljil(d, 12, bad, 0.1)
+    with pytest.raises(ValueError, match="lambda values must be >= 0"):
+        fit_ljil(d, 12, -0.5, 0.1)
+    fit = fit_ljil(d, 12, np.float32(0.5), 0.1)
+    assert fit.lam == 0.5 and type(fit.lam) is float
+    assert fit.objective == fit_ljil(d, 12, 0.5, 0.1).objective
+
+
 def test_ljil_rejects_invalid_data(rng):
     X = rng.uniform(-1, 1, (20, 2))
     A = rng.random(20)

@@ -329,7 +329,7 @@ def test_network_columns_match_single_interval_calls_bitwise(rng):
 def test_network_table_rejects_lambda_and_bad_indices(rng):
     d = Dataset(rng.uniform(-1, 1, (20, 1)), rng.random(20), rng.standard_normal(20))
     table = NetworkCosts(d, 5, TrainConfig(hidden=(2,), epochs=1, seed=0))
-    for lam in (0.1, 1e-3):
+    for lam in (0.1, 1e-3, "0", False, None):
         with pytest.raises(ValueError):
             table.models(np.array([0]), np.array([5]), lam)
     for lo, hi in ((-1, 2), (2, -1), (7, 3), (0, 6)):

@@ -171,7 +171,7 @@ def test_gamma_zero_subadditive_finest(rng):
 
 
 def test_invalid_penalty():
-    for bad in (-0.1, np.nan, np.inf):
+    for bad in (-0.1, np.nan, np.inf, "0.1", None, np.array(0.1)):
         with pytest.raises(InvalidPenalty):
             pelt(lambda lo, hi: 0.0, 4, bad)
         with pytest.raises(InvalidPenalty):
@@ -207,7 +207,7 @@ def test_non_finite_costs_raise_naming_their_column(bad, gamma):
     table = np.ones((1, 7, 7))
     table[0, :, 5] = bad
     with pytest.raises(ValueError, match="column 5: DP value .* is not finite"):
-        pelt(table_costs(table), 6, gamma, prune=False, budget=36)
+        dp_no_prune(table_costs(table), 6, gamma, budget=36)
 
 
 def test_penalty_accepts_numpy_integer():
@@ -257,14 +257,11 @@ def test_unpruned_dp_matches_enumeration_on_arbitrary_tables(rng):
         assert tuple(e for e in p1.edges()[1:-1]) == cuts_b
 
 
-def test_pelt_unpruned_switch_matches_dp(rng):
-    for trial in range(10):
-        m = int(rng.integers(2, 11))
-        table = random_cost_table(rng, m)
-        fn = table_costfn(table)
-        p1, o1 = pelt(fn, m, 0.4, prune=False)
-        p2, o2 = dp_no_prune(fn, m, 0.4)
-        assert o1 == o2 and p1 == p2
+def test_pelt_has_no_unpruned_switch():
+    # pelt always runs its keep test; the exact DP is dp_no_prune alone,
+    # which the two tests above check against the exhaustive search
+    with pytest.raises(TypeError):
+        pelt(lambda lo, hi: 0.0, 4, 0.4, prune=False)
 
 
 # ------------------------------------------------------------- properties
@@ -554,6 +551,6 @@ def test_scalar_gamma_rejects_a_column_of_several_rows(rng):
 
 
 def test_grid_rejects_bad_penalties():
-    for bad in ((), (0.1, -0.1), (np.nan,), (True,)):
+    for bad in ((), (0.1, -0.1), (np.nan,), (True,), ("0.1",), (0.1, None)):
         with pytest.raises(InvalidPenalty):
             pelt(lambda lo, hi: 0.0, 4, bad)

@@ -194,6 +194,21 @@ def test_true_optimal_value_rejects_few_draws():
         true_optimal_value(ScenarioSpec(1, 10, 4, 0), 999, seed=0)
 
 
+def test_monte_carlo_values_take_integer_draws_and_seeds():
+    # a float draw count failed inside numpy with an unrelated TypeError
+    spec, rule = ScenarioSpec(1, 10, 2, 0), s1_oracle_rule()
+    for n_mc, seed, field in ((1000.5, 0, "n_mc"), (2000.0, 0, "n_mc"), (True, 0, "n_mc"),
+                              (2000, 1.5, "seed"), (2000, -1, "seed"), (2000, "3", "seed")):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            true_optimal_value(spec, n_mc, seed)
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            policy_value_mc(rule, MidPoint(), spec, n_mc, seed)
+    for n_mc in (2.5, 5.0, np.float64(5.0)):
+        with pytest.raises(ValueError, match="n_mc must be an integer"):
+            policy_value_mc(rule, MidPoint(), spec, n_mc, 0)
+    assert true_optimal_value(spec, np.int64(2000), np.int32(1)) == true_optimal_value(spec, 2000, 1)
+
+
 def test_true_optimal_value_deterministic():
     spec = ScenarioSpec(3, 10, 2, 0)
     assert true_optimal_value(spec, 10_000, seed=4) == true_optimal_value(spec, 10_000, seed=4)

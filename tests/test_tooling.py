@@ -246,3 +246,74 @@ def test_library_calls_linalg_only_for_theta_and_propensity():
     for path in sorted((ROOT / "src" / "jil").glob("*.py")):
         found |= {(path.name, scope, name) for _, scope, name in linalg_uses(path.read_text())}
     assert found == ALLOWED_LINALG, found
+
+
+def definitions(source: str) -> list:
+    """(line, name) of each function and class defined in Python source, at
+    any depth; dunder methods, which Python calls by protocol, are left
+    out."""
+    return sorted((node.lineno, node.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def references(source: str) -> set:
+    """Every name Python source refers to: a name, an attribute, an imported
+    name or module part, or a string constant that is an identifier, such as
+    an __all__ entry or a getattr key. Docstrings refer to nothing."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(part for alias in node.names for part in alias.name.split("."))
+            found.update(node.module.split(".") if getattr(node, "module", None) else ())
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier() and id(node) not in docstrings:
+            found.add(node.value)
+    return found
+
+
+def unreferenced(defining: dict, referencing: list) -> list:
+    """"file:line name" of each definition in the sources of defining (file
+    name -> source) that no source of referencing refers to."""
+    names = set().union(*map(references, referencing))
+    return [f"{path}:{line} {name}" for path, source in defining.items()
+            for line, name in definitions(source) if name not in names]
+
+
+def test_reference_scan_names_an_unreferenced_definition():
+    library = '''"""helper and only_in_docs are named here."""
+__all__ = ["exported"]
+def exported():
+    return helper()
+def helper():
+    pass
+def only_in_docs():
+    """only_in_docs is named in its own docstring"""
+class Table:
+    def __len__(self):
+        return 0
+    def read(self):
+        return "only_in_docs, in a message"
+'''
+    bench = "from lib import Table\nTable().read()\n"
+    assert unreferenced({"lib.py": library}, [library]) == ["lib.py:7 only_in_docs",
+                                                            "lib.py:9 Table", "lib.py:12 read"]
+    assert unreferenced({"lib.py": library}, [library, bench]) == ["lib.py:7 only_in_docs"]
+
+
+def test_library_holds_no_code_that_only_tests_use():
+    # every function and class of the library is referenced from the
+    # library or the benchmark; one that only tests call is dead weight
+    library = {path.name: path.read_text() for path in sorted((ROOT / "src" / "jil").glob("*.py"))}
+    bench = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    assert unreferenced(library, [*library.values(), *bench]) == []

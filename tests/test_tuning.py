@@ -10,7 +10,7 @@ import pytest
 
 import jil.fit as fit_mod
 import jil.tuning as tuning_mod
-from jil.core import Dataset, Interval, Partition, grid_cell, make_grid
+from jil.core import Dataset, Interval, Partition, check_grid, grid_cell, make_grid
 from jil.cost import CostCache
 from jil.errors import BadFoldCount, InsufficientData, InvalidData
 from jil.fit import NetworkCosts
@@ -108,6 +108,16 @@ def test_tuning_grid_validation():
             TuningGrid(lambdas=(0.0, bad), gammas=(0.1,), k_folds=2, seed=0)
         with pytest.raises(ValueError, match="gamma grid must be finite"):
             TuningGrid(lambdas=(0.0,), gammas=(0.1, bad), k_folds=2, seed=0)
+    # grid values are real numbers, not converted: True was gamma 1, "0.1" 0.1
+    for bad in (True, np.bool_(False), "0.1", None):
+        with pytest.raises(ValueError, match="lambda grid must be a real number"):
+            TuningGrid(lambdas=(0.0, bad), gammas=(0.1,), k_folds=2, seed=0)
+        with pytest.raises(ValueError, match="gamma grid must be a real number"):
+            TuningGrid(lambdas=(0.0,), gammas=(bad,), k_folds=2, seed=0)
+        with pytest.raises(ValueError, match="lambda grid must be a real number"):
+            check_grid("lambda", (bad,))
+    assert TuningGrid(lambdas=np.array([0.0, 1e-3]), gammas=(np.float32(0.5), 1), k_folds=2,
+                      seed=0) == TuningGrid((0.0, 1e-3), (0.5, 1.0), 2, 0)
 
 
 # ------------------------------------------------------- naive CV oracle
@@ -543,6 +553,19 @@ def test_default_gamma_values():
     assert default_gamma(2) == pytest.approx(2.0 * np.log(2.0), rel=1e-15)
     with pytest.raises(InsufficientData):
         default_gamma(1)
+
+
+def test_default_penalties_take_an_integer_size():
+    # default_gamma(2.5) returned 1.466 and default_grid(400.0, 0) built a grid
+    for bad in (2.5, 400.0, np.float64(400.0), True, "400"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            default_gamma(bad)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            default_grid(bad, 0)
+    assert default_gamma(np.int64(400)) == default_gamma(400)
+    for n in (1, 0, -3):
+        with pytest.raises(InsufficientData):
+            default_gamma(n)
 
 
 def test_default_grid_shape():
