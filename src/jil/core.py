@@ -105,6 +105,22 @@ def grid_cell(a, m: int):
     return cells
 
 
+def _rows(X, width, what: str) -> np.ndarray:
+    """X as a float matrix, one row per observation, with width columns
+    (any number if width is None), else DimensionMismatch naming what
+    expects it: the shape it got for anything but a matrix, the column
+    count for a matrix of the wrong width. The one shape rule of every
+    batch entry point (Linear and MlpModel.predict_batch, and through them
+    recommend_batch; propensity_probs; floor_probabilities)."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatch(f"{what} expects a matrix, one row per observation, "
+                                f"got shape {X.shape}")
+    if width is not None and X.shape[1] != width:
+        raise DimensionMismatch(f"{what} expects {width} covariates, got {X.shape[1]}")
+    return X
+
+
 def make_xbar(X: np.ndarray) -> np.ndarray:
     """Design matrix xbar = (1, x^T)^T stacked over rows."""
     X = np.asarray(X, dtype=float)
@@ -283,11 +299,7 @@ class Linear:
         object.__setattr__(self, "theta", th)
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] + 1 != self.theta.shape[0]:
-            raise DimensionMismatch(
-                f"model expects {self.theta.shape[0] - 1} covariates, got {X.shape[1]}"
-            )
+        X = _rows(X, self.theta.shape[0] - 1, "model")
         return self.theta[0] + X @ self.theta[1:]
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Interval, _real, _whole, grid_cell
-from .errors import DimensionMismatch, EmptySegment, NoConvergence
+from .core import Dataset, Interval, _real, _rows, _whole, grid_cell
+from .errors import EmptySegment, NoConvergence
 
 __all__ = [
     "MlpModel",
@@ -54,11 +54,7 @@ class MlpModel:
         return self.layer_sizes[0]
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_inputs:
-            raise DimensionMismatch(
-                f"network expects {self.n_inputs} covariates, got shape {X.shape}"
-            )
+        X = _rows(X, self.n_inputs, "network")
         return _forward(self.weights, self.biases, X)[0][-1].ravel()
 
 

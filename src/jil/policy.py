@@ -16,6 +16,22 @@ The generalized propensity e(I|x) is a softmax-linear model, fitted by
 damped Newton to its penalized maximum-likelihood solution; predicted
 probabilities are floored at 0.01 by an exact water-filling adjustment
 (never plain clipping, which would break the simplex constraint).
+
+Layout. Inside this module the interval axis is the outer one: predictions,
+logits and probabilities are class-major arrays of shape (|P|, n), so a max,
+a first index or a sum over the intervals is a pass over |P| contiguous rows
+of n entries rather than n reductions over a row of |P| (typically 3)
+entries. The public functions keep the (n, |P|) shape. The BLAS calls see
+the matrices they always did: the logits are the product Xb @ W.T, made
+class-major by a copy, and the Newton step's gradient and Hessian read the
+probabilities back in (n, |P|) order.
+
+Bit rule. Every result has the bits of the row-major code it replaced. Max,
+first index and elementwise products are exact in any layout; a sum is not.
+numpy sums a row of fewer than 8 entries left to right and a longer row in
+8-way pairwise blocks, so _class_sum adds the class rows one by one for
+|P| <= 7 and calls numpy's own row sum on the (n, |P|) copy from |P| = 8
+on. No other sum over the interval axis exists in this module.
 """
 
 from __future__ import annotations
@@ -27,7 +43,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import Dataset, Interval, JilFit, Partition, make_xbar
+from .core import Dataset, Interval, JilFit, Partition, _real, _rows, make_xbar
 from .errors import DimensionMismatch, InsufficientData, NoConvergence
 
 __all__ = [
@@ -71,22 +87,25 @@ class I2dr:
         return recommend(self, x)
 
 
-def _predictions(fit: JilFit, X: np.ndarray) -> np.ndarray:
-    """Per-interval predictions, shape (n, |P|)."""
-    return np.stack([mod.predict_batch(X) for mod in fit.models], axis=1)
-
-
 def _recommend(fit: JilFit, X: np.ndarray):
     """(rec, qmax): per row of X, the first interval whose prediction is
-    within _TIE_TOL of the row maximum, and that maximum."""
-    Q = _predictions(fit, X)
-    qmax = Q.max(axis=1)
-    return np.argmax(Q >= qmax[:, None] - _TIE_TOL, axis=1), qmax
+    within _TIE_TOL of the row maximum, and that maximum. The predictions
+    are class-major (|P|, n), so the maximum is one pass per interval, and
+    the first index is found by marking the tied rows from the last
+    interval down to the first (a row tied nowhere, a NaN, gets 0 as
+    np.argmax gives it)."""
+    Q = np.stack([mod.predict_batch(X) for mod in fit.models])
+    qmax = Q.max(axis=0)
+    tied = Q >= qmax - _TIE_TOL
+    rec = np.zeros(len(qmax), dtype=np.intp)
+    for k in range(len(Q) - 1, -1, -1):
+        rec[tied[k]] = k
+    return rec, qmax
 
 
 def recommend_batch(rule: I2dr, X: np.ndarray) -> np.ndarray:
     """Index of the recommended interval per row of X."""
-    return _recommend(rule.fit, np.asarray(X, dtype=float))[0]
+    return _recommend(rule.fit, X)[0]
 
 
 def recommend(rule: I2dr, x: np.ndarray) -> Interval:
@@ -117,6 +136,17 @@ class PropensityModel:
             raise ValueError("propensity weights must be a matrix with one row per interval")
 
 
+def _class_sum(e: np.ndarray) -> np.ndarray:
+    """Sum over the interval axis of a class-major (K, n) array, with the
+    bits of numpy's row sum of the (n, K) array (see the module docstring)."""
+    if len(e) < 8:
+        tot = e[0].copy()
+        for row in e[1:]:
+            tot += row
+        return tot
+    return np.ascontiguousarray(e.T).sum(axis=1)
+
+
 def floor_probabilities(probs: np.ndarray) -> np.ndarray:
     """Raise every probability to >= _FLOOR while keeping rows on the simplex.
 
@@ -125,26 +155,43 @@ def floor_probabilities(probs: np.ndarray) -> np.ndarray:
     rescaled to fill the remaining budget, which is exact, unlike
     clip-and-renormalize.
     """
-    probs = np.asarray(probs, dtype=float)
-    k = probs.shape[1]
+    probs = _rows(probs, None, "floor_probabilities")
+    return _floor(np.ascontiguousarray(probs.T)).T
+
+
+def _floor(P: np.ndarray) -> np.ndarray:
+    """floor_probabilities on class-major (K, n) probabilities."""
+    k = len(P)
     f = min(_FLOOR, 1.0 / k)
-    s = np.maximum(probs - f, 0.0)
-    tot = s.sum(axis=1, keepdims=True)
+    s = np.maximum(P - f, 0.0)
+    tot = _class_sum(s)
     share = np.where(tot > 0.0, s / np.where(tot > 0.0, tot, 1.0), 1.0 / k)
     return f + (1.0 - k * f) * share
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+def _logits(Xb: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Class-major logits (K, n): the product Xb @ W.T, copied."""
+    return np.ascontiguousarray((Xb @ W.T).T)
 
 
-def _softmax_objective(W: np.ndarray, Xb: np.ndarray, labels: np.ndarray) -> float:
-    z = Xb @ W.T
-    top = z.max(axis=1)
-    lse = top + np.log(np.exp(z - top[:, None]).sum(axis=1))
-    loss = np.mean(lse - z[np.arange(len(labels)), labels])
-    return float(loss + _L2 * np.sum(W * W))
+def _softmax(z: np.ndarray):
+    """(P, top, tot) for class-major logits z: the probabilities e / tot,
+    where e = exp(z - top), top is the maximum over the intervals and tot
+    the sum of e over them."""
+    top = z.max(axis=0)
+    e = np.exp(z - top)
+    tot = _class_sum(e)
+    return e / tot, top, tot
+
+
+def _softmax_objective(W: np.ndarray, Xb: np.ndarray, labels: np.ndarray):
+    """(objective, P): log-loss / n + _L2 ||W||^2 at W, and the class-major
+    probabilities there, which the next Newton step reuses."""
+    z = _logits(Xb, W)
+    P, top, tot = _softmax(z)
+    lse = top + np.log(tot)
+    loss = np.mean(lse - z[labels, np.arange(len(labels))])
+    return float(loss + _L2 * np.sum(W * W)), P
 
 
 def _fit_softmax(Xb: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
@@ -156,17 +203,20 @@ def _fit_softmax(Xb: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
     affine-invariant estimate of twice the suboptimality) is at most
     _NEWTON_TOL, the full step is taken and the loop stops; the decrement is
     not driven further because objective differences below it are rounding.
+    The probabilities of a step are those the objective computed at the
+    point the line search accepted; the gradient and the Hessian read them
+    in (n, K) order, the order of their BLAS calls.
     """
     n, d = Xb.shape
     onehot = np.zeros((n, K))
     onehot[np.arange(n), labels] = 1.0
     W = np.zeros((K, d))
-    f = _softmax_objective(W, Xb, labels)
+    f, probs = _softmax_objective(W, Xb, labels)
     diag = np.arange(K)
     for _ in range(_NEWTON_MAX_ITER):
-        P = _softmax(Xb @ W.T)
+        P = np.ascontiguousarray(probs.T)
         g = ((P - onehot).T @ Xb / n + 2.0 * _L2 * W).ravel()
-        PX = P[:, :, None] * Xb[:, None, :]
+        PX = np.einsum("ik,ia->ika", P, Xb)
         A = PX.reshape(n, K * d)
         H = -(A.T @ A)
         H.reshape(K, d, K, d)[diag, :, diag, :] += np.matmul(PX.transpose(1, 2, 0), Xb)
@@ -178,7 +228,8 @@ def _fit_softmax(Xb: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
             return W + step
         t = 1.0
         for _ in range(_MAX_HALVINGS):
-            f_new = _softmax_objective(W + t * step, Xb, labels)
+            W_new = W + t * step
+            f_new, probs_new = _softmax_objective(W_new, Xb, labels)
             if f_new <= f - _ARMIJO * t * dec:
                 break
             t *= 0.5
@@ -186,7 +237,7 @@ def _fit_softmax(Xb: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
             raise NoConvergence(
                 dec, f"propensity line search found no decrease (Newton decrement {dec:.3e})"
             )
-        W, f = W + t * step, f_new
+        W, f, probs = W_new, f_new, probs_new
     raise NoConvergence(
         dec, f"propensity not converged in {_NEWTON_MAX_ITER} Newton steps (decrement {dec:.3e})"
     )
@@ -209,12 +260,13 @@ def fit_propensity(d: Dataset, partition: Partition) -> PropensityModel:
 
 def propensity_probs(prop: PropensityModel, X: np.ndarray) -> np.ndarray:
     """Floored interval probabilities per row of X, shape (n, |P|)."""
-    X = np.asarray(X, dtype=float)
-    if X.shape[1] + 1 != prop.weights.shape[1]:
-        raise DimensionMismatch(
-            f"propensity expects {prop.weights.shape[1] - 1} covariates, got {X.shape[1]}"
-        )
-    return floor_probabilities(_softmax(make_xbar(X) @ prop.weights.T))
+    return _probabilities(prop, X).T
+
+
+def _probabilities(prop: PropensityModel, X: np.ndarray) -> np.ndarray:
+    """propensity_probs, class-major: shape (|P|, n)."""
+    X = _rows(X, prop.weights.shape[1] - 1, "propensity")
+    return _floor(_softmax(_logits(make_xbar(X), prop.weights))[0])
 
 
 # ------------------------------------------------------------------- value
@@ -247,6 +299,7 @@ def estimate_value(d: Dataset, rule: I2dr, prop: PropensityModel, alpha: float) 
     """Augmented inverse-propensity estimate of the rule's value on d."""
     if d.n < 2:
         raise InsufficientData("value estimation needs at least 2 observations")
+    alpha = _real("alpha", alpha)
     if not _alpha_ok(alpha):
         raise ValueError(f"alpha must lie in (0, 1) and 1 - alpha/2 must round below 1, got {alpha}")
     if prop.partition != rule.fit.partition:
@@ -255,7 +308,7 @@ def estimate_value(d: Dataset, rule: I2dr, prop: PropensityModel, alpha: float) 
     rec, qmax = _recommend(fit, d.covariates)
     seg = fit.partition.locate(d.treatments)
     ind = (seg == rec).astype(float)
-    e = propensity_probs(prop, d.covariates)[np.arange(d.n), rec]
+    e = _probabilities(prop, d.covariates)[rec, np.arange(d.n)]
     terms = ind / e * (d.outcomes - qmax) + qmax
     # both sums are correctly rounded (math.fsum), so the report does not
     # depend on the order of the rows. Each sum's terms are scaled by a power

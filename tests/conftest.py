@@ -7,7 +7,10 @@ interval membership is recomputed from first principles. The exhaustive
 partition search, a plain column-form PELT (reference_pelt), the
 full-square form of the cost kernel (eliminate_full), the dense ridge
 penalty (penalty_matrix), a one-network SGD loop (reference_mlp_train) and
-the finite-difference gradient check live here too.
+the finite-difference gradient check live here too, as do the softmax
+propensity, its floor and the recommendation written with the interval axis
+inner (reference_fit_softmax and its neighbours), the bit reference of the
+class-major policy code.
 Tests compare the library against these, never against itself.
 """
 
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 
 import jil.cost
+import jil.policy
 import jil.segment
 from jil.core import Dataset, Interval, Partition, grid_cell
 from jil.errors import DimensionMismatch
@@ -413,3 +417,75 @@ def factorized(monkeypatch):
     monkeypatch.setattr(jil.cost, "_schur", recording_schur)
     monkeypatch.setattr(jil.cost.CostCache, "_costs", recording_costs)
     return sizes
+
+
+# ------------------------------------------------- row-major policy reference
+#
+# jil.policy's softmax propensity, probability floor and recommendation as
+# they were written with the interval axis as the inner axis of (n, K)
+# arrays, the layout whose row sums define the bits. The class-major code in
+# jil.policy must give the same bytes (test_policy.py).
+
+
+def reference_softmax(logits: np.ndarray) -> np.ndarray:
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_softmax_objective(W: np.ndarray, Xb: np.ndarray, labels: np.ndarray) -> float:
+    z = Xb @ W.T
+    top = z.max(axis=1)
+    lse = top + np.log(np.exp(z - top[:, None]).sum(axis=1))
+    loss = np.mean(lse - z[np.arange(len(labels)), labels])
+    return float(loss + jil.policy._L2 * np.sum(W * W))
+
+
+def reference_fit_softmax(Xb: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
+    """Damped Newton from W = 0 with the softmax recomputed at each step."""
+    pol = jil.policy
+    n, d = Xb.shape
+    onehot = np.zeros((n, K))
+    onehot[np.arange(n), labels] = 1.0
+    W = np.zeros((K, d))
+    f = reference_softmax_objective(W, Xb, labels)
+    diag = np.arange(K)
+    for _ in range(pol._NEWTON_MAX_ITER):
+        P = reference_softmax(Xb @ W.T)
+        g = ((P - onehot).T @ Xb / n + 2.0 * pol._L2 * W).ravel()
+        PX = P[:, :, None] * Xb[:, None, :]
+        A = PX.reshape(n, K * d)
+        H = -(A.T @ A)
+        H.reshape(K, d, K, d)[diag, :, diag, :] += np.matmul(PX.transpose(1, 2, 0), Xb)
+        H /= n
+        H[np.diag_indices_from(H)] += 2.0 * pol._L2
+        step = np.linalg.solve(H, -g).reshape(K, d)
+        dec = -float(g @ step.ravel())
+        if dec <= pol._NEWTON_TOL:
+            return W + step
+        t = 1.0
+        for _ in range(pol._MAX_HALVINGS):
+            f_new = reference_softmax_objective(W + t * step, Xb, labels)
+            if f_new <= f - pol._ARMIJO * t * dec:
+                break
+            t *= 0.5
+        else:
+            raise AssertionError("reference line search found no decrease")
+        W, f = W + t * step, f_new
+    raise AssertionError("reference Newton did not converge")
+
+
+def reference_floor_probabilities(probs: np.ndarray) -> np.ndarray:
+    k = probs.shape[1]
+    f = min(jil.policy._FLOOR, 1.0 / k)
+    s = np.maximum(probs - f, 0.0)
+    tot = s.sum(axis=1, keepdims=True)
+    share = np.where(tot > 0.0, s / np.where(tot > 0.0, tot, 1.0), 1.0 / k)
+    return f + (1.0 - k * f) * share
+
+
+def reference_recommend(fit, X: np.ndarray):
+    """(rec, qmax) per row of X: the first interval within the tie
+    tolerance of the row maximum of the (n, K) predictions, and it."""
+    Q = np.stack([mod.predict_batch(X) for mod in fit.models], axis=1)
+    qmax = Q.max(axis=1)
+    return np.argmax(Q >= qmax[:, None] - jil.policy._TIE_TOL, axis=1), qmax

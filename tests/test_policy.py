@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import statistics
 
 import numpy as np
@@ -33,7 +34,14 @@ from jil.fit import fit_ljil
 from jil.sim import ScenarioSpec, gen_scenario
 from jil.tuning import default_gamma
 
-from conftest import cell_of
+from conftest import (
+    cell_of,
+    make_xbar,
+    reference_fit_softmax,
+    reference_floor_probabilities,
+    reference_recommend,
+    reference_softmax,
+)
 
 
 def linear_fit(thetas, edges, m, lam=0.0, gamma=0.1):
@@ -71,6 +79,13 @@ def test_recommend_dimension_mismatch():
     rule = I2dr(linear_fit([[1.0, 0.0]], [0, 2], 2))
     with pytest.raises(DimensionMismatch):
         recommend(rule, np.array([1.0, 2.0]))
+    # the batch entry points take a matrix, one row per observation
+    for call in (lambda X: recommend_batch(rule, X), Linear(np.array([1.0, 0.0])).predict_batch):
+        for X in (np.array([0.5]), np.zeros((2, 2, 1)), 0.5):
+            with pytest.raises(DimensionMismatch, match="expects a matrix, one row per observation"):
+                call(X)
+        with pytest.raises(DimensionMismatch, match="model expects 1 covariates, got 2"):
+            call(np.zeros((3, 2)))
 
 
 def test_recommend_rejects_a_covariate_matrix():
@@ -176,6 +191,14 @@ def test_propensity_probs_covariate_count_checked():
     prop = PropensityModel(Partition.from_edges([0, 3, 6], 6), np.zeros((2, 3)))
     with pytest.raises(DimensionMismatch, match="propensity expects 2 covariates, got 3"):
         propensity_probs(prop, np.zeros((4, 3)))
+    # anything but a matrix is refused by its shape, not by a column count
+    for X in (np.zeros(2), np.zeros((2, 2, 4)), np.zeros((2, 2, 3))):
+        with pytest.raises(DimensionMismatch, match="propensity expects a matrix, one row per "
+                                                    f"observation, got shape {re.escape(str(X.shape))}"):
+            propensity_probs(prop, X)
+    for probs in (np.array([0.3, 0.7]), np.full((2, 2, 2), 0.5)):
+        with pytest.raises(DimensionMismatch, match="floor_probabilities expects a matrix"):
+            floor_probabilities(probs)
 
 
 def test_propensity_insufficient_rows(rng):
@@ -275,6 +298,71 @@ def test_propensity_matches_independent_solver(seed):
     X = d.covariates
     np.testing.assert_allclose(propensity_probs(prop, X), propensity_probs(ref, X),
                                rtol=0, atol=1e-6)
+
+
+# ------------------------------------------- bits of the row-major reference
+
+
+def bit_case(case):
+    """(d, rule) for a named case: a partition of K equal blocks of an 80-cell
+    grid with random linear models, two of them equal, so exact ties occur;
+    or an L-JIL fit."""
+    if case.startswith("K="):
+        K = int(case[2:])
+        d, _ = gen_scenario(ScenarioSpec(1, 400, 4, K))
+        thetas = np.random.default_rng(K).standard_normal((K, 5))
+        thetas[-1] = thetas[0]
+        edges = [round(80 * i / K) for i in range(K + 1)]
+        return d, I2dr(linear_fit(thetas, edges, 80))
+    scenario, n, gamma = {"scenario5-quarter-gamma": (5, 400, 0.25),
+                          "n4000": (1, 4000, 1.0)}[case]
+    d, _ = gen_scenario(ScenarioSpec(scenario, n, 4, 0))
+    return d, I2dr(fit_ljil(d, make_grid(n, 5.0), 0.0, gamma * default_gamma(n)))
+
+
+@pytest.mark.parametrize("case", ["K=1", "K=2", "K=3", "K=7", "K=8", "K=9",
+                                  "scenario5-quarter-gamma", "n4000"])
+def test_class_major_policy_keeps_the_bits_of_the_row_major_reference(case, monkeypatch):
+    # the corpus compares v_hat and sigma_hat within 1e-12 and holds no
+    # propensity weights; here every byte of W, the floored probabilities,
+    # the recommendations and the report must equal the reference's
+    d, rule = bit_case(case)
+    part = rule.fit.partition
+    if case == "scenario5-quarter-gamma":
+        assert part.size >= 40
+    prop = fit_propensity(d, part)
+    want_W = reference_fit_softmax(make_xbar(d.covariates), part.locate(d.treatments), part.size)
+    assert prop.weights.tobytes() == want_W.tobytes()
+
+    X = np.random.default_rng(99).uniform(-1.2, 1.2, (5000, d.p))
+    want_probs = reference_floor_probabilities(reference_softmax(make_xbar(X) @ want_W.T))
+    assert propensity_probs(prop, X).tobytes() == want_probs.tobytes()
+    rec, qmax = reference_recommend(rule.fit, X)
+    assert recommend_batch(rule, X).tobytes() == rec.tobytes()
+    if case.startswith("K=") and part.size > 1:
+        assert (rec == 0).any() and not (rec == part.size - 1).any()  # the tie went to the first
+
+    rep = estimate_value(d, rule, prop, alpha=0.05)
+    # the report with the recommendation and the propensity of the references
+    monkeypatch.setattr(jil.policy, "_recommend", reference_recommend)
+    monkeypatch.setattr(jil.policy, "_probabilities", lambda prop, X: reference_floor_probabilities(
+        reference_softmax(make_xbar(X) @ prop.weights.T)).T)
+    want = estimate_value(d, rule, prop, alpha=0.05)
+    assert [v.hex() for v in vars(rep).values()] == [v.hex() for v in vars(want).values()]
+
+
+def test_class_sum_has_the_bits_of_numpy_row_sums():
+    # numpy sums a row of fewer than 8 entries left to right and a longer one
+    # in 8-way pairwise blocks, so adding class rows one by one has its bits
+    # for K <= 7 only; _class_sum must give the (n, K) array's own row sums.
+    # It gets the transposed view, class-major in shape: its rows are the
+    # classes, and its copy for K >= 8 is then the (n, K) array itself
+    rng = np.random.default_rng(8)
+    for n in (1, 7, 4000):
+        rows = rng.random((n, 300)) * np.exp2(rng.integers(-40, 40, (n, 300)))
+        for K in range(1, 301):
+            e = np.ascontiguousarray(rows[:, :K])
+            assert jil.policy._class_sum(e.T).tobytes() == e.sum(axis=1).tobytes(), (K, n)
 
 
 # ----------------------------------------------------------- estimate_value
@@ -405,8 +493,8 @@ def test_value_input_validation(rng):
     with pytest.raises(InsufficientData):
         estimate_value(d1, rule, prop, alpha=0.05)
     d = two_interval_setup(rng, 20)
-    for bad in (0.0, 1.0, -0.2, 1.3, np.nan):
-        with pytest.raises(ValueError):
+    for bad in (0.0, 1.0, -0.2, 1.3, np.nan, "0.05", None, True):
+        with pytest.raises(ValueError, match="alpha"):
             estimate_value(d, rule, prop, alpha=bad)
     # 1 - alpha/2 rounds to 1 for alpha <= 2**-53, where the quantile is infinite
     for tiny in (1e-17, 2.0**-53):

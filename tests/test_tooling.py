@@ -2,7 +2,9 @@
 aborting and refuses a mistyped mark or ini key, the library runs without
 SciPy, which only the tests use, it reads no environment setting but the one
 the CLI documents, it runs in one process and one thread, and it calls
-numpy.linalg only in the coefficient rule and the propensity fit."""
+numpy.linalg only in the coefficient rule and the propensity fit, and the
+policy layer reduces over its short interval axis only in its row-sum
+helper."""
 
 from __future__ import annotations
 
@@ -213,13 +215,19 @@ def linalg_uses(source: str) -> list:
             name = None
         else:
             continue
-        scope, up = [], parent.get(node)
-        while up is not None:
-            if isinstance(up, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                scope.append(up.name)
-            up = parent.get(up)
-        uses.append((node.lineno, node.col_offset, ".".join(reversed(scope)), name))
+        uses.append((node.lineno, node.col_offset, enclosing(parent, node), name))
     return [(line, scope, name) for line, _, scope, name in sorted(uses, key=lambda u: u[:2])]
+
+
+def enclosing(parent: dict, node) -> str:
+    """Dotted path of the classes and functions around an AST node ("" at
+    module level); parent maps each node to its parent."""
+    scope, up = [], parent.get(node)
+    while up is not None:
+        if isinstance(up, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope.append(up.name)
+        up = parent.get(up)
+    return ".".join(reversed(scope))
 
 
 def test_linalg_scan_names_each_use():
@@ -246,6 +254,58 @@ def test_library_calls_linalg_only_for_theta_and_propensity():
     for path in sorted((ROOT / "src" / "jil").glob("*.py")):
         found |= {(path.name, scope, name) for _, scope, name in linalg_uses(path.read_text())}
     assert found == ALLOWED_LINALG, found
+
+
+# policy.py keeps its interval axis outer, class-major (K, n), so a reduction
+# over it is a pass over K contiguous rows; a call along axis 1 of a
+# row-major (n, K) array reduces n rows of K (typically 3) entries one at a
+# time. The one such call is numpy's own row sum for K >= 8 in _class_sum,
+# which the bits require (see the policy.py module docstring)
+ALLOWED_SHORT_AXIS = {("_class_sum", "sum")}
+
+
+def short_axis_uses(source: str) -> list:
+    """(line, scope, name) of each call in Python source with an axis=1 or
+    axis=-1 keyword, as a method or a function (x.max(axis=1) and
+    np.max(x, axis=1) both give "max"), scope as in linalg_uses. An axis
+    passed by position is not seen."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and any(
+                kw.arg == "axis" and literal(kw.value) in (1, -1) for kw in node.keywords):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            uses.append((node.lineno, node.col_offset, enclosing(parent, node), name))
+    return [(line, scope, name) for line, _, scope, name in sorted(uses, key=lambda u: u[:2])]
+
+
+def literal(node):
+    """The value of an AST node that is a literal, else None."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def test_short_axis_scan_names_each_use():
+    source = """import numpy as np
+from numpy import argmax
+def f(Q):
+    return Q.max(axis=1), argmax(Q, axis=-1), Q.sum(axis=0), np.stack([Q], axis=1)
+class C:
+    def g(self, Q):
+        return np.sum(Q, 1), Q.cumsum(keepdims=True, axis=-1), Q.mean(axis=(0, 1)), Q.min(axis=-k)
+"""
+    assert short_axis_uses(source) == [
+        (4, "f", "max"), (4, "f", "argmax"), (4, "f", "stack"), (7, "C.g", "cumsum")]
+
+
+def test_policy_reduces_over_the_interval_axis_only_in_the_row_sum_helper():
+    source = (ROOT / "src" / "jil" / "policy.py").read_text()
+    found = {(scope, name) for _, scope, name in short_axis_uses(source)}
+    assert found == ALLOWED_SHORT_AXIS, found
 
 
 def definitions(source: str) -> list:
